@@ -61,29 +61,61 @@ pub trait ExecutionBackend: Send + Sync {
     /// `"local"` or `"worker 127.0.0.1:9042"`).
     fn describe(&self) -> String;
 
-    /// Executes one request to completion.  `deadline` bounds the whole
-    /// call from now; `None` means the caller imposes no limit.  Running
-    /// past the deadline must surface as a `deadline_exceeded` error
-    /// *response* when the engine noticed, or [`BackendError::Unavailable`]
-    /// when the transport gave up waiting.
+    /// Executes one already encoded request — a JSON object as
+    /// [`encode_frame`] or a router writes it — to completion.  This is the
+    /// one thing a placement has to do; a caller that holds the text of a
+    /// request (the coordinator forwarding an `insert`, or broadcasting one
+    /// encoding of a query to every shard) never pays for a second encode.
+    ///
+    /// `deadline` bounds the whole call from now at the transport; `None`
+    /// means the caller imposes no limit.  The *worker* stops computing at
+    /// the frame's own `deadline_ms` member, which [`encode_frame`] writes
+    /// from the same value.  Running past the deadline must surface as a
+    /// `deadline_exceeded` error *response* when the engine noticed, or
+    /// [`BackendError::Unavailable`] when the transport gave up waiting.
+    fn execute_frame(
+        &self,
+        frame: &str,
+        deadline: Option<Duration>,
+    ) -> Result<PalmResponse, BackendError>;
+
+    /// Executes one typed request: encodes it once and hands the text to
+    /// [`ExecutionBackend::execute_frame`].
     fn execute(
         &self,
         request: &PalmRequest,
         deadline: Option<Duration>,
-    ) -> Result<PalmResponse, BackendError>;
+    ) -> Result<PalmResponse, BackendError> {
+        self.execute_frame(&encode_frame(request, deadline), deadline)
+    }
+}
+
+/// The wire text of `request`, with the protocol-level `deadline_ms` member
+/// spliced in so that whoever executes it bounds its own work.
+pub fn encode_frame(request: &PalmRequest, deadline: Option<Duration>) -> String {
+    let mut json = request.to_json();
+    if let (Some(limit), Json::Obj(members)) = (deadline, &mut json) {
+        members.push(("deadline_ms".to_string(), Json::Num(deadline_ms(limit))));
+    }
+    json.to_string()
+}
+
+/// `limit` as the value of a `deadline_ms` member.
+pub fn deadline_ms(limit: Duration) -> f64 {
+    limit.as_secs_f64() * 1000.0
 }
 
 /// The in-process placement: requests run directly on a [`PalmServer`]
 /// in this address space.  This is the pre-refactor query path, now one
 /// implementation among several.
 ///
-/// `execute` round-trips the request through its JSON encoding before
-/// handing it to the server.  That costs microseconds per request and
-/// buys the identity proof: a local shard and a remote shard present the
-/// *same bytes* to the same `PalmServer` entry point (`coconut-json`
-/// prints `f64` shortest-round-trip, so numeric values survive exactly),
-/// which is what lets the equivalence suite compare topologies at the
-/// bit level rather than "close enough".
+/// Requests reach the server as JSON text, exactly as a remote shard's do.
+/// For a typed request that costs microseconds and buys the identity
+/// proof: a local shard and a remote shard present the *same bytes* to the
+/// same `PalmServer` entry point (`coconut-json` prints `f64`
+/// shortest-round-trip, so numeric values survive exactly), which is what
+/// lets the equivalence suite compare topologies at the bit level rather
+/// than "close enough".
 pub struct LocalBackend {
     palm: Arc<PalmServer>,
 }
@@ -105,17 +137,16 @@ impl ExecutionBackend for LocalBackend {
         "local".to_string()
     }
 
-    fn execute(
+    fn execute_frame(
         &self,
-        request: &PalmRequest,
+        frame: &str,
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, BackendError> {
         let cancel = match deadline {
             None => CancelToken::never(),
             Some(limit) => CancelToken::at(Instant::now() + limit),
         };
-        let request_json = request.to_json().to_string();
-        let response_json = self.palm.handle_json_with(&request_json, &cancel);
+        let response_json = self.palm.handle_json_with(frame, &cancel);
         let parsed = Json::parse(&response_json)
             .map_err(|e| BackendError::Protocol(format!("local response unparseable: {e}")))?;
         PalmResponse::from_json(&parsed)

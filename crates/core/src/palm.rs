@@ -347,6 +347,18 @@ pub const ERROR_KIND_SHUTTING_DOWN: &str = "shutting_down";
 /// partial costs collected so far in `shard_costs`.
 pub const ERROR_KIND_SHARD_UNAVAILABLE: &str = "shard_unavailable";
 
+/// The kinds a server answers *before* a request touches an index: the
+/// request was refused, not half-applied.  (A `storage` or `series` error
+/// can come out of a write that got part of the way.)  What lets an id
+/// allocator in front of the server take back the ids of a refused insert.
+pub const ERROR_KINDS_NOTHING_APPLIED: [&str; 5] = [
+    ERROR_KIND_MALFORMED,
+    ERROR_KIND_CONFIG,
+    ERROR_KIND_UNKNOWN_INDEX,
+    ERROR_KIND_OVERLOADED,
+    ERROR_KIND_SHUTTING_DOWN,
+];
+
 /// Internal error carrying the machine-readable kind alongside the message.
 struct ServiceError {
     kind: &'static str,
@@ -1480,6 +1492,8 @@ impl PalmServer {
                     .as_ref()
                     .map(|_| CacheKey::query(&name, &query, k, exact));
                 if let (Some(cache), Some(key)) = (&self.cache, &key) {
+                    // A hit is served whatever the deadline says, expired
+                    // included: it costs less than the error would.
                     if let Some(hit) = cache.lookup(key, version) {
                         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                         let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -2377,6 +2391,41 @@ mod tests {
         // Negative deadlines are malformed, not silently clamped.
         let response = server.handle_json(r#"{"type":"list_indexes","deadline_ms":-5}"#);
         assert!(response.contains(ERROR_KIND_MALFORMED), "{response}");
+    }
+
+    /// The decision: a result-cache hit is served even when the request's
+    /// deadline has already expired.  The same token fails a cold key.
+    #[test]
+    fn cache_hit_is_served_past_an_expired_deadline() {
+        let (dir, dataset_path, series) = setup();
+        let server = PalmServer::new(dir.file("work")).with_result_cache(8);
+        server.handle(build_request("c", dataset_path, VariantKind::CTree));
+        let query = |i: usize| PalmRequest::Query {
+            name: "c".into(),
+            query: series[i].values.clone(),
+            k: 3,
+            exact: true,
+        };
+        let computed = server.handle(query(4));
+        let expired = CancelToken::at(Instant::now());
+        let hit = server.handle_with(query(4), &expired);
+        match (&computed, &hit) {
+            (
+                PalmResponse::QueryResult {
+                    ids: a, cost: c1, ..
+                },
+                PalmResponse::QueryResult {
+                    ids: b, cost: c2, ..
+                },
+            ) => assert_eq!((a, c1), (b, c2)),
+            other => panic!("unexpected responses {other:?}"),
+        }
+        assert!(matches!(
+            server.handle_with(query(5), &expired),
+            PalmResponse::Error { kind, .. } if kind == ERROR_KIND_DEADLINE
+        ));
+        let stats = server.stats();
+        assert_eq!((stats.cache_hits, stats.deadline_exceeded), (1, 1));
     }
 
     /// Satellite: per-sub-request deadline reporting inside a batch — the

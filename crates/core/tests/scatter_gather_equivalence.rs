@@ -20,18 +20,27 @@
 //!    match the undistributed service bit-for-bit, exact and approximate
 //!    alike.
 //!
+//! 4. **Pass-through identity** — an `insert` sent as a *frame* is routed
+//!    without being decoded: the shard is handed the client's `series`
+//!    text byte for byte, and the ids, totals, answers and (at N=1)
+//!    `QueryCost` that follow are those of a single node given the same
+//!    frames.
+//!
 //! Approximate answers and costs at N>1 are deliberately *not* compared
 //! against the unsharded index: N shards hold N differently-shaped trees
 //! whose pruning bounds differ, so only claims 1-3 are sound — and they
 //! are the ones the coordinator's correctness rests on.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use coconut_core::backend::{ExecutionBackend, LocalBackend};
-use coconut_core::palm::{PalmRequest, PalmResponse, PalmServer};
-use coconut_core::{Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_core::backend::{BackendError, ExecutionBackend, LocalBackend};
+use coconut_core::palm::{
+    PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
+};
+use coconut_core::{CancelToken, Dataset, IoBackend, PlannerMode, VariantKind};
 use coconut_json::{Json, ToJson};
-use coconut_net::{Coordinator, NetServer, RemoteBackend, ServerConfig};
+use coconut_net::{Coordinator, NetServer, RemoteBackend, RequestHandler, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
 use proptest::prelude::*;
@@ -91,6 +100,81 @@ fn remote_fleet(dir: &ScratchDir, tag: &str, shards: usize) -> (Coordinator, Vec
         servers.push(server);
     }
     (Coordinator::new(backends), servers)
+}
+
+/// An in-process shard that keeps every frame it is handed.
+struct Recording {
+    inner: LocalBackend,
+    frames: Mutex<Vec<String>>,
+}
+
+impl ExecutionBackend for Recording {
+    fn describe(&self) -> String {
+        "recording".to_string()
+    }
+
+    fn execute_frame(
+        &self,
+        frame: &str,
+        deadline: Option<Duration>,
+    ) -> Result<PalmResponse, BackendError> {
+        self.frames.lock().unwrap().push(frame.to_string());
+        self.inner.execute_frame(frame, deadline)
+    }
+}
+
+/// A coordinator over `shards` recording in-process workers, and the
+/// workers.
+fn recording_fleet(
+    dir: &ScratchDir,
+    tag: &str,
+    shards: usize,
+) -> (Coordinator, Vec<Arc<Recording>>) {
+    let recorders: Vec<Arc<Recording>> = (0..shards)
+        .map(|shard| {
+            let palm = Arc::new(PalmServer::new(dir.file(&format!("{tag}-w{shard}"))));
+            Arc::new(Recording {
+                inner: LocalBackend::new(palm),
+                frames: Mutex::new(Vec::new()),
+            })
+        })
+        .collect();
+    let backends = recorders
+        .iter()
+        .map(|r| Arc::clone(r) as Arc<dyn ExecutionBackend>)
+        .collect();
+    (Coordinator::new(backends), recorders)
+}
+
+/// One frame through the coordinator's wire entry point.
+fn send(fleet: &Coordinator, frame: &str) -> Json {
+    let reply = fleet.handle_json_bytes(frame.as_bytes().to_vec(), &CancelToken::never());
+    Json::parse(&reply).unwrap()
+}
+
+/// Frames recorded across `recorders` whose text contains `needle`.
+fn frames_with(recorders: &[Arc<Recording>], needle: &str) -> Vec<(usize, String)> {
+    recorders
+        .iter()
+        .enumerate()
+        .flat_map(|(shard, r)| {
+            let frames = r.frames.lock().unwrap().clone();
+            frames.into_iter().map(move |f| (shard, f))
+        })
+        .filter(|(_, f)| f.contains(needle))
+        .collect()
+}
+
+/// `rows` as a `series` value in a spelling no encoder of ours produces.
+fn odd_series_text(rows: &[Vec<f32>]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let values: Vec<String> = row.iter().map(|v| format!("{v:e}")).collect();
+            format!("[ {}\t]", values.join(" , "))
+        })
+        .collect();
+    format!("[{} ]", rows.join(",  "))
 }
 
 /// Response JSON with the named members removed at any depth.
@@ -299,6 +383,189 @@ fn stats_aggregate_across_shards() {
             assert_eq!(indexes, 1, "indexes reports the fleet-wide name count");
         }
         other => panic!("unexpected stats response {other:?}"),
+    }
+}
+
+/// Claim 4: insert frames are forwarded, not re-encoded, and leave the
+/// fleet where a single node given the same frames would be.
+#[test]
+fn insert_frames_pass_through_and_match_single_node() {
+    let dir = ScratchDir::new("sg-frames").unwrap();
+    let (dataset_path, series) = dataset(&dir, 100, 5);
+    let single = PalmServer::new(dir.file("single"));
+    single.handle(build_request("idx", &dataset_path));
+    let (one, one_recorders) = recording_fleet(&dir, "one", 1);
+    let (two, two_recorders) = recording_fleet(&dir, "two", 2);
+    for fleet in [&one, &two] {
+        let built = fleet.handle_with_deadline(build_request("idx", &dataset_path), None);
+        assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    }
+    let mut gen = RandomWalkGenerator::new(SERIES_LEN, 0xf00d);
+    let batches: Vec<Vec<Vec<f32>>> = [3usize, 1, 2]
+        .iter()
+        .map(|&n| (0..n).map(|_| gen.next_series().values).collect())
+        .collect();
+    // Members in three orders, whitespace everywhere, the name escaped, a
+    // member nobody knows, a deadline of the client's own.
+    let texts: Vec<String> = batches.iter().map(|b| odd_series_text(b)).collect();
+    let frames = [
+        format!(r#"{{"type":"insert","name":"idx","series":{},"timestamp":1}}"#, texts[0]),
+        format!(
+            " {{ \"series\" : {} ,\"timestamp\":2 , \"name\":\"i\\u0064x\",\"note\":[\"]}}\"],\t\"type\":\"insert\" }} ",
+            texts[1]
+        ),
+        format!(
+            r#"{{"deadline_ms":60000,"timestamp":null,"name":"idx","type":"ins\u0065rt","series":{}}}"#,
+            texts[2]
+        ),
+    ];
+    let mut next_id = series.len() as u64;
+    for ((frame, text), batch) in frames.iter().zip(&texts).zip(&batches) {
+        let expected = Json::parse(&single.handle_json(frame)).unwrap();
+        assert_eq!(
+            expected.get("type").and_then(Json::as_str),
+            Some("inserted")
+        );
+        for (fleet, recorders) in [(&one, &one_recorders), (&two, &two_recorders)] {
+            assert_eq!(send(fleet, frame), expected, "{frame}");
+            let seen = frames_with(recorders, text);
+            assert_eq!(seen.len(), 1, "one shard gets the client's rows, verbatim");
+            let forwarded = &seen[0].1;
+            assert!(forwarded.contains(&format!("\"base_id\":{next_id},")));
+            assert_eq!(
+                forwarded.matches("deadline_ms").count(),
+                usize::from(frame.contains("deadline_ms")),
+                "{forwarded}"
+            );
+            assert!(!forwarded.contains("note"));
+        }
+        next_id += batch.len() as u64;
+    }
+    // The rows landed under the ids a single node gave them, and cost what
+    // they cost there.
+    for (i, row) in batches.iter().flatten().enumerate() {
+        for exact in [true, false] {
+            let request = query_request("idx", row, 3, exact);
+            let expected = single.handle(request.clone());
+            match &expected {
+                PalmResponse::QueryResult { ids, .. } => {
+                    assert_eq!(ids[0], (series.len() + i) as u64)
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+            let through_one = one.handle_with_deadline(request.clone(), None);
+            assert_eq!(normalized(&expected), normalized(&through_one));
+            if exact {
+                let through_two = two.handle_with_deadline(request, None);
+                assert_eq!(answers(&expected), answers(&through_two));
+            }
+        }
+    }
+}
+
+/// A frame the coordinator can refuse on its own never reaches a shard: not
+/// one JSON object, cut short, followed by garbage, or carrying a member
+/// that is the coordinator's to set.
+#[test]
+fn hostile_insert_frames_contact_no_shard() {
+    let dir = ScratchDir::new("sg-hostile").unwrap();
+    let (dataset_path, _) = dataset(&dir, 60, 9);
+    let (fleet, recorders) = recording_fleet(&dir, "h", 2);
+    fleet.handle_with_deadline(build_request("idx", &dataset_path), None);
+    let contacted = |recorders: &[Arc<Recording>]| -> usize {
+        recorders
+            .iter()
+            .map(|r| r.frames.lock().unwrap().len())
+            .sum()
+    };
+    let before = contacted(&recorders);
+    let whole = format!(
+        r#"{{"type":"insert","name":"idx","series":{},"timestamp":4}}"#,
+        odd_series_text(&[vec![0.5; SERIES_LEN]])
+    );
+    let mut hostile: Vec<String> = (1..whole.len())
+        .step_by(7)
+        .map(|cut| whole[..cut].to_string())
+        .collect();
+    hostile.extend(["}", " x", ",{}", "\u{1}"].map(|tail| format!("{whole}{tail}")));
+    hostile.extend(
+        [
+            r#"[{"type":"insert","name":"idx","series":[]}]"#,
+            r#"{"type":"insert","name":"idx"}"#,
+            r#"{"type":"insert","series":[]}"#,
+            r#"{"type":"insert","name":7,"series":[]}"#,
+            r#"{"type":"insert","name":"idx","series":{"0":[1]}}"#,
+            r#"{"type":"insert","name":"idx","series":[],"timestamp":-1}"#,
+            r#"{"type":"insert","name":"idx","series":[],"deadline_ms":"soon"}"#,
+            r#"{"type":"insert","name":"idx","series":[[1e]]}"#,
+        ]
+        .map(str::to_string),
+    );
+    for frame in &hostile {
+        let reply = send(&fleet, frame);
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some(ERROR_KIND_MALFORMED),
+            "{frame:?} -> {reply:?}"
+        );
+    }
+    let reply = send(
+        &fleet,
+        r#"{"type":"insert","name":"idx","series":[],"base_id":3}"#,
+    );
+    assert_eq!(
+        reply.get("kind").and_then(Json::as_str),
+        Some(ERROR_KIND_CONFIG)
+    );
+    assert_eq!(
+        contacted(&recorders),
+        before,
+        "a refused frame reached a shard"
+    );
+}
+
+/// A shard that rejects an insert before applying it does not use up ids
+/// or the shard's turn: the next accepted insert is placed, and numbered, as
+/// if the rejected one had never been sent.
+#[test]
+fn rejected_insert_leaves_the_ids_for_the_next_one() {
+    let dir = ScratchDir::new("sg-reject").unwrap();
+    let (dataset_path, series) = dataset(&dir, 80, 13);
+    let (fleet, recorders) = recording_fleet(&dir, "r", 2);
+    fleet.handle_with_deadline(build_request("idx", &dataset_path), None);
+    let count = series.len() as u64;
+    // Valid JSON, so it is routed; rows that are not arrays, so the shard
+    // refuses it.
+    let rejected = send(&fleet, r#"{"type":"insert","name":"idx","series":[1,2,3]}"#);
+    assert_eq!(
+        rejected.get("kind").and_then(Json::as_str),
+        Some(ERROR_KIND_MALFORMED),
+        "{rejected:?}"
+    );
+    let row: Vec<f32> = series[7].values.iter().map(|v| v + 0.25).collect();
+    let accepted = send(
+        &fleet,
+        &format!(
+            r#"{{"type":"insert","name":"idx","series":{}}}"#,
+            odd_series_text(std::slice::from_ref(&row))
+        ),
+    );
+    assert_eq!(
+        accepted.get("total").and_then(Json::as_f64),
+        Some((count + 1) as f64)
+    );
+    let inserts = frames_with(&recorders, "\"insert\"");
+    assert_eq!(inserts.len(), 2);
+    for (shard, frame) in &inserts {
+        assert_eq!(
+            *shard, 0,
+            "the rejected insert did not use up shard 0's turn"
+        );
+        assert!(frame.contains(&format!("\"base_id\":{count},")), "{frame}");
+    }
+    match fleet.handle_with_deadline(query_request("idx", &row, 1, true), None) {
+        PalmResponse::QueryResult { ids, .. } => assert_eq!(ids, vec![count]),
+        other => panic!("unexpected response {other:?}"),
     }
 }
 

@@ -64,19 +64,10 @@ pub type Result<T> = std::result::Result<T, JsonError>;
 impl Json {
     /// Parses a JSON document.
     pub fn parse(input: &str) -> Result<Json> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(input);
         p.skip_ws();
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::new(format!(
-                "trailing characters at offset {}",
-                p.pos
-            )));
-        }
+        p.end()?;
         Ok(value)
     }
 
@@ -235,12 +226,81 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// One top-level member of a JSON object, located but not decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawMember<'a> {
+    /// The member's key, unescaped.
+    pub key: String,
+    /// The member's value exactly as the input spells it, without the
+    /// whitespace around it: a valid JSON document of its own.
+    pub raw: &'a str,
+    /// The number of elements, when the value is an array.
+    pub elements: Option<usize>,
+}
+
+impl RawMember<'_> {
+    /// Decodes the value.  This is a full parse of [`RawMember::raw`]: meant
+    /// for the small members of an envelope, not for the payload the scan
+    /// exists to leave alone.
+    pub fn decode<T: FromJson>(&self) -> Result<T> {
+        T::from_json(&Json::parse(self.raw)?)
+    }
+}
+
+/// Scans the envelope of a request: validates that `input` is one JSON
+/// object, by the very grammar [`Json::parse`] accepts, and returns its
+/// top-level members in document order with their values left as text.
+/// Nothing below the top level is built, so a router can read the few small
+/// members it needs and forward a large one byte for byte.
+pub fn scan_object(input: &str) -> Result<Vec<RawMember<'_>>> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    let mut members = Vec::new();
+    p.members(|p, key| {
+        let start = p.pos;
+        let elements = p.skip_value()?;
+        members.push(RawMember {
+            key,
+            raw: &input[start..p.pos],
+            elements,
+        });
+        Ok(())
+    })?;
+    p.end()?;
+    Ok(members)
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Length of the array completed last: the capacity the next one starts
+    /// with.  Rows of a matrix are siblings of equal length, so every row
+    /// after the first is allocated once, at its final size.
+    array_hint: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            array_hint: 0,
+        }
+    }
+
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(JsonError::new(format!(
+                "trailing characters at offset {}",
+                self.pos
+            )))
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -287,7 +347,7 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number().map(Json::Num),
             _ => Err(JsonError::new(format!(
                 "unexpected character at offset {}",
                 self.pos
@@ -296,22 +356,38 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
+        let hint = self.array_hint;
         let mut items = Vec::new();
+        self.array_hint = self.elements(|p| {
+            if items.is_empty() {
+                items.reserve_exact(hint);
+            }
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    /// Walks an array, calling `element` with the parser at the first byte of
+    /// each element, which it consumes; returns how many there were.
+    fn elements(&mut self, mut element: impl FnMut(&mut Self) -> Result<()>) -> Result<usize> {
+        self.expect(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(0);
         }
+        let mut count = 0;
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            element(self)?;
+            count += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(count);
                 }
                 _ => return Err(JsonError::new(format!("bad array at offset {}", self.pos))),
             }
@@ -319,12 +395,23 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
         let mut members = Vec::new();
+        self.members(|p, key| {
+            let value = p.value()?;
+            members.push((key, value));
+            Ok(())
+        })?;
+        Ok(Json::Obj(members))
+    }
+
+    /// Walks an object, handing each key to `member` with the parser at the
+    /// first byte of the member's value; `member` consumes the value.
+    fn members(&mut self, mut member: impl FnMut(&mut Self, String) -> Result<()>) -> Result<()> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -332,17 +419,27 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(());
                 }
                 _ => return Err(JsonError::new(format!("bad object at offset {}", self.pos))),
             }
+        }
+    }
+
+    /// Validates one value without building it; the element count when it
+    /// is an array.  Strings and numbers go through the decoding routines,
+    /// so the grammar accepted is [`Json::parse`]'s by construction.
+    fn skip_value(&mut self) -> Result<Option<usize>> {
+        match self.peek() {
+            Some(b'[') => self.elements(|p| p.skip_value().map(drop)).map(Some),
+            Some(b'{') => self.members(|p, _| p.skip_value().map(drop)).map(|()| None),
+            _ => self.value().map(|_| None),
         }
     }
 
@@ -427,35 +524,91 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json> {
+    /// Scans a run of ASCII digits, folding them into `mantissa` (wrapping:
+    /// the caller trusts it only while the digit count rules overflow out);
+    /// returns how many there were.
+    fn digits(&mut self, mantissa: &mut u64) -> usize {
+        let mut folded = *mantissa;
+        let mut count = 0;
+        for &b in &self.bytes[self.pos..] {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            folded = folded.wrapping_mul(10).wrapping_add(u64::from(digit));
+            count += 1;
+        }
+        *mantissa = folded;
+        self.pos += count;
+        count
+    }
+
+    /// One pass over a number: the grammar is `str::parse::<f64>`'s
+    /// (`-? digits* (. digits*)? ([eE] [+-]? digits+)?` with a digit
+    /// somewhere in the mantissa) and so is every value.  The decimal
+    /// mantissa is accumulated while scanning; when it is exact in an `f64`
+    /// (at most 2^53) and the power of ten is too (|exp10| <= 22), one IEEE
+    /// multiply or divide of the two is the correctly rounded result
+    /// (Clinger's fast path).  Everything else goes to `str::parse`.
+    fn number(&mut self) -> Result<f64> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let invalid = || JsonError::new(format!("invalid number at offset {start}"));
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        let mut mantissa = 0u64;
+        let mut mantissa_digits = self.digits(&mut mantissa);
+        let mut exp10 = 0i64;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            let fraction_digits = self.digits(&mut mantissa);
+            mantissa_digits += fraction_digits;
+            exp10 = -(fraction_digits as i64);
+        }
+        if mantissa_digits == 0 {
+            return Err(invalid());
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            let negative_exp = self.peek() == Some(b'-');
+            if negative_exp || self.peek() == Some(b'+') {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
+            let mut exp = 0u64;
+            let exp_digits = self.digits(&mut exp);
+            if exp_digits == 0 {
+                return Err(invalid());
             }
+            // Four digits cannot wrap; a longer exponent is out of the fast
+            // path's range whatever its value.
+            let exp = if exp_digits <= 4 {
+                exp as i64
+            } else {
+                i64::from(i16::MAX)
+            };
+            exp10 += if negative_exp { -exp } else { exp };
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError::new(format!("invalid number at offset {start}")))
+        // 19 digits fit a u64, so the wrapped accumulation was exact.
+        if mantissa_digits <= 19 && mantissa <= (1 << 53) && exp10.unsigned_abs() <= 22 {
+            let power = POW10[exp10.unsigned_abs() as usize];
+            let magnitude = if exp10 < 0 {
+                mantissa as f64 / power
+            } else {
+                mantissa as f64 * power
+            };
+            return Ok(if negative { -magnitude } else { magnitude });
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("a number is ASCII");
+        text.parse::<f64>().map_err(|_| invalid())
     }
 }
+
+/// The powers of ten an `f64` holds exactly.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
 
 fn utf8_len(first: u8) -> usize {
     match first {
@@ -589,11 +742,15 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(json: &Json) -> Result<Vec<T>> {
-        json.as_arr()
-            .ok_or_else(|| JsonError::new("expected an array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
+        let items = json
+            .as_arr()
+            .ok_or_else(|| JsonError::new("expected an array"))?;
+        // Collecting into a `Result` would hide the length from the allocator.
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::from_json(item)?);
+        }
+        Ok(out)
     }
 }
 
@@ -721,6 +878,205 @@ mod tests {
         assert!(Json::parse("\"\\ud801x\"").is_err());
         // Lone low surrogate.
         assert!(Json::parse("\"\\udc01\"").is_err());
+    }
+
+    /// What the number path must equal: `str::parse::<f64>` on the whole
+    /// text, bit for bit, and a refusal exactly where it refuses.  (Only
+    /// texts that open with `-` or a digit reach the number path at all.)
+    fn assert_number_matches_std(text: &str) {
+        let expected = text.parse::<f64>().ok().map(f64::to_bits);
+        let got = Json::parse(text).ok().map(|json| {
+            json.as_f64()
+                .unwrap_or_else(|| panic!("{text:?} parsed to a non-number"))
+                .to_bits()
+        });
+        assert_eq!(got, expected, "{text:?}");
+    }
+
+    #[test]
+    fn numbers_at_the_fast_path_limits_match_std() {
+        for text in [
+            "0",
+            "-0",
+            "-0.0",
+            "0e0",
+            "00012",
+            "1.",
+            "-.5",
+            "1.e5",
+            "1E+2",
+            "1e-2",
+            // The mantissa limit, 2^53, from both sides and with both ends
+            // of the exponent range on it.
+            "9007199254740991",
+            "9007199254740992",
+            "9007199254740993",
+            "9007199254740992e22",
+            "9007199254740993e22",
+            "9007199254740992e-22",
+            "9007199254740993e-22",
+            "900719925474.0993",
+            // The exponent limit.
+            "1e22",
+            "1e23",
+            "1e-22",
+            "1e-23",
+            "8.41e21",
+            "123456.789e17",
+            "123456.789e-19",
+            "123456.789e-20",
+            // 19 and 20 digits, with leading and trailing zeros.
+            "1234567890123456789",
+            "12345678901234567890",
+            "0000000000000000000001",
+            "0.00000000000000000001",
+            "100000000000000000000",
+            "123456789012345678901234567890.123456789012345678901234567890",
+            // Subnormals, the extremes and beyond.
+            "4.9e-324",
+            "2.4e-324",
+            "2.2250738585072011e-308",
+            "2.2250738585072014e-308",
+            "1.7976931348623157e308",
+            "1.7976931348623159e308",
+            "1e400",
+            "-1e400",
+            "1e-400",
+            "0e99999999999999999999",
+            "1e00000000000000000005",
+            "1e-00000000000000000005",
+            // Not numbers.
+            "-",
+            "-.",
+            "-e5",
+            "1e",
+            "1e+",
+            "1e-",
+            "-.e1",
+        ] {
+            assert_number_matches_std(text);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4000))]
+
+        /// Well-formed numbers of every shape: short decimals, mantissas
+        /// past twenty digits, exponents to +-400.
+        #[test]
+        fn number_path_is_bit_equal_to_std(
+            negative in 0u8..2,
+            int in proptest::collection::vec(0u8..10, 0..24),
+            fraction in proptest::collection::vec(0u8..10, 0..24),
+            dot in 0u8..2,
+            exp_form in 0u8..5,
+            exp in 0u32..420,
+        ) {
+            let digits = |ds: &[u8]| ds.iter().map(|d| char::from(b'0' + d)).collect::<String>();
+            let mut text = String::new();
+            if negative == 1 {
+                text.push('-');
+            }
+            text.push_str(&digits(&int));
+            if dot == 1 || !fraction.is_empty() {
+                text.push('.');
+                text.push_str(&digits(&fraction));
+            }
+            text.push_str(&match exp_form {
+                0 => String::new(),
+                1 => format!("e{exp}"),
+                2 => format!("E+{exp}"),
+                3 => format!("e-{exp}"),
+                _ => format!("e-{}", exp % 30),
+            });
+            if text.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+                assert_number_matches_std(&text);
+            }
+        }
+
+        /// Anything over the number alphabet: the same grammar is accepted
+        /// and the same refused, wherever the text breaks off.
+        #[test]
+        fn number_grammar_is_std_s(symbols in proptest::collection::vec(0usize..15, 1..12)) {
+            let text: String = symbols.iter().map(|&s| char::from(b"0123456789.eE+-"[s])).collect();
+            if text.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+                assert_number_matches_std(&text);
+            }
+        }
+    }
+
+    #[test]
+    fn scan_locates_members_without_decoding_them() {
+        let doc = " {\t\"series\" : [ [1, 2.5e0] ,[ ] , [\"]\", {\"}\": [1,2,3]}] ] ,\r
+            \"na\\u006de\": \"a\\\"]}\\u005d\\\\\" , \"type\":\"insert\",\"timestamp\" :7, \"deep\": {\"series\":[1]},\"none\":null } ";
+        let members = scan_object(doc).unwrap();
+        let keys: Vec<&str> = members.iter().map(|m| m.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["series", "name", "type", "timestamp", "deep", "none"]
+        );
+        assert_eq!(
+            members[0].raw,
+            "[ [1, 2.5e0] ,[ ] , [\"]\", {\"}\": [1,2,3]}] ]"
+        );
+        assert_eq!(members[0].elements, Some(3));
+        assert_eq!(members[1].raw, "\"a\\\"]}\\u005d\\\\\"");
+        assert_eq!(members[1].decode::<String>().unwrap(), "a\"]}]\\");
+        assert_eq!(members[2].decode::<String>().unwrap(), "insert");
+        assert_eq!(members[3].decode::<u64>().unwrap(), 7);
+        assert_eq!(
+            (members[4].raw, members[4].elements),
+            ("{\"series\":[1]}", None)
+        );
+        assert_eq!(members[5].raw, "null");
+        // Every span is the member's value, nothing more and nothing less.
+        let full = Json::parse(doc).unwrap();
+        for member in &members {
+            assert_eq!(
+                full.get(&member.key),
+                Some(&Json::parse(member.raw).unwrap())
+            );
+        }
+        assert_eq!(scan_object("{}").unwrap(), vec![]);
+    }
+
+    #[test]
+    fn scan_accepts_exactly_the_objects_parse_accepts() {
+        let whole = r#"{"type":"insert","name":"s","series":[[1,2],[3,4]],"timestamp":1}"#;
+        // Every truncation of a frame, and the frame with a tail.
+        let mut docs: Vec<String> = (0..whole.len())
+            .map(|cut| whole[..cut].to_string())
+            .collect();
+        for tail in ["}", "x", ",", "{}", " 1", "\u{0}"] {
+            docs.push(format!("{whole}{tail}"));
+        }
+        for doc in [
+            r#"[{"type":"insert"}]"#,
+            r#""insert""#,
+            "7",
+            "null",
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{a:1}"#,
+            r#"{"a":[1,]}"#,
+            r#"{"a":[1 2]}"#,
+            r#"{"a":{"b":[}]}"#,
+            r#"{"a":1e}"#,
+            r#"{"a":-}"#,
+            r#"{"a":01.5}"#,
+            r#"{"a":"\x"}"#,
+            r#"{"a":"\ud801"}"#,
+            r#"{"a":tru}"#,
+            r#"{"a":[[[[[[1]]]]]],"b":{"c":{"d":[{}]}}}"#,
+            "{\"a\":\"\n\"}",
+        ] {
+            docs.push(doc.to_string());
+        }
+        for doc in &docs {
+            let parsed = matches!(Json::parse(doc), Ok(Json::Obj(_)));
+            assert_eq!(scan_object(doc).is_ok(), parsed, "{doc:?}");
+        }
+        assert!(scan_object(whole).is_ok());
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //!
 //! The backend speaks exactly the `palm-server` frame protocol: one
 //! newline-delimited JSON request, one response.  A deadline is conveyed
-//! twice, deliberately: as the protocol's `deadline_ms` member (so the
-//! *worker* stops computing and answers `deadline_exceeded` with partial
-//! cost) and as a socket read timeout with a small grace on top (so a
-//! worker that died mid-request surfaces as
-//! [`BackendError::Unavailable`] shortly after the deadline instead of
-//! hanging the coordinator).
+//! twice, deliberately: as the protocol's `deadline_ms` member, which the
+//! frame already carries when it gets here (so the *worker* stops
+//! computing and answers `deadline_exceeded` with partial cost), and as a
+//! socket read timeout with a small grace on top (so a worker that died
+//! mid-request surfaces as [`BackendError::Unavailable`] shortly after the
+//! deadline instead of hanging the coordinator).
 //!
 //! Overload sheds are absorbed here through the client's
 //! `retry_after_ms`-honoring retry loop; only when the retry budget is
@@ -19,8 +19,8 @@
 use std::time::Duration;
 
 use coconut_core::backend::{BackendError, ExecutionBackend};
-use coconut_core::palm::{PalmRequest, PalmResponse, ERROR_KIND_OVERLOADED};
-use coconut_json::{FromJson, Json, ToJson};
+use coconut_core::palm::{PalmResponse, ERROR_KIND_OVERLOADED};
+use coconut_json::FromJson;
 use parking_lot::Mutex;
 
 use crate::client::{CallError, PalmClient, RetryPolicy};
@@ -74,9 +74,9 @@ impl ExecutionBackend for RemoteBackend {
         format!("worker {}", self.addr)
     }
 
-    fn execute(
+    fn execute_frame(
         &self,
-        request: &PalmRequest,
+        frame: &str,
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, BackendError> {
         let mut slot = self.connection.lock();
@@ -98,16 +98,7 @@ impl ExecutionBackend for RemoteBackend {
                 self.addr
             )));
         }
-        // Splice the protocol-level deadline into the request object so
-        // the worker bounds its own execution.
-        let mut json = request.to_json();
-        if let (Some(limit), Json::Obj(members)) = (deadline, &mut json) {
-            members.push((
-                "deadline_ms".to_string(),
-                Json::Num(limit.as_secs_f64() * 1000.0),
-            ));
-        }
-        let outcome = client.call_with_retry(&json.to_string(), &self.policy);
+        let outcome = client.call_with_retry(frame, &self.policy);
         match outcome {
             Ok(response_json) => PalmResponse::from_json(&response_json).map_err(|e| {
                 BackendError::Protocol(format!("worker {}: bad response: {e}", self.addr))

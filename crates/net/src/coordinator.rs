@@ -14,8 +14,10 @@
 //! range, which by disjointness covers the whole collection.  `insert`
 //! is *routed*, not broadcast — the coordinator owns the global id space
 //! and sends each append to one shard (round-robin) with an explicit
-//! `base_id`.  `build_index` is fragmented by [`chunk_bounds`] into one
-//! ranged build per shard.
+//! `base_id` — and routed *unread*: the front door scans the frame's
+//! envelope and the shard gets the client's `series` bytes verbatim (see
+//! DESIGN.md, "Wire path: who parses what").  `build_index` is fragmented
+//! by [`chunk_bounds`] into one ranged build per shard.
 //!
 //! **Merge identity.**  Shards return the full neighbour identity
 //! `(squared_distance, id, timestamp)` on the wire, and the coordinator
@@ -35,17 +37,18 @@
 //! instead — the fleet is reachable, the request itself failed.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coconut_core::backend::{BackendError, ExecutionBackend};
+use coconut_core::backend::{deadline_ms, encode_frame, BackendError, ExecutionBackend};
 use coconut_core::palm::{
-    PalmRequest, PalmResponse, QueryCostJson, ShardCostJson, ERROR_KIND_CONFIG,
-    ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
+    PalmRequest, PalmResponse, QueryCostJson, ShardCostJson, ERROR_KINDS_NOTHING_APPLIED,
+    ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
 };
 use coconut_core::{merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
-use coconut_json::{FromJson, Json, ToJson};
+use coconut_json::{scan_object, FromJson, Json, JsonError, RawMember, ToJson};
 use coconut_parallel::{chunk_bounds, parallel_map_tasks, CancelToken};
 
 use crate::server::RequestHandler;
@@ -90,11 +93,12 @@ impl Coordinator {
         self.shards.len()
     }
 
-    /// Sends `request` to every shard concurrently; one outcome per
-    /// shard, in shard order.
+    /// Sends `request` to every shard concurrently — one encoding, the same
+    /// bytes to each; one outcome per shard, in shard order.
     fn scatter(&self, request: &PalmRequest, deadline: Option<Duration>) -> Vec<ShardOutcome> {
+        let frame = encode_frame(request, deadline);
         parallel_map_tasks(&self.shards, self.shards.len(), |_, shard| {
-            shard.execute(request, deadline)
+            shard.execute_frame(&frame, deadline)
         })
     }
 
@@ -256,7 +260,16 @@ impl Coordinator {
                 series,
                 timestamp,
                 base_id,
-            } => self.insert(name, series, timestamp, base_id, deadline),
+            } => {
+                if base_id.is_some() {
+                    return base_id_error();
+                }
+                // The typed entry goes down the routine a wire frame takes:
+                // the rows as text, counted.
+                let rows = series.len() as u64;
+                let series = series.to_json().to_string();
+                self.insert(&name, &series, rows, timestamp, deadline)
+            }
             PalmRequest::Metrics { .. } => match self.gather(self.scatter(&request, deadline)) {
                 Err(failure) => failure,
                 Ok(parts) => Self::merge_metrics(parts),
@@ -510,52 +523,103 @@ impl Coordinator {
     }
 
     /// Routed insert: one shard receives the batch with an explicit
-    /// `base_id` carved out of the coordinator's global id space.  The
-    /// route lock serializes the write path (exactly like the slot write
-    /// lock single-node); ids are burned even when the shard fails, which
-    /// keeps already-assigned ids stable at the cost of gaps — the same
-    /// trade every id-allocating coordinator makes.
+    /// `base_id` carved out of the coordinator's global id space.  `series`
+    /// is the rows as JSON text — the client's own bytes when the request
+    /// came off the wire — and goes into the shard's frame verbatim: the
+    /// coordinator never holds a float.  `rows` is how many there are.
+    ///
+    /// The route lock serializes the write path (exactly like the slot write
+    /// lock single-node).  The route advances when the shard applied the
+    /// batch, and also when nobody can say whether it did (a transport
+    /// failure, a shard-side failure past validation): ids are then burned,
+    /// which keeps already-assigned ids stable at the cost of gaps — the
+    /// same trade every id-allocating coordinator makes.  A rejection the
+    /// worker issues *before* touching the index leaves the route where it
+    /// was, so the next insert gets the ids this one would have had.
     fn insert(
         &self,
-        name: String,
-        series: Vec<Vec<f32>>,
+        name: &str,
+        series: &str,
+        rows: u64,
         timestamp: u64,
-        base_id: Option<u64>,
         deadline: Option<Duration>,
     ) -> PalmResponse {
-        if base_id.is_some() {
-            return config_error("base_id is coordinator-internal; inserts are routed");
-        }
         let mut routes = self.routes.lock();
-        let Some(route) = routes.get_mut(&name) else {
+        let Some(route) = routes.get_mut(name) else {
             return config_error(format!(
                 "index '{name}' has no insert route; build it through the coordinator first"
             ));
         };
-        let base = route.total_entries;
-        let shard = route.next_shard;
-        route.total_entries += series.len() as u64;
-        route.next_shard = (route.next_shard + 1) % self.shards.len();
-        let total_after = route.total_entries;
-        let outcome = self.shards[shard].execute(
-            &PalmRequest::Insert {
-                name: name.clone(),
-                series,
-                timestamp,
-                base_id: Some(base),
-            },
-            deadline,
-        );
-        drop(routes);
-        match outcome {
-            Ok(PalmResponse::Inserted { inserted, .. }) => PalmResponse::Inserted {
-                name,
-                inserted,
-                total: total_after,
-            },
-            Ok(other) => other,
-            Err(failure) => self.unavailable(shard, &failure),
+        let (base, shard) = (route.total_entries, route.next_shard);
+        let mut frame = String::with_capacity(series.len() + name.len() + 128);
+        frame.push_str("{\"type\":\"insert\",\"name\":");
+        frame.push_str(&name.to_json().to_string());
+        let _ = write!(frame, ",\"timestamp\":{timestamp},\"base_id\":{base}");
+        if let Some(limit) = deadline {
+            let _ = write!(frame, ",\"deadline_ms\":{}", deadline_ms(limit));
         }
+        frame.push_str(",\"series\":");
+        frame.push_str(series);
+        frame.push('}');
+        let outcome = self.shards[shard].execute_frame(&frame, deadline);
+        // How many ids the outcome uses up, and what the client hears.
+        let (burned, response) = match outcome {
+            Ok(PalmResponse::Inserted { inserted, .. }) if inserted == rows => (
+                rows,
+                PalmResponse::Inserted {
+                    name: name.to_string(),
+                    inserted,
+                    total: base + rows,
+                },
+            ),
+            Ok(PalmResponse::Inserted { inserted, .. }) => (
+                rows.max(inserted),
+                self.unavailable(
+                    shard,
+                    &BackendError::Protocol(format!(
+                        "shard applied {inserted} series of an insert of {rows}"
+                    )),
+                ),
+            ),
+            Ok(other) => {
+                let unapplied = matches!(&other, PalmResponse::Error { kind, .. }
+                    if ERROR_KINDS_NOTHING_APPLIED.contains(&kind.as_str()));
+                (if unapplied { 0 } else { rows }, other)
+            }
+            Err(failure) => (rows, self.unavailable(shard, &failure)),
+        };
+        if burned > 0 {
+            route.total_entries += burned;
+            route.next_shard = (shard + 1) % self.shards.len();
+        }
+        response
+    }
+
+    /// An `insert` as it came off the wire: reads the envelope's small
+    /// members, counts the rows of `series` and routes its text untouched.
+    /// Mirrors what `PalmRequest::from_json` accepts, down to its messages;
+    /// what the rows *hold* is for the shard to judge.
+    fn insert_frame(
+        &self,
+        members: &[RawMember<'_>],
+        deadline: Option<Duration>,
+    ) -> Result<PalmResponse, JsonError> {
+        let required = |key: &str| {
+            find(members, key).ok_or_else(|| JsonError::new(format!("missing field '{key}'")))
+        };
+        let name: String = decode(required("name")?)?;
+        let series = required("series")?;
+        let rows = series
+            .elements
+            .ok_or_else(|| JsonError::new("field 'series': expected an array"))?;
+        let timestamp = match find(members, "timestamp") {
+            Some(member) if member.raw != "null" => decode::<u64>(member)?,
+            _ => 0,
+        };
+        if find(members, "base_id").is_some() {
+            return Ok(base_id_error());
+        }
+        Ok(self.insert(&name, series.raw, rows as u64, timestamp, deadline))
     }
 
     /// Fleet metrics: entries and footprint sum, I/O sums field-wise,
@@ -664,6 +728,23 @@ fn cost_from_json(cost: QueryCostJson) -> QueryCost {
     }
 }
 
+/// The first member called `key` of a scanned envelope (what `Json::get`
+/// finds in a parsed one).
+fn find<'m, 'a>(members: &'m [RawMember<'a>], key: &str) -> Option<&'m RawMember<'a>> {
+    members.iter().find(|m| m.key == key)
+}
+
+/// `coconut_json::member`'s conversion and message, over a scanned member.
+fn decode<T: FromJson>(member: &RawMember<'_>) -> Result<T, JsonError> {
+    member
+        .decode()
+        .map_err(|e| JsonError::new(format!("field '{}': {e}", member.key)))
+}
+
+fn base_id_error() -> PalmResponse {
+    config_error("base_id is coordinator-internal; inserts are routed")
+}
+
 fn config_error(message: impl Into<String>) -> PalmResponse {
     PalmResponse::Error {
         kind: ERROR_KIND_CONFIG.to_string(),
@@ -708,14 +789,17 @@ impl RequestHandler for Coordinator {
         let Ok(text) = String::from_utf8(request) else {
             return malformed("request is not valid UTF-8".to_string());
         };
-        let json = match Json::parse(&text) {
-            Ok(json) => json,
+        // The envelope only: an `insert` is routed without its floats ever
+        // being decoded here, and a frame that is not one JSON object is
+        // refused before any shard hears of it.
+        let members = match scan_object(&text) {
+            Ok(members) => members,
             Err(e) => return malformed(format!("malformed request: {e}")),
         };
-        let request_deadline = match json.get("deadline_ms") {
+        let request_deadline = match find(&members, "deadline_ms") {
             None => None,
-            Some(value) => match value.as_f64() {
-                Some(ms) if ms >= 0.0 => Some(Duration::from_millis(ms as u64)),
+            Some(value) => match value.decode::<f64>() {
+                Ok(ms) if ms >= 0.0 => Some(Duration::from_millis(ms as u64)),
                 _ => return malformed("deadline_ms must be a non-negative number".to_string()),
             },
         };
@@ -727,11 +811,19 @@ impl RequestHandler for Coordinator {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let response = match PalmRequest::from_json(&json) {
-            Ok(request) => self.handle_with_deadline(request, deadline),
-            Err(e) => return malformed(format!("malformed request: {e}")),
+        let is_insert = find(&members, "type")
+            .is_some_and(|kind| kind.decode::<String>().as_deref() == Ok("insert"));
+        let response = if is_insert {
+            self.insert_frame(&members, deadline)
+        } else {
+            Json::parse(&text)
+                .and_then(|json| PalmRequest::from_json(&json))
+                .map(|request| self.handle_with_deadline(request, deadline))
         };
-        response.to_json().to_string()
+        match response {
+            Ok(response) => response.to_json().to_string(),
+            Err(e) => malformed(format!("malformed request: {e}")),
+        }
     }
 
     fn note_shed(&self) {

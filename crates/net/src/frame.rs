@@ -38,10 +38,19 @@ pub enum FrameOutcome {
     Io(std::io::Error),
 }
 
+/// Smallest room a `read` is offered.  A large frame arrives in few reads,
+/// each straight into the buffer it is scanned in; what the socket holds of
+/// a small one still comes back in the first.
+const READ_STEP: usize = 64 << 10;
+
 /// Incremental reader for capped newline-delimited frames.
 pub struct FrameReader<R> {
     inner: R,
+    /// Storage, initialized throughout so that a `read` can be handed any
+    /// part of it; grown (and zeroed) only when a frame outgrows it.
     buf: Vec<u8>,
+    /// Bytes of `buf` that hold data read and not yet returned.
+    filled: usize,
     /// Scan resume position: bytes before it are known newline-free.
     scanned: usize,
     max_frame: usize,
@@ -53,6 +62,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
+            filled: 0,
             scanned: 0,
             max_frame,
         }
@@ -61,36 +71,47 @@ impl<R: Read> FrameReader<R> {
     /// Reads until one full frame, EOF, timeout or the size cap.
     pub fn read_frame(&mut self) -> FrameOutcome {
         loop {
-            if let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let unscanned = &self.buf[self.scanned..self.filled];
+            if let Some(offset) = unscanned.iter().position(|&b| b == b'\n') {
                 let newline = self.scanned + offset;
-                let mut frame: Vec<u8> = self.buf.drain(..=newline).collect();
-                frame.pop();
+                if newline > self.max_frame {
+                    break;
+                }
+                let mut frame = self.buf[..newline].to_vec();
                 if frame.last() == Some(&b'\r') {
                     frame.pop();
                 }
+                self.buf.copy_within(newline + 1..self.filled, 0);
+                self.filled -= newline + 1;
                 self.scanned = 0;
                 return FrameOutcome::Frame(frame);
             }
-            self.scanned = self.buf.len();
-            if self.buf.len() > self.max_frame {
-                return FrameOutcome::TooLarge {
-                    limit: self.max_frame,
-                };
+            self.scanned = self.filled;
+            if self.filled > self.max_frame {
+                break;
             }
-            let mut chunk = [0u8; 8192];
-            match self.inner.read(&mut chunk) {
+            if self.buf.len() - self.filled < READ_STEP {
+                // Doubling, but never past what a frame at the cap needs.
+                let grown = (self.filled + READ_STEP).max(self.buf.len() * 2);
+                self.buf
+                    .resize(grown.min(self.max_frame.saturating_add(1 + READ_STEP)), 0);
+            }
+            match self.inner.read(&mut self.buf[self.filled..]) {
                 Ok(0) => {
                     return FrameOutcome::Eof {
-                        mid_frame: !self.buf.is_empty(),
+                        mid_frame: self.filled > 0,
                     }
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.filled += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     return FrameOutcome::Timeout
                 }
                 Err(e) => return FrameOutcome::Io(e),
             }
+        }
+        FrameOutcome::TooLarge {
+            limit: self.max_frame,
         }
     }
 }
@@ -132,6 +153,50 @@ mod tests {
     #[test]
     fn oversized_frame_is_reported_before_its_newline() {
         let data = [b'x'; 200];
+        let mut reader = FrameReader::new(&data[..], 64);
+        assert!(matches!(
+            reader.read_frame(),
+            FrameOutcome::TooLarge { limit: 64 }
+        ));
+    }
+
+    /// Hands out at most `step` bytes per `read`, like a socket.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn large_and_pipelined_frames_survive_any_read_size() {
+        let big: Vec<u8> = (0..300_000u32).map(|i| b'a' + (i % 23) as u8).collect();
+        let mut data = b"first\n".to_vec();
+        data.extend_from_slice(&big);
+        data.extend_from_slice(b"\r\nlast\n");
+        for step in [1usize << 20, 70_000, 4096, 7] {
+            let mut reader = FrameReader::new(Trickle { data: &data, step }, 1 << 20);
+            assert!(matches!(reader.read_frame(), FrameOutcome::Frame(f) if f == b"first"));
+            assert!(matches!(reader.read_frame(), FrameOutcome::Frame(f) if f == big));
+            assert!(matches!(reader.read_frame(), FrameOutcome::Frame(f) if f == b"last"));
+            assert!(matches!(
+                reader.read_frame(),
+                FrameOutcome::Eof { mid_frame: false }
+            ));
+        }
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_even_with_its_newline_buffered() {
+        let mut data = vec![b'x'; 65];
+        data.push(b'\n');
         let mut reader = FrameReader::new(&data[..], 64);
         assert!(matches!(
             reader.read_frame(),

@@ -6,13 +6,14 @@
 //! `QueryCost`s, within the request deadline (plus the transport grace)
 //! — never a hang.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use coconut_core::backend::{ExecutionBackend, LocalBackend};
+use coconut_core::backend::{BackendError, ExecutionBackend, LocalBackend};
 use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_OVERLOADED, ERROR_KIND_SHARD_UNAVAILABLE,
 };
@@ -215,6 +216,120 @@ fn stalled_worker_is_bounded_by_the_deadline() {
     );
     drop(coordinator);
     drop(stall_thread);
+}
+
+/// An in-process shard whose next outcomes can be scripted: a scripted
+/// outcome is returned *instead of* executing the frame (the request is
+/// lost, as on a dead connection); with the script empty the frame runs.
+/// Keeps every frame it is handed.
+struct Scripted {
+    inner: LocalBackend,
+    script: Mutex<VecDeque<Result<PalmResponse, BackendError>>>,
+    frames: Mutex<Vec<String>>,
+}
+
+impl Scripted {
+    fn new(dir: &ScratchDir, tag: &str) -> Arc<Scripted> {
+        Arc::new(Scripted {
+            inner: LocalBackend::new(Arc::new(PalmServer::new(dir.file(tag)))),
+            script: Mutex::new(VecDeque::new()),
+            frames: Mutex::new(Vec::new()),
+        })
+    }
+}
+
+impl ExecutionBackend for Scripted {
+    fn describe(&self) -> String {
+        "scripted".to_string()
+    }
+
+    fn execute_frame(
+        &self,
+        frame: &str,
+        deadline: Option<Duration>,
+    ) -> Result<PalmResponse, BackendError> {
+        self.frames.lock().unwrap().push(frame.to_string());
+        match self.script.lock().unwrap().pop_front() {
+            Some(outcome) => outcome,
+            None => self.inner.execute_frame(frame, deadline),
+        }
+    }
+}
+
+/// Route bookkeeping under failure.  A transport failure leaves the outcome
+/// unknown, so the ids it was given are burned and the turn passes on; a
+/// shard that reports another row count than the coordinator counted is a
+/// protocol failure, and burns them too.
+#[test]
+fn transport_failure_burns_ids_and_a_row_mismatch_is_a_protocol_error() {
+    let dir = ScratchDir::new("fault-route").unwrap();
+    let (dataset_path, series) = make_dataset(&dir, 90);
+    let shards = [Scripted::new(&dir, "s0"), Scripted::new(&dir, "s1")];
+    let coordinator = Coordinator::new(
+        shards
+            .iter()
+            .map(|s| Arc::clone(s) as Arc<dyn ExecutionBackend>)
+            .collect(),
+    );
+    let built = coordinator.handle_with_deadline(build_request("idx", &dataset_path), None);
+    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    let count = series.len() as u64;
+    let insert = |rows: usize| PalmRequest::Insert {
+        name: "idx".into(),
+        series: vec![series[1].values.clone(); rows],
+        timestamp: 1,
+        base_id: None,
+    };
+    let base_ids = |shard: &Scripted| -> Vec<u64> {
+        let frames = shard.frames.lock().unwrap();
+        frames
+            .iter()
+            .filter_map(|f| {
+                Json::parse(f)
+                    .unwrap()
+                    .get("base_id")
+                    .and_then(Json::as_f64)
+            })
+            .map(|id| id as u64)
+            .collect()
+    };
+
+    // Shard 0's connection dies under a 2-row insert.
+    shards[0]
+        .script
+        .lock()
+        .unwrap()
+        .push_back(Err(BackendError::Unavailable("scripted reset".into())));
+    match coordinator.handle_with_deadline(insert(2), None) {
+        PalmResponse::Error { kind, .. } => assert_eq!(kind, ERROR_KIND_SHARD_UNAVAILABLE),
+        other => panic!("unexpected response {other:?}"),
+    }
+    // Shard 1 claims to have applied 5 rows of a 3-row insert.
+    shards[1]
+        .script
+        .lock()
+        .unwrap()
+        .push_back(Ok(PalmResponse::Inserted {
+            name: "idx".into(),
+            inserted: 5,
+            total: 0,
+        }));
+    match coordinator.handle_with_deadline(insert(3), None) {
+        PalmResponse::Error { kind, message, .. } => {
+            assert_eq!(kind, ERROR_KIND_SHARD_UNAVAILABLE);
+            assert!(message.contains("protocol"), "{message}");
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+    // The next insert is back on shard 0, past everything that may exist.
+    match coordinator.handle_with_deadline(insert(1), None) {
+        PalmResponse::Inserted {
+            inserted, total, ..
+        } => assert_eq!((inserted, total), (1, count + 2 + 5 + 1)),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(base_ids(&shards[0]), vec![count, count + 7]);
+    assert_eq!(base_ids(&shards[1]), vec![count + 2]);
 }
 
 /// A scripted server answering `overloaded` a fixed number of times
