@@ -336,8 +336,20 @@ impl AdsTree {
         Ok(())
     }
 
-    /// Inserts a batch of timestamped series.
+    /// Inserts a batch of timestamped series.  A row of the wrong length
+    /// rejects the whole batch before any of it is applied, as in the other
+    /// variants.
     pub fn insert_batch(&mut self, series: &[Series], timestamp: Timestamp) -> Result<()> {
+        if let Some(bad) = series
+            .iter()
+            .find(|s| s.len() != self.config.sax.series_len)
+        {
+            return Err(IndexError::Config(format!(
+                "inserted series length {} does not match index ({})",
+                bad.len(),
+                self.config.sax.series_len
+            )));
+        }
         for s in series {
             self.insert(s, timestamp)?;
         }
@@ -828,5 +840,12 @@ mod tests {
         let mut tree = AdsTree::new(config, dir.path(), IoStats::shared()).unwrap();
         let bad = Series::new(0, vec![0.0; 16]);
         assert!(matches!(tree.insert(&bad, 0), Err(IndexError::Config(_))));
+        // A batch with one bad row applies none of its rows.
+        let batch = [Series::new(0, vec![0.5; 32]), bad];
+        assert!(matches!(
+            tree.insert_batch(&batch, 0),
+            Err(IndexError::Config(_))
+        ));
+        assert_eq!(tree.len(), 0);
     }
 }

@@ -347,18 +347,6 @@ pub const ERROR_KIND_SHUTTING_DOWN: &str = "shutting_down";
 /// partial costs collected so far in `shard_costs`.
 pub const ERROR_KIND_SHARD_UNAVAILABLE: &str = "shard_unavailable";
 
-/// The kinds a server answers *before* a request touches an index: the
-/// request was refused, not half-applied.  (A `storage` or `series` error
-/// can come out of a write that got part of the way.)  What lets an id
-/// allocator in front of the server take back the ids of a refused insert.
-pub const ERROR_KINDS_NOTHING_APPLIED: [&str; 5] = [
-    ERROR_KIND_MALFORMED,
-    ERROR_KIND_CONFIG,
-    ERROR_KIND_UNKNOWN_INDEX,
-    ERROR_KIND_OVERLOADED,
-    ERROR_KIND_SHUTTING_DOWN,
-];
-
 /// Internal error carrying the machine-readable kind alongside the message.
 struct ServiceError {
     kind: &'static str,
@@ -1526,7 +1514,10 @@ impl PalmServer {
                 // A non-materialized index refines from the original dataset
                 // file, which does not contain appended series: accepting
                 // the insert would poison every later query with fetch
-                // errors, so reject it up front.
+                // errors, so reject it up front.  (Both `config` answers to
+                // this verb — this one and a wrong-length row, which
+                // `insert_batch` checks batch-wide first — leave the index
+                // untouched; the coordinator's id bookkeeping counts on it.)
                 if !registered.index.is_materialized() {
                     return Err(ServiceError::config(format!(
                         "index '{name}' is non-materialized: streaming inserts require a                          materialized index (appended series do not exist in the raw                          dataset file used for refinement)"

@@ -48,10 +48,14 @@ use proptest::prelude::*;
 const SERIES_LEN: usize = 64;
 
 fn build_request(name: &str, dataset_path: &str) -> PalmRequest {
+    build_variant(name, dataset_path, VariantKind::Clsm)
+}
+
+fn build_variant(name: &str, dataset_path: &str, variant: VariantKind) -> PalmRequest {
     PalmRequest::BuildIndex {
         name: name.into(),
         dataset_path: dataset_path.into(),
-        variant: VariantKind::Clsm,
+        variant,
         materialized: true,
         memory_budget_bytes: 4 << 20,
         parallelism: 1,
@@ -526,46 +530,75 @@ fn hostile_insert_frames_contact_no_shard() {
 
 /// A shard that rejects an insert before applying it does not use up ids
 /// or the shard's turn: the next accepted insert is placed, and numbered, as
-/// if the rejected one had never been sent.
+/// if the rejected one had never been sent.  And nothing of a rejected batch
+/// stays behind to share those ids, whichever index variant refused it.
 #[test]
 fn rejected_insert_leaves_the_ids_for_the_next_one() {
     let dir = ScratchDir::new("sg-reject").unwrap();
     let (dataset_path, series) = dataset(&dir, 80, 13);
-    let (fleet, recorders) = recording_fleet(&dir, "r", 2);
-    fleet.handle_with_deadline(build_request("idx", &dataset_path), None);
     let count = series.len() as u64;
-    // Valid JSON, so it is routed; rows that are not arrays, so the shard
-    // refuses it.
-    let rejected = send(&fleet, r#"{"type":"insert","name":"idx","series":[1,2,3]}"#);
-    assert_eq!(
-        rejected.get("kind").and_then(Json::as_str),
-        Some(ERROR_KIND_MALFORMED),
-        "{rejected:?}"
-    );
+    let good: Vec<f32> = series[3].values.iter().map(|v| v + 0.5).collect();
     let row: Vec<f32> = series[7].values.iter().map(|v| v + 0.25).collect();
-    let accepted = send(
-        &fleet,
-        &format!(
-            r#"{{"type":"insert","name":"idx","series":{}}}"#,
-            odd_series_text(std::slice::from_ref(&row))
+    let rejected = [
+        // Valid JSON, so it is routed; rows that are not arrays.
+        (
+            r#"{"type":"insert","name":"idx","series":[1,2,3]}"#.to_string(),
+            ERROR_KIND_MALFORMED,
         ),
-    );
-    assert_eq!(
-        accepted.get("total").and_then(Json::as_f64),
-        Some((count + 1) as f64)
-    );
-    let inserts = frames_with(&recorders, "\"insert\"");
-    assert_eq!(inserts.len(), 2);
-    for (shard, frame) in &inserts {
-        assert_eq!(
-            *shard, 0,
-            "the rejected insert did not use up shard 0's turn"
+        // A row the index could take, then one of the wrong length.
+        (
+            format!(
+                r#"{{"type":"insert","name":"idx","series":{}}}"#,
+                odd_series_text(&[good.clone(), vec![1.0, 2.0]])
+            ),
+            ERROR_KIND_CONFIG,
+        ),
+    ];
+    for variant in [VariantKind::Clsm, VariantKind::CTree, VariantKind::Ads] {
+        let (fleet, recorders) = recording_fleet(&dir, &format!("r-{variant:?}"), 2);
+        let built = fleet.handle_with_deadline(build_variant("idx", &dataset_path, variant), None);
+        assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+        for (frame, kind) in &rejected {
+            let reply = send(&fleet, frame);
+            assert_eq!(
+                reply.get("kind").and_then(Json::as_str),
+                Some(*kind),
+                "{variant:?}: {reply:?}"
+            );
+        }
+        let accepted = send(
+            &fleet,
+            &format!(
+                r#"{{"type":"insert","name":"idx","series":{}}}"#,
+                odd_series_text(std::slice::from_ref(&row))
+            ),
         );
-        assert!(frame.contains(&format!("\"base_id\":{count},")), "{frame}");
-    }
-    match fleet.handle_with_deadline(query_request("idx", &row, 1, true), None) {
-        PalmResponse::QueryResult { ids, .. } => assert_eq!(ids, vec![count]),
-        other => panic!("unexpected response {other:?}"),
+        assert_eq!(
+            accepted.get("total").and_then(Json::as_f64),
+            Some((count + 1) as f64)
+        );
+        let inserts = frames_with(&recorders, "\"insert\"");
+        assert_eq!(inserts.len(), rejected.len() + 1);
+        for (shard, frame) in &inserts {
+            assert_eq!(*shard, 0, "a rejected insert used up shard 0's turn");
+            assert!(frame.contains(&format!("\"base_id\":{count},")), "{frame}");
+        }
+        // `count` names the accepted row and nothing else: the good row of
+        // the refused batch is in no shard.
+        for (query, inserted) in [(&row, true), (&good, false)] {
+            match fleet.handle_with_deadline(query_request("idx", query, 1, true), None) {
+                PalmResponse::QueryResult {
+                    ids,
+                    squared_distances,
+                    ..
+                } => assert_eq!(
+                    (ids[0] == count, squared_distances[0] == 0.0),
+                    (inserted, inserted),
+                    "{variant:?}: {ids:?} {squared_distances:?}"
+                ),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
     }
 }
 

@@ -273,9 +273,10 @@ pub fn scan_object(input: &str) -> Result<Vec<RawMember<'_>>> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Length of the array completed last: the capacity the next one starts
-    /// with.  Rows of a matrix are siblings of equal length, so every row
-    /// after the first is allocated once, at its final size.
+    /// Length of the array completed last, zero again once another is
+    /// entered: the capacity the next array starts with.  Rows of a matrix
+    /// are siblings of equal length, so every row after the first is
+    /// allocated once, at its final size.
     array_hint: usize,
 }
 
@@ -356,15 +357,19 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json> {
-        let hint = self.array_hint;
+        // The hint is for siblings only: what nests inside starts from zero,
+        // and n elements take at least 2n - 1 bytes of the input that is left,
+        // so the sender cannot make this reserve more than it goes on to send.
+        let hint = std::mem::take(&mut self.array_hint).min((self.bytes.len() - self.pos) / 2);
         let mut items = Vec::new();
-        self.array_hint = self.elements(|p| {
+        let count = self.elements(|p| {
             if items.is_empty() {
                 items.reserve_exact(hint);
             }
             items.push(p.value()?);
             Ok(())
         })?;
+        self.array_hint = count;
         Ok(Json::Arr(items))
     }
 
@@ -1077,6 +1082,42 @@ mod tests {
             assert_eq!(scan_object(doc).is_ok(), parsed, "{doc:?}");
         }
         assert!(scan_object(whole).is_ok());
+    }
+
+    /// The capacity of every array in `json`, outermost first.
+    fn array_capacities(json: &Json, out: &mut Vec<usize>) {
+        match json {
+            Json::Arr(items) => {
+                out.push(items.capacity());
+                items.iter().for_each(|item| array_capacities(item, out));
+            }
+            Json::Obj(members) => members.iter().for_each(|(_, v)| array_capacities(v, out)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn array_capacity_follows_siblings_not_the_sender() {
+        // Rows of a matrix: every row after the first starts at its size.
+        let mut caps = Vec::new();
+        array_capacities(
+            &Json::parse("[[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5]]").unwrap(),
+            &mut caps,
+        );
+        assert_eq!(caps[2..], [5, 5]);
+        // A big array makes nothing after it big: its next sibling gets no
+        // more than the input that is left could fill, and neither what
+        // nests inside that sibling nor any later array inherits a thing.
+        let big = 10_000;
+        let zeros = vec!["0"; big].join(",");
+        let nest = format!("{}1{}", "[".repeat(200), "]".repeat(200));
+        let doc = format!("[[{zeros}],{nest},[2],{{\"k\":{nest}}}]");
+        let mut caps = Vec::new();
+        array_capacities(&Json::parse(&doc).unwrap(), &mut caps);
+        assert_eq!(caps.len(), 2 + 200 + 1 + 200);
+        assert!(caps[1] >= big);
+        assert!(caps[2] <= (doc.len() - zeros.len()) / 2, "{}", caps[2]);
+        assert!(caps[3..].iter().all(|&c| c <= 4), "{:?}", &caps[3..]);
     }
 
     #[test]

@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 
 use coconut_core::backend::{deadline_ms, encode_frame, BackendError, ExecutionBackend};
 use coconut_core::palm::{
-    PalmRequest, PalmResponse, QueryCostJson, ShardCostJson, ERROR_KINDS_NOTHING_APPLIED,
-    ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
+    PalmRequest, PalmResponse, QueryCostJson, ShardCostJson, ERROR_KIND_CONFIG,
+    ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
 };
 use coconut_core::{merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
 use coconut_json::{scan_object, FromJson, Json, JsonError, RawMember, ToJson};
@@ -73,6 +73,13 @@ pub struct Coordinator {
     /// Requests shed by the coordinator's own admission control.
     shed: AtomicU64,
 }
+
+/// The rejections of an `insert` a worker issues with its index untouched:
+/// the frame did not decode (`malformed_request`), or the index takes no
+/// inserts or a row has the wrong length (`config` — every variant's
+/// `insert_batch` checks the whole batch before applying any of it).  Only
+/// these give their ids back; any other kind may follow a partial write.
+const INSERT_REJECTED_UNAPPLIED: [&str; 2] = [ERROR_KIND_MALFORMED, ERROR_KIND_CONFIG];
 
 /// One shard's scatter outcome.
 type ShardOutcome = Result<PalmResponse, BackendError>;
@@ -534,8 +541,9 @@ impl Coordinator {
     /// failure, a shard-side failure past validation): ids are then burned,
     /// which keeps already-assigned ids stable at the cost of gaps — the
     /// same trade every id-allocating coordinator makes.  A rejection the
-    /// worker issues *before* touching the index leaves the route where it
-    /// was, so the next insert gets the ids this one would have had.
+    /// worker issues *before* touching the index
+    /// ([`INSERT_REJECTED_UNAPPLIED`]) leaves the route where it was, so the
+    /// next insert gets the ids this one would have had.
     fn insert(
         &self,
         name: &str,
@@ -583,7 +591,7 @@ impl Coordinator {
             ),
             Ok(other) => {
                 let unapplied = matches!(&other, PalmResponse::Error { kind, .. }
-                    if ERROR_KINDS_NOTHING_APPLIED.contains(&kind.as_str()));
+                    if INSERT_REJECTED_UNAPPLIED.contains(&kind.as_str()));
                 (if unapplied { 0 } else { rows }, other)
             }
             Err(failure) => (rows, self.unavailable(shard, &failure)),
