@@ -27,7 +27,7 @@ use coconut_ctree::kernels::euclidean_early_abandon;
 use coconut_ctree::query::{KnnHeap, QueryContext, QueryCost};
 use coconut_ctree::{IndexError, Result};
 use coconut_sax::breakpoints::BreakpointTable;
-use coconut_sax::mindist::{mindist_paa_isax_sq, mindist_paa_sax_sq};
+use coconut_sax::mindist::{mindist_paa_isax_sq, QueryBounds};
 use coconut_sax::{InvSaxKey, IsaxWord, SaxConfig, SortableSummarizer};
 use coconut_series::dataset::Dataset;
 use coconut_series::distance::Neighbor;
@@ -143,7 +143,6 @@ pub struct AdsBuildStats {
 pub struct AdsTree {
     config: AdsConfig,
     summarizer: SortableSummarizer,
-    table: BreakpointTable,
     root: Node,
     leaves: Vec<LeafState>,
     leaf_file: Arc<PagedFile>,
@@ -193,7 +192,6 @@ impl AdsTree {
         Ok(AdsTree {
             config,
             summarizer,
-            table: BreakpointTable::new(),
             root,
             leaves,
             leaf_file: file,
@@ -576,13 +574,12 @@ impl AdsTree {
         &self,
         leaf_id: usize,
         query: &[f32],
-        query_paa: &[f64],
+        bounds: &QueryBounds,
         heap: &mut KnnHeap,
         ctx: &mut QueryContext<'_>,
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<()> {
         ctx.cost.blocks_read += 1;
-        let breakpoints = self.table.for_bits(self.config.sax.bits_per_segment);
         for entry in self.leaf_entries(leaf_id)? {
             if let Some((start, end)) = window {
                 if entry.timestamp < start || entry.timestamp > end {
@@ -590,23 +587,18 @@ impl AdsTree {
                 }
             }
             ctx.cost.entries_examined += 1;
-            let sax = self
-                .summarizer
-                .decode(InvSaxKey::from_raw(entry.key, self.config.sax.key_bits()));
-            let lb = mindist_paa_sax_sq(query_paa, &sax, &self.config.sax, breakpoints);
-            if lb > heap.bound() {
+            if bounds.key_bound_sq(entry.key) > heap.bound() {
                 continue;
             }
             ctx.cost.entries_refined += 1;
-            if entry.is_materialized() {
-                if let Some(d) = euclidean_early_abandon(query, &entry.values, heap.bound()) {
-                    heap.offer_at(entry.id, entry.timestamp, d);
-                }
+            let bound = heap.bound();
+            let values = if entry.is_materialized() {
+                &entry.values
             } else {
-                let values = ctx.fetch(entry.id)?;
-                if let Some(d) = euclidean_early_abandon(query, &values, heap.bound()) {
-                    heap.offer_at(entry.id, entry.timestamp, d);
-                }
+                ctx.fetch(entry.id)?
+            };
+            if let Some(d) = euclidean_early_abandon(query, values, bound) {
+                heap.offer_at(entry.id, entry.timestamp, d);
             }
         }
         Ok(())
@@ -630,7 +622,8 @@ impl AdsTree {
         let leaf_id = Self::descend(&self.root, &sax);
         let mut heap = KnnHeap::new(k);
         let mut ctx = self.query_context();
-        self.refine_leaf(leaf_id, query, &query_paa, &mut heap, &mut ctx, window)?;
+        let bounds = QueryBounds::new(&query_paa, &self.config.sax);
+        self.refine_leaf(leaf_id, query, &bounds, &mut heap, &mut ctx, window)?;
         let cost = ctx.cost;
         Ok((heap.into_sorted(), cost))
     }
@@ -649,6 +642,7 @@ impl AdsTree {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
         let query_paa = paa(query, self.config.sax.segments);
+        let bounds = QueryBounds::new(&query_paa, &self.config.sax);
         let mut heap = KnnHeap::new(k);
         let mut ctx = self.query_context();
         // Collect (lower bound, leaf) pairs over the whole tree.
@@ -660,7 +654,7 @@ impl AdsTree {
                 ctx.cost.blocks_skipped += 1;
                 continue;
             }
-            self.refine_leaf(leaf_id, query, &query_paa, &mut heap, &mut ctx, window)?;
+            self.refine_leaf(leaf_id, query, &bounds, &mut heap, &mut ctx, window)?;
         }
         let cost = ctx.cost;
         Ok((heap.into_sorted(), cost))
@@ -669,7 +663,12 @@ impl AdsTree {
     fn collect_leaf_bounds(&self, node: &Node, query_paa: &[f64], out: &mut Vec<(f64, usize)>) {
         match node {
             Node::Leaf { word, leaf_id } => {
-                let lb = mindist_paa_isax_sq(query_paa, word, &self.config.sax, &self.table);
+                let lb = mindist_paa_isax_sq(
+                    query_paa,
+                    word,
+                    &self.config.sax,
+                    BreakpointTable::global(),
+                );
                 out.push((lb, *leaf_id));
             }
             Node::Internal { low, high, .. } => {

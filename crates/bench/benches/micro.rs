@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 
-use coconut_sax::mindist::mindist_paa_sax_sq;
+use coconut_sax::mindist::{mindist_paa_sax_sq, QueryBounds};
 use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
@@ -57,6 +57,18 @@ fn bench_mindist(c: &mut Criterion) {
                 &config,
                 summarizer.breakpoints(),
             ));
+        })
+    });
+    // The exact scan's per-entry bound: raw key -> bound through the
+    // per-query table, i.e. m1_invsax_decode + m2_mindist_paa_sax fused.
+    let keys: Vec<u128> = words.iter().map(|w| InvSaxKey::from_sax(w).raw()).collect();
+    let bounds = QueryBounds::new(&q_paa, &config);
+    c.bench_function("m2b_key_bound_fused", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let k = keys[i % keys.len()];
+            i += 1;
+            std::hint::black_box(bounds.key_bound_sq(std::hint::black_box(k)));
         })
     });
 }

@@ -393,13 +393,18 @@ impl ClsmTree {
         self.levels.iter().map(|l| l.len()).sum()
     }
 
-    /// Number of on-disk run files (shards) across all levels.
-    pub fn num_shards(&self) -> usize {
+    /// The on-disk run files (shards) of every level, level 0 first and
+    /// oldest run first within a level.
+    pub fn shards(&self) -> impl Iterator<Item = &SortedSeriesFile> {
         self.levels
             .iter()
             .flat_map(|l| l.iter())
-            .map(|r| r.shards.len())
-            .sum()
+            .flat_map(|r| r.shards.iter())
+    }
+
+    /// Number of on-disk run files (shards) across all levels.
+    pub fn num_shards(&self) -> usize {
+        self.shards().count()
     }
 
     /// Number of levels currently in use.
@@ -704,15 +709,14 @@ impl ClsmTree {
                 }
             }
             ctx.cost.entries_examined += 1;
-            if entry.is_materialized() {
-                if let Some(d) = euclidean_early_abandon(query, &entry.values, heap.bound()) {
-                    heap.offer_at(entry.id, entry.timestamp, d);
-                }
+            let bound = heap.bound();
+            let values = if entry.is_materialized() {
+                &entry.values
             } else {
-                let values = ctx.fetch(entry.id)?;
-                if let Some(d) = euclidean_early_abandon(query, &values, heap.bound()) {
-                    heap.offer_at(entry.id, entry.timestamp, d);
-                }
+                ctx.fetch(entry.id)?
+            };
+            if let Some(d) = euclidean_early_abandon(query, values, bound) {
+                heap.offer_at(entry.id, entry.timestamp, d);
             }
         }
         Ok(())

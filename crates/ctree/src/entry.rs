@@ -5,6 +5,7 @@
 //! datasets) and — in *materialized* variants — the full series values.
 
 use coconut_sax::{InvSaxKey, SortableSummarizer};
+use coconut_series::dataset::decode_f32_le;
 use coconut_series::{Series, Timestamp};
 use coconut_storage::RecordLayout;
 
@@ -126,6 +127,31 @@ impl EntryLayout {
     }
 }
 
+/// Field readers over one encoded record, for scans that look at the key
+/// and timestamp of every entry but decode the rest of only a few.
+impl EntryLayout {
+    /// The sortable key of an encoded record.
+    pub fn key_of(buf: &[u8]) -> u128 {
+        u128::from_be_bytes(buf[..16].try_into().expect("16-byte key field"))
+    }
+
+    /// The series id of an encoded record.
+    pub fn id_of(buf: &[u8]) -> u64 {
+        u64::from_be_bytes(buf[16..24].try_into().expect("8-byte id field"))
+    }
+
+    /// The arrival timestamp of an encoded record.
+    pub fn timestamp_of(buf: &[u8]) -> Timestamp {
+        u64::from_be_bytes(buf[24..32].try_into().expect("8-byte timestamp field"))
+    }
+
+    /// The little-endian `f32` values of an encoded record (empty for a
+    /// non-materialized layout).
+    pub fn values_of(buf: &[u8]) -> &[u8] {
+        &buf[32..]
+    }
+}
+
 impl RecordLayout for EntryLayout {
     type Record = SeriesEntry;
     type Key = (u128, u64);
@@ -149,20 +175,12 @@ impl RecordLayout for EntryLayout {
 
     fn decode(&self, buf: &[u8]) -> SeriesEntry {
         debug_assert_eq!(buf.len(), self.record_size());
-        let mut k = [0u8; 16];
-        k.copy_from_slice(&buf[..16]);
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&buf[16..24]);
-        let mut ts = [0u8; 8];
-        ts.copy_from_slice(&buf[24..32]);
-        let values = buf[32..]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
+        let mut values = Vec::new();
+        decode_f32_le(Self::values_of(buf), &mut values);
         SeriesEntry {
-            key: u128::from_be_bytes(k),
-            id: u64::from_be_bytes(id),
-            timestamp: u64::from_be_bytes(ts),
+            key: Self::key_of(buf),
+            id: Self::id_of(buf),
+            timestamp: Self::timestamp_of(buf),
             values,
         }
     }

@@ -3,6 +3,7 @@
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use coconut_series::dataset::decode_f32_le;
 use coconut_series::distance::Neighbor;
 use coconut_storage::iostats::AccessKind;
 use coconut_storage::SharedIoStats;
@@ -209,12 +210,18 @@ impl QueryCost {
 }
 
 /// Context passed through a query: access to the raw data file (for
-/// non-materialized refinement), shared I/O statistics and cost counters.
+/// non-materialized refinement), shared I/O statistics, cost counters and
+/// the buffers a candidate's values are decoded into, reused from one
+/// candidate to the next.
 pub struct QueryContext<'a> {
     raw: Option<&'a RawSeriesSource>,
     stats: Option<SharedIoStats>,
     /// Cost counters accumulated during the query.
     pub cost: QueryCost,
+    /// Staging bytes of a positioned raw read.
+    bytes: Vec<u8>,
+    /// Values of the candidate being refined.
+    values: Vec<f32>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -224,6 +231,8 @@ impl<'a> QueryContext<'a> {
             raw: None,
             stats: None,
             cost: QueryCost::default(),
+            bytes: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -235,7 +244,7 @@ impl<'a> QueryContext<'a> {
         QueryContext {
             raw: Some(raw),
             stats: Some(stats),
-            cost: QueryCost::default(),
+            ..QueryContext::materialized()
         }
     }
 
@@ -244,20 +253,29 @@ impl<'a> QueryContext<'a> {
         self.raw.is_some()
     }
 
-    /// Fetches the raw values of series `id` from the data file, charging
-    /// the access as a random read.
-    pub fn fetch(&mut self, id: u64) -> Result<Vec<f32>> {
+    /// Fetches the raw values of series `id` from the data file into the
+    /// context's buffer, charging the access as a random read.  The slice is
+    /// valid until the next `fetch` or `decode_values`.
+    pub fn fetch(&mut self, id: u64) -> Result<&[f32]> {
         let raw = self.raw.ok_or_else(|| {
             crate::IndexError::Config(
                 "non-materialized refinement requires a raw dataset handle".into(),
             )
         })?;
-        let values = raw.read_values(id)?;
+        raw.read_values_into(id, &mut self.bytes, &mut self.values)?;
         self.cost.raw_fetches += 1;
         if let Some(stats) = &self.stats {
-            stats.record(AccessKind::RandomRead, (values.len() * 4) as u64);
+            stats.record(AccessKind::RandomRead, (self.values.len() * 4) as u64);
         }
-        Ok(values)
+        Ok(&self.values)
+    }
+
+    /// Decodes the little-endian values of a materialized entry into the
+    /// context's buffer.  The slice is valid until the next `fetch` or
+    /// `decode_values`.
+    pub fn decode_values(&mut self, le_bytes: &[u8]) -> &[f32] {
+        decode_f32_le(le_bytes, &mut self.values);
+        &self.values
     }
 }
 

@@ -20,7 +20,7 @@ use std::fs::File;
 
 use parking_lot::Mutex;
 
-use coconut_series::dataset::HEADER_LEN;
+use coconut_series::dataset::{decode_f32_le, HEADER_LEN};
 use coconut_series::{Dataset, SeriesError};
 use coconut_storage::{AccessPattern, IoBackend, Mapping};
 
@@ -75,27 +75,33 @@ impl RawSeriesSource {
         self.mapping.lock().is_some()
     }
 
-    /// Reads the values of series `id`.
+    /// Reads the values of series `id` into `values`, replacing its
+    /// contents; `bytes` stages the positioned read (the mapped path decodes
+    /// straight out of the mapping and leaves it alone).  A caller that keeps
+    /// both buffers across fetches pays no allocation per fetch.
     ///
-    /// Both backends return the same bytes; neither records any I/O here —
+    /// Both backends produce the same values; neither records any I/O here —
     /// the caller accounts the fetch (one random read of the series' byte
     /// volume), keeping `IoStats` backend-independent by construction.
-    pub fn read_values(&self, id: u64) -> Result<Vec<f32>> {
-        if self.backend == IoBackend::Mmap {
-            if let Some(values) = self.read_mapped(id)? {
-                return Ok(values);
-            }
+    pub fn read_values_into(
+        &self,
+        id: u64,
+        bytes: &mut Vec<u8>,
+        values: &mut Vec<f32>,
+    ) -> Result<()> {
+        if self.backend == IoBackend::Mmap && self.read_mapped(id, values)? {
+            return Ok(());
         }
-        Ok(self.dataset.read_series(id)?.values)
+        Ok(self.dataset.read_values_into(id, bytes, values)?)
     }
 
-    /// Serves the fetch from the mapping; `Ok(None)` means "fall back to a
+    /// Serves the fetch from the mapping; `Ok(false)` means "fall back to a
     /// positioned read" (platform without mmap, or the kernel refused).
-    fn read_mapped(&self, id: u64) -> Result<Option<Vec<f32>>> {
+    fn read_mapped(&self, id: u64, values: &mut Vec<f32>) -> Result<bool> {
         // Ids are global file positions: a dataset handle windowed to an id
         // range (service-level sharding) still serves point fetches of any
         // series in the file, so validate against the file count, exactly
-        // as the pread path's `read_series` does.
+        // as the pread path's `read_values_into` does.
         if id >= self.dataset.meta().count {
             return Err(SeriesError::UnknownSeries(id).into());
         }
@@ -108,19 +114,14 @@ impl RawSeriesSource {
                     m.advise(AccessPattern::Random);
                     *mapping = Some(m);
                 }
-                Err(_) => return Ok(None),
+                Err(_) => return Ok(false),
             }
         }
         let m = mapping.as_ref().expect("mapping was just ensured");
         let series_bytes = self.dataset.series_len() * 4;
         let start = HEADER_LEN as usize + id as usize * series_bytes;
-        let bytes = &m.as_slice()[start..start + series_bytes];
-        Ok(Some(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-        ))
+        decode_f32_le(&m.as_slice()[start..start + series_bytes], values);
+        Ok(true)
     }
 }
 
@@ -129,6 +130,12 @@ mod tests {
     use super::*;
     use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
     use coconut_storage::ScratchDir;
+
+    fn read_values(src: &RawSeriesSource, id: u64) -> Result<Vec<f32>> {
+        let mut values = Vec::new();
+        src.read_values_into(id, &mut Vec::new(), &mut values)?;
+        Ok(values)
+    }
 
     fn dataset(dir: &ScratchDir, n: usize) -> (Vec<coconut_series::Series>, Dataset) {
         let mut gen = RandomWalkGenerator::new(32, 11);
@@ -144,8 +151,8 @@ mod tests {
         let pread = RawSeriesSource::new(ds.reopen().unwrap(), IoBackend::Pread).unwrap();
         let mmap = RawSeriesSource::new(ds, IoBackend::Mmap).unwrap();
         for id in [0u64, 7, 19, 3] {
-            let a = pread.read_values(id).unwrap();
-            let b = mmap.read_values(id).unwrap();
+            let a = read_values(&pread, id).unwrap();
+            let b = read_values(&mmap, id).unwrap();
             assert_eq!(a, b, "id {id}");
             assert_eq!(a, series[id as usize].values);
         }
@@ -163,7 +170,7 @@ mod tests {
         let (_series, ds) = dataset(&dir, 5);
         for backend in [IoBackend::Pread, IoBackend::Mmap] {
             let src = RawSeriesSource::new(ds.reopen().unwrap(), backend).unwrap();
-            assert!(src.read_values(5).is_err(), "{backend}");
+            assert!(read_values(&src, 5).is_err(), "{backend}");
         }
     }
 }

@@ -18,8 +18,7 @@ use std::sync::Arc;
 
 use crate::kernels::euclidean_early_abandon;
 use coconut_sax::breakpoints::BreakpointTable;
-use coconut_sax::mindist::{mindist_paa_isax_sq, mindist_paa_sax_sq};
-use coconut_sax::{InvSaxKey, SaxConfig};
+use coconut_sax::{mindist_paa_key_prefix_sq, InvSaxKey, QueryBounds, SaxConfig, SaxWord};
 use coconut_series::paa::paa;
 use coconut_series::Timestamp;
 use coconut_storage::dynsort::DynRunWriter;
@@ -62,7 +61,6 @@ pub struct SortedSeriesFile {
     run: coconut_storage::DynRunFile<EntryLayout>,
     blocks: Vec<BlockMeta>,
     sax: SaxConfig,
-    table: Arc<BreakpointTable>,
     min_ts: Timestamp,
     max_ts: Timestamp,
 }
@@ -207,7 +205,6 @@ impl SortedSeriesFile {
             run,
             blocks,
             sax,
-            table: Arc::new(BreakpointTable::new()),
             min_ts,
             max_ts,
         })
@@ -359,14 +356,7 @@ impl SortedSeriesFile {
     pub fn scan_keys(&self, index: u64, count: usize) -> Result<Vec<u128>> {
         let heads = self.run.read_heads_raw(index, count)?;
         let head = self.run.head_size();
-        Ok(heads
-            .chunks_exact(head)
-            .map(|h| {
-                let mut k = [0u8; 16];
-                k.copy_from_slice(&h[..16]);
-                u128::from_be_bytes(k)
-            })
-            .collect())
+        Ok(heads.chunks_exact(head).map(EntryLayout::key_of).collect())
     }
 
     /// The block index.
@@ -547,83 +537,50 @@ impl SortedSeriesFile {
         let min = InvSaxKey::from_raw(block.min_key, width);
         let max = InvSaxKey::from_raw(block.max_key, width);
         let shared_bits = min.common_prefix_bits(&max);
-        let segments = self.sax.segments as u32;
-        let base_levels = (shared_bits / segments).min(self.sax.bits_per_segment as u32) as u8;
-        let extra_segments = if base_levels as u32 >= self.sax.bits_per_segment as u32 {
-            0
-        } else {
-            (shared_bits % segments) as usize
-        };
-        let sax_word = min.to_sax(&self.sax);
-        let symbols: Vec<coconut_sax::IsaxSymbol> = (0..self.sax.segments)
-            .map(|seg| {
-                let bits = if seg < extra_segments {
-                    base_levels + 1
-                } else {
-                    base_levels
-                };
-                if bits == 0 {
-                    coconut_sax::IsaxSymbol::ANY
-                } else {
-                    coconut_sax::IsaxSymbol::new(sax_word.symbol_at_bits(seg, bits), bits)
-                }
-            })
-            .collect();
-        let prefix = coconut_sax::IsaxWord::new(symbols);
-        mindist_paa_isax_sq(query_paa, &prefix, &self.sax, &self.table)
+        mindist_paa_key_prefix_sq(query_paa, block.min_key, shared_bits, &self.sax)
     }
 
-    fn refine_entry(
-        &self,
-        entry: &SeriesEntry,
-        query: &[f32],
-        heap: &mut KnnHeap,
-        ctx: &mut QueryContext<'_>,
-    ) -> Result<()> {
-        ctx.cost.entries_refined += 1;
-        let bound = heap.bound();
-        if entry.is_materialized() {
-            if let Some(d) = euclidean_early_abandon(query, &entry.values, bound) {
-                heap.offer_at(entry.id, entry.timestamp, d);
-            }
-        } else {
-            let values = ctx.fetch(entry.id)?;
-            if let Some(d) = euclidean_early_abandon(query, &values, bound) {
-                heap.offer_at(entry.id, entry.timestamp, d);
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Scans one block in file order.  Every record has its timestamp read
+    /// for the window test and — when `bounds` is given (exact search) — its
+    /// key for the lower bound; id and values are decoded only for the
+    /// entries that survive both and go on to a true distance.
     fn scan_block(
         &self,
         block: &BlockMeta,
         query: &[f32],
-        query_paa: &[f64],
+        bounds: Option<&QueryBounds>,
         heap: &mut KnnHeap,
         ctx: &mut QueryContext<'_>,
         window: Option<(Timestamp, Timestamp)>,
-        prune_entries: bool,
     ) -> Result<()> {
         ctx.cost.blocks_read += 1;
-        let entries = self.run.read_range(block.start, block.count as usize)?;
-        let breakpoints = self.table.for_bits(self.sax.bits_per_segment);
-        for entry in &entries {
+        let bytes = self.run.read_raw(block.start, block.count as usize)?;
+        let layout = self.run.layout();
+        let record_size = coconut_storage::RecordLayout::record_size(layout);
+        for record in bytes.chunks_exact(record_size) {
+            let timestamp = EntryLayout::timestamp_of(record);
             if let Some((start, end)) = window {
-                if entry.timestamp < start || entry.timestamp > end {
+                if timestamp < start || timestamp > end {
                     continue;
                 }
             }
             ctx.cost.entries_examined += 1;
-            if prune_entries {
-                let sax = InvSaxKey::from_raw(entry.key, self.sax.key_bits()).to_sax(&self.sax);
-                let lb = mindist_paa_sax_sq(query_paa, &sax, &self.sax, breakpoints);
-                if lb > heap.bound() {
+            if let Some(bounds) = bounds {
+                if bounds.key_bound_sq(EntryLayout::key_of(record)) > heap.bound() {
                     continue;
                 }
             }
-            self.refine_entry(entry, query, heap, ctx)?;
+            ctx.cost.entries_refined += 1;
+            let id = EntryLayout::id_of(record);
+            let bound = heap.bound();
+            let values = if layout.is_materialized() {
+                ctx.decode_values(EntryLayout::values_of(record))
+            } else {
+                ctx.fetch(id)?
+            };
+            if let Some(d) = euclidean_early_abandon(query, values, bound) {
+                heap.offer_at(id, timestamp, d);
+            }
         }
         Ok(())
     }
@@ -646,9 +603,8 @@ impl SortedSeriesFile {
         // kernel read-ahead on the mapped pages (advisory; accounting
         // unaffected).
         self.run.advise_read_pattern(AccessPattern::Random);
-        let query_paa = paa(query, self.sax.segments);
-        let summarizer = coconut_sax::SortableSummarizer::new(self.sax);
-        let key = summarizer.key(query).raw();
+        let breakpoints = BreakpointTable::global().for_bits(self.sax.bits_per_segment);
+        let key = InvSaxKey::from_sax(&SaxWord::from_series(query, &self.sax, breakpoints)).raw();
         let target = self.locate_block(key).unwrap();
         // Visit the target block plus its neighbours until the heap is full
         // (or the partition is exhausted).
@@ -675,7 +631,7 @@ impl SortedSeriesFile {
                 ctx.cost.blocks_skipped += 1;
                 continue;
             }
-            self.scan_block(&block, query, &query_paa, heap, ctx, window, false)?;
+            self.scan_block(&block, query, None, heap, ctx, window)?;
             if heap.bound() < f64::INFINITY {
                 break;
             }
@@ -711,13 +667,17 @@ impl SortedSeriesFile {
             .collect();
         ctx.cost.blocks_skipped += (self.blocks.len() - ordered.len()) as u64;
         ordered.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        // The per-entry bound's table is per query; a partition whose every
+        // block the frozen bound already excludes never builds it.
+        let mut bounds = None;
         for (lb, idx) in ordered {
             if lb > heap.bound() {
                 ctx.cost.blocks_skipped += 1;
                 continue;
             }
+            let bounds = bounds.get_or_insert_with(|| QueryBounds::new(&query_paa, &self.sax));
             let block = self.blocks[idx];
-            self.scan_block(&block, query, &query_paa, heap, ctx, window, true)?;
+            self.scan_block(&block, query, Some(bounds), heap, ctx, window)?;
         }
         Ok(())
     }

@@ -387,6 +387,11 @@ impl CTree {
         self.file.blocks().len()
     }
 
+    /// The sorted leaf level.
+    pub fn leaf_file(&self) -> &SortedSeriesFile {
+        &self.file
+    }
+
     fn query_context(&self) -> QueryContext<'_> {
         match &self.raw {
             Some(raw) => QueryContext::non_materialized(raw, Arc::clone(&self.stats)),

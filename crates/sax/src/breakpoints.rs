@@ -12,6 +12,8 @@
 //! on.  [`Breakpoints::symbol`] and [`Breakpoints::region`] expose the
 //! quantization and its inverse bounds.
 
+use std::sync::OnceLock;
+
 /// Inverse CDF (quantile function) of the standard normal distribution.
 ///
 /// Uses Peter Acklam's rational approximation (relative error < 1.15e-9),
@@ -190,6 +192,14 @@ impl BreakpointTable {
                 .map(Breakpoints::new)
                 .collect(),
         }
+    }
+
+    /// The process-wide table, built on first use.  The breakpoints are
+    /// constants of the normal distribution, so every index and every query
+    /// shares this one copy.
+    pub fn global() -> &'static BreakpointTable {
+        static TABLE: OnceLock<BreakpointTable> = OnceLock::new();
+        TABLE.get_or_init(BreakpointTable::new)
     }
 
     /// Returns the table for `bits` bits.

@@ -98,21 +98,9 @@ impl InvSaxKey {
     /// Inverts the interleaving, recovering the original SAX word.
     pub fn to_sax(&self, config: &SaxConfig) -> SaxWord {
         assert_eq!(self.width, config.key_bits());
-        let segments = config.segments;
-        let bits_per_segment = config.bits_per_segment;
-        let mut symbols = vec![0u8; segments];
-        for level in 0..bits_per_segment {
-            #[allow(clippy::needless_range_loop)] // `seg` feeds the bit-position arithmetic
-            for seg in 0..segments {
-                // Position of this bit counted from the most significant end
-                // of the key.
-                let pos_from_msb = level as u32 * segments as u32 + seg as u32;
-                let shift = self.width - 1 - pos_from_msb;
-                let bit = ((self.bits >> shift) & 1) as u8;
-                symbols[seg] = (symbols[seg] << 1) | bit;
-            }
-        }
-        SaxWord::from_symbols(symbols, bits_per_segment)
+        let mut symbols = vec![0u8; config.segments];
+        deinterleave(self.bits, config, &mut symbols);
+        SaxWord::from_symbols(symbols, config.bits_per_segment)
     }
 
     /// Truncates the key to the iSAX word obtained by keeping only the first
@@ -140,6 +128,65 @@ impl InvSaxKey {
         let leading = diff.leading_zeros(); // out of 128
         let skipped = 128 - self.width;
         leading - skipped
+    }
+}
+
+/// `SPREAD[b]` holds the eight bits of `b` one per byte lane, the most
+/// significant bit in lane 0 (the least significant byte of the `u64`).
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut lane = 0;
+        while lane < 8 {
+            table[byte] |= ((byte as u64 >> (7 - lane)) & 1) << (8 * lane);
+            lane += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Inverts the interleaving of the raw key value `raw` into
+/// `symbols[..config.segments]`, one symbol per segment, without allocating.
+/// The one deinterleave of the crate: [`InvSaxKey::to_sax`] and the per-entry
+/// bound of [`crate::mindist::QueryBounds`] both run it.
+///
+/// Bit level `l` of the key is a group of `segments` bits, segment 0 first.
+/// When the groups are whole bytes (`segments % 8 == 0`) a key byte carries
+/// one bit of eight neighbouring segments: the `SPREAD` table moves those bits into
+/// eight byte lanes of a `u64`, so a level costs one shift-or per eight
+/// segments.  Other segment counts take the bit-at-a-time loop.
+///
+/// # Panics
+/// Panics if `symbols` is shorter than `config.segments`.
+pub fn deinterleave(raw: u128, config: &SaxConfig, symbols: &mut [u8]) {
+    let segments = config.segments;
+    let levels = config.bits_per_segment as usize;
+    let symbols = &mut symbols[..segments];
+    if segments.is_multiple_of(8) {
+        let group_bytes = segments / 8;
+        let be = raw.to_be_bytes();
+        let key = &be[16 - group_bytes * levels..];
+        for (chunk, lanes) in symbols.chunks_exact_mut(8).enumerate() {
+            let mut acc = 0u64;
+            for level in 0..levels {
+                acc = (acc << 1) | SPREAD[key[level * group_bytes + chunk] as usize];
+            }
+            lanes.copy_from_slice(&acc.to_le_bytes());
+        }
+    } else {
+        let width = segments * levels;
+        for (seg, symbol) in symbols.iter_mut().enumerate() {
+            let mut acc = 0u8;
+            for level in 0..levels {
+                // Position of this bit counted from the most significant end
+                // of the key.
+                let shift = width - 1 - (level * segments + seg);
+                acc = (acc << 1) | ((raw >> shift) & 1) as u8;
+            }
+            *symbol = acc;
+        }
     }
 }
 
@@ -396,8 +443,45 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::test_grid;
     use coconut_series::generator::SeriesGenerator;
     use proptest::prelude::*;
+
+    /// The inversion written out one bit at a time, kept as the oracle for
+    /// [`deinterleave`].
+    fn to_sax_reference(key: &InvSaxKey, config: &SaxConfig) -> SaxWord {
+        let segments = config.segments;
+        let mut symbols = vec![0u8; segments];
+        for level in 0..config.bits_per_segment {
+            for (seg, symbol) in symbols.iter_mut().enumerate() {
+                let pos_from_msb = level as u32 * segments as u32 + seg as u32;
+                let bit = ((key.raw() >> (key.width() - 1 - pos_from_msb)) & 1) as u8;
+                *symbol = (*symbol << 1) | bit;
+            }
+        }
+        SaxWord::from_symbols(symbols, config.bits_per_segment)
+    }
+
+    #[test]
+    fn to_sax_of_all_zero_and_all_one_keys() {
+        for segments in test_grid::SEGMENTS {
+            for bits in 1..=8u8 {
+                let config = test_grid::config(segments, bits);
+                for fill in [0, u64::MAX] {
+                    let key = test_grid::key(fill, fill, &config);
+                    let word = key.to_sax(&config);
+                    assert_eq!(word, to_sax_reference(&key, &config));
+                    let expected = if fill == 0 {
+                        0
+                    } else {
+                        (config.cardinality() - 1) as u8
+                    };
+                    assert!(word.symbols().iter().all(|&s| s == expected), "{config:?}");
+                    assert_eq!(InvSaxKey::from_sax(&word), key);
+                }
+            }
+        }
+    }
 
     proptest! {
         #[test]
@@ -408,6 +492,20 @@ mod proptests {
             let key = InvSaxKey::from_sax(&word);
             let config = SaxConfig::new(symbols.len().max(1), symbols.len(), 8);
             prop_assert_eq!(key.to_sax(&config), word);
+        }
+
+        /// `to_sax` against the bit-at-a-time inversion it replaced, over
+        /// the whole-byte shapes (8, 16, 32 segments) and the fallback ones.
+        #[test]
+        fn to_sax_equals_bit_by_bit_reference(
+            hi in 0u64..=u64::MAX,
+            lo in 0u64..=u64::MAX,
+            shape in 0usize..6,
+            bits in 1u8..=8,
+        ) {
+            let config = test_grid::config(test_grid::SEGMENTS[shape], bits);
+            let key = test_grid::key(hi, lo, &config);
+            prop_assert_eq!(key.to_sax(&config), to_sax_reference(&key, &config));
         }
 
         #[test]

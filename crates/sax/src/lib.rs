@@ -22,7 +22,9 @@
 //!   significant bits across all segments precede all the less significant
 //!   bits").
 //! * [`mindist`] — lower-bounding distances between a query (PAA) and a SAX /
-//!   iSAX / InvSax summary, used for pruning during search.
+//!   iSAX / InvSax summary, used for pruning during search; the exact scan's
+//!   per-entry bound is [`QueryBounds`], a per-query distance table looked up
+//!   straight from the raw key.
 //!
 //! All types are parameterized by a [`SaxConfig`] describing the series
 //! length, the number of segments and the per-segment alphabet bits.
@@ -34,9 +36,11 @@ pub mod mindist;
 pub mod sax;
 
 pub use breakpoints::Breakpoints;
-pub use invsax::{invsax_keys_batch, InvSaxKey, SortableSummarizer};
+pub use invsax::{deinterleave, invsax_keys_batch, InvSaxKey, SortableSummarizer};
 pub use isax::{IsaxSymbol, IsaxWord};
-pub use mindist::{mindist_paa_isax_sq, mindist_paa_sax_sq};
+pub use mindist::{
+    mindist_paa_isax_sq, mindist_paa_key_prefix_sq, mindist_paa_sax_sq, QueryBounds,
+};
 pub use sax::SaxWord;
 
 /// Maximum number of bits per segment supported by the summarizations.
@@ -47,6 +51,11 @@ pub const MAX_BITS_PER_SEGMENT: u8 = 8;
 
 /// Maximum total key width supported by [`invsax::InvSaxKey`] (bits).
 pub const MAX_KEY_BITS: u32 = 128;
+
+/// Maximum number of segments a [`SaxConfig`] can hold (one bit each in a
+/// key of [`MAX_KEY_BITS`]): the size of a stack buffer that fits the
+/// symbols of any key.
+pub const MAX_SEGMENTS: usize = MAX_KEY_BITS as usize;
 
 /// Configuration of a SAX-family summarization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +114,35 @@ impl SaxConfig {
     /// Total number of bits in the interleaved sortable key.
     pub fn key_bits(&self) -> u32 {
         self.segments as u32 * self.bits_per_segment as u32
+    }
+}
+
+/// The configurations and keys the deinterleave and bound tests sweep.
+#[cfg(test)]
+pub(crate) mod test_grid {
+    use super::{InvSaxKey, SaxConfig, MAX_KEY_BITS};
+
+    /// Every shape the deinterleave distinguishes: whole-byte bit levels
+    /// (8, 16, 32 segments) and the bit-at-a-time fallback (1, 4, 12).
+    pub const SEGMENTS: [usize; 6] = [1, 4, 8, 12, 16, 32];
+
+    /// `segments` × `bits`, the cardinality clamped to what the key width
+    /// allows (32 segments stop at 4 bits).
+    pub fn config(segments: usize, bits: u8) -> SaxConfig {
+        let bits = bits.min((MAX_KEY_BITS as usize / segments) as u8);
+        SaxConfig::new(segments * 4, segments, bits)
+    }
+
+    /// The key of `config`'s width made of the low bits of `hi:lo`.
+    pub fn key(hi: u64, lo: u64, config: &SaxConfig) -> InvSaxKey {
+        let raw = ((hi as u128) << 64) | lo as u128;
+        let width = config.key_bits();
+        let raw = if width < 128 {
+            raw & ((1u128 << width) - 1)
+        } else {
+            raw
+        };
+        InvSaxKey::from_raw(raw, width)
     }
 }
 

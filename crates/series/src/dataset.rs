@@ -236,17 +236,29 @@ impl Dataset {
 
     /// Reads the series with the given id (a random positioned read).
     pub fn read_series(&self, id: SeriesId) -> Result<Series> {
+        let mut values = Vec::new();
+        self.read_values_into(id, &mut Vec::new(), &mut values)?;
+        Ok(Series::new(id, values))
+    }
+
+    /// Reads the values of series `id` into `values` (one random positioned
+    /// read), staging the file bytes in `bytes`.  Both buffers are
+    /// overwritten, so a caller that keeps them across reads pays no
+    /// allocation per series.
+    pub fn read_values_into(
+        &self,
+        id: SeriesId,
+        bytes: &mut Vec<u8>,
+        values: &mut Vec<f32>,
+    ) -> Result<()> {
         if id >= self.meta.count {
             return Err(SeriesError::UnknownSeries(id));
         }
         let offset = HEADER_LEN + id * (self.meta.series_len as u64) * 4;
-        let mut buf = vec![0u8; self.meta.series_len * 4];
-        read_exact_at(&self.file, &mut buf, offset)?;
-        let values = buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Ok(Series::new(id, values))
+        bytes.resize(self.meta.series_len * 4, 0);
+        read_exact_at(&self.file, bytes, offset)?;
+        decode_f32_le(bytes, values);
+        Ok(())
     }
 
     /// Reads many series by id, in the given order.
@@ -265,6 +277,18 @@ impl Dataset {
     pub fn reopen(&self) -> Result<Dataset> {
         Dataset::open_range(&self.path, self.view_lo, self.view_hi)
     }
+}
+
+/// Decodes little-endian `f32`s (the on-disk form of series values, in the
+/// dataset file and in materialized index entries alike) into `values`,
+/// replacing its contents.
+pub fn decode_f32_le(bytes: &[u8], values: &mut Vec<f32>) {
+    values.clear();
+    values.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+    );
 }
 
 #[cfg(unix)]

@@ -525,6 +525,14 @@ impl PartitionedStream {
         self.scheme
     }
 
+    /// The sorted (Coconut-style) partitions, oldest first.
+    pub fn sorted_partitions(&self) -> impl Iterator<Item = &SortedSeriesFile> {
+        self.partitions.iter().filter_map(|p| match p {
+            Partition::Sorted { file, .. } => Some(file),
+            Partition::Ads { .. } => None,
+        })
+    }
+
     /// Flushes the in-memory buffer into a new partition.
     pub fn flush(&mut self) -> Result<()> {
         if self.buffer.is_empty() {
