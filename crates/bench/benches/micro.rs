@@ -9,7 +9,10 @@ use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
 use coconut_storage::record::KeyPointerRecord;
-use coconut_storage::{ExternalSortConfig, ExternalSorter, IoStats, ScratchDir};
+use coconut_storage::{
+    durability, DynRunWriter, ExternalSortConfig, ExternalSorter, IoStats, RecordLayout,
+    ScratchDir, DEFAULT_PAGE_SIZE,
+};
 
 fn bench_invsax_encode(c: &mut Criterion) {
     let config = SaxConfig::new(256, 16, 8);
@@ -127,9 +130,61 @@ fn bench_ctree_query(c: &mut Criterion) {
     });
 }
 
+/// The write path on its own: materialized 1,056-byte entries through one
+/// `DynRunWriter`, finished durably, with the durability barrier inside the
+/// timed region (so the `fdatasync` is paid, just not per append).
+fn bench_run_write(c: &mut Criterion) {
+    const RECORDS: usize = 8192;
+    let layout = coconut_ctree::EntryLayout::materialized(128, 256);
+    let mut gen = RandomWalkGenerator::new(256, 4);
+    let entries: Vec<coconut_ctree::SeriesEntry> = gen
+        .generate(RECORDS)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| coconut_ctree::SeriesEntry {
+            key: (i as u128) << 64,
+            id: s.id,
+            timestamp: 0,
+            values: s.values,
+        })
+        .collect();
+    let mut fastest = std::time::Duration::MAX;
+    let mut appends = 0;
+    c.bench_function("m5_run_write", |b| {
+        b.iter_batched(
+            || ScratchDir::new("bench-run-write").unwrap(),
+            |dir| {
+                let start = std::time::Instant::now();
+                let mut writer = DynRunWriter::create(
+                    layout,
+                    dir.file("m5.run"),
+                    IoStats::shared(),
+                    DEFAULT_PAGE_SIZE,
+                )
+                .unwrap();
+                for entry in &entries {
+                    writer.push(entry).unwrap();
+                }
+                let run = writer.finish().unwrap();
+                durability::drain().unwrap();
+                fastest = fastest.min(start.elapsed());
+                appends = run.write_count();
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    let mib = (RECORDS * layout.record_size()) as f64 / (1 << 20) as f64;
+    println!(
+        "{:<40} {RECORDS} x {} B = {mib:.1} MiB in {appends} appends, {:.0} MiB/s (fastest sample)",
+        "m5_run_write",
+        layout.record_size(),
+        mib / fastest.as_secs_f64()
+    );
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query
+    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_run_write
 }
 criterion_main!(micro);

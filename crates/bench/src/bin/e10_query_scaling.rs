@@ -68,6 +68,8 @@ fn run_queries(
 }
 
 fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    // Merged-away runs are unlinked off-thread: list what is left after.
+    coconut_storage::durability::drain().expect("durability barrier");
     let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .expect("read_dir")
         .filter_map(|e| {

@@ -269,13 +269,6 @@ impl RunSet {
     pub fn physical_byte_size(&self) -> u64 {
         self.shards.iter().map(|s| s.physical_byte_size()).sum()
     }
-
-    fn delete(self) -> Result<()> {
-        for shard in self.shards {
-            shard.delete()?;
-        }
-        Ok(())
-    }
 }
 
 /// The CoconutLSM index.
@@ -291,6 +284,16 @@ pub struct ClsmTree {
     raw: Option<RawSeriesSource>,
     next_run_id: u64,
     lsm_stats: ClsmStats,
+}
+
+impl Drop for ClsmTree {
+    /// Waits for the durability worker, so no queued sync or unlink of this
+    /// tree's runs outlives it (a later index may reuse the directory).  A
+    /// failed sync stays with the worker for the next caller that can
+    /// return it.
+    fn drop(&mut self) {
+        coconut_storage::durability::wait_idle();
+    }
 }
 
 impl std::fmt::Debug for ClsmTree {
@@ -536,16 +539,17 @@ impl ClsmTree {
             if self.levels[level].len() >= t {
                 let runs = std::mem::take(&mut self.levels[level]);
                 let merged = self.merge_runs(&runs, level + 1)?;
-                for run in runs {
-                    let _ = run.delete();
-                }
                 if self.levels.len() <= level + 1 {
                     self.levels.push(Vec::new());
                 }
-                let count = merged.len();
-                self.levels[level + 1].push(merged);
+                // The inputs leave the disk behind the merged shards' syncs.
+                let outputs: Vec<&SortedSeriesFile> = merged.shards.iter().collect();
+                let inputs = runs.into_iter().flat_map(|run| run.shards).collect();
+                let retired = SortedSeriesFile::replace(&outputs, inputs);
                 self.lsm_stats.merges += 1;
-                self.lsm_stats.entries_written += count;
+                self.lsm_stats.entries_written += merged.len();
+                self.levels[level + 1].push(merged);
+                retired?;
             }
             level += 1;
         }
@@ -1152,6 +1156,8 @@ mod tests {
         let (dir_a, _series, a) = build_sharded_clsm(900, 3, 1, 33);
         let (dir_b, _series, b) = build_sharded_clsm(900, 3, 8, 33);
         assert_eq!(a.stats(), b.stats(), "ClsmStats must not depend on workers");
+        // Merged-away runs are unlinked off-thread: list what is left after.
+        coconut_storage::durability::drain().unwrap();
         let read_dir = |d: &ScratchDir| -> Vec<(String, Vec<u8>)> {
             let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d.file("lsm"))
                 .unwrap()

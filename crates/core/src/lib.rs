@@ -601,19 +601,24 @@ impl StaticIndex {
         }
     }
 
-    /// Makes every buffered update durable: pending CTree delta entries are
-    /// merged into the contiguous (fdatasync'd) leaf file, the CLSM write
-    /// buffer is flushed into a durable run, and ADS+ leaf buffers are
-    /// written back and synced.  Used by the server's graceful shutdown;
-    /// also a *write* from the cache's point of view (flushing can change
-    /// the cost accounting of later queries), so callers holding the index
-    /// behind a lock must invalidate cached answers afterwards.
+    /// The durability barrier.  Every buffered update is written out —
+    /// pending CTree delta entries are merged into the contiguous leaf
+    /// file, the CLSM write buffer is flushed into a run, ADS+ leaf buffers
+    /// are written back and synced — and the call returns only once the
+    /// durability worker has `fdatasync`'ed every run finished so far (and
+    /// unlinked every merged-away one); a sync that failed in the background
+    /// since the last barrier is returned here.  Used by the server's
+    /// graceful shutdown; also a *write* from the cache's point of view
+    /// (flushing can change the cost accounting of later queries), so
+    /// callers holding the index behind a lock must invalidate cached
+    /// answers afterwards.
     pub fn sync(&mut self) -> Result<()> {
         match self {
-            StaticIndex::Ads(t) => t.flush_buffers(),
-            StaticIndex::CTree(t) => t.merge_delta(),
-            StaticIndex::Clsm(t) => t.flush(),
+            StaticIndex::Ads(t) => t.flush_buffers()?,
+            StaticIndex::CTree(t) => t.merge_delta()?,
+            StaticIndex::Clsm(t) => t.flush()?,
         }
+        Ok(coconut_storage::durability::drain()?)
     }
 }
 

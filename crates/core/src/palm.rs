@@ -1361,10 +1361,12 @@ impl PalmServer {
     }
 
     /// Syncs every registered index to durable storage (delta merges,
-    /// buffer flushes).  Each sync runs under its slot's write lock and —
-    /// being a mutation from the cache's point of view — bumps the slot
-    /// version and purges the index's cache entries.  Called by the
-    /// network front-end during graceful shutdown.
+    /// buffer flushes, then the durability barrier: see
+    /// [`StaticIndex::sync`]).  Each sync runs under its slot's write lock
+    /// and — being a mutation from the cache's point of view — bumps the
+    /// slot version and purges the index's cache entries.  Called by the
+    /// network front-end during graceful shutdown, so the process never
+    /// exits with an `fdatasync` or unlink still queued.
     pub fn sync_all(&self) -> Result<usize, String> {
         let slots: Vec<(String, Slot)> = self
             .indexes
@@ -1385,6 +1387,9 @@ impl PalmServer {
             }
             synced += 1;
         }
+        // With no index registered nothing above reached the barrier, and
+        // a dropped index may have left a failed sync unreported.
+        coconut_storage::durability::drain().map_err(|e| format!("sync failed: {e}"))?;
         Ok(synced)
     }
 

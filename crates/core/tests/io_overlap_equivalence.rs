@@ -19,6 +19,8 @@ use proptest::prelude::*;
 
 /// Recursively collects `(relative name, bytes)` of all files under `dir`.
 fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    // Merged-away runs are unlinked off-thread: list what is left after.
+    coconut_storage::durability::drain().expect("durability barrier");
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(current) = stack.pop() {

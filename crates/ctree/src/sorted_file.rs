@@ -512,6 +512,16 @@ impl SortedSeriesFile {
         Ok(())
     }
 
+    /// Retires `inputs`, which a merge has rewritten into `outputs`: their
+    /// files are unlinked off-thread, and only once every output is durable
+    /// (see [`coconut_storage::DynRunFile::replace`]).
+    pub fn replace(outputs: &[&SortedSeriesFile], inputs: Vec<SortedSeriesFile>) -> Result<()> {
+        let outputs: Vec<_> = outputs.iter().map(|f| &f.run).collect();
+        let inputs = inputs.into_iter().map(|f| f.run).collect();
+        coconut_storage::DynRunFile::replace(&outputs, inputs)?;
+        Ok(())
+    }
+
     /// Index of the block whose key range should contain `key` (the last
     /// block whose `min_key <= key`, clamped to the first block).
     pub fn locate_block(&self, key: u128) -> Option<usize> {

@@ -221,6 +221,16 @@ pub struct CTree {
     pub merges: u64,
 }
 
+impl Drop for CTree {
+    /// Waits for the durability worker, so no queued sync or unlink of this
+    /// tree's files outlives it (a later index may reuse the directory).  A
+    /// failed sync stays with the worker for the next caller that can
+    /// return it.
+    fn drop(&mut self) {
+        coconut_storage::durability::wait_idle();
+    }
+}
+
 impl std::fmt::Debug for CTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CTree")
@@ -723,10 +733,9 @@ impl CTree {
             self.config.compression,
         )?;
         let old = std::mem::replace(&mut self.file, new_file);
-        let _ = old.delete();
         self.delta_capacity = Self::delta_capacity_for(&self.config, self.file.len());
         self.merges += 1;
-        Ok(())
+        SortedSeriesFile::replace(&[&self.file], vec![old])
     }
 
     /// Number of delta entries not yet merged.

@@ -22,6 +22,7 @@ use crate::block::{
     block_records_for, decode_block, decode_block_heads, encode_block, BlockExtent, ColumnSpec,
     Compression, LogicalAccountant, FOOTER_MAGIC,
 };
+use crate::durability::{self, Job};
 use crate::file::{read_ahead_with, PagedFile, ReadAheadBuffers};
 use crate::iostats::SharedIoStats;
 use crate::mmap::IoBackend;
@@ -362,6 +363,11 @@ impl<L: RecordLayout> DynRunFile<L> {
         self.body.file.sync_count()
     }
 
+    /// Number of appends (write syscalls) the run was written with.
+    pub fn write_count(&self) -> u64 {
+        self.body.file.write_count()
+    }
+
     /// Deletes the backing file.  The read mapping is dropped *before* the
     /// unlink, so no clone of this run — a compaction reader, a query unit —
     /// can keep serving reads through a mapping of a deleted file.
@@ -372,14 +378,48 @@ impl<L: RecordLayout> DynRunFile<L> {
         std::fs::remove_file(path)?;
         Ok(())
     }
+
+    /// Retires `inputs`, whose records the durably finished `outputs` now
+    /// hold.  The inputs stop serving mapped reads at once; their files are
+    /// unlinked by the durability worker, in a job queued behind the
+    /// outputs' syncs, and only if every one of those syncs succeeded — an
+    /// input never leaves the disk before the run replacing it is durable.
+    pub fn replace(outputs: &[&DynRunFile<L>], inputs: Vec<DynRunFile<L>>) -> Result<()> {
+        durability::submit(Self::replace_job(outputs, inputs))
+    }
+
+    fn replace_job(outputs: &[&DynRunFile<L>], inputs: Vec<DynRunFile<L>>) -> Job {
+        let outputs: Vec<Arc<RunBody>> = outputs.iter().map(|o| Arc::clone(&o.body)).collect();
+        let unlink: Vec<PathBuf> = inputs
+            .into_iter()
+            .map(|input| {
+                input.body.file.unmap();
+                input.body.file.path().to_path_buf()
+            })
+            .collect();
+        let kept = unlink.len();
+        let outputs_durable = move || match outputs.iter().find(|o| o.file.sync_count() == 0) {
+            None => Ok(()),
+            // Its sync failed (and was reported); a retry would not bring
+            // back pages the kernel already dropped.
+            Some(o) => Err(std::io::Error::other(format!(
+                "{} was never synced, so the {kept} run(s) it replaces stay on disk",
+                o.file.path().display()
+            ))),
+        };
+        Job::new(outputs_durable, unlink)
+    }
 }
+
+/// Bytes a run writer gathers before it appends them to its file.
+const APPEND_BYTES: usize = 64 * 1024;
 
 /// The non-generic write engine under a [`DynRunWriter`]; see [`RunBody`].
 ///
-/// With `compression = off` this is byte-for-byte the historical writer:
-/// records accumulate in a buffer flushed to the file at
-/// `page_size.max(record_size)` bytes, so uncompressed run files and their
-/// `IoStats` are identical to every release before the knob existed.  With
+/// With `compression = off` records accumulate in a buffer appended to the
+/// file whenever it reaches [`APPEND_BYTES`] (or one page / one record, if
+/// larger): a run is written in large sequential appends, one `pwrite`
+/// each, and its bytes are identical whatever the cadence.  With
 /// `compression = prefix` the same buffer instead fills one block's worth
 /// of records, each full block is front-/delta-coded and appended, and the
 /// *logical* `IoStats` view is charged on a virtual uncompressed file with
@@ -440,10 +480,12 @@ impl RunBodyWriter {
         } else {
             file
         };
-        let flush_bytes = page_size.max(record_size);
+        let flush_bytes = page_size.max(record_size).max(APPEND_BYTES);
         let buffer_capacity = match &codec {
             Some(c) => c.block_records * record_size,
-            None => flush_bytes,
+            // The threshold is checked after a push, so the buffer overshoots
+            // it by up to one record.
+            None => flush_bytes + record_size,
         };
         Ok(RunBodyWriter {
             file,
@@ -510,7 +552,9 @@ impl RunBodyWriter {
         Ok(())
     }
 
-    fn finish(mut self, sync: bool) -> Result<RunBody> {
+    /// Appends the tail and returns the readable run.  A `durable` finish
+    /// also queues the run's `fdatasync` on the durability worker.
+    fn finish(mut self, durable: bool) -> Result<Arc<RunBody>> {
         match &mut self.codec {
             None => {
                 if !self.buffer.is_empty() {
@@ -530,21 +574,31 @@ impl RunBodyWriter {
                 Self::append_footer(&self.file, codec, self.count)?;
             }
         }
-        if sync {
-            self.file.sync()?;
-        }
         let codec = self.codec.map(|c| RunCodec {
             block_records: c.block_records,
             blocks: c.blocks,
             logical: c.logical,
         });
-        Ok(RunBody {
+        let body = Arc::new(RunBody {
             file: self.file,
             record_size: self.record_size,
             spec: self.spec,
             count: self.count,
             codec,
-        })
+        });
+        if durable {
+            let run = Arc::clone(&body);
+            let sync = move || {
+                run.file.sync().map_err(|e| {
+                    std::io::Error::other(format!(
+                        "fdatasync of {}: {e}",
+                        run.file.path().display()
+                    ))
+                })
+            };
+            durability::submit(Job::new(sync, Vec::new()))?;
+        }
+        Ok(body)
     }
 
     /// Appends the self-describing block directory: one
@@ -636,13 +690,16 @@ impl<L: RecordLayout> DynRunWriter<L> {
         self.body.count == 0
     }
 
-    /// Finishes the run and returns its read handle.  The data is synced to
-    /// the device (`sync_data`), so the run survives a crash.
+    /// Finishes a run that is to survive a crash and returns its read
+    /// handle.  The run is readable at once; its `fdatasync` is queued on
+    /// the durability worker ([`crate::durability`]), so it *is* durable
+    /// once a later [`durability::drain`] has returned without error.  An
+    /// earlier run's failed sync is reported here, once, in place of
+    /// finishing this one.
     pub fn finish(self) -> Result<DynRunFile<L>> {
-        let body = self.body.finish(true)?;
         Ok(DynRunFile {
             layout: self.layout,
-            body: Arc::new(body),
+            body: self.body.finish(true)?,
         })
     }
 
@@ -650,10 +707,9 @@ impl<L: RecordLayout> DynRunWriter<L> {
     /// `RunWriter::finish_volatile` — only for sorter-internal spill runs
     /// that are merged and discarded within the same build.
     pub fn finish_volatile(self) -> Result<DynRunFile<L>> {
-        let body = self.body.finish(false)?;
         Ok(DynRunFile {
             layout: self.layout,
-            body: Arc::new(body),
+            body: self.body.finish(false)?,
         })
     }
 }
@@ -1468,10 +1524,66 @@ mod tests {
         }
         let durable = durable.finish().unwrap();
         let volatile = volatile.finish_volatile().unwrap();
+        // Readable before the sync has run ...
+        let back: Vec<_> = durable.reader(64).map(|r| r.unwrap()).collect();
+        assert_eq!(back, records);
+        // ... and synced exactly once by the time the barrier returns.
+        durability::drain().unwrap();
         assert_eq!(durable.sync_count(), 1);
         assert_eq!(volatile.sync_count(), 0);
         let back: Vec<_> = volatile.reader(64).map(|r| r.unwrap()).collect();
         assert_eq!(back, records);
+    }
+
+    fn write_run(path: PathBuf, durable: bool) -> DynRunFile<PairLayout> {
+        let layout = PairLayout { payload_len: 8 };
+        let mut w = DynRunWriter::create(layout, path, IoStats::shared(), 512).unwrap();
+        for r in &make_records(20, 8) {
+            w.push(r).unwrap();
+        }
+        if durable {
+            w.finish().unwrap()
+        } else {
+            w.finish_volatile().unwrap()
+        }
+    }
+
+    /// A replace unlinks its inputs behind the output's sync, never before.
+    #[test]
+    fn replace_unlinks_inputs_once_the_output_is_durable() {
+        let dir = ScratchDir::new("dynrun-replace").unwrap();
+        let inputs = vec![
+            write_run(dir.file("a.run"), true),
+            write_run(dir.file("b.run"), true),
+        ];
+        let paths: Vec<PathBuf> = inputs.iter().map(|r| r.path().to_path_buf()).collect();
+        let output = write_run(dir.file("out.run"), true);
+        DynRunFile::replace(&[&output], inputs).unwrap();
+        durability::drain().unwrap();
+        assert_eq!(output.sync_count(), 1);
+        assert!(paths.iter().all(|p| !p.exists()));
+        assert!(output.path().exists());
+    }
+
+    /// An output whose sync never succeeded keeps its inputs on disk, and
+    /// the job says so.  (Run on a worker of its own: the process's worker
+    /// would hand the error to whichever test finishes a run next.)
+    #[test]
+    fn replace_keeps_inputs_of_an_output_that_was_never_synced() {
+        let dir = ScratchDir::new("dynrun-replace-fail").unwrap();
+        let input = write_run(dir.file("in.run"), false);
+        let input_path = input.path().to_path_buf();
+        let output = write_run(dir.file("out.run"), false);
+        let worker = durability::Worker::spawn(2);
+        worker
+            .submit(DynRunFile::replace_job(&[&output], vec![input]))
+            .unwrap();
+        let err = worker.drain().unwrap_err().to_string();
+        assert!(
+            err.contains("out.run") && err.contains("stay on disk"),
+            "{err}"
+        );
+        assert!(input_path.exists());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! where the previous one left off is sequential; everything else is random.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,9 +23,15 @@ use crate::{Result, StorageError};
 /// A file accessed at page granularity with I/O accounting.
 pub struct PagedFile {
     path: PathBuf,
-    file: Mutex<File>,
+    /// Accessed with positional I/O only (`pread`/`pwrite`): no shared
+    /// cursor, so reads need no lock and concurrent queries on one run do
+    /// not serialize.
+    file: File,
     page_size: usize,
-    len: Mutex<u64>,
+    len: AtomicU64,
+    /// Serializes `append`/`write_at`: offset assignment, the write and its
+    /// accounting are one critical section.
+    write_lock: Mutex<()>,
     last_page: Mutex<Option<(PageId, bool)>>, // (page, was_read)
     stats: SharedIoStats,
     heatmap: Option<Arc<HeatMap>>,
@@ -42,6 +47,9 @@ pub struct PagedFile {
     /// Number of `sync` (fdatasync) calls issued on this file — lets tests
     /// assert that durable finish paths sync and volatile ones do not.
     sync_calls: AtomicU64,
+    /// Number of `append` / `write_at` calls, i.e. write syscalls issued —
+    /// the cadence a writer's buffering is judged by.
+    write_calls: AtomicU64,
     /// When set, accesses charge only the *physical* byte counters of
     /// `IoStats` (no sequential/random classification).  Compressed run
     /// files set this: their logical view is charged from record arithmetic
@@ -55,7 +63,7 @@ impl std::fmt::Debug for PagedFile {
         f.debug_struct("PagedFile")
             .field("path", &self.path)
             .field("page_size", &self.page_size)
-            .field("len", &*self.len.lock())
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -81,9 +89,10 @@ impl PagedFile {
             .open(path.as_ref())?;
         Ok(PagedFile {
             path: path.as_ref().to_path_buf(),
-            file: Mutex::new(file),
+            file,
             page_size,
-            len: Mutex::new(0),
+            len: AtomicU64::new(0),
+            write_lock: Mutex::new(()),
             last_page: Mutex::new(None),
             stats,
             heatmap: None,
@@ -91,6 +100,7 @@ impl PagedFile {
             mapping: Mutex::new(None),
             read_pattern: Mutex::new(AccessPattern::Normal),
             sync_calls: AtomicU64::new(0),
+            write_calls: AtomicU64::new(0),
             physical_only: false,
         })
     }
@@ -114,9 +124,10 @@ impl PagedFile {
         let len = file.metadata()?.len();
         Ok(PagedFile {
             path: path.as_ref().to_path_buf(),
-            file: Mutex::new(file),
+            file,
             page_size,
-            len: Mutex::new(len),
+            len: AtomicU64::new(len),
+            write_lock: Mutex::new(()),
             last_page: Mutex::new(None),
             stats,
             heatmap: None,
@@ -124,6 +135,7 @@ impl PagedFile {
             mapping: Mutex::new(None),
             read_pattern: Mutex::new(AccessPattern::Normal),
             sync_calls: AtomicU64::new(0),
+            write_calls: AtomicU64::new(0),
             physical_only: false,
         })
     }
@@ -211,6 +223,12 @@ impl PagedFile {
         self.sync_calls.load(Ordering::Relaxed)
     }
 
+    /// Number of [`PagedFile::append`] / [`PagedFile::write_at`] calls so
+    /// far (one write syscall each).
+    pub fn write_count(&self) -> u64 {
+        self.write_calls.load(Ordering::Relaxed)
+    }
+
     /// Path of the underlying file.
     pub fn path(&self) -> &Path {
         &self.path
@@ -223,7 +241,9 @@ impl PagedFile {
 
     /// Current logical length in bytes.
     pub fn len(&self) -> u64 {
-        *self.len.lock()
+        // Pairs with the `Release` store of `append`/`write_at`: a reader
+        // that sees the new length also sees the bytes below it.
+        self.len.load(Ordering::Acquire)
     }
 
     /// Returns `true` if the file is empty.
@@ -284,36 +304,32 @@ impl PagedFile {
     /// written at.  Appends are accounted as sequential writes (after the
     /// first page).
     pub fn append(&self, data: &[u8]) -> Result<u64> {
-        let mut len = self.len.lock();
-        let offset = *len;
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(data)?;
-        }
-        *len += data.len() as u64;
-        // Account while still holding the `len` lock: releasing it first
+        let guard = self.write_lock.lock();
+        let offset = self.len.load(Ordering::Relaxed);
+        write_all_at(&self.file, data, offset)?;
+        self.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.len
+            .store(offset + data.len() as u64, Ordering::Release);
+        // Account while still holding the write lock: releasing it first
         // would let a concurrent append slip its accounting in between,
         // making the sequential/random classification depend on thread
         // timing even though the file bytes themselves are identical.
         self.account(offset, data.len(), false);
-        drop(len);
+        drop(guard);
         Ok(offset)
     }
 
     /// Writes `data` at `offset` (which may extend the file).
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let mut len = self.len.lock();
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(data)?;
-        }
-        *len = (*len).max(offset + data.len() as u64);
+        let guard = self.write_lock.lock();
+        write_all_at(&self.file, data, offset)?;
+        self.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.len
+            .fetch_max(offset + data.len() as u64, Ordering::Release);
         // Account inside the critical section, like `append`, so concurrent
         // writers cannot interleave write order and accounting order.
         self.account(offset, data.len(), false);
-        drop(len);
+        drop(guard);
         Ok(())
     }
 
@@ -334,9 +350,7 @@ impl PagedFile {
         }
         let mut buf = vec![0u8; len];
         if !self.read_mapped(offset, &mut buf, file_len) {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut buf)?;
+            read_exact_at(&self.file, &mut buf, offset)?;
         }
         self.account(offset, len, true);
         Ok(buf)
@@ -362,7 +376,7 @@ impl PagedFile {
         if mapping.as_ref().is_none_or(|m| (m.len() as u64) < end) {
             // Drop the outgrown mapping before building its replacement.
             *mapping = None;
-            match Mapping::map(&self.file.lock(), file_len) {
+            match Mapping::map(&self.file, file_len) {
                 Ok(m) => {
                     // Re-apply the stored hint while still holding the
                     // `mapping` lock: a concurrent `advise_read_pattern`
@@ -408,7 +422,7 @@ impl PagedFile {
     /// the device acknowledges the bytes.  Metadata-only updates (mtime)
     /// are not awaited; the file length is carried by the data itself.
     pub fn sync(&self) -> Result<()> {
-        self.file.lock().sync_data()?;
+        self.file.sync_data()?;
         self.sync_calls.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -418,6 +432,41 @@ impl PagedFile {
     pub fn reset_access_cursor(&self) {
         *self.last_page.lock() = None;
     }
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.read_exact_at(buf, offset)
+}
+
+#[cfg(unix)]
+fn write_all_at(file: &File, data: &[u8], offset: u64) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.write_all_at(data, offset)
+}
+
+/// Serializes the cursor-based fallbacks below: handles cloned from one
+/// `File` share its cursor, so seek + transfer must not interleave.
+#[cfg(not(unix))]
+static CURSOR_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(not(unix))]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    let _cursor = CURSOR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut f = file.try_clone()?;
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf)
+}
+
+#[cfg(not(unix))]
+fn write_all_at(file: &File, data: &[u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Seek, SeekFrom, Write};
+    let _cursor = CURSOR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut f = file.try_clone()?;
+    f.seek(SeekFrom::Start(offset))?;
+    f.write_all(data)
 }
 
 /// Smallest byte volume for which spawning a read-ahead worker pays off.

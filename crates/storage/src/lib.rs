@@ -19,12 +19,16 @@
 //!   and modeled cost),
 //! * records per-region access counts for the paper's heat-map visualization
 //!   ([`HeatMap`]),
-//! * and provides the bounded-memory two-pass **external merge sort**
+//! * provides the bounded-memory two-pass **external merge sort**
 //!   ([`ExternalSorter`]) that CoconutTree bulk-loading and CoconutLSM / BTP
-//!   merging are built on.
+//!   merging are built on,
+//! * and takes the device out of the writer's way: a finished run's
+//!   `fdatasync`, and the unlink of the runs it replaces, happen on the
+//!   FIFO [`durability`] worker; [`durability::drain`] is the barrier.
 
 pub mod block;
 pub mod cost;
+pub mod durability;
 pub mod dynsort;
 pub mod extsort;
 pub mod fadvise;

@@ -121,6 +121,12 @@ pub trait StreamingIndex {
 
     /// On-disk footprint in bytes.
     fn footprint_bytes(&self) -> u64;
+
+    /// The durability barrier: writes the in-memory buffer out as a
+    /// partition (or run), then waits until every partition finished so far
+    /// is on the device and every merged-away one is unlinked.  Returns the
+    /// first failed `fdatasync` since the last barrier, if any.
+    fn sync(&mut self) -> Result<()>;
 }
 
 // ---------------------------------------------------------------------------
@@ -238,6 +244,14 @@ impl StreamingIndex for PpStream {
             PpBackend::Ads(t) => t.footprint_bytes(),
             PpBackend::Clsm(t) => t.footprint_bytes(),
         }
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        match &mut self.backend {
+            PpBackend::Ads(t) => t.flush_buffers()?,
+            PpBackend::Clsm(t) => t.flush()?,
+        }
+        Ok(coconut_storage::durability::drain()?)
     }
 }
 
@@ -466,6 +480,16 @@ pub struct PartitionedStream {
     pub merges: u64,
 }
 
+impl Drop for PartitionedStream {
+    /// Waits for the durability worker, so no queued sync or unlink of this
+    /// stream's partitions outlives it (a later index may reuse the
+    /// directory).  A failed sync stays with the worker for the next caller
+    /// that can return it.
+    fn drop(&mut self) {
+        coconut_storage::durability::wait_idle();
+    }
+}
+
 impl PartitionedStream {
     /// Creates a TP index (never merges partitions).
     pub fn temporal_partitioning(
@@ -654,15 +678,15 @@ impl PartitionedStream {
                 self.config.io_backend,
                 self.config.compression,
             )?;
-            for f in files {
-                let _ = f.delete();
-            }
+            // The inputs leave the disk behind the merged partition's sync.
+            let retired = SortedSeriesFile::replace(&[&merged], files);
             self.partitions.push(Partition::Sorted {
                 file: merged,
                 min_ts,
                 max_ts,
             });
             self.merges += 1;
+            retired?;
         }
     }
 
@@ -1042,6 +1066,11 @@ impl StreamingIndex for PartitionedStream {
 
     fn footprint_bytes(&self) -> u64 {
         self.partitions.iter().map(|p| p.footprint()).sum()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        self.flush()?;
+        Ok(coconut_storage::durability::drain()?)
     }
 }
 
