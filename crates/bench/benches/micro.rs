@@ -2,15 +2,13 @@
 //! MINDIST evaluation, external sorting and CTree block search.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::sync::Arc;
 
 use coconut_sax::mindist::{mindist_paa_sax_sq, QueryBounds};
 use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
-use coconut_storage::record::KeyPointerRecord;
 use coconut_storage::{
-    durability, DynRunWriter, ExternalSortConfig, ExternalSorter, IoStats, RecordLayout,
+    durability, Compression, DynExternalSorter, DynRunWriter, IoBackend, IoStats, RecordLayout,
     ScratchDir, DEFAULT_PAGE_SIZE,
 };
 
@@ -83,25 +81,30 @@ fn bench_mindist(c: &mut Criterion) {
     });
 }
 
+/// The sort a CTree build runs: 20k key-only (non-materialized) entries
+/// through `DynExternalSorter`, at a budget of 2,000-entry chunks so the
+/// sort spills 10 runs and merges them.
 fn bench_external_sort(c: &mut Criterion) {
+    let layout = coconut_ctree::EntryLayout::non_materialized(128);
     c.bench_function("m3_external_sort_20k_spilled", |b| {
         b.iter_batched(
             || {
-                let records: Vec<KeyPointerRecord> = (0..20_000u64)
-                    .map(|i| KeyPointerRecord {
+                let entries: Vec<coconut_ctree::SeriesEntry> = (0..20_000u64)
+                    .map(|i| coconut_ctree::SeriesEntry {
                         key: ((i.wrapping_mul(2654435761)) as u128) << 32,
-                        pointer: i,
+                        id: i,
+                        timestamp: 0,
+                        values: Vec::new(),
                     })
                     .collect();
-                (ScratchDir::new("bench-sort").unwrap(), records)
+                (ScratchDir::new("bench-sort").unwrap(), entries)
             },
-            |(dir, records)| {
-                let mut sorter = ExternalSorter::<KeyPointerRecord>::new(
-                    ExternalSortConfig::with_budget(24 * 2000),
-                    dir.path(),
-                    IoStats::shared(),
-                );
-                let out = sorter.sort(records).unwrap();
+            |(dir, entries)| {
+                let budget = 2 * 2000 * layout.record_size();
+                let mut sorter =
+                    DynExternalSorter::new(layout, budget, dir.path(), IoStats::shared());
+                let out = sorter.sort(entries).unwrap();
+                assert!(out.spilled());
                 std::hint::black_box(out.map(|r| r.unwrap()).fold(0u64, |n, _| n + 1));
             },
             BatchSize::LargeInput,
@@ -118,7 +121,6 @@ fn bench_ctree_query(c: &mut Criterion) {
         coconut_ctree::CTree::build_from_series(&series, config, dir.path(), IoStats::shared())
             .unwrap();
     let queries = gen.generate(32);
-    let _ = Arc::new(());
     c.bench_function("m4_ctree_exact_knn_2k", |b| {
         let mut i = 0;
         b.iter(|| {
@@ -167,6 +169,8 @@ fn bench_run_write(c: &mut Criterion) {
                     dir.file("m5.run"),
                     IoStats::shared(),
                     DEFAULT_PAGE_SIZE,
+                    IoBackend::Pread,
+                    Compression::Off,
                 )
                 .unwrap();
                 for entry in &entries {

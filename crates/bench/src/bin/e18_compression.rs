@@ -138,7 +138,7 @@ fn key_scan_check(wb: &Workbench, parallelism: usize) -> (u64, u64, bool) {
     let mut keys = Vec::new();
     for compression in [Compression::Off, Compression::Prefix] {
         let stats = IoStats::shared();
-        let file = SortedSeriesFile::build_from_entries_compressed(
+        let file = SortedSeriesFile::build_unsorted(
             wb.dir.file(&format!("keyscan-{compression}.run")),
             layout,
             sax,

@@ -510,7 +510,7 @@ impl ClsmTree {
             .dir
             .join(format!("clsm-L{level}-{:06}.run", self.next_run_id));
         self.next_run_id += 1;
-        SortedSeriesFile::build_from_entries_compressed(
+        SortedSeriesFile::build_unsorted(
             path,
             self.config.layout(),
             self.config.sax,
@@ -626,7 +626,7 @@ impl ClsmTree {
                 let path = self.dir.join(format!(
                     "clsm-L{target_level}-{run_id:06}-s{shard_idx:03}.run"
                 ));
-                SortedSeriesFile::build_from_sorted_compressed(
+                SortedSeriesFile::build(
                     path,
                     layout,
                     self.config.sax,

@@ -248,7 +248,7 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
         .iter()
         .map(|s| coconut_ctree::entry::SeriesEntry::from_series(s, s.id, &summarizer, true))
         .collect();
-    let file = SortedSeriesFile::build_from_entries_with(
+    let file = SortedSeriesFile::build_unsorted(
         dir.file("part.run"),
         coconut_ctree::entry::EntryLayout::materialized(sax.key_bits(), sax.series_len),
         sax,
@@ -258,6 +258,7 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
         1024,
         1,
         IoBackend::Mmap,
+        coconut_storage::Compression::Off,
     )
     .unwrap();
     let reader_handle = file.run().clone();

@@ -28,7 +28,7 @@
 //!   per-query answers and costs are bit-identical to one-at-a-time
 //!   execution).
 //! * [`kernels`] — the dispatch surface for the explicit SIMD
-//!   distance/znorm/PAA backends (scalar / SSE2 / AVX2, runtime-detected,
+//!   distance/znorm/PAA backends (scalar / AVX2, runtime-detected,
 //!   `COCONUT_KERNELS` override) used by every scan in this crate and the
 //!   index crates built on it; bit-identical across backends by
 //!   construction.

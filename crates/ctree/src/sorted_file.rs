@@ -66,72 +66,15 @@ pub struct SortedSeriesFile {
 
 impl SortedSeriesFile {
     /// Builds a partition at `path` by streaming already-sorted entries into
-    /// blocks of `entries_per_block` entries (reads served by `pread`).
-    pub fn build_from_sorted<P, I>(
-        path: P,
-        layout: EntryLayout,
-        sax: SaxConfig,
-        sorted: I,
-        entries_per_block: usize,
-        stats: SharedIoStats,
-        page_size: usize,
-    ) -> Result<Self>
-    where
-        P: AsRef<Path>,
-        I: IntoIterator<Item = Result<SeriesEntry>>,
-    {
-        Self::build_from_sorted_with(
-            path,
-            layout,
-            sax,
-            sorted,
-            entries_per_block,
-            stats,
-            page_size,
-            IoBackend::Pread,
-        )
-    }
-
-    /// Like [`SortedSeriesFile::build_from_sorted`], choosing the read
-    /// backend the finished partition serves its block scans with.  A pure
-    /// performance knob: the partition file, query answers, costs and
-    /// `IoStats` are identical at either setting.
+    /// blocks of `entries_per_block` entries.  `backend` is the read backend
+    /// the finished partition serves its block scans with; `compression` is
+    /// its on-disk format (`off` produces byte-identical files to every
+    /// release before the knob existed; `prefix` front-codes the sorted
+    /// invSAX keys and delta-codes ids/timestamps into ~4 KiB blocks).  Both
+    /// are pure performance knobs: answers, costs and the logical `IoStats`
+    /// view are identical at every setting.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_from_sorted_with<P, I>(
-        path: P,
-        layout: EntryLayout,
-        sax: SaxConfig,
-        sorted: I,
-        entries_per_block: usize,
-        stats: SharedIoStats,
-        page_size: usize,
-        backend: IoBackend,
-    ) -> Result<Self>
-    where
-        P: AsRef<Path>,
-        I: IntoIterator<Item = Result<SeriesEntry>>,
-    {
-        Self::build_from_sorted_compressed(
-            path,
-            layout,
-            sax,
-            sorted,
-            entries_per_block,
-            stats,
-            page_size,
-            backend,
-            Compression::Off,
-        )
-    }
-
-    /// Like [`SortedSeriesFile::build_from_sorted_with`], additionally
-    /// choosing the on-disk [`Compression`] of the partition.  `off`
-    /// produces byte-identical files to every release before the knob
-    /// existed; `prefix` front-codes the sorted invSAX keys and
-    /// delta-codes ids/timestamps into ~4 KiB blocks.  Answers, costs and
-    /// the logical `IoStats` view are identical either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_from_sorted_compressed<P, I>(
+    pub fn build<P, I>(
         path: P,
         layout: EntryLayout,
         sax: SaxConfig,
@@ -147,7 +90,7 @@ impl SortedSeriesFile {
         I: IntoIterator<Item = Result<SeriesEntry>>,
     {
         assert!(entries_per_block > 0);
-        let mut writer = DynRunWriter::create_compressed(
+        let mut writer = DynRunWriter::create(
             layout,
             path,
             Arc::clone(&stats),
@@ -167,7 +110,7 @@ impl SortedSeriesFile {
             if let Some(prev) = last_key {
                 if (entry.key, entry.id) < prev {
                     return Err(IndexError::Config(
-                        "build_from_sorted requires key-ordered input".into(),
+                        "a partition build requires key-ordered input".into(),
                     ));
                 }
             }
@@ -209,89 +152,14 @@ impl SortedSeriesFile {
         })
     }
 
-    /// Builds a partition from unsorted in-memory entries (sorts them first).
-    /// Used for buffer flushes in CoconutLSM and the streaming schemes.
-    pub fn build_from_entries<P: AsRef<Path>>(
-        path: P,
-        layout: EntryLayout,
-        sax: SaxConfig,
-        entries: Vec<SeriesEntry>,
-        entries_per_block: usize,
-        stats: SharedIoStats,
-        page_size: usize,
-    ) -> Result<Self> {
-        Self::build_from_entries_parallel(
-            path,
-            layout,
-            sax,
-            entries,
-            entries_per_block,
-            stats,
-            page_size,
-            1,
-        )
-    }
-
-    /// Like [`SortedSeriesFile::build_from_entries`], sorting the buffer with
-    /// up to `parallelism` worker threads (`1` = sequential, `0` = one per
-    /// available core).  The partition is byte-identical at every setting.
+    /// Builds a partition from unsorted in-memory entries: sorts them by
+    /// `(key, id)` with up to `parallelism` worker threads (`1` =
+    /// sequential, `0` = one per available core), then
+    /// [`SortedSeriesFile::build`]s.  Used for buffer flushes in CoconutLSM
+    /// and the streaming schemes; the partition is byte-identical at every
+    /// `parallelism`.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_from_entries_parallel<P: AsRef<Path>>(
-        path: P,
-        layout: EntryLayout,
-        sax: SaxConfig,
-        entries: Vec<SeriesEntry>,
-        entries_per_block: usize,
-        stats: SharedIoStats,
-        page_size: usize,
-        parallelism: usize,
-    ) -> Result<Self> {
-        Self::build_from_entries_with(
-            path,
-            layout,
-            sax,
-            entries,
-            entries_per_block,
-            stats,
-            page_size,
-            parallelism,
-            IoBackend::Pread,
-        )
-    }
-
-    /// Like [`SortedSeriesFile::build_from_entries_parallel`], additionally
-    /// choosing the read backend of the finished partition.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_from_entries_with<P: AsRef<Path>>(
-        path: P,
-        layout: EntryLayout,
-        sax: SaxConfig,
-        entries: Vec<SeriesEntry>,
-        entries_per_block: usize,
-        stats: SharedIoStats,
-        page_size: usize,
-        parallelism: usize,
-        backend: IoBackend,
-    ) -> Result<Self> {
-        Self::build_from_entries_compressed(
-            path,
-            layout,
-            sax,
-            entries,
-            entries_per_block,
-            stats,
-            page_size,
-            parallelism,
-            backend,
-            Compression::Off,
-        )
-    }
-
-    /// Like [`SortedSeriesFile::build_from_entries_with`], additionally
-    /// choosing the on-disk [`Compression`]; see
-    /// [`SortedSeriesFile::build_from_sorted_compressed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_from_entries_compressed<P: AsRef<Path>>(
+    pub fn build_unsorted<P: AsRef<Path>>(
         path: P,
         layout: EntryLayout,
         sax: SaxConfig,
@@ -305,7 +173,7 @@ impl SortedSeriesFile {
     ) -> Result<Self> {
         let workers = coconut_parallel::effective_parallelism(parallelism);
         coconut_parallel::parallel_sort_by_key(&mut entries, workers, |e| (e.key, e.id));
-        Self::build_from_sorted_compressed(
+        Self::build(
             path,
             layout,
             sax,
@@ -380,23 +248,10 @@ impl SortedSeriesFile {
 
     /// Like [`SortedSeriesFile::reader`], optionally prefetching each next
     /// buffer on a background thread (same reads, same order, same
-    /// accounting; see `coconut_storage::DynRunFile::reader_with_prefetch`).
-    pub fn reader_with_prefetch(
-        &self,
-        buffer_records: usize,
-        prefetch: bool,
-    ) -> coconut_storage::DynRunReader<EntryLayout> {
-        self.reader_with_prefetch_gate(
-            buffer_records,
-            prefetch,
-            coconut_storage::PREFETCH_MIN_BYTES,
-        )
-    }
-
-    /// Like [`SortedSeriesFile::reader_with_prefetch`] with an explicit
-    /// read-ahead engage gate in bytes (`usize::MAX` never spawns the
-    /// worker) — the knob the adaptive planner sets; a pure performance
-    /// knob either way.
+    /// accounting) once at least `prefetch_min_bytes` are left to read
+    /// (`usize::MAX` never spawns the worker) — the gate the adaptive
+    /// planner sets; a pure performance knob either way.  See
+    /// `coconut_storage::DynRunFile::reader_with_prefetch_gate`.
     pub fn reader_with_prefetch_gate(
         &self,
         buffer_records: usize,
@@ -417,31 +272,20 @@ impl SortedSeriesFile {
     /// streams through untouched.  Used by sharded compactions to feed one
     /// key shard of a level merge.
     pub fn range_reader(&self, lo: u128, hi: Option<u128>) -> RangeReader<'_> {
-        self.range_reader_with_prefetch(lo, hi, false)
+        self.range_reader_with_prefetch_gate(lo, hi, false, coconut_storage::PREFETCH_MIN_BYTES)
     }
 
     /// Like [`SortedSeriesFile::range_reader`], optionally reading the
     /// range's blocks ahead on a background thread while the consumer (a
-    /// compaction merge) drains the current one.
+    /// compaction merge) drains the current one, once the range holds at
+    /// least `prefetch_min_bytes` (`usize::MAX` never spawns the worker) —
+    /// the gate the adaptive planner sets.
     ///
     /// The set of blocks a range touches is a pure function of the block
     /// fences — blocks from the first with `max_key >= lo` up to (not
     /// including) the first with `min_key >= hi` — so the prefetcher issues
     /// exactly the reads the inline path would, in the same order, and the
     /// I/O accounting is identical.
-    pub fn range_reader_with_prefetch(
-        &self,
-        lo: u128,
-        hi: Option<u128>,
-        prefetch: bool,
-    ) -> RangeReader<'_> {
-        self.range_reader_with_prefetch_gate(lo, hi, prefetch, coconut_storage::PREFETCH_MIN_BYTES)
-    }
-
-    /// Like [`SortedSeriesFile::range_reader_with_prefetch`] with an
-    /// explicit read-ahead engage gate in bytes (`usize::MAX` never spawns
-    /// the worker) — the knob the adaptive planner sets; a pure performance
-    /// knob either way.
     pub fn range_reader_with_prefetch_gate(
         &self,
         lo: u128,
@@ -788,7 +632,7 @@ mod tests {
         } else {
             EntryLayout::non_materialized(sax.key_bits())
         };
-        SortedSeriesFile::build_from_entries(
+        SortedSeriesFile::build_unsorted(
             dir.file("part.run"),
             layout,
             sax,
@@ -796,6 +640,9 @@ mod tests {
             entries_per_block,
             IoStats::shared(),
             4096,
+            1,
+            IoBackend::Pread,
+            Compression::Off,
         )
         .unwrap()
     }
@@ -819,13 +666,13 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_input_to_build_from_sorted_is_rejected() {
+    fn unsorted_input_to_build_is_rejected() {
         let dir = ScratchDir::new("ssf-unsorted").unwrap();
         let sax = SaxConfig::new(32, 4, 4);
         let (_, mut entries) = make_entries(10, sax, false, 2);
         entries.sort_by_key(|e| std::cmp::Reverse(e.key));
         let layout = EntryLayout::non_materialized(sax.key_bits());
-        let result = SortedSeriesFile::build_from_sorted(
+        let result = SortedSeriesFile::build(
             dir.file("bad.run"),
             layout,
             sax,
@@ -833,6 +680,8 @@ mod tests {
             8,
             IoStats::shared(),
             1024,
+            IoBackend::Pread,
+            Compression::Off,
         );
         assert!(matches!(result, Err(IndexError::Config(_))));
     }
@@ -988,8 +837,13 @@ mod tests {
         assert_eq!(file.range_reader(b2, Some(b1)).count(), 0);
         assert_eq!(file.range_reader(u128::MAX, Some(0)).count(), 0);
         assert_eq!(
-            file.range_reader_with_prefetch(u128::MAX, Some(0), true)
-                .count(),
+            file.range_reader_with_prefetch_gate(
+                u128::MAX,
+                Some(0),
+                true,
+                coconut_storage::PREFETCH_MIN_BYTES
+            )
+            .count(),
             0
         );
     }
@@ -1009,7 +863,7 @@ mod tests {
         for (lo, hi) in [(0u128, None), (0, Some(b1)), (b1, None)] {
             let inline: Vec<SeriesEntry> = file.range_reader(lo, hi).map(|r| r.unwrap()).collect();
             let prefetched: Vec<SeriesEntry> = file
-                .range_reader_with_prefetch(lo, hi, true)
+                .range_reader_with_prefetch_gate(lo, hi, true, coconut_storage::PREFETCH_MIN_BYTES)
                 .map(|r| r.unwrap())
                 .collect();
             assert_eq!(prefetched, inline, "range [{lo}, {hi:?})");

@@ -53,7 +53,7 @@ pub struct CTreeConfig {
     /// writer worker and merge readers prefetch.  A pure performance knob —
     /// the index files, query answers and `IoStats` totals are identical at
     /// either setting; see
-    /// `coconut_storage::ExternalSortConfig::io_overlap`.
+    /// `coconut_storage::DynExternalSorter::with_io_overlap`.
     pub io_overlap: bool,
     /// Read backend for the leaf level and the sort's spill runs (default
     /// `pread`; `mmap` serves block scans from a read-only file mapping).
@@ -298,7 +298,7 @@ impl CTree {
         let sort_runs = sorted.runs_generated;
 
         // Pass 3: pack the sorted stream into contiguous leaf blocks.
-        let file = SortedSeriesFile::build_from_sorted_compressed(
+        let file = SortedSeriesFile::build(
             dir.join("ctree-leaves.run"),
             layout,
             config.sax,
@@ -715,7 +715,7 @@ impl CTree {
                 file_iter.next()
             }
         });
-        let new_file = SortedSeriesFile::build_from_sorted_compressed(
+        let new_file = SortedSeriesFile::build(
             path,
             layout,
             sax,

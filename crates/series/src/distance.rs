@@ -13,7 +13,7 @@ use crate::kernels;
 /// Accumulates in eight independent `f64` lanes over 8-wide chunks and
 /// reduces the lanes pairwise at the end; the scalar remainder is added
 /// last.  Dispatches to the process-wide [`kernels`] backend (explicit
-/// SSE2/AVX2 where available); every backend is bit-identical to the scalar
+/// AVX2 where available); every backend is bit-identical to the scalar
 /// reference.
 ///
 /// # Panics

@@ -13,7 +13,7 @@
 //!   similarity search.
 //! * [`distance`] — Euclidean distance, squared distance and the
 //!   early-abandoning variant used by exact search.
-//! * [`kernels`] — the explicit SIMD backends (scalar / SSE2 / AVX2 with
+//! * [`kernels`] — the explicit SIMD backends (scalar / AVX2 with
 //!   runtime detection) behind the distance, z-normalization and PAA hot
 //!   loops, bit-identical to each other by construction and selectable via
 //!   `COCONUT_KERNELS`.

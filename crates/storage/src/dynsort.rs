@@ -1,14 +1,23 @@
-//! Runtime-sized record runs and external sorting.
+//! Bounded-memory two-pass external merge sort and sorted run files.
 //!
-//! [`crate::extsort`] handles records whose encoded size is known at compile
-//! time.  Index entries, however, have a size that depends on the runtime
-//! configuration (a *materialized* entry embeds the full series, whose length
-//! is chosen per dataset).  This module provides the same run-file /
-//! k-way-merge / two-pass-sort machinery for records described by a runtime
-//! [`RecordLayout`].
+//! Coconut's central mechanism is that sortable summarizations let index
+//! construction and maintenance be expressed as *sorting*, which can be done
+//! with sequential I/O only and with an arbitrarily small memory budget:
 //!
+//! 1. **Run generation** — the input is consumed in memory-budget-sized
+//!    chunks; each chunk is sorted in memory and written out sequentially as
+//!    a *run* file.
+//! 2. **Merge** — all runs are merged with a k-way merge, reading each run
+//!    sequentially through a small per-run buffer.
+//!
+//! When the whole input fits in the memory budget the sorter degenerates to
+//! a plain in-memory sort and performs no I/O.
+//!
+//! Records are described by a runtime [`RecordLayout`], because index
+//! entries have a size that depends on the configuration (a *materialized*
+//! entry embeds the full series, whose length is chosen per dataset).
 //! CoconutTree bulk loading, CoconutLSM flushing/merging and the BTP
-//! streaming partitions are all built on these dynamic runs.
+//! streaming partitions are all built on these runs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -298,20 +307,15 @@ impl<L: RecordLayout> DynRunFile<L> {
 
     /// Sequential reader with a buffer of `buffer_records` records.
     pub fn reader(&self, buffer_records: usize) -> DynRunReader<L> {
-        self.reader_with_prefetch(buffer_records, false)
+        self.reader_with_prefetch_gate(buffer_records, false, crate::PREFETCH_MIN_BYTES)
     }
 
     /// Like [`DynRunFile::reader`], optionally reading each next buffer
     /// ahead on a background thread while the caller consumes the current
     /// one.  Prefetching issues exactly the same reads in the same order, so
-    /// the I/O accounting is unchanged.
-    pub fn reader_with_prefetch(&self, buffer_records: usize, prefetch: bool) -> DynRunReader<L> {
-        self.reader_with_prefetch_gate(buffer_records, prefetch, crate::PREFETCH_MIN_BYTES)
-    }
-
-    /// Like [`DynRunFile::reader_with_prefetch`] with an explicit read-ahead
-    /// engage gate in bytes (`usize::MAX` never spawns the worker); see
-    /// `crate::extsort::ExternalSortConfig::prefetch_min_bytes`.
+    /// the I/O accounting is unchanged.  The worker is spawned only once at
+    /// least `prefetch_min_bytes` are left to read (`usize::MAX` never
+    /// spawns it); see [`DynExternalSorter::with_prefetch_min_bytes`].
     pub fn reader_with_prefetch_gate(
         &self,
         buffer_records: usize,
@@ -631,32 +635,11 @@ pub struct DynRunWriter<L: RecordLayout> {
 }
 
 impl<L: RecordLayout> DynRunWriter<L> {
-    /// Creates a new run at `path` (read back with the `pread` backend).
+    /// Creates a new run at `path`, whose finished file serves its reads
+    /// with `backend` and is written with the on-disk `compression` (see
+    /// [`Compression`]; `off` produces byte-identical files to every release
+    /// before the knob existed).
     pub fn create<P: AsRef<Path>>(
-        layout: L,
-        path: P,
-        stats: SharedIoStats,
-        page_size: usize,
-    ) -> Result<Self> {
-        Self::create_with(layout, path, stats, page_size, IoBackend::Pread)
-    }
-
-    /// Like [`DynRunWriter::create`], choosing the backend the finished run
-    /// serves its reads with.
-    pub fn create_with<P: AsRef<Path>>(
-        layout: L,
-        path: P,
-        stats: SharedIoStats,
-        page_size: usize,
-        backend: IoBackend,
-    ) -> Result<Self> {
-        Self::create_compressed(layout, path, stats, page_size, backend, Compression::Off)
-    }
-
-    /// Like [`DynRunWriter::create_with`], choosing the on-disk compression
-    /// (see [`Compression`]).  `off` produces byte-identical files to every
-    /// release before the knob existed.
-    pub fn create_compressed<P: AsRef<Path>>(
         layout: L,
         path: P,
         stats: SharedIoStats,
@@ -703,9 +686,12 @@ impl<L: RecordLayout> DynRunWriter<L> {
         })
     }
 
-    /// Finishes a *volatile* scratch run without the fdatasync; see
-    /// `RunWriter::finish_volatile` — only for sorter-internal spill runs
-    /// that are merged and discarded within the same build.
+    /// Finishes a *volatile* scratch run: appended to the OS but **not**
+    /// fdatasynced.  Only for sorter-internal spill runs, which are merged
+    /// and discarded within the same build: durability buys nothing there —
+    /// a crash loses the whole build either way — while the skipped sync is
+    /// a device round-trip per run.  Persistent outputs use
+    /// [`DynRunWriter::finish`].
     pub fn finish_volatile(self) -> Result<DynRunFile<L>> {
         Ok(DynRunFile {
             layout: self.layout,
@@ -715,7 +701,7 @@ impl<L: RecordLayout> DynRunWriter<L> {
 }
 
 /// Buffered sequential reader over a [`DynRunFile`], optionally reading
-/// ahead on a background thread (see [`DynRunFile::reader_with_prefetch`]).
+/// ahead on a background thread (see [`DynRunFile::reader_with_prefetch_gate`]).
 pub struct DynRunReader<L: RecordLayout> {
     run: DynRunFile<L>,
     buffer: VecDeque<L::Record>,
@@ -839,29 +825,19 @@ impl<L: RecordLayout> DynKWayMerge<L> {
     /// Builds a merge over sorted runs with a per-run read buffer of
     /// `buffer_records` records.
     pub fn new(layout: L, runs: &[DynRunFile<L>], buffer_records: usize) -> Result<Self> {
-        Self::new_with_prefetch(layout, runs, buffer_records, false)
-    }
-
-    /// Like [`DynKWayMerge::new`], optionally prefetching each run's next
-    /// buffer on a background thread while the heap drains the current one.
-    pub fn new_with_prefetch(
-        layout: L,
-        runs: &[DynRunFile<L>],
-        buffer_records: usize,
-        prefetch: bool,
-    ) -> Result<Self> {
         Self::new_with_prefetch_gate(
             layout,
             runs,
             buffer_records,
-            prefetch,
+            false,
             crate::PREFETCH_MIN_BYTES,
         )
     }
 
-    /// Like [`DynKWayMerge::new_with_prefetch`] with an explicit read-ahead
-    /// engage gate; see
-    /// `crate::extsort::ExternalSortConfig::prefetch_min_bytes`.
+    /// Like [`DynKWayMerge::new`], optionally prefetching each run's next
+    /// buffer on a background thread while the heap drains the current one,
+    /// behind the read-ahead engage gate of
+    /// [`DynRunFile::reader_with_prefetch_gate`].
     pub fn new_with_prefetch_gate(
         layout: L,
         runs: &[DynRunFile<L>],
@@ -1032,6 +1008,18 @@ impl<L: RecordLayout> Iterator for DynSortOutput<L> {
 }
 
 /// Two-pass bounded-memory external sorter for dynamic records.
+///
+/// `memory_budget_bytes` caps the record data buffered in memory at once,
+/// split between the phases so it is never exceeded: run generation buffers
+/// at most half of it per chunk, and the merge read buffers share a quarter
+/// of it (the remainder absorbs the transient copy made by the parallel
+/// chunk sort).  Each merge reader always gets at least one record, so
+/// pathological run counts can push the merge slightly past its quarter.
+///
+/// Parallelism, overlap, read backend and the read-ahead gate are pure
+/// performance knobs: spill runs are byte-identical, the sorted sequence is
+/// identical and `IoStats` totals are identical at every value (for
+/// compression see [`DynExternalSorter::with_compression`]).
 pub struct DynExternalSorter<L: RecordLayout> {
     layout: L,
     memory_budget_bytes: usize,
@@ -1070,9 +1058,11 @@ impl<L: RecordLayout> DynExternalSorter<L> {
     }
 
     /// Sets the read-ahead engage gate for the merge readers in bytes
-    /// (default [`crate::PREFETCH_MIN_BYTES`]; `usize::MAX` disables
-    /// read-ahead).  A pure performance knob; see
-    /// [`crate::extsort::ExternalSortConfig::prefetch_min_bytes`].
+    /// (default [`crate::PREFETCH_MIN_BYTES`]): below this many bytes left
+    /// in a run, a prefetching reader does not spawn its background
+    /// read-ahead worker.  It only decides whether a thread is spawned,
+    /// never which reads happen; the planner lowers or raises it per
+    /// workload, and `usize::MAX` disables read-ahead outright.
     pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
         self.prefetch_min_bytes = bytes;
         self
@@ -1086,25 +1076,31 @@ impl<L: RecordLayout> DynExternalSorter<L> {
     }
 
     /// Sets the chunk-sort parallelism (`1` = sequential, `0` = all cores).
-    /// Every setting produces byte-identical runs; see
-    /// [`crate::extsort::ExternalSortConfig::parallelism`].
+    /// Every setting produces byte-identical runs: chunks are split into
+    /// contiguous sub-chunks, sorted concurrently and stably merged before
+    /// spilling.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
         self
     }
 
-    /// Enables or disables overlapped I/O — double-buffered run generation
-    /// plus prefetching merge readers; default on.  A pure performance knob:
-    /// runs are byte-identical and `IoStats` totals identical either way;
-    /// see [`crate::extsort::ExternalSortConfig::io_overlap`].
+    /// Enables or disables overlapped I/O (default on; off is the strictly
+    /// alternating sort-then-write pipeline).  When on, run generation
+    /// double-buffers — sorted chunks go to a dedicated writer worker
+    /// through a two-slot channel, so sorting chunk `i + 1` overlaps writing
+    /// run `i` (at the cost of up to two extra in-flight chunks of memory) —
+    /// and every merge reader prefetches its next buffer while the heap
+    /// drains the current one.  Overlap changes *when* each I/O happens,
+    /// never which I/Os happen or their per-file order.
     pub fn with_io_overlap(mut self, overlap: bool) -> Self {
         self.io_overlap = overlap;
         self
     }
 
-    /// Selects the read backend for spill runs (default `pread`).  A pure
-    /// performance knob: runs and `IoStats` totals are identical either
-    /// way; see `crate::extsort::ExternalSortConfig::io_backend`.
+    /// Selects the read backend for spill runs (default `pread`; with
+    /// [`IoBackend::Mmap`] every run read is served from a read-only file
+    /// mapping, which accounts every page it copies with the same
+    /// sequential/random classification).
     pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
         self.io_backend = backend;
         self
@@ -1119,9 +1115,8 @@ impl<L: RecordLayout> DynExternalSorter<L> {
     }
 
     fn records_per_chunk(&self) -> usize {
-        // Half of the budget per chunk; see
-        // [`crate::extsort::ExternalSortConfig::memory_budget_bytes`] for the
-        // split between run generation and merge read buffers.
+        // Half of the budget per chunk; see the type docs for the split
+        // between run generation and merge read buffers.
         (self.memory_budget_bytes / 2 / self.layout.record_size()).max(2)
     }
 
@@ -1171,8 +1166,9 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         })
     }
 
-    /// Historical strictly alternating pipeline; see
-    /// [`crate::extsort::ExternalSorter`] for the shape of the contract.
+    /// Historical strictly alternating pipeline: sort a chunk, write it,
+    /// sort the next.  Returns `(spill runs, final unsorted chunk, total)`;
+    /// the final chunk is non-empty only when nothing spilled.
     #[allow(clippy::type_complexity)]
     fn generate_runs_sequential<I>(
         &mut self,
@@ -1231,7 +1227,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
                             "dynsort-run-{:06}.run",
                             first_run_id + runs.len() as u64
                         ));
-                        let mut writer = DynRunWriter::create_compressed(
+                        let mut writer = DynRunWriter::create(
                             writer_layout.clone(),
                             path,
                             Arc::clone(&stats),
@@ -1287,7 +1283,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             .scratch_dir
             .join(format!("dynsort-run-{:06}.run", self.next_run_id));
         self.next_run_id += 1;
-        let mut writer = DynRunWriter::create_compressed(
+        let mut writer = DynRunWriter::create(
             self.layout.clone(),
             path,
             Arc::clone(&self.stats),
@@ -1341,6 +1337,15 @@ mod tests {
         }
     }
 
+    /// An uncompressed, `pread`-served writer with 512-byte pages.
+    fn pread_writer(
+        layout: PairLayout,
+        path: PathBuf,
+        stats: SharedIoStats,
+    ) -> DynRunWriter<PairLayout> {
+        DynRunWriter::create(layout, path, stats, 512, IoBackend::Pread, Compression::Off).unwrap()
+    }
+
     fn make_records(n: usize, payload_len: usize) -> Vec<(u64, Vec<u8>)> {
         (0..n as u64)
             .map(|i| {
@@ -1350,22 +1355,40 @@ mod tests {
             .collect()
     }
 
+    /// Round trip through every read path, plus out-of-range and
+    /// overflowing record indexes: typed errors or empty reads, never a
+    /// panic, at either compression.
     #[test]
     fn dyn_run_roundtrip() {
         let dir = ScratchDir::new("dynrun").unwrap();
-        let stats = IoStats::shared();
         let layout = PairLayout { payload_len: 13 };
-        let mut w = DynRunWriter::create(layout.clone(), dir.file("a.run"), stats, 512).unwrap();
         let records = make_records(500, 13);
-        for r in &records {
-            w.push(r).unwrap();
+        for compression in [Compression::Off, Compression::Prefix] {
+            let mut w = DynRunWriter::create(
+                layout.clone(),
+                dir.file(&format!("a-{compression}.run")),
+                IoStats::shared(),
+                512,
+                IoBackend::Pread,
+                compression,
+            )
+            .unwrap();
+            for r in &records {
+                w.push(r).unwrap();
+            }
+            let run = w.finish().unwrap();
+            assert_eq!(run.len(), 500);
+            assert_eq!(run.byte_size(), 500 * 21);
+            let back: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
+            assert_eq!(back, records);
+            assert_eq!(run.read_record(123).unwrap(), records[123]);
+            assert!(matches!(
+                run.read_record(run.len()),
+                Err(StorageError::Corrupt(_))
+            ));
+            assert!(run.read_record(u64::MAX / 2).is_err());
+            assert!(run.read_range(u64::MAX / 2, 8).unwrap().is_empty());
         }
-        let run = w.finish().unwrap();
-        assert_eq!(run.len(), 500);
-        assert_eq!(run.byte_size(), 500 * 21);
-        let back: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
-        assert_eq!(back, records);
-        assert_eq!(run.read_record(123).unwrap(), records[123]);
     }
 
     #[test]
@@ -1397,48 +1420,73 @@ mod tests {
         let dir = ScratchDir::new("dynsort-mem").unwrap();
         let stats = IoStats::shared();
         let layout = PairLayout { payload_len: 4 };
-        let records = make_records(100, 4);
-        let mut sorter = DynExternalSorter::new(layout, 1 << 20, dir.path(), Arc::clone(&stats));
-        let out = sorter.sort(records).unwrap();
-        assert!(!out.spilled());
-        let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
-        assert_eq!(sorted.len(), 100);
+        for n in [100, 0] {
+            let records = make_records(n, 4);
+            let mut sorter =
+                DynExternalSorter::new(layout.clone(), 1 << 20, dir.path(), Arc::clone(&stats));
+            let out = sorter.sort(records).unwrap();
+            assert!(!out.spilled());
+            assert_eq!(out.record_count, n as u64);
+            let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
+            assert_eq!(sorted.len(), n);
+            assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0));
+        }
         assert_eq!(stats.snapshot().total_accesses(), 0);
+        assert_eq!(
+            std::fs::read_dir(dir.path()).unwrap().count(),
+            0,
+            "no run file"
+        );
     }
 
+    /// Overlap and chunk-sort parallelism are pure performance knobs: spill
+    /// runs, sorted output and `IoStats` are identical across the whole
+    /// grid, on a duplicate-heavy key domain where the parallel sort's
+    /// stability is observable.  The 2048-record chunks of the larger
+    /// budget are big enough for 8 workers to really fan out.
     #[test]
     fn overlapped_dyn_sort_is_identical_to_sequential() {
         let layout = PairLayout { payload_len: 24 };
-        let records = make_records(4000, 24);
-        for parallelism in [1usize, 8] {
+        let mut records = make_records(10_000, 24);
+        records.iter_mut().for_each(|r| r.0 %= 97);
+        for budget in [32 * 300, 32 * 4096] {
             let mut outcomes = Vec::new();
-            for io_overlap in [false, true] {
-                let dir =
-                    ScratchDir::new(&format!("dynsort-ovl-{parallelism}-{io_overlap}")).unwrap();
-                let stats = IoStats::shared();
-                let mut sorter = DynExternalSorter::new(
-                    layout.clone(),
-                    32 * 300, // forces spilling
-                    dir.path(),
-                    Arc::clone(&stats),
-                )
-                .with_page_size(1024)
-                .with_parallelism(parallelism)
-                .with_io_overlap(io_overlap);
-                let out = sorter.sort(records.clone()).unwrap();
-                assert!(out.spilled());
-                let runs_generated = out.runs_generated;
-                let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
-                let mut run_bytes = Vec::new();
-                for id in 0..runs_generated {
-                    let path = dir.path().join(format!("dynsort-run-{id:06}.run"));
-                    run_bytes.push(std::fs::read(path).unwrap());
+            for parallelism in [1usize, 8] {
+                for io_overlap in [false, true] {
+                    let dir = ScratchDir::new(&format!(
+                        "dynsort-ovl-{budget}-{parallelism}-{io_overlap}"
+                    ))
+                    .unwrap();
+                    let stats = IoStats::shared();
+                    let mut sorter = DynExternalSorter::new(
+                        layout.clone(),
+                        budget,
+                        dir.path(),
+                        Arc::clone(&stats),
+                    )
+                    .with_page_size(1024)
+                    .with_parallelism(parallelism)
+                    .with_io_overlap(io_overlap);
+                    let out = sorter.sort(records.clone()).unwrap();
+                    assert!(out.spilled());
+                    let runs_generated = out.runs_generated;
+                    let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
+                    let mut run_bytes = Vec::new();
+                    for id in 0..runs_generated {
+                        let path = dir.path().join(format!("dynsort-run-{id:06}.run"));
+                        run_bytes.push(std::fs::read(path).unwrap());
+                    }
+                    outcomes.push((sorted, run_bytes, stats.snapshot()));
                 }
-                outcomes.push((sorted, run_bytes, stats.snapshot()));
             }
-            assert_eq!(outcomes[0].0, outcomes[1].0, "sorted output");
-            assert_eq!(outcomes[0].1, outcomes[1].1, "spill run bytes");
-            assert_eq!(outcomes[0].2, outcomes[1].2, "IoStats totals");
+            let mut expected = records.clone();
+            expected.sort_by_key(|r| r.0);
+            assert_eq!(outcomes[0].0, expected, "stable sorted output");
+            for other in &outcomes[1..] {
+                assert_eq!(outcomes[0].0, other.0, "sorted output (budget {budget})");
+                assert_eq!(outcomes[0].1, other.1, "spill run bytes (budget {budget})");
+                assert_eq!(outcomes[0].2, other.2, "IoStats totals (budget {budget})");
+            }
         }
     }
 
@@ -1449,9 +1497,7 @@ mod tests {
         // 10k records x 248 bytes = 2.4 MiB, past the PREFETCH_MIN_BYTES
         // gate so the read-ahead worker actually engages.
         let layout = PairLayout { payload_len: 240 };
-        let mut w =
-            DynRunWriter::create(layout.clone(), dir.file("a.run"), Arc::clone(&stats), 512)
-                .unwrap();
+        let mut w = pread_writer(layout.clone(), dir.file("a.run"), Arc::clone(&stats));
         let records = make_records(10_000, 240);
         for r in &records {
             w.push(r).unwrap();
@@ -1461,7 +1507,8 @@ mod tests {
         let direct: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
         let direct_stats = stats.snapshot();
         stats.reset();
-        let mut prefetching_reader = run.reader_with_prefetch(64, true);
+        let mut prefetching_reader =
+            run.reader_with_prefetch_gate(64, true, crate::PREFETCH_MIN_BYTES);
         let prefetched: Vec<_> = (&mut prefetching_reader).map(|r| r.unwrap()).collect();
         assert!(
             prefetching_reader.prefetcher.is_some(),
@@ -1512,12 +1559,8 @@ mod tests {
         let dir = ScratchDir::new("dynrun-volatile").unwrap();
         let layout = PairLayout { payload_len: 8 };
         let records = make_records(50, 8);
-        let mut durable =
-            DynRunWriter::create(layout.clone(), dir.file("d.run"), IoStats::shared(), 512)
-                .unwrap();
-        let mut volatile =
-            DynRunWriter::create(layout.clone(), dir.file("v.run"), IoStats::shared(), 512)
-                .unwrap();
+        let mut durable = pread_writer(layout.clone(), dir.file("d.run"), IoStats::shared());
+        let mut volatile = pread_writer(layout.clone(), dir.file("v.run"), IoStats::shared());
         for r in &records {
             durable.push(r).unwrap();
             volatile.push(r).unwrap();
@@ -1537,7 +1580,7 @@ mod tests {
 
     fn write_run(path: PathBuf, durable: bool) -> DynRunFile<PairLayout> {
         let layout = PairLayout { payload_len: 8 };
-        let mut w = DynRunWriter::create(layout, path, IoStats::shared(), 512).unwrap();
+        let mut w = pread_writer(layout, path, IoStats::shared());
         for r in &make_records(20, 8) {
             w.push(r).unwrap();
         }
@@ -1596,13 +1639,11 @@ mod tests {
             let mut recs = make_records(150, 6);
             recs.iter_mut().for_each(|r| r.0 = r.0.wrapping_mul(i + 1));
             recs.sort_by_key(|r| r.0);
-            let mut w = DynRunWriter::create(
+            let mut w = pread_writer(
                 layout.clone(),
                 dir.file(&format!("{i}.run")),
                 Arc::clone(&stats),
-                512,
-            )
-            .unwrap();
+            );
             for r in &recs {
                 w.push(r).unwrap();
             }
@@ -1682,7 +1723,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for compression in [Compression::Off, Compression::Prefix] {
             let stats = IoStats::shared();
-            let mut w = DynRunWriter::create_compressed(
+            let mut w = DynRunWriter::create(
                 layout.clone(),
                 dir.file(&format!("{compression}.run")),
                 Arc::clone(&stats),
@@ -1753,7 +1794,7 @@ mod tests {
             .collect();
         let mut sizes = Vec::new();
         for compression in [Compression::Off, Compression::Prefix] {
-            let mut w = DynRunWriter::create_compressed(
+            let mut w = DynRunWriter::create(
                 layout.clone(),
                 dir.file(&format!("r-{compression}.run")),
                 IoStats::shared(),
@@ -1791,7 +1832,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for compression in [Compression::Off, Compression::Prefix] {
             let stats = IoStats::shared();
-            let mut w = DynRunWriter::create_compressed(
+            let mut w = DynRunWriter::create(
                 layout.clone(),
                 dir.file(&format!("h-{compression}.run")),
                 Arc::clone(&stats),
@@ -1874,13 +1915,11 @@ mod tests {
             let mut recs = make_records(200, 8);
             recs.iter_mut().for_each(|r| r.0 = r.0.wrapping_add(i * 7));
             recs.sort_by_key(|r| r.0);
-            let mut w = DynRunWriter::create(
+            let mut w = pread_writer(
                 layout.clone(),
                 dir.file(&format!("{i}.run")),
                 Arc::clone(&stats),
-                512,
-            )
-            .unwrap();
+            );
             for r in &recs {
                 w.push(r).unwrap();
             }
@@ -1922,7 +1961,7 @@ mod tests {
                 records.sort_by_key(|r| r.0);
                 let mut runs = Vec::new();
                 for compression in [Compression::Off, Compression::Prefix] {
-                    let mut w = DynRunWriter::create_compressed(
+                    let mut w = DynRunWriter::create(
                         layout.clone(),
                         dir.file(&format!("{compression}.run")),
                         IoStats::shared(),

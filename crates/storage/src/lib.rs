@@ -20,8 +20,8 @@
 //! * records per-region access counts for the paper's heat-map visualization
 //!   ([`HeatMap`]),
 //! * provides the bounded-memory two-pass **external merge sort**
-//!   ([`ExternalSorter`]) that CoconutTree bulk-loading and CoconutLSM / BTP
-//!   merging are built on,
+//!   ([`DynExternalSorter`]) and the sorted run files ([`DynRunFile`]) that
+//!   CoconutTree bulk-loading and CoconutLSM / BTP merging are built on,
 //! * and takes the device out of the writer's way: a finished run's
 //!   `fdatasync`, and the unlink of the runs it replaces, happen on the
 //!   FIFO [`durability`] worker; [`durability::drain`] is the barrier.
@@ -30,14 +30,12 @@ pub mod block;
 pub mod cost;
 pub mod durability;
 pub mod dynsort;
-pub mod extsort;
 pub mod fadvise;
 pub mod file;
 pub mod heatmap;
 pub mod iostats;
 pub mod mmap;
 pub mod page;
-pub mod record;
 pub mod tempdir;
 
 pub use block::{ColumnSpec, Compression, LogicalAccountant};
@@ -46,14 +44,12 @@ pub use dynsort::{
     DynExternalSorter, DynIterMerge, DynKWayMerge, DynRunFile, DynRunReader, DynRunWriter,
     RecordLayout,
 };
-pub use extsort::{ExternalSortConfig, ExternalSorter};
 pub use fadvise::drop_page_cache;
 pub use file::{read_ahead, read_ahead_with, PagedFile, ReadAheadBuffers, PREFETCH_MIN_BYTES};
 pub use heatmap::HeatMap;
 pub use iostats::{AccessKind, IoStats, IoStatsSnapshot, SharedIoStats};
 pub use mmap::{AccessPattern, IoBackend, Mapping};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
-pub use record::{FixedRecord, KeyedRecord};
 pub use tempdir::ScratchDir;
 
 /// Errors produced by the storage layer.

@@ -570,7 +570,7 @@ impl PartitionedStream {
             PartitionKind::Sorted => {
                 let path = self.dir.join(format!("tp-part-{:06}.run", self.next_id));
                 self.next_id += 1;
-                let file = SortedSeriesFile::build_from_entries_compressed(
+                let file = SortedSeriesFile::build_unsorted(
                     path,
                     self.config.layout(),
                     self.config.sax,
@@ -667,7 +667,7 @@ impl PartitionedStream {
             )?;
             let path = self.dir.join(format!("btp-merged-{:06}.run", self.next_id));
             self.next_id += 1;
-            let merged = SortedSeriesFile::build_from_sorted_compressed(
+            let merged = SortedSeriesFile::build(
                 path,
                 layout,
                 self.config.sax,
