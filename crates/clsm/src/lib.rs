@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
 use coconut_ctree::kernels::euclidean_early_abandon;
-use coconut_ctree::planner::{self, PlannedAnswer, PlannedBatch, PlannerInputs, PlannerMode};
+use coconut_ctree::planner::{self, PerfKnobs, PlannedAnswer, PlannedBatch, PlannerInputs};
 use coconut_ctree::query::{KnnHeap, QueryContext, QueryCost};
 use coconut_ctree::raw::RawSeriesSource;
 use coconut_ctree::sorted_file::SortedSeriesFile;
@@ -37,7 +37,7 @@ use coconut_series::dataset::Dataset;
 use coconut_series::distance::Neighbor;
 use coconut_series::{Series, Timestamp};
 use coconut_storage::iostats::IoStatsSnapshot;
-use coconut_storage::{IoBackend, SharedIoStats};
+use coconut_storage::SharedIoStats;
 
 /// Configuration of a CoconutLSM index.
 #[derive(Debug, Clone, Copy)]
@@ -55,14 +55,6 @@ pub struct ClsmConfig {
     pub entries_per_block: usize,
     /// Page size used for I/O accounting.
     pub page_size: usize,
-    /// Worker threads for batch summarization, flush sorting and per-shard
-    /// compaction merges (`1` = sequential, `0` = one per available core).
-    /// Runs are byte-identical at every setting.
-    pub parallelism: usize,
-    /// Worker threads for query fan-out over runs and shards (`1` =
-    /// sequential, `0` = one per available core).  Answers and cost
-    /// counters are identical at every setting; see `coconut_ctree::engine`.
-    pub query_parallelism: usize,
     /// Number of key-range shards each compaction produces.  `1` keeps the
     /// classic single-run merge; larger values split every level merge into
     /// independent per-shard merges (parallel compaction) and give queries
@@ -70,33 +62,15 @@ pub struct ClsmConfig {
     /// the input runs' block fences, so the on-disk index is identical at
     /// every `parallelism` setting.
     pub shard_count: usize,
-    /// Overlap computation with I/O during compactions (default `true`):
-    /// every per-shard merge reads its inputs through read-ahead workers, so
-    /// the next block of each input run loads while the k-way merge drains
-    /// the current one.  A pure performance knob — run files, answers and
-    /// `IoStats` totals are identical at either setting.
-    pub io_overlap: bool,
-    /// Read backend for the run files (default `pread`; `mmap` serves run
-    /// block scans and compaction range readers from read-only file
-    /// mappings, dropped before any compaction deletes its inputs).  A pure
-    /// performance knob — run files, answers, `QueryCost` and `IoStats`
-    /// totals are identical at either setting.
-    pub io_backend: IoBackend,
-    /// Query planning mode (default [`PlannerMode::Fixed`]).  `Fixed` uses
-    /// the knobs above verbatim; `Adaptive` lets the per-query cost-model
-    /// planner pick fan-out, read-ahead gate and batch shape from observed
-    /// state.  Answers, `QueryCost` and `IoStats` are identical in both
-    /// modes; see `coconut_ctree::planner`.
-    pub planner: PlannerMode,
-    /// Minimum contiguous byte range for which compaction read-ahead
-    /// engages (default `coconut_storage::PREFETCH_MIN_BYTES`; `usize::MAX`
-    /// disables read-ahead).  A pure performance knob.
-    pub prefetch_min_bytes: usize,
-    /// On-disk compression of every run (default `off`).  Answers,
-    /// `QueryCost` and the logical `IoStats` view are identical at either
-    /// setting; flushes, compactions and probes just move fewer physical
-    /// bytes.  See `coconut_storage::Compression`.
-    pub compression: coconut_storage::Compression,
+    /// The pure-performance knobs (default [`PerfKnobs::default`]).
+    /// Flushes and compactions read `parallelism`, `io_overlap` (every
+    /// per-shard merge reads its inputs through read-ahead workers),
+    /// `io_backend` (mappings are dropped before a compaction deletes its
+    /// inputs) and `compression`; queries and compactions get
+    /// `query_parallelism` and the read-ahead gate from
+    /// [`planner::decide`].  Run files, answers, `QueryCost` and the
+    /// logical `IoStats` are identical at every setting.
+    pub knobs: PerfKnobs,
 }
 
 impl ClsmConfig {
@@ -109,14 +83,8 @@ impl ClsmConfig {
             growth_factor: 4,
             entries_per_block: 64,
             page_size: coconut_storage::DEFAULT_PAGE_SIZE,
-            parallelism: 1,
-            query_parallelism: 1,
             shard_count: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Fixed,
-            prefetch_min_bytes: coconut_storage::PREFETCH_MIN_BYTES,
-            compression: coconut_storage::Compression::Off,
+            knobs: PerfKnobs::default(),
         }
     }
 
@@ -139,19 +107,6 @@ impl ClsmConfig {
         self
     }
 
-    /// Sets the ingest parallelism (`1` = sequential, `0` = all cores).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
-    /// Sets the query fan-out parallelism (`1` = sequential, `0` = all
-    /// cores).  A pure performance knob.
-    pub fn with_query_parallelism(mut self, workers: usize) -> Self {
-        self.query_parallelism = workers;
-        self
-    }
-
     /// Sets the number of key-range shards per compaction (`>= 1`).
     pub fn with_shard_count(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "shard count must be at least 1");
@@ -159,39 +114,9 @@ impl ClsmConfig {
         self
     }
 
-    /// Enables or disables overlapped compaction I/O (default on).  A pure
-    /// performance knob; see [`ClsmConfig::io_overlap`].
-    pub fn with_io_overlap(mut self, overlap: bool) -> Self {
-        self.io_overlap = overlap;
-        self
-    }
-
-    /// Selects the read backend (default `pread`).  A pure performance
-    /// knob; see [`ClsmConfig::io_backend`].
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Selects the query planning mode (default `Fixed`).  A pure
-    /// performance knob; see [`ClsmConfig::planner`].
-    pub fn with_planner(mut self, mode: PlannerMode) -> Self {
-        self.planner = mode;
-        self
-    }
-
-    /// Sets the read-ahead engagement gate for compactions in bytes
-    /// (`usize::MAX` disables read-ahead).  A pure performance knob; see
-    /// [`ClsmConfig::prefetch_min_bytes`].
-    pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
-        self.prefetch_min_bytes = bytes;
-        self
-    }
-
-    /// Selects the on-disk compression (default `off`).  A logical-view
-    /// no-op; see [`ClsmConfig::compression`].
-    pub fn with_compression(mut self, compression: coconut_storage::Compression) -> Self {
-        self.compression = compression;
+    /// Sets the performance knobs; see [`ClsmConfig::knobs`].
+    pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
+        self.knobs = knobs;
         self
     }
 
@@ -328,7 +253,7 @@ impl ClsmTree {
     /// knob (mmap-backed when configured), with accounting identical at
     /// either setting.
     pub fn attach_dataset(&mut self, dataset: Dataset) -> Result<()> {
-        self.raw = Some(RawSeriesSource::new(dataset, self.config.io_backend)?);
+        self.raw = Some(RawSeriesSource::new(dataset, self.config.knobs.io_backend)?);
         Ok(())
     }
 
@@ -470,7 +395,7 @@ impl ClsmTree {
             timestamp,
             &self.summarizer,
             self.config.materialized,
-            self.config.parallelism,
+            self.config.knobs.parallelism,
         );
         for entry in entries {
             self.buffer.push(entry);
@@ -518,9 +443,9 @@ impl ClsmTree {
             self.config.entries_per_block,
             Arc::clone(&self.stats),
             self.config.page_size,
-            self.config.parallelism,
-            self.config.io_backend,
-            self.config.compression,
+            self.config.knobs.parallelism,
+            self.config.knobs.io_backend,
+            self.config.knobs.compression,
         )
     }
 
@@ -567,7 +492,9 @@ impl ClsmTree {
             .collect();
         fences.sort_unstable();
         let per_shard = total.div_ceil(shard_count as u64).max(1);
-        let mut boundaries = Vec::with_capacity(shard_count - 1);
+        // Boundaries are fence keys: never more than there are fences,
+        // whatever shard count a caller asked for.
+        let mut boundaries = Vec::with_capacity((shard_count - 1).min(fences.len()));
         let mut seen = 0u64;
         for (key, count) in fences {
             if boundaries.len() + 1 >= shard_count {
@@ -605,8 +532,10 @@ impl ClsmTree {
 
         // Every shard is an independent k-way merge over the inputs' key
         // slices, writing its own file: the fan-out below is a pure speedup.
-        let prefetch_gate = self.compaction_prefetch_gate();
-        let workers = coconut_parallel::effective_parallelism(self.config.parallelism);
+        let prefetch_gate = planner::decide(&self.config.knobs, || self.planner_inputs(0, 1, true))
+            .0
+            .effective_prefetch_gate();
+        let workers = coconut_parallel::effective_parallelism(self.config.knobs.parallelism);
         let shard_results = coconut_parallel::parallel_map_tasks(
             &ranges,
             workers.min(ranges.len()),
@@ -617,7 +546,7 @@ impl ClsmTree {
                         f.range_reader_with_prefetch_gate(
                             lo,
                             hi,
-                            self.config.io_overlap,
+                            self.config.knobs.io_overlap,
                             prefetch_gate,
                         )
                     })
@@ -634,8 +563,8 @@ impl ClsmTree {
                     self.config.entries_per_block,
                     Arc::clone(&self.stats),
                     self.config.page_size,
-                    self.config.io_backend,
-                    self.config.compression,
+                    self.config.knobs.io_backend,
+                    self.config.knobs.compression,
                 )
             },
         );
@@ -676,18 +605,6 @@ impl ClsmTree {
             batch_width,
             exact,
             random_read_permille: planner::read_permille(&snap),
-        }
-    }
-
-    /// The read-ahead gate a compaction should use: the configured value in
-    /// `Fixed` mode, or the planner's choice from a fresh state snapshot in
-    /// `Adaptive` mode.
-    fn compaction_prefetch_gate(&self) -> usize {
-        match self.config.planner {
-            PlannerMode::Fixed => self.config.prefetch_min_bytes,
-            PlannerMode::Adaptive => {
-                planner::plan(&self.planner_inputs(0, 1, true)).effective_prefetch_gate()
-            }
         }
     }
 
@@ -758,7 +675,13 @@ impl ClsmTree {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
         let units = self.query_units(window);
-        coconut_ctree::engine::parallel_knn(&units, query, k, self.config.query_parallelism, false)
+        coconut_ctree::engine::parallel_knn(
+            &units,
+            query,
+            k,
+            self.config.knobs.query_parallelism,
+            false,
+        )
     }
 
     /// Exact kNN over the buffer plus every run, fanned out over
@@ -775,7 +698,13 @@ impl ClsmTree {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
         let units = self.query_units(window);
-        coconut_ctree::engine::parallel_knn(&units, query, k, self.config.query_parallelism, true)
+        coconut_ctree::engine::parallel_knn(
+            &units,
+            query,
+            k,
+            self.config.knobs.query_parallelism,
+            true,
+        )
     }
 
     /// Runs a batch of kNN queries over the buffer plus every run through
@@ -803,7 +732,13 @@ impl ClsmTree {
         exact: bool,
     ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
         let units = self.query_units(window);
-        coconut_ctree::engine::batch_knn(&units, queries, k, self.config.query_parallelism, exact)
+        coconut_ctree::engine::batch_knn(
+            &units,
+            queries,
+            k,
+            self.config.knobs.query_parallelism,
+            exact,
+        )
     }
 
     /// Single kNN query with cooperative cancellation: a batch of one run
@@ -824,7 +759,7 @@ impl ClsmTree {
             &units,
             query,
             k,
-            self.config.query_parallelism,
+            self.config.knobs.query_parallelism,
             exact,
             cancel,
         )
@@ -844,18 +779,17 @@ impl ClsmTree {
             &units,
             queries,
             k,
-            self.config.query_parallelism,
+            self.config.knobs.query_parallelism,
             exact,
             cancel,
         )
     }
 
-    /// Like [`ClsmTree::knn_with`], but routed through the query planner
-    /// when the config selects [`PlannerMode::Adaptive`]: the fan-out knob
-    /// comes from a [`planner::PlanReport`] captured for this query, returned
-    /// alongside the answer.  In `Fixed` mode this is exactly `knn_with`
-    /// (byte-identical path) and the report is `None`.  Answers and cost
-    /// are identical in both modes.
+    /// Like [`ClsmTree::knn_with`], but with the fan-out from
+    /// [`planner::decide`]: under [`planner::PlannerMode::Adaptive`] a
+    /// [`planner::PlanReport`] is captured for this query and returned
+    /// alongside the answer; under `Fixed` this is exactly `knn_with` and
+    /// the report is `None`.  Answers and cost are identical in both modes.
     pub fn knn_planned(
         &self,
         query: &[f32],
@@ -863,29 +797,24 @@ impl ClsmTree {
         exact: bool,
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
-        match self.config.planner {
-            PlannerMode::Fixed => self.knn_with(query, k, exact, cancel).map(|r| (r, None)),
-            PlannerMode::Adaptive => {
-                let report = planner::plan_report(self.planner_inputs(k, 1, exact));
-                let units = self.query_units(None);
-                let answer = coconut_ctree::engine::parallel_knn_with(
-                    &units,
-                    query,
-                    k,
-                    report.decision.query_parallelism,
-                    exact,
-                    cancel,
-                )?;
-                Ok((answer, Some(report)))
-            }
-        }
+        let (decision, report) =
+            planner::decide(&self.config.knobs, || self.planner_inputs(k, 1, exact));
+        let units = self.query_units(None);
+        let answer = coconut_ctree::engine::parallel_knn_with(
+            &units,
+            query,
+            k,
+            decision.query_parallelism,
+            exact,
+            cancel,
+        )?;
+        Ok((answer, report))
     }
 
-    /// Like [`ClsmTree::batch_knn_with`], but routed through the query
-    /// planner when the config selects [`PlannerMode::Adaptive`]: fan-out
-    /// and batch round shape come from a [`planner::PlanReport`] captured for this
-    /// batch.  In `Fixed` mode this is exactly `batch_knn_with` and the
-    /// report is `None`.  Answers and cost are identical in both modes.
+    /// Like [`ClsmTree::batch_knn_with`], but with the fan-out and batch
+    /// round shape from [`planner::decide`] (one report covers the whole
+    /// batch under `Adaptive`; `Fixed` is exactly `batch_knn_with`).
+    /// Answers and cost are identical in both modes.
     pub fn batch_knn_planned(
         &self,
         queries: &[Vec<f32>],
@@ -893,25 +822,20 @@ impl ClsmTree {
         exact: bool,
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedBatch> {
-        match self.config.planner {
-            PlannerMode::Fixed => self
-                .batch_knn_with(queries, k, exact, cancel)
-                .map(|r| (r, None)),
-            PlannerMode::Adaptive => {
-                let report = planner::plan_report(self.planner_inputs(k, queries.len(), exact));
-                let units = self.query_units(None);
-                let answers = coconut_ctree::engine::batch_knn_chunked(
-                    &units,
-                    queries,
-                    k,
-                    report.decision.query_parallelism,
-                    exact,
-                    report.decision.batch_chunk,
-                    cancel,
-                )?;
-                Ok((answers, Some(report)))
-            }
-        }
+        let (decision, report) = planner::decide(&self.config.knobs, || {
+            self.planner_inputs(k, queries.len(), exact)
+        });
+        let units = self.query_units(None);
+        let answers = coconut_ctree::engine::batch_knn_chunked(
+            &units,
+            queries,
+            k,
+            decision.query_parallelism,
+            exact,
+            decision.batch_chunk,
+            cancel,
+        )?;
+        Ok((answers, report))
     }
 }
 
@@ -1099,7 +1023,10 @@ mod tests {
             .with_buffer_capacity(100)
             .with_growth_factor(3)
             .with_shard_count(shards)
-            .with_parallelism(parallelism);
+            .with_knobs(PerfKnobs {
+                parallelism,
+                ..PerfKnobs::default()
+            });
         let tree = ClsmTree::build(&dataset, config, &dir.file("lsm"), IoStats::shared()).unwrap();
         (dir, series, tree)
     }

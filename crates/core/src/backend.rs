@@ -160,24 +160,10 @@ mod tests {
     use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
     use coconut_storage::ScratchDir;
 
-    use crate::{Dataset, IoBackend, PlannerMode, VariantKind};
+    use crate::{Dataset, VariantKind};
 
     fn build(name: &str, dataset_path: String) -> PalmRequest {
-        PalmRequest::BuildIndex {
-            name: name.into(),
-            dataset_path,
-            variant: VariantKind::Clsm,
-            materialized: true,
-            memory_budget_bytes: 8 << 20,
-            parallelism: 1,
-            query_parallelism: 1,
-            shard_count: 1,
-            range: None,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Fixed,
-            compression: coconut_storage::Compression::Off,
-        }
+        PalmRequest::build_index(name, dataset_path, VariantKind::Clsm, true, 8 << 20)
     }
 
     /// A query through the backend seam answers bit-identically to the

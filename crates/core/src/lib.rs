@@ -36,7 +36,8 @@ pub use coconut_sax::SaxConfig;
 pub use coconut_series::distance::Neighbor;
 pub use coconut_series::{Dataset, Series, TimestampedSeries};
 pub use coconut_storage::{
-    Compression, CostModel, IoBackend, IoStats, IoStatsSnapshot, ScratchDir, SharedIoStats,
+    Compression, CostModel, IoBackend, IoStats, IoStatsSnapshot, PerfKnobs, ScratchDir,
+    SharedIoStats,
 };
 pub use coconut_stream::{
     PartitionKind, PartitionedConfig, PartitionedStream, PpStream, StreamingIndex, WindowScheme,
@@ -84,46 +85,13 @@ pub struct IndexConfig {
     pub growth_factor: usize,
     /// Memory budget in bytes (external sort / buffers).
     pub memory_budget_bytes: usize,
-    /// Worker threads used by the build pipeline (`1` = sequential, `0` =
-    /// one per available core).  Results are identical at every setting;
-    /// see DESIGN.md ("Threading model").
-    pub parallelism: usize,
-    /// Worker threads used by the query fan-out (`1` = sequential, `0` =
-    /// one per available core).  Neighbours, distances, tie-breaking order
-    /// and cost counters are identical at every setting; see DESIGN.md
-    /// ("Query threading model").
-    pub query_parallelism: usize,
     /// Key-range shards per CLSM compaction (`1` = classic single-run
     /// merges).  Ignored by the other variants.
     pub shard_count: usize,
-    /// Overlap computation with I/O in the build pipeline (default `true`;
-    /// `false` restores the strictly alternating sort-then-write pipeline).
-    /// A pure performance knob: index files, query answers and `IoStats`
-    /// totals are identical at either setting; see DESIGN.md ("I/O
-    /// overlap").
-    pub io_overlap: bool,
-    /// Read backend for the index's run/leaf files (`pread` positioned
-    /// reads, the default, or `mmap` read-only file mappings).  A pure
-    /// performance knob: index files, answers, `QueryCost` and `IoStats`
-    /// totals are identical at either setting; see DESIGN.md ("Read path
-    /// backends").
-    pub io_backend: IoBackend,
-    /// Query planning mode (default `Adaptive`).  `Fixed` uses the knobs
-    /// above verbatim; `Adaptive` lets the per-query cost-model planner
-    /// pick fan-out, read-ahead gate and batch shape from observed state.
-    /// Answers, `QueryCost` and `IoStats` are identical in both modes; see
-    /// DESIGN.md ("Adaptive planning").
-    pub planner: PlannerMode,
-    /// Minimum contiguous byte range for which merge/compaction read-ahead
-    /// engages (default `coconut_storage::PREFETCH_MIN_BYTES`; `usize::MAX`
-    /// disables read-ahead).  A pure performance knob the adaptive planner
-    /// also sets.
-    pub prefetch_min_bytes: usize,
-    /// On-disk compression of sorted runs and leaf blocks (default `off`).
-    /// Answers, `QueryCost` and the logical `IoStats` view are identical at
-    /// either setting; only physical bytes on disk and read shrink.  See
-    /// DESIGN.md ("Compressed runs").
-    pub compression: coconut_storage::Compression,
+    /// The pure-performance knobs, handed whole to the variant's config
+    /// (default [`PerfKnobs::default`] with the `Adaptive` planner).  See
+    /// DESIGN.md ("Performance knobs").
+    pub knobs: PerfKnobs,
 }
 
 impl IndexConfig {
@@ -136,14 +104,11 @@ impl IndexConfig {
             fill_factor: 1.0,
             growth_factor: 4,
             memory_budget_bytes: 32 << 20,
-            parallelism: 1,
-            query_parallelism: 1,
             shard_count: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Adaptive,
-            prefetch_min_bytes: coconut_storage::PREFETCH_MIN_BYTES,
-            compression: coconut_storage::Compression::Off,
+            knobs: PerfKnobs {
+                planner: PlannerMode::Adaptive,
+                ..PerfKnobs::default()
+            },
         }
     }
 
@@ -159,16 +124,15 @@ impl IndexConfig {
         self
     }
 
-    /// Sets the build parallelism (`1` = sequential, `0` = all cores).
+    /// Sets the build parallelism ([`PerfKnobs::parallelism`]).
     pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
+        self.knobs.parallelism = workers;
         self
     }
 
-    /// Sets the query fan-out parallelism (`1` = sequential, `0` = all
-    /// cores).  A pure performance knob.
+    /// Sets the query fan-out ([`PerfKnobs::query_parallelism`]).
     pub fn with_query_parallelism(mut self, workers: usize) -> Self {
-        self.query_parallelism = workers;
+        self.knobs.query_parallelism = workers;
         self
     }
 
@@ -178,39 +142,27 @@ impl IndexConfig {
         self
     }
 
-    /// Enables or disables overlapped build I/O (default on).  A pure
-    /// performance knob; see DESIGN.md ("I/O overlap").
+    /// Enables or disables overlapped I/O ([`PerfKnobs::io_overlap`]).
     pub fn with_io_overlap(mut self, overlap: bool) -> Self {
-        self.io_overlap = overlap;
+        self.knobs.io_overlap = overlap;
         self
     }
 
-    /// Selects the read backend (default `pread`).  A pure performance
-    /// knob; see DESIGN.md ("Read path backends").
+    /// Selects the read backend ([`PerfKnobs::io_backend`]).
     pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
+        self.knobs.io_backend = backend;
         self
     }
 
-    /// Selects the query planning mode (default `Adaptive`).  A pure
-    /// performance knob; see DESIGN.md ("Adaptive planning").
+    /// Selects the planning mode ([`PerfKnobs::planner`]).
     pub fn with_planner(mut self, mode: PlannerMode) -> Self {
-        self.planner = mode;
+        self.knobs.planner = mode;
         self
     }
 
-    /// Sets the read-ahead engagement gate in bytes (`usize::MAX` disables
-    /// read-ahead).  A pure performance knob.
-    pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
-        self.prefetch_min_bytes = bytes;
-        self
-    }
-
-    /// Selects the on-disk compression of sorted runs and leaf blocks
-    /// (default `off`).  A pure performance knob; see DESIGN.md
-    /// ("Compressed runs").
-    pub fn with_compression(mut self, compression: coconut_storage::Compression) -> Self {
-        self.compression = compression;
+    /// Selects the on-disk compression ([`PerfKnobs::compression`]).
+    pub fn with_compression(mut self, compression: Compression) -> Self {
+        self.knobs.compression = compression;
         self
     }
 
@@ -231,20 +183,10 @@ impl IndexConfig {
             StructureKind::Clsm => VariantKind::Clsm,
         };
         IndexConfig {
-            variant,
-            sax: SaxConfig::paper_default(series_len),
             materialized: rec.materialized,
             fill_factor: rec.fill_factor,
             growth_factor: rec.growth_factor.max(2),
-            memory_budget_bytes: 32 << 20,
-            parallelism: 1,
-            query_parallelism: 1,
-            shard_count: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Adaptive,
-            prefetch_min_bytes: coconut_storage::PREFETCH_MIN_BYTES,
-            compression: coconut_storage::Compression::Off,
+            ..IndexConfig::new(variant, series_len)
         }
     }
 }
@@ -351,13 +293,7 @@ impl StaticIndex {
                     .materialized(config.materialized)
                     .with_fill_factor(config.fill_factor)
                     .with_memory_budget(config.memory_budget_bytes)
-                    .with_parallelism(config.parallelism)
-                    .with_query_parallelism(config.query_parallelism)
-                    .with_io_overlap(config.io_overlap)
-                    .with_io_backend(config.io_backend)
-                    .with_planner(config.planner)
-                    .with_prefetch_min_bytes(config.prefetch_min_bytes)
-                    .with_compression(config.compression);
+                    .with_knobs(config.knobs);
                 StaticIndex::CTree(CTree::build(
                     dataset,
                     ctree_config,
@@ -369,14 +305,8 @@ impl StaticIndex {
                 let clsm_config = ClsmConfig::new(config.sax)
                     .materialized(config.materialized)
                     .with_growth_factor(config.growth_factor)
-                    .with_parallelism(config.parallelism)
-                    .with_query_parallelism(config.query_parallelism)
                     .with_shard_count(config.shard_count)
-                    .with_io_overlap(config.io_overlap)
-                    .with_io_backend(config.io_backend)
-                    .with_planner(config.planner)
-                    .with_prefetch_min_bytes(config.prefetch_min_bytes)
-                    .with_compression(config.compression)
+                    .with_knobs(config.knobs)
                     .with_buffer_capacity(
                         (config.memory_budget_bytes / (config.sax.series_len * 4 + 32)).max(64),
                     );
@@ -649,28 +579,10 @@ pub struct StreamingConfig {
     pub buffer_capacity: usize,
     /// Growth factor for CLSM / BTP merging.
     pub growth_factor: usize,
-    /// Worker threads used when summarizing and flushing batches.
-    pub parallelism: usize,
-    /// Worker threads used by the query fan-out over partitions (`1` =
-    /// sequential, `0` = one per available core).  A pure performance knob.
-    pub query_parallelism: usize,
-    /// Overlap computation with I/O during CLSM compactions and BTP
-    /// partition merges (default `true`).  A pure performance knob; see
-    /// DESIGN.md ("I/O overlap").
-    pub io_overlap: bool,
-    /// Read backend for runs and partitions (default `pread`).  A pure
-    /// performance knob; see DESIGN.md ("Read path backends").
-    pub io_backend: IoBackend,
-    /// Query planning mode (default `Adaptive`).  A pure performance knob;
-    /// see DESIGN.md ("Adaptive planning").
-    pub planner: PlannerMode,
-    /// Minimum contiguous byte range for which merge read-ahead engages
-    /// (default `coconut_storage::PREFETCH_MIN_BYTES`).  A pure performance
-    /// knob the adaptive planner also sets.
-    pub prefetch_min_bytes: usize,
-    /// On-disk compression of runs and partitions (default `off`).  A pure
-    /// performance knob; see DESIGN.md ("Compressed runs").
-    pub compression: coconut_storage::Compression,
+    /// The pure-performance knobs, handed whole to the scheme's config
+    /// (default [`PerfKnobs::default`] with the `Adaptive` planner).  See
+    /// DESIGN.md ("Performance knobs").
+    pub knobs: PerfKnobs,
 }
 
 impl StreamingConfig {
@@ -682,62 +594,11 @@ impl StreamingConfig {
             sax: SaxConfig::paper_default(series_len),
             buffer_capacity: 1024,
             growth_factor: 3,
-            parallelism: 1,
-            query_parallelism: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Adaptive,
-            prefetch_min_bytes: coconut_storage::PREFETCH_MIN_BYTES,
-            compression: coconut_storage::Compression::Off,
+            knobs: PerfKnobs {
+                planner: PlannerMode::Adaptive,
+                ..PerfKnobs::default()
+            },
         }
-    }
-
-    /// Sets the ingest parallelism (`1` = sequential, `0` = all cores).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
-    /// Sets the query fan-out parallelism (`1` = sequential, `0` = all
-    /// cores).  A pure performance knob.
-    pub fn with_query_parallelism(mut self, workers: usize) -> Self {
-        self.query_parallelism = workers;
-        self
-    }
-
-    /// Enables or disables overlapped merge I/O (default on).  A pure
-    /// performance knob; see DESIGN.md ("I/O overlap").
-    pub fn with_io_overlap(mut self, overlap: bool) -> Self {
-        self.io_overlap = overlap;
-        self
-    }
-
-    /// Selects the read backend (default `pread`).  A pure performance
-    /// knob; see DESIGN.md ("Read path backends").
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Selects the query planning mode (default `Adaptive`).  A pure
-    /// performance knob; see DESIGN.md ("Adaptive planning").
-    pub fn with_planner(mut self, mode: PlannerMode) -> Self {
-        self.planner = mode;
-        self
-    }
-
-    /// Sets the read-ahead engagement gate in bytes (`usize::MAX` disables
-    /// read-ahead).  A pure performance knob.
-    pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
-        self.prefetch_min_bytes = bytes;
-        self
-    }
-
-    /// Selects the on-disk compression of runs and partitions (default
-    /// `off`).  A pure performance knob; see DESIGN.md ("Compressed runs").
-    pub fn with_compression(mut self, compression: coconut_storage::Compression) -> Self {
-        self.compression = compression;
-        self
     }
 
     /// Display name like "ADS+ PP", "CLSM BTP".
@@ -765,13 +626,7 @@ pub fn streaming_index(
                         .materialized(true)
                         .with_buffer_capacity(config.buffer_capacity)
                         .with_growth_factor(config.growth_factor)
-                        .with_parallelism(config.parallelism)
-                        .with_query_parallelism(config.query_parallelism)
-                        .with_io_overlap(config.io_overlap)
-                        .with_io_backend(config.io_backend)
-                        .with_planner(config.planner)
-                        .with_prefetch_min_bytes(config.prefetch_min_bytes)
-                        .with_compression(config.compression),
+                        .with_knobs(config.knobs),
                     dir,
                     stats,
                 )?;
@@ -787,13 +642,7 @@ pub fn streaming_index(
             let cfg = PartitionedConfig::new(config.sax)
                 .with_buffer_capacity(config.buffer_capacity)
                 .with_partition_kind(kind)
-                .with_parallelism(config.parallelism)
-                .with_query_parallelism(config.query_parallelism)
-                .with_io_overlap(config.io_overlap)
-                .with_io_backend(config.io_backend)
-                .with_planner(config.planner)
-                .with_prefetch_min_bytes(config.prefetch_min_bytes)
-                .with_compression(config.compression);
+                .with_knobs(config.knobs);
             Ok(Box::new(PartitionedStream::temporal_partitioning(
                 cfg, dir, stats,
             )?))
@@ -802,13 +651,7 @@ pub fn streaming_index(
             let cfg = PartitionedConfig::new(config.sax)
                 .with_buffer_capacity(config.buffer_capacity)
                 .with_growth_factor(config.growth_factor)
-                .with_parallelism(config.parallelism)
-                .with_query_parallelism(config.query_parallelism)
-                .with_io_overlap(config.io_overlap)
-                .with_io_backend(config.io_backend)
-                .with_planner(config.planner)
-                .with_prefetch_min_bytes(config.prefetch_min_bytes)
-                .with_compression(config.compression);
+                .with_knobs(config.knobs);
             Ok(Box::new(PartitionedStream::bounded_temporal_partitioning(
                 cfg, dir, stats,
             )?))
@@ -872,6 +715,63 @@ mod tests {
             64,
         );
         assert_eq!(sc.display_name(), "CLSM BTP");
+    }
+
+    /// The knob defaults of every entry point: the engine configs run the
+    /// engine default, the facade configs the adaptive planner, and the
+    /// wire's minimal `build_index` frame (the one palmbench sends) the
+    /// fixed planner with compression from `COCONUT_COMPRESSION`.
+    #[test]
+    fn every_entry_point_pins_its_default_knobs() {
+        let engine = PerfKnobs::default();
+        let adaptive = PerfKnobs {
+            planner: PlannerMode::Adaptive,
+            ..engine
+        };
+        let sax = SaxConfig::paper_default(64);
+        assert_eq!(CTreeConfig::new(sax).knobs, engine);
+        assert_eq!(ClsmConfig::new(sax).knobs, engine);
+        assert_eq!(PartitionedConfig::new(sax).knobs, engine);
+        assert_eq!(IndexConfig::new(VariantKind::Clsm, 64).knobs, adaptive);
+        let rec = recommend(&Scenario::static_archive(10_000, 64));
+        assert_eq!(IndexConfig::from_recommendation(&rec, 64).knobs, adaptive);
+        let streaming = StreamingConfig::new(
+            VariantKind::Clsm,
+            WindowScheme::BoundedTemporalPartitioning,
+            64,
+        );
+        assert_eq!(streaming.knobs, adaptive);
+
+        let frame = r#"{"type":"build_index","name":"w","dataset_path":"/d","variant":"CTree","materialized":false,"memory_budget_bytes":1048576}"#;
+        let request = palm::PalmRequest::from_json(&Json::parse(frame).unwrap()).unwrap();
+        let palm::PalmRequest::BuildIndex {
+            parallelism,
+            query_parallelism,
+            shard_count,
+            range,
+            io_overlap,
+            io_backend,
+            planner,
+            compression,
+            ..
+        } = request
+        else {
+            panic!("not a build_index: {request:?}");
+        };
+        let wire = PerfKnobs {
+            parallelism,
+            query_parallelism,
+            io_overlap,
+            io_backend,
+            planner,
+            compression,
+        };
+        let expected = PerfKnobs {
+            compression: Compression::from_env(),
+            ..engine
+        };
+        assert_eq!(wire, expected);
+        assert_eq!((shard_count, range), (1, None));
     }
 
     #[test]

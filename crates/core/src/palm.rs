@@ -40,8 +40,8 @@ use coconut_parallel::{CancelToken, WorkerPool};
 use parking_lot::{Mutex, RwLock};
 
 use crate::{
-    recommend, BuildReport, Dataset, IndexConfig, IoBackend, IoStats, PlanReport, PlannerMode,
-    Scenario, Series, StaticIndex, VariantKind,
+    recommend, BuildReport, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs, PlanReport,
+    PlannerMode, Scenario, Series, StaticIndex, VariantKind,
 };
 use coconut_storage::SharedIoStats;
 
@@ -580,6 +580,36 @@ impl FromJson for PlanReportJson {
             prefetch_min_bytes: member(decision, "prefetch_min_bytes")?,
             batch_chunk: member(decision, "batch_chunk")?,
         })
+    }
+}
+
+impl PalmRequest {
+    /// A whole-dataset `build_index` request with the engine's knob
+    /// defaults ([`PerfKnobs::default`], one CLSM shard).  Callers that
+    /// want other knobs set the variant's fields afterwards.
+    pub fn build_index(
+        name: impl Into<String>,
+        dataset_path: impl Into<String>,
+        variant: VariantKind,
+        materialized: bool,
+        memory_budget_bytes: usize,
+    ) -> PalmRequest {
+        let knobs = PerfKnobs::default();
+        PalmRequest::BuildIndex {
+            name: name.into(),
+            dataset_path: dataset_path.into(),
+            variant,
+            materialized,
+            memory_budget_bytes,
+            parallelism: knobs.parallelism,
+            query_parallelism: knobs.query_parallelism,
+            shard_count: 1,
+            range: None,
+            io_overlap: knobs.io_overlap,
+            io_backend: knobs.io_backend,
+            planner: knobs.planner,
+            compression: knobs.compression,
+        }
     }
 }
 
@@ -1829,21 +1859,7 @@ mod tests {
     }
 
     fn build_request(name: &str, dataset_path: String, variant: VariantKind) -> PalmRequest {
-        PalmRequest::BuildIndex {
-            name: name.into(),
-            dataset_path,
-            variant,
-            materialized: true,
-            memory_budget_bytes: 8 << 20,
-            parallelism: 1,
-            query_parallelism: 1,
-            shard_count: 1,
-            range: None,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Fixed,
-            compression: coconut_storage::Compression::Off,
-        }
+        PalmRequest::build_index(name, dataset_path, variant, true, 8 << 20)
     }
 
     #[test]
@@ -2034,21 +2050,13 @@ mod tests {
     fn insert_into_non_materialized_index_is_rejected() {
         let (dir, dataset_path, series) = setup();
         let server = PalmServer::new(dir.file("work"));
-        server.handle(PalmRequest::BuildIndex {
-            name: "thin".into(),
+        server.handle(PalmRequest::build_index(
+            "thin",
             dataset_path,
-            variant: VariantKind::Clsm,
-            materialized: false,
-            memory_budget_bytes: 8 << 20,
-            parallelism: 1,
-            query_parallelism: 1,
-            shard_count: 1,
-            range: None,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Fixed,
-            compression: coconut_storage::Compression::Off,
-        });
+            VariantKind::Clsm,
+            false,
+            8 << 20,
+        ));
         // Appended series would not exist in the raw file the index refines
         // from; the insert must be refused, not accepted and left to poison
         // later queries.
@@ -2557,21 +2565,13 @@ mod tests {
         for variant in VariantKind::all() {
             for materialized in [true, false] {
                 let server = PalmServer::new(dir.file(&format!("work-{variant:?}-{materialized}")));
-                server.handle(PalmRequest::BuildIndex {
-                    name: "i".into(),
-                    dataset_path: dataset_path.clone(),
+                server.handle(PalmRequest::build_index(
+                    "i",
+                    dataset_path.clone(),
                     variant,
                     materialized,
-                    memory_budget_bytes: 8 << 20,
-                    parallelism: 1,
-                    query_parallelism: 1,
-                    shard_count: 1,
-                    range: None,
-                    io_overlap: true,
-                    io_backend: IoBackend::Pread,
-                    planner: PlannerMode::Fixed,
-                    compression: coconut_storage::Compression::Off,
-                });
+                    8 << 20,
+                ));
                 let at = format!("{variant:?} materialized={materialized}");
                 let query = |q: &str, exact: bool| {
                     format!(r#"{{"type":"query","name":"i","query":{q},"k":3,"exact":{exact}}}"#)
@@ -2624,5 +2624,24 @@ mod tests {
                 }
             }
         }
+
+        // A hostile shard count on a CLSM build that compacts: the merge
+        // must not size anything by the requested count.
+        let wide = dir.file("wide.bin");
+        let walks = RandomWalkGenerator::new(64, 13).generate(20_000);
+        Dataset::create_from_series(&wide, &walks).unwrap();
+        let server = PalmServer::new(dir.file("work-shards"));
+        let frame = format!(
+            r#"{{"type":"build_index","name":"w","dataset_path":{},"variant":"Clsm","materialized":true,"memory_budget_bytes":1048576,"shard_count":1000000000000}}"#,
+            wide.to_string_lossy().to_json().to_string()
+        );
+        let reply = Json::parse(&server.handle_json(&frame)).unwrap();
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("built"));
+        let query = format!(r#"{{"type":"query","name":"w","query":{good},"k":3,"exact":true}}"#);
+        let reply = Json::parse(&server.handle_json(&query)).unwrap();
+        assert_eq!(
+            reply.get("type").and_then(Json::as_str),
+            Some("query_result")
+        );
     }
 }

@@ -182,7 +182,7 @@ fn batch_matches_sequential_on_streams() {
             for side in ["seq", "bat"] {
                 let mut config = StreamingConfig::new(VariantKind::Clsm, scheme, 64);
                 config.buffer_capacity = 60;
-                config.query_parallelism = qp;
+                config.knobs.query_parallelism = qp;
                 let stats = IoStats::shared();
                 let mut index = streaming_index(
                     config,

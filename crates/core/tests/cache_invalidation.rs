@@ -10,28 +10,14 @@
 //! races an in-flight insert into the cache.
 
 use coconut_core::palm::{PalmRequest, PalmResponse, PalmServer};
-use coconut_core::{Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_core::{Dataset, VariantKind};
 use coconut_json::{Json, ToJson};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
 use proptest::prelude::*;
 
 fn build_request(name: &str, dataset_path: &str) -> PalmRequest {
-    PalmRequest::BuildIndex {
-        name: name.into(),
-        dataset_path: dataset_path.into(),
-        variant: VariantKind::Clsm,
-        materialized: true,
-        memory_budget_bytes: 1 << 20,
-        parallelism: 1,
-        query_parallelism: 1,
-        shard_count: 1,
-        range: None,
-        io_overlap: true,
-        io_backend: IoBackend::Pread,
-        planner: PlannerMode::Fixed,
-        compression: coconut_storage::Compression::Off,
-    }
+    PalmRequest::build_index(name, dataset_path, VariantKind::Clsm, true, 1 << 20)
 }
 
 fn make_dataset(

@@ -107,8 +107,8 @@ fn streaming_btp_is_equivalent_at_either_compression() {
             VariantKind::Clsm,
             WindowScheme::BoundedTemporalPartitioning,
             64,
-        )
-        .with_compression(compression);
+        );
+        config.knobs.compression = compression;
         config.buffer_capacity = 100;
         let stats = IoStats::shared();
         let subdir = dir.file(&format!("btp-{compression}"));

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use coconut_core::{
     AdsConfig, AdsTree, CTree, CTreeConfig, ClsmConfig, ClsmTree, Compression, IoBackend, IoStats,
-    IoStatsSnapshot, QueryCost, SaxConfig, ScratchDir, SharedIoStats,
+    IoStatsSnapshot, PerfKnobs, QueryCost, SaxConfig, ScratchDir, SharedIoStats,
 };
 use coconut_ctree::kernels::euclidean_early_abandon;
 use coconut_ctree::query::{KnnHeap, QueryContext};
@@ -482,6 +482,14 @@ const KNOBS: [(Compression, IoBackend); 4] = [
     (Compression::Prefix, IoBackend::Mmap),
 ];
 
+fn knobs(compression: Compression, io_backend: IoBackend) -> PerfKnobs {
+    PerfKnobs {
+        compression,
+        io_backend,
+        ..PerfKnobs::default()
+    }
+}
+
 /// One CTree per archive × layout × knob setting, small enough that the
 /// build spills and merges runs; `visit` sees each with its label.
 fn for_each_ctree(
@@ -499,8 +507,7 @@ fn for_each_ctree(
                 let mut config = CTreeConfig::new(sax())
                     .materialized(materialized)
                     .with_memory_budget(64 << 10)
-                    .with_compression(compression)
-                    .with_io_backend(backend);
+                    .with_knobs(knobs(compression, backend));
                 config.leaf_block_bytes = 4096;
                 let stats = IoStats::shared();
                 let tree_dir = dir.file(&label.replace(' ', "-"));
@@ -628,8 +635,7 @@ fn clsm_run_scans_match_reference() {
                     // Flushes, compactions and sharded runs all happen.
                     .with_buffer_capacity(128)
                     .with_shard_count(2)
-                    .with_compression(compression)
-                    .with_io_backend(backend);
+                    .with_knobs(knobs(compression, backend));
                 config.entries_per_block = 16;
                 let stats = IoStats::shared();
                 let tree = ClsmTree::build(
@@ -669,8 +675,7 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
         let label = format!("btp {compression} {backend}");
         let mut config = PartitionedConfig::new(sax())
             .with_buffer_capacity(100)
-            .with_compression(compression)
-            .with_io_backend(backend);
+            .with_knobs(knobs(compression, backend));
         config.entries_per_block = 16;
         let stats = IoStats::shared();
         let mut stream = PartitionedStream::bounded_temporal_partitioning(

@@ -4,15 +4,15 @@
 //! ever assigns knobs that are already proven pure performance knobs, so a
 //! planner-routed query is bit-identical — neighbours, distances,
 //! tie-breaking, `QueryCost` counters and `IoStats` classification — to
-//! *every* fixed-knob configuration, on CTree, CLSM and the partitioned
-//! streaming schemes, exact and approximate, single and batched.  And the
+//! *every* fixed-knob configuration, on CTree and CLSM, exact and
+//! approximate, single and batched; a stream's planner only picks its
+//! merge read-ahead gate, so its partitions are byte-identical.  And the
 //! plan itself is deterministic: identical [`PlannerInputs`] always yield
 //! identical [`PlanReport`]s, so every recorded report replays.
 
 use coconut_core::{
-    planner, streaming_index, IndexConfig, IoStats, PartitionKind, PartitionedConfig,
-    PartitionedStream, PlannerInputs, PlannerMode, ScratchDir, StaticIndex, StreamingConfig,
-    VariantKind, WindowScheme,
+    planner, streaming_index, IndexConfig, IoStats, PlannerInputs, PlannerMode, ScratchDir,
+    StaticIndex, StreamingConfig, VariantKind, WindowScheme,
 };
 use coconut_parallel::CancelToken;
 use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
@@ -181,85 +181,30 @@ fn planned_batches_match_fixed_at_every_width() {
     }
 }
 
-/// The planner-routed windowed streaming paths (TP and BTP) are identical
-/// to the fixed paths — neighbours, costs and partition accounting — for
-/// full-history and windowed queries, single and batched.
-#[test]
-fn planned_stream_queries_match_fixed() {
-    let dir = ScratchDir::new("peq-stream").unwrap();
-    let mut gen = SeismicStreamGenerator::new(64, 23, 0.1);
-    let batches: Vec<_> = (0..8).map(|_| gen.next_batch(60)).collect();
-    let query = gen.quake_template();
-    let queries: Vec<Vec<f32>> = vec![query.clone(), query.iter().map(|v| v + 0.5).collect()];
-
-    for scheme in [
-        WindowScheme::TemporalPartitioning,
-        WindowScheme::BoundedTemporalPartitioning,
-    ] {
-        let mut streams = Vec::new();
-        for mode in [PlannerMode::Adaptive, PlannerMode::Fixed] {
-            let cfg = PartitionedConfig::new(coconut_sax::SaxConfig::paper_default(64))
-                .with_buffer_capacity(60)
-                .with_partition_kind(PartitionKind::Sorted)
-                .with_planner(mode);
-            let subdir = dir.file(&format!("{}-{}", scheme.short_name(), mode.name()));
-            std::fs::create_dir_all(&subdir).unwrap();
-            let mut stream = match scheme {
-                WindowScheme::TemporalPartitioning => {
-                    PartitionedStream::temporal_partitioning(cfg, &subdir, IoStats::shared())
-                }
-                _ => PartitionedStream::bounded_temporal_partitioning(
-                    cfg,
-                    &subdir,
-                    IoStats::shared(),
-                ),
-            }
-            .unwrap();
-            for batch in &batches {
-                use coconut_core::StreamingIndex;
-                stream.ingest_batch(batch).unwrap();
-            }
-            streams.push(stream);
-        }
-        let (adaptive, fixed) = (&streams[0], &streams[1]);
-
-        for window in [None, Some((100u64, 350u64)), Some((0u64, 30u64))] {
-            for exact in [true, false] {
-                let (res_a, report) = adaptive
-                    .query_window_planned(&query, 3, window, exact)
-                    .unwrap();
-                let report = report.expect("adaptive stream queries must plan");
-                assert_eq!(report.decision, planner::plan(&report.inputs));
-                let (res_f, no_report) = fixed
-                    .query_window_planned(&query, 3, window, exact)
-                    .unwrap();
-                assert!(no_report.is_none());
-                assert_eq!(res_a.neighbors, res_f.neighbors, "{scheme:?} {window:?}");
-                assert_eq!(res_a.cost, res_f.cost, "{scheme:?} {window:?}");
-                assert_eq!(res_a.partitions_accessed, res_f.partitions_accessed);
-
-                let (batch_a, breport) = adaptive
-                    .query_window_batch_planned(&queries, 3, window, exact)
-                    .unwrap();
-                let breport = breport.expect("adaptive stream batches must plan");
-                assert_eq!(breport.inputs.batch_width, queries.len());
-                assert_eq!(breport.decision, planner::plan(&breport.inputs));
-                let (batch_f, _) = fixed
-                    .query_window_batch_planned(&queries, 3, window, exact)
-                    .unwrap();
-                assert_eq!(batch_a.len(), batch_f.len());
-                for (a, f) in batch_a.iter().zip(&batch_f) {
-                    assert_eq!(a.neighbors, f.neighbors, "{scheme:?} {window:?}");
-                    assert_eq!(a.cost, f.cost, "{scheme:?} {window:?}");
-                }
-            }
-        }
-    }
+/// Recursively collects `(relative name, bytes)` of all files under `dir`.
+fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    // Merged-away runs are unlinked off-thread: list what is left after.
+    coconut_storage::durability::drain().expect("durability barrier");
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read_dir")
+        .map(|entry| {
+            let path = entry.expect("entry").path();
+            let name = path
+                .file_name()
+                .expect("name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("read file"))
+        })
+        .collect();
+    out.sort();
+    out
 }
 
-/// The `streaming_index` factory threads the planner mode through: an
-/// adaptive config answers identically to a fixed one via the trait
-/// surface.
+/// The `streaming_index` factory threads the planner mode through.  A
+/// stream's planner drives only the BTP merge read-ahead gate, so an
+/// adaptive stream writes byte-identical partitions and answers
+/// identically to a fixed one.
 #[test]
 fn streaming_factory_threads_planner_mode() {
     let dir = ScratchDir::new("peq-factory").unwrap();
@@ -268,26 +213,25 @@ fn streaming_factory_threads_planner_mode() {
     let query = gen.quake_template();
     let mut results = Vec::new();
     for mode in [PlannerMode::Fixed, PlannerMode::Adaptive] {
-        let config = StreamingConfig::new(
+        let mut config = StreamingConfig::new(
             VariantKind::Clsm,
             WindowScheme::BoundedTemporalPartitioning,
             64,
-        )
-        .with_planner(mode);
-        let mut index = streaming_index(
-            config,
-            &dir.file(&format!("factory-{}", mode.name())),
-            IoStats::shared(),
-        )
-        .unwrap();
+        );
+        // One partition per batch, so the stream flushes and merges.
+        config.buffer_capacity = 50;
+        config.knobs.planner = mode;
+        let subdir = dir.file(&format!("factory-{}", mode.name()));
+        let mut index = streaming_index(config, &subdir, IoStats::shared()).unwrap();
         for batch in &batches {
             index.ingest_batch(batch).unwrap();
         }
         let r = index
             .query_window(&query, 4, Some((20, 200)), true)
             .unwrap();
-        results.push((r.neighbors, r.cost));
+        results.push((dir_contents(&subdir), r.neighbors, r.cost));
     }
+    assert!(!results[0].0.is_empty(), "the stream must have partitions");
     assert_eq!(results[0], results[1]);
 }
 

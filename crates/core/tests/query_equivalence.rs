@@ -141,7 +141,7 @@ proptest! {
             for query_par in [1usize, workers] {
                 let mut config = StreamingConfig::new(VariantKind::Clsm, scheme, 64);
                 config.buffer_capacity = 60;
-                config.query_parallelism = query_par;
+                config.knobs.query_parallelism = query_par;
                 let mut index = streaming_index(
                     config,
                     &dir.file(&format!("{}-q{query_par}", scheme.short_name())),
@@ -220,7 +220,7 @@ fn all_duplicates_dataset_orders_ties_by_id_everywhere() {
     );
     config.buffer_capacity = 50;
     for query_par in [1usize, workers] {
-        config.query_parallelism = query_par;
+        config.knobs.query_parallelism = query_par;
         let mut index = streaming_index(
             config,
             &dir.file(&format!("stream-q{query_par}")),

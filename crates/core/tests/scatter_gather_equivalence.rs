@@ -38,7 +38,7 @@ use coconut_core::backend::{BackendError, ExecutionBackend, LocalBackend};
 use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
 };
-use coconut_core::{CancelToken, Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_core::{CancelToken, Dataset, VariantKind};
 use coconut_json::{Json, ToJson};
 use coconut_net::{Coordinator, NetServer, RemoteBackend, RequestHandler, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -52,21 +52,7 @@ fn build_request(name: &str, dataset_path: &str) -> PalmRequest {
 }
 
 fn build_variant(name: &str, dataset_path: &str, variant: VariantKind) -> PalmRequest {
-    PalmRequest::BuildIndex {
-        name: name.into(),
-        dataset_path: dataset_path.into(),
-        variant,
-        materialized: true,
-        memory_budget_bytes: 4 << 20,
-        parallelism: 1,
-        query_parallelism: 1,
-        shard_count: 1,
-        range: None,
-        io_overlap: true,
-        io_backend: IoBackend::Pread,
-        planner: PlannerMode::Fixed,
-        compression: coconut_storage::Compression::Off,
-    }
+    PalmRequest::build_index(name, dataset_path, variant, true, 4 << 20)
 }
 
 fn query_request(name: &str, query: &[f32], k: usize, exact: bool) -> PalmRequest {

@@ -31,8 +31,13 @@
 //! (surfaced by the palm service as the `explain` member of query responses
 //! and aggregated under the `stats` verb), so "what did the planner do, and
 //! why" is always answerable from the wire.
+//!
+//! Indexes never branch on [`PlannerMode`] themselves: every planned query,
+//! batch and merge asks [`decide`], where `Fixed` is one more decision.
 
 use std::sync::OnceLock;
+
+pub use coconut_storage::{PerfKnobs, PlannerMode};
 
 /// A planned single-query result: the `(answer, cost)` pair plus the
 /// [`PlanReport`] captured for it (`None` under [`PlannerMode::Fixed`]).
@@ -54,59 +59,6 @@ pub type PlannedBatch = (
     )>,
     Option<PlanReport>,
 );
-
-/// How an index chooses its execution knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// Use the statically configured knobs exactly as the caller set them.
-    /// Byte-identical to the pre-planner behaviour.
-    #[default]
-    Fixed,
-    /// Capture a [`PlannerInputs`] snapshot per query and let [`plan`]
-    /// choose the knobs.  Answers and cost counters are identical to every
-    /// fixed configuration; only latency changes.
-    Adaptive,
-}
-
-impl PlannerMode {
-    /// Wire name of the mode (`"fixed"` / `"adaptive"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlannerMode::Fixed => "fixed",
-            PlannerMode::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses a wire name; `None` for anything unknown.
-    pub fn parse(name: &str) -> Option<PlannerMode> {
-        match name {
-            "fixed" => Some(PlannerMode::Fixed),
-            "adaptive" => Some(PlannerMode::Adaptive),
-            _ => None,
-        }
-    }
-}
-
-impl coconut_json::ToJson for PlannerMode {
-    fn to_json(&self) -> coconut_json::Json {
-        coconut_json::Json::Str(self.name().to_string())
-    }
-}
-
-impl coconut_json::FromJson for PlannerMode {
-    fn from_json(json: &coconut_json::Json) -> coconut_json::Result<PlannerMode> {
-        match json.as_str() {
-            Some(name) => PlannerMode::parse(name).ok_or_else(|| {
-                coconut_json::JsonError::new(format!(
-                    "unknown planner mode '{name}' (expected \"fixed\" or \"adaptive\")"
-                ))
-            }),
-            None => Err(coconut_json::JsonError::new(
-                "expected a string for the planner mode",
-            )),
-        }
-    }
-}
 
 /// Everything a planning decision is allowed to depend on, captured as plain
 /// integers at a single point in time.  See the module docs for the
@@ -151,9 +103,10 @@ pub struct PlanDecision {
     /// Minimum contiguous range, in bytes, below which read-ahead stays
     /// disengaged even when [`PlanDecision::read_ahead`] is `true`.
     pub prefetch_min_bytes: u64,
-    /// Maximum queries per engine round pipeline: a batch wider than this
-    /// is split into consecutive sub-batches (identical answers by the
-    /// batch-composition invariant), bounding per-batch bookkeeping.
+    /// Maximum queries per engine round pipeline (`0` = the whole batch in
+    /// one pipeline): a wider batch is split into consecutive sub-batches
+    /// (identical answers by the batch-composition invariant), bounding
+    /// per-batch bookkeeping.
     pub batch_chunk: usize,
 }
 
@@ -247,6 +200,35 @@ pub fn plan_report(inputs: PlannerInputs) -> PlanReport {
     PlanReport {
         decision: plan(&inputs),
         inputs,
+    }
+}
+
+/// The knobs one query, batch or merge runs with — the only place the
+/// planner mode is branched on.
+///
+/// * [`PlannerMode::Fixed`] returns the configured `query_parallelism`,
+///   read-ahead at the default gate and the whole batch in one pipeline,
+///   with no report.  It never calls `inputs`.
+/// * [`PlannerMode::Adaptive`] captures `inputs()` and returns
+///   [`plan_report`] of it.
+pub fn decide(
+    knobs: &PerfKnobs,
+    inputs: impl FnOnce() -> PlannerInputs,
+) -> (PlanDecision, Option<PlanReport>) {
+    match knobs.planner {
+        PlannerMode::Fixed => (
+            PlanDecision {
+                query_parallelism: knobs.query_parallelism,
+                read_ahead: true,
+                prefetch_min_bytes: DEFAULT_PREFETCH_MIN_BYTES,
+                batch_chunk: 0,
+            },
+            None,
+        ),
+        PlannerMode::Adaptive => {
+            let report = plan_report(inputs());
+            (report.decision, Some(report))
+        }
     }
 }
 

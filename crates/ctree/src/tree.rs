@@ -13,10 +13,9 @@ use coconut_series::{Series, Timestamp};
 use coconut_storage::dynsort::DynExternalSorter;
 use coconut_storage::iostats::{IoStatsSnapshot, SharedIoStats};
 use coconut_storage::page::DEFAULT_PAGE_SIZE;
-use coconut_storage::IoBackend;
 
 use crate::entry::{EntryLayout, SeriesEntry};
-use crate::planner::{self, PlannedAnswer, PlannedBatch, PlannerInputs, PlannerMode};
+use crate::planner::{self, PerfKnobs, PlannedAnswer, PlannedBatch, PlannerInputs};
 use crate::query::{KnnHeap, QueryContext, QueryCost};
 use crate::raw::RawSeriesSource;
 use crate::sorted_file::SortedSeriesFile;
@@ -40,44 +39,13 @@ pub struct CTreeConfig {
     pub memory_budget_bytes: usize,
     /// Page size used for I/O accounting.
     pub page_size: usize,
-    /// Worker threads for summarization and run-generation sorting during
-    /// bulk load (`1` = sequential, `0` = one per available core).  The
-    /// produced index is byte-identical at every setting.
-    pub parallelism: usize,
-    /// Worker threads for query fan-out (`1` = sequential, `0` = one per
-    /// available core).  Results and cost counters are identical at every
-    /// setting; see `crate::engine`.
-    pub query_parallelism: usize,
-    /// Overlap computation with I/O during bulk load and delta merges
-    /// (default `true`): run generation double-buffers through a dedicated
-    /// writer worker and merge readers prefetch.  A pure performance knob —
-    /// the index files, query answers and `IoStats` totals are identical at
-    /// either setting; see
-    /// `coconut_storage::DynExternalSorter::with_io_overlap`.
-    pub io_overlap: bool,
-    /// Read backend for the leaf level and the sort's spill runs (default
-    /// `pread`; `mmap` serves block scans from a read-only file mapping).
-    /// A pure performance knob — the index files, answers, `QueryCost` and
-    /// `IoStats` totals are identical at either setting; see
-    /// `coconut_storage::IoBackend`.
-    pub io_backend: IoBackend,
-    /// Query planning mode (default [`PlannerMode::Fixed`]).  `Fixed` uses
-    /// the knobs above verbatim; `Adaptive` lets the per-query cost-model
-    /// planner override the pure performance knobs (fan-out, read-ahead
-    /// gate, batch shape) from observed state.  Answers, `QueryCost` and
-    /// `IoStats` are identical in both modes; see `crate::planner`.
-    pub planner: PlannerMode,
-    /// Minimum contiguous byte range for which read-ahead engages on delta
-    /// merges (default `coconut_storage::PREFETCH_MIN_BYTES`;
-    /// `usize::MAX` disables read-ahead).  A pure performance knob.
-    pub prefetch_min_bytes: usize,
-    /// On-disk compression of the leaf level and the sort's spill runs
-    /// (default `off`).  `prefix` front-codes the sorted invSAX keys and
-    /// delta-codes ids/timestamps into ~4 KiB blocks.  Answers,
-    /// `QueryCost` and the logical `IoStats` view are identical at either
-    /// setting; only the physical bytes (and the on-disk footprint the
-    /// adaptive planner sees) shrink.  See `coconut_storage::Compression`.
-    pub compression: coconut_storage::Compression,
+    /// The pure-performance knobs (default [`PerfKnobs::default`]).  The
+    /// bulk load's summarization, external sort and leaf scans read
+    /// `parallelism`, `io_overlap`, `io_backend` and `compression`; queries
+    /// and delta merges get `query_parallelism` and the read-ahead gate
+    /// from [`planner::decide`].  Answers, `QueryCost` and the logical
+    /// `IoStats` are identical at every setting.
+    pub knobs: PerfKnobs,
 }
 
 impl CTreeConfig {
@@ -90,13 +58,7 @@ impl CTreeConfig {
             leaf_block_bytes: 16 * 1024,
             memory_budget_bytes: 32 << 20,
             page_size: DEFAULT_PAGE_SIZE,
-            parallelism: 1,
-            query_parallelism: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Fixed,
-            prefetch_min_bytes: coconut_storage::PREFETCH_MIN_BYTES,
-            compression: coconut_storage::Compression::Off,
+            knobs: PerfKnobs::default(),
         }
     }
 
@@ -119,54 +81,9 @@ impl CTreeConfig {
         self
     }
 
-    /// Sets the bulk-load parallelism (`1` = sequential, `0` = all cores).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
-    /// Sets the query fan-out parallelism (`1` = sequential, `0` = all
-    /// cores).  A pure performance knob: answers and cost are identical at
-    /// every setting.
-    pub fn with_query_parallelism(mut self, workers: usize) -> Self {
-        self.query_parallelism = workers;
-        self
-    }
-
-    /// Enables or disables overlapped build I/O (default on).  A pure
-    /// performance knob; see [`CTreeConfig::io_overlap`].
-    pub fn with_io_overlap(mut self, overlap: bool) -> Self {
-        self.io_overlap = overlap;
-        self
-    }
-
-    /// Selects the read backend (default `pread`).  A pure performance
-    /// knob; see [`CTreeConfig::io_backend`].
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Selects the query planning mode (default `Fixed`).  A pure
-    /// performance knob; see [`CTreeConfig::planner`].
-    pub fn with_planner(mut self, mode: PlannerMode) -> Self {
-        self.planner = mode;
-        self
-    }
-
-    /// Sets the read-ahead engagement gate for delta merges in bytes
-    /// (`usize::MAX` disables read-ahead).  A pure performance knob; see
-    /// [`CTreeConfig::prefetch_min_bytes`].
-    pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
-        self.prefetch_min_bytes = bytes;
-        self
-    }
-
-    /// Selects the on-disk compression (default `off`).  Answers, costs
-    /// and the logical `IoStats` view are identical either way; see
-    /// [`CTreeConfig::compression`].
-    pub fn with_compression(mut self, compression: coconut_storage::Compression) -> Self {
-        self.compression = compression;
+    /// Sets the performance knobs; see [`CTreeConfig::knobs`].
+    pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
+        self.knobs = knobs;
         self
     }
 
@@ -277,7 +194,7 @@ impl CTree {
             dataset.iter()?,
             &summarizer,
             materialized,
-            config.parallelism,
+            config.knobs.parallelism,
             batch_records,
         );
 
@@ -286,11 +203,7 @@ impl CTree {
         let mut sorter =
             DynExternalSorter::new(layout, config.memory_budget_bytes, dir, Arc::clone(&stats))
                 .with_page_size(config.page_size)
-                .with_parallelism(config.parallelism)
-                .with_io_overlap(config.io_overlap)
-                .with_io_backend(config.io_backend)
-                .with_compression(config.compression)
-                .with_prefetch_min_bytes(config.prefetch_min_bytes);
+                .with_knobs(config.knobs);
         let sorted = sorter.sort(&mut entries)?;
         if let Some(err) = entries.error.take() {
             return Err(err);
@@ -306,8 +219,8 @@ impl CTree {
             config.entries_per_block(),
             Arc::clone(&stats),
             config.page_size,
-            config.io_backend,
-            config.compression,
+            config.knobs.io_backend,
+            config.knobs.compression,
         )?;
 
         let entries_count = file.len();
@@ -329,7 +242,10 @@ impl CTree {
             } else {
                 // Raw-series refinement fetches flow through the same
                 // io_backend knob as the index's own files.
-                Some(RawSeriesSource::new(dataset.reopen()?, config.io_backend)?)
+                Some(RawSeriesSource::new(
+                    dataset.reopen()?,
+                    config.knobs.io_backend,
+                )?)
             },
             stats,
             dir: dir.to_path_buf(),
@@ -444,24 +360,11 @@ impl CTree {
         }
     }
 
-    /// The read-ahead gate a delta merge should use: the configured value in
-    /// `Fixed` mode, or the planner's choice from a fresh state snapshot in
-    /// `Adaptive` mode.
-    fn merge_prefetch_gate(&self) -> usize {
-        match self.config.planner {
-            PlannerMode::Fixed => self.config.prefetch_min_bytes,
-            PlannerMode::Adaptive => {
-                planner::plan(&self.planner_inputs(0, 1, true)).effective_prefetch_gate()
-            }
-        }
-    }
-
-    /// Like [`CTree::knn_with`], but routed through the query planner when
-    /// the config selects [`PlannerMode::Adaptive`]: the fan-out knob comes
-    /// from a [`planner::PlanReport`] captured for this query, returned alongside the
-    /// answer.  In `Fixed` mode this is exactly `knn_with` (byte-identical
-    /// path) and the report is `None`.  Answers and cost are identical in
-    /// both modes.
+    /// Like [`CTree::knn_with`], but with the fan-out from
+    /// [`planner::decide`]: under [`planner::PlannerMode::Adaptive`] a
+    /// [`planner::PlanReport`] is captured for this query and returned
+    /// alongside the answer; under `Fixed` this is exactly `knn_with` and
+    /// the report is `None`.  Answers and cost are identical in both modes.
     pub fn knn_planned(
         &self,
         query: &[f32],
@@ -469,29 +372,24 @@ impl CTree {
         exact: bool,
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
-        match self.config.planner {
-            PlannerMode::Fixed => self.knn_with(query, k, exact, cancel).map(|r| (r, None)),
-            PlannerMode::Adaptive => {
-                let report = planner::plan_report(self.planner_inputs(k, 1, exact));
-                let units = self.query_units(None);
-                let answer = crate::engine::parallel_knn_with(
-                    &units,
-                    query,
-                    k,
-                    report.decision.query_parallelism,
-                    exact,
-                    cancel,
-                )?;
-                Ok((answer, Some(report)))
-            }
-        }
+        let (decision, report) =
+            planner::decide(&self.config.knobs, || self.planner_inputs(k, 1, exact));
+        let units = self.query_units(None);
+        let answer = crate::engine::parallel_knn_with(
+            &units,
+            query,
+            k,
+            decision.query_parallelism,
+            exact,
+            cancel,
+        )?;
+        Ok((answer, report))
     }
 
-    /// Like [`CTree::batch_knn_with`], but routed through the query planner
-    /// when the config selects [`PlannerMode::Adaptive`]: fan-out and batch
-    /// round shape come from a [`planner::PlanReport`] captured for this batch.  In
-    /// `Fixed` mode this is exactly `batch_knn_with` and the report is
-    /// `None`.  Answers and cost are identical in both modes.
+    /// Like [`CTree::batch_knn_with`], but with the fan-out and batch round
+    /// shape from [`planner::decide`] (one report covers the whole batch
+    /// under `Adaptive`; `Fixed` is exactly `batch_knn_with`).  Answers and
+    /// cost are identical in both modes.
     pub fn batch_knn_planned(
         &self,
         queries: &[Vec<f32>],
@@ -499,25 +397,20 @@ impl CTree {
         exact: bool,
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedBatch> {
-        match self.config.planner {
-            PlannerMode::Fixed => self
-                .batch_knn_with(queries, k, exact, cancel)
-                .map(|r| (r, None)),
-            PlannerMode::Adaptive => {
-                let report = planner::plan_report(self.planner_inputs(k, queries.len(), exact));
-                let units = self.query_units(None);
-                let answers = crate::engine::batch_knn_chunked(
-                    &units,
-                    queries,
-                    k,
-                    report.decision.query_parallelism,
-                    exact,
-                    report.decision.batch_chunk,
-                    cancel,
-                )?;
-                Ok((answers, Some(report)))
-            }
-        }
+        let (decision, report) = planner::decide(&self.config.knobs, || {
+            self.planner_inputs(k, queries.len(), exact)
+        });
+        let units = self.query_units(None);
+        let answers = crate::engine::batch_knn_chunked(
+            &units,
+            queries,
+            k,
+            decision.query_parallelism,
+            exact,
+            decision.batch_chunk,
+            cancel,
+        )?;
+        Ok((answers, report))
     }
 
     fn search_delta(
@@ -553,7 +446,7 @@ impl CTree {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
         let units = self.query_units(window);
-        crate::engine::parallel_knn(&units, query, k, self.config.query_parallelism, false)
+        crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, false)
     }
 
     /// Exact kNN search.
@@ -569,7 +462,7 @@ impl CTree {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
         let units = self.query_units(window);
-        crate::engine::parallel_knn(&units, query, k, self.config.query_parallelism, true)
+        crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, true)
     }
 
     /// Runs a batch of kNN queries through the engine's round pipeline.
@@ -595,7 +488,13 @@ impl CTree {
         exact: bool,
     ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
         let units = self.query_units(window);
-        crate::engine::batch_knn(&units, queries, k, self.config.query_parallelism, exact)
+        crate::engine::batch_knn(
+            &units,
+            queries,
+            k,
+            self.config.knobs.query_parallelism,
+            exact,
+        )
     }
 
     /// Single kNN query with cooperative cancellation: a batch of one run
@@ -617,7 +516,7 @@ impl CTree {
             &units,
             query,
             k,
-            self.config.query_parallelism,
+            self.config.knobs.query_parallelism,
             exact,
             cancel,
         )
@@ -637,7 +536,7 @@ impl CTree {
             &units,
             queries,
             k,
-            self.config.query_parallelism,
+            self.config.knobs.query_parallelism,
             exact,
             cancel,
         )
@@ -661,7 +560,7 @@ impl CTree {
             timestamp,
             &self.summarizer,
             true,
-            self.config.parallelism,
+            self.config.knobs.parallelism,
         ));
         if self.delta.len() > self.delta_capacity {
             self.merge_delta()?;
@@ -690,8 +589,10 @@ impl CTree {
             .file
             .reader_with_prefetch_gate(
                 self.config.entries_per_block(),
-                self.config.io_overlap,
-                self.merge_prefetch_gate(),
+                self.config.knobs.io_overlap,
+                planner::decide(&self.config.knobs, || self.planner_inputs(0, 1, true))
+                    .0
+                    .effective_prefetch_gate(),
             )
             .map(|r| r.map_err(IndexError::from))
             .peekable();
@@ -723,8 +624,8 @@ impl CTree {
             self.config.entries_per_block(),
             Arc::clone(&self.stats),
             self.config.page_size,
-            self.config.io_backend,
-            self.config.compression,
+            self.config.knobs.io_backend,
+            self.config.knobs.compression,
         )?;
         let old = std::mem::replace(&mut self.file, new_file);
         self.delta_capacity = Self::delta_capacity_for(&self.config, self.file.len());

@@ -447,18 +447,9 @@ impl Coordinator {
         let PalmRequest::BuildIndex {
             name,
             dataset_path,
-            variant,
-            materialized,
-            memory_budget_bytes,
-            parallelism,
-            query_parallelism,
-            shard_count,
             range,
-            io_overlap,
-            io_backend,
-            planner,
-            compression,
-        } = request
+            ..
+        } = &request
         else {
             unreachable!("caller matched BuildIndex");
         };
@@ -469,7 +460,7 @@ impl Coordinator {
         }
         // The dataset lives on storage every worker shares; open it here
         // only to learn its length for fragmenting.
-        let count = match Dataset::open(&dataset_path) {
+        let count = match Dataset::open(dataset_path) {
             Ok(dataset) => dataset.len(),
             Err(e) => return config_error(format!("cannot open dataset {dataset_path}: {e}")),
         };
@@ -482,24 +473,11 @@ impl Coordinator {
         }
         let outcomes = parallel_map_tasks(&self.shards, self.shards.len(), |shard, backend| {
             let (lo, hi) = bounds[shard];
-            backend.execute(
-                &PalmRequest::BuildIndex {
-                    name: name.clone(),
-                    dataset_path: dataset_path.clone(),
-                    variant,
-                    materialized,
-                    memory_budget_bytes,
-                    parallelism,
-                    query_parallelism,
-                    shard_count,
-                    range: Some((lo as u64, hi as u64)),
-                    io_overlap,
-                    io_backend,
-                    planner,
-                    compression,
-                },
-                deadline,
-            )
+            let mut ranged = request.clone();
+            if let PalmRequest::BuildIndex { range, .. } = &mut ranged {
+                *range = Some((lo as u64, hi as u64));
+            }
+            backend.execute(&ranged, deadline)
         });
         let parts = match self.gather(outcomes) {
             Err(failure) => return failure,
@@ -530,7 +508,7 @@ impl Coordinator {
             },
         );
         PalmResponse::Built {
-            name,
+            name: name.clone(),
             variant,
             report,
         }

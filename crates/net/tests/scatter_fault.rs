@@ -17,7 +17,7 @@ use coconut_core::backend::{BackendError, ExecutionBackend, LocalBackend};
 use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_OVERLOADED, ERROR_KIND_SHARD_UNAVAILABLE,
 };
-use coconut_core::{Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_core::{Dataset, VariantKind};
 use coconut_json::{FromJson, Json, ToJson};
 use coconut_net::{CallError, Coordinator, PalmClient, RemoteBackend, RetryPolicy};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -32,21 +32,7 @@ fn make_dataset(dir: &ScratchDir, count: usize) -> (String, Vec<coconut_series::
 }
 
 fn build_request(name: &str, dataset_path: &str) -> PalmRequest {
-    PalmRequest::BuildIndex {
-        name: name.into(),
-        dataset_path: dataset_path.into(),
-        variant: VariantKind::Clsm,
-        materialized: true,
-        memory_budget_bytes: 4 << 20,
-        parallelism: 1,
-        query_parallelism: 1,
-        shard_count: 1,
-        range: None,
-        io_overlap: true,
-        io_backend: IoBackend::Pread,
-        planner: PlannerMode::Fixed,
-        compression: coconut_storage::Compression::Off,
-    }
+    PalmRequest::build_index(name, dataset_path, VariantKind::Clsm, true, 4 << 20)
 }
 
 fn query_request(name: &str, query: &[f32], k: usize) -> PalmRequest {

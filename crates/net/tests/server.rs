@@ -11,7 +11,7 @@ use coconut_core::palm::{
     PalmRequest, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_DEADLINE, ERROR_KIND_MALFORMED,
     ERROR_KIND_OVERLOADED, ERROR_KIND_SHUTTING_DOWN,
 };
-use coconut_core::{Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_core::{Dataset, VariantKind};
 use coconut_json::{Json, ToJson};
 use coconut_net::{NetServer, PalmClient, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -35,21 +35,7 @@ fn build_variant(
     variant: VariantKind,
     materialized: bool,
 ) -> PalmRequest {
-    PalmRequest::BuildIndex {
-        name: name.into(),
-        dataset_path: dataset_path.into(),
-        variant,
-        materialized,
-        memory_budget_bytes: 8 << 20,
-        parallelism: 1,
-        query_parallelism: 1,
-        shard_count: 1,
-        range: None,
-        io_overlap: true,
-        io_backend: IoBackend::Pread,
-        planner: PlannerMode::Fixed,
-        compression: coconut_storage::Compression::Off,
-    }
+    PalmRequest::build_index(name, dataset_path, variant, materialized, 8 << 20)
 }
 
 fn query_request(name: &str, query: &[f32], k: usize) -> String {

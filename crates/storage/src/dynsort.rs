@@ -34,6 +34,7 @@ use crate::block::{
 use crate::durability::{self, Job};
 use crate::file::{read_ahead_with, PagedFile, ReadAheadBuffers};
 use crate::iostats::SharedIoStats;
+use crate::knobs::PerfKnobs;
 use crate::mmap::IoBackend;
 use crate::page::DEFAULT_PAGE_SIZE;
 use crate::{record_range, Result, StorageError};
@@ -315,7 +316,9 @@ impl<L: RecordLayout> DynRunFile<L> {
     /// one.  Prefetching issues exactly the same reads in the same order, so
     /// the I/O accounting is unchanged.  The worker is spawned only once at
     /// least `prefetch_min_bytes` are left to read (`usize::MAX` never
-    /// spawns it); see [`DynExternalSorter::with_prefetch_min_bytes`].
+    /// spawns it; [`crate::PREFETCH_MIN_BYTES`] is the fixed gate).  The
+    /// gate only decides whether a thread is spawned, never which reads
+    /// happen.
     pub fn reader_with_prefetch_gate(
         &self,
         buffer_records: usize,
@@ -1016,19 +1019,34 @@ impl<L: RecordLayout> Iterator for DynSortOutput<L> {
 /// chunk sort).  Each merge reader always gets at least one record, so
 /// pathological run counts can push the merge slightly past its quarter.
 ///
-/// Parallelism, overlap, read backend and the read-ahead gate are pure
-/// performance knobs: spill runs are byte-identical, the sorted sequence is
-/// identical and `IoStats` totals are identical at every value (for
-/// compression see [`DynExternalSorter::with_compression`]).
+/// The sorter reads four of the [`PerfKnobs`] (set through
+/// [`DynExternalSorter::with_knobs`]; the defaults are
+/// [`PerfKnobs::default`]), and all four are pure performance knobs: spill
+/// runs, the sorted sequence and the logical `IoStats` totals are identical
+/// at every value.
+///
+/// * `parallelism` — chunks are split into contiguous sub-chunks, sorted
+///   concurrently and stably merged before spilling, so every worker count
+///   writes byte-identical runs.
+/// * `io_overlap` — off is the strictly alternating sort-then-write
+///   pipeline.  On, run generation double-buffers: sorted chunks go to a
+///   dedicated writer worker through a two-slot channel, so sorting chunk
+///   `i + 1` overlaps writing run `i` (at the cost of up to two extra
+///   in-flight chunks of memory), and every merge reader prefetches its
+///   next buffer while the heap drains the current one.  Overlap changes
+///   *when* each I/O happens, never which I/Os happen or their per-file
+///   order.  A prefetching merge reader spawns its read-ahead worker only
+///   while at least [`crate::PREFETCH_MIN_BYTES`] of its run are left.
+/// * `io_backend` — with [`IoBackend::Mmap`] every spill-run read is served
+///   from a read-only file mapping, which accounts every page it copies
+///   with the same sequential/random classification as `pread`.
+/// * `compression` — `prefix` shrinks the physical spill bytes; the record
+///   sequence and the *logical* `IoStats` view are unchanged.
 pub struct DynExternalSorter<L: RecordLayout> {
     layout: L,
     memory_budget_bytes: usize,
     page_size: usize,
-    parallelism: usize,
-    io_overlap: bool,
-    io_backend: IoBackend,
-    compression: Compression,
-    prefetch_min_bytes: usize,
+    knobs: PerfKnobs,
     scratch_dir: PathBuf,
     stats: SharedIoStats,
     next_run_id: u64,
@@ -1046,26 +1064,11 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             layout,
             memory_budget_bytes,
             page_size: DEFAULT_PAGE_SIZE,
-            parallelism: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            compression: Compression::Off,
-            prefetch_min_bytes: crate::PREFETCH_MIN_BYTES,
+            knobs: PerfKnobs::default(),
             scratch_dir: scratch_dir.as_ref().to_path_buf(),
             stats,
             next_run_id: 0,
         }
-    }
-
-    /// Sets the read-ahead engage gate for the merge readers in bytes
-    /// (default [`crate::PREFETCH_MIN_BYTES`]): below this many bytes left
-    /// in a run, a prefetching reader does not spawn its background
-    /// read-ahead worker.  It only decides whether a thread is spawned,
-    /// never which reads happen; the planner lowers or raises it per
-    /// workload, and `usize::MAX` disables read-ahead outright.
-    pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
-        self.prefetch_min_bytes = bytes;
-        self
     }
 
     /// Overrides the page size used for spill runs.
@@ -1075,42 +1078,10 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         self
     }
 
-    /// Sets the chunk-sort parallelism (`1` = sequential, `0` = all cores).
-    /// Every setting produces byte-identical runs: chunks are split into
-    /// contiguous sub-chunks, sorted concurrently and stably merged before
-    /// spilling.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
-    /// Enables or disables overlapped I/O (default on; off is the strictly
-    /// alternating sort-then-write pipeline).  When on, run generation
-    /// double-buffers — sorted chunks go to a dedicated writer worker
-    /// through a two-slot channel, so sorting chunk `i + 1` overlaps writing
-    /// run `i` (at the cost of up to two extra in-flight chunks of memory) —
-    /// and every merge reader prefetches its next buffer while the heap
-    /// drains the current one.  Overlap changes *when* each I/O happens,
-    /// never which I/Os happen or their per-file order.
-    pub fn with_io_overlap(mut self, overlap: bool) -> Self {
-        self.io_overlap = overlap;
-        self
-    }
-
-    /// Selects the read backend for spill runs (default `pread`; with
-    /// [`IoBackend::Mmap`] every run read is served from a read-only file
-    /// mapping, which accounts every page it copies with the same
-    /// sequential/random classification).
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Selects the on-disk compression for spill runs (default `off`).
-    /// The sorted record sequence and the *logical* `IoStats` view are
-    /// identical either way; `prefix` shrinks the physical spill bytes.
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
+    /// Sets the performance knobs; see the type docs for the four the
+    /// sorter reads (`query_parallelism` and `planner` are ignored).
+    pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
+        self.knobs = knobs;
         self
     }
 
@@ -1122,22 +1093,22 @@ impl<L: RecordLayout> DynExternalSorter<L> {
 
     /// Sorts `input`, spilling when the memory budget is exceeded.
     ///
-    /// With overlapped I/O enabled (the default, see
-    /// [`DynExternalSorter::with_io_overlap`]) run generation double-buffers
-    /// through a dedicated writer worker and the merge readers prefetch;
-    /// the runs and `IoStats` totals are identical in either mode.
+    /// With `io_overlap` on (the default; see the type docs) run
+    /// generation double-buffers through a dedicated writer worker and the
+    /// merge readers prefetch; the runs and `IoStats` totals are identical
+    /// in either mode.
     pub fn sort<I>(&mut self, input: I) -> Result<DynSortOutput<L>>
     where
         I: IntoIterator<Item = L::Record>,
     {
-        let (runs, mut chunk, total) = if self.io_overlap {
+        let (runs, mut chunk, total) = if self.knobs.io_overlap {
             self.generate_runs_overlapped(input)?
         } else {
             self.generate_runs_sequential(input)?
         };
         if runs.is_empty() {
             let layout = self.layout.clone();
-            let workers = effective_parallelism(self.parallelism);
+            let workers = effective_parallelism(self.knobs.parallelism);
             parallel_sort_by_key(&mut chunk, workers, |r| layout.key(r));
             return Ok(DynSortOutput {
                 in_memory: Some(chunk.into_iter()),
@@ -1155,8 +1126,8 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             self.layout.clone(),
             &runs,
             per_run_records,
-            self.io_overlap,
-            self.prefetch_min_bytes,
+            self.knobs.io_overlap,
+            crate::PREFETCH_MIN_BYTES,
         )?;
         Ok(DynSortOutput {
             in_memory: None,
@@ -1207,14 +1178,14 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         I: IntoIterator<Item = L::Record>,
     {
         let chunk_capacity = self.records_per_chunk();
-        let workers = effective_parallelism(self.parallelism);
+        let workers = effective_parallelism(self.knobs.parallelism);
         let layout = self.layout.clone();
         let writer_layout = self.layout.clone();
         let scratch_dir = self.scratch_dir.clone();
         let stats = Arc::clone(&self.stats);
         let page_size = self.page_size;
-        let io_backend = self.io_backend;
-        let compression = self.compression;
+        let io_backend = self.knobs.io_backend;
+        let compression = self.knobs.compression;
         let first_run_id = self.next_run_id;
 
         let (runs, chunk, total) = std::thread::scope(
@@ -1277,7 +1248,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
 
     fn write_run(&mut self, chunk: &mut Vec<L::Record>) -> Result<DynRunFile<L>> {
         let layout = self.layout.clone();
-        let workers = effective_parallelism(self.parallelism);
+        let workers = effective_parallelism(self.knobs.parallelism);
         parallel_sort_by_key(chunk, workers, |r| layout.key(r));
         let path = self
             .scratch_dir
@@ -1288,8 +1259,8 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             path,
             Arc::clone(&self.stats),
             self.page_size,
-            self.io_backend,
-            self.compression,
+            self.knobs.io_backend,
+            self.knobs.compression,
         )?;
         for record in chunk.iter() {
             writer.push(record)?;
@@ -1465,8 +1436,11 @@ mod tests {
                         Arc::clone(&stats),
                     )
                     .with_page_size(1024)
-                    .with_parallelism(parallelism)
-                    .with_io_overlap(io_overlap);
+                    .with_knobs(PerfKnobs {
+                        parallelism,
+                        io_overlap,
+                        ..PerfKnobs::default()
+                    });
                     let out = sorter.sort(records.clone()).unwrap();
                     assert!(out.spilled());
                     let runs_generated = out.runs_generated;
@@ -1536,7 +1510,10 @@ mod tests {
                 Arc::clone(&stats),
             )
             .with_page_size(1024)
-            .with_io_backend(backend);
+            .with_knobs(PerfKnobs {
+                io_backend: backend,
+                ..PerfKnobs::default()
+            });
             let out = sorter.sort(records.clone()).unwrap();
             assert!(out.spilled());
             let runs_generated = out.runs_generated;
@@ -1890,7 +1867,10 @@ mod tests {
                 Arc::clone(&stats),
             )
             .with_page_size(1024)
-            .with_compression(compression);
+            .with_knobs(PerfKnobs {
+                compression,
+                ..PerfKnobs::default()
+            });
             let out = sorter.sort(records.clone()).unwrap();
             assert!(out.spilled());
             let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();

@@ -1,0 +1,105 @@
+//! The pure-performance knobs, in one value.
+//!
+//! Every knob here is a *pure* performance knob: index files, answers,
+//! `QueryCost` and the logical `IoStats` view are identical at every
+//! setting (only `compression` moves physical bytes).  Each index config
+//! embeds one [`PerfKnobs`] by value and hands it down whole, so a knob is
+//! declared, documented and defaulted once.
+
+use crate::block::Compression;
+use crate::mmap::IoBackend;
+
+/// The pure-performance knobs of an index, carried by value through every
+/// config layer.  [`PerfKnobs::default`] is the engine default: one worker
+/// each, overlapped I/O, `pread`, the `Fixed` planner, no compression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PerfKnobs {
+    /// Worker threads for summarization, run-generation sorting, flush
+    /// sorting and per-shard compaction merges (`1` = sequential, `0` = one
+    /// per available core).  Every setting writes byte-identical files.
+    pub parallelism: usize,
+    /// Worker threads for the query fan-out over search units (`1` =
+    /// sequential, `0` = one per available core).  Answers and cost
+    /// counters are identical at every setting; see `coconut_ctree::engine`.
+    pub query_parallelism: usize,
+    /// Overlap computation with I/O: run generation double-buffers through a
+    /// writer worker and merge readers prefetch (see
+    /// [`crate::DynExternalSorter`]).  Changes *when* each I/O happens,
+    /// never which I/Os happen or their per-file order.
+    pub io_overlap: bool,
+    /// Read backend for runs, leaves and partitions (see [`IoBackend`]).
+    pub io_backend: IoBackend,
+    /// How the execution knobs are chosen per query and per merge (see
+    /// [`PlannerMode`] and `coconut_ctree::planner::decide`).
+    pub planner: PlannerMode,
+    /// On-disk compression of sorted runs and leaf blocks (see
+    /// [`Compression`]).  The logical `IoStats` view is identical either
+    /// way; only physical bytes shrink.
+    pub compression: Compression,
+}
+
+impl Default for PerfKnobs {
+    fn default() -> Self {
+        PerfKnobs {
+            parallelism: 1,
+            query_parallelism: 1,
+            io_overlap: true,
+            io_backend: IoBackend::Pread,
+            planner: PlannerMode::Fixed,
+            compression: Compression::Off,
+        }
+    }
+}
+
+/// How an index chooses its execution knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlannerMode {
+    /// Use the statically configured knobs exactly as the caller set them.
+    /// Byte-identical to the pre-planner behaviour.
+    #[default]
+    Fixed,
+    /// Capture a `PlannerInputs` snapshot per query and let the planner
+    /// choose the knobs.  Answers and cost counters are identical to every
+    /// fixed configuration; only latency changes.
+    Adaptive,
+}
+
+impl PlannerMode {
+    /// Wire name of the mode (`"fixed"` / `"adaptive"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            PlannerMode::Fixed => "fixed",
+            PlannerMode::Adaptive => "adaptive",
+        }
+    }
+
+    /// Parses a wire name; `None` for anything unknown.
+    pub fn parse(name: &str) -> Option<PlannerMode> {
+        match name {
+            "fixed" => Some(PlannerMode::Fixed),
+            "adaptive" => Some(PlannerMode::Adaptive),
+            _ => None,
+        }
+    }
+}
+
+impl coconut_json::ToJson for PlannerMode {
+    fn to_json(&self) -> coconut_json::Json {
+        coconut_json::Json::Str(self.name().to_string())
+    }
+}
+
+impl coconut_json::FromJson for PlannerMode {
+    fn from_json(json: &coconut_json::Json) -> coconut_json::Result<PlannerMode> {
+        match json.as_str() {
+            Some(name) => PlannerMode::parse(name).ok_or_else(|| {
+                coconut_json::JsonError::new(format!(
+                    "unknown planner mode '{name}' (expected \"fixed\" or \"adaptive\")"
+                ))
+            }),
+            None => Err(coconut_json::JsonError::new(
+                "expected a string for the planner mode",
+            )),
+        }
+    }
+}

@@ -22,9 +22,11 @@
 //! * provides the bounded-memory two-pass **external merge sort**
 //!   ([`DynExternalSorter`]) and the sorted run files ([`DynRunFile`]) that
 //!   CoconutTree bulk-loading and CoconutLSM / BTP merging are built on,
-//! * and takes the device out of the writer's way: a finished run's
+//! * takes the device out of the writer's way: a finished run's
 //!   `fdatasync`, and the unlink of the runs it replaces, happen on the
-//!   FIFO [`durability`] worker; [`durability::drain`] is the barrier.
+//!   FIFO [`durability`] worker; [`durability::drain`] is the barrier,
+//! * and defines [`PerfKnobs`], the pure-performance knobs every index
+//!   config carries by value.
 
 pub mod block;
 pub mod cost;
@@ -34,6 +36,7 @@ pub mod fadvise;
 pub mod file;
 pub mod heatmap;
 pub mod iostats;
+pub mod knobs;
 pub mod mmap;
 pub mod page;
 pub mod tempdir;
@@ -48,6 +51,7 @@ pub use fadvise::drop_page_cache;
 pub use file::{read_ahead, read_ahead_with, PagedFile, ReadAheadBuffers, PREFETCH_MIN_BYTES};
 pub use heatmap::HeatMap;
 pub use iostats::{AccessKind, IoStats, IoStatsSnapshot, SharedIoStats};
+pub use knobs::{PerfKnobs, PlannerMode};
 pub use mmap::{AccessPattern, IoBackend, Mapping};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use tempdir::ScratchDir;

@@ -30,14 +30,14 @@ use std::sync::Arc;
 use coconut_ads::{AdsConfig, AdsTree};
 use coconut_clsm::ClsmTree;
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
-use coconut_ctree::planner::{self, PlanReport, PlannerInputs, PlannerMode};
+use coconut_ctree::planner::{self, PerfKnobs, PlannerInputs};
 use coconut_ctree::query::{KnnHeap, QueryContext, QueryCost};
 use coconut_ctree::sorted_file::SortedSeriesFile;
 use coconut_ctree::{check_series, IndexError, Result};
 use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::distance::Neighbor;
 use coconut_series::{Timestamp, TimestampedSeries};
-use coconut_storage::{IoBackend, SharedIoStats};
+use coconut_storage::SharedIoStats;
 
 /// Which windowing scheme a streaming index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -332,38 +332,14 @@ pub struct PartitionedConfig {
     pub partition_kind: PartitionKind,
     /// Page size used for I/O accounting.
     pub page_size: usize,
-    /// Worker threads for batch summarization and partition sorting (`1` =
-    /// sequential, `0` = one per available core).
-    pub parallelism: usize,
-    /// Worker threads for query fan-out over partitions (`1` = sequential,
-    /// `0` = one per available core).  Answers and cost counters are
-    /// identical at every setting; see `coconut_ctree::engine`.
-    pub query_parallelism: usize,
-    /// Overlap computation with I/O during BTP partition merges (default
-    /// `true`): each merge input reads ahead on a background worker while
-    /// the k-way merge drains the current buffer.  A pure performance knob —
-    /// partitions, answers and `IoStats` totals are identical either way.
-    pub io_overlap: bool,
-    /// Read backend for sorted partitions (default `pread`; `mmap` serves
-    /// partition block scans and BTP merge reads from read-only file
-    /// mappings, dropped before a merge deletes its inputs).  A pure
-    /// performance knob — partitions, answers and `IoStats` totals are
-    /// identical at either setting.
-    pub io_backend: IoBackend,
-    /// Query planning mode (default [`PlannerMode::Fixed`]).  `Fixed` uses
-    /// the knobs above verbatim; `Adaptive` lets the per-query cost-model
-    /// planner pick fan-out, read-ahead gate and batch shape from observed
-    /// state.  Answers, `QueryCost` and `IoStats` are identical in both
-    /// modes; see `coconut_ctree::planner`.
-    pub planner: PlannerMode,
-    /// Minimum contiguous byte range for which BTP merge read-ahead engages
-    /// (default `coconut_storage::PREFETCH_MIN_BYTES`; `usize::MAX`
-    /// disables read-ahead).  A pure performance knob.
-    pub prefetch_min_bytes: usize,
-    /// On-disk compression of sorted partitions (default `off`).  Answers,
-    /// `QueryCost` and the logical `IoStats` view are identical at either
-    /// setting; partitions and merges just move fewer physical bytes.
-    pub compression: coconut_storage::Compression,
+    /// The pure-performance knobs (default [`PerfKnobs::default`]).
+    /// Ingest reads `parallelism`; sorted partitions and BTP merges read
+    /// `io_overlap`, `io_backend` (mappings are dropped before a merge
+    /// deletes its inputs) and `compression`; queries fan out over
+    /// `query_parallelism`.  The planner drives only the BTP merge
+    /// read-ahead gate, through [`planner::decide`].  Partitions, answers,
+    /// `QueryCost` and the logical `IoStats` are identical at every setting.
+    pub knobs: PerfKnobs,
 }
 
 impl PartitionedConfig {
@@ -376,13 +352,7 @@ impl PartitionedConfig {
             growth_factor: 3,
             partition_kind: PartitionKind::Sorted,
             page_size: coconut_storage::DEFAULT_PAGE_SIZE,
-            parallelism: 1,
-            query_parallelism: 1,
-            io_overlap: true,
-            io_backend: IoBackend::Pread,
-            planner: PlannerMode::Fixed,
-            prefetch_min_bytes: coconut_storage::PREFETCH_MIN_BYTES,
-            compression: coconut_storage::Compression::Off,
+            knobs: PerfKnobs::default(),
         }
     }
 
@@ -405,53 +375,9 @@ impl PartitionedConfig {
         self
     }
 
-    /// Sets the ingest parallelism (`1` = sequential, `0` = all cores).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
-    /// Sets the query fan-out parallelism (`1` = sequential, `0` = all
-    /// cores).  A pure performance knob.
-    pub fn with_query_parallelism(mut self, workers: usize) -> Self {
-        self.query_parallelism = workers;
-        self
-    }
-
-    /// Enables or disables overlapped merge I/O (default on).  A pure
-    /// performance knob; see [`PartitionedConfig::io_overlap`].
-    pub fn with_io_overlap(mut self, overlap: bool) -> Self {
-        self.io_overlap = overlap;
-        self
-    }
-
-    /// Selects the read backend for sorted partitions (default `pread`).
-    /// A pure performance knob; see [`PartitionedConfig::io_backend`].
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Selects the query planning mode (default `Fixed`).  A pure
-    /// performance knob; see [`PartitionedConfig::planner`].
-    pub fn with_planner(mut self, mode: PlannerMode) -> Self {
-        self.planner = mode;
-        self
-    }
-
-    /// Sets the read-ahead engagement gate for BTP merges in bytes
-    /// (`usize::MAX` disables read-ahead).  A pure performance knob; see
-    /// [`PartitionedConfig::prefetch_min_bytes`].
-    pub fn with_prefetch_min_bytes(mut self, bytes: usize) -> Self {
-        self.prefetch_min_bytes = bytes;
-        self
-    }
-
-    /// Selects the on-disk compression of sorted partitions (default
-    /// `off`).  A pure performance knob; see
-    /// [`PartitionedConfig::compression`].
-    pub fn with_compression(mut self, compression: coconut_storage::Compression) -> Self {
-        self.compression = compression;
+    /// Sets the performance knobs; see [`PartitionedConfig::knobs`].
+    pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
+        self.knobs = knobs;
         self
     }
 
@@ -578,9 +504,9 @@ impl PartitionedStream {
                     self.config.entries_per_block,
                     Arc::clone(&self.stats),
                     self.config.page_size,
-                    self.config.parallelism,
-                    self.config.io_backend,
-                    self.config.compression,
+                    self.config.knobs.parallelism,
+                    self.config.knobs.io_backend,
+                    self.config.knobs.compression,
                 )?;
                 Partition::Sorted {
                     file,
@@ -662,8 +588,10 @@ impl PartitionedStream {
                 layout,
                 &runs,
                 256,
-                self.config.io_overlap,
-                self.merge_prefetch_gate(),
+                self.config.knobs.io_overlap,
+                planner::decide(&self.config.knobs, || self.merge_planner_inputs())
+                    .0
+                    .effective_prefetch_gate(),
             )?;
             let path = self.dir.join(format!("btp-merged-{:06}.run", self.next_id));
             self.next_id += 1;
@@ -675,8 +603,8 @@ impl PartitionedStream {
                 self.config.entries_per_block,
                 Arc::clone(&self.stats),
                 self.config.page_size,
-                self.config.io_backend,
-                self.config.compression,
+                self.config.knobs.io_backend,
+                self.config.knobs.compression,
             )?;
             // The inputs leave the disk behind the merged partition's sync.
             let retired = SortedSeriesFile::replace(&[&merged], files);
@@ -750,129 +678,23 @@ impl PartitionedStream {
         (units, accessed)
     }
 
-    /// Captures a deterministic [`PlannerInputs`] snapshot for this stream:
-    /// every field is an integer read at capture time; the decision itself
-    /// is the pure function `coconut_ctree::planner::plan`.
-    fn planner_inputs(
-        &self,
-        k: usize,
-        batch_width: usize,
-        exact: bool,
-        unit_count: usize,
-    ) -> PlannerInputs {
+    /// Captures the deterministic [`PlannerInputs`] snapshot a BTP merge
+    /// plans its read-ahead gate from: every field is an integer read at
+    /// capture time; the decision itself is the pure function
+    /// `coconut_ctree::planner::plan`.
+    fn merge_planner_inputs(&self) -> PlannerInputs {
         let probe = planner::host_probe();
         let snap = self.stats.snapshot();
         PlannerInputs {
             footprint_bytes: self.partitions.iter().map(|p| p.footprint()).sum(),
             cache_budget_bytes: probe.cache_budget_bytes,
-            unit_count,
+            unit_count: self.partitions.len() + usize::from(!self.buffer.is_empty()),
             run_count: self.partitions.len().max(1),
             cores: probe.cores,
-            k,
-            batch_width,
-            exact,
+            k: 0,
+            batch_width: 1,
+            exact: true,
             random_read_permille: planner::read_permille(&snap),
-        }
-    }
-
-    /// The read-ahead gate a BTP merge should use: the configured value in
-    /// `Fixed` mode, or the planner's choice from a fresh state snapshot in
-    /// `Adaptive` mode.
-    fn merge_prefetch_gate(&self) -> usize {
-        match self.config.planner {
-            PlannerMode::Fixed => self.config.prefetch_min_bytes,
-            PlannerMode::Adaptive => {
-                let unit_count = self.partitions.len() + usize::from(!self.buffer.is_empty());
-                planner::plan(&self.planner_inputs(0, 1, true, unit_count))
-                    .effective_prefetch_gate()
-            }
-        }
-    }
-
-    /// Like [`StreamingIndex::query_window`], but routed through the query
-    /// planner when the config selects [`PlannerMode::Adaptive`]: the
-    /// fan-out knob comes from a [`PlanReport`] captured for this query
-    /// (over the units the window actually selects), returned alongside the
-    /// result.  In `Fixed` mode this is exactly `query_window`
-    /// (byte-identical path) and the report is `None`.  Results are
-    /// identical in both modes.
-    pub fn query_window_planned(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<(StreamQueryResult, Option<PlanReport>)> {
-        match self.config.planner {
-            PlannerMode::Fixed => self
-                .query_window(query, k, window, exact)
-                .map(|r| (r, None)),
-            PlannerMode::Adaptive => {
-                let (units, accessed) = self.query_units(k, window);
-                let report = planner::plan_report(self.planner_inputs(k, 1, exact, units.len()));
-                let (neighbors, cost) = coconut_ctree::engine::parallel_knn(
-                    &units,
-                    query,
-                    k,
-                    report.decision.query_parallelism,
-                    exact,
-                )?;
-                Ok((
-                    StreamQueryResult {
-                        neighbors,
-                        cost,
-                        partitions_accessed: accessed,
-                        partitions_total: self.partitions.len(),
-                    },
-                    Some(report),
-                ))
-            }
-        }
-    }
-
-    /// Like [`StreamingIndex::query_window_batch`], but routed through the
-    /// query planner when the config selects [`PlannerMode::Adaptive`]:
-    /// fan-out and batch round shape come from a [`PlanReport`] captured
-    /// for this batch.  In `Fixed` mode this is exactly
-    /// `query_window_batch` and the report is `None`.  Results are
-    /// identical in both modes.
-    pub fn query_window_batch_planned(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<(Vec<StreamQueryResult>, Option<PlanReport>)> {
-        match self.config.planner {
-            PlannerMode::Fixed => self
-                .query_window_batch(queries, k, window, exact)
-                .map(|r| (r, None)),
-            PlannerMode::Adaptive => {
-                let (units, accessed) = self.query_units(k, window);
-                let report =
-                    planner::plan_report(self.planner_inputs(k, queries.len(), exact, units.len()));
-                let results = coconut_ctree::engine::batch_knn_chunked(
-                    &units,
-                    queries,
-                    k,
-                    report.decision.query_parallelism,
-                    exact,
-                    report.decision.batch_chunk,
-                    &coconut_parallel::CancelToken::never(),
-                )?;
-                Ok((
-                    results
-                        .into_iter()
-                        .map(|(neighbors, cost)| StreamQueryResult {
-                            neighbors,
-                            cost,
-                            partitions_accessed: accessed,
-                            partitions_total: self.partitions.len(),
-                        })
-                        .collect(),
-                    Some(report),
-                ))
-            }
         }
     }
 }
@@ -987,7 +809,7 @@ impl StreamingIndex for PartitionedStream {
         let values: Vec<&[f32]> = batch.iter().map(|a| a.series.values.as_slice()).collect();
         let keys = self
             .summarizer
-            .keys_batch_values(&values, self.config.parallelism);
+            .keys_batch_values(&values, self.config.knobs.parallelism);
         for (arrival, key) in batch.iter().zip(keys) {
             self.buffer.push(SeriesEntry::from_keyed(
                 key,
@@ -1017,7 +839,7 @@ impl StreamingIndex for PartitionedStream {
             &units,
             query,
             k,
-            self.config.query_parallelism,
+            self.config.knobs.query_parallelism,
             exact,
         )?;
         Ok(StreamQueryResult {
@@ -1040,7 +862,7 @@ impl StreamingIndex for PartitionedStream {
             &units,
             queries,
             k,
-            self.config.query_parallelism,
+            self.config.knobs.query_parallelism,
             exact,
         )?;
         Ok(results
