@@ -1,13 +1,61 @@
-//! Unmap-before-unlink on the mmap read backend.
+//! Backend equivalence of the whole read path.
 //!
-//! A run served from a read-only mapping must drop that mapping before its
-//! file is unlinked, so no read ever goes through a mapping of a deleted
-//! file.  The `io_backend` identity grid (files, answers, `QueryCost` and
-//! `IoStats` at pread vs mmap) is in `knob_equivalence.rs`.
+//! `io_backend` is a *pure* performance knob: serving reads from a
+//! read-only file mapping instead of positioned reads changes how bytes
+//! travel, never which bytes.  Each case builds on mmap at every
+//! `parallelism × io_overlap` point of the `knob_grid` and compares files,
+//! build `IoStats`, answers and `QueryCost` against the default (pread)
+//! build.  A run served from a mapping must also drop that mapping before
+//! its file is unlinked, so no read ever goes through a mapping of a
+//! deleted file.
 
-use coconut_core::{IndexConfig, IoBackend, IoStats, ScratchDir, StaticIndex, VariantKind};
+mod knob_grid;
+
+use coconut_core::{
+    IndexConfig, IoBackend, IoStats, PerfKnobs, ScratchDir, StaticIndex, VariantKind,
+};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_series::Dataset;
+use proptest::prelude::*;
+
+fn mmap_points() -> Vec<PerfKnobs> {
+    knob_grid::points_where(|knobs| knobs.io_backend == IoBackend::Mmap)
+}
+
+#[test]
+fn ctree_backend_equivalent_spilling() {
+    knob_grid::ctree_spilling(&mmap_points());
+}
+
+#[test]
+fn clsm_backend_equivalent_sharded_and_unsharded() {
+    knob_grid::clsm_sharded_and_unsharded(&mmap_points());
+}
+
+#[test]
+fn btp_backend_equivalent() {
+    knob_grid::btp(&mmap_points());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// For random dataset sizes, budgets, worker counts and overlap
+    /// settings, pread and mmap CTree builds match.
+    #[test]
+    fn ctree_backend_equivalence_holds_for_random_configs(
+        n in 300usize..1200,
+        budget_kib in 64usize..512,
+        parallelism in 1usize..9,
+        overlap_bit in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let io_overlap = overlap_bit == 1;
+        let pread = PerfKnobs { parallelism, io_overlap, ..PerfKnobs::default() };
+        let mmap = PerfKnobs { io_backend: IoBackend::Mmap, ..pread };
+        knob_grid::ctree_random(n, budget_kib, seed, pread, mmap);
+    }
+}
 
 /// Regression: a CLSM built with the mmap backend runs compactions that
 /// delete their input runs.  The delete path must drop each run's mapping
