@@ -19,17 +19,19 @@
 //! Sizes: the default is a CI-friendly smoke tier (20 000 series x 256).
 //! `PALM_SCALE_FULL=1` selects the full tier (1 000 000 series x 256,
 //! multi-GiB on disk), and `PALM_SCALE_SERIES` overrides the series count
-//! directly (tested up to 10 000 000).  `COCONUT_SCALE`, `COCONUT_THREADS`
-//! and `COCONUT_IO_BACKEND` keep their usual meanings.
+//! directly (tested up to 10 000 000).  `COCONUT_SCALE` multiplies the
+//! count; `COCONUT_THREADS` and `COCONUT_IO_BACKEND` set the builds'
+//! `parallelism` and `io_backend`.
 //!
 //! Writes `BENCH_scale.json`.  Speed numbers are reported, never asserted;
-//! any **identity** mismatch makes the binary exit non-zero — this is the
-//! CI smoke check for the kernel-backend-equivalence invariant.
+//! any **identity** mismatch makes the binary exit non-zero.  The same
+//! identities are pinned at test size by `kernel_equivalence.rs` and
+//! `kernel_backend_equivalence.rs`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use coconut_bench::{f2, io_backend, print_table, scale, threads, Workbench};
+use coconut_bench::{f2, print_table, scale, Workbench};
 use coconut_core::{
     Dataset, IndexConfig, IoStatsSnapshot, QueryCost, SharedIoStats, StaticIndex, VariantKind,
 };
@@ -46,6 +48,28 @@ fn series_count() -> (usize, bool) {
         .and_then(|v| v.parse().ok())
         .unwrap_or(if full { 1_000_000 } else { 20_000 });
     (n.max(1000) * scale(), full)
+}
+
+/// Build workers from `COCONUT_THREADS`: `0` (or unset) is one per
+/// available core.
+fn threads() -> usize {
+    let requested = std::env::var("COCONUT_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    coconut_parallel::effective_parallelism(requested)
+}
+
+/// Read backend from `COCONUT_IO_BACKEND` (`pread`, the default, or
+/// `mmap`).
+fn io_backend() -> coconut_core::IoBackend {
+    std::env::var("COCONUT_IO_BACKEND")
+        .ok()
+        .map(|v| {
+            v.parse()
+                .expect("COCONUT_IO_BACKEND must be 'pread' or 'mmap'")
+        })
+        .unwrap_or_default()
 }
 
 /// p-th percentile (nearest-rank on the sorted copy) of per-query millis.

@@ -1,16 +1,16 @@
-//! Shared harness used by the experiment binaries (`e1_*` .. `e17_*`).
+//! Shared harness used by the experiment binaries (`e1_*` .. `e8_*` and
+//! `e17_scale`).
 //!
 //! Each binary reproduces one experiment from the paper (see DESIGN.md for
 //! the experiment index) and
 //! prints its results as aligned text tables so the "rows/series" the paper
 //! would report can be regenerated with a single `cargo run --release -p
-//! coconut-bench --bin eN_...` invocation.
+//! coconut-bench --bin eN_...` invocation.  Identity checks live in `cargo
+//! test`, timing of the running system in palmbench.
 //!
 //! The dataset sizes default to laptop-friendly values; set the
 //! `COCONUT_SCALE` environment variable to a multiplier (e.g. `4`) to scale
 //! every experiment up.
-
-use std::sync::Arc;
 
 use coconut_core::{Dataset, IoStats, ScratchDir, Series, SharedIoStats};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -23,51 +23,6 @@ pub fn scale() -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
         .max(1)
-}
-
-/// Worker-thread count read from `COCONUT_THREADS`.
-///
-/// `0` (or unset) resolves to one worker per available core; any other value
-/// is used as-is.  Experiments pass this through the `parallelism` knobs of
-/// the index configurations, so `COCONUT_THREADS=1` reproduces the
-/// single-core pipeline exactly (the on-disk indexes are byte-identical at
-/// every setting).
-pub fn threads() -> usize {
-    let requested = std::env::var("COCONUT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    coconut_parallel::effective_parallelism(requested)
-}
-
-/// Read backend from `COCONUT_IO_BACKEND` (`pread`, the default, or
-/// `mmap`).
-///
-/// Experiments pass this through the `io_backend` knobs of the index
-/// configurations; the CI matrix runs the suite and the smoke benches under
-/// both values.  The knob is a pure performance knob — index files, answers
-/// and `IoStats` are byte-identical at either setting (`e12_mmap_read`
-/// re-verifies this on every run).
-pub fn io_backend() -> coconut_core::IoBackend {
-    std::env::var("COCONUT_IO_BACKEND")
-        .ok()
-        .map(|v| {
-            v.parse()
-                .expect("COCONUT_IO_BACKEND must be 'pread' or 'mmap'")
-        })
-        .unwrap_or_default()
-}
-
-/// On-disk compression from `COCONUT_COMPRESSION` (`off`, the default, or
-/// `prefix`).
-///
-/// Experiments pass this through the `compression` knobs of the index
-/// configurations; the CI matrix runs the suite and the smoke benches under
-/// both values.  A pure performance knob — answers, `QueryCost` and the
-/// logical `IoStats` view are identical at either setting
-/// (`e18_compression` re-verifies this on every run).
-pub fn compression() -> coconut_core::Compression {
-    coconut_core::Compression::from_env()
 }
 
 /// A generated dataset on disk plus its in-memory copy and query workload.
@@ -152,11 +107,6 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-/// Takes `n` shared stats and returns an Arc clone (convenience re-export).
-pub fn clone_stats(stats: &SharedIoStats) -> SharedIoStats {
-    Arc::clone(stats)
 }
 
 #[cfg(test)]

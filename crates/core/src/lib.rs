@@ -364,14 +364,17 @@ impl StaticIndex {
 
     /// The query half of the admission rule
     /// ([`coconut_ctree::check_series`]): a query of the wrong length or
-    /// with a non-finite value is a `Config` error, to be raised before
-    /// any index work (the search paths assume both).
-    pub fn check_query(&self, query: &[f32]) -> Result<()> {
+    /// with a non-finite value, or a `k` of zero, is a `Config` error, to
+    /// be raised before any index work (the search paths assume all three).
+    pub fn check_query(&self, query: &[f32], k: usize) -> Result<()> {
         let series_len = match self {
             StaticIndex::Ads(t) => t.config().sax.series_len,
             StaticIndex::CTree(t) => t.config().sax.series_len,
             StaticIndex::Clsm(t) => t.config().sax.series_len,
         };
+        if k == 0 {
+            return Err(IndexError::Config("k must be positive".into()));
+        }
         coconut_ctree::check_series("query", query, series_len)
     }
 

@@ -1504,7 +1504,7 @@ impl PalmServer {
             } => {
                 let slot = self.slot(&name)?;
                 let registered = slot.read();
-                registered.index.check_query(&query)?;
+                registered.index.check_query(&query, k)?;
                 let start = Instant::now();
                 // The version is read under the slot read lock, so it is
                 // exactly the version the computation below runs against:
@@ -1757,7 +1757,7 @@ impl PalmServer {
             .map(|query| {
                 registered
                     .index
-                    .check_query(query)
+                    .check_query(query, k)
                     .err()
                     .map(|e| Err(e.into()))
             })
@@ -2551,11 +2551,12 @@ mod tests {
         reply.get("kind").and_then(Json::as_str)
     }
 
-    /// A query of the wrong length or with a non-finite value, and an
-    /// insert holding such a row, are `config` errors in every variant and
-    /// layout — refused before any index work: no panic, no `null`
-    /// distance, and nothing of a refused batch applied.  In a batch only
-    /// the bad sub-queries are refused.
+    /// A query of the wrong length, with a non-finite value or with
+    /// `k: 0`, and an insert holding a bad row, are `config` errors in every
+    /// variant and layout — refused before any index work: no panic, no
+    /// `null` distance, and nothing of a refused batch applied.  In a batch
+    /// only the bad sub-queries are refused.  A `k` past the entry count
+    /// answers every entry, without sizing anything by `k`.
     #[test]
     fn bad_queries_and_rows_are_config_errors_in_every_variant() {
         let (dir, dataset_path, series) = setup();
@@ -2573,22 +2574,28 @@ mod tests {
                     8 << 20,
                 ));
                 let at = format!("{variant:?} materialized={materialized}");
-                let query = |q: &str, exact: bool| {
-                    format!(r#"{{"type":"query","name":"i","query":{q},"k":3,"exact":{exact}}}"#)
+                let query = |q: &str, k: u64, exact: bool| {
+                    format!(r#"{{"type":"query","name":"i","query":{q},"k":{k},"exact":{exact}}}"#)
                 };
                 for exact in [true, false] {
-                    for bad in [&short, &overflow] {
-                        let reply = server.handle_json(&query(bad, exact));
+                    for (bad, k) in [(&short, 3), (&overflow, 3), (&good, 0)] {
+                        let reply = server.handle_json(&query(bad, k, exact));
                         assert!(!reply.contains("null"), "{at}: {reply}");
                         let reply = Json::parse(&reply).unwrap();
                         assert_eq!(kind(&reply), Some(ERROR_KIND_CONFIG), "{at}: {reply:?}");
                     }
                 }
+                let reply =
+                    Json::parse(&server.handle_json(&query(&good, 1_000_000_000_000, true)))
+                        .unwrap();
+                let ids = reply.get("ids").and_then(Json::as_arr).map(<[Json]>::len);
+                assert_eq!(ids, Some(200), "{at}: {reply:?}");
                 let batch = format!(
-                    r#"{{"type":"batch","requests":[{},{},{}]}}"#,
-                    query(&good, true),
-                    query(&short, true),
-                    query(&overflow, true)
+                    r#"{{"type":"batch","requests":[{},{},{},{}]}}"#,
+                    query(&good, 3, true),
+                    query(&short, 3, true),
+                    query(&overflow, 3, true),
+                    query(&good, 0, true)
                 );
                 let reply = Json::parse(&server.handle_json(&batch)).unwrap();
                 let Some(Json::Arr(responses)) = reply.get("responses") else {
@@ -2597,7 +2604,12 @@ mod tests {
                 let kinds: Vec<Option<&str>> = responses.iter().map(kind).collect();
                 assert_eq!(
                     kinds,
-                    vec![None, Some(ERROR_KIND_CONFIG), Some(ERROR_KIND_CONFIG)],
+                    vec![
+                        None,
+                        Some(ERROR_KIND_CONFIG),
+                        Some(ERROR_KIND_CONFIG),
+                        Some(ERROR_KIND_CONFIG)
+                    ],
                     "{at}"
                 );
                 assert_eq!(

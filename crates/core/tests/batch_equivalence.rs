@@ -20,14 +20,9 @@ use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, Ser
 use coconut_series::Dataset;
 use proptest::prelude::*;
 
-/// Worker count for the "parallel" side (`COCONUT_THREADS`, default 8).
-fn parallel_workers() -> usize {
-    std::env::var("COCONUT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 1)
-        .unwrap_or(8)
-}
+/// Worker count for the "parallel" side, as in the knob grid (legal
+/// above any machine's core count).
+const WORKERS: usize = 8;
 
 struct Built {
     index: StaticIndex,
@@ -108,7 +103,6 @@ fn batch_matches_sequential_on_static_indexes() {
     let series = gen.generate(700);
     let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
     let qs = queries(9, 0xbeef);
-    let workers = parallel_workers();
     let cases = [
         (VariantKind::CTree, true, 1usize),
         (VariantKind::CTree, false, 1),
@@ -117,7 +111,7 @@ fn batch_matches_sequential_on_static_indexes() {
         (VariantKind::Clsm, false, 4),
     ];
     for (variant, materialized, shards) in cases {
-        for qp in [1usize, workers] {
+        for qp in [1, WORKERS] {
             // Separate index instances (identical by construction) so the
             // two passes start from the same per-file access-cursor state.
             let seq = build(
@@ -171,12 +165,11 @@ fn batch_matches_sequential_on_streams() {
     let mut gen = SeismicStreamGenerator::new(64, 17, 0.1);
     let batches: Vec<_> = (0..10).map(|_| gen.next_batch(60)).collect();
     let qs = queries(6, 0xfeed);
-    let workers = parallel_workers();
     for scheme in [
         WindowScheme::TemporalPartitioning,
         WindowScheme::BoundedTemporalPartitioning,
     ] {
-        for qp in [1usize, workers] {
+        for qp in [1, WORKERS] {
             let mut indexes = Vec::new();
             let mut stats_handles = Vec::new();
             for side in ["seq", "bat"] {
@@ -239,7 +232,7 @@ fn concurrent_reads_during_append_observe_valid_snapshots() {
     let series = gen.generate(300);
     let dataset_path = dir.file("raw.bin");
     Dataset::create_from_series(&dataset_path, &series).unwrap();
-    let server = PalmServer::new(dir.file("work")).with_batch_parallelism(parallel_workers());
+    let server = PalmServer::new(dir.file("work")).with_batch_parallelism(WORKERS);
     let built = server.handle(PalmRequest::BuildIndex {
         name: "stress".into(),
         dataset_path: dataset_path.to_string_lossy().into_owned(),
@@ -370,9 +363,8 @@ proptest! {
         let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
         let exact = exact_bit == 1;
         let qs = queries(batch, seed ^ 0x5a5a);
-        let workers = parallel_workers();
         for shards in [1usize, 3] {
-            for qp in [1usize, workers] {
+            for qp in [1, WORKERS] {
                 let built = build(
                     &dir,
                     &dataset,

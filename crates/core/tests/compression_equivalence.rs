@@ -10,12 +10,18 @@
 //! view must be bit-identical — only the physical byte counters and the
 //! on-disk footprint may (and on sorted keys, do) shrink.
 
+use std::sync::Arc;
+
 use coconut_core::{
-    streaming_index, Compression, IndexConfig, IoStats, IoStatsSnapshot, ScratchDir, StaticIndex,
-    StreamingConfig, VariantKind, WindowScheme,
+    streaming_index, Compression, IndexConfig, IoBackend, IoStats, IoStatsSnapshot, ScratchDir,
+    StaticIndex, StreamingConfig, VariantKind, WindowScheme,
 };
+use coconut_ctree::entry::{EntryLayout, SeriesEntry};
+use coconut_ctree::sorted_file::SortedSeriesFile;
+use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
 use coconut_series::Dataset;
+use coconut_storage::DEFAULT_PAGE_SIZE;
 
 fn build_static(
     dir: &ScratchDir,
@@ -34,7 +40,7 @@ fn build_static(
     let subdir = dir.file(&format!("{}-m{materialized}-{compression}", variant.name()));
     let stats = IoStats::shared();
     let (index, _report) =
-        StaticIndex::build(dataset, config, &subdir, std::sync::Arc::clone(&stats)).expect("build");
+        StaticIndex::build(dataset, config, &subdir, Arc::clone(&stats)).expect("build");
     let footprint = index.footprint_bytes();
     (index, stats.snapshot(), footprint)
 }
@@ -74,6 +80,14 @@ fn static_variants_are_equivalent_at_either_compression() {
                 prefix_fp < off_fp,
                 "compressed footprint must be smaller ({ctx}): {prefix_fp} vs {off_fp}"
             );
+            if variant == VariantKind::CTree && !materialized {
+                // A CTree's footprint is its leaf file; sorted invSAX keys
+                // without value tails are where front-coding earns its keep.
+                assert!(
+                    off_fp as f64 >= 1.5 * prefix_fp as f64,
+                    "non-materialized leaf file must shrink >= 1.5x: {off_fp} vs {prefix_fp}"
+                );
+            }
             for (qi, q) in queries.iter().enumerate() {
                 let (nn_off, cost_off) = off.exact_knn(&q.values, 5).unwrap();
                 let (nn_prefix, cost_prefix) = prefix.exact_knn(&q.values, 5).unwrap();
@@ -112,7 +126,7 @@ fn streaming_btp_is_equivalent_at_either_compression() {
         config.buffer_capacity = 100;
         let stats = IoStats::shared();
         let subdir = dir.file(&format!("btp-{compression}"));
-        let mut index = streaming_index(config, &subdir, std::sync::Arc::clone(&stats)).unwrap();
+        let mut index = streaming_index(config, &subdir, Arc::clone(&stats)).unwrap();
         for batch in &batches {
             index.ingest_batch(batch).unwrap();
         }
@@ -151,9 +165,11 @@ fn streaming_btp_is_equivalent_at_either_compression() {
 /// against fresh stats handles after the build, so read-side accounting is
 /// isolated from build-side accounting.  Non-materialized, where the
 /// key/id/timestamp columns *are* the record, so the compressed probes also
-/// move strictly fewer physical bytes (materialized full-record probes can
-/// overshoot on block boundaries; their win is the key-only scan, checked
-/// by `e18_compression`).
+/// move strictly fewer physical bytes.  Materialized full-record probes can
+/// overshoot on block boundaries; their win is the key-only scan, so a cold
+/// `scan_keys` over a materialized leaf file of the same series must return
+/// the same keys, charge the same logical reads and move strictly fewer
+/// physical bytes.
 #[test]
 fn query_logical_reads_are_knob_invariant() {
     let dir = ScratchDir::new("comp-eq-reads").unwrap();
@@ -162,8 +178,15 @@ fn query_logical_reads_are_knob_invariant() {
     let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
     let mut qgen = RandomWalkGenerator::new(64, 777);
     let queries: Vec<_> = (0..5).map(|_| qgen.next_series()).collect();
+    let sax = SaxConfig::paper_default(64);
+    let summarizer = SortableSummarizer::new(sax);
+    let entries: Vec<SeriesEntry> = series
+        .iter()
+        .map(|s| SeriesEntry::from_series(s, 0, &summarizer, true))
+        .collect();
 
     let mut per_setting = Vec::new();
+    let mut key_scans = Vec::new();
     for compression in [Compression::Off, Compression::Prefix] {
         let config = IndexConfig::new(VariantKind::CTree, 64)
             .materialized(false)
@@ -171,13 +194,33 @@ fn query_logical_reads_are_knob_invariant() {
             .with_compression(compression);
         let subdir = dir.file(&format!("reads-{compression}"));
         let stats = IoStats::shared();
-        let (index, _) =
-            StaticIndex::build(&dataset, config, &subdir, std::sync::Arc::clone(&stats)).unwrap();
+        let (index, _) = StaticIndex::build(&dataset, config, &subdir, Arc::clone(&stats)).unwrap();
         let before = stats.snapshot();
         for q in &queries {
             index.exact_knn(&q.values, 5).unwrap();
         }
         per_setting.push(stats.snapshot().since(&before));
+
+        let stats = IoStats::shared();
+        let leaf = SortedSeriesFile::build_unsorted(
+            dir.file(&format!("keys-{compression}.run")),
+            EntryLayout::materialized(sax.key_bits(), 64),
+            sax,
+            entries.clone(),
+            64,
+            Arc::clone(&stats),
+            DEFAULT_PAGE_SIZE,
+            1,
+            IoBackend::Pread,
+            compression,
+        )
+        .unwrap();
+        let before = stats.snapshot();
+        let mut keys = Vec::new();
+        while (keys.len() as u64) < leaf.len() {
+            keys.extend(leaf.scan_keys(keys.len() as u64, 2048).unwrap());
+        }
+        key_scans.push((keys, stats.snapshot().since(&before)));
     }
     assert_eq!(
         per_setting[0].logical(),
@@ -189,5 +232,18 @@ fn query_logical_reads_are_knob_invariant() {
         "compressed queries must read fewer physical bytes: {} vs {}",
         per_setting[1].physical_bytes_read,
         per_setting[0].physical_bytes_read
+    );
+    let ((off_keys, off_io), (prefix_keys, prefix_io)) = (&key_scans[0], &key_scans[1]);
+    assert!(off_keys == prefix_keys, "key-only scans must agree");
+    assert_eq!(
+        off_io.logical(),
+        prefix_io.logical(),
+        "key-only scan logical IoStats must be knob-invariant"
+    );
+    assert!(
+        prefix_io.physical_bytes_read < off_io.physical_bytes_read,
+        "a compressed key-only scan must read fewer physical bytes: {} vs {}",
+        prefix_io.physical_bytes_read,
+        off_io.physical_bytes_read
     );
 }

@@ -2,12 +2,13 @@
 //!
 //! Every case of `knob_grid` builds its index at [`PerfKnobs::default`] and
 //! at every other point of
-//! `{parallelism 1, 8} × {io_overlap off, on} × {pread, mmap}`, and each
-//! point must match the default on files, build `IoStats`, answers and
-//! `QueryCost`.  The cases: a spilling CTree, an in-memory CTree, CLSM with
-//! 1 and 4 shards, and a BTP stream.  `query_parallelism`, `planner` and
-//! `compression` have their own grids (`query_equivalence.rs`,
-//! `planner_equivalence.rs`, `compression_equivalence.rs`).
+//! `{parallelism 1, 8} × {io_overlap off, on} × {pread, mmap}` plus an 8-way
+//! query fan-out, and each point must match the default on files, build and
+//! query `IoStats`, answers and `QueryCost`.  The cases: a spilling CTree,
+//! an in-memory CTree, CLSM with 1 and 4 shards, and a BTP stream.
+//! `query_equivalence.rs` crosses `query_parallelism` further (random
+//! sizes, ties, `ClsmStats`); `planner` and `compression` have their own
+//! grids (`planner_equivalence.rs`, `compression_equivalence.rs`).
 
 mod knob_grid;
 
@@ -44,7 +45,7 @@ proptest! {
     fn ctree_random_builds_match_default_at_a_random_knob_point(
         n in 300usize..1200,
         budget_kib in 64usize..512,
-        point in 0usize..7,
+        point in 0usize..8,
         seed in 0u64..1000,
     ) {
         knob_grid::ctree_random(n, budget_kib, seed, PerfKnobs::default(), points()[point]);

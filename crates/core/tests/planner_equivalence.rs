@@ -19,15 +19,9 @@ use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, Ser
 use coconut_series::Dataset;
 use proptest::prelude::*;
 
-/// Worker count for the fixed "parallel" comparators (`COCONUT_THREADS`,
-/// default 8, legally above this machine's core count).
-fn parallel_workers() -> usize {
-    std::env::var("COCONUT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 1)
-        .unwrap_or(8)
-}
+/// Worker count for the "parallel" side, as in the knob grid (legal
+/// above any machine's core count).
+const WORKERS: usize = 8;
 
 fn build_static(
     dir: &ScratchDir,
@@ -60,7 +54,6 @@ fn planned_static_queries_match_every_fixed_knob() {
     let mut gen = RandomWalkGenerator::new(64, 41);
     let series = gen.generate(600);
     let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
-    let workers = parallel_workers();
     let never = CancelToken::never();
 
     for variant in [VariantKind::CTree, VariantKind::Clsm] {
@@ -72,7 +65,7 @@ fn planned_static_queries_match_every_fixed_knob() {
             PlannerMode::Adaptive,
             1,
         );
-        let fixed: Vec<_> = [1usize, workers]
+        let fixed: Vec<_> = [1, WORKERS]
             .into_iter()
             .map(|qp| {
                 build_static(

@@ -6,8 +6,7 @@
 //! `ClsmStats` are bit-identical at every worker count, on sharded and
 //! unsharded CLSM trees and on the partitioned streaming schemes —
 //! including windowed queries.  These tests compare `query_parallelism = 1`
-//! against a many-worker configuration (`COCONUT_THREADS`, default 8,
-//! legally above this machine's core count).
+//! against 8 workers ([`WORKERS`]).
 
 use coconut_core::{
     streaming_index, IndexConfig, IoStats, Neighbor, QueryCost, ScratchDir, StaticIndex,
@@ -17,14 +16,9 @@ use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, Ser
 use coconut_series::{Dataset, Series};
 use proptest::prelude::*;
 
-/// Worker count for the "parallel" side (`COCONUT_THREADS`, default 8).
-fn parallel_workers() -> usize {
-    std::env::var("COCONUT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 1)
-        .unwrap_or(8)
-}
+/// Worker count for the "parallel" side, as in the knob grid (legal
+/// above any machine's core count).
+const WORKERS: usize = 8;
 
 fn build_clsm(
     dir: &ScratchDir,
@@ -66,10 +60,9 @@ proptest! {
         let mut gen = RandomWalkGenerator::new(64, seed);
         let series = gen.generate(n);
         let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
-        let workers = parallel_workers();
         for shards in [1usize, 4] {
             let seq = build_clsm(&dir, &dataset, shards, 1);
-            let par = build_clsm(&dir, &dataset, shards, workers);
+            let par = build_clsm(&dir, &dataset, shards, WORKERS);
             let mut qgen = RandomWalkGenerator::new(64, seed ^ 0xabcd);
             for _ in 0..6 {
                 let q = qgen.next_series();
@@ -96,10 +89,9 @@ proptest! {
         let mut gen = RandomWalkGenerator::new(64, seed);
         let series = gen.generate(n);
         let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
-        let workers = parallel_workers();
         for shards in [1usize, 3] {
             let mut stats = Vec::new();
-            for (build_par, query_par) in [(1, 1), (workers, workers)] {
+            for (build_par, query_par) in [(1, 1), (WORKERS, WORKERS)] {
                 let config = IndexConfig::new(VariantKind::Clsm, 64)
                     .materialized(true)
                     .with_memory_budget(1 << 19)
@@ -132,13 +124,12 @@ proptest! {
         let mut gen = SeismicStreamGenerator::new(64, seed, 0.1);
         let batches: Vec<_> = (0..10).map(|_| gen.next_batch(60)).collect();
         let query = gen.quake_template();
-        let workers = parallel_workers();
         for scheme in [
             WindowScheme::TemporalPartitioning,
             WindowScheme::BoundedTemporalPartitioning,
         ] {
             let mut indexes = Vec::new();
-            for query_par in [1usize, workers] {
+            for query_par in [1, WORKERS] {
                 let mut config = StreamingConfig::new(VariantKind::Clsm, scheme, 64);
                 config.buffer_capacity = 60;
                 config.knobs.query_parallelism = query_par;
@@ -196,9 +187,8 @@ fn all_duplicates_dataset_orders_ties_by_id_everywhere() {
         "brute force must order equal distances by ascending id"
     );
 
-    let workers = parallel_workers();
     for variant in VariantKind::all() {
-        for query_par in [1usize, workers] {
+        for query_par in [1, WORKERS] {
             let config = IndexConfig::new(variant, 64)
                 .materialized(true)
                 .with_memory_budget(1 << 19)
@@ -219,7 +209,7 @@ fn all_duplicates_dataset_orders_ties_by_id_everywhere() {
         64,
     );
     config.buffer_capacity = 50;
-    for query_par in [1usize, workers] {
+    for query_par in [1, WORKERS] {
         config.knobs.query_parallelism = query_par;
         let mut index = streaming_index(
             config,
@@ -260,7 +250,7 @@ fn parallel_query_cost_equals_sequential_cost() {
     let series = gen.generate(800);
     let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
     let seq = build_clsm(&dir, &dataset, 4, 1);
-    let par = build_clsm(&dir, &dataset, 4, parallel_workers());
+    let par = build_clsm(&dir, &dataset, 4, WORKERS);
     let mut qgen = RandomWalkGenerator::new(64, 123);
     let mut nonzero = false;
     for _ in 0..10 {

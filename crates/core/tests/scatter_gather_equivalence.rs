@@ -611,8 +611,8 @@ fn overflowing(values: &[f32]) -> Vec<f32> {
 /// A query the shards would refuse is refused through the coordinator as
 /// single-node refuses it, with a typed `config` reply: a non-finite value
 /// by the coordinator itself (its re-encoding cannot carry one, so no shard
-/// hears of it), a wrong length by the shards.  In a batch, only the bad
-/// positions are refused.
+/// hears of it), a wrong length or `k: 0` by the shards.  In a batch, only
+/// the bad positions are refused.
 #[test]
 fn bad_queries_are_config_errors_through_the_coordinator() {
     let dir = ScratchDir::new("sg-bad-query").unwrap();
@@ -631,6 +631,7 @@ fn bad_queries_are_config_errors_through_the_coordinator() {
     let good = query(&series[4].values);
     let overflow = query(&overflowing(&series[4].values));
     let short = query(&series[4].values[..10]);
+    let zero_k = good.replace(r#""k":2"#, r#""k":0"#);
     let scattered = frames_with(&recorders, "\"query\"").len();
     let reply = send(&fleet, &overflow);
     assert_eq!(
@@ -643,12 +644,14 @@ fn bad_queries_are_config_errors_through_the_coordinator() {
         scattered,
         "a shard heard it"
     );
-    let reply = send(&fleet, &short);
-    assert_eq!(
-        reply.get("kind").and_then(Json::as_str),
-        Some(ERROR_KIND_CONFIG),
-        "{reply:?}"
-    );
+    for bad in [&short, &zero_k] {
+        let reply = send(&fleet, bad);
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some(ERROR_KIND_CONFIG),
+            "{reply:?}"
+        );
+    }
     let batch = format!(r#"{{"type":"batch","requests":[{good},{overflow},{short}]}}"#);
     let reply = send(&fleet, &batch);
     let kinds: Vec<Option<&str>> = reply

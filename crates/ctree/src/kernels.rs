@@ -24,9 +24,9 @@
 //! `QueryCost` and `IoStats` are bit-identical whichever backend served
 //! them — including the early-abandon *decision points*, which fire at the
 //! same chunk boundary on every backend.  Enforced by
-//! `crates/series/tests/kernel_equivalence.rs` (kernel level),
-//! `crates/core/tests/kernel_backend_equivalence.rs` (index level) and the
-//! `e17_scale` bench self-checks (scale level, every CI run).
+//! `crates/series/tests/kernel_equivalence.rs` (kernel level) and
+//! `crates/core/tests/kernel_backend_equivalence.rs` (index level); the
+//! `e17_scale` bench re-checks it at scale when run.
 
 pub use coconut_series::distance::{euclidean_early_abandon, squared_euclidean};
 pub use coconut_series::kernels::{

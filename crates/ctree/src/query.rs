@@ -93,6 +93,9 @@ impl SharedBound {
     }
 }
 
+/// The largest `k` a [`KnnHeap`] sizes its allocation by up front.
+const MAX_PREALLOCATED_K: usize = 1024;
+
 /// A bounded max-heap holding the `k` best (smallest-distance) neighbours
 /// seen so far; its current worst distance is the pruning bound.
 ///
@@ -115,11 +118,14 @@ impl KnnHeap {
     }
 
     /// Creates a heap whose pruning bound never exceeds `ceiling`.
+    ///
+    /// `k` comes from the wire, so the preallocation is capped: a `k` past
+    /// the entry count just keeps every entry offered.
     pub fn with_ceiling(k: usize, ceiling: f64) -> Self {
         assert!(k > 0, "k must be positive");
         KnnHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(MAX_PREALLOCATED_K) + 1),
             ceiling,
         }
     }

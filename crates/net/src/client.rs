@@ -1,6 +1,5 @@
 //! A minimal blocking client for the newline-delimited JSON protocol,
-//! used by the coordinator's `RemoteBackend`, the integration tests and
-//! the `e14_server_load` benchmark.
+//! used by the coordinator's `RemoteBackend` and the integration tests.
 //!
 //! [`PalmClient::call_with_retry`] is the admission-aware entry point:
 //! when the server sheds a request with an `overloaded` error carrying

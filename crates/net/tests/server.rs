@@ -7,13 +7,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use coconut_core::backend::ExecutionBackend;
 use coconut_core::palm::{
-    PalmRequest, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_DEADLINE, ERROR_KIND_MALFORMED,
-    ERROR_KIND_OVERLOADED, ERROR_KIND_SHUTTING_DOWN,
+    PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_DEADLINE,
+    ERROR_KIND_MALFORMED, ERROR_KIND_OVERLOADED, ERROR_KIND_SHUTTING_DOWN,
 };
 use coconut_core::{Dataset, VariantKind};
 use coconut_json::{Json, ToJson};
-use coconut_net::{NetServer, PalmClient, ServerConfig};
+use coconut_net::{Coordinator, NetServer, PalmClient, RemoteBackend, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
 
@@ -192,10 +193,11 @@ fn malformed_input_never_kills_the_server() {
     assert!(report.is_clean(), "unclean shutdown: {report:?}");
 }
 
-/// Satellite: a query of the wrong length or with a value past `f32`, and
-/// an insert holding such a row, get a typed `config` reply over the wire —
-/// no panic, no EOF, no `null` — in every variant, and the connection
-/// answers the next request; a refused insert applies none of its rows.
+/// Satellite: a query of the wrong length, with a value past `f32` or with
+/// `k: 0`, and an insert holding a bad row, get a typed `config` reply over
+/// the wire — no panic, no EOF, no `null` — in every variant, and the
+/// connection answers the next request; a refused insert applies none of
+/// its rows.
 #[test]
 fn bad_queries_and_rows_get_a_typed_reply_over_the_wire() {
     let dir = ScratchDir::new("net-validate").unwrap();
@@ -221,12 +223,13 @@ fn bad_queries_and_rows_get_a_typed_reply_over_the_wire() {
     };
     let good = text(&series[9].values, false);
     for (name, _, materialized) in indexes {
-        for bad in [
-            text(&series[9].values[..60], false),
-            text(&series[9].values, true),
+        for (bad, k) in [
+            (text(&series[9].values[..60], false), 3),
+            (text(&series[9].values, true), 3),
+            (good.clone(), 0),
         ] {
             let frame =
-                format!(r#"{{"type":"query","name":"{name}","query":{bad},"k":3,"exact":true}}"#);
+                format!(r#"{{"type":"query","name":"{name}","query":{bad},"k":{k},"exact":true}}"#);
             let reply = client.call(&frame).unwrap();
             assert!(!reply.contains("null"), "{name}: {reply}");
             assert_eq!(
@@ -295,37 +298,21 @@ fn overload_sheds_with_retry_hint() {
     assert!(report.is_clean(), "unclean shutdown: {report:?}");
 }
 
-/// Overload acceptance: with in-flight bound 1 and many hammering
-/// connections, every single request gets either the correct answer or a
-/// typed `overloaded`/`deadline_exceeded` error — no hangs, no
-/// disconnect-without-reply.
-#[test]
-fn hammered_server_answers_or_sheds_every_request() {
-    let dir = ScratchDir::new("net-hammer").unwrap();
-    let (dataset_path, series) = make_dataset(&dir, 200);
-    let palm = Arc::new(PalmServer::new(dir.file("work")).with_result_cache(64));
-    palm.handle(build_request("idx", &dataset_path));
-    let config = ServerConfig {
-        max_in_flight: 1,
-        ..ServerConfig::default()
-    };
-    let server = spawn_server(Arc::clone(&palm), config);
-    let addr = server.local_addr().to_string();
-    let query: Vec<f32> = series[7].values.iter().map(|v| v + 0.001).collect();
-    let request = query_request("idx", &query, 1);
-
+/// Eight connections each send `request` 20 times to `addr`: every single
+/// request gets either the right answer (id 7 first) or a typed
+/// `overloaded`/`deadline_exceeded` error — no hangs, no
+/// disconnect-without-reply — and some get through.
+fn hammer(addr: &str, request: &str) {
     let mut answered = 0usize;
     let mut shed = 0usize;
     std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for _ in 0..8 {
-            let addr = addr.clone();
-            let request = request.clone();
             workers.push(scope.spawn(move || {
-                let mut client = PalmClient::connect(&addr).unwrap();
+                let mut client = PalmClient::connect(addr).unwrap();
                 let mut counts = (0usize, 0usize);
                 for _ in 0..20 {
-                    let response = client.call(&request).expect("every request gets a reply");
+                    let response = client.call(request).expect("every request gets a reply");
                     let parsed = Json::parse(&response).unwrap();
                     match type_of(&parsed) {
                         Some("query_result") => {
@@ -355,8 +342,57 @@ fn hammered_server_answers_or_sheds_every_request() {
     });
     assert_eq!(answered + shed, 160, "every request must be accounted for");
     assert!(answered > 0, "some requests must get through");
+}
+
+/// Overload acceptance: with in-flight bound 1, a hammered server answers
+/// or sheds every request — alone, and as a 2-shard fleet behind a
+/// coordinator (TCP shards), where the sheds happen at the front door.
+#[test]
+fn hammered_server_answers_or_sheds_every_request() {
+    let dir = ScratchDir::new("net-hammer").unwrap();
+    let (dataset_path, series) = make_dataset(&dir, 200);
+    let config = ServerConfig {
+        max_in_flight: 1,
+        ..ServerConfig::default()
+    };
+    let query: Vec<f32> = series[7].values.iter().map(|v| v + 0.001).collect();
+    let request = query_request("idx", &query, 1);
+
+    let palm = Arc::new(PalmServer::new(dir.file("work")).with_result_cache(64));
+    palm.handle(build_request("idx", &dataset_path));
+    let server = spawn_server(palm, config.clone());
+    hammer(&server.local_addr().to_string(), &request);
     let report = server.shutdown();
     assert!(report.is_clean(), "unclean shutdown: {report:?}");
+
+    let shards: Vec<NetServer> = (0..2)
+        .map(|s| {
+            let palm = PalmServer::new(dir.file(&format!("shard{s}")));
+            spawn_server(Arc::new(palm), ServerConfig::default())
+        })
+        .collect();
+    let coordinator = Coordinator::new(
+        shards
+            .iter()
+            .map(|shard| {
+                Arc::new(RemoteBackend::new(shard.local_addr().to_string()))
+                    as Arc<dyn ExecutionBackend>
+            })
+            .collect(),
+    );
+    let built = coordinator.handle_with_deadline(build_request("idx", &dataset_path), None);
+    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    let front = NetServer::spawn(Arc::new(coordinator), config).expect("bind");
+    hammer(&front.local_addr().to_string(), &request);
+    let report = front.shutdown();
+    assert!(
+        report.is_clean(),
+        "unclean coordinator shutdown: {report:?}"
+    );
+    for shard in shards {
+        let report = shard.shutdown();
+        assert!(report.is_clean(), "unclean shard shutdown: {report:?}");
+    }
 }
 
 /// Deadlines over the wire: `deadline_ms: 0` answers a structured

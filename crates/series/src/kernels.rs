@@ -48,7 +48,7 @@
 //! depend on it.  `crates/series/tests/kernel_equivalence.rs` proptests the
 //! kernels across lengths 1..1024 and `crates/core/tests/`
 //! `kernel_backend_equivalence.rs` re-proves it end-to-end through index
-//! build + query; the `e17_scale` bench re-checks on every CI run.
+//! build + query; the `e17_scale` bench re-checks it at scale when run.
 //!
 //! # Dispatch
 //!
