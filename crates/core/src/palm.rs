@@ -29,9 +29,12 @@
 //! (`coconut_ctree::engine::batch_knn`), whose per-query answers and costs
 //! are bit-identical to one-at-a-time execution.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -366,6 +369,14 @@ impl ServiceError {
     fn config(message: String) -> Self {
         ServiceError {
             kind: ERROR_KIND_CONFIG,
+            message,
+            partial_cost: None,
+        }
+    }
+
+    fn malformed(message: String) -> Self {
+        ServiceError {
+            kind: ERROR_KIND_MALFORMED,
             message,
             partial_cost: None,
         }
@@ -1063,17 +1074,55 @@ struct CacheEntry {
     answer: CachedAnswer,
 }
 
+/// The member whose value is the only part of a `query_result` reply that
+/// differs between two answers to the same frame.  This byte sequence
+/// cannot occur inside an encoded JSON string (its quotes would be
+/// escaped), so its first occurrence is the member itself.
+const ELAPSED_MEMBER: &str = ",\"elapsed_ms\":";
+
+/// A reply recorded for one request frame (see
+/// [`PalmServer::handle_json_with`]).
+#[derive(Clone)]
+struct FrameReply {
+    /// The index the frame queries.
+    name: Arc<str>,
+    /// The slot version the answer was computed or looked up against.
+    version: u64,
+    /// The reply as encoded.
+    reply: Arc<str>,
+    /// Where in `reply` the `elapsed_ms` value sits; a hit splices in its
+    /// own.
+    elapsed: Range<usize>,
+}
+
+struct FrameEntry {
+    /// The frame bytes: two frames may share a hash.
+    frame: Box<str>,
+    reply: FrameReply,
+}
+
 #[derive(Default)]
 struct CacheInner {
     map: HashMap<CacheKey, CacheEntry>,
     /// FIFO insertion order used for eviction.  May hold keys already
     /// purged from `map`; eviction skips them.
     order: VecDeque<CacheKey>,
+    /// Recorded replies by [`ResultCache::frame_hash`] of their frame.
+    frames: HashMap<u64, FrameEntry>,
+    /// FIFO insertion order of `frames`, each hash with its index name.
+    frame_order: VecDeque<(u64, Arc<str>)>,
 }
 
 /// Bounded result cache with version-tagged entries (see [`Registered`]).
 struct ResultCache {
     capacity: usize,
+    /// Keys the frame hashes at random, so no client can pick frames that
+    /// collide.
+    frame_hasher: RandomState,
+    /// The longest frame ever recorded: a longer one (an `insert` frame,
+    /// say) cannot hit, so it is not hashed for a lookup.  A hint only; the
+    /// entries are under `inner`.
+    longest_frame: AtomicUsize,
     inner: Mutex<CacheInner>,
 }
 
@@ -1081,6 +1130,8 @@ impl ResultCache {
     fn new(capacity: usize) -> Self {
         ResultCache {
             capacity: capacity.max(1),
+            frame_hasher: RandomState::new(),
+            longest_frame: AtomicUsize::new(0),
             inner: Mutex::new(CacheInner::default()),
         }
     }
@@ -1118,12 +1169,75 @@ impl ResultCache {
         inner.map.insert(key, CacheEntry { version, answer });
     }
 
+    /// The hash `frame` is recorded under, or `None` for a frame longer
+    /// than any recorded, which cannot hit.  One pass over the frame serves
+    /// both its lookup and its recording.
+    fn frame_hash(&self, frame: &str) -> Option<u64> {
+        (frame.len() <= self.longest_frame.load(Ordering::Relaxed))
+            .then(|| self.frame_hasher.hash_one(frame))
+    }
+
+    /// The reply recorded for exactly these frame bytes, whatever its
+    /// version: the caller checks that under the slot's read lock.
+    fn lookup_frame(&self, frame: &str, hash: u64) -> Option<FrameReply> {
+        let inner = self.inner.lock();
+        let entry = inner.frames.get(&hash)?;
+        (*entry.frame == *frame).then(|| entry.reply.clone())
+    }
+
+    /// Records `reply`, a `query_result` without `explain` answered
+    /// against `version` of index `name`, as the reply to `frame` (whose
+    /// [`ResultCache::frame_hash`] is `hash`, if it was taken).
+    fn record_frame(&self, frame: &str, hash: Option<u64>, name: &str, version: u64, reply: &str) {
+        let Some(at) = reply.find(ELAPSED_MEMBER) else {
+            return;
+        };
+        let start = at + ELAPSED_MEMBER.len();
+        let Some(len) = reply[start..].find([',', '}']) else {
+            return;
+        };
+        let hash = hash.unwrap_or_else(|| self.frame_hasher.hash_one(frame));
+        let entry = FrameEntry {
+            frame: frame.into(),
+            reply: FrameReply {
+                name: Arc::from(name),
+                version,
+                reply: Arc::from(reply),
+                elapsed: start..start + len,
+            },
+        };
+        let mut inner = self.inner.lock();
+        if let Some(old) = inner.frames.get_mut(&hash) {
+            // The same frame answered again takes the newer reply; another
+            // frame with this hash leaves the entry alone.
+            if old.frame == entry.frame {
+                old.reply = entry.reply;
+            }
+            return;
+        }
+        while inner.frames.len() >= self.capacity {
+            match inner.frame_order.pop_front() {
+                Some((oldest, _)) => {
+                    inner.frames.remove(&oldest);
+                }
+                None => break,
+            }
+        }
+        inner
+            .frame_order
+            .push_back((hash, Arc::clone(&entry.reply.name)));
+        inner.frames.insert(hash, entry);
+        self.longest_frame.fetch_max(frame.len(), Ordering::Relaxed);
+    }
+
     /// Drops every entry belonging to `name`.  The version tags already
     /// make such entries unservable; the purge just returns their memory.
     fn purge(&self, name: &str) {
         let mut inner = self.inner.lock();
         inner.map.retain(|key, _| key.name != name);
         inner.order.retain(|key| key.name != name);
+        inner.frames.retain(|_, entry| &*entry.reply.name != name);
+        inner.frame_order.retain(|(_, owner)| &**owner != name);
     }
 
     fn len(&self) -> usize {
@@ -1258,10 +1372,12 @@ impl PalmServer {
     }
 
     /// Enables the result cache, memoizing up to `capacity` query answers
-    /// keyed by `(index, query bits, k, exact, window)`.  Entries are
-    /// version-tagged and invalidated by the write side (inserts, syncs,
-    /// rebuilds), so a hit is bit-identical to recomputation: answers are
-    /// a pure function of the key and the index version.
+    /// keyed by `(index, query bits, k, exact, window)`, and up to
+    /// `capacity` encoded replies keyed by their request frame's bytes (see
+    /// [`PalmServer::handle_json_with`]).  Entries are version-tagged and
+    /// invalidated by the write side (inserts, syncs, rebuilds), so a hit is
+    /// bit-identical to recomputation: answers are a pure function of the
+    /// key and the index version.
     pub fn with_result_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(ResultCache::new(capacity));
         self
@@ -1300,17 +1416,28 @@ impl PalmServer {
     /// Completed requests are unaffected by the token — answers stay
     /// bit-identical to the untokened path.
     pub fn handle_with(&self, request: PalmRequest, cancel: &CancelToken) -> PalmResponse {
+        self.handle_versioned(request, cancel).0
+    }
+
+    /// [`PalmServer::handle_with`], also returning the slot version a
+    /// top-level query's answer was computed or looked up against (`None`
+    /// for every other verb and for a failed query).
+    fn handle_versioned(
+        &self,
+        request: PalmRequest,
+        cancel: &CancelToken,
+    ) -> (PalmResponse, Option<u64>) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let response = match self.try_handle(request, cancel) {
-            Ok(response) => response,
-            Err(e) => e.into_response(),
+        let (response, version) = match self.try_handle(request, cancel) {
+            Ok(handled) => handled,
+            Err(e) => (e.into_response(), None),
         };
         if let PalmResponse::Error { kind, .. } = &response {
             if kind == ERROR_KIND_DEADLINE {
                 self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
             }
         }
-        response
+        (response, version)
     }
 
     /// Handles a request given as a JSON string, returning a JSON response
@@ -1323,18 +1450,67 @@ impl PalmServer {
     /// top-level `deadline_ms` member tightens the token for this request
     /// only (relative to now); the response then reports
     /// `deadline_exceeded` if the engine could not finish in time.
+    ///
+    /// With the result cache on, a frame byte-identical to an earlier
+    /// `query` is answered from that query's stored reply, without being
+    /// parsed, as long as the index still has the version the reply was
+    /// answered against; only `elapsed_ms` is fresh.  Like every cache
+    /// hit, it is served whatever the deadline says.
     pub fn handle_json_with(&self, request_json: &str, cancel: &CancelToken) -> String {
-        let response = match Json::parse(request_json) {
+        let frame_hash = self
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.frame_hash(request_json));
+        if let Some(reply) = frame_hash.and_then(|hash| self.frame_hit(request_json, hash)) {
+            return reply;
+        }
+        let (response, version) = match Json::parse(request_json) {
             Ok(json) => self.handle_parsed(&json, cancel),
-            Err(e) => PalmResponse::Error {
-                kind: ERROR_KIND_MALFORMED.to_string(),
-                message: format!("malformed request: {e}"),
-                partial_cost: None,
-                retry_after_ms: None,
-                shard_costs: None,
-            },
+            Err(e) => {
+                let message = format!("malformed request: {e}");
+                (ServiceError::malformed(message).into_response(), None)
+            }
         };
-        response.to_json().to_string()
+        let reply = response.to_json().to_string();
+        // Only the hit form is recorded: a computed adaptive answer's
+        // `explain` belongs to that computation alone.
+        if let (
+            Some(cache),
+            Some(version),
+            PalmResponse::QueryResult {
+                name,
+                explain: None,
+                ..
+            },
+        ) = (&self.cache, version, &response)
+        {
+            cache.record_frame(request_json, frame_hash, name, version, &reply);
+        }
+        reply
+    }
+
+    /// Serves `frame`, whose frame hash is `hash`, from the reply recorded
+    /// for the same bytes, if the index it queries still has the version
+    /// that reply was answered against.  The version is compared under the
+    /// slot's read lock, as a typed lookup compares it, so an insert either
+    /// came before (no hit) or comes after this answer.
+    fn frame_hit(&self, frame: &str, hash: u64) -> Option<String> {
+        let start = Instant::now();
+        let entry = self.cache.as_ref()?.lookup_frame(frame, hash)?;
+        let slot = self.slot(&entry.name).ok()?;
+        let registered = slot.read();
+        if registered.version != entry.version {
+            return None;
+        }
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let elapsed_ms = Json::Num(start.elapsed().as_secs_f64() * 1000.0).to_string();
+        let Range { start, end } = entry.elapsed;
+        let mut reply = String::with_capacity(entry.reply.len() + elapsed_ms.len());
+        reply.push_str(&entry.reply[..start]);
+        reply.push_str(&elapsed_ms);
+        reply.push_str(&entry.reply[end..]);
+        Some(reply)
     }
 
     /// [`PalmServer::handle_json_with`] over an owned byte buffer, as a
@@ -1346,21 +1522,19 @@ impl PalmServer {
         match String::from_utf8(request) {
             Ok(text) => self.handle_json_with(&text, cancel),
             Err(_) => {
-                let response = PalmResponse::Error {
-                    kind: ERROR_KIND_MALFORMED.to_string(),
-                    message: "request is not valid UTF-8".to_string(),
-                    partial_cost: None,
-                    retry_after_ms: None,
-                    shard_costs: None,
-                };
-                response.to_json().to_string()
+                let message = "request is not valid UTF-8".to_string();
+                ServiceError::malformed(message)
+                    .into_response()
+                    .to_json()
+                    .to_string()
             }
         }
     }
 
-    /// Handles an already-parsed JSON request.  This is where the
-    /// protocol-level `deadline_ms` member is folded into the token.
-    pub fn handle_parsed(&self, json: &Json, cancel: &CancelToken) -> PalmResponse {
+    /// Handles an already-parsed JSON request, with the version of
+    /// [`PalmServer::handle_versioned`].  This is where the protocol-level
+    /// `deadline_ms` member is folded into the token.
+    fn handle_parsed(&self, json: &Json, cancel: &CancelToken) -> (PalmResponse, Option<u64>) {
         let cancel = match json.get("deadline_ms") {
             None => cancel.clone(),
             Some(value) => match value.as_f64() {
@@ -1368,25 +1542,17 @@ impl PalmServer {
                     cancel.with_deadline(Instant::now() + Duration::from_millis(ms as u64))
                 }
                 _ => {
-                    return PalmResponse::Error {
-                        kind: ERROR_KIND_MALFORMED.to_string(),
-                        message: "deadline_ms must be a non-negative number".to_string(),
-                        partial_cost: None,
-                        retry_after_ms: None,
-                        shard_costs: None,
-                    }
+                    let message = "deadline_ms must be a non-negative number".to_string();
+                    return (ServiceError::malformed(message).into_response(), None);
                 }
             },
         };
         match PalmRequest::from_json(json) {
-            Ok(request) => self.handle_with(request, &cancel),
-            Err(e) => PalmResponse::Error {
-                kind: ERROR_KIND_MALFORMED.to_string(),
-                message: format!("malformed request: {e}"),
-                partial_cost: None,
-                retry_after_ms: None,
-                shard_costs: None,
-            },
+            Ok(request) => self.handle_versioned(request, &cancel),
+            Err(e) => {
+                let message = format!("malformed request: {e}");
+                (ServiceError::malformed(message).into_response(), None)
+            }
         }
     }
 
@@ -1431,12 +1597,13 @@ impl PalmServer {
             .ok_or_else(|| ServiceError::unknown_index(name))
     }
 
+    /// The response, with the version of [`PalmServer::handle_versioned`].
     fn try_handle(
         &self,
         request: PalmRequest,
         cancel: &CancelToken,
-    ) -> Result<PalmResponse, ServiceError> {
-        match request {
+    ) -> Result<(PalmResponse, Option<u64>), ServiceError> {
+        let response = match request {
             PalmRequest::BuildIndex {
                 name,
                 dataset_path,
@@ -1490,11 +1657,11 @@ impl PalmServer {
                 if let Some(cache) = &self.cache {
                     cache.purge(&name);
                 }
-                Ok(PalmResponse::Built {
+                PalmResponse::Built {
                     name,
                     variant: variant_name,
                     report,
-                })
+                }
             }
             PalmRequest::Query {
                 name,
@@ -1510,6 +1677,8 @@ impl PalmServer {
                 // exactly the version the computation below runs against:
                 // any insert orders entirely before (older version, entry
                 // invisible to future readers) or after this read section.
+                // It is returned with the answer to tag the reply's frame
+                // entry, never re-read once this lock is gone.
                 let version = registered.version;
                 let key = self
                     .cache
@@ -1522,7 +1691,8 @@ impl PalmServer {
                         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                         let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
                         // A hit ran no plan, so there is no explain.
-                        return Ok(hit.into_response(&name, elapsed_ms, None));
+                        let response = hit.into_response(&name, elapsed_ms, None);
+                        return Ok((response, Some(version)));
                     }
                     self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1534,9 +1704,10 @@ impl PalmServer {
                     cache.insert(key, version, answer.clone());
                 }
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-                Ok(answer.into_response(&name, elapsed_ms, plan.map(Into::into)))
+                let response = answer.into_response(&name, elapsed_ms, plan.map(Into::into));
+                return Ok((response, Some(version)));
             }
-            PalmRequest::Batch { requests } => Ok(self.execute_batch(requests, cancel)),
+            PalmRequest::Batch { requests } => self.execute_batch(requests, cancel),
             PalmRequest::Insert {
                 name,
                 series,
@@ -1580,32 +1751,32 @@ impl PalmServer {
                     cache.purge(&name);
                 }
                 inserted?;
-                Ok(PalmResponse::Inserted {
+                PalmResponse::Inserted {
                     name,
                     inserted: batch.len() as u64,
                     total: registered.index.len(),
-                })
+                }
             }
             PalmRequest::Metrics { name } => {
                 let slot = self.slot(&name)?;
                 let registered = slot.read();
-                Ok(PalmResponse::Metrics {
+                PalmResponse::Metrics {
                     name,
                     report: registered.report,
                     footprint_bytes: registered.index.footprint_bytes(),
-                })
+                }
             }
-            PalmRequest::Recommend { scenario } => Ok(PalmResponse::Recommendation {
+            PalmRequest::Recommend { scenario } => PalmResponse::Recommendation {
                 recommendation: recommend(&scenario),
-            }),
+            },
             PalmRequest::ListIndexes => {
                 let mut names: Vec<String> = self.indexes.read().keys().cloned().collect();
                 names.sort();
-                Ok(PalmResponse::Indexes { names })
+                PalmResponse::Indexes { names }
             }
             PalmRequest::Stats => {
                 let snapshot = self.stats.snapshot();
-                Ok(PalmResponse::Stats {
+                PalmResponse::Stats {
                     requests: snapshot.requests,
                     cache_hits: snapshot.cache_hits,
                     cache_misses: snapshot.cache_misses,
@@ -1619,9 +1790,10 @@ impl PalmServer {
                     plans_sequential: snapshot.plans_sequential,
                     plans_read_ahead_off: snapshot.plans_read_ahead_off,
                     plans_chunked: snapshot.plans_chunked,
-                })
+                }
             }
-        }
+        };
+        Ok((response, None))
     }
 
     /// Executes a batch: kNN queries sharing `(index, k, exact)` become one

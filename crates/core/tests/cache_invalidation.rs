@@ -34,8 +34,13 @@ fn make_dataset(
 
 /// Strips the timing member so responses can be compared for identity.
 fn identity_view(response: &PalmResponse) -> String {
-    let Json::Obj(members) = response.to_json() else {
-        panic!("responses serialize to objects");
+    reply_view(&response.to_json().to_string())
+}
+
+/// [`identity_view`] of a reply as `handle_json` returns it.
+fn reply_view(reply: &str) -> String {
+    let Ok(Json::Obj(members)) = Json::parse(reply) else {
+        panic!("replies are JSON objects: {reply}");
     };
     Json::Obj(
         members
@@ -44,6 +49,35 @@ fn identity_view(response: &PalmResponse) -> String {
             .collect(),
     )
     .to_string()
+}
+
+/// The first distance of a `query_result` reply.
+fn nearest(reply: &str) -> f64 {
+    Json::parse(reply)
+        .ok()
+        .and_then(|json| json.get("distances")?.as_arr()?.first()?.as_f64())
+        .unwrap_or_else(|| panic!("query failed: {reply}"))
+}
+
+/// `request`, a query, spelled the way the encoder never spells it: members
+/// reversed, whitespace around every token, `k` as `3.0` and every value in
+/// exponent form.  It asks exactly what the canonical spelling asks.
+fn respelled(request: &PalmRequest) -> String {
+    let PalmRequest::Query {
+        name,
+        query,
+        k,
+        exact,
+    } = request
+    else {
+        panic!("only queries are respelled");
+    };
+    let values: Vec<String> = query.iter().map(|&v| format!("{:e}", v as f64)).collect();
+    format!(
+        "{{ \"exact\" : {exact} , \"k\" : {k}.0 , \"query\" : [ {} ] , \"name\" : {} , \"type\" : \"query\" }}",
+        values.join(" , "),
+        Json::Str(name.clone()).to_string()
+    )
 }
 
 /// Satellite stress test: a writer streams ever-closer matches to a fixed
@@ -105,6 +139,27 @@ fn readers_racing_inserts_never_observe_stale_answers() {
                 }
             });
         }
+        // One reader on the frame path: a recorded reply is served only
+        // while its version is current.
+        scope.spawn(move || {
+            let frame = PalmRequest::Query {
+                name: "race".into(),
+                query: query.clone(),
+                k: 1,
+                exact: true,
+            }
+            .to_json()
+            .to_string();
+            let mut last = f64::INFINITY;
+            for _ in 0..60 {
+                let distance = nearest(&server.handle_json(&frame));
+                assert!(
+                    distance <= last,
+                    "stale frame reply: distance went {last} -> {distance}"
+                );
+                last = distance;
+            }
+        });
         writer.join().unwrap();
     });
 
@@ -116,6 +171,8 @@ fn readers_racing_inserts_never_observe_stale_answers() {
         exact: true,
     };
     let cached = server.handle(request.clone());
+    let frame_reply = server.handle_json(&request.to_json().to_string());
+    assert_eq!(reply_view(&frame_reply), identity_view(&cached));
     let fresh_server = PalmServer::new(dir.file("work2"));
     fresh_server.handle(build_request("race", &dataset_path));
     // Replay the writer's inserts so both servers hold the same data.
@@ -146,10 +203,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Drive a cached and an uncached server through the same random
-    /// interleaving of queries and inserts: every response — ids,
+    /// interleaving of queries, inserts and rebuilds: every response — ids,
     /// distance bits, costs, insert totals — must be identical.  Any
     /// invalidation bug (stale entry surviving a write, over-eager key
-    /// matching, ABA across versions) shows up as a divergence.
+    /// matching, ABA across versions) shows up as a divergence.  The cached
+    /// server takes each query as frame text in two spellings, so frames
+    /// recorded by computed answers, typed hits and frame hits all meet the
+    /// writes.
     #[test]
     fn interleaved_queries_and_inserts_cached_equals_uncached(
         seed in 0u64..1000,
@@ -168,7 +228,19 @@ proptest! {
 
         for encoded in ops {
             // One draw encodes the op kind and its argument.
-            let (op, arg) = ((encoded % 5) as u8, encoded / 5);
+            let (op, arg) = ((encoded % 6) as u8, encoded / 6);
+            if op == 5 {
+                // A rebuild under the same name, which drops every insert:
+                // a reply recorded before it must never answer after it.
+                // The sync first lets the old index's queued unlinks run
+                // before the new build reuses its file names.
+                for server in [&cached, &uncached] {
+                    server.sync_all().unwrap();
+                    let built = server.handle(build_request("p", &dataset_path));
+                    prop_assert!(matches!(built, PalmResponse::Built { .. }), "{:?}", built);
+                }
+                continue;
+            }
             let request = match op {
                 // Inserts: identical fresh series on both servers.
                 0 => {
@@ -190,16 +262,27 @@ proptest! {
                     exact: op % 2 == 0,
                 },
             };
-            let a = cached.handle(request.clone());
-            let b = uncached.handle(request);
-            prop_assert_eq!(
-                identity_view(&a),
-                identity_view(&b),
-                "cached and uncached servers diverged"
-            );
+            let expected = identity_view(&uncached.handle(request.clone()));
+            if matches!(request, PalmRequest::Query { .. }) {
+                for frame in [request.to_json().to_string(), respelled(&request)] {
+                    prop_assert_eq!(
+                        reply_view(&cached.handle_json(&frame)),
+                        expected.clone(),
+                        "cached and uncached servers diverged on {}",
+                        frame
+                    );
+                }
+            } else {
+                prop_assert_eq!(
+                    identity_view(&cached.handle(request)),
+                    expected,
+                    "cached and uncached servers diverged"
+                );
+            }
         }
         // The interleavings must actually exercise the cache.
         let stats = cached.stats();
         prop_assert!(stats.cache_misses > 0, "no cache traffic: {:?}", stats);
+        prop_assert!(stats.cache_hits > 0, "no cache hits: {:?}", stats);
     }
 }

@@ -9,7 +9,7 @@
 //! partial frame kept, letting the connection loop poll the server's
 //! shutdown state between chunks without losing data.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Default cap on a single frame (16 MiB), matching the service protocol.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 << 20;
@@ -116,10 +116,36 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Writes one frame: the payload followed by `\n`, flushed.
+/// Writes one frame: the payload followed by `\n`, flushed.  Both go out
+/// in one vectored write when the writer takes them whole, so a small reply
+/// is one TCP segment rather than a second one carrying only the `\n`; the
+/// payload is never copied to append the newline (an `insert` frame is
+/// hundreds of kilobytes).
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    writer.write_all(payload)?;
-    writer.write_all(b"\n")?;
+    write_frame_while(writer, payload, || false)
+}
+
+/// [`write_frame`] on a writer with a write timeout: a write that times
+/// out (`WouldBlock` / `TimedOut`) is retried for as long as `keep_going`
+/// says so, and otherwise fails with that error.
+pub(crate) fn write_frame_while<W: Write>(
+    writer: &mut W,
+    payload: &[u8],
+    mut keep_going: impl FnMut() -> bool,
+) -> std::io::Result<()> {
+    let mut parts = [IoSlice::new(payload), IoSlice::new(b"\n")];
+    let mut unsent = &mut parts[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    && keep_going() => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
 }
 
@@ -191,6 +217,120 @@ mod tests {
                 FrameOutcome::Eof { mid_frame: false }
             ));
         }
+    }
+
+    /// Takes at most `step` bytes per call across the slices it is offered,
+    /// like a socket's `writev`, after refusing `interrupts` calls with
+    /// `Interrupted`; counts the calls.
+    struct TrickleWriter {
+        taken: Vec<u8>,
+        step: usize,
+        interrupts: usize,
+        calls: usize,
+    }
+
+    impl TrickleWriter {
+        fn new(step: usize, interrupts: usize) -> Self {
+            TrickleWriter {
+                taken: Vec::new(),
+                step,
+                interrupts,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut room = self.step;
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.taken.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.step - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_survives_short_and_interrupted_writes() {
+        let payload: Vec<u8> = (0..100u8).map(|i| b'a' + i % 26).collect();
+        let mut expected = payload.clone();
+        expected.push(b'\n');
+        for (step, interrupts) in [(7, 0), (7, 1), (1, 0), (usize::MAX, 1)] {
+            let mut writer = TrickleWriter::new(step, interrupts);
+            write_frame(&mut writer, &payload).unwrap();
+            assert_eq!(
+                writer.taken, expected,
+                "step {step}, {interrupts} interrupt(s)"
+            );
+        }
+        // An empty payload is still a frame: its newline.
+        let mut writer = TrickleWriter::new(7, 0);
+        write_frame(&mut writer, b"").unwrap();
+        assert_eq!(writer.taken, b"\n");
+    }
+
+    #[test]
+    fn write_frame_is_one_call_when_the_writer_takes_it_whole() {
+        let mut writer = TrickleWriter::new(usize::MAX, 0);
+        write_frame(&mut writer, b"one").unwrap();
+        assert_eq!(writer.calls, 1);
+        write_frame(&mut writer, b"two").unwrap();
+        assert_eq!(writer.calls, 2);
+        assert_eq!(writer.taken, b"one\ntwo\n");
+    }
+
+    #[test]
+    fn write_frame_while_retries_timeouts_only_while_told_to() {
+        /// Times out on its first `timeouts` calls, then takes everything.
+        struct Stalled {
+            timeouts: usize,
+            taken: Vec<u8>,
+        }
+        impl Write for Stalled {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.timeouts > 0 {
+                    self.timeouts -= 1;
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                self.taken.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writer = Stalled {
+            timeouts: 3,
+            taken: Vec::new(),
+        };
+        let mut asked = 0;
+        write_frame_while(&mut writer, b"reply", || {
+            asked += 1;
+            true
+        })
+        .unwrap();
+        assert_eq!((asked, writer.taken.as_slice()), (3, &b"reply\n"[..]));
+        let mut writer = Stalled {
+            timeouts: 1,
+            taken: Vec::new(),
+        };
+        let err = write_frame(&mut writer, b"reply").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
 
     #[test]

@@ -14,7 +14,9 @@ use coconut_json::Json;
 use coconut_parallel::CancelToken;
 use parking_lot::Mutex;
 
-use crate::frame::{write_frame, FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
+use crate::frame::{
+    write_frame, write_frame_while, FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES,
+};
 
 /// What the front-end needs from the thing it serves.  [`PalmServer`]
 /// is the original implementation; the coordinator implements it too, so
@@ -69,8 +71,9 @@ pub struct ServerConfig {
     /// How long [`NetServer::shutdown`] waits for in-flight requests
     /// before cancelling them.
     pub drain_deadline: Duration,
-    /// Socket read timeout: the granularity at which idle connections
-    /// notice a shutdown.
+    /// Socket read and write timeout: the granularity at which idle
+    /// connections, and connections whose client stopped reading their
+    /// replies, notice a shutdown.
     pub read_poll: Duration,
 }
 
@@ -344,6 +347,9 @@ fn accept_loop<H: RequestHandler>(
 fn serve_connection<H: RequestHandler>(shared: &Shared<H>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_poll));
+    // A reply to a client that stopped reading blocks once the socket
+    // buffers fill; the timeout lets the writer see a shutdown.
+    let _ = stream.set_write_timeout(Some(shared.config.read_poll));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -400,7 +406,9 @@ fn serve_connection<H: RequestHandler>(shared: &Shared<H>, stream: TcpStream) {
                         response
                     }
                 };
-                if write_frame(&mut writer, response.as_bytes()).is_err() {
+                // Still delivered while draining; dropped once stopped.
+                let delivering = || shared.state() != STATE_STOPPED;
+                if write_frame_while(&mut writer, response.as_bytes(), delivering).is_err() {
                     return;
                 }
             }

@@ -76,9 +76,31 @@ fn identity_view(json: &Json) -> Json {
     )
 }
 
+/// [`query_request`] spelled differently: members reversed, whitespace
+/// around every token, `k` as `3.0`, values in exponent form.  Same query,
+/// other frame bytes.
+fn respelled_query(name: &str, query: &[f32], k: usize) -> String {
+    let values: Vec<String> = query.iter().map(|&v| format!("{:e}", v as f64)).collect();
+    format!(
+        r#"{{ "exact" : true , "k" : {k}.0 , "query" : [ {} ] , "name" : "{name}" , "type" : "query" }}"#,
+        values.join(" , ")
+    )
+}
+
+/// `reply` with the value of its `elapsed_ms` member cut out, byte for byte
+/// otherwise.
+fn without_elapsed(reply: &str) -> String {
+    let member = r#""elapsed_ms":"#;
+    let at = reply.find(member).expect("an elapsed_ms member") + member.len();
+    let end = at + reply[at..].find([',', '}']).expect("a member after it");
+    format!("{}{}", &reply[..at], &reply[end..])
+}
+
 /// Tentpole acceptance: answers over the wire are bit-identical to the
 /// in-process `handle` path — with the result cache on *and* off, and on
-/// repeat queries (cache hits).
+/// repeat queries.  Each query is asked three times: computed, then in
+/// another spelling (a typed cache hit, whose reply is recorded for that
+/// frame), then that spelling again (served from the recorded bytes).
 #[test]
 fn wire_answers_are_bit_identical_to_in_process_with_and_without_cache() {
     let dir = ScratchDir::new("net-identity").unwrap();
@@ -94,22 +116,101 @@ fn wire_answers_are_bit_identical_to_in_process_with_and_without_cache() {
     for _ in 0..8 {
         let q = gen.next_series();
         let request = query_request("idx", &q.values, 3);
-        // Ask twice so the second wire answer is served from the cache.
-        for _ in 0..2 {
-            let wire = Json::parse(&client.call(&request).unwrap()).unwrap();
-            let in_process = Json::parse(&uncached.handle_json(&request)).unwrap();
+        let respelled = respelled_query("idx", &q.values, 3);
+        let in_process = Json::parse(&uncached.handle_json(&request)).unwrap();
+        let mut replies = Vec::new();
+        // (requests, cache_hits, cache_misses) each ask adds.
+        for (frame, moves) in [
+            (&request, (1, 0, 1)),
+            (&respelled, (1, 1, 0)),
+            (&respelled, (1, 1, 0)),
+        ] {
+            let before = cached.stats();
+            let reply = client.call(frame).unwrap();
+            let after = cached.stats();
+            let wire = Json::parse(&reply).unwrap();
             assert_eq!(type_of(&wire), Some("query_result"));
             assert_eq!(
                 identity_view(&wire).to_string(),
                 identity_view(&in_process).to_string(),
                 "wire answer must equal the computed in-process answer"
             );
+            assert_eq!(
+                (
+                    after.requests - before.requests,
+                    after.cache_hits - before.cache_hits,
+                    after.cache_misses - before.cache_misses
+                ),
+                moves,
+                "ask {} of {frame}",
+                replies.len() + 1
+            );
+            replies.push(reply);
         }
+        assert_eq!(
+            without_elapsed(&replies[1]),
+            without_elapsed(&replies[2]),
+            "a frame hit replays the typed hit's bytes"
+        );
     }
-    let stats = cached.stats();
-    assert!(stats.cache_hits >= 8, "repeats must hit: {stats:?}");
     let report = server.shutdown();
     assert!(report.is_clean(), "unclean shutdown: {report:?}");
+}
+
+/// Satellite: a client that sends batches of large replies and never reads
+/// them does not wedge shutdown — the connection thread's blocked write
+/// gives up once the server stops, so no thread leaks.
+#[test]
+fn a_client_that_never_reads_does_not_wedge_shutdown() {
+    let dir = ScratchDir::new("net-unread").unwrap();
+    let (dataset_path, series) = make_dataset(&dir, 3000);
+    let palm = Arc::new(PalmServer::new(dir.file("work")));
+    palm.handle(build_variant(
+        "big",
+        &dataset_path,
+        VariantKind::CTree,
+        true,
+    ));
+    let server = spawn_server(Arc::clone(&palm), ServerConfig::default());
+
+    // 32 exact k=3000 queries: a ~24 KB frame asking for MBs of reply.
+    let batch = PalmRequest::Batch {
+        requests: (0..32)
+            .map(|i| PalmRequest::Query {
+                name: "big".into(),
+                query: series[i].values.clone(),
+                k: 3000,
+                exact: true,
+            })
+            .collect(),
+    }
+    .to_json()
+    .to_string();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    for _ in 0..20 {
+        stream.write_all(batch.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+    }
+    // Wait until the server stops taking batches (33 requests each): the
+    // socket buffers are full of replies and it is blocked writing to us.
+    let mut last = (palm.stats().requests, Instant::now());
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while last.1.elapsed() < Duration::from_millis(500) && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(20));
+        let requests = palm.stats().requests;
+        if requests != last.0 {
+            last = (requests, Instant::now());
+        }
+    }
+    assert!(
+        last.0 < 1 + 20 * 33,
+        "the server answered every batch: the replies never filled the buffers"
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.leaked_threads, 0, "{report:?}");
+    assert!(report.is_clean(), "unclean shutdown: {report:?}");
+    drop(stream);
 }
 
 /// Satellite: an oversized frame gets a structured error, then the
@@ -668,21 +769,25 @@ fn adaptive_planner_wire_path_explains_and_counts() {
         }
 
         // The same query again is a cache hit: identical answer, no explain
-        // (nothing was planned).
-        let repeat = Json::parse(
-            &client
-                .call(&query_request("adaptive", &q.values, 3))
-                .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            answer_view(&repeat).to_string(),
-            answer_view(&on_adaptive).to_string()
-        );
-        assert!(
-            repeat.get("explain").is_none(),
-            "cache hits must not carry an explain report"
-        );
+        // (nothing was planned).  The computed reply carried an explain, so
+        // it was not recorded for its frame: the second ask is a typed hit,
+        // the third is served from the second's bytes.
+        for _ in 0..2 {
+            let repeat = Json::parse(
+                &client
+                    .call(&query_request("adaptive", &q.values, 3))
+                    .unwrap(),
+            )
+            .unwrap();
+            assert_eq!(
+                answer_view(&repeat).to_string(),
+                answer_view(&on_adaptive).to_string()
+            );
+            assert!(
+                repeat.get("explain").is_none(),
+                "cache hits must not carry an explain report"
+            );
+        }
     }
 
     let stats = Json::parse(
@@ -703,6 +808,7 @@ fn adaptive_planner_wire_path_explains_and_counts() {
         "one plan per computed query"
     );
     assert_eq!(counter("planner_fixed"), 4);
+    assert_eq!(counter("cache_hits"), 8, "two hits per adaptive query");
     assert_eq!(
         counter("plans_parallel") + counter("plans_sequential"),
         counter("planner_adaptive"),
