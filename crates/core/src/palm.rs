@@ -28,6 +28,17 @@
 //! executed through the engine's batched round pipeline
 //! (`coconut_ctree::engine::batch_knn`), whose per-query answers and costs
 //! are bit-identical to one-at-a-time execution.
+//!
+//! # Result cache
+//!
+//! [`PalmServer::with_result_cache`] turns on one bounded cache of encoded
+//! `query_result` replies, keyed by the bytes of the request object that
+//! asked them (a trailing `deadline_ms` value cut out) and tagged with the
+//! index version they were computed against.  Only the text entry point,
+//! [`PalmServer::handle_json_with`], consults it: a top-level `query` frame
+//! and each element of a `batch` frame.  Typed [`PalmServer::handle`]
+//! always computes.  A write bumps the version under the slot's write lock,
+//! so a recorded reply is served only while it is still the answer.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
@@ -38,7 +49,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coconut_json::{member, member_or, FromJson, Json, JsonError, ToJson};
+use coconut_json::{member, member_or, scan_array, scan_object, FromJson, Json, JsonError, ToJson};
 use coconut_parallel::{CancelToken, WorkerPool};
 use parking_lot::{Mutex, RwLock};
 
@@ -238,10 +249,10 @@ pub enum PalmResponse {
         requests: u64,
         /// Queries answered from the result cache.
         cache_hits: u64,
-        /// Queries that missed the result cache (counted only when the
-        /// cache is enabled).
+        /// Queries that missed the result cache and were computed (counted
+        /// only when the cache is enabled).
         cache_misses: u64,
-        /// Entries currently resident in the result cache.
+        /// Replies currently recorded in the result cache.
         cache_entries: u64,
         /// Requests shed by admission control (reported by a network
         /// front-end via [`PalmServer::note_shed`]).
@@ -996,133 +1007,96 @@ struct Registered {
 /// the read side, streaming inserts take the write side.
 type Slot = Arc<RwLock<Registered>>;
 
-/// Key of a memoized query answer: the full identity of the computation.
-/// Query values are compared bit-wise (`f32::to_bits`), so `-0.0 != 0.0`
-/// and NaN payloads are distinguished — the cache only ever coalesces
-/// requests that are bit-identical on the wire.  `window` is carried for
-/// forward compatibility with windowed queries; the service protocol
-/// currently always issues unwindowed queries (`None`).
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    name: String,
-    query_bits: Vec<u32>,
-    k: usize,
-    exact: bool,
-    window: Option<(u64, u64)>,
-}
-
-impl CacheKey {
-    fn query(name: &str, query: &[f32], k: usize, exact: bool) -> Self {
-        CacheKey {
-            name: name.to_string(),
-            query_bits: query.iter().map(|v| v.to_bits()).collect(),
-            k,
-            exact,
-            window: None,
-        }
-    }
-}
-
-/// A memoized answer: exactly what the compute path produced, so a hit is
-/// bit-identical to a recomputation against the same index version.
-#[derive(Clone)]
-struct CachedAnswer {
-    ids: Vec<u64>,
-    distances: Vec<f64>,
-    squared_distances: Vec<f64>,
-    timestamps: Vec<u64>,
-    cost: QueryCostJson,
-}
-
-impl CachedAnswer {
-    /// Captures the engine's answer with full neighbour identity.
-    fn from_neighbors(
-        neighbors: &[coconut_series::distance::Neighbor],
-        cost: QueryCostJson,
-    ) -> Self {
-        CachedAnswer {
-            ids: neighbors.iter().map(|n| n.id).collect(),
-            distances: neighbors.iter().map(|n| n.distance()).collect(),
-            squared_distances: neighbors.iter().map(|n| n.squared_distance).collect(),
-            timestamps: neighbors.iter().map(|n| n.timestamp).collect(),
-            cost,
-        }
-    }
-    /// `explain` is the plan that drove this computation — `None` for cache
-    /// hits (nothing was planned) and for fixed-mode executions.
-    fn into_response(
-        self,
-        name: &str,
-        elapsed_ms: f64,
-        explain: Option<PlanReportJson>,
-    ) -> PalmResponse {
-        PalmResponse::QueryResult {
-            name: name.to_string(),
-            ids: self.ids,
-            distances: self.distances,
-            squared_distances: self.squared_distances,
-            timestamps: self.timestamps,
-            elapsed_ms,
-            cost: self.cost,
-            explain,
-        }
-    }
-}
-
-struct CacheEntry {
-    version: u64,
-    answer: CachedAnswer,
-}
-
 /// The member whose value is the only part of a `query_result` reply that
-/// differs between two answers to the same frame.  This byte sequence
+/// differs between two answers to the same request.  This byte sequence
 /// cannot occur inside an encoded JSON string (its quotes would be
 /// escaped), so its first occurrence is the member itself.
 const ELAPSED_MEMBER: &str = ",\"elapsed_ms\":";
 
-/// A reply recorded for one request frame (see
-/// [`PalmServer::handle_json_with`]).
+/// The member an adaptive index's computed reply ends with; the cache
+/// records the reply without it, as a hit (which ran no plan) answers.
+const EXPLAIN_MEMBER: &str = ",\"explain\":";
+
+/// The member [`crate::backend::encode_frame`] appends last.
+const DEADLINE_MEMBER: &str = ",\"deadline_ms\":";
+
+/// What a request object is cached under: its bytes, with the value of a
+/// trailing `deadline_ms` member cut out when it is a plain non-negative
+/// decimal (`0`, `250`, `1.5`), the form `encode_frame` writes.  Two
+/// requests that differ only in such a value ask the same thing, and a hit
+/// is served whatever the deadline says.  Anything else about the bytes
+/// (member order, whitespace, how a number is spelled) makes another key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct RequestKey<'a> {
+    /// The request's bytes, ending before the cut value if there is one.
+    text: &'a str,
+    /// Whether a deadline was cut: no whole request shares a cut key,
+    /// though one may end in the same bytes.
+    deadline_cut: bool,
+}
+
+impl<'a> RequestKey<'a> {
+    fn of(request: &'a str) -> Self {
+        let body = request.strip_suffix('}').unwrap_or(request);
+        let value_len = body
+            .bytes()
+            .rev()
+            .take_while(|b| b.is_ascii_digit() || *b == b'.')
+            .count();
+        let (text, value) = body.split_at(body.len() - value_len);
+        let (int, fraction) = value.split_once('.').unwrap_or((value, "0"));
+        let plain = [int, fraction]
+            .iter()
+            .all(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()));
+        let deadline_cut = plain && body.len() < request.len() && text.ends_with(DEADLINE_MEMBER);
+        RequestKey {
+            text: if deadline_cut { text } else { request },
+            deadline_cut,
+        }
+    }
+}
+
+/// A reply recorded for one request key.
 #[derive(Clone)]
-struct FrameReply {
-    /// The index the frame queries.
+struct Entry {
+    /// The key's bytes (two keys may share a hash) and `deadline_cut`.
+    key: (Arc<str>, bool),
+    /// The index the request queries.
     name: Arc<str>,
-    /// The slot version the answer was computed or looked up against.
+    /// The slot version the answer was computed against.
     version: u64,
-    /// The reply as encoded.
+    /// The reply as encoded, without `explain`.
     reply: Arc<str>,
     /// Where in `reply` the `elapsed_ms` value sits; a hit splices in its
     /// own.
     elapsed: Range<usize>,
 }
 
-struct FrameEntry {
-    /// The frame bytes: two frames may share a hash.
-    frame: Box<str>,
-    reply: FrameReply,
+impl Entry {
+    fn is_for(&self, key: RequestKey) -> bool {
+        *self.key.0 == *key.text && self.key.1 == key.deadline_cut
+    }
 }
 
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<CacheKey, CacheEntry>,
-    /// FIFO insertion order used for eviction.  May hold keys already
-    /// purged from `map`; eviction skips them.
-    order: VecDeque<CacheKey>,
-    /// Recorded replies by [`ResultCache::frame_hash`] of their frame.
-    frames: HashMap<u64, FrameEntry>,
-    /// FIFO insertion order of `frames`, each hash with its index name.
-    frame_order: VecDeque<(u64, Arc<str>)>,
+    /// Recorded replies by [`ResultCache::hash`] of their key.
+    entries: HashMap<u64, Entry>,
+    /// The hashes of `entries` in insertion order, for FIFO eviction.
+    order: VecDeque<u64>,
 }
 
-/// Bounded result cache with version-tagged entries (see [`Registered`]).
+/// Bounded cache of encoded `query_result` replies keyed by request bytes,
+/// with version-tagged entries (see [`Registered`]).
 struct ResultCache {
     capacity: usize,
-    /// Keys the frame hashes at random, so no client can pick frames that
+    /// Keys the hashes at random, so no client can pick requests that
     /// collide.
-    frame_hasher: RandomState,
-    /// The longest frame ever recorded: a longer one (an `insert` frame,
-    /// say) cannot hit, so it is not hashed for a lookup.  A hint only; the
-    /// entries are under `inner`.
-    longest_frame: AtomicUsize,
+    hasher: RandomState,
+    /// The longest key ever recorded: a longer one (an `insert` frame, say)
+    /// cannot hit, so it is not hashed.  A hint only; the entries are under
+    /// `inner`.
+    longest_key: AtomicUsize,
     inner: Mutex<CacheInner>,
 }
 
@@ -1130,65 +1104,36 @@ impl ResultCache {
     fn new(capacity: usize) -> Self {
         ResultCache {
             capacity: capacity.max(1),
-            frame_hasher: RandomState::new(),
-            longest_frame: AtomicUsize::new(0),
+            hasher: RandomState::new(),
+            longest_key: AtomicUsize::new(0),
             inner: Mutex::new(CacheInner::default()),
         }
     }
 
-    /// Returns the cached answer iff it was computed against exactly
-    /// `version`; a stale entry is dropped on sight.
-    fn lookup(&self, key: &CacheKey, version: u64) -> Option<CachedAnswer> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some(entry) if entry.version == version => Some(entry.answer.clone()),
-            Some(_) => {
-                inner.map.remove(key);
-                None
-            }
-            None => None,
-        }
+    /// The hash `key` is recorded under, or `None` for a key longer than
+    /// any recorded, which cannot hit.  One pass over the key serves both
+    /// its lookup and its recording.
+    fn hash(&self, key: RequestKey) -> Option<u64> {
+        (key.text.len() <= self.longest_key.load(Ordering::Relaxed))
+            .then(|| self.hasher.hash_one(key))
     }
 
-    fn insert(&self, key: CacheKey, version: u64, answer: CachedAnswer) {
-        let mut inner = self.inner.lock();
-        if let Some(entry) = inner.map.get_mut(&key) {
-            // Same key, possibly newer version: replace in place.
-            *entry = CacheEntry { version, answer };
-            return;
-        }
-        while inner.map.len() >= self.capacity {
-            match inner.order.pop_front() {
-                Some(oldest) => {
-                    inner.map.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        inner.order.push_back(key.clone());
-        inner.map.insert(key, CacheEntry { version, answer });
-    }
-
-    /// The hash `frame` is recorded under, or `None` for a frame longer
-    /// than any recorded, which cannot hit.  One pass over the frame serves
-    /// both its lookup and its recording.
-    fn frame_hash(&self, frame: &str) -> Option<u64> {
-        (frame.len() <= self.longest_frame.load(Ordering::Relaxed))
-            .then(|| self.frame_hasher.hash_one(frame))
-    }
-
-    /// The reply recorded for exactly these frame bytes, whatever its
-    /// version: the caller checks that under the slot's read lock.
-    fn lookup_frame(&self, frame: &str, hash: u64) -> Option<FrameReply> {
+    /// The entry recorded for `key`, whatever its version: the caller
+    /// checks that under the slot's read lock.
+    fn lookup(&self, key: RequestKey, hash: Option<u64>) -> Option<Entry> {
         let inner = self.inner.lock();
-        let entry = inner.frames.get(&hash)?;
-        (*entry.frame == *frame).then(|| entry.reply.clone())
+        let entry = inner.entries.get(&hash?)?;
+        entry.is_for(key).then(|| entry.clone())
     }
 
-    /// Records `reply`, a `query_result` without `explain` answered
-    /// against `version` of index `name`, as the reply to `frame` (whose
-    /// [`ResultCache::frame_hash`] is `hash`, if it was taken).
-    fn record_frame(&self, frame: &str, hash: Option<u64>, name: &str, version: u64, reply: &str) {
+    /// Records `reply`, a `query_result` answered against `version` of
+    /// index `name`, for `key` (whose [`ResultCache::hash`] is `hash`, if
+    /// it was taken).  An `explain` member is cut off first.
+    fn record(&self, key: RequestKey, hash: Option<u64>, name: &str, version: u64, reply: &str) {
+        let reply: Arc<str> = match reply.find(EXPLAIN_MEMBER) {
+            Some(at) => Arc::from(format!("{}}}", &reply[..at])),
+            None => Arc::from(reply),
+        };
         let Some(at) = reply.find(ELAPSED_MEMBER) else {
             return;
         };
@@ -1196,52 +1141,81 @@ impl ResultCache {
         let Some(len) = reply[start..].find([',', '}']) else {
             return;
         };
-        let hash = hash.unwrap_or_else(|| self.frame_hasher.hash_one(frame));
-        let entry = FrameEntry {
-            frame: frame.into(),
-            reply: FrameReply {
-                name: Arc::from(name),
-                version,
-                reply: Arc::from(reply),
-                elapsed: start..start + len,
-            },
+        let hash = hash.unwrap_or_else(|| self.hasher.hash_one(key));
+        let entry = Entry {
+            key: (Arc::from(key.text), key.deadline_cut),
+            name: Arc::from(name),
+            version,
+            reply,
+            elapsed: start..start + len,
         };
         let mut inner = self.inner.lock();
-        if let Some(old) = inner.frames.get_mut(&hash) {
-            // The same frame answered again takes the newer reply; another
-            // frame with this hash leaves the entry alone.
-            if old.frame == entry.frame {
-                old.reply = entry.reply;
+        if let Some(old) = inner.entries.get_mut(&hash) {
+            // The same key answered again takes the newer reply; another
+            // key with this hash leaves the entry alone.
+            if old.is_for(key) {
+                *old = entry;
             }
             return;
         }
-        while inner.frames.len() >= self.capacity {
-            match inner.frame_order.pop_front() {
-                Some((oldest, _)) => {
-                    inner.frames.remove(&oldest);
-                }
-                None => break,
-            }
+        while inner.entries.len() >= self.capacity {
+            let Some(oldest) = inner.order.pop_front() else {
+                break;
+            };
+            inner.entries.remove(&oldest);
         }
-        inner
-            .frame_order
-            .push_back((hash, Arc::clone(&entry.reply.name)));
-        inner.frames.insert(hash, entry);
-        self.longest_frame.fetch_max(frame.len(), Ordering::Relaxed);
+        inner.order.push_back(hash);
+        inner.entries.insert(hash, entry);
+        self.longest_key
+            .fetch_max(key.text.len(), Ordering::Relaxed);
     }
 
     /// Drops every entry belonging to `name`.  The version tags already
     /// make such entries unservable; the purge just returns their memory.
     fn purge(&self, name: &str) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|key, _| key.name != name);
-        inner.order.retain(|key| key.name != name);
-        inner.frames.retain(|_, entry| &*entry.reply.name != name);
-        inner.frame_order.retain(|(_, owner)| &**owner != name);
+        let CacheInner { entries, order } = &mut *self.inner.lock();
+        entries.retain(|_, entry| &*entry.name != name);
+        order.retain(|hash| entries.contains_key(hash));
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().entries.len()
+    }
+}
+
+/// When a request whose `deadline_ms` member is `value` runs out: `None`
+/// for no member, and for one too far off to represent.
+fn request_deadline(value: Option<&Json>) -> Result<Option<Instant>, ServiceError> {
+    match value.map(Json::as_f64) {
+        None => Ok(None),
+        Some(Some(ms)) if ms >= 0.0 => {
+            Ok(Instant::now().checked_add(Duration::from_millis(ms as u64)))
+        }
+        Some(_) => Err(ServiceError::malformed(
+            "deadline_ms must be a non-negative number".to_string(),
+        )),
+    }
+}
+
+/// The reply to a computed query: the engine's answer with full neighbour
+/// identity.  `explain` is the plan that drove the computation, `None` for
+/// a fixed-mode execution.
+fn query_result(
+    name: String,
+    neighbors: &[coconut_series::distance::Neighbor],
+    cost: QueryCostJson,
+    elapsed_ms: f64,
+    explain: Option<PlanReportJson>,
+) -> PalmResponse {
+    PalmResponse::QueryResult {
+        name,
+        ids: neighbors.iter().map(|n| n.id).collect(),
+        distances: neighbors.iter().map(|n| n.distance()).collect(),
+        squared_distances: neighbors.iter().map(|n| n.squared_distance).collect(),
+        timestamps: neighbors.iter().map(|n| n.timestamp).collect(),
+        elapsed_ms,
+        cost,
+        explain,
     }
 }
 
@@ -1269,7 +1243,7 @@ pub struct ServiceStatsSnapshot {
     pub requests: u64,
     /// Queries answered from the result cache.
     pub cache_hits: u64,
-    /// Queries that consulted the result cache and missed.
+    /// Queries that missed the result cache and were computed.
     pub cache_misses: u64,
     /// Requests shed by admission control (see [`PalmServer::note_shed`]).
     pub shed: u64,
@@ -1350,8 +1324,7 @@ pub struct PalmServer {
 
 impl PalmServer {
     /// Creates a server that stores index files under `work_dir`.  Batch
-    /// sub-requests fan out over one worker per available core; see
-    /// [`PalmServer::with_batch_parallelism`].
+    /// sub-requests fan out over one worker per available core.
     pub fn new<P: Into<PathBuf>>(work_dir: P) -> Self {
         PalmServer {
             work_dir: work_dir.into(),
@@ -1363,21 +1336,13 @@ impl PalmServer {
         }
     }
 
-    /// Sets the worker count batch sub-requests are dispatched over
-    /// (`1` = sequential, `0` = one per available core).  A pure
-    /// performance knob: batch responses are identical at every setting.
-    pub fn with_batch_parallelism(mut self, workers: usize) -> Self {
-        self.pool = WorkerPool::new(workers);
-        self
-    }
-
-    /// Enables the result cache, memoizing up to `capacity` query answers
-    /// keyed by `(index, query bits, k, exact, window)`, and up to
-    /// `capacity` encoded replies keyed by their request frame's bytes (see
-    /// [`PalmServer::handle_json_with`]).  Entries are version-tagged and
-    /// invalidated by the write side (inserts, syncs, rebuilds), so a hit is
-    /// bit-identical to recomputation: answers are a pure function of the
-    /// key and the index version.
+    /// Enables the result cache, recording up to `capacity` encoded
+    /// `query_result` replies keyed by the bytes of the request object that
+    /// asked them (see [`PalmServer::handle_json_with`]).  Entries are
+    /// version-tagged and invalidated by the write side (inserts, syncs,
+    /// rebuilds), so a hit is bit-identical to recomputation, apart from
+    /// `elapsed_ms`: an answer is a pure function of the request and the
+    /// index version.
     pub fn with_result_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(ResultCache::new(capacity));
         self
@@ -1420,8 +1385,8 @@ impl PalmServer {
     }
 
     /// [`PalmServer::handle_with`], also returning the slot version a
-    /// top-level query's answer was computed or looked up against (`None`
-    /// for every other verb and for a failed query).
+    /// top-level query's answer was computed against (`None` for every
+    /// other verb and for a failed query).
     fn handle_versioned(
         &self,
         request: PalmRequest,
@@ -1451,66 +1416,132 @@ impl PalmServer {
     /// only (relative to now); the response then reports
     /// `deadline_exceeded` if the engine could not finish in time.
     ///
-    /// With the result cache on, a frame byte-identical to an earlier
-    /// `query` is answered from that query's stored reply, without being
-    /// parsed, as long as the index still has the version the reply was
-    /// answered against; only `elapsed_ms` is fresh.  Like every cache
-    /// hit, it is served whatever the deadline says.
+    /// This is the one entry point that consults the result cache.  With it
+    /// on, a request whose bytes match those of an earlier `query` (apart
+    /// from the value of a trailing `deadline_ms`, as
+    /// [`crate::backend::encode_frame`] writes it) is answered from that
+    /// query's recorded reply, without being parsed, as long as the index
+    /// still has the version the reply was answered against: only
+    /// `elapsed_ms` is fresh, and there is no `explain`.  Like every hit, it
+    /// is served whatever the deadline says.  A `batch` looks each element
+    /// of `requests` up the same way and computes only the misses.  With the
+    /// cache off, the request is parsed and handled, nothing else.
     pub fn handle_json_with(&self, request_json: &str, cancel: &CancelToken) -> String {
-        let frame_hash = self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.frame_hash(request_json));
-        if let Some(reply) = frame_hash.and_then(|hash| self.frame_hit(request_json, hash)) {
+        let Some(cache) = &self.cache else {
+            let (response, _) = self.handle_text(request_json, cancel);
+            return response.to_json().to_string();
+        };
+        let start = Instant::now();
+        let key = RequestKey::of(request_json);
+        let hash = cache.hash(key);
+        if let Some(reply) = self.replay(cache, key, hash, start) {
+            self.stats.requests.fetch_add(1, Ordering::Relaxed);
+            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             return reply;
         }
-        let (response, version) = match Json::parse(request_json) {
-            Ok(json) => self.handle_parsed(&json, cancel),
-            Err(e) => {
-                let message = format!("malformed request: {e}");
-                (ServiceError::malformed(message).into_response(), None)
-            }
-        };
+        if let Some(reply) = self.batch_json(cache, request_json, cancel) {
+            return reply;
+        }
+        let (response, version) = self.handle_text(request_json, cancel);
         let reply = response.to_json().to_string();
-        // Only the hit form is recorded: a computed adaptive answer's
-        // `explain` belongs to that computation alone.
-        if let (
-            Some(cache),
-            Some(version),
-            PalmResponse::QueryResult {
-                name,
-                explain: None,
-                ..
-            },
-        ) = (&self.cache, version, &response)
-        {
-            cache.record_frame(request_json, frame_hash, name, version, &reply);
+        if let (Some(version), PalmResponse::QueryResult { name, .. }) = (version, &response) {
+            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+            cache.record(key, hash, name, version, &reply);
         }
         reply
     }
 
-    /// Serves `frame`, whose frame hash is `hash`, from the reply recorded
-    /// for the same bytes, if the index it queries still has the version
-    /// that reply was answered against.  The version is compared under the
-    /// slot's read lock, as a typed lookup compares it, so an insert either
-    /// came before (no hit) or comes after this answer.
-    fn frame_hit(&self, frame: &str, hash: u64) -> Option<String> {
-        let start = Instant::now();
-        let entry = self.cache.as_ref()?.lookup_frame(frame, hash)?;
-        let slot = self.slot(&entry.name).ok()?;
-        let registered = slot.read();
-        if registered.version != entry.version {
+    /// The reply recorded for `key`, with a fresh `elapsed_ms` timed from
+    /// `start`, if the index it queries still has the version that reply
+    /// was answered against.  The version is compared under the slot's read
+    /// lock, as the answer's was read under one, so an insert either came
+    /// before (no hit) or comes after this answer.
+    fn replay(
+        &self,
+        cache: &ResultCache,
+        key: RequestKey,
+        hash: Option<u64>,
+        start: Instant,
+    ) -> Option<String> {
+        let recorded = cache.lookup(key, hash)?;
+        let slot = self.slot(&recorded.name).ok()?;
+        if slot.read().version != recorded.version {
             return None;
         }
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         let elapsed_ms = Json::Num(start.elapsed().as_secs_f64() * 1000.0).to_string();
-        let Range { start, end } = entry.elapsed;
-        let mut reply = String::with_capacity(entry.reply.len() + elapsed_ms.len());
-        reply.push_str(&entry.reply[..start]);
+        let Range { start, end } = recorded.elapsed;
+        let mut reply = String::with_capacity(recorded.reply.len() + elapsed_ms.len());
+        reply.push_str(&recorded.reply[..start]);
         reply.push_str(&elapsed_ms);
-        reply.push_str(&entry.reply[end..]);
+        reply.push_str(&recorded.reply[end..]);
         Some(reply)
+    }
+
+    /// Answers a `batch` frame element by element.  Each element of
+    /// `requests` is looked up by the [`RequestKey`] of its own bytes; hits
+    /// are served from their recorded replies, and only the misses are
+    /// decoded and run, grouped, through [`PalmServer::execute_batch`].
+    /// Their `query_result`s are recorded, and the replies are spliced into
+    /// one `batch_result`.
+    ///
+    /// `None`, with nothing run and nothing counted, leaves the frame to the
+    /// parsed path: a frame that does not begin `{"type":"batch",` as every
+    /// encoder writes it, one the parser refuses, and one with an element
+    /// that does not decode, whose error the parsed path words.
+    fn batch_json(&self, cache: &ResultCache, frame: &str, cancel: &CancelToken) -> Option<String> {
+        if !frame.starts_with("{\"type\":\"batch\",") {
+            return None;
+        }
+        let members = scan_object(frame).ok()?;
+        let member = |key: &str| members.iter().find(|m| m.key == key);
+        let deadline = match member("deadline_ms") {
+            Some(value) => request_deadline(Some(&Json::parse(value.raw).ok()?)).ok()?,
+            None => None,
+        };
+        let cancel = deadline.map_or_else(|| cancel.clone(), |at| cancel.with_deadline(at));
+        let elements = scan_array(member("requests")?.raw).ok()?;
+        let start = Instant::now();
+        let mut replies: Vec<Option<String>> = Vec::with_capacity(elements.len());
+        let mut misses = Vec::new();
+        let mut requests = Vec::new();
+        for (i, element) in elements.iter().enumerate() {
+            let key = RequestKey::of(element);
+            let hash = cache.hash(key);
+            let reply = self.replay(cache, key, hash, start);
+            if reply.is_none() {
+                let json = Json::parse(element).ok()?;
+                requests.push(PalmRequest::from_json(&json).ok()?);
+                // A batch ignores an element's own `deadline_ms`; its reply
+                // is recorded only if it also answers the element's bytes
+                // sent alone.
+                let recordable = request_deadline(json.get("deadline_ms")).is_ok();
+                misses.push((i, key, hash, recordable));
+            }
+            replies.push(reply);
+        }
+        // The batch itself and its hits; `execute_batch` counts the rest.
+        let hits = (elements.len() - misses.len()) as u64;
+        self.stats.requests.fetch_add(1 + hits, Ordering::Relaxed);
+        self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        let computed = self.execute_batch(requests, &cancel);
+        for ((i, key, hash, recordable), (response, version)) in misses.into_iter().zip(computed) {
+            let reply = response.to_json().to_string();
+            if let (Some(version), PalmResponse::QueryResult { name, .. }) = (version, &response) {
+                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+                if recordable {
+                    cache.record(key, hash, name, version, &reply);
+                }
+            }
+            replies[i] = Some(reply);
+        }
+        let replies: Vec<String> = replies
+            .into_iter()
+            .map(|reply| reply.expect("every element is a hit or was computed"))
+            .collect();
+        let responses = replies.join(",");
+        Some(format!(
+            r#"{{"type":"batch_result","responses":[{responses}]}}"#
+        ))
     }
 
     /// [`PalmServer::handle_json_with`] over an owned byte buffer, as a
@@ -1531,28 +1562,25 @@ impl PalmServer {
         }
     }
 
-    /// Handles an already-parsed JSON request, with the version of
+    /// Parses and handles one request, with the version of
     /// [`PalmServer::handle_versioned`].  This is where the protocol-level
     /// `deadline_ms` member is folded into the token.
-    fn handle_parsed(&self, json: &Json, cancel: &CancelToken) -> (PalmResponse, Option<u64>) {
-        let cancel = match json.get("deadline_ms") {
-            None => cancel.clone(),
-            Some(value) => match value.as_f64() {
-                Some(ms) if ms >= 0.0 => {
-                    cancel.with_deadline(Instant::now() + Duration::from_millis(ms as u64))
-                }
-                _ => {
-                    let message = "deadline_ms must be a non-negative number".to_string();
-                    return (ServiceError::malformed(message).into_response(), None);
-                }
-            },
+    fn handle_text(&self, request_json: &str, cancel: &CancelToken) -> (PalmResponse, Option<u64>) {
+        let malformed = |e: JsonError| {
+            ServiceError::malformed(format!("malformed request: {e}")).into_response()
         };
-        match PalmRequest::from_json(json) {
+        let json = match Json::parse(request_json) {
+            Ok(json) => json,
+            Err(e) => return (malformed(e), None),
+        };
+        let cancel = match request_deadline(json.get("deadline_ms")) {
+            Ok(None) => cancel.clone(),
+            Ok(Some(at)) => cancel.with_deadline(at),
+            Err(e) => return (e.into_response(), None),
+        };
+        match PalmRequest::from_json(&json) {
             Ok(request) => self.handle_versioned(request, &cancel),
-            Err(e) => {
-                let message = format!("malformed request: {e}");
-                (ServiceError::malformed(message).into_response(), None)
-            }
+            Err(e) => (malformed(e), None),
         }
     }
 
@@ -1675,39 +1703,30 @@ impl PalmServer {
                 let start = Instant::now();
                 // The version is read under the slot read lock, so it is
                 // exactly the version the computation below runs against:
-                // any insert orders entirely before (older version, entry
-                // invisible to future readers) or after this read section.
-                // It is returned with the answer to tag the reply's frame
-                // entry, never re-read once this lock is gone.
+                // any insert orders entirely before or after this read
+                // section.  It is returned with the answer to tag the
+                // reply's cache entry, never re-read once this lock is gone.
                 let version = registered.version;
-                let key = self
-                    .cache
-                    .as_ref()
-                    .map(|_| CacheKey::query(&name, &query, k, exact));
-                if let (Some(cache), Some(key)) = (&self.cache, &key) {
-                    // A hit is served whatever the deadline says, expired
-                    // included: it costs less than the error would.
-                    if let Some(hit) = cache.lookup(key, version) {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-                        // A hit ran no plan, so there is no explain.
-                        let response = hit.into_response(&name, elapsed_ms, None);
-                        return Ok((response, Some(version)));
-                    }
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                }
                 let ((neighbors, cost), plan) =
                     registered.index.knn_planned(&query, k, exact, cancel)?;
                 self.stats.note_plan(plan.as_ref());
-                let answer = CachedAnswer::from_neighbors(&neighbors, cost.into());
-                if let (Some(cache), Some(key)) = (&self.cache, key) {
-                    cache.insert(key, version, answer.clone());
-                }
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-                let response = answer.into_response(&name, elapsed_ms, plan.map(Into::into));
+                let response = query_result(
+                    name,
+                    &neighbors,
+                    cost.into(),
+                    elapsed_ms,
+                    plan.map(Into::into),
+                );
                 return Ok((response, Some(version)));
             }
-            PalmRequest::Batch { requests } => self.execute_batch(requests, cancel),
+            PalmRequest::Batch { requests } => PalmResponse::Batch {
+                responses: self
+                    .execute_batch(requests, cancel)
+                    .into_iter()
+                    .map(|(response, _)| response)
+                    .collect(),
+            },
             PalmRequest::Insert {
                 name,
                 series,
@@ -1806,8 +1825,13 @@ impl PalmServer {
     /// Deadlines are reported per sub-request: a job that trips the token
     /// produces `deadline_exceeded` for *its* entries only, while jobs that
     /// completed (possibly on other workers) keep their answers — the batch
-    /// as a whole never turns into one blanket error.
-    fn execute_batch(&self, requests: Vec<PalmRequest>, cancel: &CancelToken) -> PalmResponse {
+    /// as a whole never turns into one blanket error.  Each response comes
+    /// with the version of [`PalmServer::handle_versioned`].
+    fn execute_batch(
+        &self,
+        requests: Vec<PalmRequest>,
+        cancel: &CancelToken,
+    ) -> Vec<(PalmResponse, Option<u64>)> {
         enum Job {
             /// A singleton sub-request, taken (exactly once) by the worker
             /// that claims the job; the `Mutex` only exists because the
@@ -1823,7 +1847,7 @@ impl PalmServer {
         }
         let total = requests.len();
         let mut jobs: Vec<Job> = Vec::new();
-        let mut ready: Vec<(usize, PalmResponse)> = Vec::new();
+        let mut ready: Vec<(usize, (PalmResponse, Option<u64>))> = Vec::new();
         let mut groups: HashMap<(String, usize, bool), usize> = HashMap::new();
         for (i, request) in requests.into_iter().enumerate() {
             match request {
@@ -1852,16 +1876,10 @@ impl PalmServer {
                     // here: every sub-request shows up in the stats.
                     self.stats.requests.fetch_add(1, Ordering::Relaxed);
                 }
-                PalmRequest::Batch { .. } => ready.push((
-                    i,
-                    PalmResponse::Error {
-                        kind: ERROR_KIND_MALFORMED.to_string(),
-                        message: "batch requests cannot be nested".to_string(),
-                        partial_cost: None,
-                        retry_after_ms: None,
-                        shard_costs: None,
-                    },
-                )),
+                PalmRequest::Batch { .. } => {
+                    let message = "batch requests cannot be nested".to_string();
+                    ready.push((i, (ServiceError::malformed(message).into_response(), None)))
+                }
                 other => jobs.push(Job::Single(i, parking_lot::Mutex::new(Some(other)))),
             }
         }
@@ -1871,7 +1889,7 @@ impl PalmServer {
                     .lock()
                     .take()
                     .expect("each singleton job is claimed exactly once");
-                vec![(*i, self.handle_with(request, cancel))]
+                vec![(*i, self.handle_versioned(request, cancel))]
             }
             Job::Queries {
                 name,
@@ -1880,7 +1898,11 @@ impl PalmServer {
                 idxs,
                 queries,
             } => match self.batch_query(name, queries, *k, *exact, cancel) {
-                Ok(responses) => idxs.iter().copied().zip(responses).collect(),
+                Ok((responses, version)) => idxs
+                    .iter()
+                    .copied()
+                    .zip(responses.into_iter().map(|r| (r, Some(version))))
+                    .collect(),
                 Err(e) => {
                     if e.kind == ERROR_KIND_DEADLINE {
                         self.stats
@@ -1888,28 +1910,27 @@ impl PalmServer {
                             .fetch_add(idxs.len() as u64, Ordering::Relaxed);
                     }
                     let response = e.into_response();
-                    idxs.iter().map(|&i| (i, response.clone())).collect()
+                    idxs.iter()
+                        .map(|&i| (i, (response.clone(), None)))
+                        .collect()
                 }
             },
         });
-        let mut responses: Vec<Option<PalmResponse>> = vec![None; total];
+        let mut responses: Vec<Option<(PalmResponse, Option<u64>)>> = vec![None; total];
         for (i, response) in outcomes.into_iter().flatten().chain(ready) {
             responses[i] = Some(response);
         }
-        PalmResponse::Batch {
-            responses: responses
-                .into_iter()
-                .map(|r| r.expect("every sub-request produced a response"))
-                .collect(),
-        }
+        responses
+            .into_iter()
+            .map(|r| r.expect("every sub-request produced a response"))
+            .collect()
     }
 
     /// Answers a group of same-shape kNN queries against one index through
-    /// the engine's batched round pipeline.  With the result cache enabled,
-    /// hits are served directly and only the misses go through the engine;
-    /// this is answer-preserving because batched answers are bit-identical
-    /// to one-at-a-time answers (the engine invariant), so a mix of cached
-    /// and freshly-batched entries equals the all-fresh batch.
+    /// the engine's batched round pipeline, whose answers are bit-identical
+    /// to one-at-a-time answers; also returns the slot version they were
+    /// computed against.  One plan covers the group, so every computed
+    /// answer carries the same `explain`.
     fn batch_query(
         &self,
         name: &str,
@@ -1917,92 +1938,55 @@ impl PalmServer {
         k: usize,
         exact: bool,
         cancel: &CancelToken,
-    ) -> Result<Vec<PalmResponse>, ServiceError> {
+    ) -> Result<(Vec<PalmResponse>, u64), ServiceError> {
         let slot = self.slot(name)?;
         let registered = slot.read();
         let start = Instant::now();
         let version = registered.version;
         // A sub-query the index cannot answer is refused on its own; the
         // rest of the group still runs.
-        let mut answers: Vec<Option<Result<CachedAnswer, ServiceError>>> = queries
+        let mut responses: Vec<Option<PalmResponse>> = queries
             .iter()
             .map(|query| {
-                registered
-                    .index
-                    .check_query(query, k)
-                    .err()
-                    .map(|e| Err(e.into()))
+                let refused = registered.index.check_query(query, k).err();
+                refused.map(|e| ServiceError::from(e).into_response())
             })
             .collect();
-        let mut miss_idxs: Vec<usize> = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            if answers[i].is_some() {
-                continue;
-            }
-            let Some(cache) = &self.cache else {
-                miss_idxs.push(i);
-                continue;
-            };
-            match cache.lookup(&CacheKey::query(name, query, k, exact), version) {
-                Some(hit) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    answers[i] = Some(Ok(hit));
-                }
-                None => {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    miss_idxs.push(i);
-                }
-            }
-        }
-        let mut explain: Option<PlanReportJson> = None;
-        if !miss_idxs.is_empty() {
-            // Avoid re-cloning the payloads when nothing was cached.
-            let miss_queries: Vec<Vec<f32>>;
-            let engine_queries: &[Vec<f32>] = if miss_idxs.len() == queries.len() {
+        let runnable: Vec<usize> = (0..queries.len())
+            .filter(|&i| responses[i].is_none())
+            .collect();
+        if !runnable.is_empty() {
+            // Avoid re-cloning the payloads when nothing was refused.
+            let runnable_queries: Vec<Vec<f32>>;
+            let engine_queries: &[Vec<f32>] = if runnable.len() == queries.len() {
                 queries
             } else {
-                miss_queries = miss_idxs.iter().map(|&i| queries[i].clone()).collect();
-                &miss_queries
+                runnable_queries = runnable.iter().map(|&i| queries[i].clone()).collect();
+                &runnable_queries
             };
             let (results, plan) =
                 registered
                     .index
                     .batch_knn_planned(engine_queries, k, exact, cancel)?;
             self.stats.note_plan(plan.as_ref());
-            explain = plan.map(Into::into);
-            for (&i, (neighbors, cost)) in miss_idxs.iter().zip(results) {
-                let answer = CachedAnswer::from_neighbors(&neighbors, cost.into());
-                if let Some(cache) = &self.cache {
-                    cache.insert(
-                        CacheKey::query(name, &queries[i], k, exact),
-                        version,
-                        answer.clone(),
-                    );
-                }
-                answers[i] = Some(Ok(answer));
+            let explain: Option<PlanReportJson> = plan.map(Into::into);
+            let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
+            for (&i, (neighbors, cost)) in runnable.iter().zip(results) {
+                let response = query_result(
+                    name.to_string(),
+                    &neighbors,
+                    cost.into(),
+                    elapsed_ms,
+                    explain,
+                );
+                responses[i] = Some(response);
             }
         }
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-        // One plan covered every engine-computed miss; cache hits ran no
-        // plan and carry no explain.
-        let mut missed = vec![false; queries.len()];
-        for &i in &miss_idxs {
-            missed[i] = true;
-        }
-        Ok(answers
+        let responses = responses
             .into_iter()
-            .zip(missed)
-            .map(|(answer, was_miss)| {
-                match answer.expect("every query is refused, a cache hit or an engine result") {
-                    Ok(answer) => answer.into_response(
-                        name,
-                        elapsed_ms,
-                        if was_miss { explain } else { None },
-                    ),
-                    Err(refused) => refused.into_response(),
-                }
-            })
-            .collect())
+            .map(|r| r.expect("every query is refused or answered"))
+            .collect();
+        Ok((responses, version))
     }
 
     /// Shared I/O statistics of a registered index (for heat-map style
@@ -2032,6 +2016,13 @@ mod tests {
 
     fn build_request(name: &str, dataset_path: String, variant: VariantKind) -> PalmRequest {
         PalmRequest::build_index(name, dataset_path, variant, true, 8 << 20)
+    }
+
+    /// `request` as a frame through `handle_json_with`, the entry point
+    /// that consults the result cache, and its reply decoded.
+    fn ask(server: &PalmServer, request: &PalmRequest, cancel: &CancelToken) -> PalmResponse {
+        let reply = server.handle_json_with(&request.to_json().to_string(), cancel);
+        PalmResponse::from_json(&Json::parse(&reply).unwrap()).unwrap()
     }
 
     #[test]
@@ -2288,7 +2279,7 @@ mod tests {
     #[test]
     fn batch_matches_one_at_a_time_responses() {
         let (dir, dataset_path, _series) = setup();
-        let server = PalmServer::new(dir.file("work")).with_batch_parallelism(4);
+        let server = PalmServer::new(dir.file("work"));
         server.handle(build_request("a", dataset_path.clone(), VariantKind::CTree));
         server.handle(build_request("b", dataset_path, VariantKind::Clsm));
 
@@ -2455,8 +2446,9 @@ mod tests {
             k: 3,
             exact: true,
         };
-        let first = server.handle(request.clone());
-        let second = server.handle(request.clone());
+        let never = CancelToken::never();
+        let first = ask(&server, &request, &never);
+        let second = ask(&server, &request, &never);
         match (&first, &second) {
             (
                 PalmResponse::QueryResult {
@@ -2492,7 +2484,7 @@ mod tests {
             timestamp: 1,
             base_id: None,
         });
-        match server.handle(request) {
+        match ask(&server, &request, &never) {
             PalmResponse::QueryResult { ids, distances, .. } => {
                 assert_eq!(ids[0], 200, "query must see the freshly inserted series");
                 assert_eq!(distances[0], 0.0);
@@ -2516,8 +2508,8 @@ mod tests {
             k: 1,
             exact: true,
         };
-        server.handle(request.clone());
-        server.handle(request);
+        ask(&server, &request, &CancelToken::never());
+        ask(&server, &request, &CancelToken::never());
         server.note_shed();
         let parsed = Json::parse(&server.handle_json(r#"{"type":"stats"}"#)).unwrap();
         assert_eq!(parsed.get("type").and_then(|j| j.as_str()), Some("stats"));
@@ -2600,9 +2592,9 @@ mod tests {
             k: 3,
             exact: true,
         };
-        let computed = server.handle(query(4));
+        let computed = ask(&server, &query(4), &CancelToken::never());
         let expired = CancelToken::at(Instant::now());
-        let hit = server.handle_with(query(4), &expired);
+        let hit = ask(&server, &query(4), &expired);
         match (&computed, &hit) {
             (
                 PalmResponse::QueryResult {
@@ -2615,7 +2607,7 @@ mod tests {
             other => panic!("unexpected responses {other:?}"),
         }
         assert!(matches!(
-            server.handle_with(query(5), &expired),
+            ask(&server, &query(5), &expired),
             PalmResponse::Error { kind, .. } if kind == ERROR_KIND_DEADLINE
         ));
         let stats = server.stats();

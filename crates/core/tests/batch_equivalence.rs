@@ -232,7 +232,7 @@ fn concurrent_reads_during_append_observe_valid_snapshots() {
     let series = gen.generate(300);
     let dataset_path = dir.file("raw.bin");
     Dataset::create_from_series(&dataset_path, &series).unwrap();
-    let server = PalmServer::new(dir.file("work")).with_batch_parallelism(WORKERS);
+    let server = PalmServer::new(dir.file("work"));
     let built = server.handle(PalmRequest::BuildIndex {
         name: "stress".into(),
         dataset_path: dataset_path.to_string_lossy().into_owned(),

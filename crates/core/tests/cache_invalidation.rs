@@ -9,6 +9,9 @@
 //! against and are unservable the moment it changes, even if the purge
 //! races an in-flight insert into the cache.
 
+use std::time::Duration;
+
+use coconut_core::backend::encode_frame;
 use coconut_core::palm::{PalmRequest, PalmResponse, PalmServer};
 use coconut_core::{Dataset, VariantKind};
 use coconut_json::{Json, ToJson};
@@ -37,18 +40,24 @@ fn identity_view(response: &PalmResponse) -> String {
     reply_view(&response.to_json().to_string())
 }
 
-/// [`identity_view`] of a reply as `handle_json` returns it.
+/// [`identity_view`] of a reply as `handle_json` returns it, the replies
+/// in a `batch_result` included.
 fn reply_view(reply: &str) -> String {
-    let Ok(Json::Obj(members)) = Json::parse(reply) else {
-        panic!("replies are JSON objects: {reply}");
-    };
-    Json::Obj(
-        members
-            .into_iter()
-            .filter(|(k, _)| k != "elapsed_ms")
-            .collect(),
-    )
-    .to_string()
+    fn strip(json: Json) -> Json {
+        match json {
+            Json::Obj(members) => Json::Obj(
+                members
+                    .into_iter()
+                    .filter(|(k, _)| k != "elapsed_ms")
+                    .map(|(k, v)| (k, strip(v)))
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(strip).collect()),
+            other => other,
+        }
+    }
+    let json = Json::parse(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+    strip(json).to_string()
 }
 
 /// The first distance of a `query_result` reply.
@@ -116,50 +125,33 @@ fn readers_racing_inserts_never_observe_stale_answers() {
                 std::thread::yield_now();
             }
         });
-        for _ in 0..4 {
+        // Readers on the frame path, the last in `encode_frame`'s form with
+        // a fresh deadline on every ask: a recorded reply is served only
+        // while its version is current.
+        for reader in 0..5 {
             scope.spawn(move || {
+                let request = PalmRequest::Query {
+                    name: "race".into(),
+                    query: query.clone(),
+                    k: 1,
+                    exact: true,
+                };
                 let mut last = f64::INFINITY;
-                for _ in 0..60 {
-                    match server.handle(PalmRequest::Query {
-                        name: "race".into(),
-                        query: query.clone(),
-                        k: 1,
-                        exact: true,
-                    }) {
-                        PalmResponse::QueryResult { distances, .. } => {
-                            assert!(
-                                distances[0] <= last,
-                                "stale cached answer: distance went {last} -> {}",
-                                distances[0]
-                            );
-                            last = distances[0];
-                        }
-                        other => panic!("query failed: {other:?}"),
-                    }
+                for ask in 0..60 {
+                    let frame = if reader == 4 {
+                        encode_frame(&request, Some(Duration::from_millis(60_000 + ask)))
+                    } else {
+                        request.to_json().to_string()
+                    };
+                    let distance = nearest(&server.handle_json(&frame));
+                    assert!(
+                        distance <= last,
+                        "stale cached answer: distance went {last} -> {distance}"
+                    );
+                    last = distance;
                 }
             });
         }
-        // One reader on the frame path: a recorded reply is served only
-        // while its version is current.
-        scope.spawn(move || {
-            let frame = PalmRequest::Query {
-                name: "race".into(),
-                query: query.clone(),
-                k: 1,
-                exact: true,
-            }
-            .to_json()
-            .to_string();
-            let mut last = f64::INFINITY;
-            for _ in 0..60 {
-                let distance = nearest(&server.handle_json(&frame));
-                assert!(
-                    distance <= last,
-                    "stale frame reply: distance went {last} -> {distance}"
-                );
-                last = distance;
-            }
-        });
         writer.join().unwrap();
     });
 
@@ -170,9 +162,7 @@ fn readers_racing_inserts_never_observe_stale_answers() {
         k: 1,
         exact: true,
     };
-    let cached = server.handle(request.clone());
-    let frame_reply = server.handle_json(&request.to_json().to_string());
-    assert_eq!(reply_view(&frame_reply), identity_view(&cached));
+    let cached = server.handle_json(&request.to_json().to_string());
     let fresh_server = PalmServer::new(dir.file("work2"));
     fresh_server.handle(build_request("race", &dataset_path));
     // Replay the writer's inserts so both servers hold the same data.
@@ -188,7 +178,7 @@ fn readers_racing_inserts_never_observe_stale_answers() {
     }
     let computed = fresh_server.handle(request);
     assert_eq!(
-        identity_view(&cached),
+        reply_view(&cached),
         identity_view(&computed),
         "cached answer must equal recomputation"
     );
@@ -207,9 +197,10 @@ proptest! {
     /// distance bits, costs, insert totals — must be identical.  Any
     /// invalidation bug (stale entry surviving a write, over-eager key
     /// matching, ABA across versions) shows up as a divergence.  The cached
-    /// server takes each query as frame text in two spellings, so frames
-    /// recorded by computed answers, typed hits and frame hits all meet the
-    /// writes.
+    /// server takes each query as frame text in two spellings (the second is
+    /// another key), then in `encode_frame`'s form at a fresh deadline, which
+    /// is one key whatever the deadline, then with deadlines the key must
+    /// not cut: refused ones and one spelled in exponent form.
     #[test]
     fn interleaved_queries_and_inserts_cached_equals_uncached(
         seed in 0u64..1000,
@@ -226,6 +217,7 @@ proptest! {
         let mut qgen = RandomWalkGenerator::new(64, seed ^ 0xabcd);
         let pool: Vec<Vec<f32>> = (0..5).map(|_| qgen.next_series().values).collect();
 
+        let mut fresh = 0u64;
         for encoded in ops {
             // One draw encodes the op kind and its argument.
             let (op, arg) = ((encoded % 6) as u8, encoded / 6);
@@ -264,10 +256,46 @@ proptest! {
             };
             let expected = identity_view(&uncached.handle(request.clone()));
             if matches!(request, PalmRequest::Query { .. }) {
-                for frame in [request.to_json().to_string(), respelled(&request)] {
+                let canonical = request.to_json().to_string();
+                for frame in [canonical.clone(), respelled(&request)] {
                     prop_assert_eq!(
                         reply_view(&cached.handle_json(&frame)),
                         expected.clone(),
+                        "cached and uncached servers diverged on {}",
+                        frame
+                    );
+                }
+                // Asked a second time, at another deadline, the form is a hit.
+                for ask in 0..2 {
+                    fresh += 1;
+                    let frame =
+                        encode_frame(&request, Some(Duration::from_micros(60_000_000 + fresh * 250)));
+                    let hits = cached.stats().cache_hits;
+                    prop_assert_eq!(
+                        reply_view(&cached.handle_json(&frame)),
+                        expected.clone(),
+                        "cached and uncached servers diverged on {}",
+                        frame
+                    );
+                    if ask == 1 {
+                        prop_assert_eq!(cached.stats().cache_hits, hits + 1, "{} missed", frame);
+                    }
+                }
+                // Deadlines the key must not cut, each also in a batch, which
+                // ignores an element's deadline but must not record a reply
+                // the element's bytes do not get alone; and frames that end
+                // where a cut key does.
+                let open = &canonical[..canonical.len() - 1];
+                let mut frames = vec![format!("{open},\"deadline_ms\":")];
+                for value in ["-5", "\"soon\"", "1e3", ""] {
+                    let frame = format!("{open},\"deadline_ms\":{value}}}");
+                    frames.push(format!(r#"{{"type":"batch","requests":[{frame}]}}"#));
+                    frames.push(frame);
+                }
+                for frame in frames {
+                    prop_assert_eq!(
+                        reply_view(&cached.handle_json(&frame)),
+                        reply_view(&uncached.handle_json(&frame)),
                         "cached and uncached servers diverged on {}",
                         frame
                     );

@@ -376,6 +376,64 @@ fn stats_aggregate_across_shards() {
     }
 }
 
+/// A client's `deadline_ms` reaches each shard as the last member of the
+/// coordinator's frame, at whatever time is left.  Shards key a request
+/// with that value cut out, so asking a query, or a batch, a second time at
+/// another deadline is a cache hit on every shard, and the merged replies
+/// are those of the first ask apart from `elapsed_ms`.
+#[test]
+fn repeated_requests_hit_every_shard_cache_through_the_coordinator() {
+    let dir = ScratchDir::new("sg-cache").unwrap();
+    let (dataset_path, series) = dataset(&dir, 120, 19);
+    let palms: Vec<Arc<PalmServer>> = (0..2)
+        .map(|shard| {
+            let work = dir.file(&format!("w{shard}"));
+            Arc::new(PalmServer::new(work).with_result_cache(64))
+        })
+        .collect();
+    let fleet = Coordinator::new(
+        palms
+            .iter()
+            .map(|palm| Arc::new(LocalBackend::new(Arc::clone(palm))) as Arc<dyn ExecutionBackend>)
+            .collect(),
+    );
+    let built = fleet.handle_with_deadline(build_request("idx", &dataset_path), None);
+    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    let qs: Vec<PalmRequest> = queries(&series, 4)
+        .iter()
+        .map(|q| query_request("idx", q, 3, true))
+        .collect();
+    let batch = PalmRequest::Batch {
+        requests: qs.clone(),
+    };
+    for (request, width) in [(&qs[1], 1), (&batch, qs.len() as u64)] {
+        let text = request.to_json().to_string();
+        let ask = |deadline_ms: u64| {
+            let frame = format!(
+                "{},\"deadline_ms\":{deadline_ms}}}",
+                &text[..text.len() - 1]
+            );
+            strip_keys(send(&fleet, &frame), &["elapsed_ms"])
+        };
+        let first = ask(60_000);
+        let before: Vec<_> = palms.iter().map(|palm| palm.stats()).collect();
+        let second = ask(59_000);
+        assert_eq!(first, second, "{text}");
+        assert!(second.get("kind").is_none(), "{second:?}");
+        for (shard, (palm, before)) in palms.iter().zip(before).enumerate() {
+            let after = palm.stats();
+            assert_eq!(
+                (
+                    after.cache_hits - before.cache_hits,
+                    after.cache_misses - before.cache_misses
+                ),
+                (width, 0),
+                "shard {shard}: {text}"
+            );
+        }
+    }
+}
+
 /// Claim 4: insert frames are forwarded, not re-encoded, and leave the
 /// fleet where a single node given the same frames would be.
 #[test]

@@ -270,6 +270,24 @@ pub fn scan_object(input: &str) -> Result<Vec<RawMember<'_>>> {
     Ok(members)
 }
 
+/// Scans an array as [`scan_object`] scans an object: validates that
+/// `input` is one JSON array, by the grammar [`Json::parse`] accepts, and
+/// returns its elements in order, each exactly as the input spells it,
+/// without the whitespace around it.
+pub fn scan_array(input: &str) -> Result<Vec<&str>> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    let mut elements = Vec::new();
+    p.elements(|p| {
+        let start = p.pos;
+        p.skip_value()?;
+        elements.push(&input[start..p.pos]);
+        Ok(())
+    })?;
+    p.end()?;
+    Ok(elements)
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -438,12 +456,14 @@ impl<'a> Parser<'a> {
     }
 
     /// Validates one value without building it; the element count when it
-    /// is an array.  Strings and numbers go through the decoding routines,
-    /// so the grammar accepted is [`Json::parse`]'s by construction.
+    /// is an array.  Strings and number grammar go through the decoding
+    /// routines, so the grammar accepted is [`Json::parse`]'s by
+    /// construction; a number's value is not computed.
     fn skip_value(&mut self) -> Result<Option<usize>> {
         match self.peek() {
             Some(b'[') => self.elements(|p| p.skip_value().map(drop)).map(Some),
             Some(b'{') => self.members(|p, _| p.skip_value().map(drop)).map(|()| None),
+            Some(b'-' | b'0'..=b'9') => self.number_parts().map(|_| None),
             _ => self.value().map(|_| None),
         }
     }
@@ -557,6 +577,30 @@ impl<'a> Parser<'a> {
     /// (Clinger's fast path).  Everything else goes to `str::parse`.
     fn number(&mut self) -> Result<f64> {
         let start = self.pos;
+        let (negative, mantissa, mantissa_digits, exp10) = self.number_parts()?;
+        // 19 digits fit a u64, so the wrapped accumulation was exact.
+        if mantissa_digits <= 19 && mantissa <= (1 << 53) && exp10.unsigned_abs() <= 22 {
+            let power = POW10[exp10.unsigned_abs() as usize];
+            let magnitude = if exp10 < 0 {
+                mantissa as f64 / power
+            } else {
+                mantissa as f64 * power
+            };
+            return Ok(if negative { -magnitude } else { magnitude });
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("a number is ASCII");
+        text.parse::<f64>()
+            .map_err(|_| JsonError::new(format!("invalid number at offset {start}")))
+    }
+
+    /// Scans past a number, checking its grammar (see [`Parser::number`]):
+    /// its sign, its mantissa digits folded (wrapping) and counted, and its
+    /// power of ten.  Every number it accepts has a value, so a scan that
+    /// only validates stops here.  Inlined, so the decoder pays nothing for
+    /// the split.
+    #[inline(always)]
+    fn number_parts(&mut self) -> Result<(bool, u64, usize, i64)> {
+        let start = self.pos;
         let invalid = || JsonError::new(format!("invalid number at offset {start}"));
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -594,18 +638,7 @@ impl<'a> Parser<'a> {
             };
             exp10 += if negative_exp { -exp } else { exp };
         }
-        // 19 digits fit a u64, so the wrapped accumulation was exact.
-        if mantissa_digits <= 19 && mantissa <= (1 << 53) && exp10.unsigned_abs() <= 22 {
-            let power = POW10[exp10.unsigned_abs() as usize];
-            let magnitude = if exp10 < 0 {
-                mantissa as f64 / power
-            } else {
-                mantissa as f64 * power
-            };
-            return Ok(if negative { -magnitude } else { magnitude });
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("a number is ASCII");
-        text.parse::<f64>().map_err(|_| invalid())
+        Ok((negative, mantissa, mantissa_digits, exp10))
     }
 }
 
@@ -1047,6 +1080,7 @@ mod tests {
 
     #[test]
     fn scan_accepts_exactly_the_objects_parse_accepts() {
+        // And `scan_array` exactly the arrays.
         let whole = r#"{"type":"insert","name":"s","series":[[1,2],[3,4]],"timestamp":1}"#;
         // Every truncation of a frame, and the frame with a tail.
         let mut docs: Vec<String> = (0..whole.len())
@@ -1077,11 +1111,44 @@ mod tests {
         ] {
             docs.push(doc.to_string());
         }
+        let batch = format!(r#" [ {whole} ,{{"type":"stats"}},[1, [2]] , "]" ,7]"#);
+        docs.extend((0..batch.len()).map(|cut| batch[..cut].to_string()));
+        for tail in ["]", "x", ","] {
+            docs.push(format!("{batch}{tail}"));
+        }
+        for doc in [
+            "[]",
+            " [ ] ",
+            "[1,]",
+            "[,1]",
+            "[1 2]",
+            "[[]",
+            "[]]",
+            "[\"\\x\"]",
+        ] {
+            docs.push(doc.to_string());
+        }
         for doc in &docs {
-            let parsed = matches!(Json::parse(doc), Ok(Json::Obj(_)));
-            assert_eq!(scan_object(doc).is_ok(), parsed, "{doc:?}");
+            let parsed = Json::parse(doc);
+            let object = matches!(parsed, Ok(Json::Obj(_)));
+            assert_eq!(scan_object(doc).is_ok(), object, "{doc:?}");
+            let array = matches!(parsed, Ok(Json::Arr(_)));
+            assert_eq!(scan_array(doc).is_ok(), array, "{doc:?}");
         }
         assert!(scan_object(whole).is_ok());
+        // Every span is its element, nothing more and nothing less.
+        let elements = scan_array(&batch).unwrap();
+        assert_eq!(
+            elements[1..],
+            [r#"{"type":"stats"}"#, "[1, [2]]", "\"]\"", "7"]
+        );
+        let Ok(Json::Arr(items)) = Json::parse(&batch) else {
+            panic!("the batch parses");
+        };
+        for (element, item) in elements.iter().zip(&items) {
+            assert_eq!(&Json::parse(element).unwrap(), item);
+        }
+        assert_eq!(elements.len(), items.len());
     }
 
     /// The capacity of every array in `json`, outermost first.

@@ -16,8 +16,8 @@
 //! | `PALM_RETRY_AFTER_MS`      | `25`          | retry hint on `overloaded` sheds |
 //! | `PALM_DRAIN_MS`            | `5000`        | shutdown drain deadline          |
 //! | `PALM_WORK_DIR`            | temp dir      | index file directory (server)    |
-//! | `PALM_CACHE_ENTRIES`       | `1024`        | result cache size (server); also |
-//! |                            |               | bounds recorded query frames     |
+//! | `PALM_CACHE_ENTRIES`       | `1024`        | result cache: at most n recorded |
+//! |                            |               | query replies (server; 0 = off)  |
 //! | `PALM_WORKERS`             | —             | comma-separated shard addresses  |
 //! |                            |               | (coordinator; required)          |
 

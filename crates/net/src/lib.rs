@@ -20,9 +20,9 @@
 //!   `shutting_down`, cancels stragglers through the shared kill token,
 //!   joins every thread and syncs all registered indexes;
 //! * **result cache** — enabled on the `PalmServer` itself
-//!   (`with_result_cache`), memoizing bit-identical answers invalidated
-//!   by the write side; the net layer reports hits/misses/shed through
-//!   the `stats` verb.
+//!   (`with_result_cache`), replaying recorded query replies for repeated
+//!   request bytes until the write side invalidates them; the net layer
+//!   reports hits/misses/shed through the `stats` verb.
 //!
 //! Malformed input — oversized frames, invalid UTF-8, half-closed
 //! sockets, non-JSON lines — never panics and never leaks a worker: each

@@ -13,7 +13,7 @@ use coconut_core::palm::{
     ERROR_KIND_MALFORMED, ERROR_KIND_OVERLOADED, ERROR_KIND_SHUTTING_DOWN,
 };
 use coconut_core::{Dataset, VariantKind};
-use coconut_json::{Json, ToJson};
+use coconut_json::{scan_array, scan_object, Json, ToJson};
 use coconut_net::{Coordinator, NetServer, PalmClient, RemoteBackend, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
@@ -99,8 +99,10 @@ fn without_elapsed(reply: &str) -> String {
 /// Tentpole acceptance: answers over the wire are bit-identical to the
 /// in-process `handle` path — with the result cache on *and* off, and on
 /// repeat queries.  Each query is asked three times: computed, then in
-/// another spelling (a typed cache hit, whose reply is recorded for that
-/// frame), then that spelling again (served from the recorded bytes).
+/// another spelling (another key, so computed again and recorded), then
+/// that spelling again (served from the recorded bytes).  A `batch` of the
+/// same queries is then served element by element from the recorded
+/// replies, and a batch the parser refuses is refused as uncached.
 #[test]
 fn wire_answers_are_bit_identical_to_in_process_with_and_without_cache() {
     let dir = ScratchDir::new("net-identity").unwrap();
@@ -113,6 +115,7 @@ fn wire_answers_are_bit_identical_to_in_process_with_and_without_cache() {
     let mut client = PalmClient::connect(&server.local_addr().to_string()).unwrap();
 
     let mut gen = RandomWalkGenerator::new(64, 31);
+    let mut singles = Vec::new();
     for _ in 0..8 {
         let q = gen.next_series();
         let request = query_request("idx", &q.values, 3);
@@ -122,7 +125,7 @@ fn wire_answers_are_bit_identical_to_in_process_with_and_without_cache() {
         // (requests, cache_hits, cache_misses) each ask adds.
         for (frame, moves) in [
             (&request, (1, 0, 1)),
-            (&respelled, (1, 1, 0)),
+            (&respelled, (1, 0, 1)),
             (&respelled, (1, 1, 0)),
         ] {
             let before = cached.stats();
@@ -150,9 +153,47 @@ fn wire_answers_are_bit_identical_to_in_process_with_and_without_cache() {
         assert_eq!(
             without_elapsed(&replies[1]),
             without_elapsed(&replies[2]),
-            "a frame hit replays the typed hit's bytes"
+            "a hit replays the computed reply's bytes"
         );
+        singles.push((request, replies.swap_remove(0)));
     }
+
+    // The 8 queries and one never asked, as one batch: 10 requests (the
+    // batch and its elements), 8 hits and 1 miss.
+    let unseen = query_request("idx", &gen.next_series().values, 3);
+    singles.push((unseen.clone(), uncached.handle_json(&unseen)));
+    let elements: Vec<&str> = singles
+        .iter()
+        .map(|(request, _)| request.as_str())
+        .collect();
+    let batch = format!(r#"{{"type":"batch","requests":[{}]}}"#, elements.join(","));
+    let before = cached.stats();
+    let reply = client.call(&batch).unwrap();
+    let after = cached.stats();
+    assert_eq!(
+        (
+            after.requests - before.requests,
+            after.cache_hits - before.cache_hits,
+            after.cache_misses - before.cache_misses
+        ),
+        (10, 8, 1)
+    );
+    let envelope = scan_object(&reply).unwrap();
+    assert_eq!(envelope[0].raw, r#""batch_result""#);
+    let sub_replies = scan_array(envelope[1].raw).unwrap();
+    assert_eq!(sub_replies.len(), singles.len());
+    for ((_, single), sub_reply) in singles.iter().zip(sub_replies) {
+        assert_eq!(without_elapsed(sub_reply), without_elapsed(single));
+    }
+    // An element of the wrong type makes the whole batch malformed, as it
+    // does uncached, the hit beside it notwithstanding.
+    let bad = format!(r#"{{"type":"batch","requests":[{},7]}}"#, elements[0]);
+    let reply = client.call(&bad).unwrap();
+    assert_eq!(reply, uncached.handle_json(&bad));
+    assert_eq!(
+        kind_of(&Json::parse(&reply).unwrap()),
+        Some(ERROR_KIND_MALFORMED)
+    );
     let report = server.shutdown();
     assert!(report.is_clean(), "unclean shutdown: {report:?}");
 }
@@ -769,9 +810,8 @@ fn adaptive_planner_wire_path_explains_and_counts() {
         }
 
         // The same query again is a cache hit: identical answer, no explain
-        // (nothing was planned).  The computed reply carried an explain, so
-        // it was not recorded for its frame: the second ask is a typed hit,
-        // the third is served from the second's bytes.
+        // (nothing was planned).  The computed reply was recorded without
+        // its explain, so both repeats are served from those bytes.
         for _ in 0..2 {
             let repeat = Json::parse(
                 &client
