@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
 use coconut_ctree::kernels::euclidean_early_abandon;
-use coconut_ctree::planner::{self, PerfKnobs, PlannedAnswer, PlannedBatch, PlannerInputs};
+use coconut_ctree::planner::{self, PerfKnobs, PlannedAnswer, PlannerInputs};
 use coconut_ctree::query::{KnnHeap, QueryContext, QueryCost};
 use coconut_ctree::raw::RawSeriesSource;
 use coconut_ctree::sorted_file::SortedSeriesFile;
@@ -532,7 +532,7 @@ impl ClsmTree {
 
         // Every shard is an independent k-way merge over the inputs' key
         // slices, writing its own file: the fan-out below is a pure speedup.
-        let prefetch_gate = planner::decide(&self.config.knobs, || self.planner_inputs(0, 1, true))
+        let prefetch_gate = planner::decide(&self.config.knobs, || self.planner_inputs(0, true))
             .0
             .effective_prefetch_gate();
         let workers = coconut_parallel::effective_parallelism(self.config.knobs.parallelism);
@@ -592,7 +592,7 @@ impl ClsmTree {
     /// Captures a deterministic [`PlannerInputs`] snapshot for this tree:
     /// every field is an integer read at capture time; the decision itself
     /// is the pure function `coconut_ctree::planner::plan`.
-    fn planner_inputs(&self, k: usize, batch_width: usize, exact: bool) -> PlannerInputs {
+    fn planner_inputs(&self, k: usize, exact: bool) -> PlannerInputs {
         let probe = planner::host_probe();
         let snap = self.stats.snapshot();
         PlannerInputs {
@@ -602,7 +602,6 @@ impl ClsmTree {
             run_count: self.num_runs().max(1),
             cores: probe.cores,
             k,
-            batch_width,
             exact,
             random_read_permille: planner::read_permille(&snap),
         }
@@ -685,7 +684,7 @@ impl ClsmTree {
     }
 
     /// Exact kNN over the buffer plus every run, fanned out over
-    /// `query_parallelism` workers around a shared best-so-far bound.
+    /// `query_parallelism` workers under a bound frozen from the merged seeds.
     pub fn exact_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
         self.exact_knn_window(query, k, None)
     }
@@ -707,42 +706,8 @@ impl ClsmTree {
         )
     }
 
-    /// Runs a batch of kNN queries over the buffer plus every run through
-    /// the engine's round pipeline.
-    ///
-    /// Every query's answers and `QueryCost` are bit-identical to issuing
-    /// it alone via [`ClsmTree::exact_knn`] /
-    /// [`ClsmTree::approximate_knn`], and so is the per-file `IoStats`
-    /// accounting; see `coconut_ctree::engine`.
-    pub fn batch_knn(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        self.batch_knn_window(queries, k, None, exact)
-    }
-
-    /// Like [`ClsmTree::batch_knn`], restricted to a timestamp window.
-    pub fn batch_knn_window(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        let units = self.query_units(window);
-        coconut_ctree::engine::batch_knn(
-            &units,
-            queries,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-        )
-    }
-
-    /// Single kNN query with cooperative cancellation: a batch of one run
-    /// through the engine, polling `cancel` at its round boundaries.
+    /// Single kNN query with cooperative cancellation, polled by the engine
+    /// before each of its phases.
     /// Answers and cost are bit-identical to [`ClsmTree::exact_knn`] /
     /// [`ClsmTree::approximate_knn`] when the token never fires; on
     /// cancellation the query unwinds with
@@ -765,26 +730,6 @@ impl ClsmTree {
         )
     }
 
-    /// [`ClsmTree::batch_knn`] with cooperative cancellation (polled at the
-    /// engine's round boundaries).
-    pub fn batch_knn_with(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        let units = self.query_units(None);
-        coconut_ctree::engine::batch_knn_with(
-            &units,
-            queries,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-            cancel,
-        )
-    }
-
     /// Like [`ClsmTree::knn_with`], but with the fan-out from
     /// [`planner::decide`]: under [`planner::PlannerMode::Adaptive`] a
     /// [`planner::PlanReport`] is captured for this query and returned
@@ -798,7 +743,7 @@ impl ClsmTree {
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
         let (decision, report) =
-            planner::decide(&self.config.knobs, || self.planner_inputs(k, 1, exact));
+            planner::decide(&self.config.knobs, || self.planner_inputs(k, exact));
         let units = self.query_units(None);
         let answer = coconut_ctree::engine::parallel_knn_with(
             &units,
@@ -809,33 +754,6 @@ impl ClsmTree {
             cancel,
         )?;
         Ok((answer, report))
-    }
-
-    /// Like [`ClsmTree::batch_knn_with`], but with the fan-out and batch
-    /// round shape from [`planner::decide`] (one report covers the whole
-    /// batch under `Adaptive`; `Fixed` is exactly `batch_knn_with`).
-    /// Answers and cost are identical in both modes.
-    pub fn batch_knn_planned(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<PlannedBatch> {
-        let (decision, report) = planner::decide(&self.config.knobs, || {
-            self.planner_inputs(k, queries.len(), exact)
-        });
-        let units = self.query_units(None);
-        let answers = coconut_ctree::engine::batch_knn_chunked(
-            &units,
-            queries,
-            k,
-            decision.query_parallelism,
-            exact,
-            decision.batch_chunk,
-            cancel,
-        )?;
-        Ok((answers, report))
     }
 }
 
@@ -849,7 +767,7 @@ enum ClsmPart<'a> {
 
 /// One independently searchable piece of a CLSM tree for the concurrent
 /// query engine.  The query is supplied per search call so one unit list
-/// serves a whole batch.
+/// serves both phases of a query.
 struct ClsmUnit<'a> {
     tree: &'a ClsmTree,
     window: Option<(Timestamp, Timestamp)>,
@@ -869,7 +787,7 @@ impl coconut_ctree::engine::SearchUnit for ClsmUnit<'_> {
     ) -> Result<()> {
         match self.part {
             // The buffer is in memory: its "approximate" probe is the full
-            // scan, which both seeds the shared bound and is exact.
+            // scan, which both seeds the frozen bound and is exact.
             ClsmPart::Buffer => self.tree.search_buffer(query, heap, ctx, self.window),
             ClsmPart::Shard(file) => file.search_approximate(query, heap, ctx, self.window),
         }

@@ -26,7 +26,7 @@ pub use coconut_ads::{AdsConfig, AdsTree};
 pub use coconut_clsm::{ClsmConfig, ClsmTree};
 pub use coconut_ctree::engine::merge_topk;
 pub use coconut_ctree::planner::{
-    self, PlanDecision, PlanReport, PlannedAnswer, PlannedBatch, PlannerInputs, PlannerMode,
+    self, PlanDecision, PlanReport, PlannedAnswer, PlannerInputs, PlannerMode,
 };
 pub use coconut_ctree::query::QueryCost;
 pub use coconut_ctree::{check_finite, CTree, CTreeConfig, IndexError, Result};
@@ -396,41 +396,10 @@ impl StaticIndex {
         }
     }
 
-    /// Runs a batch of kNN queries, returning per-query `(neighbours,
-    /// cost)` in query order.
-    ///
-    /// Coconut variants execute the whole batch through the engine's round
-    /// pipeline (`coconut_ctree::engine::batch_knn`), reusing per-unit
-    /// state across consecutive queries; the ADS+ baseline loops.  Either
-    /// way every query's answers and `QueryCost` are bit-identical to
-    /// issuing it alone via [`StaticIndex::exact_knn`] /
-    /// [`StaticIndex::approximate_knn`].
-    pub fn batch_knn(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        match self {
-            StaticIndex::Ads(t) => queries
-                .iter()
-                .map(|q| {
-                    if exact {
-                        t.exact_knn(q, k)
-                    } else {
-                        t.approximate_knn(q, k)
-                    }
-                })
-                .collect(),
-            StaticIndex::CTree(t) => t.batch_knn(queries, k, exact),
-            StaticIndex::Clsm(t) => t.batch_knn(queries, k, exact),
-        }
-    }
-
     /// Single kNN query with cooperative cancellation.
     ///
-    /// Coconut variants poll the token at the engine's `SearchUnit` round
-    /// boundaries; the ADS+ baseline (which does not go through the engine)
+    /// Coconut variants poll the token before each of the engine's
+    /// phases; the ADS+ baseline (which does not go through the engine)
     /// only checks it up front.  When the token never fires, answers and
     /// `QueryCost` are bit-identical to [`StaticIndex::exact_knn`] /
     /// [`StaticIndex::approximate_knn`] — the cancellable path *is* the
@@ -461,40 +430,6 @@ impl StaticIndex {
         }
     }
 
-    /// [`StaticIndex::batch_knn`] with cooperative cancellation.  Coconut
-    /// variants poll at the engine's round boundaries; the ADS+ loop checks
-    /// between consecutive queries, accumulating the completed queries'
-    /// costs into the `Cancelled` error.
-    pub fn batch_knn_with(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        match self {
-            StaticIndex::Ads(t) => {
-                let mut out = Vec::with_capacity(queries.len());
-                let mut partial_cost = QueryCost::default();
-                for q in queries {
-                    if cancel.is_cancelled() {
-                        return Err(IndexError::Cancelled { partial_cost });
-                    }
-                    let result = if exact {
-                        t.exact_knn(q, k)?
-                    } else {
-                        t.approximate_knn(q, k)?
-                    };
-                    partial_cost = partial_cost.plus(&result.1);
-                    out.push(result);
-                }
-                Ok(out)
-            }
-            StaticIndex::CTree(t) => t.batch_knn_with(queries, k, exact, cancel),
-            StaticIndex::Clsm(t) => t.batch_knn_with(queries, k, exact, cancel),
-        }
-    }
-
     /// Like [`StaticIndex::knn_with`], but routed through the per-query
     /// cost-model planner when the index was built with
     /// [`PlannerMode::Adaptive`]: the execution knobs come from a
@@ -513,28 +448,6 @@ impl StaticIndex {
             StaticIndex::Ads(_) => self.knn_with(query, k, exact, cancel).map(|r| (r, None)),
             StaticIndex::CTree(t) => t.knn_planned(query, k, exact, cancel),
             StaticIndex::Clsm(t) => t.knn_planned(query, k, exact, cancel),
-        }
-    }
-
-    /// Like [`StaticIndex::batch_knn_with`], but routed through the
-    /// per-query cost-model planner when the index was built with
-    /// [`PlannerMode::Adaptive`] (one [`PlanReport`] covers the whole
-    /// batch).  In `Fixed` mode (and for ADS+) this is exactly
-    /// `batch_knn_with` and the report is `None`.  Answers and `QueryCost`
-    /// are identical in both modes.
-    pub fn batch_knn_planned(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<PlannedBatch> {
-        match self {
-            StaticIndex::Ads(_) => self
-                .batch_knn_with(queries, k, exact, cancel)
-                .map(|r| (r, None)),
-            StaticIndex::CTree(t) => t.batch_knn_planned(queries, k, exact, cancel),
-            StaticIndex::Clsm(t) => t.batch_knn_planned(queries, k, exact, cancel),
         }
     }
 

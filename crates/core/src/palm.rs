@@ -23,11 +23,9 @@
 //!    [`PalmRequest::Insert`]s take the write side, so every query observes
 //!    a consistent snapshot of the index.
 //!
-//! A [`PalmRequest::Batch`] dispatches its sub-requests across a
-//! [`WorkerPool`]; kNN queries sharing `(index, k, exact)` are grouped and
-//! executed through the engine's batched round pipeline
-//! (`coconut_ctree::engine::batch_knn`), whose per-query answers and costs
-//! are bit-identical to one-at-a-time execution.
+//! A [`PalmRequest::Batch`] is N single requests: each sub-request is one
+//! job on a [`WorkerPool`], handled exactly as if it had been sent alone, so
+//! its reply is that request's reply (apart from `elapsed_ms`).
 //!
 //! # Result cache
 //!
@@ -127,10 +125,9 @@ pub enum PalmRequest {
     },
     /// Execute a batch of sub-requests concurrently on the worker pool.
     ///
-    /// Responses come back in request order.  kNN queries sharing
-    /// `(index, k, exact)` are grouped through the engine's batched round
-    /// pipeline, so each one's answers and cost are identical to issuing it
-    /// alone.
+    /// Responses come back in request order.  Each sub-request is handled
+    /// exactly as if it had been sent alone, so its response is identical
+    /// to that request's, apart from `elapsed_ms`.
     Batch {
         /// The sub-requests; each produces one entry of
         /// [`PalmResponse::Batch`].
@@ -199,8 +196,7 @@ pub enum PalmResponse {
         /// Arrival timestamps of the matched entries (zero for static
         /// data); the tie-break of last resort in the engine's order.
         timestamps: Vec<u64>,
-        /// Query latency in milliseconds.  For a query answered inside a
-        /// batched group this is the wall-clock of the whole group.
+        /// Query latency in milliseconds.
         elapsed_ms: f64,
         /// Entries examined / refined / raw fetches / blocks read+skipped.
         cost: QueryCostJson,
@@ -261,10 +257,9 @@ pub enum PalmResponse {
         deadline_exceeded: u64,
         /// Indexes currently registered.
         indexes: u64,
-        /// Queries (and batched groups) executed through the adaptive
-        /// planner's compute path.
+        /// Queries executed through the adaptive planner's compute path.
         planner_adaptive: u64,
-        /// Queries (and batched groups) executed with fixed knobs.
+        /// Queries executed with fixed knobs.
         planner_fixed: u64,
         /// Adaptive plans that chose a parallel fan-out (>1 worker).
         plans_parallel: u64,
@@ -272,8 +267,6 @@ pub enum PalmResponse {
         plans_sequential: u64,
         /// Adaptive plans that disabled read-ahead (cache-resident index).
         plans_read_ahead_off: u64,
-        /// Adaptive plans that split the batch into round-pipeline chunks.
-        plans_chunked: u64,
     },
     /// The request failed.
     Error {
@@ -513,8 +506,6 @@ pub struct PlanReportJson {
     pub cores: u64,
     /// Neighbours requested.
     pub k: u64,
-    /// Queries covered by this plan.
-    pub batch_width: u64,
     /// Exact or approximate search.
     pub exact: bool,
     /// Random share of reads so far, permille.
@@ -525,8 +516,6 @@ pub struct PlanReportJson {
     pub read_ahead: bool,
     /// Chosen read-ahead gate, bytes.
     pub prefetch_min_bytes: u64,
-    /// Chosen batch round chunk.
-    pub batch_chunk: u64,
 }
 
 impl From<PlanReport> for PlanReportJson {
@@ -538,13 +527,11 @@ impl From<PlanReport> for PlanReportJson {
             run_count: r.inputs.run_count as u64,
             cores: r.inputs.cores as u64,
             k: r.inputs.k as u64,
-            batch_width: r.inputs.batch_width as u64,
             exact: r.inputs.exact,
             random_read_permille: r.inputs.random_read_permille as u64,
             query_parallelism: r.decision.query_parallelism as u64,
             read_ahead: r.decision.read_ahead,
             prefetch_min_bytes: r.decision.prefetch_min_bytes,
-            batch_chunk: r.decision.batch_chunk as u64,
         }
     }
 }
@@ -561,7 +548,6 @@ impl ToJson for PlanReportJson {
                     ("run_count", self.run_count.to_json()),
                     ("cores", self.cores.to_json()),
                     ("k", self.k.to_json()),
-                    ("batch_width", self.batch_width.to_json()),
                     ("exact", self.exact.to_json()),
                     ("random_read_permille", self.random_read_permille.to_json()),
                 ]),
@@ -572,7 +558,6 @@ impl ToJson for PlanReportJson {
                     ("query_parallelism", self.query_parallelism.to_json()),
                     ("read_ahead", self.read_ahead.to_json()),
                     ("prefetch_min_bytes", self.prefetch_min_bytes.to_json()),
-                    ("batch_chunk", self.batch_chunk.to_json()),
                 ]),
             ),
         ])
@@ -594,13 +579,11 @@ impl FromJson for PlanReportJson {
             run_count: member(inputs, "run_count")?,
             cores: member(inputs, "cores")?,
             k: member(inputs, "k")?,
-            batch_width: member(inputs, "batch_width")?,
             exact: member(inputs, "exact")?,
             random_read_permille: member(inputs, "random_read_permille")?,
             query_parallelism: member(decision, "query_parallelism")?,
             read_ahead: member(decision, "read_ahead")?,
             prefetch_min_bytes: member(decision, "prefetch_min_bytes")?,
-            batch_chunk: member(decision, "batch_chunk")?,
         })
     }
 }
@@ -868,7 +851,6 @@ impl ToJson for PalmResponse {
                 plans_parallel,
                 plans_sequential,
                 plans_read_ahead_off,
-                plans_chunked,
             } => Json::obj(vec![
                 ("type", Json::Str("stats".into())),
                 ("requests", requests.to_json()),
@@ -883,7 +865,6 @@ impl ToJson for PalmResponse {
                 ("plans_parallel", plans_parallel.to_json()),
                 ("plans_sequential", plans_sequential.to_json()),
                 ("plans_read_ahead_off", plans_read_ahead_off.to_json()),
-                ("plans_chunked", plans_chunked.to_json()),
             ]),
             PalmResponse::Error {
                 kind,
@@ -966,7 +947,6 @@ impl FromJson for PalmResponse {
                 plans_parallel: member(json, "plans_parallel")?,
                 plans_sequential: member(json, "plans_sequential")?,
                 plans_read_ahead_off: member(json, "plans_read_ahead_off")?,
-                plans_chunked: member(json, "plans_chunked")?,
             }),
             "error" => Ok(PalmResponse::Error {
                 kind: member(json, "kind")?,
@@ -1233,7 +1213,6 @@ pub struct ServiceStats {
     plans_parallel: AtomicU64,
     plans_sequential: AtomicU64,
     plans_read_ahead_off: AtomicU64,
-    plans_chunked: AtomicU64,
 }
 
 /// A point-in-time copy of [`ServiceStats`].
@@ -1249,9 +1228,9 @@ pub struct ServiceStatsSnapshot {
     pub shed: u64,
     /// Requests that missed their deadline.
     pub deadline_exceeded: u64,
-    /// Queries (and batched groups) executed through the adaptive planner.
+    /// Queries executed through the adaptive planner.
     pub planner_adaptive: u64,
-    /// Queries (and batched groups) executed with fixed knobs.
+    /// Queries executed with fixed knobs.
     pub planner_fixed: u64,
     /// Adaptive plans that chose a parallel fan-out.
     pub plans_parallel: u64,
@@ -1259,8 +1238,6 @@ pub struct ServiceStatsSnapshot {
     pub plans_sequential: u64,
     /// Adaptive plans that disabled read-ahead.
     pub plans_read_ahead_off: u64,
-    /// Adaptive plans that chunked the batch round shape.
-    pub plans_chunked: u64,
 }
 
 impl ServiceStats {
@@ -1277,7 +1254,6 @@ impl ServiceStats {
             plans_parallel: self.plans_parallel.load(Ordering::Relaxed),
             plans_sequential: self.plans_sequential.load(Ordering::Relaxed),
             plans_read_ahead_off: self.plans_read_ahead_off.load(Ordering::Relaxed),
-            plans_chunked: self.plans_chunked.load(Ordering::Relaxed),
         }
     }
 
@@ -1298,9 +1274,6 @@ impl ServiceStats {
                 }
                 if !report.decision.read_ahead {
                     self.plans_read_ahead_off.fetch_add(1, Ordering::Relaxed);
-                }
-                if report.decision.batch_chunk < report.inputs.batch_width {
-                    self.plans_chunked.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -1376,7 +1349,7 @@ impl PalmServer {
     }
 
     /// [`PalmServer::handle`] under a cancellation token: the engine
-    /// checks it at round boundaries and aborts with
+    /// checks it before each query phase and aborts with
     /// [`ERROR_KIND_DEADLINE`] (carrying the partial cost) once it trips.
     /// Completed requests are unaffected by the token — answers stay
     /// bit-identical to the untokened path.
@@ -1385,8 +1358,8 @@ impl PalmServer {
     }
 
     /// [`PalmServer::handle_with`], also returning the slot version a
-    /// top-level query's answer was computed against (`None` for every
-    /// other verb and for a failed query).
+    /// query's answer was computed against (`None` for every other verb and
+    /// for a failed query).
     fn handle_versioned(
         &self,
         request: PalmRequest,
@@ -1480,7 +1453,7 @@ impl PalmServer {
     /// Answers a `batch` frame element by element.  Each element of
     /// `requests` is looked up by the [`RequestKey`] of its own bytes; hits
     /// are served from their recorded replies, and only the misses are
-    /// decoded and run, grouped, through [`PalmServer::execute_batch`].
+    /// decoded and run through [`PalmServer::execute_batch`].
     /// Their `query_result`s are recorded, and the replies are spliced into
     /// one `batch_result`.
     ///
@@ -1808,185 +1781,42 @@ impl PalmServer {
                     plans_parallel: snapshot.plans_parallel,
                     plans_sequential: snapshot.plans_sequential,
                     plans_read_ahead_off: snapshot.plans_read_ahead_off,
-                    plans_chunked: snapshot.plans_chunked,
                 }
             }
         };
         Ok((response, None))
     }
 
-    /// Executes a batch: kNN queries sharing `(index, k, exact)` become one
-    /// grouped job answered through [`StaticIndex::batch_knn_with`]; every
-    /// other sub-request is a singleton job.  Jobs fan out over the worker
-    /// pool and responses are scattered back into request order.
-    /// Sub-requests are consumed, never cloned; nested batches are rejected
-    /// (the service boundary must not recurse on attacker-chosen depth).
+    /// Executes a batch: every sub-request is one job on the worker pool,
+    /// handled by [`PalmServer::handle_versioned`] exactly as if it had been
+    /// sent alone, and responses come back in request order.  Sub-requests
+    /// are consumed, never cloned; nested batches are rejected (the service
+    /// boundary must not recurse on attacker-chosen depth).
     ///
-    /// Deadlines are reported per sub-request: a job that trips the token
-    /// produces `deadline_exceeded` for *its* entries only, while jobs that
-    /// completed (possibly on other workers) keep their answers — the batch
-    /// as a whole never turns into one blanket error.  Each response comes
-    /// with the version of [`PalmServer::handle_versioned`].
+    /// A deadline that trips fails only the sub-requests it interrupted:
+    /// the others keep their answers, and the batch as a whole never turns
+    /// into one blanket error.  Each response comes with the version of
+    /// [`PalmServer::handle_versioned`].
     fn execute_batch(
         &self,
         requests: Vec<PalmRequest>,
         cancel: &CancelToken,
     ) -> Vec<(PalmResponse, Option<u64>)> {
-        enum Job {
-            /// A singleton sub-request, taken (exactly once) by the worker
-            /// that claims the job; the `Mutex` only exists because the
-            /// pool hands out shared references.
-            Single(usize, parking_lot::Mutex<Option<PalmRequest>>),
-            Queries {
-                name: String,
-                k: usize,
-                exact: bool,
-                idxs: Vec<usize>,
-                queries: Vec<Vec<f32>>,
-            },
-        }
-        let total = requests.len();
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut ready: Vec<(usize, (PalmResponse, Option<u64>))> = Vec::new();
-        let mut groups: HashMap<(String, usize, bool), usize> = HashMap::new();
-        for (i, request) in requests.into_iter().enumerate() {
-            match request {
-                PalmRequest::Query {
-                    name,
-                    query,
-                    k,
-                    exact,
-                } => {
-                    let job = *groups.entry((name.clone(), k, exact)).or_insert_with(|| {
-                        jobs.push(Job::Queries {
-                            name,
-                            k,
-                            exact,
-                            idxs: Vec::new(),
-                            queries: Vec::new(),
-                        });
-                        jobs.len() - 1
-                    });
-                    let Job::Queries { idxs, queries, .. } = &mut jobs[job] else {
-                        unreachable!("query group indexes only point at query jobs");
-                    };
-                    idxs.push(i);
-                    queries.push(query);
-                    // Grouped queries bypass `handle_with`, so count them
-                    // here: every sub-request shows up in the stats.
-                    self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                }
+        // The `Mutex` only lets the worker that claims a job take its
+        // request out of the shared slice the pool hands out.
+        let jobs: Vec<Mutex<Option<PalmRequest>>> = requests
+            .into_iter()
+            .map(|request| Mutex::new(Some(request)))
+            .collect();
+        self.pool.run(&jobs, |_, job| {
+            match job.lock().take().expect("each job is claimed exactly once") {
                 PalmRequest::Batch { .. } => {
                     let message = "batch requests cannot be nested".to_string();
-                    ready.push((i, (ServiceError::malformed(message).into_response(), None)))
+                    (ServiceError::malformed(message).into_response(), None)
                 }
-                other => jobs.push(Job::Single(i, parking_lot::Mutex::new(Some(other)))),
+                request => self.handle_versioned(request, cancel),
             }
-        }
-        let outcomes = self.pool.run(&jobs, |_, job| match job {
-            Job::Single(i, request) => {
-                let request = request
-                    .lock()
-                    .take()
-                    .expect("each singleton job is claimed exactly once");
-                vec![(*i, self.handle_versioned(request, cancel))]
-            }
-            Job::Queries {
-                name,
-                k,
-                exact,
-                idxs,
-                queries,
-            } => match self.batch_query(name, queries, *k, *exact, cancel) {
-                Ok((responses, version)) => idxs
-                    .iter()
-                    .copied()
-                    .zip(responses.into_iter().map(|r| (r, Some(version))))
-                    .collect(),
-                Err(e) => {
-                    if e.kind == ERROR_KIND_DEADLINE {
-                        self.stats
-                            .deadline_exceeded
-                            .fetch_add(idxs.len() as u64, Ordering::Relaxed);
-                    }
-                    let response = e.into_response();
-                    idxs.iter()
-                        .map(|&i| (i, (response.clone(), None)))
-                        .collect()
-                }
-            },
-        });
-        let mut responses: Vec<Option<(PalmResponse, Option<u64>)>> = vec![None; total];
-        for (i, response) in outcomes.into_iter().flatten().chain(ready) {
-            responses[i] = Some(response);
-        }
-        responses
-            .into_iter()
-            .map(|r| r.expect("every sub-request produced a response"))
-            .collect()
-    }
-
-    /// Answers a group of same-shape kNN queries against one index through
-    /// the engine's batched round pipeline, whose answers are bit-identical
-    /// to one-at-a-time answers; also returns the slot version they were
-    /// computed against.  One plan covers the group, so every computed
-    /// answer carries the same `explain`.
-    fn batch_query(
-        &self,
-        name: &str,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &CancelToken,
-    ) -> Result<(Vec<PalmResponse>, u64), ServiceError> {
-        let slot = self.slot(name)?;
-        let registered = slot.read();
-        let start = Instant::now();
-        let version = registered.version;
-        // A sub-query the index cannot answer is refused on its own; the
-        // rest of the group still runs.
-        let mut responses: Vec<Option<PalmResponse>> = queries
-            .iter()
-            .map(|query| {
-                let refused = registered.index.check_query(query, k).err();
-                refused.map(|e| ServiceError::from(e).into_response())
-            })
-            .collect();
-        let runnable: Vec<usize> = (0..queries.len())
-            .filter(|&i| responses[i].is_none())
-            .collect();
-        if !runnable.is_empty() {
-            // Avoid re-cloning the payloads when nothing was refused.
-            let runnable_queries: Vec<Vec<f32>>;
-            let engine_queries: &[Vec<f32>] = if runnable.len() == queries.len() {
-                queries
-            } else {
-                runnable_queries = runnable.iter().map(|&i| queries[i].clone()).collect();
-                &runnable_queries
-            };
-            let (results, plan) =
-                registered
-                    .index
-                    .batch_knn_planned(engine_queries, k, exact, cancel)?;
-            self.stats.note_plan(plan.as_ref());
-            let explain: Option<PlanReportJson> = plan.map(Into::into);
-            let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-            for (&i, (neighbors, cost)) in runnable.iter().zip(results) {
-                let response = query_result(
-                    name.to_string(),
-                    &neighbors,
-                    cost.into(),
-                    elapsed_ms,
-                    explain,
-                );
-                responses[i] = Some(response);
-            }
-        }
-        let responses = responses
-            .into_iter()
-            .map(|r| r.expect("every query is refused or answered"))
-            .collect();
-        Ok((responses, version))
+        })
     }
 
     /// Shared I/O statistics of a registered index (for heat-map style
@@ -2341,6 +2171,98 @@ mod tests {
         }
     }
 
+    /// `response` as the wire carries it, with the two values that are not a
+    /// function of the request and the index contents blanked: the
+    /// wall-clock `elapsed_ms`, and the `random_read_permille` an adaptive
+    /// plan reads from the index's rolling I/O history, which concurrent
+    /// queries advance in whatever order they are scheduled.
+    fn reply_bytes(response: &PalmResponse) -> String {
+        let mut text = response.to_json().to_string();
+        for member in [ELAPSED_MEMBER, ",\"random_read_permille\":"] {
+            if let Some(at) = text.find(member) {
+                let start = at + member.len();
+                let len = text[start..].find([',', '}']).expect("a value");
+                text.replace_range(start..start + len, "_");
+            }
+        }
+        text
+    }
+
+    /// A `batch` is N single requests: on a CTree and a 2-shard CLSM, each
+    /// under both planners, exact and approximate and under a pre-cancelled
+    /// token, every sub-reply is the reply the same request gets alone from
+    /// an identical server, byte for byte (see [`reply_bytes`]), `explain`
+    /// and `partial_cost` included.  An adaptive sub-query plans for itself:
+    /// no plan covers a group of queries.
+    #[test]
+    fn batch_sub_replies_equal_single_replies() {
+        let dir = ScratchDir::new("palm-batch-singles").unwrap();
+        let series = RandomWalkGenerator::new(64, 21).generate(11000);
+        let path = dir.file("raw.bin");
+        Dataset::create_from_series(&path, &series).unwrap();
+        let dataset_path = path.to_string_lossy().into_owned();
+        let mut names = Vec::new();
+        let servers = [dir.file("singles"), dir.file("batches")].map(PalmServer::new);
+        for (variant, shards) in [(VariantKind::CTree, 1), (VariantKind::Clsm, 2)] {
+            for mode in [PlannerMode::Adaptive, PlannerMode::Fixed] {
+                let name = format!("{}-{}", variant.name(), mode.name());
+                for server in &servers {
+                    let mut request =
+                        PalmRequest::build_index(&name, &dataset_path, variant, true, 1 << 20);
+                    if let PalmRequest::BuildIndex {
+                        planner,
+                        shard_count,
+                        ..
+                    } = &mut request
+                    {
+                        (*planner, *shard_count) = (mode, shards);
+                    }
+                    let built = server.handle(request);
+                    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+                }
+                names.push(name);
+            }
+        }
+        let mut gen = RandomWalkGenerator::new(64, 22);
+        let queries: Vec<Vec<f32>> = (0..3).map(|_| gen.next_series().values).collect();
+        let live = CancelToken::never();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for (exact, cancel) in [(true, &live), (false, &live), (true, &cancelled)] {
+            let requests: Vec<PalmRequest> = names
+                .iter()
+                .flat_map(|name| {
+                    queries.iter().map(move |query| PalmRequest::Query {
+                        name: name.clone(),
+                        query: query.clone(),
+                        k: 4,
+                        exact,
+                    })
+                })
+                .collect();
+            let singles: Vec<String> = requests
+                .iter()
+                .map(|request| reply_bytes(&servers[0].handle_with(request.clone(), cancel)))
+                .collect();
+            let batch = servers[1].handle_with(PalmRequest::Batch { requests }, cancel);
+            let PalmResponse::Batch { responses } = batch else {
+                panic!("expected a batch response, got {batch:?}");
+            };
+            let batched: Vec<String> = responses.iter().map(reply_bytes).collect();
+            assert_eq!(batched, singles, "exact={exact}");
+            let explained = singles.iter().filter(|r| r.contains("explain")).count();
+            let refused = singles
+                .iter()
+                .filter(|r| r.contains("partial_cost"))
+                .count();
+            if cancel.is_cancelled() {
+                assert_eq!((explained, refused), (0, singles.len()));
+            } else {
+                assert_eq!((explained, refused), (singles.len() / 2, 0));
+            }
+        }
+    }
+
     #[test]
     fn batch_json_verb_roundtrips() {
         let (dir, dataset_path, series) = setup();
@@ -2615,7 +2537,7 @@ mod tests {
     }
 
     /// Satellite: per-sub-request deadline reporting inside a batch — the
-    /// expired group fails alone, the rest of the batch still answers.
+    /// expired query fails alone, the rest of the batch still answers.
     #[test]
     fn batch_reports_deadlines_per_sub_request() {
         let (dir, dataset_path, series) = setup();

@@ -7,14 +7,16 @@
 //! wire"): every slot carries a monotonic version tag bumped under the
 //! write lock; cache entries record the version they were computed
 //! against and are unservable the moment it changes, even if the purge
-//! races an in-flight insert into the cache.
+//! races an in-flight insert into the cache.  A `batch` runs its
+//! sub-queries concurrently on the server's pool, so they record into the
+//! cache concurrently too.
 
 use std::time::Duration;
 
 use coconut_core::backend::encode_frame;
 use coconut_core::palm::{PalmRequest, PalmResponse, PalmServer};
-use coconut_core::{Dataset, VariantKind};
-use coconut_json::{Json, ToJson};
+use coconut_core::{Compression, Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_json::{FromJson, Json, ToJson};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
 use proptest::prelude::*;
@@ -187,6 +189,120 @@ fn readers_racing_inserts_never_observe_stale_answers() {
         stats.cache_hits > 0,
         "the race must exercise hits: {stats:?}"
     );
+}
+
+/// Service-layer stress test: spawned readers issue single and batched
+/// queries against one index while one writer streams appends through the
+/// shared `&self` server.  The batches go through the cached frame path, so
+/// their sub-queries record into the cache while the writer bumps versions.
+/// Every response must be a valid snapshot — never an error, and a query
+/// matching a build-time series always finds it.
+#[test]
+fn concurrent_reads_during_append_observe_valid_snapshots() {
+    let dir = ScratchDir::new("beq-stress").unwrap();
+    let (dataset_path, series) = make_dataset(&dir, 300, 3);
+    let server = PalmServer::new(dir.file("work")).with_result_cache(64);
+    let built = server.handle(PalmRequest::BuildIndex {
+        name: "stress".into(),
+        dataset_path,
+        variant: VariantKind::Clsm,
+        materialized: true,
+        memory_budget_bytes: 1 << 20,
+        parallelism: 1,
+        query_parallelism: 2,
+        shard_count: 2,
+        range: None,
+        io_overlap: true,
+        io_backend: IoBackend::Pread,
+        planner: PlannerMode::Fixed,
+        compression: Compression::Off,
+    });
+    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+
+    let anchors: Vec<(u64, Vec<f32>)> = [7u64, 120, 288]
+        .into_iter()
+        .map(|id| {
+            let q: Vec<f32> = series[id as usize]
+                .values
+                .iter()
+                .map(|v| v + 0.0005)
+                .collect();
+            (id, q)
+        })
+        .collect();
+    let query = |q: &[f32]| PalmRequest::Query {
+        name: "stress".into(),
+        query: q.to_vec(),
+        k: 1,
+        exact: true,
+    };
+    let batch = PalmRequest::Batch {
+        requests: anchors.iter().map(|(_, q)| query(q)).collect(),
+    }
+    .to_json()
+    .to_string();
+
+    std::thread::scope(|scope| {
+        let server = &server;
+        let (anchors, query, batch) = (&anchors, &query, &batch);
+        let writer = scope.spawn(move || {
+            let mut gen = RandomWalkGenerator::new(64, 999);
+            for round in 0..15u64 {
+                let batch: Vec<Vec<f32>> = (0..40).map(|_| gen.next_series().values).collect();
+                match server.handle(PalmRequest::Insert {
+                    name: "stress".into(),
+                    series: batch,
+                    timestamp: round,
+                    base_id: None,
+                }) {
+                    PalmResponse::Inserted { inserted, .. } => assert_eq!(inserted, 40),
+                    other => panic!("insert failed: {other:?}"),
+                }
+            }
+        });
+        for reader in 0..4usize {
+            scope.spawn(move || {
+                for i in 0..12 {
+                    let (id, q) = &anchors[(reader + i) % anchors.len()];
+                    if i % 3 == 0 {
+                        // Batched reads share the same snapshot guarantee.
+                        let reply = Json::parse(&server.handle_json(batch)).unwrap();
+                        match PalmResponse::from_json(&reply).unwrap() {
+                            PalmResponse::Batch { responses } => {
+                                for (response, (id, _)) in responses.iter().zip(anchors.iter()) {
+                                    match response {
+                                        PalmResponse::QueryResult { ids, .. } => {
+                                            assert_eq!(ids, &vec![*id])
+                                        }
+                                        other => panic!("batched query failed: {other:?}"),
+                                    }
+                                }
+                            }
+                            other => panic!("batch failed: {other:?}"),
+                        }
+                    } else {
+                        match server.handle(query(q)) {
+                            PalmResponse::QueryResult { ids, .. } => assert_eq!(&ids, &vec![*id]),
+                            other => panic!("query failed: {other:?}"),
+                        }
+                    }
+                }
+            });
+        }
+        writer.join().unwrap();
+    });
+
+    // After the writer joined, the index holds every append.
+    match server.handle(PalmRequest::Metrics {
+        name: "stress".into(),
+    }) {
+        PalmResponse::Metrics { report, .. } => assert_eq!(report.entries, 300),
+        other => panic!("metrics failed: {other:?}"),
+    }
+    match server.handle(query(&series[7].values)) {
+        PalmResponse::QueryResult { ids, .. } => assert_eq!(ids, vec![7]),
+        other => panic!("final query failed: {other:?}"),
+    }
 }
 
 proptest! {

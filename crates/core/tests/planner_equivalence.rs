@@ -5,7 +5,7 @@
 //! planner-routed query is bit-identical — neighbours, distances,
 //! tie-breaking, `QueryCost` counters and `IoStats` classification — to
 //! *every* fixed-knob configuration, on CTree and CLSM, exact and
-//! approximate, single and batched; a stream's planner only picks its
+//! approximate; a stream's planner only picks its
 //! merge read-ahead gate, so its partitions are byte-identical.  And the
 //! plan itself is deterministic: identical [`PlannerInputs`] always yield
 //! identical [`PlanReport`]s, so every recorded report replays.
@@ -103,7 +103,6 @@ fn planned_static_queries_match_every_fixed_knob() {
                 );
                 assert_eq!(report.inputs.k, k);
                 assert_eq!(report.inputs.exact, exact);
-                assert_eq!(report.inputs.batch_width, 1);
                 for (index, _) in &fixed {
                     let ((nn_f, cost_f), no_report) =
                         index.knn_planned(&q.values, k, exact, &never).unwrap();
@@ -126,51 +125,6 @@ fn planned_static_queries_match_every_fixed_knob() {
             "{}: query I/O must not depend on the planner",
             variant.name()
         );
-    }
-}
-
-/// The planner-routed batch path (one plan for the whole batch, rounds
-/// possibly re-chunked) is element-wise identical to the fixed batch path
-/// at every batch width.
-#[test]
-fn planned_batches_match_fixed_at_every_width() {
-    let dir = ScratchDir::new("peq-batch").unwrap();
-    let mut gen = RandomWalkGenerator::new(64, 57);
-    let series = gen.generate(500);
-    let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
-    let never = CancelToken::never();
-
-    for variant in [VariantKind::CTree, VariantKind::Clsm] {
-        let (adaptive, _) = build_static(
-            &dir,
-            &dataset,
-            variant,
-            "badaptive",
-            PlannerMode::Adaptive,
-            1,
-        );
-        let (fixed, _) = build_static(&dir, &dataset, variant, "bfixed", PlannerMode::Fixed, 1);
-        let mut qgen = RandomWalkGenerator::new(64, 57 ^ 0xf00d);
-        for width in [1usize, 3, 17] {
-            let queries: Vec<Vec<f32>> = (0..width).map(|_| qgen.next_series().values).collect();
-            for exact in [true, false] {
-                let (batch_a, report) = adaptive
-                    .batch_knn_planned(&queries, 4, exact, &never)
-                    .unwrap();
-                let report = report.expect("adaptive batches must carry a plan report");
-                assert_eq!(report.inputs.batch_width, width);
-                assert_eq!(report.decision, planner::plan(&report.inputs));
-                let (batch_f, no_report) =
-                    fixed.batch_knn_planned(&queries, 4, exact, &never).unwrap();
-                assert!(no_report.is_none());
-                assert_eq!(
-                    batch_a,
-                    batch_f,
-                    "{} width={width} exact={exact}",
-                    variant.name()
-                );
-            }
-        }
     }
 }
 
@@ -243,7 +197,6 @@ proptest! {
         run_count in 0usize..1_000,
         cores in 0usize..256,
         k in 0usize..1_000,
-        batch_width in 0usize..100_000,
         exact_bit in 0u8..2,
         random_read_permille in 0u32..=1_000,
     ) {
@@ -254,7 +207,6 @@ proptest! {
             run_count,
             cores,
             k,
-            batch_width,
             exact: exact_bit == 1,
             random_read_permille,
         };
@@ -267,7 +219,6 @@ proptest! {
         // Structural sanity that holds for *every* input: the engine knobs
         // stay in their legal ranges.
         prop_assert!(report.decision.query_parallelism >= 1);
-        prop_assert!(report.decision.batch_chunk >= 1);
         prop_assert!(report.decision.prefetch_min_bytes > 0);
     }
 }

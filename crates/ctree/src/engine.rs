@@ -1,6 +1,5 @@
-//! The concurrent query engine: parallel fan-out over search units with a
-//! shared, CAS-tightened best-so-far bound, for single queries and for
-//! batches of queries.
+//! The concurrent query engine: parallel fan-out of one query over search
+//! units, around a best-so-far bound frozen between two phases.
 //!
 //! Every Coconut index is queried as a collection of **search units** — the
 //! in-memory buffer, each sorted run (or shard) of a CLSM level, each
@@ -12,46 +11,25 @@
 //!
 //! # Protocol
 //!
-//! Exact queries over more than one unit run in two phases around one
-//! [`SharedBound`] per query:
+//! [`parallel_knn_with`] is the one search function.  An exact query over
+//! more than one unit runs two phases:
 //!
 //! 1. **Seed** — every unit is probed *approximately* (its target block
-//!    only) with an independent local heap.  Workers publish their local
-//!    k-th-best distances into the shared bound via CAS; after the join the
-//!    engine merges the seed candidates and publishes the k-th best of the
-//!    union, which is at least as tight as any per-unit bound.
-//! 2. **Refine** — the shared bound is frozen into `b0` and every unit runs
-//!    its exact search with a local heap whose pruning bound is
-//!    `min(b0, local k-th best)`.  Workers keep CAS-publishing their final
-//!    local bounds (so the shared bound ends at the true k-th-best
-//!    distance), but **decisions never read the bound mid-phase**: a
-//!    mid-scan read would make block pruning depend on worker timing,
-//!    breaking cost determinism.  `b0` already carries the cross-unit
-//!    pruning power the Coconut line derives from one bound shared across
-//!    all sorted runs.
+//!    only) with an independent local heap.  After the join the seed
+//!    candidates are merged and the bound `b0` is frozen at the k-th best
+//!    of the union (`+inf` while it holds fewer than `k`), which is at least
+//!    as tight as any per-unit k-th best.
+//! 2. **Refine** — every unit runs its exact search with a local heap whose
+//!    pruning bound is `min(b0, local k-th best)`.  **Decisions never read a
+//!    bound another worker moves mid-phase**: a mid-scan read would make
+//!    block pruning depend on worker timing, breaking cost determinism.
+//!    `b0` already carries the cross-unit pruning power the Coconut line
+//!    derives from one bound shared across all sorted runs.
 //!
-//! Approximate queries are a single phase of independent unit probes.
-//!
-//! # Batched execution ([`batch_knn`])
-//!
-//! A batch of `N` queries is executed as a **round pipeline**: in round `r`
-//! every unit first runs the refine phase of query `r-1` and then the seed
-//! phase of query `r` (units fan out over the worker pool inside each
-//! round, and each query's bound is frozen at its round boundary exactly as
-//! in the one-at-a-time path).  Two properties follow by construction:
-//!
-//! * **Bit-identical results and accounting.**  Per query, the phase
-//!   structure, the frozen bound, the per-unit heap ceilings, the merge
-//!   order and the cost summation are exactly those of [`parallel_knn`] —
-//!   and per *file*, the access sequence is exactly the sequential one
-//!   (each unit owns its file, and its round task runs `refine(r-1)` before
-//!   `seed(r)`), so even the sequential/random `IoStats` classification
-//!   matches issuing the queries one at a time.
-//! * **Shared per-unit pruning state.**  Consecutive queries probe each hot
-//!   run back to back within one scheduled task — block fences, mappings
-//!   and the run's pages stay resident across the whole batch instead of
-//!   being re-walked per request, and a batch of `N` queries pays `N + 1`
-//!   fork/join barriers instead of `2N`.
+//! Approximate queries, and exact queries over a single unit, are one phase
+//! of independent unit probes under an unbounded ceiling.  A batch of
+//! queries is that many calls; the palm service runs them concurrently on
+//! its worker pool.
 //!
 //! # Why the merged result is exact
 //!
@@ -65,7 +43,7 @@
 use coconut_parallel::{effective_parallelism, parallel_map_tasks, CancelToken};
 use coconut_series::distance::Neighbor;
 
-use crate::query::{KnnHeap, QueryContext, QueryCost, SharedBound};
+use crate::query::{KnnHeap, QueryContext, QueryCost};
 use crate::{IndexError, Result};
 
 /// One independently searchable piece of an index.
@@ -74,7 +52,7 @@ use crate::{IndexError, Result};
 /// per-worker heap and cost context; both search methods must be
 /// deterministic functions of the unit, the query and the heap's starting
 /// ceiling.  The query is a parameter (rather than baked into the unit) so
-/// one unit list serves a whole batch of queries.
+/// one unit list serves both phases of a query.
 pub trait SearchUnit: Sync {
     /// Fresh cost/fetch context for one phase over this unit.
     fn context(&self) -> QueryContext<'_>;
@@ -104,8 +82,8 @@ pub trait SearchUnit: Sync {
 /// `(distance, id, timestamp)` neighbour order, truncate to `k`; costs are
 /// summed in part order.
 ///
-/// This is **the** merge of the engine — every round of
-/// [`batch_knn_with`] folds its per-unit results through it — exposed so
+/// This is **the** merge of the engine — both phases of
+/// [`parallel_knn_with`] fold their per-unit results through it — exposed so
 /// that higher layers composing partial answers (the service-level
 /// scatter-gather coordinator merging per-shard top-k) provably apply the
 /// identical rule: as long as each part is itself a true top-`k` of a
@@ -124,210 +102,12 @@ pub fn merge_topk(parts: Vec<(Vec<Neighbor>, QueryCost)>, k: usize) -> (Vec<Neig
     (neighbors, cost)
 }
 
-/// Per-unit outcome of one pipeline round: the main-phase contribution of
-/// the previous query and the seed contribution of the current one.
-type RoundOut = (
-    Option<(Vec<Neighbor>, QueryCost)>,
-    Option<(Vec<Neighbor>, QueryCost)>,
-);
-
-/// Runs a batch of kNN queries over `units` with up to `parallelism`
-/// workers (`1` = sequential, `0` = one per available core), returning each
-/// query's merged top-`k` plus its exact summed cost, in query order.
-///
-/// Every query's answers **and** `QueryCost` are bit-identical to running
-/// it alone through [`parallel_knn`] — and therefore to any other batch
-/// composition — and the per-file I/O (page touches *and* their
-/// sequential/random classification) matches issuing the queries one at a
-/// time; see the module docs for the pipeline and the determinism argument.
-/// The first unit error aborts the batch.
-pub fn batch_knn<U: SearchUnit, Q: AsRef<[f32]> + Sync>(
-    units: &[U],
-    queries: &[Q],
-    k: usize,
-    parallelism: usize,
-    exact: bool,
-) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-    batch_knn_with(units, queries, k, parallelism, exact, &CancelToken::never())
-}
-
-/// [`batch_knn`] with cooperative cancellation.
-///
-/// The token is polled at every **round boundary** — before any unit starts
-/// the next round of the pipeline — never mid-scan, so a batch that runs to
-/// completion is bit-identical to [`batch_knn`] (the checks are pure reads).
-/// On cancellation the batch unwinds with [`IndexError::Cancelled`] carrying
-/// the summed cost of every phase that completed (finished queries plus the
-/// seed phases of aborted ones), making the aborted work observable.
-pub fn batch_knn_with<U: SearchUnit, Q: AsRef<[f32]> + Sync>(
-    units: &[U],
-    queries: &[Q],
-    k: usize,
-    parallelism: usize,
-    exact: bool,
-    cancel: &CancelToken,
-) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-    let n = queries.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if units.is_empty() {
-        return Ok(vec![(Vec::new(), QueryCost::default()); n]);
-    }
-    let workers = effective_parallelism(parallelism).min(units.len());
-    // Exact queries over a single unit need no seed phase (there is no
-    // cross-unit bound to share), mirroring `parallel_knn`.
-    let two_phase = exact && units.len() > 1;
-    let bounds: Vec<SharedBound> = (0..n).map(|_| SharedBound::new()).collect();
-    let mut frozen: Vec<f64> = vec![f64::INFINITY; n];
-    let mut seed_costs: Vec<QueryCost> = vec![QueryCost::default(); n];
-    let mut results: Vec<(Vec<Neighbor>, QueryCost)> = Vec::with_capacity(n);
-
-    for round in 0..=n {
-        // Round r: main phase (exact refine, or the single approximate
-        // phase) of query r-1, then seed of query r.  A unit's task runs
-        // the two strictly in that order, which is exactly the per-file
-        // access order of one-at-a-time execution.
-        let main_q = round.checked_sub(1);
-        let seed_q = (two_phase && round < n).then_some(round);
-        if main_q.is_none() && seed_q.is_none() {
-            // Single-phase batches have an empty round 0.
-            continue;
-        }
-        // Round boundary: the only cancellation point.  Completed work is
-        // summed into the error so aborted queries stay observable.
-        if cancel.is_cancelled() {
-            let mut partial_cost = QueryCost::default();
-            for (_, cost) in &results {
-                partial_cost = partial_cost.plus(cost);
-            }
-            for seed_cost in seed_costs.iter().take(n).skip(results.len()) {
-                partial_cost = partial_cost.plus(seed_cost);
-            }
-            return Err(IndexError::Cancelled { partial_cost });
-        }
-        let frozen_ref = &frozen;
-        let bounds_ref = &bounds;
-        let outcomes = parallel_map_tasks(units, workers, |_, unit| -> Result<RoundOut> {
-            let main = match main_q {
-                Some(q) => {
-                    let query = queries[q].as_ref();
-                    let mut heap = KnnHeap::with_ceiling(k, frozen_ref[q]);
-                    let mut ctx = unit.context();
-                    if exact {
-                        unit.search_exact(query, &mut heap, &mut ctx)?;
-                    } else {
-                        unit.search_approximate(query, &mut heap, &mut ctx)?;
-                    }
-                    bounds_ref[q].tighten(heap.bound());
-                    Some((heap.into_sorted(), ctx.cost))
-                }
-                None => None,
-            };
-            let seed = match seed_q {
-                Some(q) => {
-                    let query = queries[q].as_ref();
-                    let mut heap = KnnHeap::with_ceiling(k, f64::INFINITY);
-                    let mut ctx = unit.context();
-                    unit.search_approximate(query, &mut heap, &mut ctx)?;
-                    bounds_ref[q].tighten(heap.bound());
-                    Some((heap.into_sorted(), ctx.cost))
-                }
-                None => None,
-            };
-            Ok((main, seed))
-        });
-        let mut mains: Vec<(Vec<Neighbor>, QueryCost)> = Vec::new();
-        let mut seeds: Vec<(Vec<Neighbor>, QueryCost)> = Vec::new();
-        for outcome in outcomes {
-            let (main, seed) = outcome?;
-            mains.extend(main);
-            seeds.extend(seed);
-        }
-        if let Some(q) = seed_q {
-            // Freeze query q's bound for its refine round: merge the seed
-            // candidates in unit order and publish the k-th best of the
-            // union, exactly as the single-query seed phase does.
-            let mut neighbors = Vec::new();
-            let mut cost = QueryCost::default();
-            for (unit_neighbors, unit_cost) in seeds {
-                neighbors.extend(unit_neighbors);
-                cost = cost.plus(&unit_cost);
-            }
-            neighbors.sort();
-            if neighbors.len() >= k {
-                bounds[q].tighten(neighbors[k - 1].squared_distance);
-            }
-            frozen[q] = bounds[q].get();
-            seed_costs[q] = cost;
-        }
-        if let Some(q) = main_q {
-            // Deterministic merge through [`merge_topk`]: concatenate in
-            // unit order, stable sort (equal `(distance, id, timestamp)`
-            // neighbours keep unit order), truncate to k; sum costs in
-            // unit order, seeded with the query's seed-phase cost.
-            let mut parts = Vec::with_capacity(mains.len() + 1);
-            parts.push((Vec::new(), seed_costs[q]));
-            parts.extend(mains);
-            results.push(merge_topk(parts, k));
-        }
-    }
-    Ok(results)
-}
-
-/// [`batch_knn_with`] over consecutive sub-batches of at most `chunk`
-/// queries (`0` = the whole batch in one pipeline).
-///
-/// This is the executor behind the planner's **batch round shape** knob:
-/// because a batch's per-query answers and costs are identical to
-/// one-at-a-time execution, they are identical under *any* chunking — the
-/// chunk size only bounds the per-pipeline bookkeeping (one `SharedBound`
-/// and frozen-bound slot per in-flight query) and trades fork/join barriers
-/// (`N + chunks` instead of `N + 1`).  On cancellation the partial cost
-/// sums every completed chunk plus the aborting chunk's own partial cost,
-/// exactly as an unchunked batch would report it.
-pub fn batch_knn_chunked<U: SearchUnit, Q: AsRef<[f32]> + Sync>(
-    units: &[U],
-    queries: &[Q],
-    k: usize,
-    parallelism: usize,
-    exact: bool,
-    chunk: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-    let chunk = if chunk == 0 {
-        queries.len().max(1)
-    } else {
-        chunk
-    };
-    let mut results: Vec<(Vec<Neighbor>, QueryCost)> = Vec::with_capacity(queries.len());
-    for part in queries.chunks(chunk) {
-        match batch_knn_with(units, part, k, parallelism, exact, cancel) {
-            Ok(part_results) => results.extend(part_results),
-            Err(IndexError::Cancelled { partial_cost }) => {
-                let mut total = partial_cost;
-                for (_, cost) in &results {
-                    total = total.plus(cost);
-                }
-                return Err(IndexError::Cancelled {
-                    partial_cost: total,
-                });
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(results)
-}
-
 /// Runs a kNN query over `units` with up to `parallelism` workers
 /// (`1` = sequential, `0` = one per available core) and returns the merged
 /// top-`k` plus the exact summed cost.
 ///
 /// Results and cost are identical at every `parallelism` setting; see the
-/// module docs for the protocol and the determinism argument.  A single
-/// query is exactly a batch of one, so this delegates to [`batch_knn`] —
-/// which is what makes the batch path's per-query identity guarantee hold
-/// by construction.
+/// module docs for the protocol and the determinism argument.
 pub fn parallel_knn<U: SearchUnit>(
     units: &[U],
     query: &[f32],
@@ -338,9 +118,14 @@ pub fn parallel_knn<U: SearchUnit>(
     parallel_knn_with(units, query, k, parallelism, exact, &CancelToken::never())
 }
 
-/// [`parallel_knn`] with cooperative cancellation (a batch of one run
-/// through [`batch_knn_with`]; the token is polled at its round
-/// boundaries — between the seed and refine phases of an exact query).
+/// [`parallel_knn`] with cooperative cancellation.
+///
+/// The token is polled before each phase — never mid-scan — so a query that
+/// runs to completion is bit-identical to [`parallel_knn`] (the checks are
+/// pure reads).  On cancellation the query unwinds with
+/// [`IndexError::Cancelled`] carrying the cost of the phase that completed
+/// (the seed, or nothing), making the aborted work observable.  The first
+/// unit error aborts the query.
 pub fn parallel_knn_with<U: SearchUnit>(
     units: &[U],
     query: &[f32],
@@ -349,8 +134,49 @@ pub fn parallel_knn_with<U: SearchUnit>(
     exact: bool,
     cancel: &CancelToken,
 ) -> Result<(Vec<Neighbor>, QueryCost)> {
-    let mut results = batch_knn_with(units, &[query], k, parallelism, exact, cancel)?;
-    Ok(results.pop().unwrap_or_default())
+    if units.is_empty() {
+        return Ok((Vec::new(), QueryCost::default()));
+    }
+    let workers = effective_parallelism(parallelism).min(units.len());
+    let check = |partial_cost: QueryCost| {
+        if cancel.is_cancelled() {
+            Err(IndexError::Cancelled { partial_cost })
+        } else {
+            Ok(())
+        }
+    };
+    // One phase: every unit searched under `ceiling`, results in unit order.
+    let phase = |ceiling: f64, exact: bool| -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
+        parallel_map_tasks(units, workers, |_, unit| {
+            let mut heap = KnnHeap::with_ceiling(k, ceiling);
+            let mut ctx = unit.context();
+            if exact {
+                unit.search_exact(query, &mut heap, &mut ctx)?;
+            } else {
+                unit.search_approximate(query, &mut heap, &mut ctx)?;
+            }
+            Ok((heap.into_sorted(), ctx.cost))
+        })
+        .into_iter()
+        .collect()
+    };
+    // Exact queries over a single unit need no seed phase: there is no
+    // cross-unit bound to share.
+    let (ceiling, seed_cost) = if exact && units.len() > 1 {
+        check(QueryCost::default())?;
+        let (seeds, seed_cost) = merge_topk(phase(f64::INFINITY, false)?, k);
+        let ceiling = seeds
+            .get(k - 1)
+            .map_or(f64::INFINITY, |kth| kth.squared_distance);
+        (ceiling, seed_cost)
+    } else {
+        (f64::INFINITY, QueryCost::default())
+    };
+    check(seed_cost)?;
+    // Deterministic merge: unit order, seeded with the seed phase's cost.
+    let mut parts = vec![(Vec::new(), seed_cost)];
+    parts.extend(phase(ceiling, exact)?);
+    Ok(merge_topk(parts, k))
 }
 
 #[cfg(test)]
@@ -477,16 +303,12 @@ mod tests {
         let (nn, cost) = parallel_knn(&none, &[], 3, 4, true).unwrap();
         assert!(nn.is_empty());
         assert_eq!(cost, QueryCost::default());
-        let batch = batch_knn(&none, &[vec![0.0f32], vec![1.0]], 3, 4, true).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert!(batch
-            .iter()
-            .all(|(nn, c)| nn.is_empty() && *c == QueryCost::default()));
     }
 
-    /// Tentpole invariant at the engine level: a batch of N queries returns
-    /// bit-identical per-query answers and costs to N one-at-a-time calls,
-    /// at every worker count, in exact and approximate mode.
+    /// A batch is N single queries: run concurrently, as the palm service
+    /// runs a batch's sub-queries on its pool, every query returns
+    /// bit-identical answers and costs to the same query run alone, at every
+    /// worker count, in exact and approximate mode.
     #[test]
     fn batch_matches_one_at_a_time_exactly() {
         let units = units(1234);
@@ -500,7 +322,9 @@ mod tests {
                     .map(|q| parallel_knn(&units, q, k, 1, exact).unwrap())
                     .collect();
                 for workers in [1, 2, 4, 8] {
-                    let batch = batch_knn(&units, &queries, k, workers, exact).unwrap();
+                    let batch = parallel_map_tasks(&queries, 4, |_, q| {
+                        parallel_knn(&units, q, k, workers, exact).unwrap()
+                    });
                     assert_eq!(
                         batch, singles,
                         "batch must match singles (exact={exact}, k={k}, workers={workers})"
@@ -512,37 +336,21 @@ mod tests {
 
     #[test]
     fn batch_over_single_unit_skips_the_seed_phase_like_singles() {
-        // One unit: exact queries are single-phase; the batch must agree.
+        // One unit: an exact query is one exact search, with no approximate
+        // probe in front of it.
         let single_unit = vec![units(5).into_iter().next().unwrap()];
         let queries: Vec<Vec<f32>> = vec![vec![0.0], vec![2.0], vec![-1.5]];
         let singles: Vec<_> = queries
             .iter()
             .map(|q| parallel_knn(&single_unit, q, 3, 1, true).unwrap())
             .collect();
-        let batch = batch_knn(&single_unit, &queries, 3, 4, true).unwrap();
-        assert_eq!(batch, singles);
-    }
-
-    #[test]
-    fn chunked_batch_matches_the_unchunked_batch() {
-        let units = units(77);
-        let queries: Vec<Vec<f32>> = (0..11).map(|q| vec![q as f32, 0.5]).collect();
-        for exact in [true, false] {
-            let whole = batch_knn(&units, &queries, 4, 2, exact).unwrap();
-            for chunk in [0, 1, 2, 3, 5, 11, 64] {
-                let chunked =
-                    batch_knn_chunked(&units, &queries, 4, 2, exact, chunk, &CancelToken::never())
-                        .unwrap();
-                assert_eq!(chunked, whole, "chunk={chunk} exact={exact}");
-            }
+        for (_, cost) in &singles {
+            assert_eq!(cost.entries_examined, 40, "one pass over the 40 candidates");
         }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let units = units(8);
-        let none: Vec<Vec<f32>> = Vec::new();
-        assert!(batch_knn(&units, &none, 3, 4, true).unwrap().is_empty());
+        let batch = parallel_map_tasks(&queries, 4, |_, q| {
+            parallel_knn(&single_unit, q, 3, 4, true).unwrap()
+        });
+        assert_eq!(batch, singles);
     }
 
     #[test]
@@ -550,22 +358,24 @@ mod tests {
         let units = units(21);
         let token = CancelToken::new();
         token.cancel();
-        let queries = vec![vec![0.0f32], vec![1.0]];
-        match batch_knn_with(&units, &queries, 3, 2, true, &token) {
-            Err(IndexError::Cancelled { partial_cost }) => {
-                assert_eq!(partial_cost, QueryCost::default(), "no round ran");
+        for exact in [true, false] {
+            match parallel_knn_with(&units, &[0.0], 3, 2, exact, &token) {
+                Err(IndexError::Cancelled { partial_cost }) => {
+                    assert_eq!(partial_cost, QueryCost::default(), "no phase ran");
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
             }
-            other => panic!("expected Cancelled, got {other:?}"),
+            // A live token is invisible: same answers and costs as no token.
+            let live = CancelToken::new();
+            let with = parallel_knn_with(&units, &[1.0], 3, 2, exact, &live).unwrap();
+            let without = parallel_knn(&units, &[1.0], 3, 2, exact).unwrap();
+            assert_eq!(with, without);
         }
-        // A live token is invisible: same answers and costs as no token.
-        let live = CancelToken::new();
-        let with = batch_knn_with(&units, &queries, 3, 2, true, &live).unwrap();
-        let without = batch_knn(&units, &queries, 3, 2, true).unwrap();
-        assert_eq!(with, without);
     }
 
-    /// A unit that trips the shared token from inside its seed probe, so the
-    /// *next* round boundary observes the cancellation deterministically.
+    /// A unit that trips the shared token from inside its approximate
+    /// probe (the seed phase of an exact query), so the boundary before the
+    /// refine phase observes the cancellation deterministically.
     struct TrippingUnit {
         inner: VecUnit,
         token: CancelToken,
@@ -596,9 +406,14 @@ mod tests {
         }
     }
 
+    /// A batch of singles sharing one token: the query whose seed trips it
+    /// stops at the boundary before its refine phase with exactly the seed's
+    /// cost (one examined entry per unit, nothing refined), and every later
+    /// query of the batch stops before any work.
     #[test]
     fn mid_batch_cancellation_stops_at_the_round_boundary_with_partial_cost() {
         let token = CancelToken::new();
+        let plain = units(31);
         let units: Vec<TrippingUnit> = units(31)
             .into_iter()
             .map(|inner| TrippingUnit {
@@ -606,16 +421,28 @@ mod tests {
                 token: token.clone(),
             })
             .collect();
-        let queries = vec![vec![0.0f32], vec![1.0], vec![2.0]];
-        // Round 0 seeds query 0 (tripping the token); the round-1 boundary
-        // must abort with exactly the seed phase's cost: one examined entry
-        // per unit.
-        match batch_knn_with(&units, &queries, 3, 4, true, &token) {
+        // The seed phase is every unit's approximate probe, which is all an
+        // approximate query over the same candidates does.
+        let (_, seed_cost) = parallel_knn(&plain, &[0.0], 3, 1, false).unwrap();
+        let outcomes: Vec<_> = [vec![0.0f32], vec![1.0], vec![2.0]]
+            .iter()
+            .map(|q| parallel_knn_with(&units, q, 3, 4, true, &token))
+            .collect();
+        match &outcomes[0] {
             Err(IndexError::Cancelled { partial_cost }) => {
+                assert_eq!(*partial_cost, seed_cost);
                 assert_eq!(partial_cost.entries_examined, units.len() as u64);
                 assert_eq!(partial_cost.entries_refined, 0, "refine never ran");
             }
             other => panic!("expected Cancelled, got {other:?}"),
+        }
+        for outcome in &outcomes[1..] {
+            match outcome {
+                Err(IndexError::Cancelled { partial_cost }) => {
+                    assert_eq!(*partial_cost, QueryCost::default(), "no phase ran");
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
+            }
         }
     }
 }

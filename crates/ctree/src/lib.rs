@@ -18,15 +18,13 @@
 //!   [`coconut_storage::RecordLayout`].
 //! * [`sorted_file`] — a sorted, block-indexed partition with approximate and
 //!   exact kNN search (skip-sequential scan with MINDIST pruning).
-//! * [`query`] — query-side helpers: the kNN result heap, the shared atomic
-//!   best-so-far bound and the raw-dataset refinement context used by
+//! * [`query`] — query-side helpers: the kNN result heap (with the frozen
+//!   pruning ceiling) and the raw-dataset refinement context used by
 //!   non-materialized indexes.
 //! * [`engine`] — the concurrent query engine: deterministic parallel
 //!   fan-out over search units (runs, shards, partitions) with per-worker
-//!   heaps merged around a [`query::SharedBound`], for single queries
-//!   ([`parallel_knn`]) and batches ([`batch_knn`], a round pipeline whose
-//!   per-query answers and costs are bit-identical to one-at-a-time
-//!   execution).
+//!   heaps under one bound frozen from the merged seeds
+//!   ([`parallel_knn_with`]; a batch is that many calls).
 //! * [`kernels`] — the dispatch surface for the explicit SIMD
 //!   distance/znorm/PAA backends (scalar / AVX2, runtime-detected,
 //!   `COCONUT_KERNELS` override) used by every scan in this crate and the
@@ -47,13 +45,11 @@ pub mod raw;
 pub mod sorted_file;
 pub mod tree;
 
-pub use engine::{
-    batch_knn, batch_knn_chunked, batch_knn_with, parallel_knn, parallel_knn_with, SearchUnit,
-};
+pub use engine::{parallel_knn, parallel_knn_with, SearchUnit};
 pub use entry::{EntryLayout, SeriesEntry};
 pub use kernels::KernelBackend;
 pub use planner::{PlanDecision, PlanReport, PlannerInputs, PlannerMode};
-pub use query::{KnnHeap, QueryContext, QueryCost, SharedBound};
+pub use query::{KnnHeap, QueryContext, QueryCost};
 pub use raw::RawSeriesSource;
 pub use sorted_file::{BlockMeta, SortedSeriesFile};
 pub use tree::{BuildStats, CTree, CTreeConfig};
@@ -72,7 +68,7 @@ pub enum IndexError {
     /// The index was asked to do something inconsistent with its config.
     Config(String),
     /// The operation was cancelled cooperatively (deadline exceeded or an
-    /// explicit cancel, observed at a `SearchUnit` round boundary).  Carries
+    /// explicit cancel, observed at a `SearchUnit` phase boundary).  Carries
     /// the cost of the work performed before the abort so callers can
     /// surface partial accounting instead of losing it.
     Cancelled {

@@ -2,7 +2,7 @@
 //! observed state instead of from the caller.
 //!
 //! PRs 1–6 proved every execution knob (`query_parallelism`, shard fan-out,
-//! read-ahead engagement, batch composition) **bit-identical** in answers,
+//! read-ahead engagement) **bit-identical** in answers,
 //! `QueryCost` and `IoStats`.  That identity discipline is what makes a
 //! planner safe: whatever it chooses, the caller observes the same results —
 //! only the wall-clock changes.  This module is the decision layer the
@@ -18,8 +18,7 @@
 //! 1. **Capture** — the index snapshots everything the decision may depend
 //!    on into a [`PlannerInputs`] value: index footprint vs an estimated
 //!    page-cache budget, search-unit and run counts, the rolling `IoStats`
-//!    sequential/random read mix, `k`, the batch width, exactness, and the
-//!    host core count.  Capture reads live state (atomics, `/proc/meminfo`),
+//!    sequential/random read mix, `k`, exactness, and the host core count.  Capture reads live state (atomics, `/proc/meminfo`),
 //!    so two captures at different times may differ — but a captured
 //!    snapshot is plain data.
 //! 2. **Decide** — [`plan`] maps the snapshot to a [`PlanDecision`].  It is
@@ -32,8 +31,8 @@
 //! and aggregated under the `stats` verb), so "what did the planner do, and
 //! why" is always answerable from the wire.
 //!
-//! Indexes never branch on [`PlannerMode`] themselves: every planned query,
-//! batch and merge asks [`decide`], where `Fixed` is one more decision.
+//! Indexes never branch on [`PlannerMode`] themselves: every planned query
+//! and merge asks [`decide`], where `Fixed` is one more decision.
 
 use std::sync::OnceLock;
 
@@ -46,17 +45,6 @@ pub type PlannedAnswer = (
         Vec<coconut_series::distance::Neighbor>,
         crate::query::QueryCost,
     ),
-    Option<PlanReport>,
-);
-
-/// A planned batch result: per-query `(answer, cost)` pairs plus the one
-/// [`PlanReport`] captured for the whole batch (`None` under
-/// [`PlannerMode::Fixed`]).
-pub type PlannedBatch = (
-    Vec<(
-        Vec<coconut_series::distance::Neighbor>,
-        crate::query::QueryCost,
-    )>,
     Option<PlanReport>,
 );
 
@@ -80,8 +68,6 @@ pub struct PlannerInputs {
     pub cores: usize,
     /// Neighbours requested.
     pub k: usize,
-    /// Queries in the batch this plan covers (`1` for a single query).
-    pub batch_width: usize,
     /// Exact (two-phase) or approximate (probe-only) search.
     pub exact: bool,
     /// Random share of the index's reads so far, in permille (`0` = all
@@ -103,11 +89,6 @@ pub struct PlanDecision {
     /// Minimum contiguous range, in bytes, below which read-ahead stays
     /// disengaged even when [`PlanDecision::read_ahead`] is `true`.
     pub prefetch_min_bytes: u64,
-    /// Maximum queries per engine round pipeline (`0` = the whole batch in
-    /// one pipeline): a wider batch is split into consecutive sub-batches
-    /// (identical answers by the batch-composition invariant), bounding
-    /// per-batch bookkeeping.
-    pub batch_chunk: usize,
 }
 
 impl PlanDecision {
@@ -144,10 +125,6 @@ pub const PARALLEL_MIN_UNIT_BYTES: u64 = 1 << 20;
 /// background sequential prefetch helps little when the workload's reads
 /// are mostly random).
 pub const RANDOM_HEAVY_PERMILLE: u32 = 750;
-/// Widest batch one engine round pipeline is asked to carry; wider batches
-/// are chunked (bounding the per-batch bound/cost bookkeeping) — answers
-/// are identical under any chunking.
-pub const MAX_BATCH_CHUNK: usize = 256;
 /// Default read-ahead engage gate, re-exported from the storage layer.
 pub const DEFAULT_PREFETCH_MIN_BYTES: u64 = coconut_storage::PREFETCH_MIN_BYTES as u64;
 
@@ -167,8 +144,6 @@ pub const DEFAULT_PREFETCH_MIN_BYTES: u64 = coconut_storage::PREFETCH_MIN_BYTES 
 ///   pages are already hot; a prefetch thread is pure overhead), engages at
 ///   the default gate for spilling indexes, and at a raised gate when the
 ///   rolling read mix is random-dominated.
-/// * **Batch shape** keeps the whole batch in one round pipeline (cheapest:
-///   `N + 1` barriers) up to [`MAX_BATCH_CHUNK`], then chunks.
 pub fn plan(inputs: &PlannerInputs) -> PlanDecision {
     let resident =
         inputs.footprint_bytes.saturating_mul(RESIDENT_HEADROOM) <= inputs.cache_budget_bytes;
@@ -185,12 +160,10 @@ pub fn plan(inputs: &PlannerInputs) -> PlanDecision {
     } else {
         DEFAULT_PREFETCH_MIN_BYTES
     };
-    let batch_chunk = inputs.batch_width.clamp(1, MAX_BATCH_CHUNK);
     PlanDecision {
         query_parallelism,
         read_ahead,
         prefetch_min_bytes,
-        batch_chunk,
     }
 }
 
@@ -203,12 +176,12 @@ pub fn plan_report(inputs: PlannerInputs) -> PlanReport {
     }
 }
 
-/// The knobs one query, batch or merge runs with — the only place the
-/// planner mode is branched on.
+/// The knobs one query or merge runs with — the only place the planner
+/// mode is branched on.
 ///
-/// * [`PlannerMode::Fixed`] returns the configured `query_parallelism`,
-///   read-ahead at the default gate and the whole batch in one pipeline,
-///   with no report.  It never calls `inputs`.
+/// * [`PlannerMode::Fixed`] returns the configured `query_parallelism` and
+///   read-ahead at the default gate, with no report.  It never calls
+///   `inputs`.
 /// * [`PlannerMode::Adaptive`] captures `inputs()` and returns
 ///   [`plan_report`] of it.
 pub fn decide(
@@ -221,7 +194,6 @@ pub fn decide(
                 query_parallelism: knobs.query_parallelism,
                 read_ahead: true,
                 prefetch_min_bytes: DEFAULT_PREFETCH_MIN_BYTES,
-                batch_chunk: 0,
             },
             None,
         ),
@@ -325,7 +297,6 @@ mod tests {
             run_count: 3,
             cores: 4,
             k: 10,
-            batch_width: 1,
             exact: true,
             random_read_permille: 100,
         }
@@ -404,25 +375,6 @@ mod tests {
         };
         let decision = plan(&inputs);
         assert_eq!(decision.prefetch_min_bytes, DEFAULT_PREFETCH_MIN_BYTES * 4);
-    }
-
-    #[test]
-    fn wide_batches_are_chunked() {
-        let narrow = PlannerInputs {
-            batch_width: 12,
-            ..base_inputs()
-        };
-        assert_eq!(plan(&narrow).batch_chunk, 12);
-        let wide = PlannerInputs {
-            batch_width: 10_000,
-            ..base_inputs()
-        };
-        assert_eq!(plan(&wide).batch_chunk, MAX_BATCH_CHUNK);
-        let empty = PlannerInputs {
-            batch_width: 0,
-            ..base_inputs()
-        };
-        assert_eq!(plan(&empty).batch_chunk, 1);
     }
 
     #[test]

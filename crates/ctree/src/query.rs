@@ -1,7 +1,6 @@
 //! Query-side helpers shared by every index variant.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use coconut_sax::QueryBounds;
 use coconut_series::dataset::decode_f32_le;
@@ -15,92 +14,14 @@ use crate::kernels::euclidean_early_abandon;
 use crate::raw::RawSeriesSource;
 use crate::Result;
 
-/// Maps an `f64` to a `u64` whose unsigned order matches the float order
-/// (IEEE-754 total-order trick: flip the sign bit of non-negatives, flip all
-/// bits of negatives).  Distances are non-negative, but the mapping is
-/// implemented for the full domain so [`SharedBound`] is safe regardless.
-fn f64_to_ordered_bits(value: f64) -> u64 {
-    let bits = value.to_bits();
-    if bits >> 63 == 0 {
-        bits | (1u64 << 63)
-    } else {
-        !bits
-    }
-}
-
-/// Inverse of [`f64_to_ordered_bits`].
-fn f64_from_ordered_bits(bits: u64) -> f64 {
-    if bits >> 63 == 1 {
-        f64::from_bits(bits & !(1u64 << 63))
-    } else {
-        f64::from_bits(!bits)
-    }
-}
-
-/// A best-so-far pruning bound shared across concurrent query workers.
-///
-/// The bound is the squared distance of the k-th best neighbour discovered
-/// so far, stored as *ordered bits* (the IEEE-754 total-order mapping
-/// above) in one
-/// `AtomicU64` and **monotonically tightened** via a CAS loop: a worker that
-/// finishes probing a run publishes its local k-th-best distance, and the
-/// stored value only ever decreases.  The structure is lock-free: readers
-/// load one word, writers retry the CAS only while they still improve the
-/// bound.
-///
-/// The concurrent query engine (see `crate::engine`) reads the bound at
-/// deterministic phase boundaries rather than mid-scan, which is what keeps
-/// query answers *and* cost counters bit-identical at every worker count.
-#[derive(Debug)]
-pub struct SharedBound {
-    bits: AtomicU64,
-}
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedBound {
-    /// Creates an untightened bound (`+inf`).
-    pub fn new() -> Self {
-        SharedBound {
-            bits: AtomicU64::new(f64_to_ordered_bits(f64::INFINITY)),
-        }
-    }
-
-    /// Current bound value.
-    pub fn get(&self) -> f64 {
-        f64_from_ordered_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    /// Tightens the bound to `candidate` if it improves on the stored value.
-    /// Returns `true` when this call lowered the bound.
-    pub fn tighten(&self, candidate: f64) -> bool {
-        let new = f64_to_ordered_bits(candidate);
-        let mut current = self.bits.load(Ordering::Acquire);
-        while new < current {
-            match self
-                .bits
-                .compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return true,
-                Err(actual) => current = actual,
-            }
-        }
-        false
-    }
-}
-
 /// The largest `k` a [`KnnHeap`] sizes its allocation by up front.
 const MAX_PREALLOCATED_K: usize = 1024;
 
 /// A bounded max-heap holding the `k` best (smallest-distance) neighbours
 /// seen so far; its current worst distance is the pruning bound.
 ///
-/// A heap may carry a *ceiling*: a pruning bound frozen from a
-/// [`SharedBound`] at a phase boundary of the concurrent query engine.  The
+/// A heap may carry a *ceiling*: a pruning bound frozen at the phase
+/// boundary of the concurrent query engine (the k-th best seed).  The
 /// effective bound is then the minimum of the ceiling and the heap's own
 /// k-th-best distance, which injects cross-run pruning into per-run worker
 /// searches without any mid-scan synchronization.
@@ -577,47 +498,6 @@ mod tests {
         let sorted = heap.into_sorted();
         let keys: Vec<(u64, u64)> = sorted.iter().map(|n| (n.id, n.timestamp)).collect();
         assert_eq!(keys, vec![(2, 7), (9, 3)]);
-    }
-
-    #[test]
-    fn shared_bound_tightens_monotonically() {
-        let bound = SharedBound::new();
-        assert_eq!(bound.get(), f64::INFINITY);
-        assert!(bound.tighten(10.0));
-        assert!(!bound.tighten(11.0), "looser values must be rejected");
-        assert_eq!(bound.get(), 10.0);
-        assert!(bound.tighten(0.5));
-        assert!(!bound.tighten(0.5), "equal values do not tighten");
-        assert_eq!(bound.get(), 0.5);
-        assert!(bound.tighten(0.0));
-        assert_eq!(bound.get(), 0.0);
-    }
-
-    #[test]
-    fn shared_bound_is_consistent_under_concurrent_tightening() {
-        let bound = SharedBound::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let bound = &bound;
-                scope.spawn(move || {
-                    for i in (1..500u64).rev() {
-                        bound.tighten((t * 1000 + i) as f64);
-                    }
-                });
-            }
-        });
-        // The global minimum of every published candidate must have won.
-        assert_eq!(bound.get(), 1.0);
-    }
-
-    #[test]
-    fn ordered_bits_roundtrip_and_order() {
-        for v in [0.0f64, 1.5, 1e300, f64::INFINITY, -1.0, -0.0] {
-            assert_eq!(f64_from_ordered_bits(f64_to_ordered_bits(v)), v);
-        }
-        assert!(f64_to_ordered_bits(-1.0) < f64_to_ordered_bits(0.0));
-        assert!(f64_to_ordered_bits(0.0) < f64_to_ordered_bits(2.0));
-        assert!(f64_to_ordered_bits(2.0) < f64_to_ordered_bits(f64::INFINITY));
     }
 
     #[test]

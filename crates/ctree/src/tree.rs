@@ -15,7 +15,7 @@ use coconut_storage::iostats::{IoStatsSnapshot, SharedIoStats};
 use coconut_storage::page::DEFAULT_PAGE_SIZE;
 
 use crate::entry::{EntryLayout, SeriesEntry};
-use crate::planner::{self, PerfKnobs, PlannedAnswer, PlannedBatch, PlannerInputs};
+use crate::planner::{self, PerfKnobs, PlannedAnswer, PlannerInputs};
 use crate::query::{KnnHeap, QueryContext, QueryCost};
 use crate::raw::RawSeriesSource;
 use crate::sorted_file::SortedSeriesFile;
@@ -344,7 +344,7 @@ impl CTree {
     /// Captures a deterministic snapshot of the observed state the planner
     /// decides from.  Every field is an integer read at capture time; the
     /// decision itself is the pure function `crate::planner::plan`.
-    fn planner_inputs(&self, k: usize, batch_width: usize, exact: bool) -> PlannerInputs {
+    fn planner_inputs(&self, k: usize, exact: bool) -> PlannerInputs {
         let probe = planner::host_probe();
         let snap = self.stats.snapshot();
         PlannerInputs {
@@ -354,7 +354,6 @@ impl CTree {
             run_count: 1,
             cores: probe.cores,
             k,
-            batch_width,
             exact,
             random_read_permille: planner::read_permille(&snap),
         }
@@ -373,7 +372,7 @@ impl CTree {
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
         let (decision, report) =
-            planner::decide(&self.config.knobs, || self.planner_inputs(k, 1, exact));
+            planner::decide(&self.config.knobs, || self.planner_inputs(k, exact));
         let units = self.query_units(None);
         let answer = crate::engine::parallel_knn_with(
             &units,
@@ -384,33 +383,6 @@ impl CTree {
             cancel,
         )?;
         Ok((answer, report))
-    }
-
-    /// Like [`CTree::batch_knn_with`], but with the fan-out and batch round
-    /// shape from [`planner::decide`] (one report covers the whole batch
-    /// under `Adaptive`; `Fixed` is exactly `batch_knn_with`).  Answers and
-    /// cost are identical in both modes.
-    pub fn batch_knn_planned(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<PlannedBatch> {
-        let (decision, report) = planner::decide(&self.config.knobs, || {
-            self.planner_inputs(k, queries.len(), exact)
-        });
-        let units = self.query_units(None);
-        let answers = crate::engine::batch_knn_chunked(
-            &units,
-            queries,
-            k,
-            decision.query_parallelism,
-            exact,
-            decision.batch_chunk,
-            cancel,
-        )?;
-        Ok((answers, report))
     }
 
     fn search_delta(
@@ -465,40 +437,8 @@ impl CTree {
         crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, true)
     }
 
-    /// Runs a batch of kNN queries through the engine's round pipeline.
-    ///
-    /// Every query's answers and `QueryCost` are bit-identical to issuing
-    /// it alone via [`CTree::exact_knn`] / [`CTree::approximate_knn`], and
-    /// so is the per-file `IoStats` accounting; see `crate::engine`.
-    pub fn batch_knn(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        self.batch_knn_window(queries, k, None, exact)
-    }
-
-    /// Like [`CTree::batch_knn`], restricted to a timestamp window.
-    pub fn batch_knn_window(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        let units = self.query_units(window);
-        crate::engine::batch_knn(
-            &units,
-            queries,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-        )
-    }
-
-    /// Single kNN query with cooperative cancellation: a batch of one run
-    /// through the engine, polling `cancel` at its round boundaries.
+    /// Single kNN query with cooperative cancellation, polled by the engine
+    /// before each of its phases.
     /// Answers and cost are bit-identical to [`CTree::exact_knn`] /
     /// [`CTree::approximate_knn`] when the token never fires; on
     /// cancellation the query unwinds with
@@ -515,26 +455,6 @@ impl CTree {
         crate::engine::parallel_knn_with(
             &units,
             query,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-            cancel,
-        )
-    }
-
-    /// [`CTree::batch_knn`] with cooperative cancellation (polled at the
-    /// engine's round boundaries).
-    pub fn batch_knn_with(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        let units = self.query_units(None);
-        crate::engine::batch_knn_with(
-            &units,
-            queries,
             k,
             self.config.knobs.query_parallelism,
             exact,
@@ -590,7 +510,7 @@ impl CTree {
             .reader_with_prefetch_gate(
                 self.config.entries_per_block(),
                 self.config.knobs.io_overlap,
-                planner::decide(&self.config.knobs, || self.planner_inputs(0, 1, true))
+                planner::decide(&self.config.knobs, || self.planner_inputs(0, true))
                     .0
                     .effective_prefetch_gate(),
             )
@@ -649,7 +569,7 @@ enum CTreePart {
 
 /// One independently searchable piece of a CTree for the concurrent query
 /// engine: the contiguous leaf level or the in-memory delta.  The query is
-/// supplied per search call so one unit list serves a whole batch.
+/// supplied per search call so one unit list serves both phases of a query.
 struct CTreeUnit<'a> {
     tree: &'a CTree,
     window: Option<(Timestamp, Timestamp)>,

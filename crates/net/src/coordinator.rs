@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 
 use coconut_core::backend::{deadline_ms, encode_frame, BackendError, ExecutionBackend};
 use coconut_core::palm::{
-    PalmRequest, PalmResponse, QueryCostJson, ShardCostJson, ERROR_KIND_CONFIG,
-    ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
+    PalmRequest, PalmResponse, QueryCostJson, ServiceStatsSnapshot, ShardCostJson,
+    ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
 };
 use coconut_core::{check_finite, merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
 use coconut_json::{scan_object, FromJson, Json, JsonError, RawMember, ToJson};
@@ -337,10 +337,10 @@ impl Coordinator {
     }
 
     /// Batch execution: every kNN position scatters as *one* per-shard
-    /// batch (each worker applies its own grouping machinery, so shared
-    /// `(index, k, exact)` groups batch server-side exactly as they do
-    /// single-node), then each position merges shard-wise.  Non-query
-    /// sub-requests execute through the coordinator's own verbs.
+    /// batch (each worker runs its elements as single queries on its pool,
+    /// exactly as it does single-node), then each position merges
+    /// shard-wise.  Non-query sub-requests execute through the
+    /// coordinator's own verbs.
     fn execute_batch(
         &self,
         requests: Vec<PalmRequest>,
@@ -646,65 +646,59 @@ impl Coordinator {
         }
     }
 
-    /// Fleet stats: counters sum field-wise; `indexes` is the max (every
-    /// shard registers the same names); the coordinator's own shed count
-    /// joins the fleet's.
+    /// Fleet stats: counters sum field by field, each under its own name;
+    /// `indexes` is the max (every shard registers the same names); the
+    /// coordinator's own shed count joins the fleet's.
     fn merge_stats(&self, parts: Vec<PalmResponse>) -> PalmResponse {
-        let mut totals = [0u64; 13];
-        let mut indexes = 0u64;
+        let mut fleet = ServiceStatsSnapshot {
+            shed: self.shed.load(Ordering::Relaxed),
+            ..ServiceStatsSnapshot::default()
+        };
+        let (mut cache_entries, mut indexes) = (0, 0);
         for part in parts {
-            match part {
-                PalmResponse::Stats {
-                    requests,
-                    cache_hits,
-                    cache_misses,
-                    cache_entries,
-                    shed,
-                    deadline_exceeded,
-                    indexes: shard_indexes,
-                    planner_adaptive,
-                    planner_fixed,
-                    plans_parallel,
-                    plans_sequential,
-                    plans_read_ahead_off,
-                    plans_chunked,
-                } => {
-                    for (slot, value) in totals.iter_mut().zip([
-                        requests,
-                        cache_hits,
-                        cache_misses,
-                        cache_entries,
-                        shed,
-                        deadline_exceeded,
-                        0,
-                        planner_adaptive,
-                        planner_fixed,
-                        plans_parallel,
-                        plans_sequential,
-                        plans_read_ahead_off,
-                        plans_chunked,
-                    ]) {
-                        *slot += value;
-                    }
-                    indexes = indexes.max(shard_indexes);
-                }
-                other => return config_error(format!("shard answered non-stats {other:?}")),
-            }
+            let PalmResponse::Stats {
+                requests,
+                cache_hits,
+                cache_misses,
+                cache_entries: shard_entries,
+                shed,
+                deadline_exceeded,
+                indexes: shard_indexes,
+                planner_adaptive,
+                planner_fixed,
+                plans_parallel,
+                plans_sequential,
+                plans_read_ahead_off,
+            } = part
+            else {
+                return config_error(format!("shard answered non-stats {part:?}"));
+            };
+            fleet.requests += requests;
+            fleet.cache_hits += cache_hits;
+            fleet.cache_misses += cache_misses;
+            cache_entries += shard_entries;
+            fleet.shed += shed;
+            fleet.deadline_exceeded += deadline_exceeded;
+            indexes = shard_indexes.max(indexes);
+            fleet.planner_adaptive += planner_adaptive;
+            fleet.planner_fixed += planner_fixed;
+            fleet.plans_parallel += plans_parallel;
+            fleet.plans_sequential += plans_sequential;
+            fleet.plans_read_ahead_off += plans_read_ahead_off;
         }
         PalmResponse::Stats {
-            requests: totals[0],
-            cache_hits: totals[1],
-            cache_misses: totals[2],
-            cache_entries: totals[3],
-            shed: totals[4] + self.shed.load(Ordering::Relaxed),
-            deadline_exceeded: totals[5],
+            requests: fleet.requests,
+            cache_hits: fleet.cache_hits,
+            cache_misses: fleet.cache_misses,
+            cache_entries,
+            shed: fleet.shed,
+            deadline_exceeded: fleet.deadline_exceeded,
             indexes,
-            planner_adaptive: totals[7],
-            planner_fixed: totals[8],
-            plans_parallel: totals[9],
-            plans_sequential: totals[10],
-            plans_read_ahead_off: totals[11],
-            plans_chunked: totals[12],
+            planner_adaptive: fleet.planner_adaptive,
+            planner_fixed: fleet.planner_fixed,
+            plans_parallel: fleet.plans_parallel,
+            plans_sequential: fleet.plans_sequential,
+            plans_read_ahead_off: fleet.plans_read_ahead_off,
         }
     }
 }

@@ -13,7 +13,7 @@
 //! * **deadlines** — a per-request `deadline_ms` (or a server-wide
 //!   default) propagates as a cooperative
 //!   [`CancelToken`](coconut_parallel::CancelToken) polled by the query
-//!   engine at round boundaries, answering `deadline_exceeded` with the
+//!   engine at phase boundaries, answering `deadline_exceeded` with the
 //!   partial query cost;
 //! * **graceful shutdown** — [`NetServer::shutdown`] drains in-flight
 //!   work up to a deadline, refuses new connections with

@@ -128,7 +128,7 @@ struct Shared<H: RequestHandler> {
     in_flight: AtomicUsize,
     queued_bytes: AtomicUsize,
     /// Shared kill flag: every request token derives from it, so tripping
-    /// it cancels all in-flight engine work at the next round boundary.
+    /// it cancels all in-flight engine work at the next phase boundary.
     kill: CancelToken,
 }
 
@@ -253,7 +253,7 @@ impl<H: RequestHandler> NetServer<H> {
             let _ = acceptor.join();
         }
         // Connection threads notice `STATE_STOPPED` within one read poll
-        // (and cancelled engine work unwinds at its next round boundary),
+        // (and cancelled engine work unwinds at its next phase boundary),
         // so a healthy thread exits quickly; anything still running after
         // the grace period is reported as leaked rather than waited on
         // forever.

@@ -5,7 +5,7 @@
 //! **deadline** (a wall-clock instant after which the token reports
 //! cancelled).  Work that may run for a long time polls
 //! [`CancelToken::is_cancelled`] at natural checkpoints — the query engine
-//! checks at every `SearchUnit` round boundary — and unwinds with a typed
+//! checks at every `SearchUnit` phase boundary — and unwinds with a typed
 //! error carrying whatever partial accounting it has, so aborted work stays
 //! observable instead of silently holding locks.
 //!

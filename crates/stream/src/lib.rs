@@ -88,26 +88,6 @@ pub trait StreamingIndex {
         exact: bool,
     ) -> Result<StreamQueryResult>;
 
-    /// Answers a batch of kNN queries constrained to one `window`.
-    ///
-    /// Every query's result must be identical to issuing it alone via
-    /// [`StreamingIndex::query_window`].  The default implementation is the
-    /// one-at-a-time loop; schemes built on the concurrent engine override
-    /// it with the batched round pipeline (`coconut_ctree::engine`), which
-    /// preserves that identity by construction.
-    fn query_window_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<Vec<StreamQueryResult>> {
-        queries
-            .iter()
-            .map(|q| self.query_window(q, k, window, exact))
-            .collect()
-    }
-
     /// Number of partitions (1 for PP schemes).
     fn num_partitions(&self) -> usize;
 
@@ -201,34 +181,6 @@ impl StreamingIndex for PpStream {
             partitions_accessed: 1,
             partitions_total: 1,
         })
-    }
-
-    fn query_window_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<Vec<StreamQueryResult>> {
-        match &self.backend {
-            // The CLSM backend runs the whole batch through the engine's
-            // round pipeline (per-query results identical to one-at-a-time).
-            PpBackend::Clsm(t) => Ok(t
-                .batch_knn_window(queries, k, window, exact)?
-                .into_iter()
-                .map(|(neighbors, cost)| StreamQueryResult {
-                    neighbors,
-                    cost,
-                    partitions_accessed: 1,
-                    partitions_total: 1,
-                })
-                .collect()),
-            // The ADS+ baseline has its own traversal: one-at-a-time loop.
-            PpBackend::Ads(_) => queries
-                .iter()
-                .map(|q| self.query_window(q, k, window, exact))
-                .collect(),
-        }
     }
 
     fn num_partitions(&self) -> usize {
@@ -692,7 +644,6 @@ impl PartitionedStream {
             run_count: self.partitions.len().max(1),
             cores: probe.cores,
             k: 0,
-            batch_width: 1,
             exact: true,
             random_read_permille: planner::read_permille(&snap),
         }
@@ -711,7 +662,7 @@ enum StreamPart<'a> {
 
 /// One independently searchable piece of a partitioned stream for the
 /// concurrent query engine.  The query is supplied per search call so one
-/// unit list serves a whole batch.
+/// unit list serves both phases of a query.
 struct StreamUnit<'a> {
     stream: &'a PartitionedStream,
     k: usize,
@@ -757,7 +708,7 @@ impl coconut_ctree::engine::SearchUnit for StreamUnit<'_> {
     ) -> Result<()> {
         match self.part {
             // The buffer is in memory: its "approximate" probe is the full
-            // scan, which both seeds the shared bound and is exact.
+            // scan, which both seeds the frozen bound and is exact.
             StreamPart::Buffer => {
                 self.stream.search_buffer(query, heap, ctx, self.window);
                 Ok(())
@@ -848,32 +799,6 @@ impl StreamingIndex for PartitionedStream {
             partitions_accessed: accessed,
             partitions_total: self.partitions.len(),
         })
-    }
-
-    fn query_window_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-        exact: bool,
-    ) -> Result<Vec<StreamQueryResult>> {
-        let (units, accessed) = self.query_units(k, window);
-        let results = coconut_ctree::engine::batch_knn(
-            &units,
-            queries,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-        )?;
-        Ok(results
-            .into_iter()
-            .map(|(neighbors, cost)| StreamQueryResult {
-                neighbors,
-                cost,
-                partitions_accessed: accessed,
-                partitions_total: self.partitions.len(),
-            })
-            .collect())
     }
 
     fn num_partitions(&self) -> usize {
