@@ -22,6 +22,12 @@
 //! the transport itself failing: the process behind a remote backend died
 //! or the bytes that came back were not a Palm response.  A local backend
 //! has no transport, so it is infallible by construction.
+//!
+//! A call can also run in two halves ([`ExecutionBackend::start_frame`]):
+//! start it, do something else, finish it.  A coordinator starts every
+//! shard's call before it finishes any, so remote shards compute at once
+//! while it spawns no thread; a placement with nothing to overlap (the
+//! local one) runs the whole call in the first half.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,6 +85,26 @@ pub trait ExecutionBackend: Send + Sync {
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, BackendError>;
 
+    /// Starts executing `frame` and returns the rest of the call: calling the
+    /// returned [`Finish`] waits for the outcome.  A caller that starts
+    /// every shard before it finishes any has them compute at once without
+    /// a thread of its own per shard.
+    ///
+    /// `deadline` is an instant, not a span, so that calls started one after
+    /// another all give up at the same time.  A call dropped unfinished is
+    /// abandoned: the backend must make sure its answer is never read as the
+    /// answer to a later call.
+    ///
+    /// The default runs [`ExecutionBackend::execute_frame`] to completion
+    /// here, which suits a placement with nothing to overlap.
+    fn start_frame<'a>(&'a self, frame: &'a str, deadline: Option<Instant>) -> Finish<'a> {
+        let outcome = self.execute_frame(
+            frame,
+            deadline.map(|at| at.saturating_duration_since(Instant::now())),
+        );
+        Box::new(move || outcome)
+    }
+
     /// Executes one typed request: encodes it once and hands the text to
     /// [`ExecutionBackend::execute_frame`].
     fn execute(
@@ -89,6 +115,9 @@ pub trait ExecutionBackend: Send + Sync {
         self.execute_frame(&encode_frame(request, deadline), deadline)
     }
 }
+
+/// The second half of a call begun by [`ExecutionBackend::start_frame`].
+pub type Finish<'a> = Box<dyn FnOnce() -> Result<PalmResponse, BackendError> + 'a>;
 
 /// The wire text of `request`, with the protocol-level `deadline_ms` member
 /// spliced in so that whoever executes it bounds its own work.

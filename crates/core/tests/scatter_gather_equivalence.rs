@@ -24,7 +24,8 @@
 //!    without being decoded: the shard is handed the client's `series`
 //!    text byte for byte, and the ids, totals, answers and (at N=1)
 //!    `QueryCost` that follow are those of a single node given the same
-//!    frames.
+//!    frames.  A `query` frame is broadcast from the client's own spans of
+//!    `name`, `query`, `k` and `exact`, and answers as a single node does.
 //!
 //! Approximate answers and costs at N>1 are deliberately *not* compared
 //! against the unsharded index: N shards hold N differently-shaped trees
@@ -39,7 +40,7 @@ use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
 };
 use coconut_core::{CancelToken, Dataset, VariantKind};
-use coconut_json::{Json, ToJson};
+use coconut_json::{FromJson, Json, ToJson};
 use coconut_net::{Coordinator, NetServer, RemoteBackend, RequestHandler, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
@@ -509,6 +510,146 @@ fn insert_frames_pass_through_and_match_single_node() {
             }
         }
     }
+}
+
+/// Claim 4, queries: a query frame is broadcast from the client's own spans,
+/// never printed anew, and answers as a single node given the same frame.
+/// A frame the coordinator refuses as malformed is refused in the very words
+/// a full parse would use, and no shard hears of it.
+#[test]
+fn query_frames_pass_through_and_match_single_node() {
+    let dir = ScratchDir::new("sg-query-frames").unwrap();
+    let (dataset_path, series) = dataset(&dir, 100, 29);
+    let single = PalmServer::new(dir.file("single"));
+    single.handle(build_request("idx", &dataset_path));
+    let (one, one_recorders) = recording_fleet(&dir, "one", 1);
+    let (two, two_recorders) = recording_fleet(&dir, "two", 2);
+    for fleet in [&one, &two] {
+        let built = fleet.handle_with_deadline(build_request("idx", &dataset_path), None);
+        assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    }
+    // Every shard frame carries the front end's deadline, folded.
+    let ask = |fleet: &Coordinator, frame: &str| {
+        let cancel = CancelToken::at(std::time::Instant::now() + Duration::from_secs(60));
+        fleet.handle_json_bytes(frame.as_bytes().to_vec(), &cancel)
+    };
+    let spelled = |values: &[f32]| {
+        let values: Vec<String> = values.iter().map(|v| format!("{v:e}")).collect();
+        format!("[ {}\t]", values.join(" , "))
+    };
+    let qs = queries(&series, 3);
+    // (name, query, k, exact) as the client spells them, and the frame.
+    let cases: Vec<([String; 4], String)> = qs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, q)| {
+            let query = spelled(q);
+            let k = format!("{}", 2 + i);
+            [true, false].map(|exact| {
+                let name = if i == 1 { r#""i\u0064x""# } else { r#""idx""# };
+                let spans = [
+                    name.to_string(),
+                    query.clone(),
+                    k.clone(),
+                    exact.to_string(),
+                ];
+                let [name, query, k, exact] = &spans;
+                let frame = match i {
+                    0 => format!(
+                        r#"{{"type":"query","name":{name},"query":{query},"k":{k},"exact":{exact}}}"#
+                    ),
+                    1 => format!(
+                        " {{ \"exact\" : {exact} ,\"note\":[\"}}\"], \"k\":{k},\t\"query\": {query}, \"name\":{name} ,\"type\":\"qu\\u0065ry\" }} "
+                    ),
+                    _ => format!(
+                        r#"{{"deadline_ms":60000,"k":{k},"name":{name},"type":"query","query":{query},"exact":{exact}}}"#
+                    ),
+                };
+                (spans, frame)
+            })
+        })
+        .collect();
+    for ([name, query, k, exact], frame) in &cases {
+        let expected = Json::parse(&single.handle_json(frame)).unwrap();
+        assert_eq!(
+            expected.get("type").and_then(Json::as_str),
+            Some("query_result")
+        );
+        let through_one = Json::parse(&ask(&one, frame)).unwrap();
+        assert_eq!(
+            strip_keys(through_one, &["elapsed_ms"]),
+            strip_keys(expected.clone(), &["elapsed_ms"]),
+            "{frame}"
+        );
+        if exact == "true" {
+            let through_two = Json::parse(&ask(&two, frame)).unwrap();
+            assert_eq!(
+                strip_keys(through_two, &["elapsed_ms", "cost"]),
+                strip_keys(expected, &["elapsed_ms", "cost"]),
+                "{frame}"
+            );
+        }
+        // Each shard got the client's spans byte for byte, in the order a
+        // typed encoding writes them, then one deadline, last.
+        let head = format!(
+            r#"{{"type":"query","name":{name},"query":{query},"k":{k},"exact":{exact},"deadline_ms":"#
+        );
+        let asked: &[_] = if exact == "true" {
+            &[&one_recorders, &two_recorders]
+        } else {
+            &[&one_recorders]
+        };
+        for recorders in asked {
+            for recorder in recorders.iter() {
+                let frames = recorder.frames.lock().unwrap();
+                let forwarded = frames.last().expect("the shard was asked");
+                let deadline = forwarded
+                    .strip_prefix(&head)
+                    .and_then(|rest| rest.strip_suffix('}'))
+                    .unwrap_or_else(|| panic!("{forwarded}"));
+                assert!(
+                    !deadline.is_empty()
+                        && deadline.bytes().all(|b| b.is_ascii_digit() || b == b'.'),
+                    "{forwarded}"
+                );
+            }
+        }
+    }
+
+    // Refused as a full parse refuses them, before any shard hears of them.
+    let contacted = |recorders: &[Arc<Recording>]| -> usize {
+        recorders
+            .iter()
+            .map(|r| r.frames.lock().unwrap().len())
+            .sum()
+    };
+    let before = contacted(&two_recorders);
+    for frame in [
+        r#"{"type":"query","name":"idx","query":[1,2],"exact":true}"#,
+        r#"{"type":"query","name":"idx","query":[1,2],"k":"2","exact":true}"#,
+        r#"{"type":"query","name":"idx","query":{"0":1},"k":2,"exact":true}"#,
+        r#"{"type":"query","name":"idx","query":[1,2],"k":2}"#,
+        r#"{"type":"query","name":"idx","query":[1,"2"],"k":2,"exact":true}"#,
+        r#"{"type":"query","query":[1,2],"k":2,"exact":true}"#,
+        r#"{"type":"query","name":"idx","query":[1,2],"k":2,"exact":1}"#,
+    ] {
+        let e = Json::parse(frame)
+            .and_then(|json| PalmRequest::from_json(&json))
+            .expect_err(frame);
+        let malformed = PalmResponse::Error {
+            kind: ERROR_KIND_MALFORMED.to_string(),
+            message: format!("malformed request: {e}"),
+            partial_cost: None,
+            retry_after_ms: None,
+            shard_costs: None,
+        };
+        assert_eq!(ask(&two, frame), malformed.to_json().to_string(), "{frame}");
+    }
+    assert_eq!(
+        contacted(&two_recorders),
+        before,
+        "a refused frame reached a shard"
+    );
 }
 
 /// A frame the coordinator can refuse on its own never reaches a shard: not

@@ -6,9 +6,15 @@
 //! twice, deliberately: as the protocol's `deadline_ms` member, which the
 //! frame already carries when it gets here (so the *worker* stops
 //! computing and answers `deadline_exceeded` with partial cost), and as a
-//! socket read timeout with a small grace on top (so a worker that died
-//! mid-request surfaces as [`BackendError::Unavailable`] shortly after the
-//! deadline instead of hanging the coordinator).
+//! socket read timeout that runs out a small grace after the deadline's
+//! instant, however late the read starts (so a worker that died mid-request
+//! surfaces as [`BackendError::Unavailable`] shortly after the deadline
+//! instead of hanging the coordinator).
+//!
+//! A call is split in two ([`ExecutionBackend::start_frame`]): the frame is
+//! written at once and the reply read when the caller asks for it, so a
+//! coordinator that writes to every shard before it reads from any has them
+//! compute at once from its one thread.
 //!
 //! Overload sheds are absorbed here through the client's
 //! `retry_after_ms`-honoring retry loop; only when the retry budget is
@@ -16,9 +22,9 @@
 //! `overloaded` response, because a shed is a service condition, not a
 //! transport failure.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use coconut_core::backend::{BackendError, ExecutionBackend};
+use coconut_core::backend::{BackendError, ExecutionBackend, Finish};
 use coconut_core::palm::{PalmResponse, ERROR_KIND_OVERLOADED};
 use coconut_json::FromJson;
 use parking_lot::Mutex;
@@ -31,6 +37,10 @@ const DEADLINE_GRACE: Duration = Duration::from_millis(250);
 
 /// Read timeout for calls without a deadline.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Shortest read timeout a call is given: a reply that arrived while the
+/// caller was busy elsewhere is still read once the deadline has passed.
+const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// A Palm worker reached over TCP.  Reconnects lazily: a transport
 /// failure poisons the cached connection, and the next call dials anew —
@@ -61,45 +71,28 @@ impl RemoteBackend {
         &self.addr
     }
 
-    fn read_timeout(deadline: Option<Duration>) -> Duration {
-        match deadline {
-            Some(limit) => limit + DEADLINE_GRACE,
-            None => IDLE_READ_TIMEOUT,
-        }
-    }
-}
-
-impl ExecutionBackend for RemoteBackend {
-    fn describe(&self) -> String {
-        format!("worker {}", self.addr)
-    }
-
-    fn execute_frame(
+    /// Reads the reply to `frame`, already sent on `client`, retrying sheds.
+    /// After an `Err` the connection may be out of step (its next frame
+    /// need not answer the next request), so only an `Ok` keeps it.
+    fn receive(
         &self,
+        client: &mut PalmClient,
         frame: &str,
-        deadline: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> Result<PalmResponse, BackendError> {
-        let mut slot = self.connection.lock();
-        if slot.is_none() {
-            let client = PalmClient::connect_with_timeout(&self.addr, Self::read_timeout(deadline))
-                .map_err(|e| BackendError::Unavailable(format!("connect {}: {e}", self.addr)))?;
-            *slot = Some(client);
-        }
-        let client = slot.as_mut().expect("connection was just ensured");
-        if client
-            .set_read_timeout(Self::read_timeout(deadline))
-            .is_err()
-        {
-            // The socket is already dead; drop it and let the next call
-            // redial rather than failing every future request.
-            *slot = None;
+        let read_timeout = match deadline.and_then(|at| at.checked_add(DEADLINE_GRACE)) {
+            Some(give_up) => give_up
+                .saturating_duration_since(Instant::now())
+                .max(MIN_READ_TIMEOUT),
+            None => IDLE_READ_TIMEOUT,
+        };
+        if client.set_read_timeout(read_timeout).is_err() {
             return Err(BackendError::Unavailable(format!(
                 "worker {}: stale connection",
                 self.addr
             )));
         }
-        let outcome = client.call_with_retry(frame, &self.policy);
-        match outcome {
+        match client.receive_with_retry(frame, &self.policy) {
             Ok(response_json) => PalmResponse::from_json(&response_json).map_err(|e| {
                 BackendError::Protocol(format!("worker {}: bad response: {e}", self.addr))
             }),
@@ -122,20 +115,57 @@ impl ExecutionBackend for RemoteBackend {
                     shard_costs: None,
                 })
             }
-            Err(CallError::Protocol(why)) => {
-                *slot = None;
-                Err(BackendError::Protocol(format!(
-                    "worker {}: {why}",
-                    self.addr
-                )))
-            }
-            Err(CallError::Io(e)) => {
-                *slot = None;
-                Err(BackendError::Unavailable(format!(
-                    "worker {}: {e}",
-                    self.addr
-                )))
-            }
+            Err(CallError::Protocol(why)) => Err(BackendError::Protocol(format!(
+                "worker {}: {why}",
+                self.addr
+            ))),
+            Err(CallError::Io(e)) => Err(BackendError::Unavailable(format!(
+                "worker {}: {e}",
+                self.addr
+            ))),
         }
+    }
+}
+
+impl ExecutionBackend for RemoteBackend {
+    fn describe(&self) -> String {
+        format!("worker {}", self.addr)
+    }
+
+    fn execute_frame(
+        &self,
+        frame: &str,
+        deadline: Option<Duration>,
+    ) -> Result<PalmResponse, BackendError> {
+        let deadline = deadline.and_then(|limit| Instant::now().checked_add(limit));
+        self.start_frame(frame, deadline)()
+    }
+
+    /// Locks the connection, writes `frame` and returns the read of its
+    /// reply, which holds the lock until it is done.  In flight, the
+    /// connection belongs to the call rather than to the backend: a call
+    /// dropped unfinished closes it, and so does any failed one; the next
+    /// call dials anew instead of reading a reply meant for another.
+    fn start_frame<'a>(&'a self, frame: &'a str, deadline: Option<Instant>) -> Finish<'a> {
+        let mut slot = self.connection.lock();
+        let sent = match slot.take() {
+            Some(client) => Ok(client),
+            None => PalmClient::connect(&self.addr)
+                .map_err(|e| BackendError::Unavailable(format!("connect {}: {e}", self.addr))),
+        }
+        .and_then(|mut client| {
+            client
+                .send(frame)
+                .map(|()| client)
+                .map_err(|e| BackendError::Unavailable(format!("worker {}: {e}", self.addr)))
+        });
+        Box::new(move || {
+            let mut client = sent?;
+            let outcome = self.receive(&mut client, frame, deadline);
+            if outcome.is_ok() {
+                *slot = Some(client);
+            }
+            outcome
+        })
     }
 }

@@ -123,7 +123,18 @@ impl PalmClient {
 
     /// Sends one raw JSON request line and returns the raw response line.
     pub fn call(&mut self, request: &str) -> Result<String> {
-        write_frame(&mut self.writer, request.as_bytes())?;
+        self.send(request)?;
+        self.receive()
+    }
+
+    /// Writes one raw JSON request line; [`PalmClient::receive`] reads its
+    /// reply.
+    pub fn send(&mut self, request: &str) -> Result<()> {
+        write_frame(&mut self.writer, request.as_bytes())
+    }
+
+    /// Reads the next raw response line.
+    pub fn receive(&mut self) -> Result<String> {
         match self.reader.read_frame() {
             FrameOutcome::Frame(frame) => String::from_utf8(frame)
                 .map_err(|_| Error::new(ErrorKind::InvalidData, "response is not UTF-8")),
@@ -169,12 +180,24 @@ impl PalmClient {
         request: &str,
         policy: &RetryPolicy,
     ) -> std::result::Result<Json, CallError> {
+        self.send(request)?;
+        self.receive_with_retry(request, policy)
+    }
+
+    /// The second half of [`PalmClient::call_with_retry`], for a `request`
+    /// already sent: reads its reply and, while the server sheds it, sends
+    /// it again as the policy allows.  The policy's budget runs from here.
+    pub fn receive_with_retry(
+        &mut self,
+        request: &str,
+        policy: &RetryPolicy,
+    ) -> std::result::Result<Json, CallError> {
         let started = Instant::now();
         let mut waited = Duration::ZERO;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let response = self.call(request)?;
+            let response = self.receive()?;
             let json = Json::parse(&response)
                 .map_err(|e| CallError::Protocol(format!("bad response JSON: {e}")))?;
             let overloaded = json.get("type").and_then(Json::as_str) == Some("error")
@@ -200,6 +223,7 @@ impl PalmClient {
             }
             std::thread::sleep(backoff);
             waited += backoff;
+            self.send(request)?;
         }
     }
 }

@@ -11,13 +11,24 @@
 //!
 //! **Fragmenting rule.**  A kNN (or a batch of kNNs) is broadcast to
 //! every shard unchanged: each shard answers its local top-k over its id
-//! range, which by disjointness covers the whole collection.  `insert`
-//! is *routed*, not broadcast — the coordinator owns the global id space
-//! and sends each append to one shard (round-robin) with an explicit
-//! `base_id` — and routed *unread*: the front door scans the frame's
-//! envelope and the shard gets the client's `series` bytes verbatim (see
-//! DESIGN.md, "Wire path: who parses what").  `build_index` is fragmented
-//! by [`chunk_bounds`] into one ranged build per shard.
+//! range, which by disjointness covers the whole collection.  A wire
+//! `query` is broadcast *unprinted*: the front door scans the frame's
+//! envelope, decodes `name`, `k` and `exact` and checks the values of
+//! `query` are finite, then writes the shards' frame from the client's own
+//! spans.  `insert` is *routed*, not broadcast — the coordinator owns the
+//! global id space and sends each append to one shard (round-robin) with an
+//! explicit `base_id` — and routed *unread*: the shard gets the client's
+//! `series` bytes verbatim (see DESIGN.md, "Wire path: who parses what").
+//! `build_index` is fragmented by [`chunk_bounds`] into one ranged build
+//! per shard.
+//!
+//! **Threadless scatter.**  A scatter starts every shard's call
+//! ([`ExecutionBackend::start_frame`]) in shard order, then finishes them
+//! in shard order, on the caller's thread: remote shards compute at once in
+//! their own processes and the coordinator spawns nothing.  Connections are
+//! locked in shard order, so concurrent sessions cannot deadlock, and every
+//! call's read gives up at one shared instant, so N stalled shards cost one
+//! deadline plus grace.
 //!
 //! **Merge identity.**  Shards return the full neighbour identity
 //! `(squared_distance, id, timestamp)` on the wire, and the coordinator
@@ -49,7 +60,7 @@ use coconut_core::palm::{
 };
 use coconut_core::{check_finite, merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
 use coconut_json::{scan_object, FromJson, Json, JsonError, RawMember, ToJson};
-use coconut_parallel::{chunk_bounds, parallel_map_tasks, CancelToken};
+use coconut_parallel::{chunk_bounds, CancelToken};
 
 use crate::server::RequestHandler;
 
@@ -101,13 +112,42 @@ impl Coordinator {
         self.shards.len()
     }
 
-    /// Sends `request` to every shard concurrently — one encoding, the same
-    /// bytes to each; one outcome per shard, in shard order.
-    fn scatter(&self, request: &PalmRequest, deadline: Option<Duration>) -> Vec<ShardOutcome> {
+    /// Sends `frames[shard]` to each shard and returns one outcome per
+    /// shard, in shard order.  Every call is started, in shard order, before
+    /// any is finished, in shard order again: remote shards compute at once
+    /// in their own processes while this thread waits on each in turn, and
+    /// two sessions scattering at once take the shards' connections in the
+    /// same order.  Every call gives up at the same instant, `deadline` from
+    /// now, so N stalled shards cost one deadline, not N.
+    fn scatter<F: AsRef<str>>(
+        &self,
+        frames: &[F],
+        deadline: Option<Duration>,
+    ) -> Vec<ShardOutcome> {
+        let until = deadline.and_then(|limit| Instant::now().checked_add(limit));
+        let started: Vec<_> = self
+            .shards
+            .iter()
+            .zip(frames)
+            .map(|(shard, frame)| shard.start_frame(frame.as_ref(), until))
+            .collect();
+        started.into_iter().map(|finish| finish()).collect()
+    }
+
+    /// Sends `request` to every shard: one encoding, the same bytes to each.
+    fn broadcast(&self, request: &PalmRequest, deadline: Option<Duration>) -> Vec<ShardOutcome> {
         let frame = encode_frame(request, deadline);
-        parallel_map_tasks(&self.shards, self.shards.len(), |_, shard| {
-            shard.execute_frame(&frame, deadline)
-        })
+        self.scatter(&vec![frame.as_str(); self.shards.len()], deadline)
+    }
+
+    /// A kNN against the fleet: `frame` to every shard, the answers merged
+    /// into the top `k`.  Both query entries end here — a wire frame
+    /// forwarded from the client's bytes and a typed request encoded once.
+    fn broadcast_query(&self, frame: &str, k: usize, deadline: Option<Duration>) -> PalmResponse {
+        match self.gather(self.scatter(&vec![frame; self.shards.len()], deadline)) {
+            Err(failure) => failure,
+            Ok(parts) => Self::merge_query_results(parts, k).unwrap_or_else(|failure| failure),
+        }
     }
 
     /// Per-shard costs for error reporting: whatever each shard's outcome
@@ -252,18 +292,10 @@ impl Coordinator {
         deadline: Option<Duration>,
     ) -> PalmResponse {
         match request {
-            PalmRequest::Query { ref k, .. } => {
-                let k = *k;
-                if let Some(refused) = unforwardable(&request) {
-                    return refused;
-                }
-                match self.gather(self.scatter(&request, deadline)) {
-                    Err(failure) => failure,
-                    Ok(parts) => {
-                        Self::merge_query_results(parts, k).unwrap_or_else(|failure| failure)
-                    }
-                }
-            }
+            PalmRequest::Query { k, .. } => match unforwardable(&request) {
+                Some(refused) => refused,
+                None => self.broadcast_query(&encode_frame(&request, deadline), k, deadline),
+            },
             PalmRequest::Batch { requests } => self.execute_batch(requests, deadline),
             PalmRequest::BuildIndex { .. } => self.build_index(request, deadline),
             PalmRequest::Insert {
@@ -281,11 +313,11 @@ impl Coordinator {
                 let series = series.to_json().to_string();
                 self.insert(&name, &series, rows, timestamp, deadline)
             }
-            PalmRequest::Metrics { .. } => match self.gather(self.scatter(&request, deadline)) {
+            PalmRequest::Metrics { .. } => match self.gather(self.broadcast(&request, deadline)) {
                 Err(failure) => failure,
                 Ok(parts) => Self::merge_metrics(parts),
             },
-            PalmRequest::ListIndexes => match self.gather(self.scatter(&request, deadline)) {
+            PalmRequest::ListIndexes => match self.gather(self.broadcast(&request, deadline)) {
                 Err(failure) => failure,
                 Ok(parts) => {
                     let mut names: Vec<String> = parts
@@ -308,7 +340,7 @@ impl Coordinator {
                     Err(failure) => self.unavailable(0, &failure),
                 }
             }
-            PalmRequest::Stats => match self.gather(self.scatter(&request, deadline)) {
+            PalmRequest::Stats => match self.gather(self.broadcast(&request, deadline)) {
                 Err(failure) => failure,
                 Ok(parts) => self.merge_stats(parts),
             },
@@ -381,7 +413,7 @@ impl Coordinator {
                 })
                 .collect();
             let batch = PalmRequest::Batch { requests: queries };
-            match self.gather(self.scatter(&batch, deadline)) {
+            match self.gather(self.broadcast(&batch, deadline)) {
                 Err(failure) => {
                     // A fleet-level failure fails every query position the
                     // same way (the batch was one scatter).
@@ -471,15 +503,17 @@ impl Coordinator {
                 self.shards.len()
             ));
         }
-        let outcomes = parallel_map_tasks(&self.shards, self.shards.len(), |shard, backend| {
-            let (lo, hi) = bounds[shard];
-            let mut ranged = request.clone();
-            if let PalmRequest::BuildIndex { range, .. } = &mut ranged {
-                *range = Some((lo as u64, hi as u64));
-            }
-            backend.execute(&ranged, deadline)
-        });
-        let parts = match self.gather(outcomes) {
+        let frames: Vec<String> = bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                let mut ranged = request.clone();
+                if let PalmRequest::BuildIndex { range, .. } = &mut ranged {
+                    *range = Some((lo as u64, hi as u64));
+                }
+                encode_frame(&ranged, deadline)
+            })
+            .collect();
+        let parts = match self.gather(self.scatter(&frames, deadline)) {
             Err(failure) => return failure,
             Ok(parts) => parts,
         };
@@ -548,9 +582,7 @@ impl Coordinator {
         frame.push_str("{\"type\":\"insert\",\"name\":");
         frame.push_str(&name.to_json().to_string());
         let _ = write!(frame, ",\"timestamp\":{timestamp},\"base_id\":{base}");
-        if let Some(limit) = deadline {
-            let _ = write!(frame, ",\"deadline_ms\":{}", deadline_ms(limit));
-        }
+        push_deadline(&mut frame, deadline);
         frame.push_str(",\"series\":");
         frame.push_str(series);
         frame.push('}');
@@ -613,6 +645,45 @@ impl Coordinator {
             return Ok(base_id_error());
         }
         Ok(self.insert(&name, series.raw, rows as u64, timestamp, deadline))
+    }
+
+    /// A `query` as it came off the wire: reads `name`, `k` and `exact`,
+    /// checks the values of `query` are finite, and broadcasts a frame
+    /// written from the client's own spans of the four.  Mirrors what
+    /// `PalmRequest::from_json` accepts, down to its messages; the floats are
+    /// decoded for the check and never printed.
+    fn query_frame(
+        &self,
+        members: &[RawMember<'_>],
+        deadline: Option<Duration>,
+    ) -> Result<PalmResponse, JsonError> {
+        let required = |key: &str| {
+            find(members, key).ok_or_else(|| JsonError::new(format!("missing field '{key}'")))
+        };
+        let name = required("name")?;
+        decode::<String>(name)?;
+        let query = required("query")?;
+        let values: Vec<f32> = decode(query)?;
+        let k = required("k")?;
+        let k_value: usize = decode(k)?;
+        let exact = required("exact")?;
+        decode::<bool>(exact)?;
+        if let Err(e) = check_finite("query", &values) {
+            return Ok(config_error(e.to_string()));
+        }
+        let mut frame = String::with_capacity(query.raw.len() + name.raw.len() + 96);
+        for (key, member) in [
+            ("{\"type\":\"query\",\"name\":", name),
+            (",\"query\":", query),
+            (",\"k\":", k),
+            (",\"exact\":", exact),
+        ] {
+            frame.push_str(key);
+            frame.push_str(member.raw);
+        }
+        push_deadline(&mut frame, deadline);
+        frame.push('}');
+        Ok(self.broadcast_query(&frame, k_value, deadline))
     }
 
     /// Fleet metrics: entries and footprint sum, I/O sums field-wise,
@@ -728,10 +799,20 @@ fn decode<T: FromJson>(member: &RawMember<'_>) -> Result<T, JsonError> {
         .map_err(|e| JsonError::new(format!("field '{}': {e}", member.key)))
 }
 
-/// The `config` refusal of a query the coordinator cannot forward: it
-/// re-encodes queries, and a non-finite value would go out as `null`,
-/// which a shard reads as a malformed frame rather than the `config`
-/// refusal a single node answers (the shards judge the length).
+/// Appends the folded deadline as a `deadline_ms` member, in the form
+/// [`encode_frame`] writes: last in a query frame, where a shard's result
+/// cache cuts it out of the key.
+fn push_deadline(frame: &mut String, deadline: Option<Duration>) {
+    if let Some(limit) = deadline {
+        let _ = write!(frame, ",\"deadline_ms\":{}", deadline_ms(limit));
+    }
+}
+
+/// The `config` refusal of a typed query the coordinator cannot forward:
+/// re-encoded, a non-finite value would go out as `null`, which a shard
+/// reads as a malformed frame rather than the `config` refusal a single
+/// node answers.  A wire query is held to the same check, so no shard hears
+/// of such a query either way (the shards judge the length).
 fn unforwardable(request: &PalmRequest) -> Option<PalmResponse> {
     match request {
         PalmRequest::Query { query, .. } => check_finite("query", query)
@@ -772,8 +853,10 @@ fn merge_build_reports(mut acc: BuildReport, other: &BuildReport) -> BuildReport
 }
 
 impl RequestHandler for Coordinator {
-    /// Mirrors `PalmServer::handle_json_bytes`: parse, fold the
+    /// Mirrors `PalmServer::handle_json_bytes`: scan, fold the
     /// protocol-level `deadline_ms` with the front-end's token, dispatch.
+    /// An `insert` or a `query` goes to the shards without the request being
+    /// parsed; every other verb is parsed and handled typed.
     fn handle_json_bytes(&self, request: Vec<u8>, cancel: &CancelToken) -> String {
         let malformed = |message: String| {
             PalmResponse::Error {
@@ -789,9 +872,9 @@ impl RequestHandler for Coordinator {
         let Ok(text) = String::from_utf8(request) else {
             return malformed("request is not valid UTF-8".to_string());
         };
-        // The envelope only: an `insert` is routed without its floats ever
-        // being decoded here, and a frame that is not one JSON object is
-        // refused before any shard hears of it.
+        // The envelope only: an `insert` is routed and a `query` broadcast
+        // without their floats ever being printed here, and a frame that is
+        // not one JSON object is refused before any shard hears of it.
         let members = match scan_object(&text) {
             Ok(members) => members,
             Err(e) => return malformed(format!("malformed request: {e}")),
@@ -811,14 +894,13 @@ impl RequestHandler for Coordinator {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let is_insert = find(&members, "type")
-            .is_some_and(|kind| kind.decode::<String>().as_deref() == Ok("insert"));
-        let response = if is_insert {
-            self.insert_frame(&members, deadline)
-        } else {
-            Json::parse(&text)
+        let kind = find(&members, "type").and_then(|kind| kind.decode::<String>().ok());
+        let response = match kind.as_deref() {
+            Some("insert") => self.insert_frame(&members, deadline),
+            Some("query") => self.query_frame(&members, deadline),
+            _ => Json::parse(&text)
                 .and_then(|json| PalmRequest::from_json(&json))
-                .map(|request| self.handle_with_deadline(request, deadline))
+                .map(|request| self.handle_with_deadline(request, deadline)),
         };
         match response {
             Ok(response) => response.to_json().to_string(),

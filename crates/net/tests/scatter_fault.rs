@@ -19,7 +19,9 @@ use coconut_core::palm::{
 };
 use coconut_core::{Dataset, VariantKind};
 use coconut_json::{FromJson, Json, ToJson};
-use coconut_net::{CallError, Coordinator, PalmClient, RemoteBackend, RetryPolicy};
+use coconut_net::{
+    CallError, Coordinator, NetServer, PalmClient, RemoteBackend, RetryPolicy, ServerConfig,
+};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
 
@@ -76,12 +78,39 @@ impl Worker {
     }
 
     /// SIGSTOP: the worker freezes with whatever it is serving in flight.
+    ///
+    /// `kill` returns once the signal is sent, but each thread stops only
+    /// when it next runs, and until one of them has taken the stop the
+    /// others run on: a request that arrives in that window is answered.  So
+    /// this returns only once every thread of the worker reads as stopped
+    /// (state `T` in `/proc/<pid>/task/<tid>/stat`), within a bound.
     fn pause(&self) {
+        let pid = self.child.id().to_string();
         let status = Command::new("kill")
-            .args(["-STOP", &self.child.id().to_string()])
+            .args(["-STOP", &pid])
             .status()
             .expect("send SIGSTOP");
         assert!(status.success());
+        let tasks = format!("/proc/{pid}/task");
+        let stopped = || {
+            std::fs::read_dir(&tasks)
+                .expect("list the worker's threads")
+                .all(|task| {
+                    let stat = std::fs::read_to_string(task.unwrap().path().join("stat"))
+                        .unwrap_or_default();
+                    // The state follows the parenthesised command name.
+                    stat.rsplit_once(") ")
+                        .is_some_and(|(_, rest)| rest.starts_with('T'))
+                })
+        };
+        let started = Instant::now();
+        while !stopped() {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "worker {pid} did not stop"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// SIGKILL: the kernel reaps the process and resets its sockets.
@@ -202,6 +231,169 @@ fn stalled_worker_is_bounded_by_the_deadline() {
     );
     drop(coordinator);
     drop(stall_thread);
+}
+
+/// A listener that accepts every connection and never answers, held until
+/// the returned listener's thread is dropped with the test.
+fn stalling_listener() -> (String, std::thread::JoinHandle<()>) {
+    let stall = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = stall.local_addr().unwrap().to_string();
+    let thread = std::thread::spawn(move || {
+        let mut held = Vec::new();
+        while let Ok((socket, _)) = stall.accept() {
+            held.push(socket);
+        }
+    });
+    (addr, thread)
+}
+
+/// Every shard's read gives up at the same instant: with both shards
+/// stalled, the coordinator answers `shard_unavailable` one deadline plus
+/// grace after it started, not one per shard.
+#[test]
+fn stalled_shards_surface_within_one_deadline() {
+    let (first, _first_thread) = stalling_listener();
+    let (second, _second_thread) = stalling_listener();
+    let coordinator = Coordinator::new(vec![
+        Arc::new(RemoteBackend::new(&first)) as Arc<dyn ExecutionBackend>,
+        Arc::new(RemoteBackend::new(&second)) as Arc<dyn ExecutionBackend>,
+    ]);
+    let deadline = Duration::from_millis(1000);
+    let started = Instant::now();
+    let response =
+        coordinator.handle_with_deadline(query_request("idx", &[0.5; 64], 3), Some(deadline));
+    let elapsed = started.elapsed();
+    match response {
+        PalmResponse::Error {
+            kind, shard_costs, ..
+        } => {
+            assert_eq!(kind, ERROR_KIND_SHARD_UNAVAILABLE);
+            let costs = shard_costs.expect("per-shard costs must be attached");
+            assert!(costs.iter().all(|c| c.cost.is_none()), "{costs:?}");
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+    // One deadline + the 250 ms grace is 1.25 s and two would be 2.5 s;
+    // the bound leaves CI scheduling slack between them.
+    assert!(elapsed >= deadline, "gave up early, after {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_millis(2000),
+        "stalls added up: {elapsed:?}"
+    );
+}
+
+/// A shard that sheds a query twice and then answers it: the backend's
+/// retry runs when the coordinator finishes the call, and the merged
+/// answer is the single node's.
+#[test]
+fn shed_query_is_retried_in_the_finish_phase() {
+    let dir = ScratchDir::new("fault-shed").unwrap();
+    let (dataset_path, series) = make_dataset(&dir, 120);
+    let single = PalmServer::new(dir.file("single"));
+    single.handle(build_request("idx", &dataset_path));
+    let upstream = NetServer::spawn(
+        Arc::new(PalmServer::new(dir.file("shed-worker"))),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let upstream_addr = upstream.local_addr().to_string();
+    // A proxy in front of the worker: it answers the first two query frames
+    // `overloaded` itself and relays everything else.
+    let proxy = TcpListener::bind("127.0.0.1:0").unwrap();
+    let proxy_addr = proxy.local_addr().unwrap().to_string();
+    let queries_seen = Arc::new(Mutex::new(0usize));
+    let seen = Arc::clone(&queries_seen);
+    let proxy_thread = std::thread::spawn(move || {
+        let (client, _) = proxy.accept().unwrap();
+        let mut worker = PalmClient::connect(&upstream_addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut writer = client;
+        let mut line = String::new();
+        loop {
+            line.clear();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+            let request = line.trim_end();
+            let shed = request.contains(r#""type":"query""#) && {
+                let mut seen = seen.lock().unwrap();
+                *seen += 1;
+                *seen <= 2
+            };
+            let reply = if shed {
+                r#"{"type":"error","kind":"overloaded","message":"scripted shed","retry_after_ms":10}"#
+                    .to_string()
+            } else {
+                worker.call(request).unwrap()
+            };
+            if writer.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                return;
+            }
+        }
+    });
+    let healthy = Arc::new(PalmServer::new(dir.file("healthy")));
+    let coordinator = Coordinator::new(vec![
+        Arc::new(RemoteBackend::new(&proxy_addr)) as Arc<dyn ExecutionBackend>,
+        Arc::new(LocalBackend::new(healthy)) as Arc<dyn ExecutionBackend>,
+    ]);
+    let built = coordinator.handle_with_deadline(build_request("idx", &dataset_path), None);
+    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    let query = query_request("idx", &series[11].values, 4);
+    let merged = coordinator.handle_with_deadline(query.clone(), Some(Duration::from_secs(5)));
+    match (single.handle(query), merged) {
+        (
+            PalmResponse::QueryResult {
+                ids: expected_ids,
+                squared_distances: expected,
+                ..
+            },
+            PalmResponse::QueryResult {
+                ids,
+                squared_distances,
+                ..
+            },
+        ) => {
+            assert_eq!(ids, expected_ids);
+            let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&squared_distances), bits(&expected));
+        }
+        other => panic!("unexpected responses {other:?}"),
+    }
+    assert_eq!(
+        *queries_seen.lock().unwrap(),
+        3,
+        "two sheds, then the query"
+    );
+    drop(coordinator);
+    let _ = proxy_thread.join();
+    assert!(upstream.shutdown().is_clean());
+}
+
+/// A call started and dropped before its reply was read takes its
+/// connection with it: the next call gets its own answer, not the stale
+/// one.
+#[test]
+fn call_dropped_unfinished_does_not_poison_the_next() {
+    let dir = ScratchDir::new("fault-abandon").unwrap();
+    let server = NetServer::spawn(
+        Arc::new(PalmServer::new(dir.file("worker"))),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let backend = RemoteBackend::new(server.local_addr().to_string());
+    let stats = PalmRequest::Stats.to_json().to_string();
+    drop(backend.start_frame(&stats, None));
+    match backend.execute(&PalmRequest::ListIndexes, Some(Duration::from_secs(5))) {
+        Ok(PalmResponse::Indexes { names }) => assert!(names.is_empty()),
+        other => panic!("the next call read another's reply: {other:?}"),
+    }
+    // And the connection it dialled afresh stays in step.
+    match backend.execute(&PalmRequest::Stats, Some(Duration::from_secs(5))) {
+        Ok(PalmResponse::Stats { .. }) => {}
+        other => panic!("unexpected response {other:?}"),
+    }
+    drop(backend);
+    assert!(server.shutdown().is_clean());
 }
 
 /// An in-process shard whose next outcomes can be scripted: a scripted

@@ -119,8 +119,11 @@ impl Worker {
     }
 
     pub(crate) fn submit(&self, job: Job) -> Result<()> {
+        // Taken before `job` is queued: the worker may run it before
+        // `enqueue` returns, and its failure is for a later call to report.
+        let earlier = self.take_error();
         self.enqueue(job);
-        self.take_error()
+        earlier
     }
 
     /// Returns once every job queued before the call has run.
