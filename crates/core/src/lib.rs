@@ -20,8 +20,6 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use coconut_json::{member, FromJson, Json, JsonError, ToJson};
-
 pub use coconut_ads::{AdsConfig, AdsTree};
 pub use coconut_clsm::{ClsmConfig, ClsmTree};
 pub use coconut_ctree::engine::merge_topk;
@@ -43,15 +41,18 @@ pub use coconut_stream::{
     PartitionKind, PartitionedConfig, PartitionedStream, PpStream, StreamingIndex, WindowScheme,
 };
 
-/// The three index structure families of the Figure 1 matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VariantKind {
-    /// ADS+-style baseline.
-    Ads,
-    /// CoconutTree.
-    CTree,
-    /// CoconutLSM.
-    Clsm,
+coconut_json::wire! {
+    /// The three index structure families of the Figure 1 matrix.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum VariantKind names "the index variant" {
+        /// ADS+-style baseline.
+        Ads = "Ads",
+        /// CoconutTree.
+        CTree = "CTree",
+        /// CoconutLSM.
+        Clsm = "Clsm",
+    }
+    unknown: |name| Err(format!("unknown variant '{name}'"));
 }
 
 impl VariantKind {
@@ -191,64 +192,19 @@ impl IndexConfig {
     }
 }
 
-impl ToJson for VariantKind {
-    fn to_json(&self) -> Json {
-        let name = match self {
-            VariantKind::Ads => "Ads",
-            VariantKind::CTree => "CTree",
-            VariantKind::Clsm => "Clsm",
-        };
-        Json::Str(name.to_string())
-    }
-}
-
-impl FromJson for VariantKind {
-    fn from_json(json: &Json) -> coconut_json::Result<VariantKind> {
-        match json.as_str() {
-            Some("Ads") => Ok(VariantKind::Ads),
-            Some("CTree") => Ok(VariantKind::CTree),
-            Some("Clsm") => Ok(VariantKind::Clsm),
-            Some(other) => Err(JsonError::new(format!("unknown variant '{other}'"))),
-            None => Err(JsonError::new("expected a string for the index variant")),
-        }
-    }
-}
-
-/// Metrics reported after building an index.
-#[derive(Debug, Clone, Copy)]
-pub struct BuildReport {
-    /// Wall-clock build time in milliseconds.
-    pub elapsed_ms: f64,
-    /// I/O performed during the build.
-    pub io: IoStatsSnapshot,
-    /// Index footprint on disk in bytes.
-    pub footprint_bytes: u64,
-    /// Number of entries indexed.
-    pub entries: u64,
-}
-
-impl ToJson for BuildReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("elapsed_ms", self.elapsed_ms.to_json()),
-            ("io", self.io.to_json()),
-            ("footprint_bytes", self.footprint_bytes.to_json()),
-            ("entries", self.entries.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BuildReport {
-    fn from_json(json: &Json) -> coconut_json::Result<BuildReport> {
-        let io = json
-            .get("io")
-            .ok_or_else(|| JsonError::new("missing field 'io'"))?;
-        Ok(BuildReport {
-            elapsed_ms: member(json, "elapsed_ms")?,
-            io: IoStatsSnapshot::from_json(io)?,
-            footprint_bytes: member(json, "footprint_bytes")?,
-            entries: member(json, "entries")?,
-        })
+coconut_json::wire! {
+    /// Metrics reported after building an index; the `report` object of the
+    /// palm protocol.
+    #[derive(Debug, Clone, Copy)]
+    pub struct BuildReport {
+        /// Wall-clock build time in milliseconds.
+        pub elapsed_ms: f64,
+        /// I/O performed during the build.
+        pub io: IoStatsSnapshot [bare],
+        /// Index footprint on disk in bytes.
+        pub footprint_bytes: u64,
+        /// Number of entries indexed.
+        pub entries: u64,
     }
 }
 
@@ -578,6 +534,7 @@ pub fn streaming_index(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_json::{FromJson, Json};
     use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 
     fn dataset(dir: &ScratchDir, n: usize, len: usize, seed: u64) -> (Vec<Series>, Dataset) {

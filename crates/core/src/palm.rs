@@ -9,6 +9,15 @@
 //! advice).  Examples and benchmarks drive it directly; an actual HTTP
 //! front-end would be a thin wrapper around [`PalmServer::handle`].
 //!
+//! # Wire format
+//!
+//! [`PalmRequest`] and [`PalmResponse`] are declared with
+//! [`coconut_json::wire!`], which derives their JSON codec from the
+//! declaration (see DESIGN.md, "Wire codec").  The records they carry are
+//! the engine's own — [`QueryCost`], [`PlanReport`], [`BuildReport`],
+//! [`ServiceStatsSnapshot`] — declared the same way where they live.  Only
+//! `build_index`'s `range_lo`/`range_hi` pair is coded by hand.
+//!
 //! # Concurrency
 //!
 //! [`PalmServer::handle`] takes `&self`: the server is shared across request
@@ -47,284 +56,289 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coconut_json::{member, member_or, scan_array, scan_object, FromJson, Json, JsonError, ToJson};
+use coconut_json::{find_member, scan_array, scan_object, FromJson, Json, JsonError, ToJson};
 use coconut_parallel::{CancelToken, WorkerPool};
 use parking_lot::{Mutex, RwLock};
 
 use crate::{
-    recommend, BuildReport, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs, PlanReport,
-    PlannerMode, Scenario, Series, StaticIndex, VariantKind,
+    recommend, BuildReport, Compression, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs,
+    PlanReport, PlannerMode, QueryCost, Scenario, Series, StaticIndex, VariantKind,
 };
 use coconut_storage::SharedIoStats;
 
-/// A request to the algorithms server.
-#[derive(Debug, Clone)]
-pub enum PalmRequest {
-    /// Build an index over a dataset file.
-    BuildIndex {
-        /// Name under which the index is registered.
-        name: String,
-        /// Path of the raw dataset file.
-        dataset_path: String,
-        /// Structure family.
-        variant: VariantKind,
-        /// Whether to materialize the series inside the index.
-        materialized: bool,
-        /// Memory budget in bytes.
-        memory_budget_bytes: usize,
-        /// Worker threads for the build (`1` = sequential, `0` = all cores).
-        /// Optional in the JSON protocol; defaults to `1`.
-        parallelism: usize,
-        /// Worker threads for the query fan-out (`1` = sequential, `0` =
-        /// all cores).  Optional in the JSON protocol; defaults to `1`.
-        /// A pure performance knob: query results are identical at every
-        /// setting.
-        query_parallelism: usize,
-        /// Key-range shards per CLSM compaction.  Optional in the JSON
-        /// protocol; defaults to `1` (ignored by non-CLSM variants).
-        shard_count: usize,
-        /// Restrict the build to the dataset's id window `[lo, hi)`.
-        /// Optional in the JSON protocol (`range_lo`/`range_hi` members);
-        /// defaults to the whole file.  Ids stay global (a series' id is
-        /// its file position), which is what makes service-level sharding
-        /// sound: each worker builds over its own contiguous id range of
-        /// the shared dataset and merged answers need no id translation.
-        range: Option<(u64, u64)>,
-        /// Overlap computation with I/O during the build.  Optional in the
-        /// JSON protocol; defaults to `true`.  A pure performance knob:
-        /// index files, answers and I/O totals are identical either way.
-        io_overlap: bool,
-        /// Read backend for the index files ("pread" | "mmap").  Optional
-        /// in the JSON protocol; defaults to "pread".  A pure performance
-        /// knob: index files, answers and I/O totals are identical either
-        /// way.
-        io_backend: IoBackend,
-        /// Query planning mode ("fixed" | "adaptive").  Optional in the
-        /// JSON protocol; defaults to "fixed".  A pure performance knob:
-        /// query results are identical in both modes — "adaptive" only
-        /// changes which execution knobs the engine runs with, and attaches
-        /// an `explain` member to query responses.
-        planner: PlannerMode,
-        /// On-disk compression of sorted runs and leaf blocks ("off" |
-        /// "prefix").  Optional in the JSON protocol; defaults to the
-        /// `COCONUT_COMPRESSION` environment variable (itself defaulting to
-        /// "off").  A pure performance knob: answers, `QueryCost` and the
-        /// logical I/O totals are identical at either setting.
-        compression: coconut_storage::Compression,
-    },
-    /// Run a query against a registered index.
-    Query {
-        /// Name of the index to query.
-        name: String,
-        /// The query series values.
-        query: Vec<f32>,
-        /// Number of neighbours.
-        k: usize,
-        /// Exact or approximate search.
-        exact: bool,
-    },
-    /// Execute a batch of sub-requests concurrently on the worker pool.
-    ///
-    /// Responses come back in request order.  Each sub-request is handled
-    /// exactly as if it had been sent alone, so its response is identical
-    /// to that request's, apart from `elapsed_ms`.
-    Batch {
-        /// The sub-requests; each produces one entry of
-        /// [`PalmResponse::Batch`].
-        requests: Vec<PalmRequest>,
-    },
-    /// Append new series to a registered index (streaming ingest).  Series
-    /// ids are assigned sequentially after the index's current entries.
-    Insert {
-        /// Name of the index to append to.
-        name: String,
-        /// The series values, one inner vector per series.
-        series: Vec<Vec<f32>>,
-        /// Arrival timestamp shared by the batch.  Optional in the JSON
-        /// protocol; defaults to `0`.
-        timestamp: u64,
-        /// First id to assign, overriding the default
-        /// `index.len()`-sequential assignment.  Optional in the JSON
-        /// protocol.  Used by the scatter-gather coordinator, which owns
-        /// the global id space and routes each insert to one shard; direct
-        /// single-node clients leave it unset.
-        base_id: Option<u64>,
-    },
-    /// Fetch the build report of a registered index.
-    Metrics {
-        /// Name of the index.
-        name: String,
-    },
-    /// Ask the recommender for advice.
-    Recommend {
-        /// The application scenario.
-        scenario: Scenario,
-    },
-    /// List registered indexes.
-    ListIndexes,
-    /// Fetch service counters (requests, cache hits/misses, shed load,
-    /// deadline misses).
-    Stats,
-}
-
-/// A response from the algorithms server.
-#[derive(Debug, Clone)]
-pub enum PalmResponse {
-    /// Result of a build request.
-    Built {
-        /// Index name.
-        name: String,
-        /// Variant display name ("CTreeFull", ...).
-        variant: String,
-        /// Build metrics.
-        report: BuildReport,
-    },
-    /// Result of a query request.
-    QueryResult {
-        /// Index name.
-        name: String,
-        /// Neighbour ids, ascending distance.
-        ids: Vec<u64>,
-        /// Neighbour distances (Euclidean, not squared).
-        distances: Vec<f64>,
-        /// Squared distances, exactly as the engine compares them.  The
-        /// full neighbour identity `(squared_distance, id, timestamp)`
-        /// travels on the wire so a scatter-gather coordinator can merge
-        /// per-shard top-k with the engine's own total order, bit-exactly
-        /// (`sqrt` rounding could collapse distinct squared distances).
-        squared_distances: Vec<f64>,
-        /// Arrival timestamps of the matched entries (zero for static
-        /// data); the tie-break of last resort in the engine's order.
-        timestamps: Vec<u64>,
-        /// Query latency in milliseconds.
-        elapsed_ms: f64,
-        /// Entries examined / refined / raw fetches / blocks read+skipped.
-        cost: QueryCostJson,
-        /// The planner's recorded decision for this execution, present only
-        /// when the index runs in "adaptive" mode *and* the answer was
-        /// computed (cache hits carry no plan — nothing was planned).
-        /// Serialized only when present.
-        explain: Option<PlanReportJson>,
-    },
-    /// Per-sub-request responses of a batch, in request order.
-    Batch {
-        /// One response per sub-request.
-        responses: Vec<PalmResponse>,
-    },
-    /// Result of an insert request.
-    Inserted {
-        /// Index name.
-        name: String,
-        /// Number of series appended by this request.
-        inserted: u64,
-        /// Total entries in the index afterwards.
-        total: u64,
-    },
-    /// Metrics of a registered index.
-    Metrics {
-        /// Index name.
-        name: String,
-        /// Build metrics.
-        report: BuildReport,
-        /// Current footprint in bytes.
-        footprint_bytes: u64,
-    },
-    /// Recommender advice.
-    Recommendation {
-        /// The recommendation, including the rationale path.
-        recommendation: coconut_recommender::Recommendation,
-    },
-    /// Names of registered indexes.
-    Indexes {
-        /// Registered names.
-        names: Vec<String>,
-    },
-    /// Service counters (see [`PalmRequest::Stats`]).
-    Stats {
-        /// Requests handled (batch sub-requests count individually).
-        requests: u64,
-        /// Queries answered from the result cache.
-        cache_hits: u64,
-        /// Queries that missed the result cache and were computed (counted
-        /// only when the cache is enabled).
-        cache_misses: u64,
-        /// Replies currently recorded in the result cache.
-        cache_entries: u64,
-        /// Requests shed by admission control (reported by a network
-        /// front-end via [`PalmServer::note_shed`]).
-        shed: u64,
-        /// Requests that missed their deadline.
-        deadline_exceeded: u64,
-        /// Indexes currently registered.
-        indexes: u64,
-        /// Queries executed through the adaptive planner's compute path.
-        planner_adaptive: u64,
-        /// Queries executed with fixed knobs.
-        planner_fixed: u64,
-        /// Adaptive plans that chose a parallel fan-out (>1 worker).
-        plans_parallel: u64,
-        /// Adaptive plans that chose sequential execution (1 worker).
-        plans_sequential: u64,
-        /// Adaptive plans that disabled read-ahead (cache-resident index).
-        plans_read_ahead_off: u64,
-    },
-    /// The request failed.
-    Error {
-        /// Machine-readable error kind; one of the `ERROR_KIND_*`
-        /// constants ("malformed_request", "unknown_index", "config",
-        /// "storage", "series", "deadline_exceeded", "overloaded",
-        /// "shutting_down").
-        kind: String,
-        /// Human-readable error message.
-        message: String,
-        /// For `deadline_exceeded`: the work performed before the
-        /// cancellation was observed.  Serialized only when present.
-        partial_cost: Option<QueryCostJson>,
-        /// For `overloaded`: how long the client should wait before
-        /// retrying.  Attached by the network front-end's admission
-        /// control and preserved end-to-end so retry loops (the client's
-        /// `call_with_retry`, the coordinator's per-shard retries) can
-        /// honour the server's hint.  Serialized only when present.
-        retry_after_ms: Option<u64>,
-        /// For `shard_unavailable` (and other scatter-gather failures):
-        /// the per-shard partial costs the coordinator had collected when
-        /// the request failed, in shard order.  Serialized only when
-        /// present.
-        shard_costs: Option<Vec<ShardCostJson>>,
-    },
-}
-
-/// Per-shard cost evidence attached to scatter-gather error responses: what
-/// each worker reported (or failed to report) before the coordinator gave
-/// up on the request.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardCostJson {
-    /// Shard index in the coordinator's configured order.
-    pub shard: u64,
-    /// The shard's (possibly partial) cost; `None` when the shard became
-    /// unreachable before reporting anything.
-    pub cost: Option<QueryCostJson>,
-}
-
-impl ToJson for ShardCostJson {
-    fn to_json(&self) -> Json {
-        let mut members = vec![("shard", self.shard.to_json())];
-        if let Some(cost) = &self.cost {
-            members.push(("cost", cost.to_json()));
-        }
-        Json::obj(members)
+coconut_json::wire! {
+    /// A request to the algorithms server.
+    #[derive(Debug, Clone)]
+    pub enum PalmRequest tagged "request" {
+        /// Build an index over a dataset file.
+        BuildIndex = "build_index" {
+            /// Name under which the index is registered.
+            name: String,
+            /// Path of the raw dataset file.
+            dataset_path: String,
+            /// Structure family.
+            variant: VariantKind,
+            /// Whether to materialize the series inside the index.
+            materialized: bool,
+            /// Memory budget in bytes.
+            memory_budget_bytes: usize,
+            /// Worker threads for the build (`1` = sequential, `0` = all
+            /// cores).  Optional in the JSON protocol; defaults to `1`.
+            parallelism: usize = 1,
+            /// Worker threads for the query fan-out (`1` = sequential, `0` =
+            /// all cores).  Optional in the JSON protocol; defaults to `1`.
+            /// A pure performance knob: query results are identical at every
+            /// setting.
+            query_parallelism: usize = 1,
+            /// Key-range shards per CLSM compaction.  Optional in the JSON
+            /// protocol; defaults to `1` (ignored by non-CLSM variants).
+            shard_count: usize = 1,
+            /// Overlap computation with I/O during the build.  Optional in
+            /// the JSON protocol; defaults to `true`.  A pure performance
+            /// knob: index files, answers and I/O totals are identical
+            /// either way.
+            io_overlap: bool = true,
+            /// Read backend for the index files ("pread" | "mmap").
+            /// Optional in the JSON protocol; defaults to "pread".  A pure
+            /// performance knob: index files, answers and I/O totals are
+            /// identical either way.
+            io_backend: IoBackend = IoBackend::Pread,
+            /// Query planning mode ("fixed" | "adaptive").  Optional in the
+            /// JSON protocol; defaults to "fixed".  A pure performance knob:
+            /// query results are identical in both modes — "adaptive" only
+            /// changes which execution knobs the engine runs with, and
+            /// attaches an `explain` member to query responses.
+            planner: PlannerMode = PlannerMode::Fixed,
+            /// On-disk compression of sorted runs and leaf blocks ("off" |
+            /// "prefix").  Optional in the JSON protocol; defaults to the
+            /// `COCONUT_COMPRESSION` environment variable (itself defaulting
+            /// to "off"), read only when the member is absent.  A pure
+            /// performance knob: answers, `QueryCost` and the logical I/O
+            /// totals are identical at either setting.
+            compression: Compression = Compression::from_env(),
+            /// Restrict the build to the dataset's id window `[lo, hi)`.
+            /// Optional in the JSON protocol, as the `range_lo`/`range_hi`
+            /// pair that ends the frame (see `id_range`); defaults to the
+            /// whole file.  Ids stay global (a series' id is its file
+            /// position), which is what makes service-level sharding sound:
+            /// each worker builds over its own contiguous id range of the
+            /// shared dataset and merged answers need no id translation.
+            range: Option<(u64, u64)> [with id_range],
+        },
+        /// Run a query against a registered index.
+        Query = "query" {
+            /// Name of the index to query.
+            name: String,
+            /// The query series values.
+            query: Vec<f32>,
+            /// Number of neighbours.
+            k: usize,
+            /// Exact or approximate search.
+            exact: bool,
+        },
+        /// Execute a batch of sub-requests concurrently on the worker pool.
+        ///
+        /// Responses come back in request order.  Each sub-request is
+        /// handled exactly as if it had been sent alone, so its response is
+        /// identical to that request's, apart from `elapsed_ms`.
+        Batch = "batch" {
+            /// The sub-requests; each produces one entry of
+            /// [`PalmResponse::Batch`].
+            requests: Vec<PalmRequest>,
+        },
+        /// Append new series to a registered index (streaming ingest).
+        /// Series ids are assigned sequentially after the index's current
+        /// entries.
+        Insert = "insert" {
+            /// Name of the index to append to.
+            name: String,
+            /// The series values, one inner vector per series.
+            series: Vec<Vec<f32>>,
+            /// Arrival timestamp shared by the batch.  Optional in the JSON
+            /// protocol; defaults to `0`.
+            timestamp: u64 = 0,
+            /// First id to assign, overriding the default
+            /// `index.len()`-sequential assignment.  Optional in the JSON
+            /// protocol.  Used by the scatter-gather coordinator, which
+            /// owns the global id space and routes each insert to one
+            /// shard; direct single-node clients leave it unset.
+            base_id: Option<u64>,
+        },
+        /// Fetch the build report of a registered index.
+        Metrics = "metrics" {
+            /// Name of the index.
+            name: String,
+        },
+        /// Ask the recommender for advice.
+        Recommend = "recommend" {
+            /// The application scenario.
+            scenario: Scenario,
+        },
+        /// List registered indexes.
+        ListIndexes = "list_indexes",
+        /// Fetch service counters (requests, cache hits/misses, shed load,
+        /// deadline misses).
+        Stats = "stats",
     }
 }
 
-impl FromJson for ShardCostJson {
-    fn from_json(json: &Json) -> coconut_json::Result<ShardCostJson> {
-        Ok(ShardCostJson {
-            shard: member(json, "shard")?,
-            cost: match json.get("cost") {
-                Some(cost) => Some(QueryCostJson::from_json(cost)?),
-                None => None,
-            },
-        })
+/// The one member of the protocol a declaration cannot state: a
+/// `build_index` range travels as two members, `range_lo` and `range_hi`,
+/// written last, and one given without the other is refused.
+mod id_range {
+    use coconut_json::wire::{Member, Members};
+    use coconut_json::{member, Json, JsonError, Result};
+
+    pub fn put(range: &Option<(u64, u64)>, out: &mut Members) {
+        if let Some((lo, hi)) = range {
+            lo.put("range_lo", out);
+            hi.put("range_hi", out);
+        }
+    }
+
+    pub fn take(json: &Json) -> Result<Option<(u64, u64)>> {
+        match (json.get("range_lo"), json.get("range_hi")) {
+            (None, None) => Ok(None),
+            (Some(_), Some(_)) => Ok(Some((member(json, "range_lo")?, member(json, "range_hi")?))),
+            _ => Err(JsonError::new(
+                "range_lo and range_hi must be given together",
+            )),
+        }
+    }
+}
+
+coconut_json::wire! {
+    /// A response from the algorithms server.
+    #[derive(Debug, Clone)]
+    pub enum PalmResponse tagged "response" {
+        /// Result of a build request.
+        Built = "built" {
+            /// Index name.
+            name: String,
+            /// Variant display name ("CTreeFull", ...).
+            variant: String,
+            /// Build metrics.
+            report: BuildReport,
+        },
+        /// Result of a query request.
+        QueryResult = "query_result" {
+            /// Index name.
+            name: String,
+            /// Neighbour ids, ascending distance.
+            ids: Vec<u64>,
+            /// Neighbour distances (Euclidean, not squared).
+            distances: Vec<f64>,
+            /// Squared distances, exactly as the engine compares them.  The
+            /// full neighbour identity `(squared_distance, id, timestamp)`
+            /// travels on the wire so a scatter-gather coordinator can
+            /// merge per-shard top-k with the engine's own total order,
+            /// bit-exactly (`sqrt` rounding could collapse distinct squared
+            /// distances).
+            squared_distances: Vec<f64>,
+            /// Arrival timestamps of the matched entries (zero for static
+            /// data); the tie-break of last resort in the engine's order.
+            timestamps: Vec<u64>,
+            /// Query latency in milliseconds.
+            elapsed_ms: f64,
+            /// Entries examined / refined / raw fetches / blocks read+skipped.
+            cost: QueryCost,
+            /// The planner's recorded decision for this execution, present
+            /// only when the index runs in "adaptive" mode *and* the answer
+            /// was computed (cache hits carry no plan — nothing was
+            /// planned).  Serialized only when present.
+            explain: Option<PlanReport> [bare],
+        },
+        /// Per-sub-request responses of a batch, in request order.
+        Batch = "batch_result" {
+            /// One response per sub-request.
+            responses: Vec<PalmResponse>,
+        },
+        /// Result of an insert request.
+        Inserted = "inserted" {
+            /// Index name.
+            name: String,
+            /// Number of series appended by this request.
+            inserted: u64,
+            /// Total entries in the index afterwards.
+            total: u64,
+        },
+        /// Metrics of a registered index.
+        Metrics = "metrics" {
+            /// Index name.
+            name: String,
+            /// Build metrics.
+            report: BuildReport,
+            /// Current footprint in bytes.
+            footprint_bytes: u64,
+        },
+        /// Recommender advice.
+        Recommendation = "recommendation" {
+            /// The recommendation, including the rationale path.
+            recommendation: coconut_recommender::Recommendation,
+        },
+        /// Names of registered indexes.
+        Indexes = "indexes" {
+            /// Registered names.
+            names: Vec<String>,
+        },
+        /// Service counters (see [`PalmRequest::Stats`]), as members of the
+        /// response itself.
+        Stats = "stats" {
+            /// The counters.
+            stats: ServiceStatsSnapshot [flat],
+        },
+        /// The request failed.
+        Error = "error" {
+            /// Machine-readable error kind; one of the `ERROR_KIND_*`
+            /// constants ("malformed_request", "unknown_index", "config",
+            /// "storage", "series", "deadline_exceeded", "overloaded",
+            /// "shutting_down").
+            kind: String,
+            /// Human-readable error message.
+            message: String,
+            /// For `deadline_exceeded`: the work performed before the
+            /// cancellation was observed.  Serialized only when present.
+            partial_cost: Option<QueryCost> [bare],
+            /// For `overloaded`: how long the client should wait before
+            /// retrying.  Attached by the network front-end's admission
+            /// control and preserved end-to-end so retry loops (the
+            /// client's `call_with_retry`, the coordinator's per-shard
+            /// retries) can honour the server's hint.  Serialized only when
+            /// present.
+            retry_after_ms: Option<u64>,
+            /// For `shard_unavailable` (and other scatter-gather failures):
+            /// the per-shard partial costs the coordinator had collected
+            /// when the request failed, in shard order.  Serialized only
+            /// when present.
+            shard_costs: Option<Vec<ShardCostJson>>,
+        },
+    }
+}
+
+impl PalmResponse {
+    /// An `error` response with nothing but its kind and message.
+    pub fn error(kind: &str, message: impl Into<String>) -> PalmResponse {
+        PalmResponse::Error {
+            kind: kind.to_string(),
+            message: message.into(),
+            partial_cost: None,
+            retry_after_ms: None,
+            shard_costs: None,
+        }
+    }
+}
+
+coconut_json::wire! {
+    /// Per-shard cost evidence attached to scatter-gather error responses:
+    /// what each worker reported (or failed to report) before the
+    /// coordinator gave up on the request.
+    #[derive(Debug, Clone, Copy)]
+    pub struct ShardCostJson {
+        /// Shard index in the coordinator's configured order.
+        pub shard: u64,
+        /// The shard's (possibly partial) cost; `None` when the shard
+        /// became unreachable before reporting anything.
+        pub cost: Option<QueryCost> [bare],
     }
 }
 
@@ -339,7 +353,7 @@ pub const ERROR_KIND_STORAGE: &str = "storage";
 /// Error kind for raw-dataset failures.
 pub const ERROR_KIND_SERIES: &str = "series";
 /// Error kind for requests cancelled because their deadline passed.  The
-/// response carries the partial [`QueryCostJson`] accumulated so far.
+/// response carries the partial [`QueryCost`] accumulated so far.
 pub const ERROR_KIND_DEADLINE: &str = "deadline_exceeded";
 /// Error kind for requests shed by admission control.  Emitted by the
 /// network front-end (`coconut_net`), which adds a `retry_after_ms` hint.
@@ -358,7 +372,7 @@ pub const ERROR_KIND_SHARD_UNAVAILABLE: &str = "shard_unavailable";
 struct ServiceError {
     kind: &'static str,
     message: String,
-    partial_cost: Option<QueryCostJson>,
+    partial_cost: Option<QueryCost>,
 }
 
 impl ServiceError {
@@ -389,7 +403,7 @@ impl ServiceError {
     /// A request cancelled before (or while) touching the index: the
     /// partial cost is whatever the engine accumulated up to the round
     /// boundary where the cancellation was observed.
-    fn deadline(partial_cost: QueryCostJson) -> Self {
+    fn deadline(partial_cost: QueryCost) -> Self {
         ServiceError {
             kind: ERROR_KIND_DEADLINE,
             message: "deadline exceeded before the request completed".to_string(),
@@ -411,7 +425,7 @@ impl ServiceError {
 impl From<crate::IndexError> for ServiceError {
     fn from(e: crate::IndexError) -> Self {
         if let crate::IndexError::Cancelled { partial_cost } = &e {
-            return ServiceError::deadline((*partial_cost).into());
+            return ServiceError::deadline(*partial_cost);
         }
         let kind = match &e {
             crate::IndexError::Config(_) => ERROR_KIND_CONFIG,
@@ -434,157 +448,6 @@ impl From<coconut_series::SeriesError> for ServiceError {
             message: e.to_string(),
             partial_cost: None,
         }
-    }
-}
-
-/// JSON-friendly projection of [`coconut_ctree::query::QueryCost`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryCostJson {
-    /// Entries whose summarization was examined.
-    pub entries_examined: u64,
-    /// Entries refined with a true distance computation.
-    pub entries_refined: u64,
-    /// Raw series fetched from the data file.
-    pub raw_fetches: u64,
-    /// Blocks/partitions read.
-    pub blocks_read: u64,
-    /// Blocks/partitions skipped by pruning.
-    pub blocks_skipped: u64,
-}
-
-impl From<coconut_ctree::query::QueryCost> for QueryCostJson {
-    fn from(c: coconut_ctree::query::QueryCost) -> Self {
-        QueryCostJson {
-            entries_examined: c.entries_examined,
-            entries_refined: c.entries_refined,
-            raw_fetches: c.raw_fetches,
-            blocks_read: c.blocks_read,
-            blocks_skipped: c.blocks_skipped,
-        }
-    }
-}
-
-impl ToJson for QueryCostJson {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("entries_examined", self.entries_examined.to_json()),
-            ("entries_refined", self.entries_refined.to_json()),
-            ("raw_fetches", self.raw_fetches.to_json()),
-            ("blocks_read", self.blocks_read.to_json()),
-            ("blocks_skipped", self.blocks_skipped.to_json()),
-        ])
-    }
-}
-
-impl FromJson for QueryCostJson {
-    fn from_json(json: &Json) -> coconut_json::Result<QueryCostJson> {
-        Ok(QueryCostJson {
-            entries_examined: member(json, "entries_examined")?,
-            entries_refined: member(json, "entries_refined")?,
-            raw_fetches: member(json, "raw_fetches")?,
-            blocks_read: member(json, "blocks_read")?,
-            blocks_skipped: member(json, "blocks_skipped")?,
-        })
-    }
-}
-
-/// JSON-friendly projection of [`crate::PlanReport`]: the captured
-/// [`crate::PlannerInputs`] snapshot and the [`crate::PlanDecision`] chosen
-/// from it, exactly as recorded (replayable: `decision` is the pure
-/// `planner::plan` of `inputs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanReportJson {
-    /// Index footprint at capture time, bytes.
-    pub footprint_bytes: u64,
-    /// Estimated page-cache budget at capture time, bytes.
-    pub cache_budget_bytes: u64,
-    /// Search units the query fans out over.
-    pub unit_count: u64,
-    /// Runs/levels backing the index.
-    pub run_count: u64,
-    /// Cores at capture time.
-    pub cores: u64,
-    /// Neighbours requested.
-    pub k: u64,
-    /// Exact or approximate search.
-    pub exact: bool,
-    /// Random share of reads so far, permille.
-    pub random_read_permille: u64,
-    /// Chosen engine fan-out workers.
-    pub query_parallelism: u64,
-    /// Chosen read-ahead engagement.
-    pub read_ahead: bool,
-    /// Chosen read-ahead gate, bytes.
-    pub prefetch_min_bytes: u64,
-}
-
-impl From<PlanReport> for PlanReportJson {
-    fn from(r: PlanReport) -> Self {
-        PlanReportJson {
-            footprint_bytes: r.inputs.footprint_bytes,
-            cache_budget_bytes: r.inputs.cache_budget_bytes,
-            unit_count: r.inputs.unit_count as u64,
-            run_count: r.inputs.run_count as u64,
-            cores: r.inputs.cores as u64,
-            k: r.inputs.k as u64,
-            exact: r.inputs.exact,
-            random_read_permille: r.inputs.random_read_permille as u64,
-            query_parallelism: r.decision.query_parallelism as u64,
-            read_ahead: r.decision.read_ahead,
-            prefetch_min_bytes: r.decision.prefetch_min_bytes,
-        }
-    }
-}
-
-impl ToJson for PlanReportJson {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "inputs",
-                Json::obj(vec![
-                    ("footprint_bytes", self.footprint_bytes.to_json()),
-                    ("cache_budget_bytes", self.cache_budget_bytes.to_json()),
-                    ("unit_count", self.unit_count.to_json()),
-                    ("run_count", self.run_count.to_json()),
-                    ("cores", self.cores.to_json()),
-                    ("k", self.k.to_json()),
-                    ("exact", self.exact.to_json()),
-                    ("random_read_permille", self.random_read_permille.to_json()),
-                ]),
-            ),
-            (
-                "decision",
-                Json::obj(vec![
-                    ("query_parallelism", self.query_parallelism.to_json()),
-                    ("read_ahead", self.read_ahead.to_json()),
-                    ("prefetch_min_bytes", self.prefetch_min_bytes.to_json()),
-                ]),
-            ),
-        ])
-    }
-}
-
-impl FromJson for PlanReportJson {
-    fn from_json(json: &Json) -> coconut_json::Result<PlanReportJson> {
-        let inputs = json
-            .get("inputs")
-            .ok_or_else(|| JsonError::new("missing field 'inputs'"))?;
-        let decision = json
-            .get("decision")
-            .ok_or_else(|| JsonError::new("missing field 'decision'"))?;
-        Ok(PlanReportJson {
-            footprint_bytes: member(inputs, "footprint_bytes")?,
-            cache_budget_bytes: member(inputs, "cache_budget_bytes")?,
-            unit_count: member(inputs, "unit_count")?,
-            run_count: member(inputs, "run_count")?,
-            cores: member(inputs, "cores")?,
-            k: member(inputs, "k")?,
-            exact: member(inputs, "exact")?,
-            random_read_permille: member(inputs, "random_read_permille")?,
-            query_parallelism: member(decision, "query_parallelism")?,
-            read_ahead: member(decision, "read_ahead")?,
-            prefetch_min_bytes: member(decision, "prefetch_min_bytes")?,
-        })
     }
 }
 
@@ -614,357 +477,6 @@ impl PalmRequest {
             io_backend: knobs.io_backend,
             planner: knobs.planner,
             compression: knobs.compression,
-        }
-    }
-}
-
-impl ToJson for PalmRequest {
-    fn to_json(&self) -> Json {
-        match self {
-            PalmRequest::BuildIndex {
-                name,
-                dataset_path,
-                variant,
-                materialized,
-                memory_budget_bytes,
-                parallelism,
-                query_parallelism,
-                shard_count,
-                range,
-                io_overlap,
-                io_backend,
-                planner,
-                compression,
-            } => {
-                let mut members = vec![
-                    ("type", Json::Str("build_index".into())),
-                    ("name", name.to_json()),
-                    ("dataset_path", dataset_path.to_json()),
-                    ("variant", variant.to_json()),
-                    ("materialized", materialized.to_json()),
-                    ("memory_budget_bytes", memory_budget_bytes.to_json()),
-                    ("parallelism", parallelism.to_json()),
-                    ("query_parallelism", query_parallelism.to_json()),
-                    ("shard_count", shard_count.to_json()),
-                    ("io_overlap", io_overlap.to_json()),
-                    ("io_backend", io_backend.to_json()),
-                    ("planner", planner.to_json()),
-                    ("compression", compression.to_json()),
-                ];
-                if let Some((lo, hi)) = range {
-                    members.push(("range_lo", lo.to_json()));
-                    members.push(("range_hi", hi.to_json()));
-                }
-                Json::obj(members)
-            }
-            PalmRequest::Query {
-                name,
-                query,
-                k,
-                exact,
-            } => Json::obj(vec![
-                ("type", Json::Str("query".into())),
-                ("name", name.to_json()),
-                ("query", query.to_json()),
-                ("k", k.to_json()),
-                ("exact", exact.to_json()),
-            ]),
-            PalmRequest::Batch { requests } => Json::obj(vec![
-                ("type", Json::Str("batch".into())),
-                ("requests", requests.to_json()),
-            ]),
-            PalmRequest::Insert {
-                name,
-                series,
-                timestamp,
-                base_id,
-            } => {
-                let mut members = vec![
-                    ("type", Json::Str("insert".into())),
-                    ("name", name.to_json()),
-                    ("series", series.to_json()),
-                    ("timestamp", timestamp.to_json()),
-                ];
-                if let Some(base) = base_id {
-                    members.push(("base_id", base.to_json()));
-                }
-                Json::obj(members)
-            }
-            PalmRequest::Metrics { name } => Json::obj(vec![
-                ("type", Json::Str("metrics".into())),
-                ("name", name.to_json()),
-            ]),
-            PalmRequest::Recommend { scenario } => Json::obj(vec![
-                ("type", Json::Str("recommend".into())),
-                ("scenario", scenario.to_json()),
-            ]),
-            PalmRequest::ListIndexes => Json::obj(vec![("type", Json::Str("list_indexes".into()))]),
-            PalmRequest::Stats => Json::obj(vec![("type", Json::Str("stats".into()))]),
-        }
-    }
-}
-
-impl FromJson for PalmRequest {
-    fn from_json(json: &Json) -> coconut_json::Result<PalmRequest> {
-        let kind: String = member(json, "type")?;
-        match kind.as_str() {
-            "build_index" => Ok(PalmRequest::BuildIndex {
-                name: member(json, "name")?,
-                dataset_path: member(json, "dataset_path")?,
-                variant: member(json, "variant")?,
-                materialized: member(json, "materialized")?,
-                memory_budget_bytes: member(json, "memory_budget_bytes")?,
-                parallelism: member_or(json, "parallelism", 1)?,
-                query_parallelism: member_or(json, "query_parallelism", 1)?,
-                shard_count: member_or(json, "shard_count", 1)?,
-                range: match (json.get("range_lo"), json.get("range_hi")) {
-                    (None, None) => None,
-                    (Some(_), Some(_)) => {
-                        Some((member(json, "range_lo")?, member(json, "range_hi")?))
-                    }
-                    _ => {
-                        return Err(JsonError::new(
-                            "range_lo and range_hi must be given together",
-                        ))
-                    }
-                },
-                io_overlap: member_or(json, "io_overlap", true)?,
-                io_backend: member_or(json, "io_backend", IoBackend::Pread)?,
-                planner: member_or(json, "planner", PlannerMode::Fixed)?,
-                compression: member_or(
-                    json,
-                    "compression",
-                    coconut_storage::Compression::from_env(),
-                )?,
-            }),
-            "query" => Ok(PalmRequest::Query {
-                name: member(json, "name")?,
-                query: member(json, "query")?,
-                k: member(json, "k")?,
-                exact: member(json, "exact")?,
-            }),
-            "batch" => Ok(PalmRequest::Batch {
-                requests: member(json, "requests")?,
-            }),
-            "insert" => Ok(PalmRequest::Insert {
-                name: member(json, "name")?,
-                series: member(json, "series")?,
-                timestamp: member_or(json, "timestamp", 0u64)?,
-                base_id: match json.get("base_id") {
-                    Some(_) => Some(member(json, "base_id")?),
-                    None => None,
-                },
-            }),
-            "metrics" => Ok(PalmRequest::Metrics {
-                name: member(json, "name")?,
-            }),
-            "recommend" => Ok(PalmRequest::Recommend {
-                scenario: member(json, "scenario")?,
-            }),
-            "list_indexes" => Ok(PalmRequest::ListIndexes),
-            "stats" => Ok(PalmRequest::Stats),
-            other => Err(JsonError::new(format!("unknown request type '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for PalmResponse {
-    fn to_json(&self) -> Json {
-        match self {
-            PalmResponse::Built {
-                name,
-                variant,
-                report,
-            } => Json::obj(vec![
-                ("type", Json::Str("built".into())),
-                ("name", name.to_json()),
-                ("variant", variant.to_json()),
-                ("report", report.to_json()),
-            ]),
-            PalmResponse::QueryResult {
-                name,
-                ids,
-                distances,
-                squared_distances,
-                timestamps,
-                elapsed_ms,
-                cost,
-                explain,
-            } => {
-                let mut members = vec![
-                    ("type", Json::Str("query_result".into())),
-                    ("name", name.to_json()),
-                    ("ids", ids.to_json()),
-                    ("distances", distances.to_json()),
-                    ("squared_distances", squared_distances.to_json()),
-                    ("timestamps", timestamps.to_json()),
-                    ("elapsed_ms", elapsed_ms.to_json()),
-                    ("cost", cost.to_json()),
-                ];
-                if let Some(report) = explain {
-                    members.push(("explain", report.to_json()));
-                }
-                Json::obj(members)
-            }
-            PalmResponse::Batch { responses } => Json::obj(vec![
-                ("type", Json::Str("batch_result".into())),
-                ("responses", responses.to_json()),
-            ]),
-            PalmResponse::Inserted {
-                name,
-                inserted,
-                total,
-            } => Json::obj(vec![
-                ("type", Json::Str("inserted".into())),
-                ("name", name.to_json()),
-                ("inserted", inserted.to_json()),
-                ("total", total.to_json()),
-            ]),
-            PalmResponse::Metrics {
-                name,
-                report,
-                footprint_bytes,
-            } => Json::obj(vec![
-                ("type", Json::Str("metrics".into())),
-                ("name", name.to_json()),
-                ("report", report.to_json()),
-                ("footprint_bytes", footprint_bytes.to_json()),
-            ]),
-            PalmResponse::Recommendation { recommendation } => Json::obj(vec![
-                ("type", Json::Str("recommendation".into())),
-                ("recommendation", recommendation.to_json()),
-            ]),
-            PalmResponse::Indexes { names } => Json::obj(vec![
-                ("type", Json::Str("indexes".into())),
-                ("names", names.to_json()),
-            ]),
-            PalmResponse::Stats {
-                requests,
-                cache_hits,
-                cache_misses,
-                cache_entries,
-                shed,
-                deadline_exceeded,
-                indexes,
-                planner_adaptive,
-                planner_fixed,
-                plans_parallel,
-                plans_sequential,
-                plans_read_ahead_off,
-            } => Json::obj(vec![
-                ("type", Json::Str("stats".into())),
-                ("requests", requests.to_json()),
-                ("cache_hits", cache_hits.to_json()),
-                ("cache_misses", cache_misses.to_json()),
-                ("cache_entries", cache_entries.to_json()),
-                ("shed", shed.to_json()),
-                ("deadline_exceeded", deadline_exceeded.to_json()),
-                ("indexes", indexes.to_json()),
-                ("planner_adaptive", planner_adaptive.to_json()),
-                ("planner_fixed", planner_fixed.to_json()),
-                ("plans_parallel", plans_parallel.to_json()),
-                ("plans_sequential", plans_sequential.to_json()),
-                ("plans_read_ahead_off", plans_read_ahead_off.to_json()),
-            ]),
-            PalmResponse::Error {
-                kind,
-                message,
-                partial_cost,
-                retry_after_ms,
-                shard_costs,
-            } => {
-                let mut members = vec![
-                    ("type", Json::Str("error".into())),
-                    ("kind", kind.to_json()),
-                    ("message", message.to_json()),
-                ];
-                if let Some(cost) = partial_cost {
-                    members.push(("partial_cost", cost.to_json()));
-                }
-                if let Some(ms) = retry_after_ms {
-                    members.push(("retry_after_ms", ms.to_json()));
-                }
-                if let Some(costs) = shard_costs {
-                    members.push(("shard_costs", costs.to_json()));
-                }
-                Json::obj(members)
-            }
-        }
-    }
-}
-
-impl FromJson for PalmResponse {
-    fn from_json(json: &Json) -> coconut_json::Result<PalmResponse> {
-        let kind: String = member(json, "type")?;
-        match kind.as_str() {
-            "built" => Ok(PalmResponse::Built {
-                name: member(json, "name")?,
-                variant: member(json, "variant")?,
-                report: member(json, "report")?,
-            }),
-            "query_result" => Ok(PalmResponse::QueryResult {
-                name: member(json, "name")?,
-                ids: member(json, "ids")?,
-                distances: member(json, "distances")?,
-                squared_distances: member(json, "squared_distances")?,
-                timestamps: member(json, "timestamps")?,
-                elapsed_ms: member(json, "elapsed_ms")?,
-                cost: member(json, "cost")?,
-                explain: match json.get("explain") {
-                    Some(report) => Some(PlanReportJson::from_json(report)?),
-                    None => None,
-                },
-            }),
-            "batch_result" => Ok(PalmResponse::Batch {
-                responses: member(json, "responses")?,
-            }),
-            "inserted" => Ok(PalmResponse::Inserted {
-                name: member(json, "name")?,
-                inserted: member(json, "inserted")?,
-                total: member(json, "total")?,
-            }),
-            "metrics" => Ok(PalmResponse::Metrics {
-                name: member(json, "name")?,
-                report: member(json, "report")?,
-                footprint_bytes: member(json, "footprint_bytes")?,
-            }),
-            "recommendation" => Ok(PalmResponse::Recommendation {
-                recommendation: member(json, "recommendation")?,
-            }),
-            "indexes" => Ok(PalmResponse::Indexes {
-                names: member(json, "names")?,
-            }),
-            "stats" => Ok(PalmResponse::Stats {
-                requests: member(json, "requests")?,
-                cache_hits: member(json, "cache_hits")?,
-                cache_misses: member(json, "cache_misses")?,
-                cache_entries: member(json, "cache_entries")?,
-                shed: member(json, "shed")?,
-                deadline_exceeded: member(json, "deadline_exceeded")?,
-                indexes: member(json, "indexes")?,
-                planner_adaptive: member(json, "planner_adaptive")?,
-                planner_fixed: member(json, "planner_fixed")?,
-                plans_parallel: member(json, "plans_parallel")?,
-                plans_sequential: member(json, "plans_sequential")?,
-                plans_read_ahead_off: member(json, "plans_read_ahead_off")?,
-            }),
-            "error" => Ok(PalmResponse::Error {
-                kind: member(json, "kind")?,
-                message: member(json, "message")?,
-                partial_cost: match json.get("partial_cost") {
-                    Some(cost) => Some(QueryCostJson::from_json(cost)?),
-                    None => None,
-                },
-                retry_after_ms: match json.get("retry_after_ms") {
-                    Some(_) => Some(member(json, "retry_after_ms")?),
-                    None => None,
-                },
-                shard_costs: match json.get("shard_costs") {
-                    Some(_) => Some(member(json, "shard_costs")?),
-                    None => None,
-                },
-            }),
-            other => Err(JsonError::new(format!("unknown response type '{other}'"))),
         }
     }
 }
@@ -1183,9 +695,9 @@ fn request_deadline(value: Option<&Json>) -> Result<Option<Instant>, ServiceErro
 fn query_result(
     name: String,
     neighbors: &[coconut_series::distance::Neighbor],
-    cost: QueryCostJson,
+    cost: QueryCost,
     elapsed_ms: f64,
-    explain: Option<PlanReportJson>,
+    explain: Option<PlanReport>,
 ) -> PalmResponse {
     PalmResponse::QueryResult {
         name,
@@ -1215,33 +727,65 @@ pub struct ServiceStats {
     plans_read_ahead_off: AtomicU64,
 }
 
-/// A point-in-time copy of [`ServiceStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStatsSnapshot {
-    /// Requests handled (batch sub-requests count individually).
-    pub requests: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that missed the result cache and were computed.
-    pub cache_misses: u64,
-    /// Requests shed by admission control (see [`PalmServer::note_shed`]).
-    pub shed: u64,
-    /// Requests that missed their deadline.
-    pub deadline_exceeded: u64,
-    /// Queries executed through the adaptive planner.
-    pub planner_adaptive: u64,
-    /// Queries executed with fixed knobs.
-    pub planner_fixed: u64,
-    /// Adaptive plans that chose a parallel fan-out.
-    pub plans_parallel: u64,
-    /// Adaptive plans that chose sequential execution.
-    pub plans_sequential: u64,
-    /// Adaptive plans that disabled read-ahead.
-    pub plans_read_ahead_off: u64,
+coconut_json::wire! {
+    /// A point-in-time copy of [`ServiceStats`], with the server's cache
+    /// and registry sizes: the members of the `stats` response.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServiceStatsSnapshot {
+        /// Requests handled (batch sub-requests count individually).
+        pub requests: u64,
+        /// Queries answered from the result cache.
+        pub cache_hits: u64,
+        /// Queries that missed the result cache and were computed (counted
+        /// only when the cache is enabled).
+        pub cache_misses: u64,
+        /// Replies currently recorded in the result cache.
+        pub cache_entries: u64,
+        /// Requests shed by admission control (see
+        /// [`PalmServer::note_shed`]).
+        pub shed: u64,
+        /// Requests that missed their deadline.
+        pub deadline_exceeded: u64,
+        /// Indexes currently registered.
+        pub indexes: u64,
+        /// Queries executed through the adaptive planner.
+        pub planner_adaptive: u64,
+        /// Queries executed with fixed knobs.
+        pub planner_fixed: u64,
+        /// Adaptive plans that chose a parallel fan-out (>1 worker).
+        pub plans_parallel: u64,
+        /// Adaptive plans that chose sequential execution (1 worker).
+        pub plans_sequential: u64,
+        /// Adaptive plans that disabled read-ahead (cache-resident index).
+        pub plans_read_ahead_off: u64,
+    }
+}
+
+impl ServiceStatsSnapshot {
+    /// Two services' counters as one fleet's: every counter sums, except
+    /// `indexes`, the larger of the two (every shard registers the same
+    /// names).
+    pub fn merged(&self, other: &ServiceStatsSnapshot) -> ServiceStatsSnapshot {
+        ServiceStatsSnapshot {
+            requests: self.requests + other.requests,
+            cache_hits: self.cache_hits + other.cache_hits,
+            cache_misses: self.cache_misses + other.cache_misses,
+            cache_entries: self.cache_entries + other.cache_entries,
+            shed: self.shed + other.shed,
+            deadline_exceeded: self.deadline_exceeded + other.deadline_exceeded,
+            indexes: self.indexes.max(other.indexes),
+            planner_adaptive: self.planner_adaptive + other.planner_adaptive,
+            planner_fixed: self.planner_fixed + other.planner_fixed,
+            plans_parallel: self.plans_parallel + other.plans_parallel,
+            plans_sequential: self.plans_sequential + other.plans_sequential,
+            plans_read_ahead_off: self.plans_read_ahead_off + other.plans_read_ahead_off,
+        }
+    }
 }
 
 impl ServiceStats {
-    /// Reads all counters.
+    /// Reads all counters (the cache and registry sizes are the server's
+    /// to fill in).
     pub fn snapshot(&self) -> ServiceStatsSnapshot {
         ServiceStatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
@@ -1254,6 +798,7 @@ impl ServiceStats {
             plans_parallel: self.plans_parallel.load(Ordering::Relaxed),
             plans_sequential: self.plans_sequential.load(Ordering::Relaxed),
             plans_read_ahead_off: self.plans_read_ahead_off.load(Ordering::Relaxed),
+            ..ServiceStatsSnapshot::default()
         }
     }
 
@@ -1326,9 +871,14 @@ impl PalmServer {
         self.cache.is_some()
     }
 
-    /// Service counters (shared with the `stats` verb).
+    /// Service counters, with the cache and registry sizes (what the
+    /// `stats` verb answers).
     pub fn stats(&self) -> ServiceStatsSnapshot {
-        self.stats.snapshot()
+        ServiceStatsSnapshot {
+            cache_entries: self.cache.as_ref().map_or(0, |c| c.len() as u64),
+            indexes: self.indexes.read().len() as u64,
+            ..self.stats.snapshot()
+        }
     }
 
     /// Records a request shed by admission control.  The network
@@ -1466,13 +1016,12 @@ impl PalmServer {
             return None;
         }
         let members = scan_object(frame).ok()?;
-        let member = |key: &str| members.iter().find(|m| m.key == key);
-        let deadline = match member("deadline_ms") {
+        let deadline = match find_member(&members, "deadline_ms") {
             Some(value) => request_deadline(Some(&Json::parse(value.raw).ok()?)).ok()?,
             None => None,
         };
         let cancel = deadline.map_or_else(|| cancel.clone(), |at| cancel.with_deadline(at));
-        let elements = scan_array(member("requests")?.raw).ok()?;
+        let elements = scan_array(find_member(&members, "requests")?.raw).ok()?;
         let start = Instant::now();
         let mut replies: Vec<Option<String>> = Vec::with_capacity(elements.len());
         let mut misses = Vec::new();
@@ -1684,13 +1233,7 @@ impl PalmServer {
                     registered.index.knn_planned(&query, k, exact, cancel)?;
                 self.stats.note_plan(plan.as_ref());
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-                let response = query_result(
-                    name,
-                    &neighbors,
-                    cost.into(),
-                    elapsed_ms,
-                    plan.map(Into::into),
-                );
+                let response = query_result(name, &neighbors, cost, elapsed_ms, plan);
                 return Ok((response, Some(version)));
             }
             PalmRequest::Batch { requests } => PalmResponse::Batch {
@@ -1766,23 +1309,9 @@ impl PalmServer {
                 names.sort();
                 PalmResponse::Indexes { names }
             }
-            PalmRequest::Stats => {
-                let snapshot = self.stats.snapshot();
-                PalmResponse::Stats {
-                    requests: snapshot.requests,
-                    cache_hits: snapshot.cache_hits,
-                    cache_misses: snapshot.cache_misses,
-                    cache_entries: self.cache.as_ref().map_or(0, |c| c.len() as u64),
-                    shed: snapshot.shed,
-                    deadline_exceeded: snapshot.deadline_exceeded,
-                    indexes: self.indexes.read().len() as u64,
-                    planner_adaptive: snapshot.planner_adaptive,
-                    planner_fixed: snapshot.planner_fixed,
-                    plans_parallel: snapshot.plans_parallel,
-                    plans_sequential: snapshot.plans_sequential,
-                    plans_read_ahead_off: snapshot.plans_read_ahead_off,
-                }
-            }
+            PalmRequest::Stats => PalmResponse::Stats {
+                stats: self.stats(),
+            },
         };
         Ok((response, None))
     }

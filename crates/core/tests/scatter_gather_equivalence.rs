@@ -39,7 +39,7 @@ use coconut_core::backend::{BackendError, ExecutionBackend, LocalBackend};
 use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
 };
-use coconut_core::{CancelToken, Dataset, VariantKind};
+use coconut_core::{CancelToken, Compression, Dataset, IoStatsSnapshot, VariantKind};
 use coconut_json::{FromJson, Json, ToJson};
 use coconut_net::{Coordinator, NetServer, RemoteBackend, RequestHandler, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -352,6 +352,42 @@ fn single_shard_coordinator_degenerates_to_plain_server() {
     assert_eq!(normalized(&expected), normalized(&merged));
 }
 
+/// A sharded build's report, and the fleet's `metrics`, sum every shard's
+/// I/O on all eight counters: the coordinator's `io` is the `plus` of what
+/// each worker reports for its own shard, physical bytes included.
+#[test]
+fn built_io_sums_every_counter_across_shards() {
+    let dir = ScratchDir::new("sg-built-io").unwrap();
+    let (dataset_path, _) = dataset(&dir, 120, 23);
+    let palms: Vec<Arc<PalmServer>> = (0..2)
+        .map(|shard| Arc::new(PalmServer::new(dir.file(&format!("w{shard}")))))
+        .collect();
+    let fleet = Coordinator::new(
+        palms
+            .iter()
+            .map(|palm| Arc::new(LocalBackend::new(Arc::clone(palm))) as Arc<dyn ExecutionBackend>)
+            .collect(),
+    );
+    let mut request = build_variant("idx", &dataset_path, VariantKind::CTree);
+    if let PalmRequest::BuildIndex { compression, .. } = &mut request {
+        *compression = Compression::Prefix;
+    }
+    let metrics = || PalmRequest::Metrics { name: "idx".into() };
+    let io_of = |response: PalmResponse| match response {
+        PalmResponse::Built { report, .. } | PalmResponse::Metrics { report, .. } => report.io,
+        other => panic!("unexpected response {other:?}"),
+    };
+    let built = io_of(fleet.handle_with_deadline(request, None));
+    let shards: Vec<IoStatsSnapshot> = palms
+        .iter()
+        .map(|palm| io_of(palm.handle(metrics())))
+        .collect();
+    let sum = shards[0].plus(&shards[1]);
+    assert_eq!(built, sum);
+    assert_eq!(io_of(fleet.handle_with_deadline(metrics(), None)), sum);
+    assert!(shards.iter().all(|io| io.physical_bytes_written > 0));
+}
+
 /// Sharded `stats` aggregates per-shard counters: the fleet's requests
 /// and cache counters are the field-wise sums of its workers'.
 #[test]
@@ -365,13 +401,14 @@ fn stats_aggregate_across_shards() {
         assert!(matches!(response, PalmResponse::QueryResult { .. }));
     }
     match fleet.handle_with_deadline(PalmRequest::Stats, None) {
-        PalmResponse::Stats {
-            requests, indexes, ..
-        } => {
+        PalmResponse::Stats { stats } => {
             // Each of the 2 shards saw the build, 4 queries, and the
             // scattered stats request itself.
-            assert_eq!(requests, 12, "per-shard counters must sum");
-            assert_eq!(indexes, 1, "indexes reports the fleet-wide name count");
+            assert_eq!(stats.requests, 12, "per-shard counters must sum");
+            assert_eq!(
+                stats.indexes, 1,
+                "indexes reports the fleet-wide name count"
+            );
         }
         other => panic!("unexpected stats response {other:?}"),
     }

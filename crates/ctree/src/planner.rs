@@ -48,47 +48,51 @@ pub type PlannedAnswer = (
     Option<PlanReport>,
 );
 
-/// Everything a planning decision is allowed to depend on, captured as plain
-/// integers at a single point in time.  See the module docs for the
-/// capture/decide split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerInputs {
-    /// On-disk footprint of the index in bytes.
-    pub footprint_bytes: u64,
-    /// Estimated page-cache budget of the host in bytes at capture time
-    /// (see [`cache_budget_bytes`]).  An index whose footprint fits this
-    /// budget with headroom is treated as cache-resident.
-    pub cache_budget_bytes: u64,
-    /// Search units the query fans out over (runs × shards + buffer for
-    /// CLSM, leaves + delta for CTree, partitions for streams).
-    pub unit_count: usize,
-    /// Sorted runs (levels) backing the index; `1` for single-file indexes.
-    pub run_count: usize,
-    /// Available cores at capture time.
-    pub cores: usize,
-    /// Neighbours requested.
-    pub k: usize,
-    /// Exact (two-phase) or approximate (probe-only) search.
-    pub exact: bool,
-    /// Random share of the index's reads so far, in permille (`0` = all
-    /// sequential, `1000` = all random), from the rolling `IoStats`
-    /// history.
-    pub random_read_permille: u32,
+coconut_json::wire! {
+    /// Everything a planning decision is allowed to depend on, captured as plain
+    /// integers at a single point in time.  See the module docs for the
+    /// capture/decide split.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PlannerInputs {
+        /// On-disk footprint of the index in bytes.
+        pub footprint_bytes: u64,
+        /// Estimated page-cache budget of the host in bytes at capture time
+        /// (see [`cache_budget_bytes`]).  An index whose footprint fits this
+        /// budget with headroom is treated as cache-resident.
+        pub cache_budget_bytes: u64,
+        /// Search units the query fans out over (runs × shards + buffer for
+        /// CLSM, leaves + delta for CTree, partitions for streams).
+        pub unit_count: usize,
+        /// Sorted runs (levels) backing the index; `1` for single-file indexes.
+        pub run_count: usize,
+        /// Available cores at capture time.
+        pub cores: usize,
+        /// Neighbours requested.
+        pub k: usize,
+        /// Exact (two-phase) or approximate (probe-only) search.
+        pub exact: bool,
+        /// Random share of the index's reads so far, in permille (`0` = all
+        /// sequential, `1000` = all random), from the rolling `IoStats`
+        /// history.
+        pub random_read_permille: u32,
+    }
 }
 
-/// The knobs a plan assigns.  All of them are proven pure performance
-/// knobs, so any assignment yields bit-identical answers and costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanDecision {
-    /// Worker threads for the engine fan-out over search units (the shard
-    /// fan-out; the engine additionally caps at the unit count).
-    pub query_parallelism: usize,
-    /// Whether background read-ahead should engage at all for large
-    /// sequential range reads (merges, compactions).
-    pub read_ahead: bool,
-    /// Minimum contiguous range, in bytes, below which read-ahead stays
-    /// disengaged even when [`PlanDecision::read_ahead`] is `true`.
-    pub prefetch_min_bytes: u64,
+coconut_json::wire! {
+    /// The knobs a plan assigns.  All of them are proven pure performance
+    /// knobs, so any assignment yields bit-identical answers and costs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PlanDecision {
+        /// Worker threads for the engine fan-out over search units (the shard
+        /// fan-out; the engine additionally caps at the unit count).
+        pub query_parallelism: usize,
+        /// Whether background read-ahead should engage at all for large
+        /// sequential range reads (merges, compactions).
+        pub read_ahead: bool,
+        /// Minimum contiguous range, in bytes, below which read-ahead stays
+        /// disengaged even when [`PlanDecision::read_ahead`] is `true`.
+        pub prefetch_min_bytes: u64,
+    }
 }
 
 impl PlanDecision {
@@ -103,15 +107,19 @@ impl PlanDecision {
     }
 }
 
-/// One recorded planning decision: the captured inputs and the knobs chosen
-/// from them.  `decision == plan(&inputs)` always holds — the report is
-/// replayable by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanReport {
-    /// The captured snapshot the decision was computed from.
-    pub inputs: PlannerInputs,
-    /// The knobs chosen.
-    pub decision: PlanDecision,
+coconut_json::wire! {
+    /// One recorded planning decision: the captured inputs and the knobs
+    /// chosen from them.  `decision == plan(&inputs)` always holds — the
+    /// report is replayable by construction.  The `explain` object of the
+    /// palm protocol, `{"inputs":{…},"decision":{…}}`; a member that does not
+    /// decode is reported bare, without the `field '…': ` prefix.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PlanReport {
+        /// The captured snapshot the decision was computed from.
+        pub inputs: PlannerInputs [bare],
+        /// The knobs chosen.
+        pub decision: PlanDecision [bare],
+    }
 }
 
 /// Residency headroom: an index is treated as page-cache-resident when
@@ -393,10 +401,12 @@ mod tests {
 
     #[test]
     fn mode_names_round_trip() {
+        use coconut_json::{FromJson, Json, ToJson};
         for mode in [PlannerMode::Fixed, PlannerMode::Adaptive] {
-            assert_eq!(PlannerMode::parse(mode.name()), Some(mode));
+            assert_eq!(mode.to_json(), Json::Str(mode.name().to_string()));
+            assert_eq!(PlannerMode::from_json(&mode.to_json()), Ok(mode));
         }
-        assert_eq!(PlannerMode::parse("greedy"), None);
+        assert!(PlannerMode::from_json(&Json::Str("greedy".to_string())).is_err());
         assert_eq!(PlannerMode::default(), PlannerMode::Fixed);
     }
 }

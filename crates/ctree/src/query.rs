@@ -105,26 +105,29 @@ impl KnnHeap {
     }
 }
 
-/// Per-query cost counters.
-///
-/// Concurrent queries keep one `QueryCost` per worker (inside that worker's
-/// [`QueryContext`]) and sum them into the returned cost with
-/// [`QueryCost::plus`] once every worker has joined — counters are never
-/// shared mutably across threads, so the aggregate is exact, and because
-/// each per-unit search is deterministic the summed cost is identical at
-/// every `query_parallelism` setting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryCost {
-    /// Entries whose summarization was examined (lower bound computed).
-    pub entries_examined: u64,
-    /// Entries refined with a true distance computation.
-    pub entries_refined: u64,
-    /// Raw series fetched from the original data file (non-materialized).
-    pub raw_fetches: u64,
-    /// Partitions / blocks skipped thanks to summarization pruning.
-    pub blocks_skipped: u64,
-    /// Partitions / blocks actually read.
-    pub blocks_read: u64,
+coconut_json::wire! {
+    /// Per-query cost counters.
+    ///
+    /// Concurrent queries keep one `QueryCost` per worker (inside that worker's
+    /// [`QueryContext`]) and sum them into the returned cost with
+    /// [`QueryCost::plus`] once every worker has joined — counters are never
+    /// shared mutably across threads, so the aggregate is exact, and because
+    /// each per-unit search is deterministic the summed cost is identical at
+    /// every `query_parallelism` setting.  The `cost` object of the palm
+    /// protocol's `query_result`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct QueryCost {
+        /// Entries whose summarization was examined (lower bound computed).
+        pub entries_examined: u64,
+        /// Entries refined with a true distance computation.
+        pub entries_refined: u64,
+        /// Raw series fetched from the original data file (non-materialized).
+        pub raw_fetches: u64,
+        /// Partitions / blocks actually read.
+        pub blocks_read: u64,
+        /// Partitions / blocks skipped thanks to summarization pruning.
+        pub blocks_skipped: u64,
+    }
 }
 
 impl QueryCost {

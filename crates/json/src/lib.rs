@@ -7,14 +7,16 @@
 //! serde is not available.
 //!
 //! The surface is deliberately tiny: a [`Json`] value enum, a recursive
-//! descent [`Json::parse`], compact and pretty writers, and the
-//! [`ToJson`] / [`FromJson`] conversion traits plus helpers for mapping
-//! struct-like objects.
+//! descent [`Json::parse`], compact and pretty writers, the [`ToJson`] /
+//! [`FromJson`] conversion traits, and [`wire!`], the declarative codec
+//! that derives both for every record of the palm protocol.
 //!
 //! Object members preserve insertion order so emitted documents are stable
 //! across runs (important for byte-comparing benchmark reports).
 
 use std::fmt::Write as _;
+
+pub mod wire;
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,6 +247,27 @@ impl RawMember<'_> {
     pub fn decode<T: FromJson>(&self) -> Result<T> {
         T::from_json(&Json::parse(self.raw)?)
     }
+
+    /// [`RawMember::decode`], its error worded as a record member's
+    /// (`field '…': …`).
+    pub fn field<T: FromJson>(&self) -> Result<T> {
+        self.decode().map_err(|e| wire::in_field(&self.key, e))
+    }
+}
+
+/// The first member called `key` of a scanned envelope: the one
+/// [`Json::get`] finds in the parsed object.
+pub fn find_member<'m, 'a>(members: &'m [RawMember<'a>], key: &str) -> Option<&'m RawMember<'a>> {
+    members.iter().find(|m| m.key == key)
+}
+
+/// [`find_member`] for a required member: its absence is refused as a
+/// record's is (`missing field '…'`).
+pub fn require_member<'m, 'a>(
+    members: &'m [RawMember<'a>],
+    key: &str,
+) -> Result<&'m RawMember<'a>> {
+    find_member(members, key).ok_or_else(|| wire::missing(key))
 }
 
 /// Scans the envelope of a request: validates that `input` is one JSON
@@ -794,21 +817,8 @@ impl<T: FromJson> FromJson for Vec<T> {
 
 /// Fetches a required member from a JSON object and converts it.
 pub fn member<T: FromJson>(json: &Json, key: &str) -> Result<T> {
-    let value = json
-        .get(key)
-        .ok_or_else(|| JsonError::new(format!("missing field '{key}'")))?;
-    T::from_json(value).map_err(|e| JsonError::new(format!("field '{key}': {e}")))
-}
-
-/// Fetches an optional member from a JSON object, returning `default` when
-/// the member is absent or null.
-pub fn member_or<T: FromJson>(json: &Json, key: &str, default: T) -> Result<T> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(value) => {
-            T::from_json(value).map_err(|e| JsonError::new(format!("field '{key}': {e}")))
-        }
-    }
+    let value = json.get(key).ok_or_else(|| wire::missing(key))?;
+    T::from_json(value).map_err(|e| wire::in_field(key, e))
 }
 
 #[cfg(test)]
@@ -888,7 +898,10 @@ mod tests {
     fn member_helpers() {
         let v = Json::parse(r#"{"k":5,"s":"x"}"#).unwrap();
         assert_eq!(member::<u64>(&v, "k").unwrap(), 5);
-        assert_eq!(member_or::<u64>(&v, "absent", 9).unwrap(), 9);
+        assert_eq!(
+            wire::take_or::<u64>(v.get("absent"), "absent", || 9).unwrap(),
+            9
+        );
         assert!(member::<u64>(&v, "s").is_err());
         assert!(member::<u64>(&v, "absent").is_err());
     }
@@ -1185,6 +1198,28 @@ mod tests {
         assert!(caps[1] >= big);
         assert!(caps[2] <= (doc.len() - zeros.len()) / 2, "{}", caps[2]);
         assert!(caps[3..].iter().all(|&c| c <= 4), "{:?}", &caps[3..]);
+    }
+
+    crate::wire! {
+        #[derive(Debug, PartialEq)]
+        struct Lazy {
+            spelled: u64 = panic!("a default is read only when its member is absent"),
+            fallback: u64 = spelled + 1,
+        }
+    }
+
+    #[test]
+    fn defaults_are_evaluated_only_when_absent() {
+        let lazy = Lazy::from_json(&Json::parse(r#"{"spelled":3,"fallback":null}"#).unwrap());
+        let lazy = lazy.unwrap();
+        assert_eq!(
+            lazy,
+            Lazy {
+                spelled: 3,
+                fallback: 4
+            }
+        );
+        assert_eq!(lazy.to_json().to_string(), r#"{"spelled":3,"fallback":4}"#);
     }
 
     #[test]

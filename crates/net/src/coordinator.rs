@@ -15,10 +15,12 @@
 //! `query` is broadcast *unprinted*: the front door scans the frame's
 //! envelope, decodes `name`, `k` and `exact` and checks the values of
 //! `query` are finite, then writes the shards' frame from the client's own
-//! spans.  `insert` is *routed*, not broadcast — the coordinator owns the
-//! global id space and sends each append to one shard (round-robin) with an
-//! explicit `base_id` — and routed *unread*: the shard gets the client's
-//! `series` bytes verbatim (see DESIGN.md, "Wire path: who parses what").
+//! spans; it looks the members up and words a refusal through the same
+//! `coconut-json` helpers the parsed path's codec uses.  `insert` is
+//! *routed*, not broadcast — the coordinator owns the global id space and
+//! sends each append to one shard (round-robin) with an explicit `base_id`
+//! — and routed *unread*: the shard gets the client's `series` bytes
+//! verbatim (see DESIGN.md, "Wire path: who parses what").
 //! `build_index` is fragmented by [`chunk_bounds`] into one ranged build
 //! per shard.
 //!
@@ -35,8 +37,10 @@
 //! merges with [`merge_topk`] — the *same* function the engine uses to
 //! combine per-run candidates — so the distributed exact answer is
 //! bit-identical to single-node execution over the same data, and the
-//! merged `QueryCost` is the field-wise sum of per-shard costs, exactly
-//! as single-node cost sums per-run work.  See DESIGN.md,
+//! merged `QueryCost` — the engine's own record, as the wire carries it —
+//! is the field-wise sum of per-shard costs, exactly as single-node cost
+//! sums per-run work.  Build reports sum with `IoStatsSnapshot::plus` and
+//! `stats` with `ServiceStatsSnapshot::merged`.  See DESIGN.md,
 //! "Scatter-gather", for the full argument.
 //!
 //! **Failure semantics.**  A shard that cannot be reached (worker died,
@@ -55,11 +59,14 @@ use std::time::{Duration, Instant};
 
 use coconut_core::backend::{deadline_ms, encode_frame, BackendError, ExecutionBackend};
 use coconut_core::palm::{
-    PalmRequest, PalmResponse, QueryCostJson, ServiceStatsSnapshot, ShardCostJson,
-    ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
+    PalmRequest, PalmResponse, ServiceStatsSnapshot, ShardCostJson, ERROR_KIND_CONFIG,
+    ERROR_KIND_MALFORMED, ERROR_KIND_SHARD_UNAVAILABLE,
 };
 use coconut_core::{check_finite, merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
-use coconut_json::{scan_object, FromJson, Json, JsonError, RawMember, ToJson};
+use coconut_json::wire::in_field;
+use coconut_json::{
+    find_member, require_member, scan_object, FromJson, Json, JsonError, RawMember, ToJson,
+};
 use coconut_parallel::{chunk_bounds, CancelToken};
 
 use crate::server::RequestHandler;
@@ -253,19 +260,16 @@ impl Coordinator {
                             Neighbor::new_at(id, timestamp, squared)
                         })
                         .collect();
-                    merged.push((neighbors, cost_from_json(cost)));
+                    merged.push((neighbors, cost));
                     name = part_name;
                     // The fleet answers when its slowest shard does.
                     elapsed_ms = elapsed_ms.max(part_elapsed);
                 }
                 other => {
-                    return Err(PalmResponse::Error {
-                        kind: ERROR_KIND_MALFORMED.to_string(),
-                        message: format!("shard answered a non-query response {other:?}"),
-                        partial_cost: None,
-                        retry_after_ms: None,
-                        shard_costs: None,
-                    })
+                    return Err(PalmResponse::error(
+                        ERROR_KIND_MALFORMED,
+                        format!("shard answered a non-query response {other:?}"),
+                    ))
                 }
             }
         }
@@ -277,7 +281,7 @@ impl Coordinator {
             squared_distances: neighbors.iter().map(|n| n.squared_distance).collect(),
             timestamps: neighbors.iter().map(|n| n.timestamp).collect(),
             elapsed_ms,
-            cost: cost.into(),
+            cost,
             // Per-shard plans cannot be presented as one decision; the
             // coordinator's answers are explain-less by design.
             explain: None,
@@ -391,13 +395,10 @@ impl Coordinator {
                     }
                 },
                 PalmRequest::Batch { .. } => {
-                    responses[i] = Some(PalmResponse::Error {
-                        kind: ERROR_KIND_MALFORMED.to_string(),
-                        message: "batch requests cannot be nested".to_string(),
-                        partial_cost: None,
-                        retry_after_ms: None,
-                        shard_costs: None,
-                    });
+                    responses[i] = Some(PalmResponse::error(
+                        ERROR_KIND_MALFORMED,
+                        "batch requests cannot be nested",
+                    ));
                 }
                 other => {
                     responses[i] = Some(self.handle_with_deadline(other, deadline));
@@ -435,15 +436,12 @@ impl Coordinator {
                         let column: Vec<PalmResponse> = per_shard
                             .iter_mut()
                             .map(|shard_responses| {
-                                shard_responses
-                                    .next()
-                                    .unwrap_or_else(|| PalmResponse::Error {
-                                        kind: ERROR_KIND_MALFORMED.to_string(),
-                                        message: "shard batch response too short".to_string(),
-                                        partial_cost: None,
-                                        retry_after_ms: None,
-                                        shard_costs: None,
-                                    })
+                                shard_responses.next().unwrap_or_else(|| {
+                                    PalmResponse::error(
+                                        ERROR_KIND_MALFORMED,
+                                        "shard batch response too short",
+                                    )
+                                })
                             })
                             .collect();
                         let merged = if column
@@ -622,26 +620,23 @@ impl Coordinator {
 
     /// An `insert` as it came off the wire: reads the envelope's small
     /// members, counts the rows of `series` and routes its text untouched.
-    /// Mirrors what `PalmRequest::from_json` accepts, down to its messages;
-    /// what the rows *hold* is for the shard to judge.
+    /// Members are looked up, and refused, by the `coconut-json` helpers the
+    /// codec uses; what the rows *hold* is for the shard to judge.
     fn insert_frame(
         &self,
         members: &[RawMember<'_>],
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, JsonError> {
-        let required = |key: &str| {
-            find(members, key).ok_or_else(|| JsonError::new(format!("missing field '{key}'")))
-        };
-        let name: String = decode(required("name")?)?;
-        let series = required("series")?;
+        let name: String = require_member(members, "name")?.field()?;
+        let series = require_member(members, "series")?;
         let rows = series
             .elements
-            .ok_or_else(|| JsonError::new("field 'series': expected an array"))?;
-        let timestamp = match find(members, "timestamp") {
-            Some(member) if member.raw != "null" => decode::<u64>(member)?,
+            .ok_or_else(|| in_field("series", JsonError::new("expected an array")))?;
+        let timestamp = match find_member(members, "timestamp") {
+            Some(member) if member.raw != "null" => member.field::<u64>()?,
             _ => 0,
         };
-        if find(members, "base_id").is_some() {
+        if find_member(members, "base_id").is_some() {
             return Ok(base_id_error());
         }
         Ok(self.insert(&name, series.raw, rows as u64, timestamp, deadline))
@@ -649,25 +644,22 @@ impl Coordinator {
 
     /// A `query` as it came off the wire: reads `name`, `k` and `exact`,
     /// checks the values of `query` are finite, and broadcasts a frame
-    /// written from the client's own spans of the four.  Mirrors what
-    /// `PalmRequest::from_json` accepts, down to its messages; the floats are
-    /// decoded for the check and never printed.
+    /// written from the client's own spans of the four.  Members are looked
+    /// up, and refused, by the `coconut-json` helpers the codec uses; the
+    /// floats are decoded for the check and never printed.
     fn query_frame(
         &self,
         members: &[RawMember<'_>],
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, JsonError> {
-        let required = |key: &str| {
-            find(members, key).ok_or_else(|| JsonError::new(format!("missing field '{key}'")))
-        };
-        let name = required("name")?;
-        decode::<String>(name)?;
-        let query = required("query")?;
-        let values: Vec<f32> = decode(query)?;
-        let k = required("k")?;
-        let k_value: usize = decode(k)?;
-        let exact = required("exact")?;
-        decode::<bool>(exact)?;
+        let name = require_member(members, "name")?;
+        name.field::<String>()?;
+        let query = require_member(members, "query")?;
+        let values: Vec<f32> = query.field()?;
+        let k = require_member(members, "k")?;
+        let k_value: usize = k.field()?;
+        let exact = require_member(members, "exact")?;
+        exact.field::<bool>()?;
         if let Err(e) = check_finite("query", &values) {
             return Ok(config_error(e.to_string()));
         }
@@ -717,86 +709,22 @@ impl Coordinator {
         }
     }
 
-    /// Fleet stats: counters sum field by field, each under its own name;
-    /// `indexes` is the max (every shard registers the same names); the
-    /// coordinator's own shed count joins the fleet's.
+    /// Fleet stats: the shards' counters folded by
+    /// [`ServiceStatsSnapshot::merged`] (counters sum, `indexes` is the
+    /// max), the coordinator's own shed count joining the fleet's.
     fn merge_stats(&self, parts: Vec<PalmResponse>) -> PalmResponse {
         let mut fleet = ServiceStatsSnapshot {
             shed: self.shed.load(Ordering::Relaxed),
             ..ServiceStatsSnapshot::default()
         };
-        let (mut cache_entries, mut indexes) = (0, 0);
         for part in parts {
-            let PalmResponse::Stats {
-                requests,
-                cache_hits,
-                cache_misses,
-                cache_entries: shard_entries,
-                shed,
-                deadline_exceeded,
-                indexes: shard_indexes,
-                planner_adaptive,
-                planner_fixed,
-                plans_parallel,
-                plans_sequential,
-                plans_read_ahead_off,
-            } = part
-            else {
+            let PalmResponse::Stats { stats } = part else {
                 return config_error(format!("shard answered non-stats {part:?}"));
             };
-            fleet.requests += requests;
-            fleet.cache_hits += cache_hits;
-            fleet.cache_misses += cache_misses;
-            cache_entries += shard_entries;
-            fleet.shed += shed;
-            fleet.deadline_exceeded += deadline_exceeded;
-            indexes = shard_indexes.max(indexes);
-            fleet.planner_adaptive += planner_adaptive;
-            fleet.planner_fixed += planner_fixed;
-            fleet.plans_parallel += plans_parallel;
-            fleet.plans_sequential += plans_sequential;
-            fleet.plans_read_ahead_off += plans_read_ahead_off;
+            fleet = fleet.merged(&stats);
         }
-        PalmResponse::Stats {
-            requests: fleet.requests,
-            cache_hits: fleet.cache_hits,
-            cache_misses: fleet.cache_misses,
-            cache_entries,
-            shed: fleet.shed,
-            deadline_exceeded: fleet.deadline_exceeded,
-            indexes,
-            planner_adaptive: fleet.planner_adaptive,
-            planner_fixed: fleet.planner_fixed,
-            plans_parallel: fleet.plans_parallel,
-            plans_sequential: fleet.plans_sequential,
-            plans_read_ahead_off: fleet.plans_read_ahead_off,
-        }
+        PalmResponse::Stats { stats: fleet }
     }
-}
-
-/// `QueryCostJson` back to the engine's cost record (both are plain
-/// field-for-field counters).
-fn cost_from_json(cost: QueryCostJson) -> QueryCost {
-    QueryCost {
-        entries_examined: cost.entries_examined,
-        entries_refined: cost.entries_refined,
-        raw_fetches: cost.raw_fetches,
-        blocks_skipped: cost.blocks_skipped,
-        blocks_read: cost.blocks_read,
-    }
-}
-
-/// The first member called `key` of a scanned envelope (what `Json::get`
-/// finds in a parsed one).
-fn find<'m, 'a>(members: &'m [RawMember<'a>], key: &str) -> Option<&'m RawMember<'a>> {
-    members.iter().find(|m| m.key == key)
-}
-
-/// `coconut_json::member`'s conversion and message, over a scanned member.
-fn decode<T: FromJson>(member: &RawMember<'_>) -> Result<T, JsonError> {
-    member
-        .decode()
-        .map_err(|e| JsonError::new(format!("field '{}': {e}", member.key)))
 }
 
 /// Appends the folded deadline as a `deadline_ms` member, in the form
@@ -827,29 +755,19 @@ fn base_id_error() -> PalmResponse {
 }
 
 fn config_error(message: impl Into<String>) -> PalmResponse {
-    PalmResponse::Error {
-        kind: ERROR_KIND_CONFIG.to_string(),
-        message: message.into(),
-        partial_cost: None,
-        retry_after_ms: None,
-        shard_costs: None,
-    }
+    PalmResponse::error(ERROR_KIND_CONFIG, message)
 }
 
-/// Field-wise aggregation of two shards' build metrics: entries,
-/// footprint and I/O sum; wall-clock is the slower build (they ran
-/// concurrently).
-fn merge_build_reports(mut acc: BuildReport, other: &BuildReport) -> BuildReport {
-    acc.elapsed_ms = acc.elapsed_ms.max(other.elapsed_ms);
-    acc.entries += other.entries;
-    acc.footprint_bytes += other.footprint_bytes;
-    acc.io.sequential_reads += other.io.sequential_reads;
-    acc.io.random_reads += other.io.random_reads;
-    acc.io.sequential_writes += other.io.sequential_writes;
-    acc.io.random_writes += other.io.random_writes;
-    acc.io.bytes_read += other.io.bytes_read;
-    acc.io.bytes_written += other.io.bytes_written;
-    acc
+/// Two shards' build metrics as one: entries, footprint and I/O sum (all
+/// eight I/O counters, by [`coconut_core::IoStatsSnapshot::plus`]);
+/// wall-clock is the slower build (they ran concurrently).
+fn merge_build_reports(acc: BuildReport, other: &BuildReport) -> BuildReport {
+    BuildReport {
+        elapsed_ms: acc.elapsed_ms.max(other.elapsed_ms),
+        io: acc.io.plus(&other.io),
+        footprint_bytes: acc.footprint_bytes + other.footprint_bytes,
+        entries: acc.entries + other.entries,
+    }
 }
 
 impl RequestHandler for Coordinator {
@@ -859,15 +777,9 @@ impl RequestHandler for Coordinator {
     /// parsed; every other verb is parsed and handled typed.
     fn handle_json_bytes(&self, request: Vec<u8>, cancel: &CancelToken) -> String {
         let malformed = |message: String| {
-            PalmResponse::Error {
-                kind: ERROR_KIND_MALFORMED.to_string(),
-                message,
-                partial_cost: None,
-                retry_after_ms: None,
-                shard_costs: None,
-            }
-            .to_json()
-            .to_string()
+            PalmResponse::error(ERROR_KIND_MALFORMED, message)
+                .to_json()
+                .to_string()
         };
         let Ok(text) = String::from_utf8(request) else {
             return malformed("request is not valid UTF-8".to_string());
@@ -879,7 +791,7 @@ impl RequestHandler for Coordinator {
             Ok(members) => members,
             Err(e) => return malformed(format!("malformed request: {e}")),
         };
-        let request_deadline = match find(&members, "deadline_ms") {
+        let request_deadline = match find_member(&members, "deadline_ms") {
             None => None,
             Some(value) => match value.decode::<f64>() {
                 Ok(ms) if ms >= 0.0 => Some(Duration::from_millis(ms as u64)),
@@ -894,7 +806,7 @@ impl RequestHandler for Coordinator {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let kind = find(&members, "type").and_then(|kind| kind.decode::<String>().ok());
+        let kind = find_member(&members, "type").and_then(|kind| kind.decode::<String>().ok());
         let response = match kind.as_deref() {
             Some("insert") => self.insert_frame(&members, deadline),
             Some("query") => self.query_frame(&members, deadline),

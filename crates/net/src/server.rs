@@ -8,9 +8,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use coconut_core::palm::{
-    PalmServer, ERROR_KIND_MALFORMED, ERROR_KIND_OVERLOADED, ERROR_KIND_SHUTTING_DOWN,
+    PalmResponse, PalmServer, ERROR_KIND_MALFORMED, ERROR_KIND_OVERLOADED, ERROR_KIND_SHUTTING_DOWN,
 };
-use coconut_json::Json;
+use coconut_json::ToJson;
 use coconut_parallel::CancelToken;
 use parking_lot::Mutex;
 
@@ -294,15 +294,15 @@ impl NetServer<PalmServer> {
 }
 
 fn error_payload(kind: &str, message: &str, retry_after_ms: Option<u64>) -> String {
-    let mut members = vec![
-        ("type", Json::Str("error".into())),
-        ("kind", Json::Str(kind.into())),
-        ("message", Json::Str(message.into())),
-    ];
-    if let Some(ms) = retry_after_ms {
-        members.push(("retry_after_ms", Json::Num(ms as f64)));
+    PalmResponse::Error {
+        kind: kind.to_string(),
+        message: message.to_string(),
+        partial_cost: None,
+        retry_after_ms,
+        shard_costs: None,
     }
-    Json::obj(members).to_string()
+    .to_json()
+    .to_string()
 }
 
 fn accept_loop<H: RequestHandler>(

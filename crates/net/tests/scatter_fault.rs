@@ -643,7 +643,7 @@ fn shard_error_round_trips_through_json() {
         shard_costs: Some(vec![
             coconut_core::palm::ShardCostJson {
                 shard: 0,
-                cost: Some(coconut_core::palm::QueryCostJson {
+                cost: Some(coconut_core::QueryCost {
                     entries_examined: 10,
                     entries_refined: 4,
                     raw_fetches: 2,

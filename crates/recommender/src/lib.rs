@@ -21,37 +21,39 @@
 //! * heavy in-place update rates on static data lower the CTree fill factor
 //!   or switch to CLSM.
 
-use coconut_json::{member, FromJson, Json, JsonError, ToJson};
-
-/// Whether the data arrives as a fixed archive or as a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataArrival {
-    /// The whole collection exists up front (Scenario 1).
-    Static,
-    /// Series keep arriving in batches (Scenario 2).
-    Streaming,
+coconut_json::wire! {
+    /// Whether the data arrives as a fixed archive or as a stream.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DataArrival names "DataArrival" {
+        /// The whole collection exists up front (Scenario 1).
+        Static = "Static",
+        /// Series keep arriving in batches (Scenario 2).
+        Streaming = "Streaming",
+    }
 }
 
-/// Description of the target application scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Scenario {
-    /// How data arrives.
-    pub arrival: DataArrival,
-    /// Number of series expected in the collection (or per retention period
-    /// for streams).
-    pub collection_size: u64,
-    /// Length of each series in points.
-    pub series_len: usize,
-    /// Main-memory budget available to the index, in bytes.
-    pub memory_budget_bytes: u64,
-    /// Storage budget available on disk, in bytes (0 = unconstrained).
-    pub storage_budget_bytes: u64,
-    /// Expected number of queries over the lifetime of the index.
-    pub expected_queries: u64,
-    /// Expected number of updates (new series) after the initial build.
-    pub expected_updates: u64,
-    /// For streams: do queries typically use small temporal windows?
-    pub small_windows: bool,
+coconut_json::wire! {
+    /// Description of the target application scenario.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Scenario {
+        /// How data arrives.
+        pub arrival: DataArrival,
+        /// Number of series expected in the collection (or per retention
+        /// period for streams).
+        pub collection_size: u64,
+        /// Length of each series in points.
+        pub series_len: usize,
+        /// Main-memory budget available to the index, in bytes.
+        pub memory_budget_bytes: u64,
+        /// Storage budget available on disk, in bytes (0 = unconstrained).
+        pub storage_budget_bytes: u64,
+        /// Expected number of queries over the lifetime of the index.
+        pub expected_queries: u64,
+        /// Expected number of updates (new series) after the initial build.
+        pub expected_updates: u64,
+        /// For streams: do queries typically use small temporal windows?
+        pub small_windows: bool,
+    }
 }
 
 impl Scenario {
@@ -90,137 +92,51 @@ impl Scenario {
     }
 }
 
-/// Index structure families available in the Coconut Palm matrix (Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StructureKind {
-    /// ADS+-style adaptive iSAX tree (the baseline).
-    Ads,
-    /// CoconutTree (read-optimized, bulk loaded).
-    CTree,
-    /// CoconutLSM (write-optimized, log-structured).
-    Clsm,
-}
-
-/// Streaming window scheme choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// No windowing (static data).
-    None,
-    /// Post-processing.
-    PostProcessing,
-    /// Temporal partitioning.
-    TemporalPartitioning,
-    /// Bounded temporal partitioning.
-    BoundedTemporalPartitioning,
-}
-
-/// The recommender's output: a configuration plus the rationale path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Recommendation {
-    /// Recommended structure family.
-    pub structure: StructureKind,
-    /// Whether the index should be materialized.
-    pub materialized: bool,
-    /// Recommended window scheme (streams only).
-    pub scheme: SchemeKind,
-    /// Recommended CTree leaf fill factor (1.0 when not applicable).
-    pub fill_factor: f64,
-    /// Recommended LSM growth factor (0 when not applicable).
-    pub growth_factor: usize,
-    /// Human-readable decision path, one line per decision taken.
-    pub rationale: Vec<String>,
-}
-
-macro_rules! impl_unit_enum_json {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                let name = match self {
-                    $($ty::$variant => stringify!($variant),)+
-                };
-                Json::Str(name.to_string())
-            }
-        }
-        impl FromJson for $ty {
-            fn from_json(json: &Json) -> coconut_json::Result<$ty> {
-                match json.as_str() {
-                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
-                    Some(other) => Err(JsonError::new(format!(
-                        "unknown {} variant '{other}'",
-                        stringify!($ty)
-                    ))),
-                    None => Err(JsonError::new(concat!(
-                        "expected a string for ",
-                        stringify!($ty)
-                    ))),
-                }
-            }
-        }
-    };
-}
-
-impl_unit_enum_json!(DataArrival { Static, Streaming });
-impl_unit_enum_json!(StructureKind { Ads, CTree, Clsm });
-impl_unit_enum_json!(SchemeKind {
-    None,
-    PostProcessing,
-    TemporalPartitioning,
-    BoundedTemporalPartitioning,
-});
-
-impl ToJson for Scenario {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("arrival", self.arrival.to_json()),
-            ("collection_size", self.collection_size.to_json()),
-            ("series_len", self.series_len.to_json()),
-            ("memory_budget_bytes", self.memory_budget_bytes.to_json()),
-            ("storage_budget_bytes", self.storage_budget_bytes.to_json()),
-            ("expected_queries", self.expected_queries.to_json()),
-            ("expected_updates", self.expected_updates.to_json()),
-            ("small_windows", self.small_windows.to_json()),
-        ])
+coconut_json::wire! {
+    /// Index structure families available in the Coconut Palm matrix
+    /// (Figure 1).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum StructureKind names "StructureKind" {
+        /// ADS+-style adaptive iSAX tree (the baseline).
+        Ads = "Ads",
+        /// CoconutTree (read-optimized, bulk loaded).
+        CTree = "CTree",
+        /// CoconutLSM (write-optimized, log-structured).
+        Clsm = "Clsm",
     }
 }
 
-impl FromJson for Scenario {
-    fn from_json(json: &Json) -> coconut_json::Result<Scenario> {
-        Ok(Scenario {
-            arrival: member(json, "arrival")?,
-            collection_size: member(json, "collection_size")?,
-            series_len: member(json, "series_len")?,
-            memory_budget_bytes: member(json, "memory_budget_bytes")?,
-            storage_budget_bytes: member(json, "storage_budget_bytes")?,
-            expected_queries: member(json, "expected_queries")?,
-            expected_updates: member(json, "expected_updates")?,
-            small_windows: member(json, "small_windows")?,
-        })
+coconut_json::wire! {
+    /// Streaming window scheme choices.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SchemeKind names "SchemeKind" {
+        /// No windowing (static data).
+        None = "None",
+        /// Post-processing.
+        PostProcessing = "PostProcessing",
+        /// Temporal partitioning.
+        TemporalPartitioning = "TemporalPartitioning",
+        /// Bounded temporal partitioning.
+        BoundedTemporalPartitioning = "BoundedTemporalPartitioning",
     }
 }
 
-impl ToJson for Recommendation {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("structure", self.structure.to_json()),
-            ("materialized", self.materialized.to_json()),
-            ("scheme", self.scheme.to_json()),
-            ("fill_factor", self.fill_factor.to_json()),
-            ("growth_factor", self.growth_factor.to_json()),
-            ("rationale", self.rationale.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Recommendation {
-    fn from_json(json: &Json) -> coconut_json::Result<Recommendation> {
-        Ok(Recommendation {
-            structure: member(json, "structure")?,
-            materialized: member(json, "materialized")?,
-            scheme: member(json, "scheme")?,
-            fill_factor: member(json, "fill_factor")?,
-            growth_factor: member(json, "growth_factor")?,
-            rationale: member(json, "rationale")?,
-        })
+coconut_json::wire! {
+    /// The recommender's output: a configuration plus the rationale path.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Recommendation {
+        /// Recommended structure family.
+        pub structure: StructureKind,
+        /// Whether the index should be materialized.
+        pub materialized: bool,
+        /// Recommended window scheme (streams only).
+        pub scheme: SchemeKind,
+        /// Recommended CTree leaf fill factor (1.0 when not applicable).
+        pub fill_factor: f64,
+        /// Recommended LSM growth factor (0 when not applicable).
+        pub growth_factor: usize,
+        /// Human-readable decision path, one line per decision taken.
+        pub rationale: Vec<String>,
     }
 }
 
@@ -347,6 +263,7 @@ pub fn recommend(scenario: &Scenario) -> Recommendation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_json::{FromJson, Json, ToJson};
 
     #[test]
     fn scenario_1_static_few_queries_gets_non_materialized_ctree() {

@@ -46,29 +46,26 @@ use crate::iostats::{AccessKind, SharedIoStats};
 use crate::page::page_of_offset;
 use crate::{Result, StorageError};
 
-/// On-disk compression scheme of a sorted run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Compression {
-    /// Raw fixed-size records, byte-identical to the pre-compression
-    /// format.  The default.
-    #[default]
-    Off,
-    /// Front-coded prefix column + delta-varint integer columns + raw tail
-    /// region, framed into blocks (see the module docs).
-    Prefix,
+coconut_json::wire! {
+    /// On-disk compression scheme of a sorted run.  Its wire name (`"off"` /
+    /// `"prefix"`, [`Compression::name`]) is the palm `build_index` member's
+    /// and the `COCONUT_COMPRESSION` environment variable's; the wire also
+    /// takes any spelling [`str::parse`] does.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Compression names "the compression scheme" {
+        /// Raw fixed-size records, byte-identical to the pre-compression
+        /// format.  The default.
+        #[default]
+        Off = "off",
+        /// Front-coded prefix column + delta-varint integer columns + raw
+        /// tail region, framed into blocks (see the module docs).
+        Prefix = "prefix",
+    }
+    fn name;
+    unknown: str::parse;
 }
 
 impl Compression {
-    /// Wire name of the scheme (`"off"` / `"prefix"`), used by the palm
-    /// `build_index` JSON member and the `COCONUT_COMPRESSION` environment
-    /// variable.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Compression::Off => "off",
-            Compression::Prefix => "prefix",
-        }
-    }
-
     /// Resolves the `COCONUT_COMPRESSION` environment variable (unset /
     /// empty → [`Compression::Off`]).
     ///
@@ -76,19 +73,17 @@ impl Compression {
     /// Panics on an unparseable value — an operator who typoes
     /// `COCONUT_COMPRESSION=prefx` should get an error, not a process
     /// quietly running uncompressed (the same contract as
-    /// `COCONUT_KERNELS`).
+    /// `COCONUT_KERNELS`).  [`Compression::try_from_env`] reports it
+    /// instead, for a server to refuse startup with.
     pub fn from_env() -> Compression {
+        Compression::try_from_env().unwrap_or_else(|e| panic!("COCONUT_COMPRESSION: {e}"))
+    }
+
+    /// [`Compression::from_env`], with an unparseable value as the error.
+    pub fn try_from_env() -> std::result::Result<Compression, String> {
         match std::env::var("COCONUT_COMPRESSION") {
-            Err(_) => Compression::Off,
-            Ok(raw) => {
-                let trimmed = raw.trim();
-                if trimmed.is_empty() {
-                    return Compression::Off;
-                }
-                trimmed
-                    .parse()
-                    .unwrap_or_else(|e: String| panic!("COCONUT_COMPRESSION: {e}"))
-            }
+            Ok(raw) if !raw.trim().is_empty() => raw.parse(),
+            _ => Ok(Compression::Off),
         }
     }
 }
@@ -108,25 +103,6 @@ impl std::str::FromStr for Compression {
             "prefix" => Ok(Compression::Prefix),
             other => Err(format!(
                 "unknown compression '{other}' (expected 'off' or 'prefix')"
-            )),
-        }
-    }
-}
-
-impl coconut_json::ToJson for Compression {
-    fn to_json(&self) -> coconut_json::Json {
-        coconut_json::Json::Str(self.name().to_string())
-    }
-}
-
-impl coconut_json::FromJson for Compression {
-    fn from_json(json: &coconut_json::Json) -> coconut_json::Result<Self> {
-        match json.as_str() {
-            Some(s) => s
-                .parse()
-                .map_err(|e: String| coconut_json::JsonError::new(e)),
-            None => Err(coconut_json::JsonError::new(
-                "expected a string for the compression scheme",
             )),
         }
     }

@@ -153,27 +153,32 @@ impl IoStats {
     }
 }
 
-/// Immutable snapshot of I/O counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoStatsSnapshot {
-    /// Number of sequential page reads.
-    pub sequential_reads: u64,
-    /// Number of random page reads.
-    pub random_reads: u64,
-    /// Number of sequential page writes.
-    pub sequential_writes: u64,
-    /// Number of random page writes.
-    pub random_writes: u64,
-    /// Total logical bytes read (the record stream the caller addressed).
-    pub bytes_read: u64,
-    /// Total logical bytes written.
-    pub bytes_written: u64,
-    /// Bytes that actually crossed the file API on reads (equals
-    /// `bytes_read` for uncompressed files; smaller under `prefix`
-    /// compression).
-    pub physical_bytes_read: u64,
-    /// Bytes that actually crossed the file API on writes.
-    pub physical_bytes_written: u64,
+coconut_json::wire! {
+    /// Immutable snapshot of I/O counters; the `io` object of the palm
+    /// protocol and the bench reports.  The physical byte members default
+    /// to the logical figures, so snapshots serialized before the
+    /// logical/physical split still parse.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IoStatsSnapshot {
+        /// Number of sequential page reads.
+        pub sequential_reads: u64,
+        /// Number of random page reads.
+        pub random_reads: u64,
+        /// Number of sequential page writes.
+        pub sequential_writes: u64,
+        /// Number of random page writes.
+        pub random_writes: u64,
+        /// Total logical bytes read (the record stream the caller addressed).
+        pub bytes_read: u64,
+        /// Total logical bytes written.
+        pub bytes_written: u64,
+        /// Bytes that actually crossed the file API on reads (equals
+        /// `bytes_read` for uncompressed files; smaller under `prefix`
+        /// compression).
+        pub physical_bytes_read: u64 = bytes_read,
+        /// Bytes that actually crossed the file API on writes.
+        pub physical_bytes_written: u64 = bytes_written,
+    }
 }
 
 impl IoStatsSnapshot {
@@ -246,67 +251,6 @@ impl IoStatsSnapshot {
         }
     }
 
-    /// Builds the JSON object used by the palm protocol and bench reports.
-    pub fn to_json(&self) -> coconut_json::Json {
-        coconut_json::Json::obj(vec![
-            (
-                "sequential_reads",
-                coconut_json::ToJson::to_json(&self.sequential_reads),
-            ),
-            (
-                "random_reads",
-                coconut_json::ToJson::to_json(&self.random_reads),
-            ),
-            (
-                "sequential_writes",
-                coconut_json::ToJson::to_json(&self.sequential_writes),
-            ),
-            (
-                "random_writes",
-                coconut_json::ToJson::to_json(&self.random_writes),
-            ),
-            (
-                "bytes_read",
-                coconut_json::ToJson::to_json(&self.bytes_read),
-            ),
-            (
-                "bytes_written",
-                coconut_json::ToJson::to_json(&self.bytes_written),
-            ),
-            (
-                "physical_bytes_read",
-                coconut_json::ToJson::to_json(&self.physical_bytes_read),
-            ),
-            (
-                "physical_bytes_written",
-                coconut_json::ToJson::to_json(&self.physical_bytes_written),
-            ),
-        ])
-    }
-
-    /// Parses the JSON object produced by [`IoStatsSnapshot::to_json`].
-    /// The physical byte members are optional (defaulting to the logical
-    /// figures) so snapshots serialized before the logical/physical split
-    /// still parse.
-    pub fn from_json(json: &coconut_json::Json) -> coconut_json::Result<IoStatsSnapshot> {
-        let bytes_read: u64 = coconut_json::member(json, "bytes_read")?;
-        let bytes_written: u64 = coconut_json::member(json, "bytes_written")?;
-        Ok(IoStatsSnapshot {
-            sequential_reads: coconut_json::member(json, "sequential_reads")?,
-            random_reads: coconut_json::member(json, "random_reads")?,
-            sequential_writes: coconut_json::member(json, "sequential_writes")?,
-            random_writes: coconut_json::member(json, "random_writes")?,
-            bytes_read,
-            bytes_written,
-            physical_bytes_read: coconut_json::member_or(json, "physical_bytes_read", bytes_read)?,
-            physical_bytes_written: coconut_json::member_or(
-                json,
-                "physical_bytes_written",
-                bytes_written,
-            )?,
-        })
-    }
-
     /// Element-wise sum.
     pub fn plus(&self, other: &IoStatsSnapshot) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -325,6 +269,7 @@ impl IoStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_json::{FromJson, ToJson};
 
     #[test]
     fn record_and_snapshot() {

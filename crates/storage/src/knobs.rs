@@ -51,55 +51,22 @@ impl Default for PerfKnobs {
     }
 }
 
-/// How an index chooses its execution knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// Use the statically configured knobs exactly as the caller set them.
-    /// Byte-identical to the pre-planner behaviour.
-    #[default]
-    Fixed,
-    /// Capture a `PlannerInputs` snapshot per query and let the planner
-    /// choose the knobs.  Answers and cost counters are identical to every
-    /// fixed configuration; only latency changes.
-    Adaptive,
-}
-
-impl PlannerMode {
-    /// Wire name of the mode (`"fixed"` / `"adaptive"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlannerMode::Fixed => "fixed",
-            PlannerMode::Adaptive => "adaptive",
-        }
+coconut_json::wire! {
+    /// How an index chooses its execution knobs.  Wire names `"fixed"` /
+    /// `"adaptive"` ([`PlannerMode::name`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum PlannerMode names "the planner mode" {
+        /// Use the statically configured knobs exactly as the caller set
+        /// them.  Byte-identical to the pre-planner behaviour.
+        #[default]
+        Fixed = "fixed",
+        /// Capture a `PlannerInputs` snapshot per query and let the planner
+        /// choose the knobs.  Answers and cost counters are identical to
+        /// every fixed configuration; only latency changes.
+        Adaptive = "adaptive",
     }
-
-    /// Parses a wire name; `None` for anything unknown.
-    pub fn parse(name: &str) -> Option<PlannerMode> {
-        match name {
-            "fixed" => Some(PlannerMode::Fixed),
-            "adaptive" => Some(PlannerMode::Adaptive),
-            _ => None,
-        }
-    }
-}
-
-impl coconut_json::ToJson for PlannerMode {
-    fn to_json(&self) -> coconut_json::Json {
-        coconut_json::Json::Str(self.name().to_string())
-    }
-}
-
-impl coconut_json::FromJson for PlannerMode {
-    fn from_json(json: &coconut_json::Json) -> coconut_json::Result<PlannerMode> {
-        match json.as_str() {
-            Some(name) => PlannerMode::parse(name).ok_or_else(|| {
-                coconut_json::JsonError::new(format!(
-                    "unknown planner mode '{name}' (expected \"fixed\" or \"adaptive\")"
-                ))
-            }),
-            None => Err(coconut_json::JsonError::new(
-                "expected a string for the planner mode",
-            )),
-        }
-    }
+    fn name;
+    unknown: |name| Err(format!(
+        "unknown planner mode '{name}' (expected \"fixed\" or \"adaptive\")"
+    ));
 }

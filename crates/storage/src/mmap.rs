@@ -19,29 +19,27 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::{Result, StorageError};
 
-/// How a [`crate::PagedFile`] serves read requests.
-///
-/// A pure performance knob: both backends return the same bytes and charge
-/// the same `IoStats` (mapped reads account every page they copy from, with
-/// the same sequential/random classification as positioned reads), so
-/// answers, costs and I/O totals are byte-identical at either setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IoBackend {
-    /// Positioned `read` calls through the file descriptor (the default).
-    #[default]
-    Pread,
-    /// Reads are copied out of a read-only shared mapping of the file.
-    Mmap,
-}
-
-impl IoBackend {
-    /// Short lowercase name ("pread" / "mmap") used by reports and env vars.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IoBackend::Pread => "pread",
-            IoBackend::Mmap => "mmap",
-        }
+coconut_json::wire! {
+    /// How a [`crate::PagedFile`] serves read requests.  Its wire name
+    /// (`"pread"` / `"mmap"`, [`IoBackend::name`]) is used by the palm
+    /// protocol, reports and env vars; the wire also takes any spelling
+    /// [`str::parse`] does.
+    ///
+    /// A pure performance knob: both backends return the same bytes and
+    /// charge the same `IoStats` (mapped reads account every page they copy
+    /// from, with the same sequential/random classification as positioned
+    /// reads), so answers, costs and I/O totals are byte-identical at either
+    /// setting.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum IoBackend names "the io backend" {
+        /// Positioned `read` calls through the file descriptor (the default).
+        #[default]
+        Pread = "pread",
+        /// Reads are copied out of a read-only shared mapping of the file.
+        Mmap = "mmap",
     }
+    fn name;
+    unknown: str::parse;
 }
 
 impl std::fmt::Display for IoBackend {
@@ -58,25 +56,6 @@ impl std::str::FromStr for IoBackend {
             "pread" => Ok(IoBackend::Pread),
             "mmap" => Ok(IoBackend::Mmap),
             other => Err(format!("unknown io backend '{other}' (pread|mmap)")),
-        }
-    }
-}
-
-impl coconut_json::ToJson for IoBackend {
-    fn to_json(&self) -> coconut_json::Json {
-        coconut_json::Json::Str(self.name().to_string())
-    }
-}
-
-impl coconut_json::FromJson for IoBackend {
-    fn from_json(json: &coconut_json::Json) -> coconut_json::Result<IoBackend> {
-        match json.as_str() {
-            Some(s) => s
-                .parse()
-                .map_err(|e: String| coconut_json::JsonError::new(e)),
-            None => Err(coconut_json::JsonError::new(
-                "expected a string for the io backend",
-            )),
         }
     }
 }
