@@ -34,8 +34,7 @@ pub use coconut_sax::SaxConfig;
 pub use coconut_series::distance::Neighbor;
 pub use coconut_series::{Dataset, Series, TimestampedSeries};
 pub use coconut_storage::{
-    Compression, CostModel, IoBackend, IoStats, IoStatsSnapshot, PerfKnobs, ScratchDir,
-    SharedIoStats,
+    Compression, IoBackend, IoStats, IoStatsSnapshot, PerfKnobs, ScratchDir, SharedIoStats,
 };
 pub use coconut_stream::{
     PartitionKind, PartitionedConfig, PartitionedStream, PpStream, StreamingIndex, WindowScheme,
@@ -593,7 +592,7 @@ mod tests {
     /// The knob defaults of every entry point: the engine configs run the
     /// engine default, the facade configs the adaptive planner, and the
     /// wire's minimal `build_index` frame (the one palmbench sends) the
-    /// fixed planner with compression from `COCONUT_COMPRESSION`.
+    /// engine default.
     #[test]
     fn every_entry_point_pins_its_default_knobs() {
         let engine = PerfKnobs::default();
@@ -639,11 +638,7 @@ mod tests {
             planner,
             compression,
         };
-        let expected = PerfKnobs {
-            compression: Compression::from_env(),
-            ..engine
-        };
-        assert_eq!(wire, expected);
+        assert_eq!(wire, engine);
         assert_eq!((shard_count, range), (1, None));
     }
 

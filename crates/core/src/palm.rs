@@ -33,8 +33,9 @@
 //!    a consistent snapshot of the index.
 //!
 //! A [`PalmRequest::Batch`] is N single requests: each sub-request is one
-//! job on a [`WorkerPool`], handled exactly as if it had been sent alone, so
-//! its reply is that request's reply (apart from `elapsed_ms`).
+//! task of [`coconut_parallel::parallel_map_tasks`], handled exactly as if
+//! it had been sent alone, so its reply is that request's reply (apart from
+//! `elapsed_ms`).
 //!
 //! # Result cache
 //!
@@ -57,7 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coconut_json::{find_member, scan_array, scan_object, FromJson, Json, JsonError, ToJson};
-use coconut_parallel::{CancelToken, WorkerPool};
+use coconut_parallel::{effective_parallelism, parallel_map_tasks, CancelToken};
 use parking_lot::{Mutex, RwLock};
 
 use crate::{
@@ -111,11 +112,10 @@ coconut_json::wire! {
             planner: PlannerMode = PlannerMode::Fixed,
             /// On-disk compression of sorted runs and leaf blocks ("off" |
             /// "prefix").  Optional in the JSON protocol; defaults to the
-            /// `COCONUT_COMPRESSION` environment variable (itself defaulting
-            /// to "off"), read only when the member is absent.  A pure
-            /// performance knob: answers, `QueryCost` and the logical I/O
-            /// totals are identical at either setting.
-            compression: Compression = Compression::from_env(),
+            /// engine default, "off".  A pure performance knob: answers,
+            /// `QueryCost` and the logical I/O totals are identical at
+            /// either setting.
+            compression: Compression = PerfKnobs::default().compression,
             /// Restrict the build to the dataset's id window `[lo, hi)`.
             /// Optional in the JSON protocol, as the `range_lo`/`range_hi`
             /// pair that ends the frame (see `id_range`); defaults to the
@@ -832,7 +832,8 @@ impl ServiceStats {
 pub struct PalmServer {
     work_dir: PathBuf,
     indexes: RwLock<HashMap<String, Slot>>,
-    pool: WorkerPool,
+    /// Workers a batch's sub-requests fan out over.
+    batch_workers: usize,
     /// Result cache; `None` (the default) disables memoization entirely.
     cache: Option<ResultCache>,
     stats: ServiceStats,
@@ -847,7 +848,7 @@ impl PalmServer {
         PalmServer {
             work_dir: work_dir.into(),
             indexes: RwLock::new(HashMap::new()),
-            pool: WorkerPool::new(0),
+            batch_workers: effective_parallelism(0),
             cache: None,
             stats: ServiceStats::default(),
             versions: AtomicU64::new(0),
@@ -1316,11 +1317,12 @@ impl PalmServer {
         Ok((response, None))
     }
 
-    /// Executes a batch: every sub-request is one job on the worker pool,
-    /// handled by [`PalmServer::handle_versioned`] exactly as if it had been
-    /// sent alone, and responses come back in request order.  Sub-requests
-    /// are consumed, never cloned; nested batches are rejected (the service
-    /// boundary must not recurse on attacker-chosen depth).
+    /// Executes a batch: every sub-request is one task fanned out over
+    /// `batch_workers` threads, handled by [`PalmServer::handle_versioned`]
+    /// exactly as if it had been sent alone, and responses come back in
+    /// request order.  Sub-requests are consumed, never cloned; nested
+    /// batches are rejected (the service boundary must not recurse on
+    /// attacker-chosen depth).
     ///
     /// A deadline that trips fails only the sub-requests it interrupted:
     /// the others keep their answers, and the batch as a whole never turns
@@ -1332,12 +1334,12 @@ impl PalmServer {
         cancel: &CancelToken,
     ) -> Vec<(PalmResponse, Option<u64>)> {
         // The `Mutex` only lets the worker that claims a job take its
-        // request out of the shared slice the pool hands out.
+        // request out of the shared slice.
         let jobs: Vec<Mutex<Option<PalmRequest>>> = requests
             .into_iter()
             .map(|request| Mutex::new(Some(request)))
             .collect();
-        self.pool.run(&jobs, |_, job| {
+        parallel_map_tasks(&jobs, self.batch_workers, |_, job| {
             match job.lock().take().expect("each job is claimed exactly once") {
                 PalmRequest::Batch { .. } => {
                     let message = "batch requests cannot be nested".to_string();

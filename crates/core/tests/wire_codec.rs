@@ -6,8 +6,7 @@
 //!
 //! The corpus uses nothing but `Json::parse`, `from_json` and
 //! `to_json().to_string()`, so it pins the wire whatever the codec behind
-//! those three looks like.  Every `build_index` frame spells `compression`,
-//! so no frame depends on the `COCONUT_COMPRESSION` environment variable.
+//! those three looks like.
 
 use coconut_core::palm::{PalmRequest, PalmResponse};
 use coconut_json::{FromJson, Json, ToJson};

@@ -10,7 +10,7 @@
 //!
 //! * [`active_backend`] / [`force_backend`] / [`KernelBackend`] — the
 //!   process-wide backend selection (runtime `is_x86_feature_detected!`
-//!   dispatch, `COCONUT_KERNELS` override: `auto|scalar|avx2`).
+//!   dispatch; tests and benches pin a backend with `force_backend`).
 //! * [`euclidean_early_abandon`] / [`squared_euclidean`] — the refinement
 //!   kernels every skip-sequential scan calls per candidate.
 //! * The `*_with` entry points — address a specific backend explicitly

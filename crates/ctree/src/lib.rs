@@ -26,10 +26,9 @@
 //!   heaps under one bound frozen from the merged seeds
 //!   ([`parallel_knn_with`]; a batch is that many calls).
 //! * [`kernels`] — the dispatch surface for the explicit SIMD
-//!   distance/znorm/PAA backends (scalar / AVX2, runtime-detected,
-//!   `COCONUT_KERNELS` override) used by every scan in this crate and the
-//!   index crates built on it; bit-identical across backends by
-//!   construction.
+//!   distance/znorm/PAA backends (scalar / AVX2, runtime-detected) used by
+//!   every scan in this crate and the index crates built on it;
+//!   bit-identical across backends by construction.
 //! * [`raw`] — backend-aware raw-series fetching for non-materialized
 //!   refinement ([`RawSeriesSource`]: positioned reads or an
 //!   `MADV_RANDOM`-advised mapping of the dataset file, same accounting).

@@ -20,15 +20,9 @@
 //! |                            |               | query replies (server; 0 = off)  |
 //! | `PALM_WORKERS`             | —             | comma-separated shard addresses  |
 //! |                            |               | (coordinator; required)          |
-//!
-//! Both binaries also check `COCONUT_COMPRESSION` (`off` | `prefix`), the
-//! `build_index` frame's default `compression`, at startup: a bad value is
-//! refused here rather than by every build that leaves the member out.
 
 use std::path::PathBuf;
 use std::time::Duration;
-
-use coconut_core::Compression;
 
 use crate::server::ServerConfig;
 
@@ -69,10 +63,8 @@ fn parsed<T: std::str::FromStr>(name: &str) -> Result<Option<T>, ConfigError> {
     }
 }
 
-/// The [`ServerConfig`] knobs shared by every `PALM_*`-configured binary,
-/// once `COCONUT_COMPRESSION` is known to parse.
+/// The [`ServerConfig`] knobs shared by every `PALM_*`-configured binary.
 pub fn server_config_from_env() -> Result<ServerConfig, ConfigError> {
-    Compression::try_from_env().map_err(|e| reject("COCONUT_COMPRESSION", e))?;
     let defaults = ServerConfig::default();
     Ok(ServerConfig {
         addr: std::env::var("PALM_ADDR").unwrap_or(defaults.addr),

@@ -656,55 +656,6 @@ fn graceful_shutdown_drains_in_flight_work() {
     );
 }
 
-/// A misspelled `COCONUT_COMPRESSION` refuses startup, naming the
-/// variable, on both binaries: it is the default `compression` of a
-/// `build_index` frame, so a server that started with it could build
-/// nothing that leaves the member out.
-#[test]
-fn bad_compression_env_refuses_startup() {
-    use std::process::{Command, Stdio};
-
-    let dir = ScratchDir::new("net-bad-env").unwrap();
-    for binary in [
-        env!("CARGO_BIN_EXE_palm-server"),
-        env!("CARGO_BIN_EXE_palm-coord"),
-    ] {
-        let mut child = Command::new(binary)
-            .env("COCONUT_COMPRESSION", "prefx")
-            .env("PALM_ADDR", "127.0.0.1:0")
-            .env("PALM_WORK_DIR", dir.file("work"))
-            .env("PALM_WORKERS", "127.0.0.1:1")
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn the binary");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let status = loop {
-            match child.try_wait().expect("try_wait") {
-                Some(status) => break status,
-                None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-                None => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    panic!("{binary} started with a bad COCONUT_COMPRESSION");
-                }
-            }
-        };
-        assert!(!status.success(), "{binary} exited {status}");
-        let mut stderr = String::new();
-        child
-            .stderr
-            .take()
-            .unwrap()
-            .read_to_string(&mut stderr)
-            .unwrap();
-        assert!(
-            stderr.contains("COCONUT_COMPRESSION") && stderr.contains("prefx"),
-            "{binary}: {stderr}"
-        );
-    }
-}
-
 /// Acceptance: SIGTERM against the real binary under load exits 0 after a
 /// drained, synced shutdown.
 #[cfg(unix)]

@@ -13,23 +13,25 @@
 //!   contiguous chunks by scoped threads;
 //! * [`parallel_process_chunks`] — in-place processing of disjoint contiguous
 //!   sub-slices (used to sort sub-chunks concurrently);
-//! * [`pipeline`] — a blocking bounded channel and a background
-//!   [`Prefetcher`], the plumbing of the overlapped-I/O build pipeline
-//!   (sort one chunk while the previous run is written; read ahead while a
-//!   merge drains its current buffer).
+//! * [`parallel_map_tasks`] — order-preserving map over coarse tasks with
+//!   dynamic claiming (index runs, compaction shards, the sub-requests of a
+//!   palm `batch`);
+//! * [`CancelToken`] — cooperative cancellation for deadline-carrying
+//!   queries.
 //!
 //! Everything is built on [`std::thread::scope`], so borrowed inputs work
 //! without `'static` bounds and there is no pool to manage or shut down.
+//! The overlapped-I/O pipelines of `coconut-storage` (the sorter's run
+//! writer, merge read-ahead, the durability worker) need no helper here:
+//! they hand work over through [`std::sync::mpsc::sync_channel`].
 //! Threads are only spawned when `workers > 1` **and** the input is large
 //! enough to amortize spawn cost; otherwise the closure runs inline, which
 //! keeps the `parallelism = 1` path byte-for-byte identical to a build
 //! without this crate.
 
 pub mod cancel;
-pub mod pipeline;
 
 pub use cancel::CancelToken;
-pub use pipeline::{bounded, BoundedReceiver, BoundedSender, Prefetcher, SendError};
 
 /// Smallest number of items per worker below which spawning threads is not
 /// worth the overhead; inputs smaller than this are processed inline.
@@ -192,51 +194,6 @@ where
         .collect()
 }
 
-/// A worker-pool executor for coarse, service-level jobs.
-///
-/// The palm request layer dispatches the sub-requests of a `batch` request
-/// through one of these: up to `workers` scoped threads claim jobs
-/// dynamically (the [`parallel_map_tasks`] protocol), so a batch of
-/// heterogeneous requests — several kNN queries next to a metrics fetch —
-/// load-balances without static partitioning, and results come back in
-/// submission order.  The pool holds no persistent threads: `run` spawns
-/// scoped workers per call, which keeps borrowed job inputs (`&PalmServer`,
-/// `&[PalmRequest]`) usable without `'static` bounds and leaves nothing to
-/// shut down.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerPool {
-    workers: usize,
-}
-
-impl WorkerPool {
-    /// Creates a pool resolving the `parallelism` knob like
-    /// [`effective_parallelism`] (`0` = one worker per available core).
-    pub fn new(parallelism: usize) -> Self {
-        WorkerPool {
-            workers: effective_parallelism(parallelism),
-        }
-    }
-
-    /// Number of workers jobs fan out over.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `f` over every job, in submission order, on the pool.
-    ///
-    /// Semantics are exactly [`parallel_map_tasks`]: dynamic claiming,
-    /// order-preserving results, inline execution for a single worker or a
-    /// single job.
-    pub fn run<T, R, F>(&self, jobs: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        parallel_map_tasks(jobs, self.workers, f)
-    }
-}
-
 /// Stable sort of `items` by `key`, using up to `workers` threads.
 ///
 /// The result is **identical** to `items.sort_by(|a, b| key(a).cmp(&key(b)))`
@@ -392,21 +349,6 @@ mod tests {
         }
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map_tasks(&empty, 4, |_, x| *x).is_empty());
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_in_order() {
-        let pool = WorkerPool::new(4);
-        assert!(pool.workers() >= 1);
-        let jobs: Vec<u64> = (0..50).collect();
-        let got = pool.run(&jobs, |i, x| {
-            assert_eq!(jobs[i], *x);
-            x + 100
-        });
-        let expected: Vec<u64> = (100..150).collect();
-        assert_eq!(got, expected);
-        // Zero resolves to the available core count, never zero workers.
-        assert!(WorkerPool::new(0).workers() >= 1);
     }
 
     #[test]

@@ -52,10 +52,10 @@
 //!
 //! # Dispatch
 //!
-//! [`active_backend`] resolves once per process: the `COCONUT_KERNELS`
-//! environment variable (`auto` | `scalar` | `avx2`) when set, otherwise
-//! AVX2 if `is_x86_feature_detected!("avx2")`, else scalar (DESIGN.md
-//! "Kernel dispatch" says why there is no SSE2 backend).
+//! [`active_backend`] resolves once per process to
+//! [`KernelBackend::detect`]: AVX2 if `is_x86_feature_detected!("avx2")`,
+//! else scalar (DESIGN.md "Kernel dispatch" says why there is no SSE2
+//! backend).
 //! The public kernel entry points in [`crate::distance`],
 //! [`crate::znorm`] and [`crate::paa`](mod@crate::paa) dispatch through it, so every caller
 //! — summarization, index build, query refinement — uses the same backend.
@@ -106,8 +106,8 @@ impl KernelBackend {
         Self::ALL.into_iter().filter(|b| b.available()).collect()
     }
 
-    /// The best backend the current CPU supports (ignores the environment):
-    /// AVX2 if available, else scalar.
+    /// The best backend the current CPU supports: AVX2 if available, else
+    /// scalar.
     pub fn detect() -> KernelBackend {
         if KernelBackend::Avx2.available() {
             KernelBackend::Avx2
@@ -116,8 +116,7 @@ impl KernelBackend {
         }
     }
 
-    /// Short lowercase name ("scalar" / "avx2") used by reports and the
-    /// `COCONUT_KERNELS` environment variable.
+    /// Short lowercase name ("scalar" / "avx2") used by reports.
     pub fn name(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
@@ -139,33 +138,6 @@ impl KernelBackend {
             _ => None,
         }
     }
-
-    /// Resolves the `COCONUT_KERNELS` environment variable (unset / empty /
-    /// `auto` → [`KernelBackend::detect`]).
-    ///
-    /// # Panics
-    /// Panics on an unparseable value or a backend the CPU does not support
-    /// — an operator who typoes `COCONUT_KERNELS=axv2` should get an error,
-    /// not a process quietly running scalar.
-    fn from_env() -> KernelBackend {
-        match std::env::var("COCONUT_KERNELS") {
-            Err(_) => Self::detect(),
-            Ok(raw) => {
-                let trimmed = raw.trim();
-                if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("auto") {
-                    return Self::detect();
-                }
-                let backend: KernelBackend = trimmed
-                    .parse()
-                    .unwrap_or_else(|e: String| panic!("COCONUT_KERNELS: {e}"));
-                assert!(
-                    backend.available(),
-                    "COCONUT_KERNELS={trimmed}: backend not available on this CPU"
-                );
-                backend
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for KernelBackend {
@@ -174,41 +146,26 @@ impl std::fmt::Display for KernelBackend {
     }
 }
 
-impl std::str::FromStr for KernelBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<KernelBackend, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Ok(KernelBackend::Scalar),
-            "avx2" => Ok(KernelBackend::Avx2),
-            other => Err(format!(
-                "unknown kernel backend '{other}' (auto|scalar|avx2)"
-            )),
-        }
-    }
-}
-
 /// The process-wide backend choice: 0 = not yet resolved.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The backend every dispatched kernel call uses.
 ///
-/// Resolved once per process from `COCONUT_KERNELS` / CPU detection (see
-/// the module docs) and cached; [`force_backend`] overrides it.
+/// Resolved once per process by CPU detection (see the module docs) and
+/// cached; [`force_backend`] overrides it.
 pub fn active_backend() -> KernelBackend {
     match KernelBackend::from_code(ACTIVE.load(Ordering::Relaxed)) {
         Some(backend) => backend,
         None => {
-            let backend = KernelBackend::from_env();
+            let backend = KernelBackend::detect();
             ACTIVE.store(backend.code(), Ordering::Relaxed);
             backend
         }
     }
 }
 
-/// Pins the process-wide backend (benches and equivalence tests; production
-/// code should configure `COCONUT_KERNELS` instead).  Returns the backend
-/// that was active before.
+/// Pins the process-wide backend (benches and equivalence tests).  Returns
+/// the backend that was active before.
 ///
 /// # Panics
 /// Panics if `backend` is not available on this CPU.
@@ -604,11 +561,11 @@ mod tests {
 
     #[test]
     fn backend_names_round_trip() {
+        let names: Vec<&str> = KernelBackend::ALL.iter().map(|b| b.name()).collect();
+        assert_eq!(names, ["scalar", "avx2"]);
         for b in KernelBackend::ALL {
-            assert_eq!(b.name().parse::<KernelBackend>().unwrap(), b);
+            assert_eq!(b.to_string(), b.name());
         }
-        assert!("axv2".parse::<KernelBackend>().is_err());
-        assert!("sse2".parse::<KernelBackend>().is_err());
     }
 
     #[test]

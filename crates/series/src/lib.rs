@@ -15,8 +15,7 @@
 //!   early-abandoning variant used by exact search.
 //! * [`kernels`] — the explicit SIMD backends (scalar / AVX2 with
 //!   runtime detection) behind the distance, z-normalization and PAA hot
-//!   loops, bit-identical to each other by construction and selectable via
-//!   `COCONUT_KERNELS`.
+//!   loops, bit-identical to each other by construction.
 //! * [`mod@paa`] — Piecewise Aggregate Approximation, the dimensionality
 //!   reduction on top of which SAX/iSAX summarizations are defined.
 //! * [`generator`] — synthetic dataset generators: pure random walks, an

@@ -48,9 +48,8 @@ use crate::{Result, StorageError};
 
 coconut_json::wire! {
     /// On-disk compression scheme of a sorted run.  Its wire name (`"off"` /
-    /// `"prefix"`, [`Compression::name`]) is the palm `build_index` member's
-    /// and the `COCONUT_COMPRESSION` environment variable's; the wire also
-    /// takes any spelling [`str::parse`] does.
+    /// `"prefix"`, [`Compression::name`]) is the palm `build_index`
+    /// member's; the wire also takes any spelling [`str::parse`] does.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
     pub enum Compression names "the compression scheme" {
         /// Raw fixed-size records, byte-identical to the pre-compression
@@ -63,29 +62,6 @@ coconut_json::wire! {
     }
     fn name;
     unknown: str::parse;
-}
-
-impl Compression {
-    /// Resolves the `COCONUT_COMPRESSION` environment variable (unset /
-    /// empty → [`Compression::Off`]).
-    ///
-    /// # Panics
-    /// Panics on an unparseable value — an operator who typoes
-    /// `COCONUT_COMPRESSION=prefx` should get an error, not a process
-    /// quietly running uncompressed (the same contract as
-    /// `COCONUT_KERNELS`).  [`Compression::try_from_env`] reports it
-    /// instead, for a server to refuse startup with.
-    pub fn from_env() -> Compression {
-        Compression::try_from_env().unwrap_or_else(|e| panic!("COCONUT_COMPRESSION: {e}"))
-    }
-
-    /// [`Compression::from_env`], with an unparseable value as the error.
-    pub fn try_from_env() -> std::result::Result<Compression, String> {
-        match std::env::var("COCONUT_COMPRESSION") {
-            Ok(raw) if !raw.trim().is_empty() => raw.parse(),
-            _ => Ok(Compression::Off),
-        }
-    }
 }
 
 impl std::fmt::Display for Compression {

@@ -20,7 +20,6 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 
-use coconut_parallel::{bounded, BoundedSender};
 use parking_lot::Mutex;
 
 use crate::{Result, StorageError};
@@ -73,23 +72,23 @@ impl Job {
 /// A FIFO worker thread behind a bounded queue.  The process uses one
 /// ([`submit`] / [`drain`]); unit tests make their own.
 pub(crate) struct Worker {
-    /// `None` only while dropping.  The channel is single-producer; the
-    /// mutex makes it multi-producer (a producer blocked on a full queue
-    /// holds it, and the others queue up behind — still back-pressure).
-    queue: Mutex<Option<BoundedSender<Job>>>,
+    /// `None` only while dropping.  A producer blocked on a full queue
+    /// holds the mutex, and the others queue up behind it — still
+    /// back-pressure.
+    queue: Mutex<Option<mpsc::SyncSender<Job>>>,
     first_error: Arc<Mutex<Option<std::io::Error>>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Worker {
     pub(crate) fn spawn(capacity: usize) -> Worker {
-        let (tx, rx) = bounded::<Job>(capacity);
+        let (tx, rx) = mpsc::sync_channel::<Job>(capacity);
         let first_error = Arc::new(Mutex::new(None));
         let errors = Arc::clone(&first_error);
         let thread = std::thread::Builder::new()
             .name("coconut-durability".into())
             .spawn(move || {
-                while let Some(job) = rx.recv() {
+                while let Ok(job) = rx.recv() {
                     if let Err(e) = job.run() {
                         errors.lock().get_or_insert(e);
                     }

@@ -769,159 +769,48 @@ impl<L: RecordLayout> DynRunReader<L> {
         self.buffer.extend(batch);
         Ok(())
     }
-
-    /// Returns the next record without consuming it.
-    pub fn peek(&mut self) -> Result<Option<L::Record>> {
-        self.refill()?;
-        Ok(self.buffer.front().cloned())
-    }
-
-    /// Returns and consumes the next record.
-    pub fn next_record(&mut self) -> Result<Option<L::Record>> {
-        self.refill()?;
-        Ok(self.buffer.pop_front())
-    }
 }
 
 impl<L: RecordLayout> Iterator for DynRunReader<L> {
     type Item = Result<L::Record>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.next_record() {
-            Ok(Some(r)) => Some(Ok(r)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
+        if let Err(e) = self.refill() {
+            return Some(Err(e));
         }
+        self.buffer.pop_front().map(Ok)
     }
 }
 
-struct HeapEntry<K: Ord> {
-    key: K,
-    run: usize,
-}
-
-impl<K: Ord> PartialEq for HeapEntry<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.run == other.run
-    }
-}
-impl<K: Ord> Eq for HeapEntry<K> {}
-impl<K: Ord> PartialOrd for HeapEntry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord> Ord for HeapEntry<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.run.cmp(&other.run))
-    }
-}
-
-/// K-way merge over sorted dynamic runs.
-pub struct DynKWayMerge<L: RecordLayout> {
-    layout: L,
-    readers: Vec<DynRunReader<L>>,
-    heap: BinaryHeap<Reverse<HeapEntry<L::Key>>>,
-}
-
-impl<L: RecordLayout> DynKWayMerge<L> {
-    /// Builds a merge over sorted runs with a per-run read buffer of
-    /// `buffer_records` records.
-    pub fn new(layout: L, runs: &[DynRunFile<L>], buffer_records: usize) -> Result<Self> {
-        Self::new_with_prefetch_gate(
-            layout,
-            runs,
-            buffer_records,
-            false,
-            crate::PREFETCH_MIN_BYTES,
-        )
-    }
-
-    /// Like [`DynKWayMerge::new`], optionally prefetching each run's next
-    /// buffer on a background thread while the heap drains the current one,
-    /// behind the read-ahead engage gate of
-    /// [`DynRunFile::reader_with_prefetch_gate`].
-    pub fn new_with_prefetch_gate(
-        layout: L,
-        runs: &[DynRunFile<L>],
-        buffer_records: usize,
-        prefetch: bool,
-        prefetch_min_bytes: usize,
-    ) -> Result<Self> {
-        let mut readers: Vec<DynRunReader<L>> = runs
-            .iter()
-            .map(|r| r.reader_with_prefetch_gate(buffer_records, prefetch, prefetch_min_bytes))
-            .collect();
-        let mut heap = BinaryHeap::new();
-        for (i, reader) in readers.iter_mut().enumerate() {
-            if let Some(rec) = reader.peek()? {
-                heap.push(Reverse(HeapEntry {
-                    key: layout.key(&rec),
-                    run: i,
-                }));
-            }
-        }
-        Ok(DynKWayMerge {
-            layout,
-            readers,
-            heap,
-        })
-    }
-}
-
-impl<L: RecordLayout> Iterator for DynKWayMerge<L> {
-    type Item = Result<L::Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let Reverse(entry) = self.heap.pop()?;
-        let reader = &mut self.readers[entry.run];
-        let record = match reader.next_record() {
-            Ok(Some(r)) => r,
-            Ok(None) => {
-                return Some(Err(crate::StorageError::Corrupt(
-                    "run reader exhausted while its key was still queued".into(),
-                )))
-            }
-            Err(e) => return Some(Err(e)),
-        };
-        match reader.peek() {
-            Ok(Some(next)) => self.heap.push(Reverse(HeapEntry {
-                key: self.layout.key(&next),
-                run: entry.run,
-            })),
-            Ok(None) => {}
-            Err(e) => return Some(Err(e)),
-        }
-        Some(Ok(record))
-    }
-}
-
-/// K-way merge over arbitrary sorted record iterators sharing a layout.
+/// K-way merge over sorted record iterators sharing a layout: the one merge
+/// of this workspace.
 ///
-/// The comparison semantics match [`DynKWayMerge`] exactly — records are
-/// ordered by their layout key, ties broken toward the lower input index —
-/// but the inputs are plain iterators instead of whole run files, so callers
-/// can merge *slices* of runs (e.g. one key shard of every input run during
-/// a sharded compaction).  The error type is generic so higher layers can
-/// merge iterators yielding their own error enums, as long as storage
-/// corruption is convertible into them.
+/// Records are ordered by their layout key, ties broken toward the lower
+/// input index.  The inputs are plain iterators, so callers merge whole
+/// runs ([`DynRunReader`]s, as the sorter and the BTP partition merges do)
+/// or *slices* of runs (one key shard of every input run during a sharded
+/// compaction) alike.  Construction pulls each input's head in input order,
+/// and each record handed out pulls the next one from the input it came
+/// from, so the reads a run reader issues depend only on the data.  The
+/// error type is generic so higher layers can merge iterators yielding
+/// their own error enums.
 pub struct DynIterMerge<L, I, E>
 where
     L: RecordLayout,
     I: Iterator<Item = std::result::Result<L::Record, E>>,
-    E: From<crate::StorageError>,
 {
     layout: L,
     inputs: Vec<I>,
     heads: Vec<Option<L::Record>>,
-    heap: BinaryHeap<Reverse<HeapEntry<L::Key>>>,
+    /// `(key of the head, input index)` of every input that has a head:
+    /// the tuple order is the merge order, ties going to the lower input.
+    heap: BinaryHeap<Reverse<(L::Key, usize)>>,
 }
 
 impl<L, I, E> DynIterMerge<L, I, E>
 where
     L: RecordLayout,
     I: Iterator<Item = std::result::Result<L::Record, E>>,
-    E: From<crate::StorageError>,
 {
     /// Builds a merge over already-sorted record iterators.
     pub fn new(layout: L, mut inputs: Vec<I>) -> std::result::Result<Self, E> {
@@ -930,10 +819,7 @@ where
         for (i, input) in inputs.iter_mut().enumerate() {
             let head = input.next().transpose()?;
             if let Some(record) = &head {
-                heap.push(Reverse(HeapEntry {
-                    key: layout.key(record),
-                    run: i,
-                }));
+                heap.push(Reverse((layout.key(record), i)));
             }
             heads.push(head);
         }
@@ -950,27 +836,16 @@ impl<L, I, E> Iterator for DynIterMerge<L, I, E>
 where
     L: RecordLayout,
     I: Iterator<Item = std::result::Result<L::Record, E>>,
-    E: From<crate::StorageError>,
 {
     type Item = std::result::Result<L::Record, E>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let Reverse(entry) = self.heap.pop()?;
-        let record = match self.heads[entry.run].take() {
-            Some(r) => r,
-            None => {
-                return Some(Err(E::from(crate::StorageError::Corrupt(
-                    "merge input exhausted while its key was still queued".into(),
-                ))))
-            }
-        };
-        match self.inputs[entry.run].next().transpose() {
+        let Reverse((_, input)) = self.heap.pop()?;
+        let record = self.heads[input].take().expect("a queued input has a head");
+        match self.inputs[input].next().transpose() {
             Ok(Some(next)) => {
-                self.heap.push(Reverse(HeapEntry {
-                    key: self.layout.key(&next),
-                    run: entry.run,
-                }));
-                self.heads[entry.run] = Some(next);
+                self.heap.push(Reverse((self.layout.key(&next), input)));
+                self.heads[input] = Some(next);
             }
             Ok(None) => {}
             Err(e) => return Some(Err(e)),
@@ -982,7 +857,7 @@ where
 /// Outcome of a dynamic external sort.
 pub struct DynSortOutput<L: RecordLayout> {
     in_memory: Option<std::vec::IntoIter<L::Record>>,
-    merge: Option<DynKWayMerge<L>>,
+    merge: Option<DynIterMerge<L, DynRunReader<L>, StorageError>>,
     /// Number of spill runs generated (zero when fully in memory).
     pub runs_generated: usize,
     /// Total records sorted.
@@ -1122,13 +997,17 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         drop(chunk);
         let per_run_records =
             (self.memory_budget_bytes / 4 / self.layout.record_size() / runs.len().max(1)).max(1);
-        let merge = DynKWayMerge::new_with_prefetch_gate(
-            self.layout.clone(),
-            &runs,
-            per_run_records,
-            self.knobs.io_overlap,
-            crate::PREFETCH_MIN_BYTES,
-        )?;
+        let readers = runs
+            .iter()
+            .map(|run| {
+                run.reader_with_prefetch_gate(
+                    per_run_records,
+                    self.knobs.io_overlap,
+                    crate::PREFETCH_MIN_BYTES,
+                )
+            })
+            .collect();
+        let merge = DynIterMerge::new(self.layout.clone(), readers)?;
         Ok(DynSortOutput {
             in_memory: None,
             merge: Some(merge),
@@ -1190,10 +1069,10 @@ impl<L: RecordLayout> DynExternalSorter<L> {
 
         let (runs, chunk, total) = std::thread::scope(
             |scope| -> Result<(Vec<DynRunFile<L>>, Vec<L::Record>, u64)> {
-                let (tx, rx) = coconut_parallel::bounded::<Vec<L::Record>>(2);
+                let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<L::Record>>(2);
                 let writer = scope.spawn(move || -> Result<Vec<DynRunFile<L>>> {
                     let mut runs: Vec<DynRunFile<L>> = Vec::new();
-                    while let Some(sorted_chunk) = rx.recv() {
+                    while let Ok(sorted_chunk) = rx.recv() {
                         let path = scratch_dir.join(format!(
                             "dynsort-run-{:06}.run",
                             first_run_id + runs.len() as u64
@@ -1606,36 +1485,61 @@ mod tests {
         assert!(input_path.exists());
     }
 
+    /// Writes each record list as a pread run file in `dir`.
+    fn write_runs(
+        dir: &ScratchDir,
+        layout: &PairLayout,
+        inputs: &[Vec<(u64, Vec<u8>)>],
+    ) -> Vec<DynRunFile<PairLayout>> {
+        let stats = IoStats::shared();
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, recs)| {
+                let mut w = pread_writer(
+                    layout.clone(),
+                    dir.file(&format!("{i}.run")),
+                    Arc::clone(&stats),
+                );
+                for r in recs {
+                    w.push(r).unwrap();
+                }
+                w.finish().unwrap()
+            })
+            .collect()
+    }
+
+    /// The merge's specification: the inputs concatenated in input order,
+    /// then stably sorted by key, so equal keys keep the lower input first.
+    fn stable_sort_oracle(inputs: &[Vec<(u64, Vec<u8>)>]) -> Vec<(u64, Vec<u8>)> {
+        let mut all = inputs.concat();
+        all.sort_by_key(|r| r.0);
+        all
+    }
+
     #[test]
     fn iter_merge_matches_run_merge() {
         let dir = ScratchDir::new("dyniter").unwrap();
-        let stats = IoStats::shared();
         let layout = PairLayout { payload_len: 6 };
-        let mut runs = Vec::new();
-        for i in 0..4u64 {
-            let mut recs = make_records(150, 6);
-            recs.iter_mut().for_each(|r| r.0 = r.0.wrapping_mul(i + 1));
-            recs.sort_by_key(|r| r.0);
-            let mut w = pread_writer(
-                layout.clone(),
-                dir.file(&format!("{i}.run")),
-                Arc::clone(&stats),
-            );
-            for r in &recs {
-                w.push(r).unwrap();
-            }
-            runs.push(w.finish().unwrap());
-        }
-        let expected: Vec<_> = DynKWayMerge::new(layout.clone(), &runs, 32)
-            .unwrap()
-            .map(|r| r.unwrap())
+        // Keys drawn from 40 values, so every key repeats across inputs;
+        // the payload names the input, which makes tie order observable.
+        let inputs: Vec<Vec<(u64, Vec<u8>)>> = (0..4u64)
+            .map(|i| {
+                let mut recs: Vec<_> = make_records(150, 6)
+                    .into_iter()
+                    .map(|r| (r.0.wrapping_mul(i + 1) % 40, vec![i as u8; 6]))
+                    .collect();
+                recs.sort_by_key(|r| r.0);
+                recs
+            })
             .collect();
+        let runs = write_runs(&dir, &layout, &inputs);
         let iters: Vec<_> = runs.iter().map(|r| r.reader(32)).collect();
         let got: Vec<_> = DynIterMerge::new(layout, iters)
             .unwrap()
             .map(|r| r.unwrap())
             .collect();
-        assert_eq!(got, expected, "iterator merge must match the run merge");
+        assert_eq!(got, stable_sort_oracle(&inputs));
     }
 
     /// Layout with a big-endian key prefix, one integer field and a raw
@@ -1887,33 +1791,27 @@ mod tests {
     #[test]
     fn dyn_merge_of_sorted_runs() {
         let dir = ScratchDir::new("dynmerge").unwrap();
-        let stats = IoStats::shared();
         let layout = PairLayout { payload_len: 8 };
-        let mut runs = Vec::new();
-        let mut all = Vec::new();
-        for i in 0..3 {
-            let mut recs = make_records(200, 8);
-            recs.iter_mut().for_each(|r| r.0 = r.0.wrapping_add(i * 7));
-            recs.sort_by_key(|r| r.0);
-            let mut w = pread_writer(
-                layout.clone(),
-                dir.file(&format!("{i}.run")),
-                Arc::clone(&stats),
-            );
-            for r in &recs {
-                w.push(r).unwrap();
-            }
-            runs.push(w.finish().unwrap());
-            all.extend(recs);
-        }
-        let merged: Vec<_> = DynKWayMerge::new(layout, &runs, 32)
+        let inputs: Vec<Vec<(u64, Vec<u8>)>> = (0..3u64)
+            .map(|i| {
+                let mut recs = make_records(200, 8);
+                recs.iter_mut().for_each(|r| r.0 = r.0.wrapping_add(i * 7));
+                recs.sort_by_key(|r| r.0);
+                recs
+            })
+            .collect();
+        let runs = write_runs(&dir, &layout, &inputs);
+        // Prefetching readers behind a zero gate: the read-ahead workers
+        // run, and the merge must not notice.
+        let readers: Vec<_> = runs
+            .iter()
+            .map(|r| r.reader_with_prefetch_gate(32, true, 0))
+            .collect();
+        let merged: Vec<_> = DynIterMerge::new(layout, readers)
             .unwrap()
             .map(|r| r.unwrap())
             .collect();
-        assert_eq!(merged.len(), all.len());
-        for w in merged.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
+        assert_eq!(merged, stable_sort_oracle(&inputs));
     }
 
     mod properties {

@@ -7,10 +7,12 @@
 //! the same file.  Appends are always sequential; a read that continues
 //! where the previous one left off is sequential; everything else is random.
 
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -492,21 +494,31 @@ pub const PREFETCH_MIN_BYTES: usize = 2 * 1024 * 1024;
 /// switch per hand-off is amortized over a meaningful amount of data.
 const PREFETCH_GROUP_BYTES: usize = 256 * 1024;
 
+/// One hand-off of a read-ahead worker: the results of consecutive ranges.
+type Group = Vec<Result<Vec<u8>>>;
+
 /// Buffers read ahead of the consumer by a background worker; created with
 /// [`read_ahead`].
 ///
 /// The worker issues the caller's byte ranges in order, groups the resulting
-/// buffers into hand-offs of roughly 256 KiB, and stays at
-/// most two hand-offs ahead (back-pressure bounds memory).  The reads are
+/// buffers into hand-offs of roughly 256 KiB, and sends them through a
+/// two-slot [`std::sync::mpsc::sync_channel`], so it stays at most two
+/// hand-offs ahead (back-pressure bounds memory).  The reads are
 /// exactly the reads the caller would have issued inline, in the same order,
 /// so the per-file sequential/random accounting is unchanged — read-ahead
 /// moves I/O in time, it never changes which I/Os happen.  After the first
 /// failed read the worker stops (the error is delivered in place of that
 /// buffer and nothing further is read, matching the inline path, which also
 /// stops at its first error).
+///
+/// Dropping the buffers disconnects the channel, which wakes a worker
+/// blocked on a full channel and ends it, then joins the worker: no read
+/// outlives the consumer.
 pub struct ReadAheadBuffers {
-    inner: coconut_parallel::Prefetcher<Vec<Result<Vec<u8>>>>,
-    pending: std::collections::VecDeque<Result<Vec<u8>>>,
+    /// `None` only while dropping.
+    receiver: Option<mpsc::Receiver<Group>>,
+    worker: Option<JoinHandle<()>>,
+    pending: VecDeque<Result<Vec<u8>>>,
 }
 
 impl ReadAheadBuffers {
@@ -517,7 +529,16 @@ impl ReadAheadBuffers {
             if let Some(buffer) = self.pending.pop_front() {
                 return Some(buffer);
             }
-            self.pending.extend(self.inner.recv()?);
+            self.pending.extend(self.receiver.as_ref()?.recv().ok()?);
+        }
+    }
+}
+
+impl Drop for ReadAheadBuffers {
+    fn drop(&mut self) {
+        drop(self.receiver.take());
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
@@ -543,34 +564,31 @@ where
     I: Iterator<Item = (u64, usize)> + Send + 'static,
     F: FnMut(u64, usize) -> Result<Vec<u8>> + Send + 'static,
 {
-    let mut failed = false;
-    let inner = coconut_parallel::Prefetcher::spawn(2, move || {
-        if failed {
-            return None;
-        }
-        let mut group: Vec<Result<Vec<u8>>> = Vec::new();
-        let mut group_bytes = 0usize;
-        while group_bytes < PREFETCH_GROUP_BYTES {
-            let Some((start, count)) = ranges.next() else {
-                break;
-            };
-            let result = read(start, count);
-            failed = result.is_err();
-            group_bytes += result.as_ref().map(|b| b.len()).unwrap_or(0);
-            group.push(result);
-            if failed {
-                break;
+    let (tx, rx) = mpsc::sync_channel::<Group>(2);
+    let worker = std::thread::Builder::new()
+        .name("coconut-prefetch".into())
+        .spawn(move || loop {
+            let mut group: Group = Vec::new();
+            let mut group_bytes = 0usize;
+            let mut failed = false;
+            while group_bytes < PREFETCH_GROUP_BYTES && !failed {
+                let Some((start, count)) = ranges.next() else {
+                    break;
+                };
+                let result = read(start, count);
+                failed = result.is_err();
+                group_bytes += result.as_ref().map(|b| b.len()).unwrap_or(0);
+                group.push(result);
             }
-        }
-        if group.is_empty() {
-            None
-        } else {
-            Some(group)
-        }
-    });
+            if group.is_empty() || tx.send(group).is_err() || failed {
+                return;
+            }
+        })
+        .expect("failed to spawn the read-ahead worker");
     ReadAheadBuffers {
-        inner,
-        pending: std::collections::VecDeque::new(),
+        receiver: Some(rx),
+        worker: Some(worker),
+        pending: VecDeque::new(),
     }
 }
 
@@ -809,6 +827,33 @@ mod tests {
         assert!(p.next_buffer().is_none(), "worker stops after the error");
         drop(p);
         assert_eq!(stats.snapshot().total_reads(), 1);
+    }
+
+    /// An endless range stream with the channel full: dropping the buffers
+    /// mid-stream must wake the blocked worker, end it and join it.
+    #[test]
+    fn dropping_read_ahead_mid_stream_unblocks_the_worker() {
+        use std::sync::atomic::AtomicUsize;
+        let reads = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&reads);
+        // One read fills a whole hand-off, so each read is one channel slot.
+        let mut p = read_ahead_with((0u64..).map(|i| (i, 1)), move |_, _| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![0u8; PREFETCH_GROUP_BYTES])
+        });
+        assert!(p.next_buffer().unwrap().is_ok());
+        // The one consumed, two in the channel and one blocked in `send`.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while reads.load(Ordering::SeqCst) < 4 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "worker never filled the channel"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(p); // must not hang
+        assert_eq!(Arc::strong_count(&reads), 1, "the worker was joined");
+        assert_eq!(reads.load(Ordering::SeqCst), 4, "no read after the drop");
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //! * performs real file I/O at page granularity ([`PagedFile`]),
 //! * classifies each page access as *sequential* or *random* based on the
 //!   previously accessed page ([`IoStats`]),
-//! * exposes a configurable [`CostModel`] that converts access counts into a
-//!   device-independent cost figure (the benchmarks report both raw counts
-//!   and modeled cost),
 //! * records per-region access counts for the paper's heat-map visualization
 //!   ([`HeatMap`]),
 //! * provides the bounded-memory two-pass **external merge sort**
@@ -29,7 +26,6 @@
 //!   config carries by value.
 
 pub mod block;
-pub mod cost;
 pub mod durability;
 pub mod dynsort;
 pub mod fadvise;
@@ -42,10 +38,8 @@ pub mod page;
 pub mod tempdir;
 
 pub use block::{ColumnSpec, Compression, LogicalAccountant};
-pub use cost::CostModel;
 pub use dynsort::{
-    DynExternalSorter, DynIterMerge, DynKWayMerge, DynRunFile, DynRunReader, DynRunWriter,
-    RecordLayout,
+    DynExternalSorter, DynIterMerge, DynRunFile, DynRunReader, DynRunWriter, RecordLayout,
 };
 pub use fadvise::drop_page_cache;
 pub use file::{read_ahead, read_ahead_with, PagedFile, ReadAheadBuffers, PREFETCH_MIN_BYTES};

@@ -37,7 +37,7 @@ use coconut_ctree::{check_series, IndexError, Result};
 use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::distance::Neighbor;
 use coconut_series::{Timestamp, TimestampedSeries};
-use coconut_storage::SharedIoStats;
+use coconut_storage::{DynIterMerge, SharedIoStats};
 
 /// Which windowing scheme a streaming index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -535,16 +535,17 @@ impl PartitionedStream {
                 }
             }
             let layout = self.config.layout();
-            let runs: Vec<_> = files.iter().map(|f| f.run().clone()).collect();
-            let merge = coconut_storage::DynKWayMerge::new_with_prefetch_gate(
-                layout,
-                &runs,
-                256,
-                self.config.knobs.io_overlap,
-                planner::decide(&self.config.knobs, || self.merge_planner_inputs())
-                    .0
-                    .effective_prefetch_gate(),
-            )?;
+            let gate = planner::decide(&self.config.knobs, || self.merge_planner_inputs())
+                .0
+                .effective_prefetch_gate();
+            let readers = files
+                .iter()
+                .map(|f| {
+                    f.run()
+                        .reader_with_prefetch_gate(256, self.config.knobs.io_overlap, gate)
+                })
+                .collect();
+            let merge = DynIterMerge::new(layout, readers)?;
             let path = self.dir.join(format!("btp-merged-{:06}.run", self.next_id));
             self.next_id += 1;
             let merged = SortedSeriesFile::build(

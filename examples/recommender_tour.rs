@@ -44,7 +44,7 @@ fn main() {
         io_overlap: true,
         io_backend: coconut_core::IoBackend::Pread,
         planner: coconut_core::PlannerMode::Fixed,
-        compression: coconut_core::Compression::from_env(),
+        compression: coconut_core::Compression::Off,
     };
     let response = server.handle_json(&build.to_json().to_string());
     println!("{response}\n");
