@@ -574,60 +574,39 @@ impl AdsTree {
         ctx.refine(entries.as_slice(), query, Some(bounds), heap, window)
     }
 
-    /// Approximate kNN: descends to the single leaf covering the query and
-    /// refines only its entries.
-    pub fn approximate_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        self.approximate_knn_window(query, k, None)
-    }
-
-    /// Approximate kNN restricted to a timestamp window.
-    pub fn approximate_knn_window(
+    /// kNN search, optionally restricted to the timestamp window
+    /// `[start, end]`.  Approximate: descends to the single leaf covering
+    /// the query and refines only its entries.  Exact: best-first traversal
+    /// of the node tree ordered by iSAX lower bound, refining leaves until
+    /// the bound exceeds the best answer.
+    pub fn knn(
         &self,
         query: &[f32],
         k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let query_paa = paa(query, self.config.sax.segments);
-        let sax = self.summarizer.sax(query);
-        let leaf_id = Self::descend(&self.root, &sax);
-        let mut heap = KnnHeap::new(k);
-        let mut ctx = self.query_context();
-        let bounds = QueryBounds::new(&query_paa, &self.config.sax);
-        self.refine_leaf(leaf_id, query, &bounds, &mut heap, &mut ctx, window)?;
-        let cost = ctx.cost;
-        Ok((heap.into_sorted(), cost))
-    }
-
-    /// Exact kNN: best-first traversal of the node tree ordered by iSAX
-    /// lower bound, refining leaves until the bound exceeds the best answer.
-    pub fn exact_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        self.exact_knn_window(query, k, None)
-    }
-
-    /// Exact kNN restricted to a timestamp window.
-    pub fn exact_knn_window(
-        &self,
-        query: &[f32],
-        k: usize,
+        exact: bool,
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
         let query_paa = paa(query, self.config.sax.segments);
         let bounds = QueryBounds::new(&query_paa, &self.config.sax);
         let mut heap = KnnHeap::new(k);
         let mut ctx = self.query_context();
-        // Collect (lower bound, leaf) pairs over the whole tree.
-        let mut leaves: Vec<(f64, usize)> = Vec::with_capacity(self.leaves.len());
-        self.collect_leaf_bounds(&self.root, &query_paa, &mut leaves);
-        leaves.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for (lb, leaf_id) in leaves {
-            if lb > heap.bound() {
-                ctx.cost.blocks_skipped += 1;
-                continue;
+        if exact {
+            // Collect (lower bound, leaf) pairs over the whole tree.
+            let mut leaves: Vec<(f64, usize)> = Vec::with_capacity(self.leaves.len());
+            self.collect_leaf_bounds(&self.root, &query_paa, &mut leaves);
+            leaves.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            for (lb, leaf_id) in leaves {
+                if lb > heap.bound() {
+                    ctx.cost.blocks_skipped += 1;
+                    continue;
+                }
+                self.refine_leaf(leaf_id, query, &bounds, &mut heap, &mut ctx, window)?;
             }
+        } else {
+            let leaf_id = Self::descend(&self.root, &self.summarizer.sax(query));
             self.refine_leaf(leaf_id, query, &bounds, &mut heap, &mut ctx, window)?;
         }
-        let cost = ctx.cost;
-        Ok((heap.into_sorted(), cost))
+        Ok((heap.into_sorted(), ctx.cost))
     }
 
     fn collect_leaf_bounds(&self, node: &Node, query_paa: &[f64], out: &mut Vec<(f64, usize)>) {
@@ -707,7 +686,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 5,
             );
-            let (got, _) = tree.exact_knn(&q.values, 5).unwrap();
+            let (got, _) = tree.knn(&q.values, 5, true, None).unwrap();
             assert_eq!(got.len(), 5);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert!((g.squared_distance - e.squared_distance).abs() < 1e-6);
@@ -726,7 +705,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 1,
             );
-            let (got, cost) = tree.exact_knn(&q.values, 1).unwrap();
+            let (got, cost) = tree.knn(&q.values, 1, true, None).unwrap();
             assert_eq!(got[0].id, expected[0].id);
             assert!(cost.raw_fetches < 300);
         }
@@ -737,7 +716,7 @@ mod tests {
         let (_dir, series, tree, _) = build_ads(600, true, 1 << 14, 4);
         let target = &series[250];
         let query: Vec<f32> = target.values.iter().map(|v| v + 0.001).collect();
-        let (got, cost) = tree.approximate_knn(&query, 1).unwrap();
+        let (got, cost) = tree.knn(&query, 1, false, None).unwrap();
         assert_eq!(cost.blocks_read, 1);
         // The approximate answer is usually the target itself; it must at
         // least be a close match.
@@ -782,12 +761,32 @@ mod tests {
         }
         tree.flush_buffers().unwrap();
         let q = gen.next_series();
-        let (got, _) = tree
-            .exact_knn_window(&q.values, 50, Some((200, 500)))
-            .unwrap();
+        let window = (200, 500);
+        let (got, _) = tree.knn(&q.values, 50, true, Some(window)).unwrap();
         assert!(!got.is_empty());
         for n in &got {
             assert!(n.id * 10 >= 200 && n.id * 10 <= 500);
+        }
+        // Exact: the brute-force answer over the series stored in the window.
+        for k in [1, 5, 50] {
+            let in_window = series
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (window.0..=window.1).contains(&(*i as u64 * 10)))
+                .map(|(_, s)| (s.id, s.values.as_slice()));
+            let expected: Vec<_> = brute_force_knn(&q.values, in_window, k)
+                .iter()
+                .map(|n| (n.id, n.squared_distance))
+                .collect();
+            let (got, _) = tree.knn(&q.values, k, true, Some(window)).unwrap();
+            let got: Vec<_> = got.iter().map(|n| (n.id, n.squared_distance)).collect();
+            assert_eq!(got, expected, "exact window answer at k={k}");
+            // Approximate: at most k hits, every one inside the window.
+            let (approx, _) = tree.knn(&q.values, k, false, Some(window)).unwrap();
+            assert!(approx.len() <= k);
+            for n in &approx {
+                assert!((window.0..=window.1).contains(&n.timestamp));
+            }
         }
     }
 
@@ -796,9 +795,9 @@ mod tests {
         let dir = ScratchDir::new("ads-empty").unwrap();
         let config = AdsConfig::new(SaxConfig::new(32, 4, 8)).materialized(true);
         let tree = AdsTree::new(config, dir.path(), IoStats::shared()).unwrap();
-        let (got, _) = tree.exact_knn(&[0.0; 32], 3).unwrap();
+        let (got, _) = tree.knn(&[0.0; 32], 3, true, None).unwrap();
         assert!(got.is_empty());
-        let (got, _) = tree.approximate_knn(&[0.0; 32], 3).unwrap();
+        let (got, _) = tree.knn(&[0.0; 32], 3, false, None).unwrap();
         assert!(got.is_empty());
     }
 

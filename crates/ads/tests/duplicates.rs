@@ -22,7 +22,7 @@ fn all_duplicates_build_and_query_terminate() {
     assert_eq!(tree.len(), 300);
 
     let query: Vec<f32> = template.values.iter().map(|v| v + 0.25).collect();
-    let (nn, _) = tree.exact_knn(&query, 5).unwrap();
+    let (nn, _) = tree.knn(&query, 5, true, None).unwrap();
     let ids: Vec<u64> = nn.iter().map(|n| n.id).collect();
     assert_eq!(ids, vec![0, 1, 2, 3, 4], "ties must order by ascending id");
 }

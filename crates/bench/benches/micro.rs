@@ -126,7 +126,7 @@ fn bench_ctree_query(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            std::hint::black_box(tree.exact_knn(&q.values, 1).unwrap());
+            std::hint::black_box(tree.knn(&q.values, 1, true).unwrap());
         })
     });
     c.bench_function("m4_ctree_approx_knn_2k", |b| {
@@ -134,7 +134,7 @@ fn bench_ctree_query(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            std::hint::black_box(tree.approximate_knn(&q.values, 1).unwrap());
+            std::hint::black_box(tree.knn(&q.values, 1, false).unwrap());
         })
     });
 }

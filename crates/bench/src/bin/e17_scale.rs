@@ -148,7 +148,7 @@ fn query_phase(
         let mut lat = Vec::with_capacity(wb.queries.len());
         for q in &wb.queries.queries {
             let start = Instant::now();
-            let _ = index.exact_knn(&q.values, k).expect("query");
+            let _ = index.knn(&q.values, k, true).expect("query");
             lat.push(start.elapsed().as_secs_f64() * 1000.0);
         }
         lat
@@ -167,7 +167,7 @@ fn query_phase(
     let mut answers = Vec::new();
     let mut costs = Vec::new();
     for q in &wb.queries.queries {
-        let (nn, cost) = index.exact_knn(&q.values, k).expect("query");
+        let (nn, cost) = index.knn(&q.values, k, true).expect("query");
         answers.push(
             nn.iter()
                 .map(|n| (n.id, n.squared_distance))

@@ -25,7 +25,7 @@ fn main() {
             let mut q_ms = Vec::new();
             for q in &wb.queries.queries {
                 let t = std::time::Instant::now();
-                index.exact_knn(&q.values, 1).expect("query");
+                index.knn(&q.values, 1, true).expect("query");
                 q_ms.push(t.elapsed().as_secs_f64() * 1000.0);
             }
             let q_io = stats.snapshot();

@@ -38,7 +38,7 @@ fn main() {
         stats.reset();
         let t = std::time::Instant::now();
         for q in &wb.queries.queries {
-            tree.exact_knn(&q.values, 1).unwrap();
+            tree.knn(&q.values, 1, true).unwrap();
         }
         let query_ms = t.elapsed().as_secs_f64() * 1000.0 / wb.queries.len() as f64;
         rows.push(vec![
@@ -68,7 +68,7 @@ fn main() {
         stats.reset();
         let t = std::time::Instant::now();
         for q in &wb.queries.queries {
-            tree.exact_knn(&q.values, 1).unwrap();
+            tree.knn(&q.values, 1, true, None).unwrap();
         }
         let query_ms = t.elapsed().as_secs_f64() * 1000.0 / wb.queries.len() as f64;
         rows.push(vec![

@@ -17,7 +17,7 @@ fn main() {
         let (index, report) = StaticIndex::build(&wb.dataset, config, &dir, stats).expect("build");
         let t = std::time::Instant::now();
         for q in &wb.queries.queries {
-            index.exact_knn(&q.values, 1).unwrap();
+            index.knn(&q.values, 1, true).unwrap();
         }
         let per_query_ms = t.elapsed().as_secs_f64() * 1000.0 / wb.queries.len() as f64;
         per_variant.push((config.display_name(), report, per_query_ms));

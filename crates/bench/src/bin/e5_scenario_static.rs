@@ -38,12 +38,12 @@ fn main() {
         for q in &queries.queries {
             let before = stats.snapshot();
             let t = std::time::Instant::now();
-            let (nn, _) = index.exact_knn(&q.values, 5).unwrap();
+            let (nn, _) = index.knn(&q.values, 5, true).unwrap();
             exact_ms.push(t.elapsed().as_secs_f64() * 1000.0);
             exact_reads += stats.snapshot().since(&before).total_reads();
             assert_eq!(nn.len(), 5);
             let t = std::time::Instant::now();
-            index.approximate_knn(&q.values, 5).unwrap();
+            index.knn(&q.values, 5, false).unwrap();
             approx_ms.push(t.elapsed().as_secs_f64() * 1000.0);
         }
         let _ = heat;

@@ -660,81 +660,35 @@ impl ClsmTree {
         units
     }
 
-    /// Approximate kNN over the buffer plus every run, fanned out over
-    /// `query_parallelism` workers.
-    pub fn approximate_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        self.approximate_knn_window(query, k, None)
-    }
-
-    /// Approximate kNN restricted to a timestamp window.
-    pub fn approximate_knn_window(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(window);
-        coconut_ctree::engine::parallel_knn(
-            &units,
-            query,
-            k,
-            self.config.knobs.query_parallelism,
-            false,
-        )
-    }
-
-    /// Exact kNN over the buffer plus every run, fanned out over
-    /// `query_parallelism` workers under a bound frozen from the merged seeds.
-    pub fn exact_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        self.exact_knn_window(query, k, None)
-    }
-
-    /// Exact kNN restricted to a timestamp window.
-    pub fn exact_knn_window(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(window);
-        coconut_ctree::engine::parallel_knn(
-            &units,
-            query,
-            k,
-            self.config.knobs.query_parallelism,
-            true,
-        )
-    }
-
-    /// Single kNN query with cooperative cancellation, polled by the engine
-    /// before each of its phases.
-    /// Answers and cost are bit-identical to [`ClsmTree::exact_knn`] /
-    /// [`ClsmTree::approximate_knn`] when the token never fires; on
-    /// cancellation the query unwinds with
-    /// [`IndexError::Cancelled`] carrying the partial cost.
-    pub fn knn_with(
+    /// kNN over the buffer plus every run, exact or approximate, optionally
+    /// restricted to the timestamp window `[start, end]`, fanned out over
+    /// `query_parallelism` workers (an exact query under a bound frozen
+    /// from the merged seeds; see [`coconut_ctree::engine`]).
+    pub fn knn(
         &self,
         query: &[f32],
         k: usize,
         exact: bool,
-        cancel: &coconut_parallel::CancelToken,
+        window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(None);
-        coconut_ctree::engine::parallel_knn_with(
+        let units = self.query_units(window);
+        coconut_ctree::engine::parallel_knn(
             &units,
             query,
             k,
             self.config.knobs.query_parallelism,
             exact,
-            cancel,
         )
     }
 
-    /// Like [`ClsmTree::knn_with`], but with the fan-out from
-    /// [`planner::decide`]: under [`planner::PlannerMode::Adaptive`] a
-    /// [`planner::PlanReport`] is captured for this query and returned
-    /// alongside the answer; under `Fixed` this is exactly `knn_with` and
-    /// the report is `None`.  Answers and cost are identical in both modes.
+    /// Like [`ClsmTree::knn`] over the whole tree, but cancellable (the
+    /// engine polls `cancel` before each of its phases and unwinds with
+    /// [`IndexError::Cancelled`] carrying the partial cost) and with the
+    /// fan-out from [`planner::decide`]: under
+    /// [`planner::PlannerMode::Adaptive`] a [`planner::PlanReport`] is
+    /// captured for this query and returned alongside the answer; under
+    /// `Fixed` the report is `None`.  Answers and cost are identical in
+    /// both modes, and to [`ClsmTree::knn`] when the token never fires.
     pub fn knn_planned(
         &self,
         query: &[f32],
@@ -856,7 +810,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 5,
             );
-            let (got, _) = tree.exact_knn(&q.values, 5).unwrap();
+            let (got, _) = tree.knn(&q.values, 5, true, None).unwrap();
             assert_eq!(got.len(), 5);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert!((g.squared_distance - e.squared_distance).abs() < 1e-6);
@@ -875,7 +829,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 1,
             );
-            let (got, cost) = tree.exact_knn(&q.values, 1).unwrap();
+            let (got, cost) = tree.knn(&q.values, 1, true, None).unwrap();
             assert_eq!(got[0].id, expected[0].id);
             assert!(cost.raw_fetches < 400);
         }
@@ -895,7 +849,7 @@ mod tests {
         assert_eq!(tree.num_runs(), 0, "nothing should be flushed yet");
         let target = &series[20];
         let query: Vec<f32> = target.values.iter().map(|v| v + 0.001).collect();
-        let (got, _) = tree.exact_knn(&query, 1).unwrap();
+        let (got, _) = tree.knn(&query, 1, true, None).unwrap();
         assert_eq!(got[0].id, target.id);
     }
 
@@ -979,7 +933,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 4,
             );
-            let (got, _) = tree.exact_knn(&q.values, 4).unwrap();
+            let (got, _) = tree.knn(&q.values, 4, true, None).unwrap();
             assert_eq!(got.len(), 4);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert_eq!(g.id, e.id);
@@ -1037,8 +991,8 @@ mod tests {
         let mut gen = RandomWalkGenerator::new(64, 11);
         for _ in 0..5 {
             let q = gen.next_series();
-            let (a, _) = sharded.exact_knn(&q.values, 3).unwrap();
-            let (b, _) = plain.exact_knn(&q.values, 3).unwrap();
+            let (a, _) = sharded.knn(&q.values, 3, true, None).unwrap();
+            let (b, _) = plain.knn(&q.values, 3, true, None).unwrap();
             assert_eq!(a, b, "sharded and unsharded answers must agree");
         }
     }
@@ -1052,15 +1006,16 @@ mod tests {
             .with_buffer_capacity(32);
         let mut tree = ClsmTree::new(config, &dir.file("lsm"), IoStats::shared()).unwrap();
         let mut gen = RandomWalkGenerator::new(32, 7);
+        let mut stored = Vec::new();
         for batch in 0..10u64 {
             let series = gen.generate(20);
             tree.insert_batch(&series, batch * 100).unwrap();
+            stored.extend(series.into_iter().map(|s| (batch * 100, s)));
         }
         tree.flush().unwrap();
         let q = gen.next_series();
-        let (got, _) = tree
-            .exact_knn_window(&q.values, 200, Some((300, 600)))
-            .unwrap();
+        let window = (300, 600);
+        let (got, _) = tree.knn(&q.values, 200, true, Some(window)).unwrap();
         assert!(!got.is_empty());
         // Every returned id must belong to batches 3..=6 (ids 60..140).
         for n in &got {
@@ -1070,6 +1025,26 @@ mod tests {
                 n.id
             );
         }
+        // Exact: the brute-force answer over the series stored in the window.
+        for k in [1, 5, 200] {
+            let in_window = stored
+                .iter()
+                .filter(|(ts, _)| (window.0..=window.1).contains(ts))
+                .map(|(_, s)| (s.id, s.values.as_slice()));
+            let expected: Vec<_> = brute_force_knn(&q.values, in_window, k)
+                .iter()
+                .map(|n| (n.id, n.squared_distance))
+                .collect();
+            let (got, _) = tree.knn(&q.values, k, true, Some(window)).unwrap();
+            let got: Vec<_> = got.iter().map(|n| (n.id, n.squared_distance)).collect();
+            assert_eq!(got, expected, "exact window answer at k={k}");
+            // Approximate: at most k hits, every one inside the window.
+            let (approx, _) = tree.knn(&q.values, k, false, Some(window)).unwrap();
+            assert!(approx.len() <= k);
+            for n in &approx {
+                assert!((window.0..=window.1).contains(&n.timestamp));
+            }
+        }
     }
 
     #[test]
@@ -1077,7 +1052,7 @@ mod tests {
         let dir = ScratchDir::new("clsm-empty").unwrap();
         let config = ClsmConfig::new(SaxConfig::new(32, 4, 8)).materialized(true);
         let tree = ClsmTree::new(config, &dir.file("lsm"), IoStats::shared()).unwrap();
-        let (got, _) = tree.exact_knn(&[0.0; 32], 3).unwrap();
+        let (got, _) = tree.knn(&[0.0; 32], 3, true, None).unwrap();
         assert!(got.is_empty());
     }
 

@@ -166,6 +166,42 @@ impl IndexConfig {
         self
     }
 
+    /// The configuration a `build_index` request asks for over a dataset
+    /// of `series_len`-long series: the request's variant, materialization
+    /// and knobs, with the memory budget floored at 1 MiB.  `None` for any
+    /// other request.  This is the one translation from the wire to a
+    /// build; the server calls it for every `build_index`.
+    pub fn for_build(request: &palm::PalmRequest, series_len: usize) -> Option<IndexConfig> {
+        let palm::PalmRequest::BuildIndex {
+            variant,
+            materialized,
+            memory_budget_bytes,
+            parallelism,
+            query_parallelism,
+            shard_count,
+            io_overlap,
+            io_backend,
+            planner,
+            compression,
+            ..
+        } = *request
+        else {
+            return None;
+        };
+        Some(
+            IndexConfig::new(variant, series_len)
+                .materialized(materialized)
+                .with_memory_budget(memory_budget_bytes.max(1 << 20))
+                .with_parallelism(parallelism)
+                .with_query_parallelism(query_parallelism)
+                .with_shard_count(shard_count)
+                .with_io_overlap(io_overlap)
+                .with_io_backend(io_backend)
+                .with_planner(planner)
+                .with_compression(compression),
+        )
+    }
+
     /// Display name like "CTreeFull" / "CTree" following Figure 1.
     pub fn display_name(&self) -> String {
         if self.materialized {
@@ -333,65 +369,26 @@ impl StaticIndex {
         coconut_ctree::check_series("query", query, series_len)
     }
 
-    /// Approximate kNN query.
-    pub fn approximate_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
+    /// kNN query, exact or approximate.
+    pub fn knn(&self, query: &[f32], k: usize, exact: bool) -> Result<(Vec<Neighbor>, QueryCost)> {
         match self {
-            StaticIndex::Ads(t) => t.approximate_knn(query, k),
-            StaticIndex::CTree(t) => t.approximate_knn(query, k),
-            StaticIndex::Clsm(t) => t.approximate_knn(query, k),
+            StaticIndex::Ads(t) => t.knn(query, k, exact, None),
+            StaticIndex::CTree(t) => t.knn(query, k, exact),
+            StaticIndex::Clsm(t) => t.knn(query, k, exact, None),
         }
     }
 
-    /// Exact kNN query.
-    pub fn exact_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        match self {
-            StaticIndex::Ads(t) => t.exact_knn(query, k),
-            StaticIndex::CTree(t) => t.exact_knn(query, k),
-            StaticIndex::Clsm(t) => t.exact_knn(query, k),
-        }
-    }
-
-    /// Single kNN query with cooperative cancellation.
-    ///
-    /// Coconut variants poll the token before each of the engine's
-    /// phases; the ADS+ baseline (which does not go through the engine)
-    /// only checks it up front.  When the token never fires, answers and
-    /// `QueryCost` are bit-identical to [`StaticIndex::exact_knn`] /
-    /// [`StaticIndex::approximate_knn`] — the cancellable path *is* the
-    /// regular path plus pure reads of the token.  On cancellation the
-    /// query unwinds with `IndexError::Cancelled` carrying the partial cost.
-    pub fn knn_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        match self {
-            StaticIndex::Ads(t) => {
-                if cancel.is_cancelled() {
-                    return Err(IndexError::Cancelled {
-                        partial_cost: QueryCost::default(),
-                    });
-                }
-                if exact {
-                    t.exact_knn(query, k)
-                } else {
-                    t.approximate_knn(query, k)
-                }
-            }
-            StaticIndex::CTree(t) => t.knn_with(query, k, exact, cancel),
-            StaticIndex::Clsm(t) => t.knn_with(query, k, exact, cancel),
-        }
-    }
-
-    /// Like [`StaticIndex::knn_with`], but routed through the per-query
-    /// cost-model planner when the index was built with
+    /// Like [`StaticIndex::knn`], but cancellable and routed through the
+    /// per-query cost-model planner when the index was built with
     /// [`PlannerMode::Adaptive`]: the execution knobs come from a
     /// [`PlanReport`] captured for this query, returned alongside the
-    /// answer.  In `Fixed` mode (and for the ADS+ baseline, which does not
-    /// go through the engine) this is exactly `knn_with` and the report is
-    /// `None`.  Answers and `QueryCost` are identical in both modes.
+    /// answer.  Coconut variants poll the token before each of the
+    /// engine's phases; the ADS+ baseline (which does not go through the
+    /// engine) only checks it up front and never plans (its report is
+    /// `None`, as in `Fixed` mode).  Answers and `QueryCost` are identical
+    /// in both modes, and to [`StaticIndex::knn`] when the token never
+    /// fires; on cancellation the query unwinds with
+    /// `IndexError::Cancelled` carrying the partial cost.
     pub fn knn_planned(
         &self,
         query: &[f32],
@@ -400,7 +397,14 @@ impl StaticIndex {
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
         match self {
-            StaticIndex::Ads(_) => self.knn_with(query, k, exact, cancel).map(|r| (r, None)),
+            StaticIndex::Ads(t) => {
+                if cancel.is_cancelled() {
+                    return Err(IndexError::Cancelled {
+                        partial_cost: QueryCost::default(),
+                    });
+                }
+                t.knn(query, k, exact, None).map(|r| (r, None))
+            }
             StaticIndex::CTree(t) => t.knn_planned(query, k, exact, cancel),
             StaticIndex::Clsm(t) => t.knn_planned(query, k, exact, cancel),
         }
@@ -559,7 +563,7 @@ mod tests {
                     StaticIndex::build(&ds, config, &subdir, Arc::clone(&stats)).unwrap();
                 assert_eq!(index.len(), series.len() as u64);
                 assert!(report.footprint_bytes > 0);
-                let (nn, _) = index.exact_knn(&query.values, 1).unwrap();
+                let (nn, _) = index.knn(&query.values, 1, true).unwrap();
                 distances.push(nn[0].squared_distance);
             }
         }
@@ -616,30 +620,13 @@ mod tests {
 
         let frame = r#"{"type":"build_index","name":"w","dataset_path":"/d","variant":"CTree","materialized":false,"memory_budget_bytes":1048576}"#;
         let request = palm::PalmRequest::from_json(&Json::parse(frame).unwrap()).unwrap();
-        let palm::PalmRequest::BuildIndex {
-            parallelism,
-            query_parallelism,
-            shard_count,
-            range,
-            io_overlap,
-            io_backend,
-            planner,
-            compression,
-            ..
-        } = request
-        else {
-            panic!("not a build_index: {request:?}");
-        };
-        let wire = PerfKnobs {
-            parallelism,
-            query_parallelism,
-            io_overlap,
-            io_backend,
-            planner,
-            compression,
-        };
-        assert_eq!(wire, engine);
-        assert_eq!((shard_count, range), (1, None));
+        let config = IndexConfig::for_build(&request, 64).expect("a build_index frame");
+        assert_eq!(config.knobs, engine);
+        assert_eq!(config.shard_count, 1);
+        assert!(matches!(
+            request,
+            palm::PalmRequest::BuildIndex { range: None, .. }
+        ));
     }
 
     #[test]

@@ -85,12 +85,12 @@ coconut_json::wire! {
             memory_budget_bytes: usize,
             /// Worker threads for the build (`1` = sequential, `0` = all
             /// cores).  Optional in the JSON protocol; defaults to `1`.
-            parallelism: usize = 1,
+            parallelism: usize = PerfKnobs::default().parallelism,
             /// Worker threads for the query fan-out (`1` = sequential, `0` =
             /// all cores).  Optional in the JSON protocol; defaults to `1`.
             /// A pure performance knob: query results are identical at every
             /// setting.
-            query_parallelism: usize = 1,
+            query_parallelism: usize = PerfKnobs::default().query_parallelism,
             /// Key-range shards per CLSM compaction.  Optional in the JSON
             /// protocol; defaults to `1` (ignored by non-CLSM variants).
             shard_count: usize = 1,
@@ -98,18 +98,18 @@ coconut_json::wire! {
             /// the JSON protocol; defaults to `true`.  A pure performance
             /// knob: index files, answers and I/O totals are identical
             /// either way.
-            io_overlap: bool = true,
+            io_overlap: bool = PerfKnobs::default().io_overlap,
             /// Read backend for the index files ("pread" | "mmap").
             /// Optional in the JSON protocol; defaults to "pread".  A pure
             /// performance knob: index files, answers and I/O totals are
             /// identical either way.
-            io_backend: IoBackend = IoBackend::Pread,
+            io_backend: IoBackend = PerfKnobs::default().io_backend,
             /// Query planning mode ("fixed" | "adaptive").  Optional in the
             /// JSON protocol; defaults to "fixed".  A pure performance knob:
             /// query results are identical in both modes — "adaptive" only
             /// changes which execution knobs the engine runs with, and
             /// attaches an `explain` member to query responses.
-            planner: PlannerMode = PlannerMode::Fixed,
+            planner: PlannerMode = PerfKnobs::default().planner,
             /// On-disk compression of sorted runs and leaf blocks ("off" |
             /// "prefix").  Optional in the JSON protocol; defaults to the
             /// engine default, "off".  A pure performance knob: answers,
@@ -1156,40 +1156,23 @@ impl PalmServer {
     ) -> Result<(PalmResponse, Option<u64>), ServiceError> {
         let response = match request {
             PalmRequest::BuildIndex {
-                name,
-                dataset_path,
-                variant,
-                materialized,
-                memory_budget_bytes,
-                parallelism,
-                query_parallelism,
-                shard_count,
+                ref name,
+                ref dataset_path,
                 range,
-                io_overlap,
-                io_backend,
-                planner,
-                compression,
+                ..
             } => {
                 // The build runs entirely outside the registry lock, so
                 // queries against other indexes proceed while it sorts.
                 // A ranged build (service-level sharding) windows the
                 // dataset to `[lo, hi)`; ids stay global.
                 let dataset = match range {
-                    None => Dataset::open(&dataset_path)?,
-                    Some((lo, hi)) => Dataset::open_range(&dataset_path, lo, hi)?,
+                    None => Dataset::open(dataset_path)?,
+                    Some((lo, hi)) => Dataset::open_range(dataset_path, lo, hi)?,
                 };
-                let config = IndexConfig::new(variant, dataset.series_len())
-                    .materialized(materialized)
-                    .with_memory_budget(memory_budget_bytes.max(1 << 20))
-                    .with_parallelism(parallelism)
-                    .with_query_parallelism(query_parallelism)
-                    .with_shard_count(shard_count)
-                    .with_io_overlap(io_overlap)
-                    .with_io_backend(io_backend)
-                    .with_planner(planner)
-                    .with_compression(compression);
+                let config = IndexConfig::for_build(&request, dataset.series_len())
+                    .expect("a build_index request");
                 let stats = IoStats::shared();
-                let dir = self.work_dir.join(&name);
+                let dir = self.work_dir.join(name);
                 let (index, report) =
                     StaticIndex::build(&dataset, config, &dir, Arc::clone(&stats))?;
                 let variant_name = config.display_name();
@@ -1206,10 +1189,10 @@ impl PalmServer {
                 // version tag already hides old entries, the purge just
                 // frees them.
                 if let Some(cache) = &self.cache {
-                    cache.purge(&name);
+                    cache.purge(name);
                 }
                 PalmResponse::Built {
-                    name,
+                    name: name.clone(),
                     variant: variant_name,
                     report,
                 }

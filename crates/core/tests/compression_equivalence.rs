@@ -89,12 +89,12 @@ fn static_variants_are_equivalent_at_either_compression() {
                 );
             }
             for (qi, q) in queries.iter().enumerate() {
-                let (nn_off, cost_off) = off.exact_knn(&q.values, 5).unwrap();
-                let (nn_prefix, cost_prefix) = prefix.exact_knn(&q.values, 5).unwrap();
+                let (nn_off, cost_off) = off.knn(&q.values, 5, true).unwrap();
+                let (nn_prefix, cost_prefix) = prefix.knn(&q.values, 5, true).unwrap();
                 assert_eq!(nn_off, nn_prefix, "exact answers differ ({ctx}, q{qi})");
                 assert_eq!(cost_off, cost_prefix, "exact costs differ ({ctx}, q{qi})");
-                let (ap_off, ap_cost_off) = off.approximate_knn(&q.values, 5).unwrap();
-                let (ap_prefix, ap_cost_prefix) = prefix.approximate_knn(&q.values, 5).unwrap();
+                let (ap_off, ap_cost_off) = off.knn(&q.values, 5, false).unwrap();
+                let (ap_prefix, ap_cost_prefix) = prefix.knn(&q.values, 5, false).unwrap();
                 assert_eq!(ap_off, ap_prefix, "approx answers differ ({ctx}, q{qi})");
                 assert_eq!(
                     ap_cost_off, ap_cost_prefix,
@@ -197,7 +197,7 @@ fn query_logical_reads_are_knob_invariant() {
         let (index, _) = StaticIndex::build(&dataset, config, &subdir, Arc::clone(&stats)).unwrap();
         let before = stats.snapshot();
         for q in &queries {
-            index.exact_knn(&q.values, 5).unwrap();
+            index.knn(&q.values, 5, true).unwrap();
         }
         per_setting.push(stats.snapshot().since(&before));
 

@@ -87,11 +87,7 @@ impl Subject for ClsmTree {
         self.stats().merges
     }
     fn query(&self, query: &[f32], exact: bool) -> (Vec<Neighbor>, QueryCost) {
-        if exact {
-            self.exact_knn(query, 5).expect("exact")
-        } else {
-            self.approximate_knn(query, 5).expect("approx")
-        }
+        self.knn(query, 5, exact, None).expect("query")
     }
     fn sync(&mut self) {
         self.flush().expect("flush");

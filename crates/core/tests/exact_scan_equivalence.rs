@@ -739,13 +739,7 @@ fn ads_leaf_refine_matches_file_order_twin() {
         for (qi, query) in queries_for(archive).iter().enumerate() {
             for exact in [true, false] {
                 let at = format!("ads {name} q{qi} exact={exact}");
-                let search = |tree: &AdsTree| {
-                    if exact {
-                        tree.exact_knn(query, K).unwrap()
-                    } else {
-                        tree.approximate_knn(query, K).unwrap()
-                    }
-                };
+                let search = |tree: &AdsTree| tree.knn(query, K, exact, None).unwrap();
                 let (nn, cost) = search(&fetching);
                 let (nn_twin, cost_twin) = search(&twin);
                 assert_eq!(nn, nn_twin, "neighbours differ ({at})");

@@ -35,7 +35,7 @@ fn all_static_variants_match_brute_force_on_many_queries() {
                     series.iter().map(|s| (s.id, s.values.as_slice())),
                     3,
                 );
-                let (got, _) = index.exact_knn(&q.values, 3).unwrap();
+                let (got, _) = index.knn(&q.values, 3, true).unwrap();
                 assert_eq!(got.len(), 3, "{}", config.display_name());
                 for (g, e) in got.iter().zip(expected.iter()) {
                     assert!(
@@ -66,7 +66,7 @@ fn approximate_answers_are_reasonable_across_variants() {
         let mut ok = 0;
         for target in series.iter().step_by(100) {
             let query: Vec<f32> = target.values.iter().map(|v| v + 0.002).collect();
-            let (got, _) = index.approximate_knn(&query, 1).unwrap();
+            let (got, _) = index.knn(&query, 1, false).unwrap();
             if !got.is_empty() && got[0].id == target.id {
                 ok += 1;
             }

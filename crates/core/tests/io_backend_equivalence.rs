@@ -131,8 +131,8 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
     let mut qgen = RandomWalkGenerator::new(64, 99);
     for _ in 0..8 {
         let q = qgen.next_series();
-        let (a, ca) = trees[0].exact_knn(&q.values, 4).unwrap();
-        let (b, cb) = trees[1].exact_knn(&q.values, 4).unwrap();
+        let (a, ca) = trees[0].knn(&q.values, 4, true).unwrap();
+        let (b, cb) = trees[1].knn(&q.values, 4, true).unwrap();
         assert_eq!(a, b, "post-compaction answers must match");
         assert_eq!(ca, cb, "post-compaction costs must match");
     }

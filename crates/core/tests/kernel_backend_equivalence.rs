@@ -70,9 +70,9 @@ fn run_variant(
     let mut qgen = RandomWalkGenerator::new(64, 20626);
     for _ in 0..8 {
         let q = qgen.next_series();
-        let (nn, cost) = index.exact_knn(&q.values, 5).expect("exact");
+        let (nn, cost) = index.knn(&q.values, 5, true).expect("exact");
         answers.push(format!("exact {nn:?} {cost:?}"));
-        let (ap, ap_cost) = index.approximate_knn(&q.values, 5).expect("approx");
+        let (ap, ap_cost) = index.knn(&q.values, 5, false).expect("approx");
         answers.push(format!("approx {ap:?} {ap_cost:?}"));
     }
     Outcome {

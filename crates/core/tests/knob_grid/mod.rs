@@ -165,8 +165,8 @@ fn static_outcome(
     let mut answers = Vec::new();
     for _ in 0..6 {
         let q = qgen.next_series();
-        answers.push(index.exact_knn(&q.values, 5).unwrap());
-        answers.push(index.approximate_knn(&q.values, 5).unwrap());
+        answers.push(index.knn(&q.values, 5, true).unwrap());
+        answers.push(index.knn(&q.values, 5, false).unwrap());
     }
     let outcome = Outcome {
         files,

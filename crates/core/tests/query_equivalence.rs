@@ -9,8 +9,8 @@
 //! against 8 workers ([`WORKERS`]).
 
 use coconut_core::{
-    streaming_index, IndexConfig, IoStats, Neighbor, QueryCost, ScratchDir, StaticIndex,
-    StreamingConfig, VariantKind, WindowScheme,
+    streaming_index, IndexConfig, IoStats, ScratchDir, StaticIndex, StreamingConfig, VariantKind,
+    WindowScheme,
 };
 use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
 use coconut_series::{Dataset, Series};
@@ -37,14 +37,6 @@ fn build_clsm(
     index
 }
 
-fn knn(index: &StaticIndex, query: &[f32], k: usize, exact: bool) -> (Vec<Neighbor>, QueryCost) {
-    if exact {
-        index.exact_knn(query, k).expect("exact query")
-    } else {
-        index.approximate_knn(query, k).expect("approximate query")
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -67,8 +59,8 @@ proptest! {
             for _ in 0..6 {
                 let q = qgen.next_series();
                 for exact in [true, false] {
-                    let (nn_s, cost_s) = knn(&seq, &q.values, k, exact);
-                    let (nn_p, cost_p) = knn(&par, &q.values, k, exact);
+                    let (nn_s, cost_s) = seq.knn(&q.values, k, exact).unwrap();
+                    let (nn_p, cost_p) = par.knn(&q.values, k, exact).unwrap();
                     prop_assert_eq!(&nn_s, &nn_p,
                         "answers differ (shards={}, exact={})", shards, exact);
                     prop_assert_eq!(cost_s, cost_p,
@@ -196,7 +188,7 @@ fn all_duplicates_dataset_orders_ties_by_id_everywhere() {
             let subdir = dir.file(&format!("{}-q{query_par}", variant.name()));
             let (index, _) =
                 StaticIndex::build(&dataset, config, &subdir, IoStats::shared()).unwrap();
-            let (nn, _) = index.exact_knn(&query, k).unwrap();
+            let (nn, _) = index.knn(&query, k, true).unwrap();
             assert_eq!(nn, expected, "{} q{query_par}", variant.name());
         }
     }
@@ -255,8 +247,8 @@ fn parallel_query_cost_equals_sequential_cost() {
     let mut nonzero = false;
     for _ in 0..10 {
         let q = qgen.next_series();
-        let (_, cost_s) = seq.exact_knn(&q.values, 5).unwrap();
-        let (_, cost_p) = par.exact_knn(&q.values, 5).unwrap();
+        let (_, cost_s) = seq.knn(&q.values, 5, true).unwrap();
+        let (_, cost_p) = par.knn(&q.values, 5, true).unwrap();
         assert_eq!(cost_s, cost_p);
         nonzero |= cost_s.entries_examined > 0 && cost_s.blocks_read > 0;
     }

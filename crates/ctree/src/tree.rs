@@ -325,16 +325,14 @@ impl CTree {
         }
     }
 
-    fn query_units(&self, window: Option<(Timestamp, Timestamp)>) -> Vec<CTreeUnit<'_>> {
+    fn query_units(&self) -> Vec<CTreeUnit<'_>> {
         let mut units = vec![CTreeUnit {
             tree: self,
-            window,
             part: CTreePart::Leaves,
         }];
         if !self.delta.is_empty() {
             units.push(CTreeUnit {
                 tree: self,
-                window,
                 part: CTreePart::Delta,
             });
         }
@@ -350,7 +348,7 @@ impl CTree {
         PlannerInputs {
             footprint_bytes: self.footprint_bytes(),
             cache_budget_bytes: probe.cache_budget_bytes,
-            unit_count: self.query_units(None).len(),
+            unit_count: self.query_units().len(),
             run_count: 1,
             cores: probe.cores,
             k,
@@ -359,11 +357,21 @@ impl CTree {
         }
     }
 
-    /// Like [`CTree::knn_with`], but with the fan-out from
-    /// [`planner::decide`]: under [`planner::PlannerMode::Adaptive`] a
-    /// [`planner::PlanReport`] is captured for this query and returned
-    /// alongside the answer; under `Fixed` this is exactly `knn_with` and
-    /// the report is `None`.  Answers and cost are identical in both modes.
+    /// kNN search, exact or approximate, fanned out over
+    /// `query_parallelism` workers (see [`crate::engine`]).
+    pub fn knn(&self, query: &[f32], k: usize, exact: bool) -> Result<(Vec<Neighbor>, QueryCost)> {
+        let units = self.query_units();
+        crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, exact)
+    }
+
+    /// Like [`CTree::knn`], but cancellable (the engine polls `cancel`
+    /// before each of its phases and unwinds with
+    /// [`IndexError::Cancelled`] carrying the partial cost) and with the
+    /// fan-out from [`planner::decide`]: under
+    /// [`planner::PlannerMode::Adaptive`] a [`planner::PlanReport`] is
+    /// captured for this query and returned alongside the answer; under
+    /// `Fixed` the report is `None`.  Answers and cost are identical in
+    /// both modes, and to [`CTree::knn`] when the token never fires.
     pub fn knn_planned(
         &self,
         query: &[f32],
@@ -373,7 +381,7 @@ impl CTree {
     ) -> Result<PlannedAnswer> {
         let (decision, report) =
             planner::decide(&self.config.knobs, || self.planner_inputs(k, exact));
-        let units = self.query_units(None);
+        let units = self.query_units();
         let answer = crate::engine::parallel_knn_with(
             &units,
             query,
@@ -385,81 +393,14 @@ impl CTree {
         Ok((answer, report))
     }
 
-    fn search_delta(
-        &self,
-        query: &[f32],
-        heap: &mut KnnHeap,
-        window: Option<(Timestamp, Timestamp)>,
-    ) {
+    fn search_delta(&self, query: &[f32], heap: &mut KnnHeap) {
         for entry in &self.delta {
-            if let Some((start, end)) = window {
-                if entry.timestamp < start || entry.timestamp > end {
-                    continue;
-                }
-            }
             if entry.is_materialized() {
                 if let Some(d) = euclidean_early_abandon(query, &entry.values, heap.bound()) {
                     heap.offer_at(entry.id, entry.timestamp, d);
                 }
             }
         }
-    }
-
-    /// Approximate kNN search.
-    pub fn approximate_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        self.approximate_knn_window(query, k, None)
-    }
-
-    /// Approximate kNN search restricted to a timestamp window.
-    pub fn approximate_knn_window(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(window);
-        crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, false)
-    }
-
-    /// Exact kNN search.
-    pub fn exact_knn(&self, query: &[f32], k: usize) -> Result<(Vec<Neighbor>, QueryCost)> {
-        self.exact_knn_window(query, k, None)
-    }
-
-    /// Exact kNN search restricted to a timestamp window.
-    pub fn exact_knn_window(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(window);
-        crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, true)
-    }
-
-    /// Single kNN query with cooperative cancellation, polled by the engine
-    /// before each of its phases.
-    /// Answers and cost are bit-identical to [`CTree::exact_knn`] /
-    /// [`CTree::approximate_knn`] when the token never fires; on
-    /// cancellation the query unwinds with
-    /// [`IndexError::Cancelled`] carrying the
-    /// partial cost.
-    pub fn knn_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(None);
-        crate::engine::parallel_knn_with(
-            &units,
-            query,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-            cancel,
-        )
     }
 
     /// Inserts a batch of new series (delta inserts).  Materialized trees
@@ -572,7 +513,6 @@ enum CTreePart {
 /// supplied per search call so one unit list serves both phases of a query.
 struct CTreeUnit<'a> {
     tree: &'a CTree,
-    window: Option<(Timestamp, Timestamp)>,
     part: CTreePart,
 }
 
@@ -588,14 +528,11 @@ impl crate::engine::SearchUnit for CTreeUnit<'_> {
         ctx: &mut QueryContext<'_>,
     ) -> Result<()> {
         match self.part {
-            CTreePart::Leaves => self
-                .tree
-                .file
-                .search_approximate(query, heap, ctx, self.window),
+            CTreePart::Leaves => self.tree.file.search_approximate(query, heap, ctx, None),
             CTreePart::Delta => {
                 // The delta is in memory: its "approximate" probe is the
                 // full scan, which both seeds the bound and is exact.
-                self.tree.search_delta(query, heap, self.window);
+                self.tree.search_delta(query, heap);
                 Ok(())
             }
         }
@@ -608,9 +545,9 @@ impl crate::engine::SearchUnit for CTreeUnit<'_> {
         ctx: &mut QueryContext<'_>,
     ) -> Result<()> {
         match self.part {
-            CTreePart::Leaves => self.tree.file.search_exact(query, heap, ctx, self.window),
+            CTreePart::Leaves => self.tree.file.search_exact(query, heap, ctx, None),
             CTreePart::Delta => {
-                self.tree.search_delta(query, heap, self.window);
+                self.tree.search_delta(query, heap);
                 Ok(())
             }
         }
@@ -757,7 +694,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 5,
             );
-            let (got, _) = tree.exact_knn(&q.values, 5).unwrap();
+            let (got, _) = tree.knn(&q.values, 5, true).unwrap();
             assert_eq!(got.len(), 5);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert!(
@@ -779,7 +716,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 1,
             );
-            let (got, cost) = tree.exact_knn(&q.values, 1).unwrap();
+            let (got, cost) = tree.knn(&q.values, 1, true).unwrap();
             assert_eq!(got[0].id, expected[0].id);
             assert!(cost.raw_fetches < series.len() as u64);
         }
@@ -790,8 +727,8 @@ mod tests {
         let (_dir, _series, tree, _stats) = build_tree(1000, true, 1 << 20, 5);
         let mut gen = RandomWalkGenerator::new(64, 7);
         let q = gen.next_series();
-        let (_a, approx_cost) = tree.approximate_knn(&q.values, 1).unwrap();
-        let (_e, exact_cost) = tree.exact_knn(&q.values, 1).unwrap();
+        let (_a, approx_cost) = tree.knn(&q.values, 1, false).unwrap();
+        let (_e, exact_cost) = tree.knn(&q.values, 1, true).unwrap();
         assert!(approx_cost.blocks_read <= exact_cost.blocks_read);
         assert!(approx_cost.entries_examined <= exact_cost.entries_examined);
     }
@@ -838,14 +775,14 @@ mod tests {
         // A query targeting an inserted series must find it.
         let target = &extra[10];
         let query: Vec<f32> = target.values.iter().map(|v| v + 0.001).collect();
-        let (got, _) = tree.exact_knn(&query, 1).unwrap();
+        let (got, _) = tree.knn(&query, 1, true).unwrap();
         assert_eq!(got[0].id, target.id);
 
         // Force the merge and re-check.
         tree.merge_delta().unwrap();
         assert_eq!(tree.pending_delta(), 0);
         assert_eq!(tree.len(), 250);
-        let (got, _) = tree.exact_knn(&query, 1).unwrap();
+        let (got, _) = tree.knn(&query, 1, true).unwrap();
         assert_eq!(got[0].id, target.id);
         assert!(tree.merges >= 1);
     }

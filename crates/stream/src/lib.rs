@@ -169,11 +169,9 @@ impl StreamingIndex for PpStream {
         window: Option<(Timestamp, Timestamp)>,
         exact: bool,
     ) -> Result<StreamQueryResult> {
-        let (neighbors, cost) = match (&self.backend, exact) {
-            (PpBackend::Ads(t), true) => t.exact_knn_window(query, k, window)?,
-            (PpBackend::Ads(t), false) => t.approximate_knn_window(query, k, window)?,
-            (PpBackend::Clsm(t), true) => t.exact_knn_window(query, k, window)?,
-            (PpBackend::Clsm(t), false) => t.approximate_knn_window(query, k, window)?,
+        let (neighbors, cost) = match &self.backend {
+            PpBackend::Ads(t) => t.knn(query, k, exact, window)?,
+            PpBackend::Clsm(t) => t.knn(query, k, exact, window)?,
         };
         Ok(StreamQueryResult {
             neighbors,
@@ -682,11 +680,7 @@ impl StreamUnit<'_> {
     ) -> Result<()> {
         // ADS partitions run their own traversal; fold their neighbours and
         // cost into this worker's heap and counters.
-        let (neighbors, cost) = if exact {
-            tree.exact_knn_window(query, self.k, self.window)?
-        } else {
-            tree.approximate_knn_window(query, self.k, self.window)?
-        };
+        let (neighbors, cost) = tree.knn(query, self.k, exact, self.window)?;
         ctx.cost = ctx.cost.plus(&cost);
         for n in neighbors {
             heap.offer_at(n.id, n.timestamp, n.squared_distance);

@@ -42,8 +42,8 @@ fn main() {
     // 3. Query: a noisy copy of series #1234 must come back as its own
     //    nearest neighbour.
     let query: Vec<f32> = series[1234].values.iter().map(|v| v + 0.01).collect();
-    let (approx, _) = index.approximate_knn(&query, 5).expect("approximate query");
-    let (exact, cost) = index.exact_knn(&query, 5).expect("exact query");
+    let (approx, _) = index.knn(&query, 5, false).expect("approximate query");
+    let (exact, cost) = index.knn(&query, 5, true).expect("exact query");
     println!(
         "approximate top hit: id {} (distance {:.4})",
         approx[0].id,

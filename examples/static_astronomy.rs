@@ -76,8 +76,8 @@ fn main() {
 
     // --- Pattern search on both ---
     for (name, template) in &patterns {
-        let (ads_hits, ads_cost) = ads.exact_knn(template, 5).expect("ads query");
-        let (ctree_hits, ctree_cost) = ctree.exact_knn(template, 5).expect("ctree query");
+        let (ads_hits, ads_cost) = ads.knn(template, 5, true).expect("ads query");
+        let (ctree_hits, ctree_cost) = ctree.knn(template, 5, true).expect("ctree query");
         assert!((ads_hits[0].squared_distance - ctree_hits[0].squared_distance).abs() < 1e-6);
         let label = gen.label(ctree_hits[0].id);
         println!(
