@@ -1,7 +1,12 @@
-//! Criterion micro-benchmarks (M1-M4 in DESIGN.md): sortable-key encoding,
-//! MINDIST evaluation, external sorting and CTree block search.
+//! Criterion micro-benchmarks (M1-M7 in DESIGN.md): sortable-key encoding,
+//! MINDIST evaluation, external sorting, CTree block search, the run writer,
+//! and the wire path's request decode and frame split.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+
+use coconut_core::palm::PalmRequest;
+use coconut_json::{FromJson, Json, ToJson};
+use coconut_net::{FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
 use coconut_sax::mindist::{mindist_paa_sax_sq, QueryBounds};
 use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
@@ -193,9 +198,76 @@ fn bench_run_write(c: &mut Criterion) {
     );
 }
 
+/// An `insert` frame as the repository's benchmark client writes one: 128
+/// random walks of 256 points, each value rounded to 1/1024 and printed by
+/// `{}` (about 354 KB).
+fn insert_frame() -> String {
+    let mut gen = RandomWalkGenerator::new(256, 0x4A_50);
+    let rows: Vec<String> = (0..128)
+        .map(|_| {
+            let values: Vec<String> = gen
+                .next_series()
+                .values
+                .iter()
+                .map(|v| format!("{}", (v * 1024.0).round() / 1024.0))
+                .collect();
+            format!("[{}]", values.join(","))
+        })
+        .collect();
+    format!(
+        r#"{{"type":"insert","name":"m","series":[{}],"timestamp":1}}"#,
+        rows.join(",")
+    )
+}
+
+/// The shard's decode of one insert frame: the reference path (a `Json`
+/// tree, then the codec) and the served one (`PalmRequest::from_text`, which
+/// lifts `series` straight to `f32`).  Set-up checks they agree bit for bit.
+fn bench_request_decode(c: &mut Criterion) {
+    let frame = insert_frame();
+    let reference = |text: &str| PalmRequest::from_json(&Json::parse(text).unwrap()).unwrap();
+    let served = |text: &str| PalmRequest::from_text(text).unwrap().1.unwrap();
+    let bits = |request: &PalmRequest| match request {
+        PalmRequest::Insert { series, .. } => series
+            .iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect::<Vec<u32>>(),
+        other => panic!("not an insert: {other:?}"),
+    };
+    let (expected, got) = (reference(&frame), served(&frame));
+    assert_eq!(bits(&expected).len(), 128 * 256);
+    assert_eq!(bits(&expected), bits(&got));
+    assert_eq!(expected.to_json().to_string(), got.to_json().to_string());
+    println!("{:<40} {} B frame", "m6_insert_frame", frame.len());
+    c.bench_function("m6a_insert_frame_reference", |b| {
+        b.iter(|| std::hint::black_box(reference(std::hint::black_box(&frame))))
+    });
+    c.bench_function("m6b_insert_frame_served", |b| {
+        b.iter(|| std::hint::black_box(served(std::hint::black_box(&frame))))
+    });
+}
+
+/// `FrameReader` splitting that insert frame off an in-memory reader: the
+/// newline search, the buffer fills and the frame's copy.  Set-up checks the
+/// frame ends where a byte-wise search finds the newline.
+fn bench_frame_split(c: &mut Criterion) {
+    let mut data = insert_frame().into_bytes();
+    data.push(b'\n');
+    let split = |data: &[u8]| match FrameReader::new(data, DEFAULT_MAX_FRAME_BYTES).read_frame() {
+        FrameOutcome::Frame(frame) => frame,
+        other => panic!("not a frame: {other:?}"),
+    };
+    let newline = data.iter().position(|&b| b == b'\n');
+    assert_eq!(Some(split(&data).len()), newline);
+    c.bench_function("m7_frame_split_354k", |b| {
+        b.iter(|| std::hint::black_box(split(std::hint::black_box(&data))))
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_run_write
+    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_run_write, bench_request_decode, bench_frame_split
 }
 criterion_main!(micro);

@@ -57,7 +57,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coconut_json::{find_member, scan_array, scan_object, FromJson, Json, JsonError, ToJson};
+use coconut_json::{
+    find_member, scan_array, scan_object, Floats, FromJson, Json, JsonError, ToJson,
+};
 use coconut_parallel::{effective_parallelism, parallel_map_tasks, CancelToken};
 use parking_lot::{Mutex, RwLock};
 
@@ -452,6 +454,48 @@ impl From<coconut_series::SeriesError> for ServiceError {
 }
 
 impl PalmRequest {
+    /// Parses and decodes one request frame: the parsed frame, for the
+    /// members the protocol reads around the request (`deadline_ms`), and
+    /// the decoded request or the refusal [`FromJson`] words.  The outer
+    /// error is the parser's.
+    ///
+    /// An `insert`'s `series` and a `query`'s `query` are decoded in one
+    /// pass, straight to `f32` ([`coconut_json::parse_lifting`]), and in the
+    /// tree they are an empty array.  Everything else, and every frame the
+    /// lifting declines or that is refused, is `Json::parse` then
+    /// [`FromJson::from_json`]: the two agree wherever both answer.
+    pub fn from_text(text: &str) -> Result<(Json, Result<PalmRequest, JsonError>), JsonError> {
+        if let Some((json, request)) = Self::lifted(text) {
+            return Ok((json, Ok(request)));
+        }
+        let json = Json::parse(text)?;
+        let request = PalmRequest::from_json(&json);
+        Ok((json, request))
+    }
+
+    /// [`PalmRequest::from_text`]'s one-pass decode, for a frame that opens
+    /// as every encoder opens an `insert` or a `query` (so its first `type`
+    /// member names the variant); `None` leaves the frame to the full parse.
+    /// The codec decodes the other members, the placeholder among them, and
+    /// the payload is moved in after.
+    fn lifted(text: &str) -> Option<(Json, PalmRequest)> {
+        let key = if text.starts_with(r#"{"type":"insert","#) {
+            "series"
+        } else if text.starts_with(r#"{"type":"query","#) {
+            "query"
+        } else {
+            return None;
+        };
+        let (json, floats) = coconut_json::parse_lifting(text, key)?;
+        let mut request = PalmRequest::from_json(&json).ok()?;
+        match (&mut request, floats) {
+            (PalmRequest::Insert { series, .. }, Floats::Rows(rows)) => *series = rows,
+            (PalmRequest::Query { query, .. }, Floats::Values(values)) => *query = values,
+            _ => return None,
+        }
+        Some((json, request))
+    }
+
     /// A whole-dataset `build_index` request with the engine's knob
     /// defaults ([`PerfKnobs::default`], one CLSM shard).  Callers that
     /// want other knobs set the variant's fields afterwards.
@@ -1032,8 +1076,8 @@ impl PalmServer {
             let hash = cache.hash(key);
             let reply = self.replay(cache, key, hash, start);
             if reply.is_none() {
-                let json = Json::parse(element).ok()?;
-                requests.push(PalmRequest::from_json(&json).ok()?);
+                let (json, request) = PalmRequest::from_text(element).ok()?;
+                requests.push(request.ok()?);
                 // A batch ignores an element's own `deadline_ms`; its reply
                 // is recorded only if it also answers the element's bytes
                 // sent alone.
@@ -1092,8 +1136,8 @@ impl PalmServer {
         let malformed = |e: JsonError| {
             ServiceError::malformed(format!("malformed request: {e}")).into_response()
         };
-        let json = match Json::parse(request_json) {
-            Ok(json) => json,
+        let (json, request) = match PalmRequest::from_text(request_json) {
+            Ok(parsed) => parsed,
             Err(e) => return (malformed(e), None),
         };
         let cancel = match request_deadline(json.get("deadline_ms")) {
@@ -1101,7 +1145,7 @@ impl PalmServer {
             Ok(Some(at)) => cancel.with_deadline(at),
             Err(e) => return (e.into_response(), None),
         };
-        match PalmRequest::from_json(&json) {
+        match request {
             Ok(request) => self.handle_versioned(request, &cancel),
             Err(e) => (malformed(e), None),
         }

@@ -11,6 +11,13 @@
 //! [`FromJson`] conversion traits, and [`wire!`], the declarative codec
 //! that derives both for every record of the palm protocol.
 //!
+//! Two entries parse by the same grammar without building the whole tree:
+//! [`scan_object`] / [`scan_array`] leave every value as text for a router,
+//! and [`parse_lifting`] decodes one float payload (an insert's rows, a
+//! query's values) straight to `f32`, the tree holding only the rest.  A
+//! 128 x 256 insert frame is 32,768 numbers: as [`Json::Num`] nodes their
+//! tree cost more than parsing them.
+//!
 //! Object members preserve insertion order so emitted documents are stable
 //! across runs (important for byte-comparing benchmark reports).
 
@@ -311,6 +318,44 @@ pub fn scan_array(input: &str) -> Result<Vec<&str>> {
     Ok(elements)
 }
 
+/// The floats [`parse_lifting`] takes out of a document, decoded as
+/// [`FromJson`] decodes them: each number is parsed to an `f64` and cast.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Floats {
+    /// An array of numbers; also what an empty array lifts to.
+    Values(Vec<f32>),
+    /// An array of arrays of numbers.
+    Rows(Vec<Vec<f32>>),
+}
+
+/// Parses `input` as [`Json::parse`] does, except for the first top-level
+/// member called `key`: its value is decoded straight to [`Floats`] and
+/// left in the tree as an empty array.  No [`Json`] node is built for the
+/// payload, which is what a large float matrix costs in a tree.
+///
+/// `None` unless `input` is one JSON object by [`Json::parse`]'s grammar
+/// whose first `key` member is an array of numbers or of arrays of numbers:
+/// the caller parses such an input in full, which also words its refusal.
+pub fn parse_lifting(input: &str, key: &str) -> Option<(Json, Floats)> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    let mut members = Vec::new();
+    let mut lifted = None;
+    p.members(|p, name| {
+        let value = if lifted.is_none() && name == key {
+            lifted = Some(p.floats()?);
+            Json::Arr(Vec::new())
+        } else {
+            p.value()?
+        };
+        members.push((name, value));
+        Ok(())
+    })
+    .ok()?;
+    p.end().ok()?;
+    Some((Json::Obj(members), lifted?))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -437,6 +482,45 @@ impl<'a> Parser<'a> {
                 }
                 _ => return Err(JsonError::new(format!("bad array at offset {}", self.pos))),
             }
+        }
+    }
+
+    /// An array of numbers or of arrays of numbers, as [`Floats`]; any other
+    /// value is refused.  Each row starts at the length of the one before.
+    fn floats(&mut self) -> Result<Floats> {
+        let mut values = Vec::new();
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        self.elements(|p| {
+            if p.peek() == Some(b'[') && values.is_empty() {
+                let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
+                p.elements(|p| {
+                    row.push(p.float()?);
+                    Ok(())
+                })?;
+                rows.push(row);
+            } else if rows.is_empty() {
+                values.push(p.float()?);
+            } else {
+                return Err(JsonError::new(format!("bad row at offset {}", p.pos)));
+            }
+            Ok(())
+        })?;
+        Ok(if rows.is_empty() {
+            Floats::Values(values)
+        } else {
+            Floats::Rows(rows)
+        })
+    }
+
+    /// A number as `f32`, cast from its `f64` as [`FromJson`] casts it.
+    /// Only what opens a number in [`Parser::value`] is taken for one.
+    fn float(&mut self) -> Result<f32> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => Ok(self.number()? as f32),
+            _ => Err(JsonError::new(format!(
+                "expected a number at offset {}",
+                self.pos
+            ))),
         }
     }
 
@@ -1198,6 +1282,81 @@ mod tests {
         assert!(caps[1] >= big);
         assert!(caps[2] <= (doc.len() - zeros.len()) / 2, "{}", caps[2]);
         assert!(caps[3..].iter().all(|&c| c <= 4), "{:?}", &caps[3..]);
+    }
+
+    /// What [`parse_lifting`] must agree with: the full parse, its first
+    /// `key` member converted by [`FromJson`] and replaced by `[]`.  `None`
+    /// where the lifting entry must decline.
+    fn lifted_by_the_tree(doc: &str, key: &str) -> Option<(Json, Floats)> {
+        let Ok(Json::Obj(mut members)) = Json::parse(doc) else {
+            return None;
+        };
+        let (_, value) = members.iter_mut().find(|(k, _)| k == key)?;
+        let floats = match Vec::<f32>::from_json(value) {
+            Ok(values) => Floats::Values(values),
+            Err(_) => Floats::Rows(Vec::<Vec<f32>>::from_json(value).ok()?),
+        };
+        *value = Json::Arr(Vec::new());
+        Some((Json::Obj(members), floats))
+    }
+
+    /// The shape and the bits of `floats`: `-0` is not `0`.
+    fn bits(floats: &Floats) -> (bool, Vec<Vec<u32>>) {
+        let row = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect();
+        match floats {
+            Floats::Values(values) => (false, vec![row(values)]),
+            Floats::Rows(rows) => (true, rows.iter().map(|r| row(r)).collect()),
+        }
+    }
+
+    #[test]
+    fn lifting_agrees_with_the_tree_or_declines() {
+        let whole = r#"{"type":"insert","name":"s","series":[[1,-2.5e0],[3,4]],"timestamp":1}"#;
+        let mut docs: Vec<String> = (0..=whole.len())
+            .map(|cut| whole[..cut].to_string())
+            .collect();
+        for tail in ["}", "x", ",", " ", "\"", "[1]"] {
+            docs.push(format!("{whole}{tail}"));
+        }
+        for series in [
+            "[]",
+            "[[]]",
+            "[[],[]]",
+            "[1,2,3]",
+            "[[1,\"x\"]]",
+            "[[1],2]",
+            "[1,[2]]",
+            "[[1,[2]]]",
+            "[[1,null]]",
+            "[{}]",
+            "[.5]",
+            "[[+1]]",
+            "[[-]]",
+            "[[1e39,-0,4.9e-324,1234567890123456789012345]]",
+            "[ [ 1 , 2 ] , [ 3 ] ]",
+            "[[1,],[2]]",
+            "[[1] [2]]",
+            "\"x\"",
+            "null",
+            "{}",
+        ] {
+            docs.push(format!(r#"{{"type":"insert","series":{series},"k":1}}"#));
+            docs.push(format!(r#"{{"series":{series},"series":[[7]]}}"#));
+            docs.push(format!(r#"{{"series":[[7]],"series":{series}}}"#));
+            docs.push(format!(r#"{{"series":{series},"after":[1,}}"#));
+        }
+        docs.push(r#"[{"series":[[1]]}]"#.to_string());
+        docs.push(r#"{"other":[[1]]}"#.to_string());
+        docs.push(r#"{"deep":{"series":[[1]]}}"#.to_string());
+        for doc in &docs {
+            let got = parse_lifting(doc, "series");
+            let expected = lifted_by_the_tree(doc, "series");
+            assert_eq!(
+                got.as_ref().map(|(json, floats)| (json, bits(floats))),
+                expected.as_ref().map(|(json, floats)| (json, bits(floats))),
+                "{doc:?}"
+            );
+        }
     }
 
     crate::wire! {

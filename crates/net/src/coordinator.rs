@@ -65,7 +65,7 @@ use coconut_core::palm::{
 use coconut_core::{check_finite, merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
 use coconut_json::wire::in_field;
 use coconut_json::{
-    find_member, require_member, scan_object, FromJson, Json, JsonError, RawMember, ToJson,
+    find_member, parse_lifting, require_member, scan_object, Floats, JsonError, RawMember, ToJson,
 };
 use coconut_parallel::{chunk_bounds, CancelToken};
 
@@ -649,13 +649,19 @@ impl Coordinator {
     /// floats are decoded for the check and never printed.
     fn query_frame(
         &self,
+        text: &str,
         members: &[RawMember<'_>],
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, JsonError> {
         let name = require_member(members, "name")?;
         name.field::<String>()?;
         let query = require_member(members, "query")?;
-        let values: Vec<f32> = query.field()?;
+        // Lifted where they are all numbers; otherwise the codec's decode
+        // words the refusal.
+        let values = match parse_lifting(text, "query") {
+            Some((_, Floats::Values(values))) => values,
+            _ => query.field::<Vec<f32>>()?,
+        };
         let k = require_member(members, "k")?;
         let k_value: usize = k.field()?;
         let exact = require_member(members, "exact")?;
@@ -809,9 +815,9 @@ impl RequestHandler for Coordinator {
         let kind = find_member(&members, "type").and_then(|kind| kind.decode::<String>().ok());
         let response = match kind.as_deref() {
             Some("insert") => self.insert_frame(&members, deadline),
-            Some("query") => self.query_frame(&members, deadline),
-            _ => Json::parse(&text)
-                .and_then(|json| PalmRequest::from_json(&json))
+            Some("query") => self.query_frame(&text, &members, deadline),
+            _ => PalmRequest::from_text(&text)
+                .and_then(|(_, request)| request)
                 .map(|request| self.handle_with_deadline(request, deadline)),
         };
         match response {

@@ -8,6 +8,10 @@
 //! timeout: a timeout surfaces as [`FrameOutcome::Timeout`] with the
 //! partial frame kept, letting the connection loop poll the server's
 //! shutdown state between chunks without losing data.
+//!
+//! The terminator is looked for eight bytes at a time (`find_newline`):
+//! an `insert` frame is hundreds of kilobytes, and a byte-wise search of
+//! one took as long as a tenth of the shard's decode of it.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
@@ -72,7 +76,7 @@ impl<R: Read> FrameReader<R> {
     pub fn read_frame(&mut self) -> FrameOutcome {
         loop {
             let unscanned = &self.buf[self.scanned..self.filled];
-            if let Some(offset) = unscanned.iter().position(|&b| b == b'\n') {
+            if let Some(offset) = find_newline(unscanned) {
                 let newline = self.scanned + offset;
                 if newline > self.max_frame {
                     break;
@@ -114,6 +118,30 @@ impl<R: Read> FrameReader<R> {
             limit: self.max_frame,
         }
     }
+}
+
+/// The position of the first `\n` in `bytes`, read one little-endian `u64`
+/// word at a time.  In `word ^ NEWLINES` a newline is a zero byte, and
+/// `(x - 0x01..01) & !x & 0x80..80` sets the high bit of every zero byte of
+/// `x`; it may also set the bit of a `0x01` byte *above* a zero one, where
+/// the subtraction's borrow arrives, but never below the first zero.  So
+/// the lowest set bit is exact, and is the only one read.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(offset + zeros.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| offset + i)
 }
 
 /// Writes one frame: the payload followed by `\n`, flushed.  Both go out
@@ -216,6 +244,69 @@ mod tests {
                 reader.read_frame(),
                 FrameOutcome::Eof { mid_frame: false }
             ));
+        }
+    }
+
+    /// Bytes that sit next to `\n` in the search's arithmetic: `0x0b` is it
+    /// with the low bit flipped (in `x`, a `0x01`, where a borrow lands),
+    /// `0x8a` with the high bit set; then its neighbours in text (`\t`,
+    /// `\r`), the extremes, a high-bit byte and a digit.
+    const FILLER: [u8; 8] = [0x00, 0x09, 0x0b, 0x0d, 0x8a, 0x80, 0xff, b'0'];
+
+    #[test]
+    fn word_search_equals_the_bytewise_search() {
+        let bytewise = |buf: &[u8]| buf.iter().position(|&b| b == b'\n');
+        for len in 0..=40 {
+            // Each filler alone, and mixed in three patterns.
+            let fills: Vec<Vec<u8>> = FILLER
+                .iter()
+                .map(|&fill| vec![fill; len])
+                .chain((1..4).map(|step| (0..len).map(|i| FILLER[(i * step + len) % 8]).collect()))
+                .collect();
+            for fill in fills {
+                let mut buf = fill.clone();
+                assert_eq!(find_newline(&buf), bytewise(&buf), "{buf:?}");
+                for at in 0..len {
+                    buf[at] = b'\n';
+                    assert_eq!(find_newline(&buf), bytewise(&buf), "{buf:?}");
+                    // A second newline after it changes nothing.
+                    if at + 3 < len {
+                        buf[at + 3] = b'\n';
+                        assert_eq!(find_newline(&buf), Some(at), "{buf:?}");
+                        buf[at + 3] = fill[at + 3];
+                    }
+                    buf[at] = fill[at];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_straddling_reads_at_every_word_offset() {
+        for offset in 0..8 {
+            // A first frame of `offset` bytes puts the second one's bytes
+            // at every alignment against the eight-byte words.
+            let first = vec![b'x'; offset];
+            let second: Vec<u8> = (0..37).map(|i| FILLER[i % 8]).collect();
+            let mut data = first.clone();
+            data.push(b'\n');
+            data.extend_from_slice(&second);
+            data.extend_from_slice(b"\r\n");
+            for step in 1..=17 {
+                let mut reader = FrameReader::new(Trickle { data: &data, step }, 64);
+                assert!(
+                    matches!(reader.read_frame(), FrameOutcome::Frame(f) if f == first),
+                    "offset {offset}, step {step}"
+                );
+                assert!(
+                    matches!(reader.read_frame(), FrameOutcome::Frame(f) if f == second),
+                    "offset {offset}, step {step}"
+                );
+                assert!(matches!(
+                    reader.read_frame(),
+                    FrameOutcome::Eof { mid_frame: false }
+                ));
+            }
         }
     }
 
