@@ -25,8 +25,8 @@
 //!
 //! Writes `BENCH_scale.json`.  Speed numbers are reported, never asserted;
 //! any **identity** mismatch makes the binary exit non-zero.  The same
-//! identities are pinned at test size by `kernel_equivalence.rs` and
-//! `kernel_backend_equivalence.rs`.
+//! identities are pinned at test size by `kernel_equivalence.rs` and the
+//! differential suite's `every_kernel_backend_matches_scalar`.
 
 use std::sync::Arc;
 use std::time::Instant;

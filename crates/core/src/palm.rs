@@ -35,7 +35,10 @@
 //! A [`PalmRequest::Batch`] is N single requests: each sub-request is one
 //! task of [`coconut_parallel::parallel_map_tasks`], handled exactly as if
 //! it had been sent alone, so its reply is that request's reply (apart from
-//! `elapsed_ms`).
+//! `elapsed_ms`).  Only a batch of queries runs concurrently; a batch with
+//! any other sub-request (an `insert`, a `build_index`, a `stats`, ...)
+//! runs them one at a time, in request order, so each reply is the one the
+//! requests sent alone in that order would get.
 //!
 //! # Result cache
 //!
@@ -1048,7 +1051,8 @@ impl PalmServer {
     /// Answers a `batch` frame element by element.  Each element of
     /// `requests` is looked up by the [`RequestKey`] of its own bytes; hits
     /// are served from their recorded replies, and only the misses are
-    /// decoded and run through [`PalmServer::execute_batch`].
+    /// decoded and run through [`PalmServer::execute_batch`].  No element
+    /// after one that is not a query is looked up: it is computed in order.
     /// Their `query_result`s are recorded, and the replies are spliced into
     /// one `batch_result`.
     ///
@@ -1071,13 +1075,20 @@ impl PalmServer {
         let mut replies: Vec<Option<String>> = Vec::with_capacity(elements.len());
         let mut misses = Vec::new();
         let mut requests = Vec::new();
+        // Past an element that is not a query (an insert, say) the batch
+        // runs in order, and a reply recorded before it may be stale.
+        let mut ordered = false;
         for (i, element) in elements.iter().enumerate() {
             let key = RequestKey::of(element);
             let hash = cache.hash(key);
-            let reply = self.replay(cache, key, hash, start);
+            let reply = (!ordered)
+                .then(|| self.replay(cache, key, hash, start))
+                .flatten();
             if reply.is_none() {
                 let (json, request) = PalmRequest::from_text(element).ok()?;
-                requests.push(request.ok()?);
+                let request = request.ok()?;
+                ordered |= !matches!(request, PalmRequest::Query { .. });
+                requests.push(request);
                 // A batch ignores an element's own `deadline_ms`; its reply
                 // is recorded only if it also answers the element's bytes
                 // sent alone.
@@ -1347,9 +1358,12 @@ impl PalmServer {
     /// Executes a batch: every sub-request is one task fanned out over
     /// `batch_workers` threads, handled by [`PalmServer::handle_versioned`]
     /// exactly as if it had been sent alone, and responses come back in
-    /// request order.  Sub-requests are consumed, never cloned; nested
-    /// batches are rejected (the service boundary must not recurse on
-    /// attacker-chosen depth).
+    /// request order.  Only a batch of queries fans out: any other
+    /// sub-request — a write, or a `stats` or `metrics` that reads counters
+    /// the others advance — makes the batch run one sub-request at a time,
+    /// in request order, so each sees exactly what ran before it.
+    /// Sub-requests are consumed, never cloned; nested batches are rejected
+    /// (the service boundary must not recurse on attacker-chosen depth).
     ///
     /// A deadline that trips fails only the sub-requests it interrupted:
     /// the others keep their answers, and the batch as a whole never turns
@@ -1360,13 +1374,17 @@ impl PalmServer {
         requests: Vec<PalmRequest>,
         cancel: &CancelToken,
     ) -> Vec<(PalmResponse, Option<u64>)> {
+        let only_queries = requests
+            .iter()
+            .all(|request| matches!(request, PalmRequest::Query { .. }));
+        let workers = if only_queries { self.batch_workers } else { 1 };
         // The `Mutex` only lets the worker that claims a job take its
         // request out of the shared slice.
         let jobs: Vec<Mutex<Option<PalmRequest>>> = requests
             .into_iter()
             .map(|request| Mutex::new(Some(request)))
             .collect();
-        parallel_map_tasks(&jobs, self.batch_workers, |_, job| {
+        parallel_map_tasks(&jobs, workers, |_, job| {
             match job.lock().take().expect("each job is claimed exactly once") {
                 PalmRequest::Batch { .. } => {
                     let message = "batch requests cannot be nested".to_string();
@@ -1819,6 +1837,96 @@ mod tests {
                 assert_eq!((explained, refused), (singles.len() / 2, 0));
             }
         }
+    }
+
+    /// A `batch` that writes answers as if its requests were sent alone, in
+    /// order: the query before the insert does not see the inserted row and
+    /// the query after it does.  Each round starts from a fresh index, on a
+    /// server that gets the requests one by one and one that gets the batch.
+    #[test]
+    fn writing_batch_answers_as_its_requests_sent_alone_in_order() {
+        let (dir, dataset_path, _series) = setup();
+        let row = RandomWalkGenerator::new(64, 78).next_series().values;
+        let query = |k| PalmRequest::Query {
+            name: "a".into(),
+            query: row.clone(),
+            k,
+            exact: true,
+        };
+        let insert = PalmRequest::Insert {
+            name: "a".into(),
+            series: vec![row.clone()],
+            timestamp: 1,
+            base_id: None,
+        };
+        let requests = vec![query(5), insert, query(1), PalmRequest::Stats];
+        for round in 0..50 {
+            let servers = [
+                dir.file(&format!("singles-{round}")),
+                dir.file(&format!("batch-{round}")),
+            ]
+            .map(PalmServer::new);
+            for server in &servers {
+                server.handle(build_request("a", dataset_path.clone(), VariantKind::Clsm));
+            }
+            // The batch frame is a request of its own.
+            servers[0].handle(PalmRequest::ListIndexes);
+            let singles: Vec<PalmResponse> = requests
+                .iter()
+                .map(|r| servers[0].handle(r.clone()))
+                .collect();
+            let batch = servers[1].handle(PalmRequest::Batch {
+                requests: requests.clone(),
+            });
+            let PalmResponse::Batch { responses } = batch else {
+                panic!("expected a batch response, got {batch:?}");
+            };
+            let bytes =
+                |replies: &[PalmResponse]| replies.iter().map(reply_bytes).collect::<Vec<_>>();
+            assert_eq!(bytes(&responses), bytes(&singles), "round {round}");
+            let PalmResponse::QueryResult { ids, .. } = &responses[2] else {
+                panic!("expected a query result, got {:?}", responses[2]);
+            };
+            assert_eq!(ids, &[200], "the query after the insert finds the row");
+        }
+    }
+
+    /// With the result cache on, no `batch` element after a write is
+    /// answered from a reply recorded before that write.
+    #[test]
+    fn cached_batch_replays_nothing_recorded_before_its_write() {
+        let (dir, dataset_path, _series) = setup();
+        let server = PalmServer::new(dir.file("work")).with_result_cache(64);
+        server.handle(build_request("a", dataset_path, VariantKind::Clsm));
+        let row = RandomWalkGenerator::new(64, 79).next_series().values;
+        let query = PalmRequest::Query {
+            name: "a".into(),
+            query: row.clone(),
+            k: 1,
+            exact: true,
+        };
+        let insert = PalmRequest::Insert {
+            name: "a".into(),
+            series: vec![row],
+            timestamp: 1,
+            base_id: None,
+        };
+        let alone = server.handle_json(&query.to_json().to_string());
+        let batch = PalmRequest::Batch {
+            requests: vec![query.clone(), insert, query],
+        };
+        let reply = server.handle_json(&batch.to_json().to_string());
+        let reply = PalmResponse::from_json(&Json::parse(&reply).unwrap()).unwrap();
+        let PalmResponse::Batch { responses } = reply else {
+            panic!("expected a batch response, got {reply:?}");
+        };
+        let ids = |response: &PalmResponse| match response {
+            PalmResponse::QueryResult { ids, .. } => ids.clone(),
+            other => panic!("expected a query result, got {other:?}"),
+        };
+        let alone = PalmResponse::from_json(&Json::parse(&alone).unwrap()).unwrap();
+        assert_eq!(ids(&responses[0]), ids(&alone), "a hit before the write");
+        assert_eq!(ids(&responses[2]), vec![200], "computed after the write");
     }
 
     #[test]

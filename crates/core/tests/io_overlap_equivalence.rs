@@ -1,46 +1,41 @@
-//! Overlapped/sequential I/O equivalence of the whole build pipeline.
-//!
-//! `io_overlap` is a *pure* performance knob: double-buffered run
-//! generation and prefetching merge readers change *when* each I/O happens,
-//! never which I/Os happen.  Each case builds with `io_overlap` off at every
-//! `parallelism × io_backend` point of the `knob_grid` and compares files,
-//! build `IoStats`, answers and `QueryCost` against the default (overlapped)
-//! build.
+//! Knob points × structure on the walks, at the point that moves only
+//! `io_overlap` (off): cells of the differential harness
+//! (`differential/harness.rs`).  The overlapped pipeline writes the files
+//! the alternating one does, and reads them alike.
 
-mod knob_grid;
+#[path = "differential/harness.rs"]
+mod harness;
 
 use coconut_core::PerfKnobs;
+use harness::*;
 use proptest::prelude::*;
-
-fn sequential_points() -> Vec<PerfKnobs> {
-    knob_grid::points_where(|knobs| !knobs.io_overlap)
-}
 
 #[test]
 fn ctree_overlap_equivalent_spilling() {
-    knob_grid::ctree_spilling(&sequential_points());
+    check_knob_points(knob_walks(), ctree_spilling, &points(Knob::IoOverlap));
 }
 
 #[test]
 fn ctree_overlap_equivalent_in_memory() {
-    knob_grid::ctree_in_memory(&sequential_points());
+    check_knob_points(knob_walks(), ctree_in_memory, &points(Knob::IoOverlap));
 }
 
 #[test]
 fn clsm_overlap_equivalent_sharded_and_unsharded() {
-    knob_grid::clsm_sharded_and_unsharded(&sequential_points());
+    check_knob_points(knob_walks(), clsm, &points(Knob::IoOverlap));
 }
 
+/// Every stream the knobs reach: PP, TP and BTP.
 #[test]
 fn btp_overlap_equivalent() {
-    knob_grid::btp(&sequential_points());
+    check_knob_points(knob_walks(), stream, &points(Knob::IoOverlap));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For random dataset sizes, budgets and worker counts, overlapped and
-    /// sequential CTree builds match.
+    /// sequential CTree builds match, and are brute force.
     #[test]
     fn ctree_overlap_equivalence_holds_for_random_configs(
         n in 300usize..1200,
@@ -50,6 +45,7 @@ proptest! {
     ) {
         let overlapped = PerfKnobs { parallelism, ..PerfKnobs::default() };
         let sequential = PerfKnobs { io_overlap: false, ..overlapped };
-        knob_grid::ctree_random(n, budget_kib, seed, overlapped, sequential);
+        let structure = Static(CTree, true, budget_kib << 10, 1);
+        check_random(n, seed, structure, overlapped, sequential);
     }
 }

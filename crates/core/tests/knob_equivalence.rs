@@ -1,53 +1,59 @@
-//! Knob equivalence: one identity grid over the build and read knobs.
-//!
-//! Every case of `knob_grid` builds its index at [`PerfKnobs::default`] and
-//! at every other point of
-//! `{parallelism 1, 8} × {io_overlap off, on} × {pread, mmap}` plus an 8-way
-//! query fan-out, and each point must match the default on files, build and
-//! query `IoStats`, answers and `QueryCost`.  The cases: a spilling CTree,
-//! an in-memory CTree, CLSM with 1 and 4 shards, and a BTP stream.
-//! `query_equivalence.rs` crosses `query_parallelism` further (random
-//! sizes, ties, `ClsmStats`); `planner` and `compression` have their own
-//! grids (`planner_equivalence.rs`, `compression_equivalence.rs`).
+//! Knob points × structure on the walks, at the grid points that move two
+//! or more of `parallelism`, `io_overlap` and `io_backend` at once: cells
+//! of the differential harness (`differential/harness.rs`).  The points
+//! that move one knob are in that knob's file.
 
-mod knob_grid;
+#[path = "differential/harness.rs"]
+mod harness;
 
-use coconut_core::PerfKnobs;
-use knob_grid::points;
+use coconut_core::{IoBackend, PerfKnobs};
+use harness::*;
 use proptest::prelude::*;
 
 #[test]
 fn ctree_spilling_build_matches_default_at_every_knob_point() {
-    knob_grid::ctree_spilling(&points());
+    check_knob_points(knob_walks(), ctree_spilling, &points(Knob::Combined));
 }
 
 #[test]
 fn ctree_in_memory_build_matches_default_at_every_knob_point() {
-    knob_grid::ctree_in_memory(&points());
+    check_knob_points(knob_walks(), ctree_in_memory, &points(Knob::Combined));
 }
 
+/// CLSM with 1 and 4 shards, the read-split fold included.
 #[test]
 fn clsm_builds_match_default_at_every_knob_point() {
-    knob_grid::clsm_sharded_and_unsharded(&points());
+    check_knob_points(knob_walks(), clsm, &points(Knob::Combined));
 }
 
+/// Every stream the knobs reach: PP, TP and BTP.
 #[test]
 fn btp_ingest_matches_default_at_every_knob_point() {
-    knob_grid::btp(&points());
+    check_knob_points(knob_walks(), stream, &points(Knob::Combined));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random dataset sizes, budgets and grid points: a CTree built at the
-    /// point matches the default build.
+    /// point reproduces the default build, which is brute force.
     #[test]
     fn ctree_random_builds_match_default_at_a_random_knob_point(
         n in 300usize..1200,
         budget_kib in 64usize..512,
-        point in 0usize..8,
+        parallelism in 1usize..9,
+        overlap_bit in 0u8..2,
+        mmap_bit in 0u8..2,
         seed in 0u64..1000,
     ) {
-        knob_grid::ctree_random(n, budget_kib, seed, PerfKnobs::default(), points()[point]);
+        let io_backend = if mmap_bit == 1 { IoBackend::Mmap } else { IoBackend::Pread };
+        let knobs = PerfKnobs {
+            parallelism,
+            io_overlap: overlap_bit == 1,
+            io_backend,
+            ..PerfKnobs::default()
+        };
+        let structure = Static(CTree, true, budget_kib << 10, 1);
+        check_random(n, seed, structure, PerfKnobs::default(), knobs);
     }
 }

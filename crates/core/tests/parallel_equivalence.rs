@@ -1,30 +1,27 @@
-//! Parallel/sequential equivalence of the whole build pipeline.
-//!
-//! `parallelism` is a *pure* performance knob: for every variant the
-//! on-disk index is byte-identical and every answer and `QueryCost` is
-//! identical at any worker count.  Each case builds at `parallelism = 8` at
-//! every `io_overlap × io_backend` point of the `knob_grid` and compares
-//! against the default (`parallelism = 1`) build.
+//! Knob points × structure on the walks, at the point that moves only
+//! `parallelism` (8 workers): cells of the differential harness
+//! (`differential/harness.rs`).  Files are byte-identical and answers,
+//! costs and `IoStats` equal the sequential build's.
 
-mod knob_grid;
+#[path = "differential/harness.rs"]
+mod harness;
 
-use coconut_core::PerfKnobs;
+use harness::*;
 
-fn parallel_points() -> Vec<PerfKnobs> {
-    knob_grid::points_where(|knobs| knobs.parallelism == 8)
-}
-
+/// CTree materialized or not, spilling or in memory.
 #[test]
 fn ctree_parallel_build_is_byte_identical_and_answers_match() {
-    knob_grid::ctree_spilling(&parallel_points());
+    check_knob_points(knob_walks(), ctree, &points(Knob::Parallelism));
 }
 
+/// CLSM with 1 and 4 shards, the read-split fold included.
 #[test]
 fn clsm_parallel_build_answers_match() {
-    knob_grid::clsm_sharded_and_unsharded(&parallel_points());
+    check_knob_points(knob_walks(), clsm, &points(Knob::Parallelism));
 }
 
+/// Every stream the knobs reach: PP, TP and BTP.
 #[test]
 fn streaming_btp_parallel_ingest_answers_match() {
-    knob_grid::btp(&parallel_points());
+    check_knob_points(knob_walks(), stream, &points(Knob::Parallelism));
 }

@@ -25,7 +25,8 @@
 //! them — including the early-abandon *decision points*, which fire at the
 //! same chunk boundary on every backend.  Enforced by
 //! `crates/series/tests/kernel_equivalence.rs` (kernel level) and
-//! `crates/core/tests/kernel_backend_equivalence.rs` (index level); the
+//! `every_kernel_backend_matches_scalar` in
+//! `crates/core/tests/differential/main.rs` (index level); the
 //! `e17_scale` bench re-checks it at scale when run.
 
 pub use coconut_series::distance::{euclidean_early_abandon, squared_euclidean};

@@ -279,6 +279,7 @@ fn parse_meminfo_available(text: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Regression test: the probe must report the host's real core count.
     /// An earlier revision collapsed `cores` to a constant, silently
@@ -389,6 +390,47 @@ mod tests {
     fn report_embeds_the_replayable_decision() {
         let report = plan_report(base_inputs());
         assert_eq!(report.decision, plan(&report.inputs));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Determinism pin: `plan` is a pure function of the captured
+        /// inputs — identical [`PlannerInputs`] always produce identical
+        /// decisions, and a [`PlanReport`] always replays (`decision ==
+        /// plan(&inputs)`), so recorded explains are trustworthy on any host.
+        #[test]
+        fn identical_inputs_yield_identical_plans(
+            footprint_bytes in 0u64..=u64::MAX,
+            cache_budget_bytes in 0u64..=u64::MAX,
+            unit_count in 0usize..10_000,
+            run_count in 0usize..1_000,
+            cores in 0usize..256,
+            k in 0usize..1_000,
+            exact_bit in 0u8..2,
+            random_read_permille in 0u32..=1_000,
+        ) {
+            let inputs = PlannerInputs {
+                footprint_bytes,
+                cache_budget_bytes,
+                unit_count,
+                run_count,
+                cores,
+                k,
+                exact: exact_bit == 1,
+                random_read_permille,
+            };
+            let first = plan(&inputs);
+            let second = plan(&inputs);
+            prop_assert_eq!(first, second);
+            let report = plan_report(inputs);
+            prop_assert_eq!(report.inputs, inputs);
+            prop_assert_eq!(report.decision, plan(&inputs));
+            // Structural sanity that holds for *every* input: the engine
+            // knobs stay in their legal ranges.
+            prop_assert!(report.decision.query_parallelism >= 1);
+            prop_assert!(report.decision.prefetch_min_bytes > 0);
+        }
     }
 
     #[test]

@@ -46,9 +46,10 @@
 //! is a pure performance knob in the same sense as `parallelism` or
 //! `io_backend`: index files, answers, `QueryCost` and `IoStats` cannot
 //! depend on it.  `crates/series/tests/kernel_equivalence.rs` proptests the
-//! kernels across lengths 1..1024 and `crates/core/tests/`
-//! `kernel_backend_equivalence.rs` re-proves it end-to-end through index
-//! build + query; the `e17_scale` bench re-checks it at scale when run.
+//! kernels across lengths 1..1024 and `every_kernel_backend_matches_scalar`
+//! in `crates/core/tests/differential/main.rs` re-proves it end-to-end
+//! through index build + query on every structure; the `e17_scale` bench
+//! re-checks it at scale when run.
 //!
 //! # Dispatch
 //!

@@ -2,8 +2,8 @@
 //! the scalar reference on the distance / z-normalization / PAA kernels.
 //!
 //! This is the kernel-level half of the equivalence discipline (the
-//! index-level half lives in `crates/core/tests/kernel_backend_equivalence.
-//! rs`): proptests drive the `*_with` entry points across lengths 1..1024 —
+//! index-level half is `every_kernel_backend_matches_scalar` in
+//! `crates/core/tests/differential/main.rs`): proptests drive the `*_with` entry points across lengths 1..1024 —
 //! non-multiple-of-8 tails included — value ranges from tiny to extreme
 //! (NaN-free), and early-abandon thresholds straddling every chunk
 //! boundary, asserting `f64::to_bits` equality, never approximate
