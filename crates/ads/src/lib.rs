@@ -119,6 +119,9 @@ struct LeafState {
     /// (`leaf_capacity`); overflowed leaves that reached maximum iSAX
     /// cardinality get relocated to geometrically larger spans.
     region_slots: u64,
+    /// The leaf's word has no segment left to refine: it takes every entry
+    /// that descends to it, over capacity or not, and is never split again.
+    at_max_cardinality: bool,
 }
 
 /// Statistics collected while building an ADS+ index.
@@ -187,6 +190,7 @@ impl AdsTree {
             buffered: Vec::new(),
             region_start: 0,
             region_slots: config.leaf_capacity as u64,
+            at_max_cardinality: false,
         });
         Ok(AdsTree {
             config,
@@ -312,8 +316,12 @@ impl AdsTree {
         self.leaves[leaf_id].buffered.push(entry);
         self.buffered_total += 1;
         self.entries += 1;
-        if self.leaves[leaf_id].buffered.len() + self.leaves[leaf_id].on_disk as usize
-            > self.config.leaf_capacity
+        // A leaf that cannot split keeps its overflow: re-reading and
+        // re-writing it on every insert would make N duplicates cost
+        // O(N^2) I/O, and `flush_leaf` relocates it geometrically instead.
+        let leaf = &self.leaves[leaf_id];
+        if !leaf.at_max_cardinality
+            && leaf.buffered.len() + leaf.on_disk as usize > self.config.leaf_capacity
         {
             self.split_leaf(leaf_id)?;
         }
@@ -380,8 +388,10 @@ impl AdsTree {
             // disk region is logically empty — without resetting `on_disk`
             // the stale disk copies would be re-read on the next split and
             // re-written on the next flush, doubling the leaf every round.
-            self.leaves[leaf_id].on_disk = 0;
-            self.leaves[leaf_id].buffered = entries;
+            let leaf = &mut self.leaves[leaf_id];
+            leaf.on_disk = 0;
+            leaf.buffered = entries;
+            leaf.at_max_cardinality = true;
             self.buffered_total = self.leaves.iter().map(|l| l.buffered.len()).sum();
             return Ok(());
         };
@@ -397,6 +407,7 @@ impl AdsTree {
             buffered: Vec::new(),
             region_start: self.next_region * self.config.leaf_capacity as u64,
             region_slots: self.config.leaf_capacity as u64,
+            at_max_cardinality: false,
         });
         self.next_region += 1;
         self.splits += 1;
@@ -494,9 +505,12 @@ impl AdsTree {
             // iSAX cardinality and can no longer split).  Relocate it to a
             // fresh span with geometric slack — writing past the span end
             // would corrupt the neighbouring leaf's region, and relocating
-            // on every flush would make N flushes cost O(N^2) writes.
+            // on every flush would make N flushes cost O(N^2) writes.  The
+            // span at least doubles, so the copies sum to under twice the
+            // leaf: reads and writes grow linearly in its entries.
             let mut all = self.read_leaf_disk(leaf_id)?;
-            let regions = (total * 2).div_ceil(self.config.leaf_capacity as u64);
+            let slots = total.max(2 * self.leaves[leaf_id].region_slots);
+            let regions = slots.div_ceil(self.config.leaf_capacity as u64);
             let leaf = &mut self.leaves[leaf_id];
             all.append(&mut leaf.buffered);
             leaf.region_start = self.next_region * self.config.leaf_capacity as u64;

@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks (M1-M7 in DESIGN.md): sortable-key encoding,
 //! MINDIST evaluation, external sorting, CTree block search, the run writer,
-//! and the wire path's request decode and frame split.
+//! and the wire path's request decode, envelope scan and frame split.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use coconut_core::palm::PalmRequest;
-use coconut_json::{FromJson, Json, ToJson};
+use coconut_json::{scan_array, scan_object, FromJson, Json, ToJson};
 use coconut_net::{FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
 use coconut_sax::mindist::{mindist_paa_sax_sq, QueryBounds};
@@ -222,7 +222,8 @@ fn insert_frame() -> String {
 
 /// The shard's decode of one insert frame: the reference path (a `Json`
 /// tree, then the codec) and the served one (`PalmRequest::from_text`, which
-/// lifts `series` straight to `f32`).  Set-up checks they agree bit for bit.
+/// lifts `series` straight to `f32`, on every core).  Set-up checks they
+/// agree bit for bit.
 fn bench_request_decode(c: &mut Criterion) {
     let frame = insert_frame();
     let reference = |text: &str| PalmRequest::from_json(&Json::parse(text).unwrap()).unwrap();
@@ -248,6 +249,30 @@ fn bench_request_decode(c: &mut Criterion) {
     });
 }
 
+/// The coordinator's pass over the same frame: `scan_object`, which checks
+/// every number and leaves `series` as text.  Set-up checks each member's
+/// span against the parsed tree, and the `series` count against
+/// `scan_array`'s one-thread walk of that span.
+fn bench_insert_frame_scan(c: &mut Criterion) {
+    let frame = insert_frame();
+    let members = scan_object(&frame).unwrap();
+    let tree = Json::parse(&frame).unwrap();
+    let keys: Vec<&str> = members.iter().map(|m| m.key.as_str()).collect();
+    assert_eq!(keys, ["type", "name", "series", "timestamp"]);
+    for member in &members {
+        assert_eq!(
+            tree.get(&member.key),
+            Some(&Json::parse(member.raw).unwrap())
+        );
+    }
+    let series = &members[2];
+    assert_eq!(series.elements, Some(128));
+    assert_eq!(series.elements, Some(scan_array(series.raw).unwrap().len()));
+    c.bench_function("m6c_insert_frame_scanned", |b| {
+        b.iter(|| std::hint::black_box(scan_object(std::hint::black_box(&frame)).unwrap()))
+    });
+}
+
 /// `FrameReader` splitting that insert frame off an in-memory reader: the
 /// newline search, the buffer fills and the frame's copy.  Set-up checks the
 /// frame ends where a byte-wise search finds the newline.
@@ -268,6 +293,6 @@ fn bench_frame_split(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_run_write, bench_request_decode, bench_frame_split
+    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_run_write, bench_request_decode, bench_insert_frame_scan, bench_frame_split
 }
 criterion_main!(micro);

@@ -727,6 +727,23 @@ fn hostile_insert_frames_contact_no_shard() {
         ]
         .map(str::to_string),
     );
+    // A 354 KB frame, which the coordinator checks on several threads
+    // split at row boundaries, with a bad number past its middle.
+    let row = |seed: usize| {
+        let values: Vec<String> = (0..SERIES_LEN)
+            .map(|i| format!("{}", ((seed * SERIES_LEN + i) as f32 * 0.37).sin()))
+            .collect();
+        format!("[{}]", values.join(","))
+    };
+    let rows: Vec<String> = (0..512).map(row).collect();
+    let large = format!(
+        r#"{{"type":"insert","name":"idx","series":[{}],"timestamp":4}}"#,
+        rows.join(",")
+    );
+    assert!((340_000..370_000).contains(&large.len()), "{}", large.len());
+    let past_middle = large.len() / 2 + 1000;
+    let bad = past_middle + large[past_middle..].find(',').unwrap() + 1;
+    hostile.push(format!("{}1e{}", &large[..bad], &large[bad..]));
     for frame in &hostile {
         let reply = send(&fleet, frame);
         assert_eq!(

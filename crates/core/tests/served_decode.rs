@@ -17,7 +17,9 @@ use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
 };
 use coconut_core::{check_finite, CancelToken, Dataset, VariantKind};
-use coconut_json::{require_member, scan_object, FromJson, Json, JsonError, ToJson};
+use coconut_json::{
+    require_member, scan_object, FromJson, Json, JsonError, ToJson, SPLIT_MIN_BYTES,
+};
 use coconut_net::{Coordinator, RequestHandler};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
@@ -73,11 +75,16 @@ fn blank_elapsed(reply: &str) -> String {
 }
 
 /// Servers with index `a` (materialized CLSM, which takes inserts) built
-/// over the same dataset, in `dir`.
+/// over the same dataset of series of `SERIES_LEN` points, in `dir`.
 fn servers(dir: &ScratchDir, tags: &[&str], cache: bool) -> Vec<PalmServer> {
-    let path = dir.file("raw.bin");
+    servers_of(dir, tags, cache, SERIES_LEN)
+}
+
+/// [`servers`] over series of `len` points.
+fn servers_of(dir: &ScratchDir, tags: &[&str], cache: bool, len: usize) -> Vec<PalmServer> {
+    let path = dir.file(&format!("raw-{len}.bin"));
     if !path.exists() {
-        let series = RandomWalkGenerator::new(SERIES_LEN, 5).generate(120);
+        let series = RandomWalkGenerator::new(len, 5).generate(120);
         Dataset::create_from_series(&path, &series).unwrap();
     }
     let path = path.to_string_lossy().into_owned();
@@ -365,6 +372,81 @@ fn served_replies_equal_the_reference_decode() {
     ] {
         assert!(kinds.get(kind).is_some_and(|&n| n >= at_least), "{kinds:?}");
     }
+}
+
+/// An insert frame as the benchmark client writes one: 128 random walks of
+/// 256 points, each value rounded to 1/1024 (about 354 KB).
+fn wide_insert() -> String {
+    let rows: Vec<String> = RandomWalkGenerator::new(256, 0x4A_50)
+        .generate(128)
+        .iter()
+        .map(|series| {
+            let values: Vec<String> = series
+                .values
+                .iter()
+                .map(|v| format!("{}", (v * 1024.0).round() / 1024.0))
+                .collect();
+            format!("[{}]", values.join(","))
+        })
+        .collect();
+    insert(&format!("[{}]", rows.join(",")))
+}
+
+/// Past [`SPLIT_MIN_BYTES`] the server decodes `series` on several threads,
+/// split at row boundaries: the frame and its mutants, on a cut (the
+/// middle of the array, where two and four parts cut) and past it, reply
+/// as the one-thread reference decode does.
+#[test]
+fn large_insert_frames_reply_as_the_reference_decode() {
+    let dir = ScratchDir::new("served-decode-large").unwrap();
+    let pair = servers_of(&dir, &["served", "reference"], false, 256);
+    let (served, expected) = (&pair[0], &pair[1]);
+    let whole = wide_insert();
+    assert!(whole.len() > 5 * SPLIT_MIN_BYTES, "{}", whole.len());
+    let open = whole.find("\"series\":").unwrap() + 9;
+    let middle = open + (whole.len() - open) / 2;
+    // The first element to start past `at`, replaced by `by`.
+    let replaced = |at: usize, by: &str| {
+        let start = at + whole[at..].find(',').unwrap() + 1;
+        let end = start + whole[start..].find([',', ']']).unwrap();
+        format!("{}{by}{}", &whole[..start], &whole[end..])
+    };
+    let cut = middle + whole[middle..].find("],[").unwrap();
+    let frames = [
+        whole.clone(),
+        replaced(middle + 1000, "1e+"),
+        replaced(middle, "\"],[\""),
+        replaced(middle, "[[1],[2]]"),
+        format!("{}] , [{}", &whole[..cut], &whole[cut + 3..]),
+        whole[..whole.len() - 5000].to_string(),
+    ];
+    let mut kinds = Vec::new();
+    for frame in &frames {
+        let reply = served.handle_json(frame);
+        assert_eq!(
+            blank_elapsed(&reply),
+            blank_elapsed(&reference(expected, frame)),
+            "{}",
+            &frame[..200]
+        );
+        let reply = Json::parse(&reply).unwrap();
+        let kind = reply
+            .get("kind")
+            .or(reply.get("type"))
+            .and_then(Json::as_str);
+        kinds.push(kind.unwrap().to_string());
+    }
+    assert_eq!(
+        kinds,
+        [
+            "inserted",
+            "malformed_request",
+            "malformed_request",
+            "malformed_request",
+            "inserted",
+            "malformed_request"
+        ]
+    );
 }
 
 /// With the result cache on, a `batch` frame's misses are decoded element

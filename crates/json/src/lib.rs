@@ -18,6 +18,13 @@
 //! 128 x 256 insert frame is 32,768 numbers: as [`Json::Num`] nodes their
 //! tree cost more than parsing them.
 //!
+//! Both walk a large array of arrays (an insert's rows, past
+//! [`SPLIT_MIN_BYTES`]) on every core: it is cut at row boundaries and
+//! each part runs the one element loop the whole array would have run, so
+//! counts, values and refusals are the one-thread walk's.  If a part does
+//! not end where that walk would have passed, the array is walked again on
+//! one thread.
+//!
 //! Object members preserve insertion order so emitted documents are stable
 //! across runs (important for byte-comparing benchmark reports).
 
@@ -282,13 +289,25 @@ pub fn require_member<'m, 'a>(
 /// top-level members in document order with their values left as text.
 /// Nothing below the top level is built, so a router can read the few small
 /// members it needs and forward a large one byte for byte.
+///
+/// A large array of arrays (an insert's `series`) is validated on several
+/// threads: see [`SPLIT_MIN_BYTES`].
 pub fn scan_object(input: &str) -> Result<Vec<RawMember<'_>>> {
+    scan_split(input, cores())
+}
+
+/// [`scan_object`], its array split across up to `threads` threads.
+fn scan_split(input: &str, threads: usize) -> Result<Vec<RawMember<'_>>> {
     let mut p = Parser::new(input);
+    p.split_threads = threads;
     p.skip_ws();
     let mut members = Vec::new();
     p.members(|p, key| {
         let start = p.pos;
-        let elements = p.skip_value()?;
+        let elements = match p.split(|p, (): &mut ()| p.skip_value().map(drop)) {
+            Some((count, _)) => Some(count),
+            None => p.skip_value()?,
+        };
         members.push(RawMember {
             key,
             raw: &input[start..p.pos],
@@ -336,14 +355,26 @@ pub enum Floats {
 /// `None` unless `input` is one JSON object by [`Json::parse`]'s grammar
 /// whose first `key` member is an array of numbers or of arrays of numbers:
 /// the caller parses such an input in full, which also words its refusal.
+///
+/// A large array of arrays is decoded on several threads: see
+/// [`SPLIT_MIN_BYTES`].
 pub fn parse_lifting(input: &str, key: &str) -> Option<(Json, Floats)> {
+    lift_split(input, key, cores())
+}
+
+/// [`parse_lifting`], its array split across up to `threads` threads.
+fn lift_split(input: &str, key: &str, threads: usize) -> Option<(Json, Floats)> {
     let mut p = Parser::new(input);
+    p.split_threads = threads;
     p.skip_ws();
     let mut members = Vec::new();
     let mut lifted = None;
     p.members(|p, name| {
         let value = if lifted.is_none() && name == key {
-            lifted = Some(p.floats()?);
+            lifted = Some(match p.split(Parser::row) {
+                Some((_, parts)) => Floats::Rows(parts.into_iter().flatten().collect()),
+                None => p.floats()?,
+            });
             Json::Arr(Vec::new())
         } else {
             p.value()?
@@ -356,6 +387,48 @@ pub fn parse_lifting(input: &str, key: &str) -> Option<(Json, Floats)> {
     Some((Json::Obj(members), lifted?))
 }
 
+/// The smallest array [`scan_object`] and [`parse_lifting`] split across
+/// threads, measured from its `[` to the end of the input.  Only an array
+/// of arrays is split (an insert's `series`: 354 KB for 128 rows of 256
+/// values), and at most one per document: the first top-level member value
+/// that opens `[[`, or the lifted member.
+///
+/// It is cut into `min(available_parallelism, len / SPLIT_MIN_BYTES)`
+/// parts, each at the first `],[` within half this size past an even
+/// share, and every part runs the element loop the whole array runs, on a
+/// thread of its own.  A part other than the last sees the input only up
+/// to its cut and must stop on the cut's `,`; the last must close the
+/// array.  Then the one-thread loop would have taken the same steps over
+/// the same bytes, so counts and values are its own.  Any other outcome (a
+/// cut inside a string or a deeper array, a bad element, no `],[` in a
+/// window) parses the array again on one thread, which also words the
+/// refusal.  Below this size a thread's start (tens of microseconds) is not
+/// paid back by lexing at about 2 ns a byte.
+pub const SPLIT_MIN_BYTES: usize = 64 << 10;
+
+/// How far past an even share [`SPLIT_MIN_BYTES`]'s cut is looked for: many
+/// rows, and at most half a share, so that cuts come in order.
+const CUT_WINDOW: usize = SPLIT_MIN_BYTES / 2;
+
+/// The threads a split array may be parsed on: the machine's.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Where [`Parser::split`] cuts the array of `len` bytes opening at `open`
+/// into `parts`: the start of each part, the array's `[` and then the `[`
+/// after each cut's `,`.  `None` where a window holds no `],[`.
+fn cuts(bytes: &[u8], open: usize, len: usize, parts: usize) -> Option<Vec<usize>> {
+    let mut starts = vec![open];
+    for i in 1..parts {
+        let from = open + len * i / parts;
+        let window = &bytes[from..bytes.len().min(from + CUT_WINDOW)];
+        starts.push(from + window.windows(3).position(|w| w == b"],[")? + 2);
+    }
+    Some(starts)
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -364,6 +437,11 @@ struct Parser<'a> {
     /// are siblings of equal length, so every row after the first is
     /// allocated once, at its final size.
     array_hint: usize,
+    /// The threads [`Parser::split`] may cut its next array for; 1 (no
+    /// split) unless the entry asks, and again once one array has been
+    /// tried, so a frame of many arrays pays for at most one split that
+    /// falls back.
+    split_threads: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -372,6 +450,7 @@ impl<'a> Parser<'a> {
             bytes: input.as_bytes(),
             pos: 0,
             array_hint: 0,
+            split_threads: 1,
         }
     }
 
@@ -461,13 +540,24 @@ impl<'a> Parser<'a> {
 
     /// Walks an array, calling `element` with the parser at the first byte of
     /// each element, which it consumes; returns how many there were.
-    fn elements(&mut self, mut element: impl FnMut(&mut Self) -> Result<()>) -> Result<usize> {
+    fn elements(&mut self, element: impl FnMut(&mut Self) -> Result<()>) -> Result<usize> {
         self.expect(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(0);
         }
+        self.elements_until(usize::MAX, element)
+    }
+
+    /// The loop of [`Parser::elements`], from the start of an element: until
+    /// the array's `]` is consumed, or a `,` whose consumption leaves the
+    /// parser at `stop` (which a `]` cannot: a split's cut is `],[`).
+    fn elements_until(
+        &mut self,
+        stop: usize,
+        mut element: impl FnMut(&mut Self) -> Result<()>,
+    ) -> Result<usize> {
         let mut count = 0;
         loop {
             self.skip_ws();
@@ -475,7 +565,12 @@ impl<'a> Parser<'a> {
             count += 1;
             self.skip_ws();
             match self.peek() {
-                Some(b',') => self.pos += 1,
+                Some(b',') => {
+                    self.pos += 1;
+                    if self.pos == stop {
+                        return Ok(count);
+                    }
+                }
                 Some(b']') => {
                     self.pos += 1;
                     return Ok(count);
@@ -485,6 +580,71 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Walks the array of arrays at the parser in parts, a thread each, as
+    /// [`SPLIT_MIN_BYTES`] describes; each part hands its elements to
+    /// `element` with an accumulator of its own.  The element count and the
+    /// parts' accumulators in order, the parser past the array; `None`, the
+    /// parser unmoved, where the array is not split or a part fails, and
+    /// the caller walks it on one thread.
+    fn split<T: Default + Send>(
+        &mut self,
+        element: impl Fn(&mut Parser<'a>, &mut T) -> Result<()> + Sync,
+    ) -> Option<(usize, Vec<T>)> {
+        let (bytes, open) = (self.bytes, self.pos);
+        let len = bytes.len() - open;
+        let parts = self.split_threads.min(len / SPLIT_MIN_BYTES);
+        if parts < 2 || bytes[open] != b'[' {
+            return None;
+        }
+        let inner = bytes[open + 1..].iter().find(|b| !b" \t\n\r".contains(b));
+        if inner != Some(&b'[') {
+            return None;
+        }
+        self.split_threads = 1;
+        let starts = cuts(bytes, open, len, parts)?;
+        let part = |i: usize| {
+            // Every part but the last sees the input up to the next part.
+            let end = starts.get(i + 1).copied();
+            let mut p = Parser {
+                bytes: &bytes[..end.unwrap_or(bytes.len())],
+                // The first part starts past the array's `[`.
+                pos: starts[i] + usize::from(i == 0),
+                array_hint: 0,
+                split_threads: 1,
+            };
+            let mut parsed = T::default();
+            let stop = end.unwrap_or(usize::MAX);
+            let count = p.elements_until(stop, |p| element(p, &mut parsed)).ok()?;
+            (end.is_none() || p.pos == stop).then_some((count, parsed, p.pos))
+        };
+        let part = &part;
+        let done: Vec<_> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..parts)
+                .map(|i| std::thread::Builder::new().spawn_scoped(scope, move || part(i)))
+                .collect();
+            let first = part(0);
+            // A part no thread could be started for runs here.
+            let rest = spawned
+                .into_iter()
+                .zip(1..)
+                .map(|(thread, i)| match thread {
+                    Ok(thread) => thread
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    Err(_) => part(i),
+                });
+            std::iter::once(first).chain(rest).collect::<Option<_>>()
+        })?;
+        let mut count = 0;
+        let mut parsed = Vec::with_capacity(parts);
+        for (n, part, end) in done {
+            count += n;
+            parsed.push(part);
+            self.pos = end;
+        }
+        Some((count, parsed))
+    }
+
     /// An array of numbers or of arrays of numbers, as [`Floats`]; any other
     /// value is refused.  Each row starts at the length of the one before.
     fn floats(&mut self) -> Result<Floats> {
@@ -492,12 +652,7 @@ impl<'a> Parser<'a> {
         let mut rows: Vec<Vec<f32>> = Vec::new();
         self.elements(|p| {
             if p.peek() == Some(b'[') && values.is_empty() {
-                let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
-                p.elements(|p| {
-                    row.push(p.float()?);
-                    Ok(())
-                })?;
-                rows.push(row);
+                p.row(&mut rows)?;
             } else if rows.is_empty() {
                 values.push(p.float()?);
             } else {
@@ -510,6 +665,18 @@ impl<'a> Parser<'a> {
         } else {
             Floats::Rows(rows)
         })
+    }
+
+    /// One row of [`Floats::Rows`], an array of numbers, pushed onto `rows`
+    /// at the capacity of the row before.
+    fn row(&mut self, rows: &mut Vec<Vec<f32>>) -> Result<()> {
+        let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
+        self.elements(|p| {
+            row.push(p.float()?);
+            Ok(())
+        })?;
+        rows.push(row);
+        Ok(())
     }
 
     /// A number as `f32`, cast from its `f64` as [`FromJson`] casts it.
@@ -1356,6 +1523,158 @@ mod tests {
                 expected.as_ref().map(|(json, floats)| (json, bits(floats))),
                 "{doc:?}"
             );
+        }
+    }
+
+    /// An insert frame whose `series` is `bytes` or a little more of rows of
+    /// `row_len` numbers, spelled every way the grammar allows, from `seed`.
+    fn rows_frame(seed: u64, row_len: usize, bytes: usize) -> String {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut series = String::from("[");
+        while series.len() < bytes {
+            if series.len() > 1 {
+                series.push(',');
+            }
+            let values: Vec<String> = (0..row_len)
+                .map(|_| {
+                    let r = next();
+                    let v = (r >> 12) as f64 / (1u64 << 40) as f64 - 2.0;
+                    match r % 8 {
+                        0 => format!("{}", (v * 1e3).round()),
+                        1 => format!("{v:e}"),
+                        2 => format!("{:E}", v * 1e-30),
+                        3 => "-0".to_string(),
+                        4 => format!("{:.20}", v),
+                        _ => format!("{}", (v * 1024.0).round() / 1024.0),
+                    }
+                })
+                .collect();
+            series.push_str(&format!("[{}]", values.join(",")));
+        }
+        series.push(']');
+        format!(r#"{{"type":"insert","name":"s","series":{series},"timestamp":1}}"#)
+    }
+
+    /// The `series` array's `[` in a [`rows_frame`], and where a split into
+    /// `threads` parts would start each part.
+    fn series_cuts(doc: &str, threads: usize) -> (usize, Vec<usize>) {
+        let open = doc.find("\"series\":").unwrap() + 9;
+        let len = doc.len() - open;
+        let parts = threads.min(len / SPLIT_MIN_BYTES).max(2);
+        (open, cuts(doc.as_bytes(), open, len, parts).unwrap())
+    }
+
+    /// The byte range of the first element that starts after `at`.
+    fn number_after(doc: &str, at: usize) -> std::ops::Range<usize> {
+        let start = at + doc[at..].find([',', '[']).unwrap() + 1;
+        let end = start + doc[start..].find([',', ']']).unwrap();
+        start..end
+    }
+
+    /// Splitting is invisible: [`scan_object`] and [`parse_lifting`] on up to
+    /// `threads` threads return what they return on one, refusals included.
+    fn assert_split_is_exact(doc: &str, threads: usize) {
+        assert_eq!(
+            scan_split(doc, threads),
+            scan_split(doc, 1),
+            "{threads} threads"
+        );
+        let lifted = |threads| lift_split(doc, "series", threads).map(|(json, f)| (json, bits(&f)));
+        assert_eq!(lifted(threads), lifted(1), "{threads} threads");
+    }
+
+    #[test]
+    fn split_engages_on_large_arrays_of_arrays_only() {
+        let doc = rows_frame(7, 256, 350_000);
+        let (open, starts) = series_cuts(&doc, 4);
+        assert_eq!(starts.len(), 4);
+        let walked = |doc: &str, threads: usize| {
+            let mut p = Parser::new(doc);
+            p.pos = open;
+            p.split_threads = threads;
+            let split = p.split(|p, (): &mut ()| p.skip_value().map(drop));
+            (
+                split.map(|(count, _)| count),
+                p.pos,
+                p.split(|_, (): &mut ()| Ok(())),
+            )
+        };
+        let mut whole = Parser::new(&doc);
+        whole.pos = open;
+        let count = whole.elements(|p| p.skip_value().map(drop)).unwrap();
+        // It engages, counts every row, ends where one thread ends, and
+        // does not engage twice in one document.
+        assert_eq!(walked(&doc, 4), (Some(count), whole.pos, None));
+        assert_eq!(walked(&doc, 2).0, Some(count));
+        // Not on one thread, not under the size, not on numbers, not when
+        // a cut lands in a string.
+        assert_eq!(walked(&doc, 1).0, None);
+        let small = rows_frame(7, 256, SPLIT_MIN_BYTES - 1000);
+        assert_eq!(walked(&small, 4).0, None);
+        let flat = doc.replace("],[", ",");
+        assert_eq!(walked(&flat, 4).0, None);
+        let mut cut = doc.clone();
+        let at = number_after(&doc, starts[1] - 100);
+        cut.replace_range(at, "\"],[\"");
+        assert_eq!(walked(&cut, 4).0, None);
+        assert_split_is_exact(&doc, 4);
+        assert_split_is_exact(&cut, 4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Frames of 64-300 KiB of rows, each with one mutation placed in
+        /// the first part, in the last part or on a cut, split into up to
+        /// four parts: values, counts and float bits equal the one-thread
+        /// walk's, and so does every refusal's text.
+        #[test]
+        fn split_walk_equals_the_one_thread_walk(
+            seed in 0u64..u64::MAX,
+            row_len in 4usize..400,
+            kib in 64usize..300,
+            threads in 2usize..5,
+            mutation in 0usize..6,
+            place in 0usize..3,
+        ) {
+            let mut doc = rows_frame(seed, row_len, kib << 10);
+            let (open, starts) = series_cuts(&doc, threads);
+            let last = *starts.last().unwrap();
+            // The first part, the last part, the first cut.
+            let at = [open + (starts[1] - open) / 2, last + (doc.len() - last) / 2, starts[1] - 2][place];
+            match mutation {
+                0 if place == 2 => {
+                    let number = number_after(&doc, doc[..at].rfind(['[', ',']).unwrap());
+                    doc.replace_range(number, "1e+");
+                }
+                0 => doc.replace_range(number_after(&doc, at), "-"),
+                1 | 2 => {
+                    // On the cut: before it in its row, so the cut moves in.
+                    let from = if place == 2 { doc[..at].rfind(['[', ',']).unwrap() } else { at };
+                    let inner = if mutation == 1 { "\"],[\"" } else { "[[1],[2]]" };
+                    doc.replace_range(number_after(&doc, from), inner);
+                }
+                3 => {
+                    let cut = at + doc[at..].find("],[").unwrap();
+                    doc.replace_range(cut..cut + 3, "] , [");
+                }
+                4 => doc.truncate(at + 2),
+                _ => {
+                    let second = [r#""series":[[7,8],[9]],"#, r#""series":[[1e39]],"#, ""][place];
+                    let series = &doc[open..doc.len() - 15].to_string();
+                    doc.insert_str(open - 9, second);
+                    if place == 2 {
+                        doc.insert_str(doc.len() - 1, &format!(r#","series":{series}"#));
+                    }
+                }
+            }
+            assert_split_is_exact(&doc, threads);
         }
     }
 
