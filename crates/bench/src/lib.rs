@@ -1,16 +1,12 @@
-//! Shared harness used by the experiment binaries (`e1_*` .. `e8_*` and
-//! `e17_scale`).
+//! Shared harness of `e17_scale`, the scale tier of the SIMD kernel
+//! backends: a generated dataset on disk and aligned text tables.
 //!
-//! Each binary reproduces one experiment from the paper (see DESIGN.md for
-//! the experiment index) and
-//! prints its results as aligned text tables so the "rows/series" the paper
-//! would report can be regenerated with a single `cargo run --release -p
-//! coconut-bench --bin eN_...` invocation.  Identity checks live in `cargo
-//! test`, timing of the running system in palmbench.
+//! The paper's claims are checked by `cargo test` (coconut-core's
+//! `paper_claims.rs`, one row each in REPRODUCTION.md), identity checks
+//! likewise, and timing of the running system by palmbench.
 //!
-//! The dataset sizes default to laptop-friendly values; set the
-//! `COCONUT_SCALE` environment variable to a multiplier (e.g. `4`) to scale
-//! every experiment up.
+//! Set the `COCONUT_SCALE` environment variable to a multiplier (e.g. `4`)
+//! to scale e17's dataset up.
 
 use coconut_core::{Dataset, IoStats, ScratchDir, Series, SharedIoStats};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -90,23 +86,9 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a byte count as mebibytes with two decimals.
-pub fn mib(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
 /// Formats a float with two decimals.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
-}
-
-/// Mean of a slice of f64 (0.0 when empty).
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -123,10 +105,7 @@ mod tests {
 
     #[test]
     fn helpers_format() {
-        assert_eq!(mib(1024 * 1024), "1.00");
         assert_eq!(f2(1.005), "1.00");
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
         assert!(scale() >= 1);
     }
 }

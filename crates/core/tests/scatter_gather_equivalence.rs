@@ -727,6 +727,12 @@ fn hostile_insert_frames_contact_no_shard() {
         ]
         .map(str::to_string),
     );
+    // Nested past the parser's depth limit: refused before it recurses
+    // through the connection thread's stack.
+    hostile.push(format!(
+        r#"{{"type":"insert","name":"idx","series":{}}}"#,
+        "[".repeat(100_000)
+    ));
     // A 354 KB frame, which the coordinator checks on several threads
     // split at row boundaries, with a bad number past its middle.
     let row = |seed: usize| {

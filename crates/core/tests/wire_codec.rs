@@ -333,6 +333,15 @@ fn malformed_requests_give_their_exact_errors() {
             Err(e) => assert_eq!(e, expected, "{frame}"),
         }
     }
+    // A frame nested past `coconut_json::MAX_DEPTH` is refused by the
+    // parse itself, before its recursion can exhaust the parsing thread's
+    // stack.
+    let flood = format!(
+        r#"{{"type":"insert","name":"a","series":{}}}"#,
+        "[".repeat(100_000)
+    );
+    let refused = Json::parse(&flood).expect_err("a 100k-deep frame");
+    assert_eq!(refused.to_string(), "nesting deeper than 64 levels");
 }
 
 #[test]

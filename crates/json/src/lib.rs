@@ -25,6 +25,10 @@
 //! not end where that walk would have passed, the array is walked again on
 //! one thread.
 //!
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep in every entry: the
+//! parser recurses once per level, and a frame of ~100k `[` would overflow
+//! the stack of the connection thread that parses it.
+//!
 //! Object members preserve insertion order so emitted documents are stable
 //! across runs (important for byte-comparing benchmark reports).
 
@@ -429,9 +433,16 @@ fn cuts(bytes: &[u8], open: usize, len: usize, parts: usize) -> Option<Vec<usize
     Some(starts)
 }
 
+/// How deep arrays and objects may nest.  A palm frame nests five levels
+/// (an insert's rows inside a batch); a deeper document is refused, as
+/// `nesting deeper than 64 levels`, before the parser recurses past it.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at [`Parser::pos`].
+    depth: usize,
     /// Length of the array completed last, zero again once another is
     /// entered: the capacity the next array starts with.  Rows of a matrix
     /// are siblings of equal length, so every row after the first is
@@ -449,6 +460,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
             array_hint: 0,
             split_threads: 1,
         }
@@ -542,12 +554,27 @@ impl<'a> Parser<'a> {
     /// each element, which it consumes; returns how many there were.
     fn elements(&mut self, element: impl FnMut(&mut Self) -> Result<()>) -> Result<usize> {
         self.expect(b'[')?;
+        self.nest()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        let count = if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(0);
+            0
+        } else {
+            self.elements_until(usize::MAX, element)?
+        };
+        self.depth -= 1;
+        Ok(count)
+    }
+
+    /// Enters an array or object: refused past [`MAX_DEPTH`].
+    fn nest(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels"
+            )));
         }
-        self.elements_until(usize::MAX, element)
+        Ok(())
     }
 
     /// The loop of [`Parser::elements`], from the start of an element: until
@@ -601,6 +628,7 @@ impl<'a> Parser<'a> {
             return None;
         }
         self.split_threads = 1;
+        let depth = self.depth;
         let starts = cuts(bytes, open, len, parts)?;
         let part = |i: usize| {
             // Every part but the last sees the input up to the next part.
@@ -609,6 +637,8 @@ impl<'a> Parser<'a> {
                 bytes: &bytes[..end.unwrap_or(bytes.len())],
                 // The first part starts past the array's `[`.
                 pos: starts[i] + usize::from(i == 0),
+                // Inside the array, as the one-thread walk would be.
+                depth: depth + 1,
                 array_hint: 0,
                 split_threads: 1,
             };
@@ -705,9 +735,11 @@ impl<'a> Parser<'a> {
     /// first byte of the member's value; `member` consumes the value.
     fn members(&mut self, mut member: impl FnMut(&mut Self, String) -> Result<()>) -> Result<()> {
         self.expect(b'{')?;
+        self.nest()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(());
         }
         loop {
@@ -722,6 +754,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(());
                 }
                 _ => return Err(JsonError::new(format!("bad object at offset {}", self.pos))),
@@ -1134,6 +1167,41 @@ mod tests {
         }
     }
 
+    /// Every entry refuses one level past `MAX_DEPTH` with the same text,
+    /// and accepts `MAX_DEPTH` itself; so does a split array whose last row
+    /// nests too deep.
+    #[test]
+    fn nesting_is_limited_in_every_entry() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let refusal = "nesting deeper than 64 levels";
+        let deep = format!(r#"{{"a":{}}}"#, nested(MAX_DEPTH));
+        assert_eq!(Json::parse(&deep).unwrap_err().message, refusal);
+        assert_eq!(scan_object(&deep).unwrap_err().message, refusal);
+        assert_eq!(
+            scan_array(&nested(MAX_DEPTH + 1)).unwrap_err().message,
+            refusal
+        );
+        assert!(parse_lifting(&deep, "a").is_none());
+        let flood = "[".repeat(100_000);
+        assert_eq!(Json::parse(&flood).unwrap_err().message, refusal);
+        let deepest = format!(r#"{{"a":{}}}"#, nested(MAX_DEPTH - 1));
+        assert!(Json::parse(&deepest).is_ok());
+        assert!(scan_object(&deepest).is_ok());
+
+        let rows = vec!["[1,2]"; SPLIT_MIN_BYTES / 2];
+        let split = |last: &str| format!(r#"{{"a":[{},{last}]}}"#, rows.join(","));
+        // The rows sit two levels down, inside the object and the array.
+        for (last, ok) in [
+            (nested(MAX_DEPTH - 2), true),
+            (nested(MAX_DEPTH - 1), false),
+        ] {
+            let doc = split(&last);
+            let refused = scan_split(&doc, 4).err().map(|e| e.message);
+            assert_eq!(refused.as_deref(), (!ok).then_some(refusal));
+            assert_eq!(Json::parse(&doc).is_ok(), ok);
+        }
+    }
+
     #[test]
     fn pretty_output_is_indented_and_reparses() {
         let v = Json::obj(vec![
@@ -1441,11 +1509,13 @@ mod tests {
         // nests inside that sibling nor any later array inherits a thing.
         let big = 10_000;
         let zeros = vec!["0"; big].join(",");
-        let nest = format!("{}1{}", "[".repeat(200), "]".repeat(200));
+        // As deep as `MAX_DEPTH` lets a nest inside the outer array and an
+        // object go.
+        let nest = format!("{}1{}", "[".repeat(60), "]".repeat(60));
         let doc = format!("[[{zeros}],{nest},[2],{{\"k\":{nest}}}]");
         let mut caps = Vec::new();
         array_capacities(&Json::parse(&doc).unwrap(), &mut caps);
-        assert_eq!(caps.len(), 2 + 200 + 1 + 200);
+        assert_eq!(caps.len(), 2 + 60 + 1 + 60);
         assert!(caps[1] >= big);
         assert!(caps[2] <= (doc.len() - zeros.len()) / 2, "{}", caps[2]);
         assert!(caps[3..].iter().all(|&c| c <= 4), "{:?}", &caps[3..]);

@@ -335,6 +335,66 @@ fn malformed_input_never_kills_the_server() {
     assert!(report.is_clean(), "unclean shutdown: {report:?}");
 }
 
+/// One frame nested 100k arrays deep gets a `malformed_request` reply from
+/// a real `palm-server` process, and the same server then builds an index
+/// and answers a query.  Without a nesting limit the parse recurses once
+/// per `[` and overflows the connection thread's stack, which aborts the
+/// whole process.
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_server_lives_on() {
+    use std::io::BufRead;
+    use std::process::{Child, Command, Stdio};
+
+    /// The server process, killed however the test ends.
+    struct Server(Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let dir = ScratchDir::new("net-deep").unwrap();
+    let (dataset_path, series) = make_dataset(&dir, 100);
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_palm-server"))
+            .env("PALM_ADDR", "127.0.0.1:0")
+            .env("PALM_WORK_DIR", dir.file("work"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .expect("spawn palm-server"),
+    );
+    let stdout = server.0.stdout.take().unwrap();
+    let banner = std::io::BufReader::new(stdout).lines().next();
+    let banner = banner.expect("banner line").unwrap();
+    let addr = banner
+        .strip_prefix("palm-server listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner}"))
+        .to_string();
+
+    let flood = format!(
+        r#"{{"type":"insert","name":"idx","series":{}}}"#,
+        "[".repeat(100_000)
+    );
+    let refused = PalmClient::connect(&addr).unwrap().call(&flood);
+    let refused = Json::parse(&refused.expect("a reply, not a dead server")).unwrap();
+    assert_eq!(kind_of(&refused), Some(ERROR_KIND_MALFORMED));
+    assert_eq!(
+        refused.get("message").and_then(Json::as_str),
+        Some("malformed request: nesting deeper than 64 levels")
+    );
+
+    let mut client = PalmClient::connect(&addr).unwrap();
+    let build = build_request("idx", &dataset_path).to_json().to_string();
+    let built = Json::parse(&client.call(&build).unwrap()).unwrap();
+    assert_eq!(type_of(&built), Some("built"));
+    let answer = client.call(&query_request("idx", &series[7].values, 1));
+    let answer = Json::parse(&answer.unwrap()).unwrap();
+    assert_eq!(type_of(&answer), Some("query_result"), "{answer:?}");
+    assert_eq!(answer.get("ids"), Some(&Json::Arr(vec![Json::Num(7.0)])));
+}
+
 /// Satellite: a query of the wrong length, with a value past `f32` or with
 /// `k: 0`, and an insert holding a bad row, get a typed `config` reply over
 /// the wire — no panic, no EOF, no `null` — in every variant, and the

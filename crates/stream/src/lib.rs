@@ -854,25 +854,32 @@ mod tests {
         assert_eq!(tp.len(), 500);
     }
 
+    /// Size-tiered merging at growth factor T leaves as many partitions as
+    /// the base-T digit sum of the batches flushed: 27 = 1000 in base 3
+    /// merges down to one partition, 26 = 222 leaves 6, the newest batch
+    /// its own.
     #[test]
     fn btp_bounds_partition_count() {
-        let dir = ScratchDir::new("btp").unwrap();
-        let config = PartitionedConfig::new(sax())
-            .with_buffer_capacity(50)
-            .with_growth_factor(3);
-        let mut btp =
-            PartitionedStream::bounded_temporal_partitioning(config, dir.path(), IoStats::shared())
-                .unwrap();
-        for batch in stream_batches(27, 50, 2) {
-            btp.ingest_batch(&batch).unwrap();
+        for (batches, partitions) in [(27, 1), (26, 6)] {
+            let dir = ScratchDir::new("btp").unwrap();
+            let config = PartitionedConfig::new(sax())
+                .with_buffer_capacity(50)
+                .with_growth_factor(3);
+            let mut btp = PartitionedStream::bounded_temporal_partitioning(
+                config,
+                dir.path(),
+                IoStats::shared(),
+            )
+            .unwrap();
+            for batch in stream_batches(batches, 50, 2) {
+                btp.ingest_batch(&batch).unwrap();
+            }
+            let digit_sum = (0..4).map(|d| batches / 3usize.pow(d) % 3).sum::<usize>();
+            assert_eq!(digit_sum, partitions);
+            assert!(btp.merges > 0, "BTP must have merged partitions");
+            assert_eq!(btp.num_partitions(), partitions, "{batches} batches");
+            assert_eq!(btp.len(), batches as u64 * 50);
         }
-        assert!(btp.merges > 0, "BTP must have merged partitions");
-        assert!(
-            btp.num_partitions() < 27 / 2,
-            "BTP partition count {} should be far below the TP count 27",
-            btp.num_partitions()
-        );
-        assert_eq!(btp.len(), 27 * 50);
     }
 
     #[test]
