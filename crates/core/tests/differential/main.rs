@@ -179,16 +179,27 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
     )
     .unwrap();
     let reader_handle = file.run().clone();
-    // A block read through the mmap backend creates the mapping.
+    // A materialized partition keeps its values in a `.tail` file with a
+    // mapping of its own: a read of the values alone maps that file ...
+    let _ = reader_handle.read_tails_raw(0, 16).unwrap();
+    assert!(
+        file.is_mapped(),
+        "a mapped tail read must map the tail file"
+    );
+    // ... and a block read through the mmap backend maps the heads too.
     let _ = reader_handle.read_range(0, 16).unwrap();
     assert!(file.is_mapped(), "a mapped read must create the mapping");
-    let path = file.run().path().to_path_buf();
+    let paths: Vec<_> = file.run().paths().map(|p| p.to_path_buf()).collect();
+    assert_eq!(paths.len(), 2, "heads file and tail file");
     file.delete().unwrap();
     assert!(
         !reader_handle.is_mapped(),
-        "delete must drop the mapping before the unlink"
+        "delete must drop both mappings before the unlink"
     );
-    assert!(!path.exists(), "the partition file must be gone");
+    assert!(
+        paths.iter().all(|p| !p.exists()),
+        "the partition's files must be gone"
+    );
 
     // End-to-end: a compacting CLSM on the mmap backend — inputs of every
     // compaction are deleted while queries keep mapping the survivors — must

@@ -159,11 +159,13 @@ fn contents(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
         .collect()
 }
 
+/// Every file of every live run: a materialized run keeps its values in a
+/// `.tail` file beside its own.
 fn live_paths<S: Subject>(index: &S) -> Vec<PathBuf> {
     let mut paths: Vec<PathBuf> = index
         .live_runs()
         .iter()
-        .map(|run| run.run().path().to_path_buf())
+        .flat_map(|run| run.run().paths().map(Path::to_path_buf))
         .collect();
     paths.sort();
     paths

@@ -15,7 +15,10 @@
 //! * neighbours equal the reference's, and an exact search's equal the
 //!   brute-force oracle's;
 //! * on a materialized file the `QueryCost` and the logical `IoStats` delta
-//!   equal the reference's;
+//!   equal the reference's, and the physical bytes read never exceed the
+//!   reference's and fall on random walks: uncompressed, they are exactly a
+//!   block's heads plus the values from its first to its last entry whose
+//!   bound the heap's bound at block start leaves, as the reference counts;
 //! * on a raw-fetch file `entries_examined`, `blocks_read` and
 //!   `blocks_skipped` equal the reference's, every refinement is one fetch,
 //!   the fetches are the only I/O that moved, and summed over an archive's
@@ -100,6 +103,9 @@ mod reference {
         )
     }
 
+    /// `span_bytes` gains what the shipped scan of a materialized block
+    /// reads: every head, then the values from the first to the last entry
+    /// in the window whose bound does not exceed the heap's at block start.
     #[allow(clippy::too_many_arguments)]
     fn scan_block(
         file: &SortedSeriesFile,
@@ -111,6 +117,7 @@ mod reference {
         ctx: &mut QueryContext<'_>,
         window: Window,
         prune_entries: bool,
+        span_bytes: &mut u64,
     ) {
         ctx.cost.blocks_read += 1;
         let entries = file
@@ -118,6 +125,20 @@ mod reference {
             .read_range(block.start, block.count as usize)
             .unwrap();
         let breakpoints = Breakpoints::new(sax.bits_per_segment);
+        let in_window = |ts: Timestamp| window.is_none_or(|(start, end)| start <= ts && ts <= end);
+        let survivors: Vec<usize> = (0..entries.len())
+            .filter(|&slot| {
+                let entry = &entries[slot];
+                let word = to_sax(entry.key, sax);
+                in_window(entry.timestamp)
+                    && (!prune_entries
+                        || mindist_paa_sax_sq(query_paa, &word, sax, &breakpoints) <= heap.bound())
+            })
+            .collect();
+        let span = survivors
+            .first()
+            .map_or(0, |f| survivors.last().unwrap() - f + 1);
+        *span_bytes += (entries.len() * 32 + span * SERIES_LEN * 4) as u64;
         for entry in &entries {
             if let Some((start, end)) = window {
                 if entry.timestamp < start || entry.timestamp > end {
@@ -152,6 +173,7 @@ mod reference {
         heap: &mut KnnHeap,
         ctx: &mut QueryContext<'_>,
         window: Window,
+        span_bytes: &mut u64,
     ) {
         let blocks = file.blocks();
         if blocks.is_empty() {
@@ -184,7 +206,7 @@ mod reference {
                 continue;
             }
             scan_block(
-                file, sax, &block, query, &query_paa, heap, ctx, window, false,
+                file, sax, &block, query, &query_paa, heap, ctx, window, false, span_bytes,
             );
             if heap.bound() < f64::INFINITY {
                 break;
@@ -199,6 +221,7 @@ mod reference {
         heap: &mut KnnHeap,
         ctx: &mut QueryContext<'_>,
         window: Window,
+        span_bytes: &mut u64,
     ) {
         let blocks = file.blocks();
         if blocks.is_empty() {
@@ -220,7 +243,7 @@ mod reference {
             }
             let block = blocks[idx];
             scan_block(
-                file, sax, &block, query, &query_paa, heap, ctx, window, true,
+                file, sax, &block, query, &query_paa, heap, ctx, window, true, span_bytes,
             );
         }
     }
@@ -275,16 +298,18 @@ const K: usize = 5;
 
 impl Probe<'_> {
     /// Runs the shipped search, or the reference one, over `file`; returns
-    /// the neighbours, the cost and the heap's final pruning bound.
+    /// the neighbours, the cost, the heap's final pruning bound and — from
+    /// the reference — the bytes a heads-then-value-span scan reads.
     fn run(
         &self,
         parts: &Partitions<'_>,
         file: &SortedSeriesFile,
         shipped: bool,
-    ) -> (Vec<Neighbor>, QueryCost, f64) {
+    ) -> (Vec<Neighbor>, QueryCost, f64, u64) {
         let mut heap = KnnHeap::with_ceiling(K, self.ceiling);
         let mut ctx = parts.context();
         let (query, window) = (self.query, self.window);
+        let mut span = 0;
         match (shipped, self.exact) {
             (true, true) => file
                 .search_exact(query, &mut heap, &mut ctx, window)
@@ -293,14 +318,20 @@ impl Probe<'_> {
                 .search_approximate(query, &mut heap, &mut ctx, window)
                 .unwrap(),
             (false, true) => {
-                reference::search_exact(file, &sax(), query, &mut heap, &mut ctx, window)
+                reference::search_exact(file, &sax(), query, &mut heap, &mut ctx, window, &mut span)
             }
-            (false, false) => {
-                reference::search_approximate(file, &sax(), query, &mut heap, &mut ctx, window)
-            }
+            (false, false) => reference::search_approximate(
+                file,
+                &sax(),
+                query,
+                &mut heap,
+                &mut ctx,
+                window,
+                &mut span,
+            ),
         }
         let bound = heap.bound();
-        (heap.into_sorted(), ctx.cost, bound)
+        (heap.into_sorted(), ctx.cost, bound, span)
     }
 
     /// What an exact search must answer: the top-k, in the
@@ -326,19 +357,23 @@ impl Probe<'_> {
 
 /// What [`assert_equivalent`] saw: how many exact searches pruned an entry
 /// (so a caller can tell the per-entry bound was exercised), and the
-/// refinements of the shipped and the reference searches, summed.
+/// refinements and physical bytes read of the shipped and the reference
+/// searches, summed.
 #[derive(Debug, Default)]
 struct Totals {
     pruned: u64,
     refined: u64,
     reference_refined: u64,
+    physical: u64,
+    reference_physical: u64,
 }
 
 /// Every file × query × window × {exact, approximate} × ceiling: the shipped
 /// search against the reference and the brute-force oracle.
 ///
 /// Answers must be equal everywhere.  A materialized file must also match
-/// the reference's `QueryCost` and logical `IoStats` exactly.  A raw-fetch
+/// the reference's `QueryCost` and logical `IoStats` exactly, and read no
+/// more physical bytes than the reference does.  A raw-fetch
 /// file refines best-first, so there only `entries_examined`,
 /// `blocks_read` and `blocks_skipped` must match, every refinement is one
 /// fetch, and the fetches are the only I/O that moved; whether they fell
@@ -358,7 +393,7 @@ fn assert_equivalent(parts: &Partitions<'_>, queries: &[Vec<f32>], windows: &[Wi
                     ceiling: f64::INFINITY,
                     window,
                 };
-                let (_, _, kth) = unconstrained.run(parts, file, true);
+                let (_, _, kth, _) = unconstrained.run(parts, file, true);
                 for exact in [true, false] {
                     for ceiling in [f64::INFINITY, kth, kth * 0.25, 0.0] {
                         let probe = Probe {
@@ -377,19 +412,33 @@ fn assert_equivalent(parts: &Partitions<'_>, queries: &[Vec<f32>], windows: &[Wi
                         // then reference and shipped are measured in turn.
                         probe.run(parts, file, true);
                         let before = parts.stats.snapshot();
-                        let (nn_ref, cost_ref, _) = probe.run(parts, file, false);
+                        let (nn_ref, cost_ref, _, span) = probe.run(parts, file, false);
                         let between = parts.stats.snapshot();
-                        let (nn, cost, _) = probe.run(parts, file, true);
+                        let (nn, cost, _, _) = probe.run(parts, file, true);
                         let after = parts.stats.snapshot();
                         assert_eq!(nn, nn_ref, "neighbours differ ({at})");
                         if exact {
                             assert_eq!(nn, probe.oracle(&entries), "not the oracle's ({at})");
                         }
-                        let io = after.since(&between).logical();
-                        let io_ref = between.since(&before).logical();
+                        let (io, io_ref) = (after.since(&between), between.since(&before));
+                        let (physical, physical_ref) =
+                            (io.physical_bytes_read, io_ref.physical_bytes_read);
+                        let (io, io_ref) = (io.logical(), io_ref.logical());
                         if parts.raw.is_none() {
                             assert_eq!(cost, cost_ref, "QueryCost differs ({at})");
                             assert_eq!(io, io_ref, "logical IoStats delta differs ({at})");
+                            assert!(
+                                physical <= physical_ref,
+                                "read {physical} physical bytes, the reference \
+                                 {physical_ref} ({at})"
+                            );
+                            // Uncompressed, the bytes are exactly the heads of
+                            // every block read and each block's value span.
+                            if file.compression() == Compression::Off {
+                                assert_eq!(physical, span, "heads + value spans ({at})");
+                            }
+                            totals.physical += physical;
+                            totals.reference_physical += physical_ref;
                         } else {
                             let pruning = |c: QueryCost| {
                                 (c.entries_examined, c.blocks_read, c.blocks_skipped)
@@ -434,6 +483,22 @@ fn assert_fetches_fall(totals: &Totals, walks: bool, label: &str) {
         assert!(
             totals.refined < totals.reference_refined,
             "{label}: best-first saved no fetch ({totals:?})"
+        );
+    }
+}
+
+/// The physical-bytes contract of a materialized file: summed over a query
+/// set, strictly fewer bytes than the reference's whole-record block reads
+/// on random walks (where bounds spread out); never more holds per probe.
+fn assert_physical_bytes_fall(totals: &Totals, walks: bool, label: &str) {
+    assert!(
+        totals.physical <= totals.reference_physical,
+        "{label}: read more physical bytes ({totals:?})"
+    );
+    if walks {
+        assert!(
+            totals.physical < totals.reference_physical,
+            "{label}: the value span saved no physical byte ({totals:?})"
         );
     }
 }
@@ -548,6 +613,8 @@ fn ctree_leaf_scan_matches_reference() {
             let totals = assert_equivalent(&parts, &queries_for(archive), &[None]);
             if parts.raw.is_some() {
                 assert_fetches_fall(&totals, name == "walks", &parts.label);
+            } else {
+                assert_physical_bytes_fall(&totals, name == "walks", &parts.label);
             }
             pruned += totals.pruned;
         },
@@ -584,6 +651,7 @@ fn bounded_approximate_probe_matches_unbounded_reference() {
                             &mut heap,
                             &mut ctx,
                             None,
+                            &mut 0,
                         );
                     }
                     (heap.into_sorted(), ctx.cost)
@@ -655,7 +723,9 @@ fn clsm_run_scans_match_reference() {
                     stats,
                 };
                 let totals = assert_equivalent(&parts, &queries, &[None]);
-                if !materialized {
+                if materialized {
+                    assert_physical_bytes_fall(&totals, *name == "walks", &parts.label);
+                } else {
                     assert_fetches_fall(&totals, *name == "walks", &parts.label);
                 }
             }
@@ -709,8 +779,38 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
             raw: None,
             stats,
         };
-        assert_equivalent(&parts, &queries, &windows);
+        let totals = assert_equivalent(&parts, &queries, &windows);
+        assert_physical_bytes_fall(&totals, true, &parts.label);
     }
+}
+
+/// A key-only scan of an uncompressed materialized partition reads the heads
+/// file alone — 32 physical bytes per entry, not one of its values — while
+/// the logical view is charged the whole entries, as a row read would be.
+#[test]
+fn key_scans_of_an_uncompressed_materialized_file_read_heads_only() {
+    let dir = ScratchDir::new("scan-eq-keys").unwrap();
+    let archive = random_walks(1500, 77);
+    let dataset = Dataset::create_from_series(dir.file("walks.bin"), &archive).unwrap();
+    let config = CTreeConfig::new(sax())
+        .materialized(true)
+        .with_knobs(knobs(Compression::Off, IoBackend::Pread));
+    let stats = IoStats::shared();
+    let tree_dir = dir.file("tree");
+    std::fs::create_dir_all(&tree_dir).unwrap();
+    let tree = CTree::build(&dataset, config, &tree_dir, Arc::clone(&stats)).unwrap();
+    let file = tree.leaf_file();
+    let entries = file.len();
+    let before = stats.snapshot();
+    let keys = file.scan_keys(0, entries as usize).unwrap();
+    let io = stats.snapshot().since(&before);
+    assert_eq!(keys.len() as u64, entries);
+    assert!(
+        keys.windows(2).all(|w| w[0] <= w[1]),
+        "keys come in key order"
+    );
+    assert_eq!(io.physical_bytes_read, entries * 32, "heads only");
+    assert_eq!(io.bytes_read, file.byte_size().div_ceil(4096) * 4096);
 }
 
 /// ADS+ leaves go through the same refine routine: a raw-fetch tree
@@ -771,9 +871,9 @@ fn ads_leaf_refine_matches_file_order_twin() {
             }
         }
         let totals = Totals {
-            pruned: 0,
             refined,
             reference_refined: twin_refined,
+            ..Totals::default()
         };
         assert_fetches_fall(&totals, *name == "walks", &format!("ads {name}"));
     }

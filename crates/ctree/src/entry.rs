@@ -175,12 +175,16 @@ impl RecordLayout for EntryLayout {
 
     fn decode(&self, buf: &[u8]) -> SeriesEntry {
         debug_assert_eq!(buf.len(), self.record_size());
+        self.decode_parts(&buf[..32], Self::values_of(buf))
+    }
+
+    fn decode_parts(&self, head: &[u8], tail: &[u8]) -> SeriesEntry {
         let mut values = Vec::new();
-        decode_f32_le(Self::values_of(buf), &mut values);
+        decode_f32_le(tail, &mut values);
         SeriesEntry {
-            key: Self::key_of(buf),
-            id: Self::id_of(buf),
-            timestamp: Self::timestamp_of(buf),
+            key: Self::key_of(head),
+            id: Self::id_of(head),
+            timestamp: Self::timestamp_of(head),
             values,
         }
     }

@@ -264,37 +264,69 @@ impl<'a> QueryContext<'a> {
             Some(bounds) if !records.materialized() => {
                 self.refine_best_first(records, query, bounds, heap, window)
             }
-            _ => self.refine_in_order(records, query, bounds, heap, window),
+            _ => {
+                self.select(records, bounds, heap.bound(), window);
+                self.refine_selected(records, query, heap)
+            }
         }
     }
 
-    fn refine_in_order<R: Records + ?Sized>(
+    /// The first pass of a file-order refine: counts the entries in
+    /// `window` as examined and keeps `(lower bound, slot)`, in file order,
+    /// of those whose bound does not exceed `ceiling` (all, at `-inf`,
+    /// without `bounds`).  Returns the first and the last slot kept.  With
+    /// the heap's bound at block start as `ceiling`, every entry the second
+    /// pass can refine is kept — the bound only tightens inside a block.
+    pub(crate) fn select<R: Records + ?Sized>(
         &mut self,
         records: &R,
-        query: &[f32],
         bounds: Option<&QueryBounds>,
-        heap: &mut KnnHeap,
+        ceiling: f64,
         window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<()> {
-        for entry in records.entries() {
-            let timestamp = entry.timestamp();
-            if !in_window(timestamp, window) {
+    ) -> Option<(usize, usize)> {
+        self.order.clear();
+        for (slot, entry) in records.entries().enumerate() {
+            if !in_window(entry.timestamp(), window) {
                 continue;
             }
             self.cost.entries_examined += 1;
-            if bounds.is_some_and(|b| b.key_bound_sq(entry.key()) > heap.bound()) {
+            let lb = bounds.map_or(f64::NEG_INFINITY, |b| b.key_bound_sq(entry.key()));
+            if lb > ceiling {
+                continue;
+            }
+            self.order.push((lb, slot as u32));
+        }
+        Some((
+            self.order.first()?.1 as usize,
+            self.order.last()?.1 as usize,
+        ))
+    }
+
+    /// The second pass: refines the entries [`QueryContext::select`] kept,
+    /// in file order, each only if its bound does not exceed the heap's
+    /// bound when its turn comes.
+    pub(crate) fn refine_selected<R: Records + ?Sized>(
+        &mut self,
+        records: &R,
+        query: &[f32],
+        heap: &mut KnnHeap,
+    ) -> Result<()> {
+        for i in 0..self.order.len() {
+            let (lb, slot) = self.order[i];
+            let bound = heap.bound();
+            if lb > bound {
                 continue;
             }
             self.cost.entries_refined += 1;
+            let entry = records.entry(slot as usize);
             let id = entry.id();
-            let bound = heap.bound();
             let values = if records.materialized() {
                 entry.values(&mut self.values)
             } else {
                 self.fetch(id)?
             };
             if let Some(d) = euclidean_early_abandon(query, values, bound) {
-                heap.offer_at(id, timestamp, d);
+                heap.offer_at(id, entry.timestamp(), d);
             }
         }
         Ok(())
@@ -343,44 +375,72 @@ fn in_window(timestamp: Timestamp, window: Option<(Timestamp, Timestamp)>) -> bo
     window.is_none_or(|(start, end)| start <= timestamp && timestamp <= end)
 }
 
-/// The raw bytes of one block of a [`crate::SortedSeriesFile`]: entries
-/// are read in place, and only a refined one has its values decoded.
+/// One block of a [`crate::SortedSeriesFile`] as a scan reads it: the heads
+/// of its entries (key, id, timestamp), read in place, and — on a
+/// materialized layout — the values of the span of slots the scan went on
+/// to read, decoded only for an entry that is refined.
 pub(crate) struct EncodedBlock<'a> {
-    bytes: &'a [u8],
-    record_size: usize,
+    heads: &'a [u8],
     materialized: bool,
+    /// Values of the slots `first_value..`, `value_len` bytes each.
+    values: &'a [u8],
+    value_len: usize,
+    first_value: usize,
 }
 
 impl<'a> EncodedBlock<'a> {
-    /// The records of `bytes`, encoded in `layout`.
-    pub(crate) fn new(bytes: &'a [u8], layout: &EntryLayout) -> Self {
+    /// The entries whose heads are `heads`, in `layout`, with no values.
+    pub(crate) fn heads(heads: &'a [u8], layout: &EntryLayout) -> Self {
+        let value_len = layout.record_size() - ENTRY_HEAD;
         EncodedBlock {
-            bytes,
-            record_size: layout.record_size(),
+            heads,
             materialized: layout.is_materialized(),
+            values: &[],
+            value_len,
+            first_value: 0,
+        }
+    }
+
+    /// The same entries, with `values` holding those of the slots from
+    /// `first` on.
+    pub(crate) fn with_values(self, values: &'a [u8], first: usize) -> Self {
+        EncodedBlock {
+            values,
+            first_value: first,
+            ..self
         }
     }
 }
 
-/// One encoded record, read in place.
+/// Bytes of an entry's head: key, id, timestamp.
+const ENTRY_HEAD: usize = 32;
+
+/// One encoded entry, read in place.
 #[derive(Clone, Copy)]
-pub(crate) struct EncodedEntry<'a>(&'a [u8]);
+pub(crate) struct EncodedEntry<'a> {
+    head: &'a [u8],
+    block: &'a EncodedBlock<'a>,
+    slot: usize,
+}
 
 impl Entry for EncodedEntry<'_> {
     fn timestamp(&self) -> Timestamp {
-        EntryLayout::timestamp_of(self.0)
+        EntryLayout::timestamp_of(self.head)
     }
 
     fn key(&self) -> u128 {
-        EntryLayout::key_of(self.0)
+        EntryLayout::key_of(self.head)
     }
 
     fn id(&self) -> u64 {
-        EntryLayout::id_of(self.0)
+        EntryLayout::id_of(self.head)
     }
 
+    /// Only for a slot whose values the scan read.
     fn values<'v>(&'v self, buf: &'v mut Vec<f32>) -> &'v [f32] {
-        decode_f32_le(EntryLayout::values_of(self.0), buf);
+        let block = self.block;
+        let at = (self.slot - block.first_value) * block.value_len;
+        decode_f32_le(&block.values[at..at + block.value_len], buf);
         buf
     }
 }
@@ -396,11 +456,22 @@ impl Records for EncodedBlock<'_> {
     }
 
     fn entries(&self) -> impl Iterator<Item = EncodedEntry<'_>> {
-        self.bytes.chunks_exact(self.record_size).map(EncodedEntry)
+        self.heads
+            .chunks_exact(ENTRY_HEAD)
+            .enumerate()
+            .map(|(slot, head)| EncodedEntry {
+                head,
+                block: self,
+                slot,
+            })
     }
 
     fn entry(&self, slot: usize) -> EncodedEntry<'_> {
-        EncodedEntry(&self.bytes[slot * self.record_size..(slot + 1) * self.record_size])
+        EncodedEntry {
+            head: &self.heads[slot * ENTRY_HEAD..(slot + 1) * ENTRY_HEAD],
+            block: self,
+            slot,
+        }
     }
 }
 

@@ -68,9 +68,10 @@ impl SortedSeriesFile {
     /// Builds a partition at `path` by streaming already-sorted entries into
     /// blocks of `entries_per_block` entries.  `backend` is the read backend
     /// the finished partition serves its block scans with; `compression` is
-    /// its on-disk format (`off` produces byte-identical files to every
-    /// release before the knob existed; `prefix` front-codes the sorted
-    /// invSAX keys and delta-codes ids/timestamps into ~4 KiB blocks).  Both
+    /// its on-disk format (`off` writes whole entries when they carry no
+    /// values and keeps a materialized partition's values in a sibling
+    /// `<path>.tail` file; `prefix` front-codes the sorted invSAX keys and
+    /// delta-codes ids/timestamps into ~4 KiB blocks).  Both
     /// are pure performance knobs: answers, costs and the logical `IoStats`
     /// view are identical at every setting.
     #[allow(clippy::too_many_arguments)]
@@ -215,11 +216,12 @@ impl SortedSeriesFile {
     }
 
     /// Reads only the invSAX keys of `count` entries starting at `index`,
-    /// in key order.  On compressed materialized partitions this touches
-    /// just the blocks' head regions — the raw f32 values never leave the
-    /// disk — so a cold key-only scan moves strictly fewer physical bytes
-    /// than an entry scan; the logical `IoStats` view is charged like a
-    /// full-record read on every path, keeping it knob-invariant.
+    /// in key order.  On a materialized partition this touches just the
+    /// heads — the heads file of an uncompressed one, the blocks' head
+    /// regions of a compressed one; the raw f32 values never leave the disk
+    /// — so a key-only scan moves strictly fewer physical bytes than an
+    /// entry scan; the logical `IoStats` view is charged like a full-record
+    /// read on every path, keeping it knob-invariant.
     pub fn scan_keys(&self, index: u64, count: usize) -> Result<Vec<u128>> {
         let heads = self.run.read_heads_raw(index, count)?;
         let head = self.run.head_size();
@@ -349,7 +351,7 @@ impl SortedSeriesFile {
         self.run.is_mapped()
     }
 
-    /// Deletes the backing file.
+    /// Deletes the partition's files.
     pub fn delete(self) -> Result<()> {
         self.run.delete()?;
         Ok(())
@@ -393,10 +395,11 @@ impl SortedSeriesFile {
         mindist_paa_key_prefix_sq(query_paa, block.min_key, shared_bits, &self.sax)
     }
 
-    /// Reads one block and refines it through [`QueryContext::refine`]:
-    /// every record has its timestamp read for the window test and — when
-    /// `bounds` is given — its key for the lower bound; id and values are
-    /// decoded only for the entries that go on to a true distance.
+    /// Reads one block's heads and refines it: every entry has its
+    /// timestamp read for the window test and — with `bounds` — its key for
+    /// the lower bound.  A materialized block then reads, in one call, the
+    /// values of the span from the first to the last entry that can still
+    /// win against the heap's bound at block start (none if none can).
     fn scan_block(
         &self,
         block: &BlockMeta,
@@ -407,9 +410,18 @@ impl SortedSeriesFile {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<()> {
         ctx.cost.blocks_read += 1;
-        let bytes = self.run.read_raw(block.start, block.count as usize)?;
-        let records = EncodedBlock::new(&bytes, self.run.layout());
-        ctx.refine(&records, query, bounds, heap, window)
+        let heads = self.run.read_heads_raw(block.start, block.count as usize)?;
+        let records = EncodedBlock::heads(&heads, self.run.layout());
+        if !self.layout().is_materialized() {
+            return ctx.refine(&records, query, bounds, heap, window);
+        }
+        let Some((first, last)) = ctx.select(&records, bounds, heap.bound(), window) else {
+            return Ok(());
+        };
+        let values = self
+            .run
+            .read_tails_raw(block.start + first as u64, last - first + 1)?;
+        ctx.refine_selected(&records.with_values(&values, first), query, heap)
     }
 
     /// Approximate kNN: reads only the block(s) around the query's key
@@ -564,10 +576,8 @@ impl RangeReader<'_> {
                 self.done = true;
                 return Ok(());
             };
-            let layout = self.file.run.layout();
-            let size = coconut_storage::RecordLayout::record_size(layout);
-            for chunk in bytes.chunks_exact(size) {
-                let entry = coconut_storage::RecordLayout::decode(layout, chunk);
+            let file = self.file;
+            for entry in file.run.decode_raw(&bytes) {
                 if entry.key < self.lo {
                     continue;
                 }

@@ -37,13 +37,13 @@
 //! [`LogicalAccountant`], which replays exactly the page walk
 //! `PagedFile::account` would have performed on the uncompressed file,
 //! while the **physical** byte counters record the block frames actually
-//! read or written.  `compression=off` does not change a single byte or
-//! counter relative to the pre-compression format.
+//! read or written.  `compression=off` writes raw fixed-size records:
+//! whole rows for a layout without a value tail, and for a layout with one
+//! (a materialized entry) the heads in the run's file and the tails in a
+//! sibling `.tail` file, charged the same logical way (see
+//! `crate::dynsort`'s `RunFormat`).
 
-use parking_lot::Mutex;
-
-use crate::iostats::{AccessKind, SharedIoStats};
-use crate::page::page_of_offset;
+use crate::iostats::{PageCursor, SharedIoStats};
 use crate::{Result, StorageError};
 
 coconut_json::wire! {
@@ -52,8 +52,8 @@ coconut_json::wire! {
     /// member's; the wire also takes any spelling [`str::parse`] does.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
     pub enum Compression names "the compression scheme" {
-        /// Raw fixed-size records, byte-identical to the pre-compression
-        /// format.  The default.
+        /// Raw fixed-size records: rows, or heads and value tails in two
+        /// files when the layout has a tail.  The default.
         #[default]
         Off = "off",
         /// Front-coded prefix column + delta-varint integer columns + raw
@@ -343,7 +343,7 @@ pub fn decode_block(spec: &ColumnSpec, bytes: &[u8], head_len: usize) -> Result<
 pub struct LogicalAccountant {
     page_size: usize,
     stats: SharedIoStats,
-    last_page: Mutex<Option<u64>>,
+    cursor: PageCursor,
 }
 
 impl LogicalAccountant {
@@ -354,33 +354,15 @@ impl LogicalAccountant {
         LogicalAccountant {
             page_size,
             stats,
-            last_page: Mutex::new(None),
+            cursor: PageCursor::new(),
         }
     }
 
-    /// Charges one logical access of `bytes` bytes at logical `offset`,
-    /// page by page — the mirror of `PagedFile::account`.
+    /// Charges one logical access of `bytes` bytes at logical `offset`:
+    /// the page walk of `PagedFile`, through the same page cursor.
     pub fn account(&self, offset: u64, bytes: usize, is_read: bool) {
-        if bytes == 0 {
-            return;
-        }
-        let first = page_of_offset(offset, self.page_size);
-        let last = page_of_offset(offset + bytes as u64 - 1, self.page_size);
-        let mut last_page = self.last_page.lock();
-        for page in first..=last {
-            let sequential = match *last_page {
-                None => false,
-                Some(prev) => page == prev || page == prev + 1,
-            };
-            let kind = match (is_read, sequential) {
-                (true, true) => AccessKind::SequentialRead,
-                (true, false) => AccessKind::RandomRead,
-                (false, true) => AccessKind::SequentialWrite,
-                (false, false) => AccessKind::RandomWrite,
-            };
-            self.stats.record_logical(kind, self.page_size as u64);
-            *last_page = Some(page);
-        }
+        self.cursor
+            .charge(&self.stats, self.page_size, offset, bytes, is_read, false);
     }
 
     /// The shared stats handle this accountant charges into.

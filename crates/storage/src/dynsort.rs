@@ -28,8 +28,8 @@ use std::sync::Arc;
 use coconut_parallel::{effective_parallelism, parallel_sort_by_key};
 
 use crate::block::{
-    block_records_for, decode_block, decode_block_heads, encode_block, BlockExtent, ColumnSpec,
-    Compression, LogicalAccountant, FOOTER_MAGIC,
+    block_records_for, decode_block_heads, encode_block, BlockExtent, ColumnSpec, Compression,
+    LogicalAccountant, FOOTER_MAGIC,
 };
 use crate::durability::{self, Job};
 use crate::file::{read_ahead_with, PagedFile, ReadAheadBuffers};
@@ -37,7 +37,7 @@ use crate::iostats::SharedIoStats;
 use crate::knobs::PerfKnobs;
 use crate::mmap::IoBackend;
 use crate::page::DEFAULT_PAGE_SIZE;
-use crate::{record_range, Result, StorageError};
+use crate::{record_offset, record_range, Result, StorageError};
 
 /// Describes how to encode, decode and order records of a runtime-known
 /// fixed size.
@@ -71,21 +71,55 @@ pub trait RecordLayout: Clone + Send + Sync {
     fn columns(&self) -> ColumnSpec {
         ColumnSpec::opaque(self.record_size())
     }
+
+    /// Decodes a record from its head (`columns().head_size()` bytes) and
+    /// its value tail (`columns().tail_len` bytes), the two halves runs hand
+    /// records out as.  The default joins them for [`RecordLayout::decode`];
+    /// a layout with a tail overrides it to read each half in place.
+    fn decode_parts(&self, head: &[u8], tail: &[u8]) -> Self::Record {
+        if tail.is_empty() {
+            return self.decode(head);
+        }
+        let mut record = Vec::with_capacity(head.len() + tail.len());
+        record.extend_from_slice(head);
+        record.extend_from_slice(tail);
+        self.decode(&record)
+    }
 }
 
-/// The non-generic storage engine under a [`DynRunFile`]: the paged file
-/// plus — for `compression = prefix` runs — the block directory, column
-/// spec and the [`LogicalAccountant`] that keeps the *logical* `IoStats`
-/// view identical to an uncompressed run.  All record framing and
-/// accounting lives here so readers, clones and prefetch workers share one
-/// state without dragging the layout type parameter into `'static` closure
-/// bounds.
+/// The non-generic storage engine under a [`DynRunFile`]: the run's file(s)
+/// in one of three [`RunFormat`]s.  All record framing and accounting lives
+/// here so readers, clones and prefetch workers share one state without
+/// dragging the layout type parameter into `'static` closure bounds.
+///
+/// Reads hand records out *column-wise*: the heads of the records read
+/// (`spec.head_size()` bytes each), then their value tails.  A layout
+/// without a tail has head == record: there the bytes are plain records.
 pub(crate) struct RunBody {
+    /// The rows, the heads of a split run, or the blocks of a compressed one.
     file: PagedFile,
     record_size: usize,
     spec: ColumnSpec,
     count: u64,
-    codec: Option<RunCodec>,
+    format: RunFormat,
+}
+
+/// How a run lays its records out on disk.
+enum RunFormat {
+    /// `compression = off` for a layout without a value tail: whole records
+    /// back to back, the file charging both `IoStats` views itself.
+    Rows,
+    /// `compression = off` for a layout with a value tail: record `i`'s head
+    /// at `i × head_size` in the run's file, its tail at `i × tail_len` in
+    /// the [`tail_path`] file; no header or footer, so the two lengths add
+    /// up to the row file's.  Both files charge physical bytes only;
+    /// `logical` replays the row file's page walk.
+    Split {
+        tails: PagedFile,
+        logical: LogicalAccountant,
+    },
+    /// `compression = prefix`: the block codec.
+    Blocks(RunCodec),
 }
 
 /// Per-run state of a `compression = prefix` file.
@@ -101,89 +135,112 @@ struct RunCodec {
     logical: LogicalAccountant,
 }
 
+impl RunCodec {
+    /// The extents of the blocks holding records `index..index + count`
+    /// (`count > 0`), and the index of the first record of the first one.
+    fn blocks_of(&self, index: u64, count: usize) -> Result<(u64, &[BlockExtent])> {
+        let per = self.block_records as u64;
+        let first = (index / per) as usize;
+        let last = ((index + count as u64 - 1) / per) as usize;
+        let extents = self.blocks.get(first..=last).ok_or_else(|| {
+            StorageError::Corrupt("record range past the compressed block directory".into())
+        })?;
+        Ok((first as u64 * per, extents))
+    }
+}
+
+/// Path of the file holding the value tails of the split run at `path`.
+fn tail_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tail");
+    PathBuf::from(name)
+}
+
 impl RunBody {
     /// The compression this run was written with.
     pub(crate) fn compression(&self) -> Compression {
-        if self.codec.is_some() {
-            Compression::Prefix
-        } else {
-            Compression::Off
+        match self.format {
+            RunFormat::Blocks(_) => Compression::Prefix,
+            RunFormat::Rows | RunFormat::Split { .. } => Compression::Off,
         }
     }
 
+    /// The run's files: its own, then the tail file of a split run.
+    fn files(&self) -> impl Iterator<Item = &PagedFile> {
+        let tails = match &self.format {
+            RunFormat::Split { tails, .. } => Some(tails),
+            RunFormat::Rows | RunFormat::Blocks(_) => None,
+        };
+        std::iter::once(&self.file).chain(tails)
+    }
+
+    /// `count` clamped to the records left from `index`.
+    fn clamp(&self, index: u64, count: usize) -> usize {
+        count.min(self.count.saturating_sub(index) as usize)
+    }
+
     /// Reads `count` records starting at `index` (clamped to the run
-    /// length) as raw record bytes.  Compressed runs decode whole blocks
-    /// but charge the logical view exactly one positioned read of the
-    /// requested record range, matching the uncompressed path byte for
-    /// byte.
+    /// length), column-wise (see [`RunBody`]): their heads, then their
+    /// tails.  Every format charges the logical view exactly one positioned
+    /// read of the requested record range of the row file.
     fn read(&self, index: u64, count: usize) -> Result<Vec<u8>> {
-        let count = count.min(self.count.saturating_sub(index) as usize);
+        let count = self.clamp(index, count);
         if count == 0 {
             return Ok(Vec::new());
         }
         let (offset, bytes) = record_range(index, count, self.record_size)?;
-        let codec = match &self.codec {
-            None => return self.file.read_at(offset, bytes),
-            Some(codec) => codec,
+        let (tail_file, logical) = match &self.format {
+            RunFormat::Rows => return self.file.read_at(offset, bytes),
+            RunFormat::Split { tails, logical } => (tails, logical),
+            RunFormat::Blocks(_) => {
+                let mut records = Vec::with_capacity(bytes);
+                records.extend_from_slice(&self.read_heads(index, count)?);
+                records.extend_from_slice(&self.read_tails(index, count)?);
+                return Ok(records);
+            }
         };
-        let first = (index / codec.block_records as u64) as usize;
-        let last = ((index + count as u64 - 1) / codec.block_records as u64) as usize;
-        let mut decoded = Vec::with_capacity((last - first + 1) * bytes.max(1));
-        for extent in codec.blocks.get(first..=last).ok_or_else(|| {
-            StorageError::Corrupt("record range past the compressed block directory".into())
-        })? {
-            let frame = self.file.read_at(extent.offset, extent.len as usize)?;
-            decoded.extend_from_slice(&decode_block(&self.spec, &frame, extent.head_len as usize)?);
-        }
-        codec.logical.account(offset, bytes, true);
-        let skip =
-            (index - (first as u64 * codec.block_records as u64)) as usize * self.record_size;
-        if decoded.len() < skip + bytes {
-            return Err(StorageError::Corrupt(
-                "compressed blocks decoded short of the requested range".into(),
-            ));
-        }
-        decoded.drain(..skip);
-        decoded.truncate(bytes);
-        Ok(decoded)
+        // One buffer filled in place: merges read through here, and a second
+        // buffer for the tails, appended, cost `stream-window` a third of its
+        // ingest rate.
+        let (head, tail) = (self.spec.head_size(), self.spec.tail_len);
+        let mut records = vec![0u8; bytes];
+        let (heads, tails) = records.split_at_mut(count * head);
+        self.file.read_into(record_offset(index, head)?, heads)?;
+        tail_file.read_into(record_offset(index, tail)?, tails)?;
+        logical.account(offset, bytes, true);
+        Ok(records)
     }
 
-    /// Reads only the per-record *head* region (key prefix + integer
-    /// fields, `spec.head_size()` bytes per record) of `count` records
-    /// starting at `index`.  On compressed runs this touches just the
-    /// blocks' head bytes — the raw value tail never leaves the disk —
-    /// while the logical view is charged as if the full records were read,
-    /// keeping it identical to the uncompressed path (which has no choice
-    /// but to read full records and strip the tails in memory).
+    /// Reads only the heads (key prefix + integer fields) of `count` records
+    /// starting at `index`: a split run's heads file, a compressed run's
+    /// head regions.  The logical view is charged the full records, as the
+    /// row format reads them.
     fn read_heads(&self, index: u64, count: usize) -> Result<Vec<u8>> {
-        let count = count.min(self.count.saturating_sub(index) as usize);
+        let count = self.clamp(index, count);
         if count == 0 {
             return Ok(Vec::new());
         }
         let head = self.spec.head_size();
-        let codec = match &self.codec {
-            None => {
-                let full = self.read(index, count)?;
-                let mut out = Vec::with_capacity(count * head);
-                for rec in full.chunks_exact(self.record_size) {
-                    out.extend_from_slice(&rec[..head]);
-                }
-                return Ok(out);
-            }
-            Some(codec) => codec,
-        };
         let (offset, bytes) = record_range(index, count, self.record_size)?;
-        let first = (index / codec.block_records as u64) as usize;
-        let last = ((index + count as u64 - 1) / codec.block_records as u64) as usize;
-        let mut heads = Vec::with_capacity((count + codec.block_records) * head);
-        for extent in codec.blocks.get(first..=last).ok_or_else(|| {
-            StorageError::Corrupt("record range past the compressed block directory".into())
-        })? {
-            let frame = self.file.read_at(extent.offset, extent.head_len as usize)?;
-            heads.extend_from_slice(&decode_block_heads(&self.spec, &frame)?);
-        }
-        codec.logical.account(offset, bytes, true);
-        let skip = (index - (first as u64 * codec.block_records as u64)) as usize * head;
+        let (logical, mut heads, skip) = match &self.format {
+            RunFormat::Rows => return self.read(index, count),
+            RunFormat::Split { logical, .. } => (
+                logical,
+                self.file
+                    .read_at(record_offset(index, head)?, count * head)?,
+                0,
+            ),
+            RunFormat::Blocks(codec) => {
+                let (start, extents) = codec.blocks_of(index, count)?;
+                let mut heads = Vec::with_capacity((count + codec.block_records) * head);
+                for extent in extents {
+                    let frame = self.file.read_at(extent.offset, extent.head_len as usize)?;
+                    heads.extend_from_slice(&decode_block_heads(&self.spec, &frame)?);
+                }
+                (&codec.logical, heads, (index - start) as usize * head)
+            }
+        };
+        logical.account(offset, bytes, true);
         if heads.len() < skip + count * head {
             return Err(StorageError::Corrupt(
                 "compressed block heads decoded short of the requested range".into(),
@@ -192,6 +249,54 @@ impl RunBody {
         heads.drain(..skip);
         heads.truncate(count * head);
         Ok(heads)
+    }
+
+    /// Reads only the value tails of `count` records starting at `index`:
+    /// one read of a split run's tail file, one per block of a compressed
+    /// run.  Physical bytes only: the heads were charged the records.
+    fn read_tails(&self, index: u64, count: usize) -> Result<Vec<u8>> {
+        let count = self.clamp(index, count);
+        let tail = self.spec.tail_len;
+        if count == 0 || tail == 0 {
+            return Ok(Vec::new());
+        }
+        match &self.format {
+            RunFormat::Rows => Ok(Vec::new()),
+            RunFormat::Split { tails, .. } => {
+                tails.read_at(record_offset(index, tail)?, count * tail)
+            }
+            RunFormat::Blocks(codec) => {
+                let (start, extents) = codec.blocks_of(index, count)?;
+                let (per, end) = (codec.block_records as u64, index + count as u64);
+                let mut out = Vec::with_capacity(count * tail);
+                for (first, extent) in (start..).step_by(per as usize).zip(extents) {
+                    let from = index.max(first) - first;
+                    let len = (end.min(first + per) - first - from) as usize * tail;
+                    let at = u64::from(extent.head_len) + from * tail as u64;
+                    if at + len as u64 > u64::from(extent.len) {
+                        return Err(StorageError::Corrupt(
+                            "compressed block tail region short of its records".into(),
+                        ));
+                    }
+                    out.extend_from_slice(&self.file.read_at(extent.offset + at, len)?);
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    /// The durability job that fdatasyncs every file of the run.
+    fn sync_job(body: &Arc<RunBody>) -> Job {
+        let run = Arc::clone(body);
+        let sync = move || {
+            for file in run.files() {
+                file.sync().map_err(|e| {
+                    std::io::Error::other(format!("fdatasync of {}: {e}", file.path().display()))
+                })?;
+            }
+            Ok(())
+        };
+        Job::new(sync, Vec::new())
     }
 }
 
@@ -240,11 +345,11 @@ impl<L: RecordLayout> DynRunFile<L> {
         self.body.count * self.layout.record_size() as u64
     }
 
-    /// Bytes the backing file actually occupies on disk (compressed blocks
+    /// Bytes the run's files actually occupy on disk (compressed blocks
     /// plus the block-directory footer; equals [`DynRunFile::byte_size`]
-    /// when compression is off).
+    /// when compression is off, summed over both files of a split run).
     pub fn physical_byte_size(&self) -> u64 {
-        self.body.file.len()
+        self.body.files().map(PagedFile::len).sum()
     }
 
     /// The compression this run was written with.
@@ -252,9 +357,15 @@ impl<L: RecordLayout> DynRunFile<L> {
         self.body.compression()
     }
 
-    /// Path of the backing file.
+    /// Path of the run's file (the heads file of a split run).
     pub fn path(&self) -> &Path {
         self.body.file.path()
+    }
+
+    /// Paths of the run's files: [`DynRunFile::path`], then `<path>.tail`
+    /// for an uncompressed run of a layout with a value tail.
+    pub fn paths(&self) -> impl Iterator<Item = &Path> {
+        self.body.files().map(PagedFile::path)
     }
 
     /// The layout records are encoded with.
@@ -271,34 +382,52 @@ impl<L: RecordLayout> DynRunFile<L> {
             )));
         }
         let buf = self.body.read(index, 1)?;
-        Ok(self.layout.decode(&buf))
+        let record = self.decode_raw(&buf).next();
+        record.ok_or_else(|| StorageError::Corrupt(format!("record {index} read short")))
     }
 
     /// Reads up to `count` records starting at `index`.
     pub fn read_range(&self, index: u64, count: usize) -> Result<Vec<L::Record>> {
-        let size = self.layout.record_size();
         let buf = self.body.read(index, count)?;
-        Ok(buf
-            .chunks_exact(size)
-            .map(|c| self.layout.decode(c))
-            .collect())
+        Ok(self.decode_raw(&buf).collect())
     }
 
-    /// Reads up to `count` records starting at `index` as raw encoded bytes
-    /// in one positioned read, for callers that decode lazily (e.g. after a
-    /// prefetched read of the same range).
+    /// Reads up to `count` records starting at `index` as raw bytes, their
+    /// heads then their tails (plain records for a layout without a tail),
+    /// for callers that decode lazily with [`DynRunFile::decode_raw`].
     pub fn read_raw(&self, index: u64, count: usize) -> Result<Vec<u8>> {
         self.body.read(index, count)
     }
 
+    /// The records of bytes returned by [`DynRunFile::read_raw`] or a
+    /// [`DynRunFile::range_prefetcher`], each decoded from its head and its
+    /// tail in place.
+    pub fn decode_raw<'a>(&'a self, bytes: &'a [u8]) -> impl Iterator<Item = L::Record> + 'a {
+        let (head, tail) = (self.head_size(), self.body.spec.tail_len);
+        let count = bytes.len() / self.layout.record_size().max(1);
+        let (heads, tails) = bytes.split_at(count * head);
+        (0..count).map(move |i| {
+            self.layout.decode_parts(
+                &heads[i * head..(i + 1) * head],
+                &tails[i * tail..(i + 1) * tail],
+            )
+        })
+    }
+
     /// Reads the per-record head bytes (`head_size()` each — key prefix
     /// plus integer fields, no value tail) of up to `count` records
-    /// starting at `index`.  On compressed runs this reads strictly fewer
-    /// physical bytes than [`DynRunFile::read_raw`] whenever the layout has
-    /// a value tail; logical accounting is identical to a full-record read
-    /// on every path.
+    /// starting at `index`.  Whenever the layout has a value tail, this
+    /// reads strictly fewer physical bytes than [`DynRunFile::read_raw`];
+    /// logical accounting is identical to a full-record read on every path.
     pub fn read_heads_raw(&self, index: u64, count: usize) -> Result<Vec<u8>> {
         self.body.read_heads(index, count)
+    }
+
+    /// Reads the value tails of up to `count` records starting at `index`.
+    /// Physical bytes only: it completes a [`DynRunFile::read_heads_raw`]
+    /// of the same records, which charged their logical view.
+    pub fn read_tails_raw(&self, index: u64, count: usize) -> Result<Vec<u8>> {
+        self.body.read_tails(index, count)
     }
 
     /// Bytes per record returned by [`DynRunFile::read_heads_raw`].
@@ -356,41 +485,45 @@ impl<L: RecordLayout> DynRunFile<L> {
     /// `Sequential`, query-time block probes `Random`; accounting is
     /// unaffected either way.
     pub fn advise_read_pattern(&self, pattern: crate::mmap::AccessPattern) {
-        self.body.file.advise_read_pattern(pattern);
+        for file in self.body.files() {
+            file.advise_read_pattern(pattern);
+        }
     }
 
-    /// Returns `true` while the backing file holds a live read mapping.
+    /// Returns `true` while any file of the run holds a live read mapping.
     pub fn is_mapped(&self) -> bool {
-        self.body.file.is_mapped()
+        self.body.files().any(PagedFile::is_mapped)
     }
 
-    /// Number of fdatasync calls issued on the backing file (durable
-    /// finishes sync exactly once; volatile finishes never do).
+    /// Number of fdatasync rounds that covered every file of the run
+    /// (durable finishes sync exactly once; volatile finishes never do).
     pub fn sync_count(&self) -> u64 {
-        self.body.file.sync_count()
+        let counts = self.body.files().map(PagedFile::sync_count);
+        counts.min().unwrap_or_default()
     }
 
-    /// Number of appends (write syscalls) the run was written with.
+    /// Number of appends (write syscalls) the run was written with, over
+    /// all its files.
     pub fn write_count(&self) -> u64 {
-        self.body.file.write_count()
+        self.body.files().map(PagedFile::write_count).sum()
     }
 
-    /// Deletes the backing file.  The read mapping is dropped *before* the
-    /// unlink, so no clone of this run — a compaction reader, a query unit —
-    /// can keep serving reads through a mapping of a deleted file.
+    /// Deletes the run's files.  Their read mappings are dropped *before*
+    /// the unlink, so no clone of this run — a compaction reader, a query
+    /// unit — can keep serving reads through a mapping of a deleted file.
     pub fn delete(self) -> Result<()> {
-        self.body.file.unmap();
-        let path = self.body.file.path().to_path_buf();
-        drop(self.body);
-        std::fs::remove_file(path)?;
+        for path in Self::retire(self.body) {
+            std::fs::remove_file(path)?;
+        }
         Ok(())
     }
 
     /// Retires `inputs`, whose records the durably finished `outputs` now
     /// hold.  The inputs stop serving mapped reads at once; their files are
     /// unlinked by the durability worker, in a job queued behind the
-    /// outputs' syncs, and only if every one of those syncs succeeded — an
-    /// input never leaves the disk before the run replacing it is durable.
+    /// outputs' syncs, and only if every one of those syncs succeeded, for
+    /// every file of every output — an input never leaves the disk before
+    /// the run replacing it is durable.
     pub fn replace(outputs: &[&DynRunFile<L>], inputs: Vec<DynRunFile<L>>) -> Result<()> {
         durability::submit(Self::replace_job(outputs, inputs))
     }
@@ -399,22 +532,32 @@ impl<L: RecordLayout> DynRunFile<L> {
         let outputs: Vec<Arc<RunBody>> = outputs.iter().map(|o| Arc::clone(&o.body)).collect();
         let unlink: Vec<PathBuf> = inputs
             .into_iter()
-            .map(|input| {
-                input.body.file.unmap();
-                input.body.file.path().to_path_buf()
-            })
+            .flat_map(|input| Self::retire(input.body))
             .collect();
         let kept = unlink.len();
-        let outputs_durable = move || match outputs.iter().find(|o| o.file.sync_count() == 0) {
-            None => Ok(()),
-            // Its sync failed (and was reported); a retry would not bring
-            // back pages the kernel already dropped.
-            Some(o) => Err(std::io::Error::other(format!(
-                "{} was never synced, so the {kept} run(s) it replaces stay on disk",
-                o.file.path().display()
-            ))),
+        let outputs_durable = move || {
+            let mut files = outputs.iter().flat_map(|o| o.files());
+            match files.find(|f| f.sync_count() == 0) {
+                None => Ok(()),
+                // Its sync failed (and was reported); a retry would not bring
+                // back pages the kernel already dropped.
+                Some(file) => Err(std::io::Error::other(format!(
+                    "{} was never synced, so the {kept} run file(s) it replaces stay on disk",
+                    file.path().display()
+                ))),
+            }
         };
         Job::new(outputs_durable, unlink)
+    }
+
+    /// Drops a departing run's read mappings; returns its files' paths.
+    fn retire(body: Arc<RunBody>) -> Vec<PathBuf> {
+        body.files()
+            .map(|file| {
+                file.unmap();
+                file.path().to_path_buf()
+            })
+            .collect()
     }
 }
 
@@ -423,38 +566,84 @@ const APPEND_BYTES: usize = 64 * 1024;
 
 /// The non-generic write engine under a [`DynRunWriter`]; see [`RunBody`].
 ///
-/// With `compression = off` records accumulate in a buffer appended to the
-/// file whenever it reaches [`APPEND_BYTES`] (or one page / one record, if
-/// larger): a run is written in large sequential appends, one `pwrite`
-/// each, and its bytes are identical whatever the cadence.  With
-/// `compression = prefix` the same buffer instead fills one block's worth
-/// of records, each full block is front-/delta-coded and appended, and the
-/// *logical* `IoStats` view is charged on a virtual uncompressed file with
-/// exactly the off path's flush cadence — so the logical counters are
-/// identical at off/prefix by construction while the physical counters
-/// report the real (smaller) writes.
+/// Records accumulate in a buffer appended to the file whenever it reaches
+/// [`APPEND_BYTES`] (or one page / one record, if larger), one `pwrite` per
+/// file each; the bytes are identical whatever the cadence.  A split run
+/// appends its heads and tails buffers together; a compressed run appends
+/// each full block, front-/delta-coded.  Both charge the logical view with
+/// the row writer's appends ([`LogicalWrites`]).
 struct RunBodyWriter {
     file: PagedFile,
     record_size: usize,
     spec: ColumnSpec,
+    /// Records not yet appended — their heads alone for a split run.
     buffer: Vec<u8>,
     count: u64,
     flush_bytes: usize,
-    codec: Option<WriterCodec>,
+    format: WriterFormat,
+}
+
+/// The writer's side of a [`RunFormat`].
+enum WriterFormat {
+    Rows,
+    Split {
+        tails: PagedFile,
+        /// Value tails of the records in `buffer`.
+        tail_buffer: Vec<u8>,
+        logical: LogicalWrites,
+    },
+    Blocks {
+        codec: WriterCodec,
+        logical: LogicalWrites,
+    },
 }
 
 struct WriterCodec {
     block_records: usize,
     blocks: Vec<BlockExtent>,
-    logical: LogicalAccountant,
     /// Scratch frame the current block is encoded into.
     frame: Vec<u8>,
-    /// Bytes of the virtual uncompressed file not yet charged to the
-    /// logical view; flushed at `flush_bytes`, mirroring the off path's
-    /// buffer flushes one for one.
-    logical_pending: usize,
-    /// Offset of the next logical flush in the virtual uncompressed file.
-    logical_offset: u64,
+}
+
+/// The row writer's appends, replayed on a virtual row file for the logical
+/// view of a run written in another format: the same threshold, checked
+/// after each record.
+struct LogicalWrites {
+    accountant: LogicalAccountant,
+    /// Bytes of the virtual row file not yet charged.
+    pending: usize,
+    /// Offset of the next charge in the virtual row file.
+    offset: u64,
+}
+
+impl LogicalWrites {
+    fn new(stats: SharedIoStats, page_size: usize) -> LogicalWrites {
+        LogicalWrites {
+            accountant: LogicalAccountant::new(stats, page_size),
+            pending: 0,
+            offset: 0,
+        }
+    }
+
+    /// Counts a record; `true` (the append charged) when the row writer
+    /// would append now.
+    fn push(&mut self, record_size: usize, flush_bytes: usize) -> bool {
+        self.pending += record_size;
+        if self.pending < flush_bytes {
+            return false;
+        }
+        self.flush();
+        true
+    }
+
+    /// Charges the row writer's append of what is pending.
+    fn flush(&mut self) {
+        if self.pending > 0 {
+            self.accountant.account(self.offset, self.pending, false);
+            self.offset += self.pending as u64;
+            self.pending = 0;
+        }
+    }
 }
 
 impl RunBodyWriter {
@@ -466,34 +655,48 @@ impl RunBodyWriter {
         compression: Compression,
         spec: ColumnSpec,
     ) -> Result<Self> {
+        let path = path.as_ref();
         let record_size = spec.record_size();
-        let codec = match compression {
-            Compression::Off => None,
-            Compression::Prefix => Some(WriterCodec {
-                block_records: block_records_for(record_size),
-                blocks: Vec::new(),
-                logical: LogicalAccountant::new(Arc::clone(&stats), page_size),
-                frame: Vec::new(),
-                logical_pending: 0,
-                logical_offset: 0,
-            }),
-        };
-        let file = PagedFile::create_with_page_size(path, stats, page_size)?.with_backend(backend);
-        // Compressed appends/reads go through the codec, which owns the
-        // logical view; the file itself must then only report physical
-        // traffic or every access would be double-counted.
-        let file = if codec.is_some() {
-            file.with_physical_only_accounting()
-        } else {
-            file
-        };
         let flush_bytes = page_size.max(record_size).max(APPEND_BYTES);
-        let buffer_capacity = match &codec {
-            Some(c) => c.block_records * record_size,
-            // The threshold is checked after a push, so the buffer overshoots
-            // it by up to one record.
-            None => flush_bytes + record_size,
+        // The threshold is checked after a push, so a buffer overshoots it by
+        // up to one record.
+        let rows_capacity = flush_bytes + record_size;
+        let create = |path: &Path| -> Result<PagedFile> {
+            let file = PagedFile::create_with_page_size(path, Arc::clone(&stats), page_size)?;
+            Ok(file.with_backend(backend))
         };
+        let logical = || LogicalWrites::new(Arc::clone(&stats), page_size);
+        let mut file = create(path)?;
+        let (format, buffer_capacity) = match compression {
+            Compression::Off if spec.tail_len == 0 => (WriterFormat::Rows, rows_capacity),
+            Compression::Off => (
+                WriterFormat::Split {
+                    tails: create(&tail_path(path))?.with_physical_only_accounting(),
+                    tail_buffer: Vec::with_capacity(rows_capacity),
+                    logical: logical(),
+                },
+                rows_capacity,
+            ),
+            Compression::Prefix => {
+                let block_records = block_records_for(record_size);
+                let codec = WriterCodec {
+                    block_records,
+                    blocks: Vec::new(),
+                    frame: Vec::new(),
+                };
+                let logical = logical();
+                (
+                    WriterFormat::Blocks { codec, logical },
+                    block_records * record_size,
+                )
+            }
+        };
+        // A run that is not rows charges its logical view through
+        // `LogicalWrites`; its files must then only report physical traffic
+        // or every access would be double-counted.
+        if !matches!(format, WriterFormat::Rows) {
+            file = file.with_physical_only_accounting();
+        }
         Ok(RunBodyWriter {
             file,
             record_size,
@@ -501,7 +704,7 @@ impl RunBodyWriter {
             buffer: Vec::with_capacity(buffer_capacity),
             count: 0,
             flush_bytes,
-            codec,
+            format,
         })
     }
 
@@ -512,24 +715,30 @@ impl RunBodyWriter {
         self.buffer.resize(start + self.record_size, 0);
         encode(&mut self.buffer[start..]);
         self.count += 1;
-        match &mut self.codec {
-            None => {
+        match &mut self.format {
+            WriterFormat::Rows => {
                 if self.buffer.len() >= self.flush_bytes {
                     self.file.append(&self.buffer)?;
                     self.buffer.clear();
                 }
             }
-            Some(codec) => {
-                // Mirror the off path's flush cadence on the virtual
-                // uncompressed file (same threshold, same post-push check).
-                codec.logical_pending += self.record_size;
-                if codec.logical_pending >= self.flush_bytes {
-                    codec
-                        .logical
-                        .account(codec.logical_offset, codec.logical_pending, false);
-                    codec.logical_offset += codec.logical_pending as u64;
-                    codec.logical_pending = 0;
+            WriterFormat::Split {
+                tails,
+                tail_buffer,
+                logical,
+            } => {
+                let head_end = start + self.spec.head_size();
+                tail_buffer.extend_from_slice(&self.buffer[head_end..]);
+                self.buffer.truncate(head_end);
+                if logical.push(self.record_size, self.flush_bytes) {
+                    self.file.append(&self.buffer)?;
+                    tails.append(tail_buffer)?;
+                    self.buffer.clear();
+                    tail_buffer.clear();
                 }
+            }
+            WriterFormat::Blocks { codec, logical } => {
+                logical.push(self.record_size, self.flush_bytes);
                 if self.buffer.len() >= codec.block_records * self.record_size {
                     Self::flush_block(&self.file, &self.spec, codec, &mut self.buffer)?;
                 }
@@ -559,51 +768,55 @@ impl RunBodyWriter {
         Ok(())
     }
 
-    /// Appends the tail and returns the readable run.  A `durable` finish
-    /// also queues the run's `fdatasync` on the durability worker.
+    /// Appends what is buffered and returns the readable run.  A `durable`
+    /// finish also queues the `fdatasync` of the run's files on the
+    /// durability worker, as one job.
     fn finish(mut self, durable: bool) -> Result<Arc<RunBody>> {
-        match &mut self.codec {
-            None => {
+        let format = match self.format {
+            WriterFormat::Rows => {
                 if !self.buffer.is_empty() {
                     self.file.append(&self.buffer)?;
-                    self.buffer.clear();
+                }
+                RunFormat::Rows
+            }
+            WriterFormat::Split {
+                tails,
+                tail_buffer,
+                mut logical,
+            } => {
+                if !self.buffer.is_empty() {
+                    self.file.append(&self.buffer)?;
+                    tails.append(&tail_buffer)?;
+                }
+                logical.flush();
+                RunFormat::Split {
+                    tails,
+                    logical: logical.accountant,
                 }
             }
-            Some(codec) => {
-                Self::flush_block(&self.file, &self.spec, codec, &mut self.buffer)?;
-                if codec.logical_pending > 0 {
-                    codec
-                        .logical
-                        .account(codec.logical_offset, codec.logical_pending, false);
-                    codec.logical_offset += codec.logical_pending as u64;
-                    codec.logical_pending = 0;
-                }
-                Self::append_footer(&self.file, codec, self.count)?;
+            WriterFormat::Blocks {
+                mut codec,
+                mut logical,
+            } => {
+                Self::flush_block(&self.file, &self.spec, &mut codec, &mut self.buffer)?;
+                logical.flush();
+                Self::append_footer(&self.file, &codec, self.count)?;
+                RunFormat::Blocks(RunCodec {
+                    block_records: codec.block_records,
+                    blocks: codec.blocks,
+                    logical: logical.accountant,
+                })
             }
-        }
-        let codec = self.codec.map(|c| RunCodec {
-            block_records: c.block_records,
-            blocks: c.blocks,
-            logical: c.logical,
-        });
+        };
         let body = Arc::new(RunBody {
             file: self.file,
             record_size: self.record_size,
             spec: self.spec,
             count: self.count,
-            codec,
+            format,
         });
         if durable {
-            let run = Arc::clone(&body);
-            let sync = move || {
-                run.file.sync().map_err(|e| {
-                    std::io::Error::other(format!(
-                        "fdatasync of {}: {e}",
-                        run.file.path().display()
-                    ))
-                })
-            };
-            durability::submit(Job::new(sync, Vec::new()))?;
+            durability::submit(RunBody::sync_job(&body))?;
         }
         Ok(body)
     }
@@ -640,8 +853,9 @@ pub struct DynRunWriter<L: RecordLayout> {
 impl<L: RecordLayout> DynRunWriter<L> {
     /// Creates a new run at `path`, whose finished file serves its reads
     /// with `backend` and is written with the on-disk `compression` (see
-    /// [`Compression`]; `off` produces byte-identical files to every release
-    /// before the knob existed).
+    /// [`Compression`]).  `off` writes a layout without a value tail as the
+    /// rows of one file; a layout with a tail (a materialized index entry)
+    /// keeps the heads at `path` and the tails in `<path>.tail`.
     pub fn create<P: AsRef<Path>>(
         layout: L,
         path: P,
@@ -757,11 +971,7 @@ impl<L: RecordLayout> DynRunReader<L> {
                         "read-ahead worker ended before its run was drained".into(),
                     )
                 })??;
-                let size = self.run.layout.record_size();
-                bytes
-                    .chunks_exact(size)
-                    .map(|c| self.run.layout.decode(c))
-                    .collect()
+                self.run.decode_raw(&bytes).collect()
             }
             None => self.run.read_range(self.next_index, self.buffer_records)?,
         };
@@ -1485,6 +1695,103 @@ mod tests {
         assert!(input_path.exists());
     }
 
+    /// A durable-less split run: `ColumnarLayout` records at `compression =
+    /// off` keep their heads at `path` and their tails in `<path>.tail`.
+    fn write_split_run(path: PathBuf) -> DynRunFile<ColumnarLayout> {
+        let layout = ColumnarLayout { tail_len: 40 };
+        let mut w = DynRunWriter::create(
+            layout,
+            path,
+            IoStats::shared(),
+            512,
+            IoBackend::Pread,
+            Compression::Off,
+        )
+        .unwrap();
+        for i in 0..30u64 {
+            w.push(&(i, i * 7, vec![i as u8; 40])).unwrap();
+        }
+        w.finish_volatile().unwrap()
+    }
+
+    /// A replace of split runs unlinks both files of every input, and only
+    /// behind the syncs of both files of every output: while the worker
+    /// holds the syncs back, all four input files stay on disk.
+    #[test]
+    fn replace_unlinks_split_inputs_only_after_both_output_files_synced() {
+        let dir = ScratchDir::new("dynrun-replace-split").unwrap();
+        let inputs = vec![
+            write_split_run(dir.file("a.run")),
+            write_split_run(dir.file("b.run")),
+        ];
+        let input_paths: Vec<PathBuf> = inputs
+            .iter()
+            .flat_map(|r| r.paths().map(Path::to_path_buf))
+            .collect();
+        assert_eq!(input_paths.len(), 4, "heads and tails of each input");
+        assert!(input_paths[1].ends_with("a.run.tail"));
+        let outputs = [
+            write_split_run(dir.file("x.run")),
+            write_split_run(dir.file("y.run")),
+        ];
+        let worker = durability::Worker::spawn(8);
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let gate = move || {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+            Ok(())
+        };
+        worker.submit(Job::new(gate, Vec::new())).unwrap();
+        parked_rx.recv().unwrap();
+        for output in &outputs {
+            worker.submit(RunBody::sync_job(&output.body)).unwrap();
+        }
+        let replaced = DynRunFile::replace_job(&[&outputs[0], &outputs[1]], inputs);
+        worker.submit(replaced).unwrap();
+        assert!(input_paths.iter().all(|p| p.exists()), "unlinked early");
+        assert!(outputs.iter().all(|o| o.sync_count() == 0));
+        drop(release_tx);
+        worker.drain().unwrap();
+        for output in &outputs {
+            assert_eq!(output.sync_count(), 1);
+            assert!(output.body.files().all(|f| f.sync_count() == 1));
+            assert!(output.paths().all(Path::exists));
+        }
+        assert!(
+            input_paths.iter().all(|p| !p.exists()),
+            "inputs left behind"
+        );
+    }
+
+    /// An output whose heads file synced but whose tail file did not — its
+    /// sync failed — is not durable: the inputs stay on disk, both files of
+    /// each, and the job names the tail file.
+    #[test]
+    fn replace_keeps_inputs_when_an_output_tail_sync_failed() {
+        let dir = ScratchDir::new("dynrun-replace-tail").unwrap();
+        let input = write_split_run(dir.file("in.run"));
+        let input_paths: Vec<PathBuf> = input.paths().map(Path::to_path_buf).collect();
+        let output = write_split_run(dir.file("out.run"));
+        output.body.file.sync().unwrap();
+        assert_eq!(
+            output.sync_count(),
+            0,
+            "a run is synced once all its files are"
+        );
+        let worker = durability::Worker::spawn(2);
+        worker
+            .submit(DynRunFile::replace_job(&[&output], vec![input]))
+            .unwrap();
+        let err = worker.drain().unwrap_err().to_string();
+        assert!(
+            err.contains("out.run.tail") && err.contains("stay on disk"),
+            "{err}"
+        );
+        assert_eq!(input_paths.len(), 2);
+        assert!(input_paths.iter().all(|p| p.exists()));
+    }
+
     /// Writes each record list as a pread run file in `dir`.
     fn write_runs(
         dir: &ScratchDir,
@@ -1752,6 +2059,99 @@ mod tests {
             prefix_heads.physical_bytes_read < off_heads.physical_bytes_read,
             "compressed head scan must beat the uncompressed scan"
         );
+    }
+
+    /// `ColumnarLayout` with no column structure: the same records, written
+    /// as rows.
+    #[derive(Clone)]
+    struct RowsOf(ColumnarLayout);
+
+    impl RecordLayout for RowsOf {
+        type Record = (u64, u64, Vec<u8>);
+        type Key = u64;
+
+        fn record_size(&self) -> usize {
+            self.0.record_size()
+        }
+
+        fn encode(&self, record: &Self::Record, buf: &mut [u8]) {
+            self.0.encode(record, buf)
+        }
+
+        fn decode(&self, buf: &[u8]) -> Self::Record {
+            self.0.decode(buf)
+        }
+
+        fn key(&self, record: &Self::Record) -> Self::Key {
+            record.0
+        }
+    }
+
+    /// An uncompressed run of a layout with a value tail is two files as
+    /// long, together, as the row file of the same records: every head at
+    /// `path`, every tail at `<path>.tail`.  It returns the same records
+    /// through every read path and charges the same logical `IoStats` as
+    /// the row run, reads heads and tails apart in fewer physical bytes
+    /// than whole rows, and one sync covers both files.
+    #[test]
+    fn split_run_holds_the_row_run_in_a_heads_file_and_a_tail_file() {
+        let dir = ScratchDir::new("dynrun-split").unwrap();
+        let layout = ColumnarLayout { tail_len: 40 };
+        let records: Vec<(u64, u64, Vec<u8>)> = (0..3000u64)
+            .map(|i| (i / 3, i * 7, vec![(i % 251) as u8; 40]))
+            .collect();
+        let (split_stats, row_stats) = (IoStats::shared(), IoStats::shared());
+        let create = |name: &str, stats: &SharedIoStats| {
+            let (path, stats) = (dir.file(name), Arc::clone(stats));
+            (path, stats, 512, IoBackend::Pread, Compression::Off)
+        };
+        let (p, st, ps, be, c) = create("split.run", &split_stats);
+        let mut split = DynRunWriter::create(layout.clone(), p, st, ps, be, c).unwrap();
+        let (p, st, ps, be, c) = create("rows.run", &row_stats);
+        let mut rows = DynRunWriter::create(RowsOf(layout), p, st, ps, be, c).unwrap();
+        for r in &records {
+            split.push(r).unwrap();
+            rows.push(r).unwrap();
+        }
+        let (split, rows) = (split.finish().unwrap(), rows.finish().unwrap());
+        durability::drain().unwrap();
+        assert_eq!(split.sync_count(), 1);
+        let paths: Vec<&Path> = split.paths().collect();
+        assert_eq!(paths.len(), 2);
+        assert!(paths[1].ends_with("split.run.tail"));
+        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 3);
+        let (heads, tails) = (
+            std::fs::read(paths[0]).unwrap(),
+            std::fs::read(paths[1]).unwrap(),
+        );
+        let row_bytes = std::fs::read(rows.path()).unwrap();
+        assert_eq!(heads.len() + tails.len(), row_bytes.len());
+        for (i, row) in row_bytes.chunks_exact(56).enumerate() {
+            assert_eq!(&heads[i * 16..(i + 1) * 16], &row[..16], "head {i}");
+            assert_eq!(&tails[i * 40..(i + 1) * 40], &row[16..], "tail {i}");
+        }
+        split_stats.reset();
+        row_stats.reset();
+        let reads = |run: &dyn Fn(u64, usize) -> Vec<(u64, u64, Vec<u8>)>| {
+            [run(0, 3000), run(1234, 700), run(2999, 1), run(2990, 64)]
+        };
+        let split_reads = reads(&|i, n| split.read_range(i, n).unwrap());
+        assert_eq!(split_reads[0], records);
+        assert_eq!(split_reads, reads(&|i, n| rows.read_range(i, n).unwrap()));
+        let sequential: Vec<_> = split.reader(64).map(|r| r.unwrap()).collect();
+        let row_sequential: Vec<_> = rows.reader(64).map(|r| r.unwrap()).collect();
+        assert_eq!(sequential, row_sequential);
+        assert_eq!(
+            split_stats.snapshot().logical(),
+            row_stats.snapshot().logical()
+        );
+        split_stats.reset();
+        assert_eq!(split.read_heads_raw(100, 64).unwrap().len(), 64 * 16);
+        assert_eq!(
+            split.read_tails_raw(110, 8).unwrap()[..40],
+            records[110].2[..]
+        );
+        assert_eq!(split_stats.snapshot().physical_bytes_read, 64 * 16 + 8 * 40);
     }
 
     /// The external sorter spills compressed runs when asked, with

@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use crate::heatmap::HeatMap;
-use crate::iostats::{AccessKind, SharedIoStats};
+use crate::iostats::{PageCursor, SharedIoStats};
 use crate::mmap::{AccessPattern, IoBackend, Mapping};
 use crate::page::{page_of_offset, pages_for_bytes, PageId, DEFAULT_PAGE_SIZE};
 use crate::{Result, StorageError};
@@ -34,7 +34,7 @@ pub struct PagedFile {
     /// Serializes `append`/`write_at`: offset assignment, the write and its
     /// accounting are one critical section.
     write_lock: Mutex<()>,
-    last_page: Mutex<Option<(PageId, bool)>>, // (page, was_read)
+    cursor: PageCursor,
     stats: SharedIoStats,
     heatmap: Option<Arc<HeatMap>>,
     backend: IoBackend,
@@ -95,7 +95,7 @@ impl PagedFile {
             page_size,
             len: AtomicU64::new(0),
             write_lock: Mutex::new(()),
-            last_page: Mutex::new(None),
+            cursor: PageCursor::new(),
             stats,
             heatmap: None,
             backend: IoBackend::Pread,
@@ -130,7 +130,7 @@ impl PagedFile {
             page_size,
             len: AtomicU64::new(len),
             write_lock: Mutex::new(()),
-            last_page: Mutex::new(None),
+            cursor: PageCursor::new(),
             stats,
             heatmap: None,
             backend: IoBackend::Pread,
@@ -264,41 +264,24 @@ impl PagedFile {
     }
 
     fn account(&self, offset: u64, bytes: usize, is_read: bool) {
-        if bytes == 0 {
-            return;
-        }
-        let first = page_of_offset(offset, self.page_size);
-        let last = page_of_offset(offset + bytes as u64 - 1, self.page_size);
         if self.physical_only {
-            // Physical traffic of a compressed run: charge exactly the bytes
-            // that crossed the file API, no classification (the logical
-            // accountant owns the sequential/random story).  Page-rounding
-            // would double-charge pages shared by consecutive sub-page
-            // block-frame appends.
+            // Physical traffic of a compressed or split run: charge exactly
+            // the bytes that crossed the file API, no classification (the
+            // run's logical accountant owns the sequential/random story).
+            // Page-rounding would double-charge pages shared by consecutive
+            // sub-page appends.
             self.stats.record_physical(is_read, bytes as u64);
             return;
         }
-        let mut last_page = self.last_page.lock();
-        for page in first..=last {
-            let sequential = match *last_page {
-                // The very first touched page after opening counts as random.
-                None => false,
-                Some((prev, _)) => page == prev || page == prev + 1,
-            };
-            let kind = match (is_read, sequential) {
-                (true, true) => AccessKind::SequentialRead,
-                (true, false) => AccessKind::RandomRead,
-                (false, true) => AccessKind::SequentialWrite,
-                (false, false) => AccessKind::RandomWrite,
-            };
-            // The byte volume is attributed page by page (full pages except
-            // possibly the edges; we simply charge the page size, which is
-            // what a real device transfers anyway).
-            self.stats.record(kind, self.page_size as u64);
-            if let Some(hm) = &self.heatmap {
+        // Every touched page is charged the page size, which is what a real
+        // device transfers anyway.
+        let touched = self
+            .cursor
+            .charge(&self.stats, self.page_size, offset, bytes, is_read, true);
+        if let (Some(hm), Some((first, last))) = (&self.heatmap, touched) {
+            for page in first..=last {
                 hm.record(page, is_read);
             }
-            *last_page = Some((page, is_read));
         }
     }
 
@@ -337,6 +320,26 @@ impl PagedFile {
 
     /// Reads `len` bytes starting at `offset`.
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        self.check_read(offset, len)?;
+        let mut buf = vec![0u8; len];
+        self.read_into(offset, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Fills `buf` with the bytes at `offset`, accounted exactly like a
+    /// [`PagedFile::read_at`] of `buf.len()` bytes.
+    pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let file_len = self.check_read(offset, buf.len())?;
+        if !self.read_mapped(offset, buf, file_len) {
+            read_exact_at(&self.file, buf, offset)?;
+        }
+        self.account(offset, buf.len(), true);
+        Ok(())
+    }
+
+    /// Checks that `len` bytes at `offset` lie inside the file (before any
+    /// buffer is sized by them); returns the file length checked against.
+    fn check_read(&self, offset: u64, len: usize) -> Result<u64> {
         let file_len = self.len();
         let end = offset
             .checked_add(len as u64)
@@ -350,12 +353,7 @@ impl PagedFile {
                 pages: pages_for_bytes(file_len, self.page_size),
             });
         }
-        let mut buf = vec![0u8; len];
-        if !self.read_mapped(offset, &mut buf, file_len) {
-            read_exact_at(&self.file, &mut buf, offset)?;
-        }
-        self.account(offset, len, true);
-        Ok(buf)
+        Ok(file_len)
     }
 
     /// Serves a bounds-checked read from the file mapping when the backend
@@ -432,7 +430,7 @@ impl PagedFile {
     /// Resets the sequential/random classification state (e.g. between the
     /// build phase and the query phase of an experiment).
     pub fn reset_access_cursor(&self) {
-        *self.last_page.lock() = None;
+        self.cursor.reset();
     }
 }
 

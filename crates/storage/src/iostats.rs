@@ -30,6 +30,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::page::{page_of_offset, PageId};
+
 /// Classification of a single page access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -150,6 +152,77 @@ impl IoStats {
         self.bytes_written.store(0, Ordering::Relaxed);
         self.physical_bytes_read.store(0, Ordering::Relaxed);
         self.physical_bytes_written.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Marks a [`PageCursor`] that has touched no page yet.
+const NO_PAGE: PageId = PageId::MAX;
+
+/// The sequential/random classification state of one file: the one page
+/// walk `PagedFile` and [`crate::block::LogicalAccountant`] charge through.
+///
+/// A touched page is sequential when it is the page touched before it or
+/// the next one, random otherwise (the first touch included).  Inside one
+/// access every page follows its predecessor, so only the first can be
+/// random, and an access of any length is charged in O(1).
+#[derive(Debug)]
+pub(crate) struct PageCursor {
+    last: AtomicU64,
+}
+
+impl PageCursor {
+    pub(crate) fn new() -> PageCursor {
+        PageCursor {
+            last: AtomicU64::new(NO_PAGE),
+        }
+    }
+
+    /// Forgets the last touched page: the next access starts random.
+    pub(crate) fn reset(&self) {
+        self.last.store(NO_PAGE, Ordering::Relaxed);
+    }
+
+    /// Charges an access of `bytes` bytes at `offset` to `stats`, one
+    /// `fetch_add` per counter, in `page_size` pages (to the physical view
+    /// too when `physical`); returns the first and last page it touched.
+    pub(crate) fn charge(
+        &self,
+        stats: &IoStats,
+        page_size: usize,
+        offset: u64,
+        bytes: usize,
+        is_read: bool,
+        physical: bool,
+    ) -> Option<(PageId, PageId)> {
+        if bytes == 0 {
+            return None;
+        }
+        let first = page_of_offset(offset, page_size);
+        let last = page_of_offset(offset + bytes as u64 - 1, page_size);
+        // One swap classifies the access against the one before it and
+        // leaves the cursor where this one ends, as a locked walk would.
+        let prev = self.last.swap(last, Ordering::Relaxed);
+        let random = u64::from(prev == NO_PAGE || (first != prev && first != prev + 1));
+        let (seq, rnd, total) = match is_read {
+            true => (
+                &stats.sequential_reads,
+                &stats.random_reads,
+                &stats.bytes_read,
+            ),
+            false => (
+                &stats.sequential_writes,
+                &stats.random_writes,
+                &stats.bytes_written,
+            ),
+        };
+        let pages = last - first + 1;
+        seq.fetch_add(pages - random, Ordering::Relaxed);
+        rnd.fetch_add(random, Ordering::Relaxed);
+        total.fetch_add(pages * page_size as u64, Ordering::Relaxed);
+        if physical {
+            stats.record_physical(is_read, pages * page_size as u64);
+        }
+        Some((first, last))
     }
 }
 
@@ -360,6 +433,79 @@ mod tests {
         let legacy = IoStatsSnapshot::from_json(&legacy_json).unwrap();
         assert_eq!(legacy.physical_bytes_read, 8192);
         assert_eq!(legacy.physical_bytes_written, 4096);
+    }
+
+    /// The page walk `PagedFile` and the logical accountant charged with
+    /// before [`PageCursor`]: one classification per touched page.
+    fn reference_walk(
+        stats: &IoStats,
+        last_page: &mut Option<PageId>,
+        page_size: usize,
+        offset: u64,
+        bytes: usize,
+        is_read: bool,
+        physical: bool,
+    ) {
+        if bytes == 0 {
+            return;
+        }
+        let first = page_of_offset(offset, page_size);
+        let last = page_of_offset(offset + bytes as u64 - 1, page_size);
+        for page in first..=last {
+            let sequential = last_page.is_some_and(|prev| page == prev || page == prev + 1);
+            let kind = match (is_read, sequential) {
+                (true, true) => AccessKind::SequentialRead,
+                (true, false) => AccessKind::RandomRead,
+                (false, true) => AccessKind::SequentialWrite,
+                (false, false) => AccessKind::RandomWrite,
+            };
+            if physical {
+                stats.record(kind, page_size as u64);
+            } else {
+                stats.record_logical(kind, page_size as u64);
+            }
+            *last_page = Some(page);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Charging a whole range at once equals the page-by-page walk,
+            /// counter for counter, over any access sequence: forward and
+            /// backward jumps, re-reads of the last page, empty and
+            /// multi-page accesses, reads and writes, a reset midway.
+            #[test]
+            fn range_charge_equals_the_page_walk(
+                page_size in 1usize..300,
+                physical in 0u8..2,
+                offsets in proptest::collection::vec(0u64..4_000, 40),
+                lens in proptest::collection::vec(0usize..2_000, 40),
+                reads in proptest::collection::vec(0u8..2, 40),
+                reset_at in 0usize..40,
+            ) {
+                let (fast, slow) = (IoStats::default(), IoStats::default());
+                let cursor = PageCursor::new();
+                let mut last_page = None;
+                let physical = physical == 1;
+                for i in 0..offsets.len() {
+                    if i == reset_at {
+                        cursor.reset();
+                        last_page = None;
+                    }
+                    let (offset, bytes, is_read) = (offsets[i], lens[i], reads[i] == 1);
+                    cursor.charge(&fast, page_size, offset, bytes, is_read, physical);
+                    reference_walk(
+                        &slow, &mut last_page, page_size, offset, bytes, is_read, physical,
+                    );
+                    prop_assert_eq!(fast.snapshot(), slow.snapshot());
+                }
+            }
+        }
     }
 
     #[test]
