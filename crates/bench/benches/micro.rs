@@ -1,16 +1,19 @@
 //! Criterion micro-benchmarks (M1-M7 in DESIGN.md): sortable-key encoding,
-//! MINDIST evaluation, external sorting, CTree block search, the run writer,
-//! and the wire path's request decode, envelope scan and frame split.
+//! MINDIST evaluation, external sorting, CTree block search, windowed exact
+//! search over BTP partitions, the run writer, and the wire path's request
+//! decode, envelope scan and frame split.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use coconut_core::palm::PalmRequest;
+use coconut_core::{Neighbor, PartitionedConfig, PartitionedStream, StreamingIndex};
 use coconut_json::{scan_array, scan_object, FromJson, Json, ToJson};
 use coconut_net::{FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
 use coconut_sax::mindist::{mindist_paa_sax_sq, QueryBounds};
 use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
-use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
+use coconut_series::distance::squared_euclidean;
+use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
 use coconut_storage::{
     durability, Compression, DynExternalSorter, DynRunWriter, IoBackend, IoStats, RecordLayout,
@@ -140,6 +143,65 @@ fn bench_ctree_query(c: &mut Criterion) {
             let q = &queries[i % queries.len()];
             i += 1;
             std::hint::black_box(tree.knn(&q.values, 1, false).unwrap());
+        })
+    });
+}
+
+/// Exact kNN over a BTP stream of seismic arrivals (256 floats) inside
+/// windows of a tenth of the stream: merged partitions are key-ordered, so
+/// a window keeps scattered entries of most blocks it reads.  Set-up checks
+/// every (query, window) answer against a brute-force scan of the window.
+fn bench_btp_window_exact(c: &mut Criterion) {
+    const LEN: usize = 256;
+    const K: usize = 10;
+    let dir = ScratchDir::new("bench-btp-window").unwrap();
+    let config = PartitionedConfig::new(SaxConfig::paper_default(LEN));
+    let mut stream =
+        PartitionedStream::bounded_temporal_partitioning(config, dir.path(), IoStats::shared())
+            .unwrap();
+    let mut arrivals = SeismicStreamGenerator::new(LEN, 11, 0.1);
+    let mut history = Vec::new();
+    for _ in 0..20 {
+        let batch = arrivals.next_batch(600);
+        stream.ingest_batch(&batch).unwrap();
+        history.extend(batch);
+    }
+    stream.flush().unwrap();
+    let span = history.len() as u64 / 10;
+    let windows: Vec<(u64, u64)> = [1, 4, 7, 9]
+        .iter()
+        .map(|tenth| (tenth * span, (tenth + 1) * span - 1))
+        .collect();
+    let queries: Vec<Vec<f32>> = SeismicStreamGenerator::new(LEN, 12, 0.5)
+        .next_batch(8)
+        .into_iter()
+        .map(|a| a.series.values)
+        .collect();
+    for query in &queries {
+        for &(start, end) in &windows {
+            let mut expected: Vec<Neighbor> = history
+                .iter()
+                .filter(|a| start <= a.timestamp && a.timestamp <= end)
+                .map(|a| {
+                    let d = squared_euclidean(query, &a.series.values);
+                    Neighbor::new_at(a.series.id, a.timestamp, d)
+                })
+                .collect();
+            expected.sort();
+            expected.truncate(K);
+            let got = stream
+                .query_window(query, K, Some((start, end)), true)
+                .unwrap();
+            assert_eq!(got.neighbors, expected, "window {start}..={end}");
+        }
+    }
+    c.bench_function("m4c_btp_window_exact", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let query = &queries[i % queries.len()];
+            let window = windows[i / queries.len() % windows.len()];
+            i += 1;
+            std::hint::black_box(stream.query_window(query, K, Some(window), true).unwrap());
         })
     });
 }
@@ -293,6 +355,6 @@ fn bench_frame_split(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_run_write, bench_request_decode, bench_insert_frame_scan, bench_frame_split
+    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_btp_window_exact, bench_run_write, bench_request_decode, bench_insert_frame_scan, bench_frame_split
 }
 criterion_main!(micro);

@@ -17,18 +17,21 @@
 //! * on a materialized file the `QueryCost` and the logical `IoStats` delta
 //!   equal the reference's, and the physical bytes read never exceed the
 //!   reference's and fall on random walks: uncompressed, they are exactly a
-//!   block's heads plus the values from its first to its last entry whose
-//!   bound the heap's bound at block start leaves, as the reference counts;
+//!   block's heads plus the values of the entries whose bound the heap's
+//!   bound at block start leaves, read in ranges that bridge gaps of at most
+//!   one page, as the reference counts — never more than the heads plus the
+//!   span from the first to the last such entry, and fewer summed over a
+//!   windowed archive whose blocks are wider than that gap;
 //! * on a raw-fetch file `entries_examined`, `blocks_read` and
 //!   `blocks_skipped` equal the reference's, every refinement is one fetch,
 //!   the fetches are the only I/O that moved, and summed over an archive's
 //!   query set they never rise — and fall on random walks.
 //!
 //! Grid: CTree materialized / non-materialized, CLSM runs, BTP partitions
-//! under windows that cut through blocks, ADS+ leaves, `compression` off /
-//! prefix, `io_backend` pread / mmap; random walks, an archive of duplicates
-//! and an archive of constant series; pruning ceilings from "none" to
-//! "everything".
+//! of 16- and 64-entry blocks under windows that cut through blocks, ADS+
+//! leaves, `compression` off / prefix, `io_backend` pread / mmap; random
+//! walks, an archive of duplicates and an archive of constant series;
+//! pruning ceilings from "none" to "everything".
 
 use std::sync::Arc;
 
@@ -59,9 +62,32 @@ fn sax() -> SaxConfig {
     SaxConfig::paper_default(SERIES_LEN)
 }
 
+/// Physical bytes of a materialized block scan as the reference counts
+/// them, heads included.
+#[derive(Clone, Copy, Debug, Default)]
+struct Reads {
+    /// The values of the kept entries, gaps of at most one page bridged.
+    planned: u64,
+    /// The values from the first to the last kept entry.
+    span: u64,
+}
+
 /// The scan as it was before the table bound and the best-first refine.
 mod reference {
     use super::*;
+
+    /// Value tails read for the `kept` slots (ascending): each kept tail,
+    /// plus the unkept ones between two kept slots whose gap is at most one
+    /// page (4 KiB) of tails.
+    fn planned_tails(kept: &[usize]) -> usize {
+        let page_entries = 4096 / (SERIES_LEN * 4);
+        let bridged: usize = kept
+            .windows(2)
+            .map(|pair| pair[1] - pair[0] - 1)
+            .filter(|&gap| gap <= page_entries)
+            .sum();
+        kept.len() + bridged
+    }
 
     /// Bit-at-a-time inversion of the interleaved key.
     fn to_sax(key: u128, sax: &SaxConfig) -> SaxWord {
@@ -103,9 +129,10 @@ mod reference {
         )
     }
 
-    /// `span_bytes` gains what the shipped scan of a materialized block
-    /// reads: every head, then the values from the first to the last entry
-    /// in the window whose bound does not exceed the heap's at block start.
+    /// `reads` gains what the shipped scan of a materialized block reads —
+    /// every head, then the values of the entries in the window whose bound
+    /// does not exceed the heap's at block start, in planned ranges — and
+    /// what a read of their first-to-last span would.
     #[allow(clippy::too_many_arguments)]
     fn scan_block(
         file: &SortedSeriesFile,
@@ -117,7 +144,7 @@ mod reference {
         ctx: &mut QueryContext<'_>,
         window: Window,
         prune_entries: bool,
-        span_bytes: &mut u64,
+        reads: &mut Reads,
     ) {
         ctx.cost.blocks_read += 1;
         let entries = file
@@ -138,7 +165,9 @@ mod reference {
         let span = survivors
             .first()
             .map_or(0, |f| survivors.last().unwrap() - f + 1);
-        *span_bytes += (entries.len() * 32 + span * SERIES_LEN * 4) as u64;
+        let bytes = |tails: usize| (entries.len() * 32 + tails * SERIES_LEN * 4) as u64;
+        reads.planned += bytes(planned_tails(&survivors));
+        reads.span += bytes(span);
         for entry in &entries {
             if let Some((start, end)) = window {
                 if entry.timestamp < start || entry.timestamp > end {
@@ -173,7 +202,7 @@ mod reference {
         heap: &mut KnnHeap,
         ctx: &mut QueryContext<'_>,
         window: Window,
-        span_bytes: &mut u64,
+        reads: &mut Reads,
     ) {
         let blocks = file.blocks();
         if blocks.is_empty() {
@@ -206,7 +235,7 @@ mod reference {
                 continue;
             }
             scan_block(
-                file, sax, &block, query, &query_paa, heap, ctx, window, false, span_bytes,
+                file, sax, &block, query, &query_paa, heap, ctx, window, false, reads,
             );
             if heap.bound() < f64::INFINITY {
                 break;
@@ -221,7 +250,7 @@ mod reference {
         heap: &mut KnnHeap,
         ctx: &mut QueryContext<'_>,
         window: Window,
-        span_bytes: &mut u64,
+        reads: &mut Reads,
     ) {
         let blocks = file.blocks();
         if blocks.is_empty() {
@@ -243,7 +272,7 @@ mod reference {
             }
             let block = blocks[idx];
             scan_block(
-                file, sax, &block, query, &query_paa, heap, ctx, window, true, span_bytes,
+                file, sax, &block, query, &query_paa, heap, ctx, window, true, reads,
             );
         }
     }
@@ -299,17 +328,17 @@ const K: usize = 5;
 impl Probe<'_> {
     /// Runs the shipped search, or the reference one, over `file`; returns
     /// the neighbours, the cost, the heap's final pruning bound and — from
-    /// the reference — the bytes a heads-then-value-span scan reads.
+    /// the reference — the bytes an uncompressed materialized scan reads.
     fn run(
         &self,
         parts: &Partitions<'_>,
         file: &SortedSeriesFile,
         shipped: bool,
-    ) -> (Vec<Neighbor>, QueryCost, f64, u64) {
+    ) -> (Vec<Neighbor>, QueryCost, f64, Reads) {
         let mut heap = KnnHeap::with_ceiling(K, self.ceiling);
         let mut ctx = parts.context();
         let (query, window) = (self.query, self.window);
-        let mut span = 0;
+        let mut reads = Reads::default();
         match (shipped, self.exact) {
             (true, true) => file
                 .search_exact(query, &mut heap, &mut ctx, window)
@@ -317,9 +346,15 @@ impl Probe<'_> {
             (true, false) => file
                 .search_approximate(query, &mut heap, &mut ctx, window)
                 .unwrap(),
-            (false, true) => {
-                reference::search_exact(file, &sax(), query, &mut heap, &mut ctx, window, &mut span)
-            }
+            (false, true) => reference::search_exact(
+                file,
+                &sax(),
+                query,
+                &mut heap,
+                &mut ctx,
+                window,
+                &mut reads,
+            ),
             (false, false) => reference::search_approximate(
                 file,
                 &sax(),
@@ -327,11 +362,11 @@ impl Probe<'_> {
                 &mut heap,
                 &mut ctx,
                 window,
-                &mut span,
+                &mut reads,
             ),
         }
         let bound = heap.bound();
-        (heap.into_sorted(), ctx.cost, bound, span)
+        (heap.into_sorted(), ctx.cost, bound, reads)
     }
 
     /// What an exact search must answer: the top-k, in the
@@ -358,7 +393,8 @@ impl Probe<'_> {
 /// What [`assert_equivalent`] saw: how many exact searches pruned an entry
 /// (so a caller can tell the per-entry bound was exercised), and the
 /// refinements and physical bytes read of the shipped and the reference
-/// searches, summed.
+/// searches, summed; on an uncompressed materialized file, also what
+/// reading each block's first-to-last value span would have cost.
 #[derive(Debug, Default)]
 struct Totals {
     pruned: u64,
@@ -366,6 +402,7 @@ struct Totals {
     reference_refined: u64,
     physical: u64,
     reference_physical: u64,
+    span_physical: u64,
 }
 
 /// Every file × query × window × {exact, approximate} × ceiling: the shipped
@@ -412,7 +449,7 @@ fn assert_equivalent(parts: &Partitions<'_>, queries: &[Vec<f32>], windows: &[Wi
                         // then reference and shipped are measured in turn.
                         probe.run(parts, file, true);
                         let before = parts.stats.snapshot();
-                        let (nn_ref, cost_ref, _, span) = probe.run(parts, file, false);
+                        let (nn_ref, cost_ref, _, reads) = probe.run(parts, file, false);
                         let between = parts.stats.snapshot();
                         let (nn, cost, _, _) = probe.run(parts, file, true);
                         let after = parts.stats.snapshot();
@@ -433,9 +470,15 @@ fn assert_equivalent(parts: &Partitions<'_>, queries: &[Vec<f32>], windows: &[Wi
                                  {physical_ref} ({at})"
                             );
                             // Uncompressed, the bytes are exactly the heads of
-                            // every block read and each block's value span.
+                            // every block read and each block's planned
+                            // value ranges, which lie inside its span.
                             if file.compression() == Compression::Off {
-                                assert_eq!(physical, span, "heads + value spans ({at})");
+                                assert_eq!(
+                                    physical, reads.planned,
+                                    "heads + planned ranges ({at})"
+                                );
+                                assert!(reads.planned <= reads.span, "{at}");
+                                totals.span_physical += reads.span;
                             }
                             totals.physical += physical;
                             totals.reference_physical += physical_ref;
@@ -651,7 +694,7 @@ fn bounded_approximate_probe_matches_unbounded_reference() {
                             &mut heap,
                             &mut ctx,
                             None,
-                            &mut 0,
+                            &mut Reads::default(),
                         );
                     }
                     (heap.into_sorted(), ctx.cost)
@@ -741,12 +784,14 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
     let last_ts = batches.last().unwrap().last().unwrap().timestamp;
     let mut queries = vec![gen.quake_template()];
     queries.extend(random_walks(2, 5).into_iter().map(|s| s.values));
-    for (compression, backend) in KNOBS {
-        let label = format!("btp {compression} {backend}");
+    for ((compression, backend), entries_per_block) in
+        KNOBS.into_iter().flat_map(|knob| [(knob, 16), (knob, 64)])
+    {
+        let label = format!("btp {compression} {backend} block={entries_per_block}");
         let mut config = PartitionedConfig::new(sax())
             .with_buffer_capacity(100)
             .with_knobs(knobs(compression, backend));
-        config.entries_per_block = 16;
+        config.entries_per_block = entries_per_block;
         let stats = IoStats::shared();
         let mut stream = PartitionedStream::bounded_temporal_partitioning(
             config,
@@ -781,6 +826,15 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
         };
         let totals = assert_equivalent(&parts, &queries, &windows);
         assert_physical_bytes_fall(&totals, true, &parts.label);
+        // A window keeps scattered entries of a key-ordered block: past one
+        // page of tails, the gaps between them are left unread.
+        if compression == Compression::Off && entries_per_block == 64 {
+            assert!(
+                totals.physical < totals.span_physical,
+                "{}: the planned ranges saved nothing on the spans ({totals:?})",
+                parts.label
+            );
+        }
     }
 }
 

@@ -601,23 +601,24 @@ fn e1_full_variants_answer_with_fewer_page_reads_does_not_hold_here() {
 /// Clause 3 in physical bytes per exact query, raw fetches included on the
 /// thin side (512 bytes each).  A materialized run keeps its values in a
 /// file beside its keys, so an exact scan reads a block's 32-byte heads,
-/// then only the values of the span from the first to the last entry its
-/// bound leaves.  CTreeFull now reads 75,424 bytes per query against
-/// CTree's 76,800 (172 leaf pages and 124 fetches over the 10 queries):
-/// the clause holds for CTree, by 2%.  It does not hold for CLSM:
-/// CLSMFull reads 134,451 bytes against CLSM's 77,363.  Its run is cut
-/// into blocks of 64 entries where CTreeFull's leaves hold ~30, so each
-/// block it opens costs more heads (1,053 examined per query, 33.7 KB,
-/// against 757) and a wider first-to-last span: it reads 197 values per
-/// query to refine 39, where CTreeFull reads 100 to refine 32.  ADS+Full
-/// (whose leaves are not run files) still reads them whole: 274,841 bytes
-/// against 37,734.
+/// then only the values of the entries its bound leaves, in ranges that
+/// bridge gaps of at most one page (8 entries here).  CTreeFull reads
+/// 72,096 bytes per query against CTree's 76,800 (172 leaf pages and 124
+/// fetches over the 10 queries): the clause holds for CTree, by 6%.  It
+/// does not hold for CLSM: CLSMFull reads 113,254 bytes against CLSM's
+/// 77,363.  Its run is cut into blocks of 64 entries where CTreeFull's
+/// leaves hold ~30, so each block it opens costs more heads (1,053
+/// examined per query, 33.7 KB, against 757) and its ranges still carry
+/// more values: it reads 155 per query to refine 39, where CTreeFull reads
+/// 94 to refine 32 (a first-to-last span per block read 197 and 100, and
+/// 134,451 and 75,424 bytes).  ADS+Full (whose leaves are not run files)
+/// still reads them whole: 274,841 bytes against 37,734.
 #[test]
 fn e1_full_variants_answer_with_fewer_physical_bytes_does_not_hold_here() {
     let m = &fixtures().e1;
     let bytes = |name: &str| m.get(name).queries.physical_bytes_read / m.get(name).asked;
-    assert_eq!([bytes("CTree"), bytes("CTreeFull")], [76_800, 75_424]);
-    assert_eq!([bytes("CLSM"), bytes("CLSMFull")], [77_363, 134_451]);
+    assert_eq!([bytes("CTree"), bytes("CTreeFull")], [76_800, 72_096]);
+    assert_eq!([bytes("CLSM"), bytes("CLSMFull")], [77_363, 113_254]);
     assert_eq!([bytes("ADS+"), bytes("ADS+Full")], [37_734, 274_841]);
     for thin in ["CTree", "CLSM"] {
         // Whole leaf pages, and the fetched series at their own size.

@@ -167,6 +167,8 @@ pub trait Records {
     fn materialized(&self) -> bool;
     /// The entries in file order.
     fn entries(&self) -> impl Iterator<Item = Self::Entry<'_>>;
+    /// The number of entries.
+    fn entry_count(&self) -> usize;
     /// The entry in `slot` (its position in [`Records::entries`]).
     fn entry(&self, slot: usize) -> Self::Entry<'_>;
 }
@@ -187,6 +189,9 @@ pub struct QueryContext<'a> {
     /// `(lower bound, slot)` of a block's raw-fetch candidates, reused from
     /// one block to the next.
     order: Vec<(f64, u32)>,
+    /// The heads of the block being scanned, and the value tails it read.
+    pub(crate) heads: Vec<u8>,
+    pub(crate) tails: Vec<u8>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -199,6 +204,8 @@ impl<'a> QueryContext<'a> {
             bytes: Vec::new(),
             values: Vec::new(),
             order: Vec::new(),
+            heads: Vec::new(),
+            tails: Vec::new(),
         }
     }
 
@@ -277,6 +284,8 @@ impl<'a> QueryContext<'a> {
     /// without `bounds`).  Returns the first and the last slot kept.  With
     /// the heap's bound at block start as `ceiling`, every entry the second
     /// pass can refine is kept — the bound only tightens inside a block.
+    /// With neither `bounds` nor `window` every entry is examined and kept,
+    /// and no head is read to say so.
     pub(crate) fn select<R: Records + ?Sized>(
         &mut self,
         records: &R,
@@ -285,6 +294,13 @@ impl<'a> QueryContext<'a> {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Option<(usize, usize)> {
         self.order.clear();
+        if bounds.is_none() && window.is_none() {
+            let count = records.entry_count();
+            self.cost.entries_examined += count as u64;
+            let slots = (0..count as u32).map(|slot| (f64::NEG_INFINITY, slot));
+            self.order.extend(slots);
+            return count.checked_sub(1).map(|last| (0, last));
+        }
         for (slot, entry) in records.entries().enumerate() {
             if !in_window(entry.timestamp(), window) {
                 continue;
@@ -300,6 +316,11 @@ impl<'a> QueryContext<'a> {
             self.order.first()?.1 as usize,
             self.order.last()?.1 as usize,
         ))
+    }
+
+    /// The slots [`QueryContext::select`] kept, in file order.
+    pub(crate) fn kept_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order.iter().map(|&(_, slot)| slot as usize)
     }
 
     /// The second pass: refines the entries [`QueryContext::select`] kept,
@@ -466,6 +487,10 @@ impl Records for EncodedBlock<'_> {
             })
     }
 
+    fn entry_count(&self) -> usize {
+        self.heads.len() / ENTRY_HEAD
+    }
+
     fn entry(&self, slot: usize) -> EncodedEntry<'_> {
         EncodedEntry {
             head: &self.heads[slot * ENTRY_HEAD..(slot + 1) * ENTRY_HEAD],
@@ -503,6 +528,10 @@ impl Records for [SeriesEntry] {
 
     fn entries(&self) -> impl Iterator<Item = &SeriesEntry> {
         self.iter()
+    }
+
+    fn entry_count(&self) -> usize {
+        self.len()
     }
 
     fn entry(&self, slot: usize) -> &SeriesEntry {

@@ -21,7 +21,7 @@ use coconut_sax::{mindist_paa_key_prefix_sq, InvSaxKey, QueryBounds, SaxConfig, 
 use coconut_series::paa::paa;
 use coconut_series::Timestamp;
 use coconut_storage::dynsort::DynRunWriter;
-use coconut_storage::{AccessPattern, Compression, IoBackend, SharedIoStats};
+use coconut_storage::{AccessPattern, Compression, IoBackend, RecordLayout, SharedIoStats};
 
 use crate::entry::{EntryLayout, SeriesEntry};
 use crate::query::{EncodedBlock, KnnHeap, QueryContext};
@@ -397,9 +397,10 @@ impl SortedSeriesFile {
 
     /// Reads one block's heads and refines it: every entry has its
     /// timestamp read for the window test and — with `bounds` — its key for
-    /// the lower bound.  A materialized block then reads, in one call, the
-    /// values of the span from the first to the last entry that can still
-    /// win against the heap's bound at block start (none if none can).
+    /// the lower bound.  A materialized block then reads the values of the
+    /// entries that can still win against the heap's bound at block start,
+    /// in the ranges of [`read_plan`] (none if none can).  Both buffers are
+    /// the context's, reused from block to block.
     fn scan_block(
         &self,
         block: &BlockMeta,
@@ -410,18 +411,50 @@ impl SortedSeriesFile {
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<()> {
         ctx.cost.blocks_read += 1;
-        let heads = self.run.read_heads_raw(block.start, block.count as usize)?;
+        let mut heads = std::mem::take(&mut ctx.heads);
+        self.run
+            .read_heads_into(block.start, block.count as usize, &mut heads)?;
         let records = EncodedBlock::heads(&heads, self.run.layout());
-        if !self.layout().is_materialized() {
-            return ctx.refine(&records, query, bounds, heap, window);
-        }
-        let Some((first, last)) = ctx.select(&records, bounds, heap.bound(), window) else {
-            return Ok(());
+        let scanned = if !self.layout().is_materialized() {
+            ctx.refine(&records, query, bounds, heap, window)
+        } else if let Some((first, last)) = ctx.select(&records, bounds, heap.bound(), window) {
+            let mut tails = std::mem::take(&mut ctx.tails);
+            let read = self.read_values(block.start, ctx.kept_slots(), first, last, &mut tails);
+            let refined = read.and_then(|values| {
+                ctx.refine_selected(&records.with_values(values, first), query, heap)
+            });
+            ctx.tails = tails;
+            refined
+        } else {
+            Ok(())
         };
-        let values = self
-            .run
-            .read_tails_raw(block.start + first as u64, last - first + 1)?;
-        ctx.refine_selected(&records.with_values(&values, first), query, heap)
+        ctx.heads = heads;
+        scanned
+    }
+
+    /// Reads the value tails of the `kept` slots (ascending, `first` to
+    /// `last`) of the block starting at entry `start` into `tails`, laid
+    /// out from slot `first` on, one read per range of [`read_plan`].  Of
+    /// the slots between two ranges nothing is read; their bytes are
+    /// whatever the buffer held.  Returns the bytes laid out.
+    fn read_values<'t>(
+        &self,
+        start: u64,
+        kept: impl IntoIterator<Item = usize>,
+        first: usize,
+        last: usize,
+        tails: &'t mut Vec<u8>,
+    ) -> Result<&'t [u8]> {
+        let tail = self.layout().record_size() - self.run.head_size();
+        let span = (last - first + 1) * tail;
+        if tails.len() < span {
+            tails.resize(span, 0);
+        }
+        for (lo, hi) in read_plan(kept, tail) {
+            let range = &mut tails[(lo - first) * tail..(hi - first + 1) * tail];
+            self.run.read_tails_into(start + lo as u64, range)?;
+        }
+        Ok(&tails[..span])
     }
 
     /// Approximate kNN: reads only the block(s) around the query's key
@@ -530,6 +563,48 @@ impl SortedSeriesFile {
         }
         Ok(())
     }
+}
+
+/// Unkept value tails, in bytes, that one read may carry between two kept
+/// slots of a block: [`read_plan`] merges two ranges when their gap is at
+/// most one page.  At 256-float series that is 4 entries.  Measured on
+/// palmbench `stream-window` (64-entry blocks; 2-core VM; physical bytes per
+/// exact query from a traced run of seed 1, `exact_p50_ms` the median of
+/// untraced seeds 1–3) against the gap, in entries of 1 KiB:
+///
+/// | gap | bytes/query | `exact_p50_ms` |
+/// |---|---:|---:|
+/// | 0 (kept runs only) | 5.42 MB | 2.06 |
+/// | 2 | 6.03 MB | 2.16 |
+/// | 3 | 6.25 MB | 1.70 |
+/// | **4** | 6.53 MB | 1.68 |
+/// | 8 | 7.10 MB | 1.93 |
+/// | whole span | 8.86 MB | 2.07 |
+///
+/// Short gaps read fewer bytes in more `pread`s (about 0.5 µs each); long
+/// ones copy bytes no entry uses.
+const READ_GAP_BYTES: usize = 4096;
+
+/// The reads that cover the kept slots `kept` (ascending) of one block whose
+/// value tails are `tail_len` bytes each: `(first, last)` slot ranges, in
+/// order.  Two consecutive kept slots share a read when the unkept tails
+/// between them total at most [`READ_GAP_BYTES`].  Every range lies inside
+/// the span from the first to the last kept slot and starts and ends on a
+/// kept slot.
+fn read_plan(
+    kept: impl IntoIterator<Item = usize>,
+    tail_len: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let mut kept = kept.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let first = kept.next()?;
+        let mut last = first;
+        while let Some(next) = kept.next_if(|&next| (next - last - 1) * tail_len <= READ_GAP_BYTES)
+        {
+            last = next;
+        }
+        Some((first, last))
+    })
 }
 
 /// Buffered iterator over the entries of one key range of a
@@ -877,6 +952,93 @@ mod tests {
                 .map(|r| r.unwrap())
                 .collect();
             assert_eq!(prefetched, inline, "range [{lo}, {hi:?})");
+        }
+    }
+
+    /// Tail bytes of a 256-float series: a gap of 4 entries is one page.
+    const TAIL_256: usize = 1024;
+
+    fn plan(kept: &[usize], tail_len: usize) -> Vec<(usize, usize)> {
+        read_plan(kept.iter().copied(), tail_len).collect()
+    }
+
+    #[test]
+    fn read_plan_of_no_slot_reads_nothing() {
+        assert_eq!(plan(&[], TAIL_256), []);
+    }
+
+    #[test]
+    fn read_plan_of_one_slot_reads_it() {
+        assert_eq!(plan(&[17], TAIL_256), [(17, 17)]);
+    }
+
+    #[test]
+    fn read_plan_of_every_slot_is_one_read() {
+        let every: Vec<usize> = (0..64).collect();
+        assert_eq!(plan(&every, TAIL_256), [(0, 63)]);
+    }
+
+    #[test]
+    fn read_plan_merges_short_gaps_only() {
+        // Gaps of 2, 36, 0 and 21 unkept entries.
+        assert_eq!(
+            plan(&[0, 3, 40, 41, 63], TAIL_256),
+            [(0, 3), (40, 41), (63, 63)]
+        );
+    }
+
+    #[test]
+    fn read_plan_gap_of_one_page_shares_a_read() {
+        assert_eq!(READ_GAP_BYTES / TAIL_256, 4);
+        // 4 unkept tails between the two: exactly one page.
+        assert_eq!(plan(&[10, 15], TAIL_256), [(10, 15)]);
+        // 5: one entry over it.
+        assert_eq!(plan(&[10, 16], TAIL_256), [(10, 10), (16, 16)]);
+        // Smaller tails carry more entries per page.
+        assert_eq!(plan(&[0, 17], 256), [(0, 17)]);
+        assert_eq!(plan(&[0, 18], 256), [(0, 0), (18, 18)]);
+    }
+
+    /// The plan's ranges are read into their places in one buffer, at either
+    /// compression: a `prefix` block's tail slices are cut from the tail
+    /// regions of the codec blocks it spans.  The kept slots' values are
+    /// the block's, and the physical bytes are exactly the ranges' tails.
+    #[test]
+    fn planned_value_reads_fill_the_kept_slots() {
+        let dir = ScratchDir::new("ssf-plan").unwrap();
+        let sax = SaxConfig::new(256, 8, 8);
+        let (_, entries) = make_entries(256, sax, true, 9);
+        let kept = [0usize, 3, 40, 41, 63];
+        for compression in [Compression::Off, Compression::Prefix] {
+            let stats = IoStats::shared();
+            let file = SortedSeriesFile::build_unsorted(
+                dir.file(&format!("plan-{compression}.run")),
+                EntryLayout::materialized(sax.key_bits(), sax.series_len),
+                sax,
+                entries.clone(),
+                64,
+                Arc::clone(&stats),
+                4096,
+                1,
+                IoBackend::Pread,
+                compression,
+            )
+            .unwrap();
+            assert_eq!(file.compression(), compression);
+            let block = file.blocks()[1];
+            let whole = file.run().read_tails_raw(block.start, 64).unwrap();
+            let mut tails = vec![0xAA; 7];
+            let before = stats.snapshot();
+            let values = file
+                .read_values(block.start, kept, 0, 63, &mut tails)
+                .unwrap();
+            let physical = stats.snapshot().since(&before).physical_bytes_read;
+            assert_eq!(values.len(), 64 * TAIL_256);
+            for slot in kept {
+                let at = slot * TAIL_256..(slot + 1) * TAIL_256;
+                assert_eq!(values[at.clone()], whole[at], "{compression} slot {slot}");
+            }
+            assert_eq!(physical, (4 + 2 + 1) * TAIL_256 as u64, "{compression}");
         }
     }
 

@@ -216,28 +216,39 @@ impl RunBody {
     /// head regions.  The logical view is charged the full records, as the
     /// row format reads them.
     fn read_heads(&self, index: u64, count: usize) -> Result<Vec<u8>> {
+        let mut heads = Vec::new();
+        self.read_heads_into(index, count, &mut heads)?;
+        Ok(heads)
+    }
+
+    /// [`RunBody::read_heads`] into `heads`, whose length becomes the bytes
+    /// read (a scan reuses one buffer from block to block).
+    fn read_heads_into(&self, index: u64, count: usize, heads: &mut Vec<u8>) -> Result<()> {
         let count = self.clamp(index, count);
         if count == 0 {
-            return Ok(Vec::new());
+            heads.clear();
+            return Ok(());
         }
         let head = self.spec.head_size();
         let (offset, bytes) = record_range(index, count, self.record_size)?;
-        let (logical, mut heads, skip) = match &self.format {
-            RunFormat::Rows => return self.read(index, count),
-            RunFormat::Split { logical, .. } => (
-                logical,
-                self.file
-                    .read_at(record_offset(index, head)?, count * head)?,
-                0,
-            ),
+        let (logical, skip) = match &self.format {
+            RunFormat::Rows => {
+                heads.resize(bytes, 0);
+                return self.file.read_into(offset, heads);
+            }
+            RunFormat::Split { logical, .. } => {
+                heads.resize(count * head, 0);
+                self.file.read_into(record_offset(index, head)?, heads)?;
+                (logical, 0)
+            }
             RunFormat::Blocks(codec) => {
                 let (start, extents) = codec.blocks_of(index, count)?;
-                let mut heads = Vec::with_capacity((count + codec.block_records) * head);
+                heads.clear();
                 for extent in extents {
                     let frame = self.file.read_at(extent.offset, extent.head_len as usize)?;
                     heads.extend_from_slice(&decode_block_heads(&self.spec, &frame)?);
                 }
-                (&codec.logical, heads, (index - start) as usize * head)
+                (&codec.logical, (index - start) as usize * head)
             }
         };
         logical.account(offset, bytes, true);
@@ -248,27 +259,42 @@ impl RunBody {
         }
         heads.drain(..skip);
         heads.truncate(count * head);
-        Ok(heads)
+        Ok(())
     }
 
-    /// Reads only the value tails of `count` records starting at `index`:
-    /// one read of a split run's tail file, one per block of a compressed
-    /// run.  Physical bytes only: the heads were charged the records.
+    /// Reads only the value tails of `count` records starting at `index`
+    /// (clamped to the run length); see [`RunBody::read_tails_into`].
     fn read_tails(&self, index: u64, count: usize) -> Result<Vec<u8>> {
-        let count = self.clamp(index, count);
+        let mut tails = vec![0u8; self.clamp(index, count) * self.spec.tail_len];
+        self.read_tails_into(index, &mut tails)?;
+        Ok(tails)
+    }
+
+    /// Fills `tails` with the value tails of the records from `index` on,
+    /// as many as it holds: one read of a split run's tail file, one of the
+    /// matching slice of each block's tail region on a compressed run.
+    /// Physical bytes only: the heads were charged the records.
+    fn read_tails_into(&self, index: u64, tails: &mut [u8]) -> Result<()> {
         let tail = self.spec.tail_len;
-        if count == 0 || tail == 0 {
-            return Ok(Vec::new());
+        let count = tails.len().checked_div(tail).unwrap_or(0);
+        if count == 0 {
+            return Ok(());
+        }
+        if count * tail != tails.len() || self.clamp(index, count) != count {
+            return Err(StorageError::Corrupt(
+                "value tail read off a record boundary or past the run".into(),
+            ));
         }
         match &self.format {
-            RunFormat::Rows => Ok(Vec::new()),
-            RunFormat::Split { tails, .. } => {
-                tails.read_at(record_offset(index, tail)?, count * tail)
+            // A row layout has no tail.
+            RunFormat::Rows => Ok(()),
+            RunFormat::Split { tails: file, .. } => {
+                file.read_into(record_offset(index, tail)?, tails)
             }
             RunFormat::Blocks(codec) => {
                 let (start, extents) = codec.blocks_of(index, count)?;
                 let (per, end) = (codec.block_records as u64, index + count as u64);
-                let mut out = Vec::with_capacity(count * tail);
+                let mut rest = tails;
                 for (first, extent) in (start..).step_by(per as usize).zip(extents) {
                     let from = index.max(first) - first;
                     let len = (end.min(first + per) - first - from) as usize * tail;
@@ -278,9 +304,11 @@ impl RunBody {
                             "compressed block tail region short of its records".into(),
                         ));
                     }
-                    out.extend_from_slice(&self.file.read_at(extent.offset + at, len)?);
+                    let (slice, more) = std::mem::take(&mut rest).split_at_mut(len);
+                    self.file.read_into(extent.offset + at, slice)?;
+                    rest = more;
                 }
-                Ok(out)
+                Ok(())
             }
         }
     }
@@ -423,11 +451,27 @@ impl<L: RecordLayout> DynRunFile<L> {
         self.body.read_heads(index, count)
     }
 
+    /// [`DynRunFile::read_heads_raw`] into `heads`, whose length becomes
+    /// the bytes read: a scan reuses one buffer from block to block.
+    pub fn read_heads_into(&self, index: u64, count: usize, heads: &mut Vec<u8>) -> Result<()> {
+        self.body.read_heads_into(index, count, heads)
+    }
+
     /// Reads the value tails of up to `count` records starting at `index`.
     /// Physical bytes only: it completes a [`DynRunFile::read_heads_raw`]
     /// of the same records, which charged their logical view.
     pub fn read_tails_raw(&self, index: u64, count: usize) -> Result<Vec<u8>> {
         self.body.read_tails(index, count)
+    }
+
+    /// Fills `tails` with the value tails of the records from `index` on,
+    /// as many as it holds (a whole number of tails, all inside the run):
+    /// one positioned read of an uncompressed run's `.tail` file, the
+    /// matching slice of each block's tail region of a compressed one.
+    /// Physical bytes only, as [`DynRunFile::read_tails_raw`]; a scan reads
+    /// several ranges of one block this way into one buffer.
+    pub fn read_tails_into(&self, index: u64, tails: &mut [u8]) -> Result<()> {
+        self.body.read_tails_into(index, tails)
     }
 
     /// Bytes per record returned by [`DynRunFile::read_heads_raw`].
