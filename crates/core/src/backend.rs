@@ -176,9 +176,7 @@ impl ExecutionBackend for LocalBackend {
             Some(limit) => CancelToken::at(Instant::now() + limit),
         };
         let response_json = self.palm.handle_json_with(frame, &cancel);
-        let parsed = Json::parse(&response_json)
-            .map_err(|e| BackendError::Protocol(format!("local response unparseable: {e}")))?;
-        PalmResponse::from_json(&parsed)
+        PalmResponse::from_text(&response_json)
             .map_err(|e| BackendError::Protocol(format!("local response malformed: {e}")))
     }
 }

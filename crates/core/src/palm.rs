@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coconut_json::{
-    find_member, scan_array, scan_object, Floats, FromJson, Json, JsonError, ToJson,
+    find_member, scan_array, scan_object, FromJson, Json, JsonError, Reader, ToJson,
 };
 use coconut_parallel::{effective_parallelism, parallel_map_tasks, CancelToken};
 use parking_lot::{Mutex, RwLock};
@@ -192,7 +192,9 @@ coconut_json::wire! {
 /// written last, and one given without the other is refused.
 mod id_range {
     use coconut_json::wire::{Member, Members};
-    use coconut_json::{member, Json, JsonError, Result};
+    use coconut_json::{JsonError, Reader, Result};
+
+    pub type Slots = (Option<Result<u64>>, Option<Result<u64>>);
 
     pub fn put(range: &Option<(u64, u64)>, out: &mut Members) {
         if let Some((lo, hi)) = range {
@@ -201,10 +203,21 @@ mod id_range {
         }
     }
 
-    pub fn take(json: &Json) -> Result<Option<(u64, u64)>> {
-        match (json.get("range_lo"), json.get("range_hi")) {
+    pub fn claim((lo, hi): &mut Slots, p: &mut Reader<'_>, key: &str) -> Result<bool> {
+        match key {
+            "range_lo" => p.claim(lo),
+            "range_hi" => p.claim(hi),
+            _ => Ok(false),
+        }
+    }
+
+    pub fn finish(slots: Slots) -> Result<Option<(u64, u64)>> {
+        match slots {
             (None, None) => Ok(None),
-            (Some(_), Some(_)) => Ok(Some((member(json, "range_lo")?, member(json, "range_hi")?))),
+            (lo @ Some(_), hi @ Some(_)) => Ok(Some((
+                u64::finish(lo, "range_lo", false)?,
+                u64::finish(hi, "range_hi", false)?,
+            ))),
             _ => Err(JsonError::new(
                 "range_lo and range_hi must be given together",
             )),
@@ -457,46 +470,14 @@ impl From<coconut_series::SeriesError> for ServiceError {
 }
 
 impl PalmRequest {
-    /// Parses and decodes one request frame: the parsed frame, for the
-    /// members the protocol reads around the request (`deadline_ms`), and
-    /// the decoded request or the refusal [`FromJson`] words.  The outer
-    /// error is the parser's.
-    ///
-    /// An `insert`'s `series` and a `query`'s `query` are decoded in one
-    /// pass, straight to `f32` ([`coconut_json::parse_lifting`]), and in the
-    /// tree they are an empty array.  Everything else, and every frame the
-    /// lifting declines or that is refused, is `Json::parse` then
-    /// [`FromJson::from_json`]: the two agree wherever both answer.
-    pub fn from_text(text: &str) -> Result<(Json, Result<PalmRequest, JsonError>), JsonError> {
-        if let Some((json, request)) = Self::lifted(text) {
-            return Ok((json, Ok(request)));
-        }
-        let json = Json::parse(text)?;
-        let request = PalmRequest::from_json(&json);
-        Ok((json, request))
-    }
-
-    /// [`PalmRequest::from_text`]'s one-pass decode, for a frame that opens
-    /// as every encoder opens an `insert` or a `query` (so its first `type`
-    /// member names the variant); `None` leaves the frame to the full parse.
-    /// The codec decodes the other members, the placeholder among them, and
-    /// the payload is moved in after.
-    fn lifted(text: &str) -> Option<(Json, PalmRequest)> {
-        let key = if text.starts_with(r#"{"type":"insert","#) {
-            "series"
-        } else if text.starts_with(r#"{"type":"query","#) {
-            "query"
-        } else {
-            return None;
-        };
-        let (json, floats) = coconut_json::parse_lifting(text, key)?;
-        let mut request = PalmRequest::from_json(&json).ok()?;
-        match (&mut request, floats) {
-            (PalmRequest::Insert { series, .. }, Floats::Rows(rows)) => *series = rows,
-            (PalmRequest::Query { query, .. }, Floats::Values(values)) => *query = values,
-            _ => return None,
-        }
-        Some((json, request))
+    /// Reads one request frame in one walk: the request or its refusal, and
+    /// the frame's first top-level `deadline_ms` as spelled.  The outer
+    /// error is the grammar's.
+    fn read_frame(text: &str) -> Result<(Option<&str>, Result<PalmRequest, JsonError>), JsonError> {
+        let mut reader = Reader::new(text);
+        reader.keep("deadline_ms");
+        let request = reader.document()?;
+        Ok((reader.kept(), request))
     }
 
     /// A whole-dataset `build_index` request with the engine's knob
@@ -722,12 +703,12 @@ impl ResultCache {
     }
 }
 
-/// When a request whose `deadline_ms` member is `value` runs out: `None`
-/// for no member, and for one too far off to represent.
-fn request_deadline(value: Option<&Json>) -> Result<Option<Instant>, ServiceError> {
-    match value.map(Json::as_f64) {
+/// When a request whose `deadline_ms` member is spelled `value` runs out:
+/// `None` for no member, and for one too far off to represent.
+fn request_deadline(value: Option<&str>) -> Result<Option<Instant>, ServiceError> {
+    match value.map(f64::from_text) {
         None => Ok(None),
-        Some(Some(ms)) if ms >= 0.0 => {
+        Some(Ok(ms)) if ms >= 0.0 => {
             Ok(Instant::now().checked_add(Duration::from_millis(ms as u64)))
         }
         Some(_) => Err(ServiceError::malformed(
@@ -1065,10 +1046,8 @@ impl PalmServer {
             return None;
         }
         let members = scan_object(frame).ok()?;
-        let deadline = match find_member(&members, "deadline_ms") {
-            Some(value) => request_deadline(Some(&Json::parse(value.raw).ok()?)).ok()?,
-            None => None,
-        };
+        let deadline =
+            request_deadline(find_member(&members, "deadline_ms").map(|m| m.raw)).ok()?;
         let cancel = deadline.map_or_else(|| cancel.clone(), |at| cancel.with_deadline(at));
         let elements = scan_array(find_member(&members, "requests")?.raw).ok()?;
         let start = Instant::now();
@@ -1085,14 +1064,14 @@ impl PalmServer {
                 .then(|| self.replay(cache, key, hash, start))
                 .flatten();
             if reply.is_none() {
-                let (json, request) = PalmRequest::from_text(element).ok()?;
+                let (deadline, request) = PalmRequest::read_frame(element).ok()?;
                 let request = request.ok()?;
                 ordered |= !matches!(request, PalmRequest::Query { .. });
                 requests.push(request);
                 // A batch ignores an element's own `deadline_ms`; its reply
                 // is recorded only if it also answers the element's bytes
                 // sent alone.
-                let recordable = request_deadline(json.get("deadline_ms")).is_ok();
+                let recordable = request_deadline(deadline).is_ok();
                 misses.push((i, key, hash, recordable));
             }
             replies.push(reply);
@@ -1147,11 +1126,11 @@ impl PalmServer {
         let malformed = |e: JsonError| {
             ServiceError::malformed(format!("malformed request: {e}")).into_response()
         };
-        let (json, request) = match PalmRequest::from_text(request_json) {
-            Ok(parsed) => parsed,
+        let (deadline, request) = match PalmRequest::read_frame(request_json) {
+            Ok(read) => read,
             Err(e) => return (malformed(e), None),
         };
-        let cancel = match request_deadline(json.get("deadline_ms")) {
+        let cancel = match request_deadline(deadline) {
             Ok(None) => cancel.clone(),
             Ok(Some(at)) => cancel.with_deadline(at),
             Err(e) => return (e.into_response(), None),

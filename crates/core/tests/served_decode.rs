@@ -1,61 +1,75 @@
-//! The served decode is the reference decode: every frame sent through
-//! `PalmServer::handle_json` gets the reply, byte for byte apart from
-//! `elapsed_ms`, that `Json::parse` -> `PalmRequest::from_json` -> `handle`
-//! gives on an identically built server, refusals included.  The server
-//! lifts an `insert`'s `series` and a `query`'s `query` out of the frame in
-//! one pass; these frames probe where that pass must agree with the tree
-//! and where it must decline.
+//! The golden served-decode corpus: every frame below, sent through
+//! `PalmServer::handle_json` or through a `Coordinator`, gets the reply
+//! recorded in `served_decode.golden`, byte for byte apart from
+//! `elapsed_ms`, refusals included.
 //!
-//! The coordinator's check of a `query` before it is broadcast is held to
-//! the refusal text the codec's own decode of the member gives.
+//! The replies were recorded from the reference decode (`Json::parse`, the
+//! frame's `deadline_ms` folded into the token, `PalmRequest::from_json`,
+//! `handle`) and from the coordinator, in the commit before requests were
+//! read in one walk of the frame.  The frames probe what that walk must
+//! keep: float payloads of every shape, members in any order, duplicates,
+//! and which refusal wins when a frame has several faults.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use coconut_core::backend::{ExecutionBackend, LocalBackend};
-use coconut_core::palm::{
-    PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
-};
-use coconut_core::{check_finite, CancelToken, Dataset, VariantKind};
-use coconut_json::{
-    require_member, scan_object, FromJson, Json, JsonError, ToJson, SPLIT_MIN_BYTES,
-};
+use coconut_core::palm::{PalmRequest, PalmResponse, PalmServer};
+use coconut_core::{CancelToken, Dataset, VariantKind};
+use coconut_json::{Json, ToJson, SPLIT_MIN_BYTES};
 use coconut_net::{Coordinator, RequestHandler};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
 
 const SERIES_LEN: usize = 16;
 
-/// The reply of the reference path: parse, fold `deadline_ms`, decode,
-/// handle; a parse or decode failure worded as the server words it.
-fn reference(server: &PalmServer, frame: &str) -> String {
-    let malformed = |e: JsonError| {
-        PalmResponse::error(ERROR_KIND_MALFORMED, format!("malformed request: {e}"))
-            .to_json()
-            .to_string()
-    };
-    let json = match Json::parse(frame) {
-        Ok(json) => json,
-        Err(e) => return malformed(e),
-    };
-    let cancel = match json.get("deadline_ms").map(Json::as_f64) {
-        None => CancelToken::never(),
-        Some(Some(ms)) if ms >= 0.0 => {
-            CancelToken::at(Instant::now() + Duration::from_millis(ms as u64))
+const GOLDEN: &str = include_str!("served_decode.golden");
+
+/// The recorded replies of `section`: one line each, the FNV-1a digest of
+/// the frame (16 hex digits), a space, the reply.
+fn golden(section: &str) -> Vec<(&'static str, &'static str)> {
+    let header = format!("# {section}\n");
+    let start = GOLDEN.find(&header).expect("the section is recorded") + header.len();
+    GOLDEN[start..]
+        .lines()
+        .take_while(|line| !line.starts_with("# "))
+        .map(|line| line.split_at(16))
+        .map(|(digest, reply)| (digest, &reply[1..]))
+        .collect()
+}
+
+fn digest(frame: &str) -> String {
+    let hash = frame.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
+/// Sends every frame through `reply` and checks each reply, `elapsed_ms`
+/// blanked, against the recording of `section`; frames for which `skip`
+/// holds are sent but not checked.  The reply kinds, counted.
+fn assert_golden(
+    section: &str,
+    frames: &[String],
+    skip: impl Fn(&str) -> bool,
+    mut reply: impl FnMut(&str) -> String,
+) -> BTreeMap<String, usize> {
+    let recorded = golden(section);
+    assert_eq!(recorded.len(), frames.len(), "{section}");
+    let mut kinds = BTreeMap::new();
+    for (frame, (frame_digest, expected)) in frames.iter().zip(recorded) {
+        let shown = &frame[..frame.len().min(300)];
+        assert_eq!(digest(frame), frame_digest, "{section}: {shown}");
+        let got = blank_elapsed(&reply(frame));
+        if skip(frame) {
+            continue;
         }
-        Some(_) => {
-            return PalmResponse::error(
-                ERROR_KIND_MALFORMED,
-                "deadline_ms must be a non-negative number",
-            )
-            .to_json()
-            .to_string()
-        }
-    };
-    match PalmRequest::from_json(&json) {
-        Ok(request) => server.handle_with(request, &cancel).to_json().to_string(),
-        Err(e) => malformed(e),
+        assert_eq!(got, expected, "{section}: {shown}");
+        let got = Json::parse(&got).unwrap();
+        let kind = got.get("kind").or(got.get("type")).and_then(Json::as_str);
+        *kinds.entry(kind.unwrap().to_string()).or_insert(0) += 1;
     }
+    kinds
 }
 
 /// `reply` with the value of every `elapsed_ms` member replaced by `0`.
@@ -74,37 +88,30 @@ fn blank_elapsed(reply: &str) -> String {
     out
 }
 
-/// Servers with index `a` (materialized CLSM, which takes inserts) built
-/// over the same dataset of series of `SERIES_LEN` points, in `dir`.
-fn servers(dir: &ScratchDir, tags: &[&str], cache: bool) -> Vec<PalmServer> {
-    servers_of(dir, tags, cache, SERIES_LEN)
-}
-
-/// [`servers`] over series of `len` points.
-fn servers_of(dir: &ScratchDir, tags: &[&str], cache: bool, len: usize) -> Vec<PalmServer> {
+/// The dataset of 120 series of `len` points in `dir`, written once.
+fn dataset(dir: &ScratchDir, len: usize) -> String {
     let path = dir.file(&format!("raw-{len}.bin"));
     if !path.exists() {
         let series = RandomWalkGenerator::new(len, 5).generate(120);
         Dataset::create_from_series(&path, &series).unwrap();
     }
-    let path = path.to_string_lossy().into_owned();
-    tags.iter()
-        .map(|tag| {
-            let mut server = PalmServer::new(dir.file(tag));
-            if cache {
-                server = server.with_result_cache(64);
-            }
-            let built = server.handle(PalmRequest::build_index(
-                "a",
-                path.clone(),
-                VariantKind::Clsm,
-                true,
-                4 << 20,
-            ));
-            assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
-            server
-        })
-        .collect()
+    path.to_string_lossy().into_owned()
+}
+
+fn build_a(path: &str) -> PalmRequest {
+    PalmRequest::build_index("a", path, VariantKind::Clsm, true, 4 << 20)
+}
+
+/// A server with index `a` (materialized CLSM, which takes inserts) built
+/// over the dataset of series of `len` points, in `dir`.
+fn server(dir: &ScratchDir, tag: &str, cache: bool, len: usize) -> PalmServer {
+    let mut server = PalmServer::new(dir.file(tag));
+    if cache {
+        server = server.with_result_cache(64);
+    }
+    let built = server.handle(build_a(&dataset(dir, len)));
+    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+    server
 }
 
 /// A row of `SERIES_LEN` values: `head` as spelled, then filler numbers.
@@ -213,8 +220,8 @@ fn corpus() -> Vec<String> {
     frames
 }
 
-/// The frames that probe the one-pass decode of a float payload, spelled
-/// for `insert` (`series`, rows) or for `query` (`query`, values).
+/// Float payloads of every shape, spelled for `insert` (`series`, rows) or
+/// for `query` (`query`, values).
 fn payload_frames(rows: bool) -> Vec<String> {
     let good = row(&["1", "2.5"]);
     let frame = if rows { insert } else { query };
@@ -309,6 +316,78 @@ fn payload_frames(rows: bool) -> Vec<String> {
     frames
 }
 
+/// Frames that pin which refusal a frame with several faults gets, and
+/// where members may stand: a syntax error anywhere wins; then a bad
+/// `deadline_ms`; then the request's members in declaration order, the
+/// first of a duplicated key read and the rest only checked; `type` may
+/// come anywhere.
+fn order_frames() -> Vec<String> {
+    let values = row(&["0.5"]);
+    let rows = format!("[{}]", row(&["2"]));
+    let mut frames: Vec<String> = [
+        // A bad member, then a syntax error.
+        r#"{"type":"query","name":7,"query":[1],"k":1,"exact":tru}"#,
+        r#"{"type":"insert","name":"a","series":[[1,"x"]],"timestamp":[1,]}"#,
+        r#"{"type":"frobnicate","name":[}"#,
+        // Two bad members, in reverse declaration order; a missing member
+        // declared before a bad one, and after.
+        r#"{"type":"query","exact":1,"k":"3","query":[1,"x"],"name":7}"#,
+        r#"{"type":"insert","timestamp":"now","series":{},"name":7}"#,
+        r#"{"type":"build_index","compression":"prefx","variant":"BTree","name":"a","dataset_path":"x","materialized":true,"memory_budget_bytes":1}"#,
+        r#"{"type":"build_index","name":"a","dataset_path":"x","variant":"CTree","materialized":true,"memory_budget_bytes":1,"range_hi":"60","range_lo":-1}"#,
+        r#"{"type":"query","k":"3","query":[1],"exact":true}"#,
+        r#"{"type":"query","name":7,"query":[1],"k":1}"#,
+        r#"{"type":"batch","requests":[{"type":"query","exact":1,"name":7},{"type":"nope"}]}"#,
+        r#"{"type":"recommend","scenario":{"small_windows":0,"arrival":"Batch"}}"#,
+        // Duplicates: the first copy is read, a later one only checked.
+        r#"{"type":"stats","type":7}"#,
+        r#"{"type":"insert","name":"a","series":[],"timestamp":null,"timestamp":"x"}"#,
+        r#"{"type":"query","name":"a","query":[1],"k":1,"k":[1,],"exact":true}"#,
+        r#"{"type":"build_index","name":"a","dataset_path":"x","variant":"CTree","materialized":true,"memory_budget_bytes":1,"range_lo":0,"range_hi":9,"range_lo":"x"}"#,
+        // `type` last, or not first, or bad there.
+        r#"{"requests":[{"k":1,"type":"stats"}],"type":"batch"}"#,
+        r#"{"name":7,"query":[1],"k":1,"exact":true,"type":"query"}"#,
+        r#"{"name":"a","query":[1,],"type":"query"}"#,
+        r#"{"name":"a","type":"nope"}"#,
+        r#"{"name":"a","type":null}"#,
+        r#"{"name":"a","type":"stats","type":"nope"}"#,
+        // A bad `deadline_ms`: after a syntax error, before anything else.
+        r#"{"type":"frobnicate","deadline_ms":-1}"#,
+        r#"{"deadline_ms":null}"#,
+        r#"{"type":"query","name":7,"deadline_ms":"soon","k":[1,]}"#,
+        r#"{"type":"stats","deadline_ms":5,"deadline_ms":-1}"#,
+        r#"{"type":"stats","deadline_ms":1e400}"#,
+        r#"{"type":"batch","requests":[],"deadline_ms":-1}"#,
+        r#"{"type":"batch","requests":[{"type":"stats","deadline_ms":-1}]}"#,
+        // Values where `series` rows belong, and rows where values belong.
+        r#"{"type":"insert","name":"a","series":[1,2,3]}"#,
+        r#"{"type":"insert","name":"a","series":[[1,2],3]}"#,
+    ]
+    .map(String::from)
+    .to_vec();
+    frames.extend([
+        format!(r#"{{"type":"query","name":"a","query":{values},"k":3,"k":"x","exact":true,"exact":null}}"#),
+        format!(r#"{{"type":"insert","name":"a","name":7,"series":{rows},"series":[[1,"x"]],"timestamp":4,"timestamp":-1}}"#),
+        format!(r#"{{"name":"a","query":{values},"k":3,"exact":true,"type":"query"}}"#),
+        format!(r#"{{"name":"a","series":{rows},"timestamp":5,"type":"insert"}}"#),
+        format!(r#"{{"name":"a","type":"query","query":{values},"k":2,"exact":false}}"#),
+        format!(r#"{{"type":"batch","requests":[{{"name":"a","query":{values},"k":2,"exact":true,"type":"query"}}]}}"#),
+        format!(r#"{{"type":"query","name":"a","query":{values},"k":"x","exact":true,"deadline_ms":-1}}"#),
+        format!(r#"{{"deadline_ms":"soon","type":"query","name":"a","query":{values},"k":-1,"exact":true}}"#),
+        format!(r#"{{"type":"query","name":"a","query":{values},"k":"x","exact":true,"deadline_ms":-1,"z":[1,]}}"#),
+        format!(r#"{{"type":"query","name":"a","query":[{values}],"k":3,"exact":true}}"#),
+        // Out-of-range numbers inside the payload.
+        query(&row(&["1e400"])),
+        query(&row(&["1", "-1e400"])),
+        insert(&format!("[{}]", row(&["1e400"]))),
+        // Nesting past the parser's limit inside the payload.
+        insert(&"[".repeat(100_000)),
+        query(&"[".repeat(100_000)),
+        format!(r#"{{"name":"a","series":{},"type":"insert"}}"#, "[".repeat(100)),
+    ]);
+    frames
+}
+
 fn every_frame() -> Vec<String> {
     let mut frames = corpus();
     // Every truncation of a three-row insert frame, then the frame itself.
@@ -340,29 +419,20 @@ fn every_frame() -> Vec<String> {
         insert(&format!("[{}]", row(&["6"]))),
         query(&row(&["-0", "4.9e-324"]))
     ));
+    frames.extend(order_frames());
     frames
 }
 
 #[test]
 fn served_replies_equal_the_reference_decode() {
     let dir = ScratchDir::new("served-decode").unwrap();
-    let pair = servers(&dir, &["served", "reference"], false);
-    let (served, expected) = (&pair[0], &pair[1]);
-    let mut kinds = std::collections::BTreeMap::new();
-    for frame in every_frame() {
-        let reply = served.handle_json(&frame);
-        assert_eq!(
-            blank_elapsed(&reply),
-            blank_elapsed(&reference(expected, &frame)),
-            "{frame}"
-        );
-        let reply = Json::parse(&reply).unwrap();
-        let kind = reply
-            .get("kind")
-            .or(reply.get("type"))
-            .and_then(Json::as_str);
-        *kinds.entry(kind.unwrap().to_string()).or_insert(0) += 1;
-    }
+    let served = server(&dir, "served", false, SERIES_LEN);
+    let kinds = assert_golden(
+        "served",
+        &every_frame(),
+        |_| false,
+        |frame| served.handle_json(frame),
+    );
     // The corpus reaches the engine, not only the refusals.
     for (kind, at_least) in [
         ("inserted", 5),
@@ -372,6 +442,19 @@ fn served_replies_equal_the_reference_decode() {
     ] {
         assert!(kinds.get(kind).is_some_and(|&n| n >= at_least), "{kinds:?}");
     }
+}
+
+/// With the result cache on, a `batch` frame's misses are decoded element
+/// by element on their own path; every reply but the counters of `stats`
+/// (which count cache traffic) is still the recorded one.
+#[test]
+fn cached_served_replies_equal_the_reference_decode() {
+    let dir = ScratchDir::new("served-decode-cached").unwrap();
+    let served = server(&dir, "served", true, SERIES_LEN);
+    let stats = |frame: &str| frame.contains(r#""type":"stats""#);
+    assert_golden("served", &every_frame(), stats, |frame| {
+        served.handle_json(frame)
+    });
 }
 
 /// An insert frame as the benchmark client writes one: 128 random walks of
@@ -395,12 +478,11 @@ fn wide_insert() -> String {
 /// Past [`SPLIT_MIN_BYTES`] the server decodes `series` on several threads,
 /// split at row boundaries: the frame and its mutants, on a cut (the
 /// middle of the array, where two and four parts cut) and past it, reply
-/// as the one-thread reference decode does.
+/// as recorded.
 #[test]
 fn large_insert_frames_reply_as_the_reference_decode() {
     let dir = ScratchDir::new("served-decode-large").unwrap();
-    let pair = servers_of(&dir, &["served", "reference"], false, 256);
-    let (served, expected) = (&pair[0], &pair[1]);
+    let served = server(&dir, "served", false, 256);
     let whole = wide_insert();
     assert!(whole.len() > 5 * SPLIT_MIN_BYTES, "{}", whole.len());
     let open = whole.find("\"series\":").unwrap() + 9;
@@ -419,52 +501,20 @@ fn large_insert_frames_reply_as_the_reference_decode() {
         replaced(middle, "[[1],[2]]"),
         format!("{}] , [{}", &whole[..cut], &whole[cut + 3..]),
         whole[..whole.len() - 5000].to_string(),
+        // `type` last: the rows come before the variant is known.
+        format!(
+            r#"{{"name":"a","series":{},"type":"insert"}}"#,
+            &whole[open..whole.len() - 15]
+        ),
+        replaced(whole.len() - 3000, "1e400"),
     ];
-    let mut kinds = Vec::new();
-    for frame in &frames {
-        let reply = served.handle_json(frame);
-        assert_eq!(
-            blank_elapsed(&reply),
-            blank_elapsed(&reference(expected, frame)),
-            "{}",
-            &frame[..200]
-        );
-        let reply = Json::parse(&reply).unwrap();
-        let kind = reply
-            .get("kind")
-            .or(reply.get("type"))
-            .and_then(Json::as_str);
-        kinds.push(kind.unwrap().to_string());
-    }
-    assert_eq!(
-        kinds,
-        [
-            "inserted",
-            "malformed_request",
-            "malformed_request",
-            "malformed_request",
-            "inserted",
-            "malformed_request"
-        ]
+    let kinds = assert_golden(
+        "large",
+        &frames,
+        |_| false,
+        |frame| served.handle_json(frame),
     );
-}
-
-/// With the result cache on, a `batch` frame's misses are decoded element
-/// by element on their own path; every reply but the counters of `stats`
-/// (which count cache traffic) is still the reference's.
-#[test]
-fn cached_served_replies_equal_the_reference_decode() {
-    let dir = ScratchDir::new("served-decode-cached").unwrap();
-    let served = servers(&dir, &["served"], true).remove(0);
-    let expected = servers(&dir, &["reference"], false).remove(0);
-    for frame in every_frame() {
-        let got = served.handle_json(&frame);
-        let want = reference(&expected, &frame);
-        if frame.contains(r#"{"type":"stats"}"#) {
-            continue;
-        }
-        assert_eq!(blank_elapsed(&got), blank_elapsed(&want), "{frame}");
-    }
+    assert_eq!(kinds.get("inserted"), Some(&3), "{kinds:?}");
 }
 
 /// The coordinator checks a `query` is all finite numbers before any shard
@@ -473,12 +523,11 @@ fn cached_served_replies_equal_the_reference_decode() {
 #[test]
 fn coordinator_refuses_bad_query_values_as_the_codec_does() {
     let dir = ScratchDir::new("served-decode-coord").unwrap();
-    let shard = servers(&dir, &["shard"], false).remove(0);
+    let shard = server(&dir, "shard", false, SERIES_LEN);
     let coordinator = Coordinator::new(vec![
         Arc::new(LocalBackend::new(Arc::new(shard))) as Arc<dyn ExecutionBackend>
     ]);
-    let mut refused = 0;
-    for values in [
+    let frames: Vec<String> = [
         r#"[1,"x"]"#.to_string(),
         "[[1,2]]".to_string(),
         "[1,[2]]".to_string(),
@@ -490,36 +539,40 @@ fn coordinator_refuses_bad_query_values_as_the_codec_does() {
         row(&["1", "1e400"]),
         row(&["-0", "4.9e-324"]),
         "[]".to_string(),
-    ] {
-        let frame = query(&values);
-        let members = scan_object(&frame).unwrap();
-        let decoded = require_member(&members, "query")
-            .unwrap()
-            .field::<Vec<f32>>();
-        let expected = match decoded {
-            Err(e) => PalmResponse::error(ERROR_KIND_MALFORMED, format!("malformed request: {e}")),
-            Ok(values) => match check_finite("query", &values) {
-                Err(e) => PalmResponse::error(ERROR_KIND_CONFIG, e.to_string()),
-                Ok(()) => {
-                    // Finite values go to the shard, which judges the length.
-                    let reply =
-                        coordinator.handle_json_bytes(frame.into_bytes(), &CancelToken::never());
-                    let reply = PalmResponse::from_json(&Json::parse(&reply).unwrap()).unwrap();
-                    assert!(
-                        matches!(
-                            &reply,
-                            PalmResponse::QueryResult { .. } | PalmResponse::Error { .. }
-                        ),
-                        "{reply:?}"
-                    );
-                    continue;
-                }
-            },
-        };
-        refused += 1;
-        let reply =
-            coordinator.handle_json_bytes(frame.clone().into_bytes(), &CancelToken::never());
-        assert_eq!(reply, expected.to_json().to_string(), "{frame}");
-    }
+    ]
+    .iter()
+    .map(|values| query(values))
+    .collect();
+    assert_golden(
+        "coordinator-query",
+        &frames,
+        |_| false,
+        |frame| coordinator.handle_json_bytes(frame.as_bytes().to_vec(), &CancelToken::never()),
+    );
+    // Refused before any shard heard of them: no shard's cost attached.
+    let refused = golden("coordinator-query")
+        .iter()
+        .filter(|(_, reply)| reply.contains(r#""type":"error""#) && !reply.contains("shard_costs"))
+        .count();
     assert_eq!(refused, 9);
+}
+
+/// Every frame through a coordinator over two shards that built `a`
+/// through it, so that inserts are routed: the verbs it forwards unparsed
+/// (`insert`, `query`) and the ones it decodes reply as recorded.
+#[test]
+fn coordinator_replies_equal_the_recorded_corpus() {
+    let dir = ScratchDir::new("served-decode-fleet").unwrap();
+    let shards = ["shard-0", "shard-1"].map(|tag| {
+        Arc::new(LocalBackend::new(Arc::new(PalmServer::new(dir.file(tag)))))
+            as Arc<dyn ExecutionBackend>
+    });
+    let coordinator = Coordinator::new(shards.to_vec());
+    let reply = |frame: &str| {
+        coordinator.handle_json_bytes(frame.as_bytes().to_vec(), &CancelToken::never())
+    };
+    let built = reply(&build_a(&dataset(&dir, SERIES_LEN)).to_json().to_string());
+    assert!(built.starts_with(r#"{"type":"built""#), "{built}");
+    let kinds = assert_golden("coordinator", &every_frame(), |_| false, reply);
+    assert!(kinds.get("inserted").is_some_and(|&n| n >= 5), "{kinds:?}");
 }

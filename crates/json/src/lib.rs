@@ -11,19 +11,17 @@
 //! [`FromJson`] conversion traits, and [`wire!`], the declarative codec
 //! that derives both for every record of the palm protocol.
 //!
-//! Two entries parse by the same grammar without building the whole tree:
-//! [`scan_object`] / [`scan_array`] leave every value as text for a router,
-//! and [`parse_lifting`] decodes one float payload (an insert's rows, a
-//! query's values) straight to `f32`, the tree holding only the rest.  A
-//! 128 x 256 insert frame is 32,768 numbers: as [`Json::Num`] nodes their
-//! tree cost more than parsing them.
+//! One [`Reader`] walks the grammar for [`Json::parse`], for the scans that
+//! leave values as text for a router ([`scan_object`], [`scan_array`]), and
+//! for [`FromJson::read`], which decodes straight from it: a 128 x 256
+//! insert frame is 32,768 numbers, whose [`Json::Num`] nodes cost more than
+//! parsing them.
 //!
-//! Both walk a large array of arrays (an insert's rows, past
-//! [`SPLIT_MIN_BYTES`]) on every core: it is cut at row boundaries and
-//! each part runs the one element loop the whole array would have run, so
-//! counts, values and refusals are the one-thread walk's.  If a part does
-//! not end where that walk would have passed, the array is walked again on
-//! one thread.
+//! A large array of arrays (an insert's rows, past [`SPLIT_MIN_BYTES`]) is
+//! read on every core: it is cut at row boundaries and each part runs the
+//! one element loop the whole array would have run, so counts, values and
+//! refusals are the one-thread walk's.  If a part does not end where that
+//! walk would have passed, the array is walked again on one thread.
 //!
 //! Arrays and objects nest at most [`MAX_DEPTH`] deep in every entry: the
 //! parser recurses once per level, and a frame of ~100k `[` would overflow
@@ -84,7 +82,7 @@ pub type Result<T> = std::result::Result<T, JsonError>;
 impl Json {
     /// Parses a JSON document.
     pub fn parse(input: &str) -> Result<Json> {
-        let mut p = Parser::new(input);
+        let mut p = Reader::with_threads(input, 1);
         p.skip_ws();
         let value = p.value()?;
         p.end()?;
@@ -259,17 +257,10 @@ pub struct RawMember<'a> {
 }
 
 impl RawMember<'_> {
-    /// Decodes the value.  This is a full parse of [`RawMember::raw`]: meant
-    /// for the small members of an envelope, not for the payload the scan
-    /// exists to leave alone.
-    pub fn decode<T: FromJson>(&self) -> Result<T> {
-        T::from_json(&Json::parse(self.raw)?)
-    }
-
-    /// [`RawMember::decode`], its error worded as a record member's
-    /// (`field '…': …`).
+    /// Decodes the value, its error worded as a record member's (`field
+    /// '…': …`).
     pub fn field<T: FromJson>(&self) -> Result<T> {
-        self.decode().map_err(|e| wire::in_field(&self.key, e))
+        T::from_text(self.raw).map_err(|e| wire::in_field(&self.key, e))
     }
 }
 
@@ -302,8 +293,7 @@ pub fn scan_object(input: &str) -> Result<Vec<RawMember<'_>>> {
 
 /// [`scan_object`], its array split across up to `threads` threads.
 fn scan_split(input: &str, threads: usize) -> Result<Vec<RawMember<'_>>> {
-    let mut p = Parser::new(input);
-    p.split_threads = threads;
+    let mut p = Reader::with_threads(input, threads);
     p.skip_ws();
     let mut members = Vec::new();
     p.members(|p, key| {
@@ -328,7 +318,7 @@ fn scan_split(input: &str, threads: usize) -> Result<Vec<RawMember<'_>>> {
 /// returns its elements in order, each exactly as the input spells it,
 /// without the whitespace around it.
 pub fn scan_array(input: &str) -> Result<Vec<&str>> {
-    let mut p = Parser::new(input);
+    let mut p = Reader::with_threads(input, 1);
     p.skip_ws();
     let mut elements = Vec::new();
     p.elements(|p| {
@@ -341,61 +331,10 @@ pub fn scan_array(input: &str) -> Result<Vec<&str>> {
     Ok(elements)
 }
 
-/// The floats [`parse_lifting`] takes out of a document, decoded as
-/// [`FromJson`] decodes them: each number is parsed to an `f64` and cast.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Floats {
-    /// An array of numbers; also what an empty array lifts to.
-    Values(Vec<f32>),
-    /// An array of arrays of numbers.
-    Rows(Vec<Vec<f32>>),
-}
-
-/// Parses `input` as [`Json::parse`] does, except for the first top-level
-/// member called `key`: its value is decoded straight to [`Floats`] and
-/// left in the tree as an empty array.  No [`Json`] node is built for the
-/// payload, which is what a large float matrix costs in a tree.
-///
-/// `None` unless `input` is one JSON object by [`Json::parse`]'s grammar
-/// whose first `key` member is an array of numbers or of arrays of numbers:
-/// the caller parses such an input in full, which also words its refusal.
-///
-/// A large array of arrays is decoded on several threads: see
-/// [`SPLIT_MIN_BYTES`].
-pub fn parse_lifting(input: &str, key: &str) -> Option<(Json, Floats)> {
-    lift_split(input, key, cores())
-}
-
-/// [`parse_lifting`], its array split across up to `threads` threads.
-fn lift_split(input: &str, key: &str, threads: usize) -> Option<(Json, Floats)> {
-    let mut p = Parser::new(input);
-    p.split_threads = threads;
-    p.skip_ws();
-    let mut members = Vec::new();
-    let mut lifted = None;
-    p.members(|p, name| {
-        let value = if lifted.is_none() && name == key {
-            lifted = Some(match p.split(Parser::row) {
-                Some((_, parts)) => Floats::Rows(parts.into_iter().flatten().collect()),
-                None => p.floats()?,
-            });
-            Json::Arr(Vec::new())
-        } else {
-            p.value()?
-        };
-        members.push((name, value));
-        Ok(())
-    })
-    .ok()?;
-    p.end().ok()?;
-    Some((Json::Obj(members), lifted?))
-}
-
-/// The smallest array [`scan_object`] and [`parse_lifting`] split across
+/// The smallest array [`scan_object`] and [`FromJson::read`] split across
 /// threads, measured from its `[` to the end of the input.  Only an array
 /// of arrays is split (an insert's `series`: 354 KB for 128 rows of 256
-/// values), and at most one per document: the first top-level member value
-/// that opens `[[`, or the lifted member.
+/// values), and at most one per document: the first one the walk meets.
 ///
 /// It is cut into `min(available_parallelism, len / SPLIT_MIN_BYTES)`
 /// parts, each at the first `],[` within half this size past an even
@@ -420,7 +359,7 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Where [`Parser::split`] cuts the array of `len` bytes opening at `open`
+/// Where [`Reader::split`] cuts the array of `len` bytes opening at `open`
 /// into `parts`: the start of each part, the array's `[` and then the `[`
 /// after each cut's `,`.  `None` where a window holds no `],[`.
 fn cuts(bytes: &[u8], open: usize, len: usize, parts: usize) -> Option<Vec<usize>> {
@@ -438,32 +377,115 @@ fn cuts(bytes: &[u8], open: usize, len: usize, parts: usize) -> Option<Vec<usize
 /// `nesting deeper than 64 levels`, before the parser recurses past it.
 pub const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// The one reader of the grammar: [`Json::parse`], the scans and every
+/// [`FromJson::read`] walk the input with it.
+#[derive(Default)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Arrays and objects open at [`Parser::pos`].
+    /// Arrays and objects open at [`Reader::pos`].
     depth: usize,
     /// Length of the array completed last, zero again once another is
     /// entered: the capacity the next array starts with.  Rows of a matrix
     /// are siblings of equal length, so every row after the first is
     /// allocated once, at its final size.
     array_hint: usize,
-    /// The threads [`Parser::split`] may cut its next array for; 1 (no
-    /// split) unless the entry asks, and again once one array has been
-    /// tried, so a frame of many arrays pays for at most one split that
-    /// falls back.
+    /// The threads [`Reader::split`] may cut its next array for; 1 (no
+    /// split) once one array has been tried, so a frame of many arrays pays
+    /// for at most one split that falls back.
     split_threads: usize,
+    /// The key [`Reader::keep`] asked for, and where its value is.
+    keep: Option<&'static str>,
+    kept: Option<std::ops::Range<usize>>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
+impl<'a> Reader<'a> {
+    /// A reader of `input` that splits across the machine's cores.
+    pub fn new(input: &'a str) -> Self {
+        Reader::with_threads(input, cores())
+    }
+
+    /// A reader of `input` that splits across at most `threads` threads.
+    pub fn with_threads(input: &'a str, threads: usize) -> Self {
+        Reader {
             bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-            array_hint: 0,
-            split_threads: 1,
+            split_threads: threads,
+            ..Reader::default()
         }
+    }
+
+    /// Reads the input as one `T`, then nothing but whitespace.  The outer
+    /// error is the grammar's: a syntax error anywhere wins over a value
+    /// that does not decode, the inner error.
+    pub fn document<T: FromJson>(&mut self) -> Result<Result<T>> {
+        self.skip_ws();
+        let mut value = None;
+        self.claim(&mut value)?;
+        self.end()?;
+        Ok(value.expect("an empty slot is claimed"))
+    }
+
+    /// Remembers the first member called `key` of the top-level object, in
+    /// whichever walk passes it.
+    pub fn keep(&mut self, key: &'static str) {
+        self.keep = Some(key);
+    }
+
+    /// That member's value, as the input spells it.
+    pub fn kept(&self) -> Option<&'a str> {
+        let bytes = &self.bytes[self.kept.clone()?];
+        Some(std::str::from_utf8(bytes).expect("a value is whole UTF-8"))
+    }
+
+    /// Walks the object at the reader for a record: `claim` reads the value
+    /// of each key it claims ([`Reader::claim`]); the rest are only checked.
+    /// A value that is not an object is checked and has no members.  The
+    /// error is the grammar's.
+    pub fn fields(&mut self, mut claim: impl FnMut(&mut Self, &str) -> Result<bool>) -> Result<()> {
+        if self.peek() != Some(b'{') {
+            return self.skip_value().map(drop);
+        }
+        self.members(|p, key| match claim(p, &key)? {
+            true => Ok(()),
+            false => p.skip_value().map(drop),
+        })
+    }
+
+    /// Reads the value at the reader into `slot` unless the slot is full (a
+    /// member read before): whether it did.  A value that does not decode
+    /// leaves its refusal in the slot and is walked again from its start, so
+    /// the walk goes on and a syntax error, in it or after it, still wins.
+    /// The error is the grammar's.
+    pub fn claim<T: FromJson>(&mut self, slot: &mut Option<Result<T>>) -> Result<bool> {
+        if slot.is_some() {
+            return Ok(false);
+        }
+        let start = (self.pos, self.depth);
+        let value = T::read(self);
+        if value.is_err() {
+            (self.pos, self.depth) = start;
+            self.skip_value()?;
+        }
+        *slot = Some(value);
+        Ok(true)
+    }
+
+    /// The first member called `key` of the object at the reader, as
+    /// [`Reader::claim`] reads it.  The walk stops there and the reader is
+    /// left where it was.
+    pub fn find<T: FromJson>(&mut self, key: &str) -> Result<Option<Result<T>>> {
+        let (start, mut slot) = ((self.pos, self.depth), None);
+        let walked = match self.peek() {
+            // Cut short by an error once the member is read.
+            Some(b'{') => self.members(|p, name| match name == key {
+                true => p.claim(&mut slot).and(Err(JsonError::new("found"))),
+                false => p.skip_value().map(drop),
+            }),
+            _ => Ok(()),
+        };
+        (self.pos, self.depth) = start;
+        walked.or_else(|e| if slot.is_some() { Ok(()) } else { Err(e) })?;
+        Ok(slot)
     }
 
     /// Only whitespace may follow the document.
@@ -505,10 +527,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
+    fn literal(&mut self, word: &str) -> Result<()> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(JsonError::new(format!(
                 "invalid literal at offset {}",
@@ -519,11 +541,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
+            Some(b'[') => self.array(Self::value).map(Json::Arr),
             Some(b'{') => self.object(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number().map(Json::Num),
             _ => Err(JsonError::new(format!(
@@ -533,7 +555,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json> {
+    /// The array at the reader, each element read by `element`.
+    fn array<T>(&mut self, mut element: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         // The hint is for siblings only: what nests inside starts from zero,
         // and n elements take at least 2n - 1 bytes of the input that is left,
         // so the sender cannot make this reserve more than it goes on to send.
@@ -543,11 +566,11 @@ impl<'a> Parser<'a> {
             if items.is_empty() {
                 items.reserve_exact(hint);
             }
-            items.push(p.value()?);
+            items.push(element(p)?);
             Ok(())
         })?;
         self.array_hint = count;
-        Ok(Json::Arr(items))
+        Ok(items)
     }
 
     /// Walks an array, calling `element` with the parser at the first byte of
@@ -577,7 +600,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// The loop of [`Parser::elements`], from the start of an element: until
+    /// The loop of [`Reader::elements`], from the start of an element: until
     /// the array's `]` is consumed, or a `,` whose consumption leaves the
     /// parser at `stop` (which a `]` cannot: a split's cut is `],[`).
     fn elements_until(
@@ -607,15 +630,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Walks the array of arrays at the parser in parts, a thread each, as
+    /// Walks the array of arrays at the reader in parts, a thread each, as
     /// [`SPLIT_MIN_BYTES`] describes; each part hands its elements to
     /// `element` with an accumulator of its own.  The element count and the
-    /// parts' accumulators in order, the parser past the array; `None`, the
-    /// parser unmoved, where the array is not split or a part fails, and
+    /// parts' accumulators in order, the reader past the array; `None`, the
+    /// reader unmoved, where the array is not split or a part fails, and
     /// the caller walks it on one thread.
     fn split<T: Default + Send>(
         &mut self,
-        element: impl Fn(&mut Parser<'a>, &mut T) -> Result<()> + Sync,
+        element: impl Fn(&mut Reader<'a>, &mut T) -> Result<()> + Sync,
     ) -> Option<(usize, Vec<T>)> {
         let (bytes, open) = (self.bytes, self.pos);
         let len = bytes.len() - open;
@@ -633,14 +656,13 @@ impl<'a> Parser<'a> {
         let part = |i: usize| {
             // Every part but the last sees the input up to the next part.
             let end = starts.get(i + 1).copied();
-            let mut p = Parser {
+            let mut p = Reader {
                 bytes: &bytes[..end.unwrap_or(bytes.len())],
                 // The first part starts past the array's `[`.
                 pos: starts[i] + usize::from(i == 0),
                 // Inside the array, as the one-thread walk would be.
                 depth: depth + 1,
-                array_hint: 0,
-                split_threads: 1,
+                ..Reader::default()
             };
             let mut parsed = T::default();
             let stop = end.unwrap_or(usize::MAX);
@@ -675,49 +697,12 @@ impl<'a> Parser<'a> {
         Some((count, parsed))
     }
 
-    /// An array of numbers or of arrays of numbers, as [`Floats`]; any other
-    /// value is refused.  Each row starts at the length of the one before.
-    fn floats(&mut self) -> Result<Floats> {
-        let mut values = Vec::new();
-        let mut rows: Vec<Vec<f32>> = Vec::new();
-        self.elements(|p| {
-            if p.peek() == Some(b'[') && values.is_empty() {
-                p.row(&mut rows)?;
-            } else if rows.is_empty() {
-                values.push(p.float()?);
-            } else {
-                return Err(JsonError::new(format!("bad row at offset {}", p.pos)));
-            }
-            Ok(())
-        })?;
-        Ok(if rows.is_empty() {
-            Floats::Values(values)
-        } else {
-            Floats::Rows(rows)
-        })
-    }
-
-    /// One row of [`Floats::Rows`], an array of numbers, pushed onto `rows`
-    /// at the capacity of the row before.
-    fn row(&mut self, rows: &mut Vec<Vec<f32>>) -> Result<()> {
-        let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
-        self.elements(|p| {
-            row.push(p.float()?);
-            Ok(())
-        })?;
-        rows.push(row);
-        Ok(())
-    }
-
-    /// A number as `f32`, cast from its `f64` as [`FromJson`] casts it.
-    /// Only what opens a number in [`Parser::value`] is taken for one.
-    fn float(&mut self) -> Result<f32> {
+    /// A number; any other value is refused as not one.  Only what opens a
+    /// number in [`Reader::value`] is taken for one.
+    fn number_value(&mut self) -> Result<f64> {
         match self.peek() {
-            Some(b'-' | b'0'..=b'9') => Ok(self.number()? as f32),
-            _ => Err(JsonError::new(format!(
-                "expected a number at offset {}",
-                self.pos
-            ))),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(JsonError::new("expected a number")),
         }
     }
 
@@ -731,7 +716,7 @@ impl<'a> Parser<'a> {
         Ok(Json::Obj(members))
     }
 
-    /// Walks an object, handing each key to `member` with the parser at the
+    /// Walks an object, handing each key to `member` with the reader at the
     /// first byte of the member's value; `member` consumes the value.
     fn members(&mut self, mut member: impl FnMut(&mut Self, String) -> Result<()>) -> Result<()> {
         self.expect(b'{')?;
@@ -748,7 +733,11 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
+            let (start, keep) = (self.pos, self.depth == 1 && self.keep == Some(&*key));
             member(self, key)?;
+            if keep && self.kept.is_none() {
+                self.kept = Some(start..self.pos);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -900,7 +889,7 @@ impl<'a> Parser<'a> {
             .map_err(|_| JsonError::new(format!("invalid number at offset {start}")))
     }
 
-    /// Scans past a number, checking its grammar (see [`Parser::number`]):
+    /// Scans past a number, checking its grammar (see [`Reader::number`]):
     /// its sign, its mantissa digits folded (wrapping) and counted, and its
     /// power of ten.  Every number it accepts has a value, so a scan that
     /// only validates stops here.  Inlined, so the decoder pays nothing for
@@ -971,8 +960,22 @@ pub trait ToJson {
 
 /// Reconstruction of a value from JSON.
 pub trait FromJson: Sized {
-    /// Parses the value from JSON.
-    fn from_json(json: &Json) -> Result<Self>;
+    /// Reads the value at the reader, all of its grammar checked, and moves
+    /// past it.  After a refusal the reader stands anywhere in the value: a
+    /// walk that goes on starts it again ([`Reader::claim`]).
+    fn read(p: &mut Reader<'_>) -> Result<Self>;
+
+    /// Reads a whole document: [`FromJson::read`], then nothing but
+    /// whitespace.  A syntax error anywhere wins over a decode error.
+    fn from_text(text: &str) -> Result<Self> {
+        Reader::new(text).document().and_then(|read| read)
+    }
+
+    /// Reads a value from a tree: [`FromJson::from_text`] of its printed
+    /// text, where `-0` prints as `0` and a non-finite number as `null`.
+    fn from_json(json: &Json) -> Result<Self> {
+        Self::from_text(&json.to_string())
+    }
 }
 
 impl ToJson for Json {
@@ -988,9 +991,12 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json(json: &Json) -> Result<bool> {
-        json.as_bool()
-            .ok_or_else(|| JsonError::new("expected a boolean"))
+    fn read(p: &mut Reader<'_>) -> Result<bool> {
+        match p.peek() {
+            Some(b't') => p.literal("true").map(|()| true),
+            Some(b'f') => p.literal("false").map(|()| false),
+            _ => Err(JsonError::new("expected a boolean")),
+        }
     }
 }
 
@@ -1007,10 +1013,11 @@ impl ToJson for str {
 }
 
 impl FromJson for String {
-    fn from_json(json: &Json) -> Result<String> {
-        json.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::new("expected a string"))
+    fn read(p: &mut Reader<'_>) -> Result<String> {
+        match p.peek() {
+            Some(b'"') => p.string(),
+            _ => Err(JsonError::new("expected a string")),
+        }
     }
 }
 
@@ -1032,10 +1039,8 @@ macro_rules! impl_json_int {
             }
         }
         impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<$t> {
-                let n = json
-                    .as_f64()
-                    .ok_or_else(|| JsonError::new("expected a number"))?;
+            fn read(p: &mut Reader<'_>) -> Result<$t> {
+                let n = p.number_value()?;
                 if !n.is_finite() || n.fract() != 0.0 {
                     return Err(JsonError::new(format!("expected an integer, got {n}")));
                 }
@@ -1068,10 +1073,8 @@ macro_rules! impl_json_float {
             }
         }
         impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<$t> {
-                json.as_f64()
-                    .map(|n| n as $t)
-                    .ok_or_else(|| JsonError::new("expected a number"))
+            fn read(p: &mut Reader<'_>) -> Result<$t> {
+                p.number_value().map(|n| n as $t)
             }
         }
     )*};
@@ -1085,24 +1088,28 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(json: &Json) -> Result<Vec<T>> {
-        let items = json
-            .as_arr()
-            .ok_or_else(|| JsonError::new("expected an array"))?;
-        // Collecting into a `Result` would hide the length from the allocator.
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            out.push(T::from_json(item)?);
+/// `null`, or a `T`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn read(p: &mut Reader<'_>) -> Result<Option<T>> {
+        match p.peek() {
+            Some(b'n') => p.literal("null").map(|()| None),
+            _ => T::read(p).map(Some),
         }
-        Ok(out)
     }
 }
 
-/// Fetches a required member from a JSON object and converts it.
-pub fn member<T: FromJson>(json: &Json, key: &str) -> Result<T> {
-    let value = json.get(key).ok_or_else(|| wire::missing(key))?;
-    T::from_json(value).map_err(|e| wire::in_field(key, e))
+/// An array, its elements read in order; a large array of arrays on every
+/// core (see [`SPLIT_MIN_BYTES`]).
+impl<T: FromJson + Send> FromJson for Vec<T> {
+    fn read(p: &mut Reader<'_>) -> Result<Vec<T>> {
+        if p.peek() != Some(b'[') {
+            return Err(JsonError::new("expected an array"));
+        }
+        match p.split(|p, part: &mut Vec<T>| T::read(p).map(|item| part.push(item))) {
+            Some((_, parts)) => Ok(parts.into_iter().flatten().collect()),
+            None => p.array(T::read),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1167,6 +1174,14 @@ mod tests {
         }
     }
 
+    crate::wire! {
+        /// A record of rows, as an insert's `series` is read.
+        #[derive(Debug)]
+        struct Rows {
+            series: Vec<Vec<f32>>,
+        }
+    }
+
     /// Every entry refuses one level past `MAX_DEPTH` with the same text,
     /// and accepts `MAX_DEPTH` itself; so does a split array whose last row
     /// nests too deep.
@@ -1181,15 +1196,21 @@ mod tests {
             scan_array(&nested(MAX_DEPTH + 1)).unwrap_err().message,
             refusal
         );
-        assert!(parse_lifting(&deep, "a").is_none());
+        assert_eq!(String::from_text(&deep).unwrap_err().message, refusal);
         let flood = "[".repeat(100_000);
         assert_eq!(Json::parse(&flood).unwrap_err().message, refusal);
+        let flood_rows = format!(r#"{{"series":{flood}}}"#);
+        assert_eq!(Rows::from_text(&flood_rows).unwrap_err().message, refusal);
         let deepest = format!(r#"{{"a":{}}}"#, nested(MAX_DEPTH - 1));
         assert!(Json::parse(&deepest).is_ok());
         assert!(scan_object(&deepest).is_ok());
+        assert_eq!(
+            u64::from_text(&deepest).unwrap_err().message,
+            "expected a number"
+        );
 
         let rows = vec!["[1,2]"; SPLIT_MIN_BYTES / 2];
-        let split = |last: &str| format!(r#"{{"a":[{},{last}]}}"#, rows.join(","));
+        let split = |last: &str| format!(r#"{{"series":[{},{last}]}}"#, rows.join(","));
         // The rows sit two levels down, inside the object and the array.
         for (last, ok) in [
             (nested(MAX_DEPTH - 2), true),
@@ -1199,6 +1220,9 @@ mod tests {
             let refused = scan_split(&doc, 4).err().map(|e| e.message);
             assert_eq!(refused.as_deref(), (!ok).then_some(refusal));
             assert_eq!(Json::parse(&doc).is_ok(), ok);
+            let read = Reader::with_threads(&doc, 4).document::<Rows>();
+            let refused = read.as_ref().err().map(|e| e.message.as_str());
+            assert_eq!(refused, (!ok).then_some(refusal));
         }
     }
 
@@ -1213,16 +1237,27 @@ mod tests {
         assert_eq!(Json::parse(&pretty).unwrap(), v);
     }
 
+    crate::wire! {
+        #[derive(Debug, PartialEq)]
+        struct Helpers {
+            k: u64,
+            absent: u64 = 9,
+        }
+    }
+
     #[test]
     fn member_helpers() {
-        let v = Json::parse(r#"{"k":5,"s":"x"}"#).unwrap();
-        assert_eq!(member::<u64>(&v, "k").unwrap(), 5);
+        let v = Helpers::from_text(r#"{"k":5,"s":"x"}"#).unwrap();
+        assert_eq!(v.k, 5);
+        assert_eq!(v.absent, 9);
         assert_eq!(
-            wire::take_or::<u64>(v.get("absent"), "absent", || 9).unwrap(),
-            9
+            Helpers::from_text(r#"{"k":"x"}"#).unwrap_err().message,
+            "field 'k': expected a number"
         );
-        assert!(member::<u64>(&v, "s").is_err());
-        assert!(member::<u64>(&v, "absent").is_err());
+        assert_eq!(
+            Helpers::from_text(r#"{"absent":5}"#).unwrap_err().message,
+            "missing field 'k'"
+        );
     }
 
     #[test]
@@ -1236,7 +1271,7 @@ mod tests {
         assert!(i8::from_json(&Json::Num(-129.0)).is_err());
         assert_eq!(u64::from_json(&Json::Num(42.0)).unwrap(), 42);
         assert_eq!(i64::from_json(&Json::Num(-42.0)).unwrap(), -42);
-        // Floats stay permissive.
+        // Floating-point types stay permissive.
         assert_eq!(f64::from_json(&Json::Num(1.5)).unwrap(), 1.5);
     }
 
@@ -1391,9 +1426,9 @@ mod tests {
         );
         assert_eq!(members[0].elements, Some(3));
         assert_eq!(members[1].raw, "\"a\\\"]}\\u005d\\\\\"");
-        assert_eq!(members[1].decode::<String>().unwrap(), "a\"]}]\\");
-        assert_eq!(members[2].decode::<String>().unwrap(), "insert");
-        assert_eq!(members[3].decode::<u64>().unwrap(), 7);
+        assert_eq!(String::from_text(members[1].raw).unwrap(), "a\"]}]\\");
+        assert_eq!(String::from_text(members[2].raw).unwrap(), "insert");
+        assert_eq!(u64::from_text(members[3].raw).unwrap(), 7);
         assert_eq!(
             (members[4].raw, members[4].elements),
             ("{\"series\":[1]}", None)
@@ -1521,33 +1556,42 @@ mod tests {
         assert!(caps[3..].iter().all(|&c| c <= 4), "{:?}", &caps[3..]);
     }
 
-    /// What [`parse_lifting`] must agree with: the full parse, its first
-    /// `key` member converted by [`FromJson`] and replaced by `[]`.  `None`
-    /// where the lifting entry must decline.
-    fn lifted_by_the_tree(doc: &str, key: &str) -> Option<(Json, Floats)> {
-        let Ok(Json::Obj(mut members)) = Json::parse(doc) else {
-            return None;
+    /// What [`Rows`] must read: the full parse, its first `series` member
+    /// converted by hand, worded as the codec words a refusal.  The shape
+    /// and the bits of the rows: `-0` is not `0`.
+    fn rows_by_the_tree(doc: &str) -> Result<Result<Vec<Vec<u32>>>> {
+        let tree = Json::parse(doc)?;
+        let Some(series) = tree.get("series") else {
+            return Ok(Err(wire::missing("series")));
         };
-        let (_, value) = members.iter_mut().find(|(k, _)| k == key)?;
-        let floats = match Vec::<f32>::from_json(value) {
-            Ok(values) => Floats::Values(values),
-            Err(_) => Floats::Rows(Vec::<Vec<f32>>::from_json(value).ok()?),
+        fn array(json: &Json) -> Result<&[Json]> {
+            json.as_arr()
+                .ok_or_else(|| JsonError::new("expected an array"))
+        }
+        let number = |json: &Json| {
+            json.as_f64()
+                .ok_or_else(|| JsonError::new("expected a number"))
         };
-        *value = Json::Arr(Vec::new());
-        Some((Json::Obj(members), floats))
+        let row = |r| {
+            array(r)?
+                .iter()
+                .map(|v| Ok((number(v)? as f32).to_bits()))
+                .collect()
+        };
+        let rows = array(series).and_then(|rows| rows.iter().map(row).collect());
+        Ok(rows.map_err(|e| wire::in_field("series", e)))
     }
 
-    /// The shape and the bits of `floats`: `-0` is not `0`.
-    fn bits(floats: &Floats) -> (bool, Vec<Vec<u32>>) {
-        let row = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect();
-        match floats {
-            Floats::Values(values) => (false, vec![row(values)]),
-            Floats::Rows(rows) => (true, rows.iter().map(|r| row(r)).collect()),
-        }
+    /// [`Rows`] read on up to `threads` threads, as [`rows_by_the_tree`]
+    /// answers.
+    fn rows_read(doc: &str, threads: usize) -> Result<Result<Vec<Vec<u32>>>> {
+        let read = Reader::with_threads(doc, threads).document::<Rows>()?;
+        let bits = |r: &Vec<f32>| r.iter().map(|v| v.to_bits()).collect();
+        Ok(read.map(|rows| rows.series.iter().map(bits).collect()))
     }
 
     #[test]
-    fn lifting_agrees_with_the_tree_or_declines() {
+    fn rows_read_agree_with_the_tree() {
         let whole = r#"{"type":"insert","name":"s","series":[[1,-2.5e0],[3,4]],"timestamp":1}"#;
         let mut docs: Vec<String> = (0..=whole.len())
             .map(|cut| whole[..cut].to_string())
@@ -1586,13 +1630,9 @@ mod tests {
         docs.push(r#"{"other":[[1]]}"#.to_string());
         docs.push(r#"{"deep":{"series":[[1]]}}"#.to_string());
         for doc in &docs {
-            let got = parse_lifting(doc, "series");
-            let expected = lifted_by_the_tree(doc, "series");
-            assert_eq!(
-                got.as_ref().map(|(json, floats)| (json, bits(floats))),
-                expected.as_ref().map(|(json, floats)| (json, bits(floats))),
-                "{doc:?}"
-            );
+            let expected = rows_by_the_tree(doc);
+            assert_eq!(rows_read(doc, 1), expected, "{doc:?}");
+            assert_eq!(rows_read(doc, 4), expected, "{doc:?}");
         }
     }
 
@@ -1647,16 +1687,20 @@ mod tests {
         start..end
     }
 
-    /// Splitting is invisible: [`scan_object`] and [`parse_lifting`] on up to
-    /// `threads` threads return what they return on one, refusals included.
+    /// Splitting is invisible: [`scan_object`] and a read of the rows on up
+    /// to `threads` threads return what they return on one: counts, float
+    /// bits and refusals.
     fn assert_split_is_exact(doc: &str, threads: usize) {
         assert_eq!(
             scan_split(doc, threads),
             scan_split(doc, 1),
             "{threads} threads"
         );
-        let lifted = |threads| lift_split(doc, "series", threads).map(|(json, f)| (json, bits(&f)));
-        assert_eq!(lifted(threads), lifted(1), "{threads} threads");
+        assert_eq!(
+            rows_read(doc, threads),
+            rows_read(doc, 1),
+            "{threads} threads"
+        );
     }
 
     #[test]
@@ -1665,9 +1709,8 @@ mod tests {
         let (open, starts) = series_cuts(&doc, 4);
         assert_eq!(starts.len(), 4);
         let walked = |doc: &str, threads: usize| {
-            let mut p = Parser::new(doc);
+            let mut p = Reader::with_threads(doc, threads);
             p.pos = open;
-            p.split_threads = threads;
             let split = p.split(|p, (): &mut ()| p.skip_value().map(drop));
             (
                 split.map(|(count, _)| count),
@@ -1675,7 +1718,7 @@ mod tests {
                 p.split(|_, (): &mut ()| Ok(())),
             )
         };
-        let mut whole = Parser::new(&doc);
+        let mut whole = Reader::with_threads(&doc, 1);
         whole.pos = open;
         let count = whole.elements(|p| p.skip_value().map(drop)).unwrap();
         // It engages, counts every row, ends where one thread ends, and

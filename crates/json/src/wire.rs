@@ -18,56 +18,48 @@ pub fn in_field(key: &str, e: JsonError) -> JsonError {
     JsonError::new(format!("field '{key}': {e}"))
 }
 
-fn decode<T: FromJson>(value: &Json, key: &str, bare: bool) -> Result<T> {
-    T::from_json(value).map_err(|e| if bare { e } else { in_field(key, e) })
-}
-
 /// A record member, by its type.  A plain value is required and always
 /// written.  An `Option` is written only when `Some`, and absent reads as
 /// `None`; a present one must decode, so `null` is refused.
 pub trait Member: Sized {
+    /// What the member's value reads as.
+    type Value: FromJson;
+
     /// Appends the member to `out` under `key`, unless there is nothing to
     /// write.
     fn put(&self, key: &str, out: &mut Members);
 
-    /// Decodes the member from the value found under `key` (`None`: the
-    /// member is absent).  A `bare` member's decode error is passed on as
-    /// it is, not prefixed with `key`.
-    fn take(value: Option<&Json>, key: &str, bare: bool) -> Result<Self>;
+    /// The member, from what the walk found under `key`: nothing, or the
+    /// first value read or refused.  A `bare` member's decode error is
+    /// passed on as it is, not prefixed with `key`.
+    fn finish(slot: Option<Result<Self::Value>>, key: &str, bare: bool) -> Result<Self>;
 }
 
 impl<T: ToJson + FromJson> Member for T {
+    type Value = T;
+
     fn put(&self, key: &str, out: &mut Members) {
         out.push((key.to_string(), self.to_json()));
     }
 
-    fn take(value: Option<&Json>, key: &str, bare: bool) -> Result<T> {
-        decode(value.ok_or_else(|| missing(key))?, key, bare)
+    fn finish(slot: Option<Result<T>>, key: &str, bare: bool) -> Result<T> {
+        slot.ok_or_else(|| missing(key))?
+            .map_err(|e| if bare { e } else { in_field(key, e) })
     }
 }
 
 impl<T: ToJson + FromJson> Member for Option<T> {
+    type Value = T;
+
     fn put(&self, key: &str, out: &mut Members) {
         if let Some(value) = self {
             value.put(key, out);
         }
     }
 
-    fn take(value: Option<&Json>, key: &str, bare: bool) -> Result<Option<T>> {
-        value.map(|value| decode(value, key, bare)).transpose()
-    }
-}
-
-/// Decodes a defaulted member: absent or `null` is `default()`, which is
-/// evaluated only then.
-pub fn take_or<T: FromJson>(
-    value: Option<&Json>,
-    key: &str,
-    default: impl FnOnce() -> T,
-) -> Result<T> {
-    match value {
-        None | Some(Json::Null) => Ok(default()),
-        Some(value) => decode(value, key, false),
+    fn finish(slot: Option<Result<T>>, key: &str, bare: bool) -> Result<Option<T>> {
+        slot.map(|value| value.map_err(|e| if bare { e } else { in_field(key, e) }))
+            .transpose()
     }
 }
 
@@ -84,9 +76,10 @@ pub fn put_flat<T: ToJson>(value: &T, out: &mut Members) {
 /// * **Record** — `struct Name { field: Type, ... }`: one JSON object whose
 ///   members are the fields, named as the fields and in their order.
 /// * **Tagged union** — `enum Name tagged "what" { Variant = "tag" { ... },
-///   Unit = "tag", ... }`: an object whose `"type"` member, written first,
-///   names the variant; the variant's fields follow as a record's do.  An
-///   unknown tag is refused as `unknown <what> type '<tag>'`.
+///   Unit = "tag", ... }`: an object whose `"type"` member, written first
+///   and read wherever it stands, names the variant; the variant's fields
+///   follow as a record's do.  An unknown tag is refused as `unknown <what>
+///   type '<tag>'`.
 /// * **Name enum** — `enum Name names "what" { Variant = "name", ... }`:
 ///   a string.  A non-string is refused as `expected a string for <what>`;
 ///   a name not listed goes to the optional `unknown: <fn(&str) ->
@@ -101,14 +94,17 @@ pub fn put_flat<T: ToJson>(value: &T, out: &mut Members) {
 ///   then; it may name a field declared before it;
 /// * `[bare]` — a decode error is passed on without the `field '…': `
 ///   prefix;
-/// * `[flat]` — a record whose members are written into, and read from,
-///   the enclosing object;
-/// * `[with codec]` — written by `codec::put(&value, &mut members)` and
-///   read by `codec::take(&object)`, for what a declaration cannot state.
+/// * `[flat]` — a variant's only field, a record whose members are written
+///   into, and read from, the variant's object;
+/// * `[with codec]` — written by `codec::put(&value, &mut members)`, read
+///   by `codec::claim(&mut slots, reader, key)` (as [`Reader::claim`](crate::Reader::claim), for
+///   the keys it owns) and `codec::finish(slots)` over a `codec::Slots:
+///   Default`; for what a declaration cannot state.
 ///
-/// A required member that is absent is refused as `missing field '…'`,
-/// one that does not decode as `field '…': …` (see [`missing`],
-/// [`in_field`]).
+/// An object is read in one walk: the first member under a field's key is
+/// read in place into the field's slot, any other only checked; then
+/// the first field declared that is absent (`missing field '…'`) or did not
+/// decode (`field '…': …`) is refused, unless a syntax error came first.
 #[macro_export]
 macro_rules! wire {
     (
@@ -146,11 +142,11 @@ macro_rules! wire {
         }
 
         impl $crate::FromJson for $name {
-            fn from_json(json: &$crate::Json) -> $crate::Result<$name> {
-                let name = json.as_str().ok_or_else(|| {
+            fn read(p: &mut $crate::Reader<'_>) -> $crate::Result<$name> {
+                let name = <String as $crate::FromJson>::read(p).map_err(|_| {
                     $crate::JsonError::new(concat!("expected a string for ", $what))
                 })?;
-                match name {
+                match name.as_str() {
                     $( $wire => Ok($name::$variant), )+
                     other => {
                         let unknown: fn(&str) -> ::std::result::Result<$name, String> =
@@ -190,7 +186,7 @@ macro_rules! wire {
                     $(
                         $name::$variant $({ $($field),* })? => {
                             let mut members: $crate::wire::Members =
-                                Vec::with_capacity(1 $($( + $crate::__wire_one!($field) )*)?);
+                                Vec::with_capacity(1 $($( + $crate::__wire_each!($field, 1) )*)?);
                             members.push(("type".to_string(), $crate::Json::Str($tag.to_string())));
                             $($( $crate::__wire_put!(members, $field $([$($mode)+])?); )*)?
                             $crate::Json::Obj(members)
@@ -201,18 +197,14 @@ macro_rules! wire {
         }
 
         impl $crate::FromJson for $name {
-            fn from_json(json: &$crate::Json) -> $crate::Result<$name> {
-                let tag: String = $crate::member(json, "type")?;
+            fn read(p: &mut $crate::Reader<'_>) -> $crate::Result<$name> {
+                // The tag: the first `type` member, wherever it stands.
+                let tag = <String as $crate::wire::Member>::finish(p.find("type")?, "type", false)?;
                 match tag.as_str() {
                     $(
-                        $tag => {
-                            $($(
-                                let $field: $fty = $crate::__wire_take!(
-                                    json, $field, $fty $([$($mode)+])? $(= $default)?
-                                )?;
-                            )*)?
-                            Ok($name::$variant $({ $($field),* })?)
-                        }
+                        $tag => $crate::__wire_record!(p, $name::$variant $({
+                            $( $field : $fty $([$($mode)+])? $(= $default)? ),*
+                        })?),
                     )+
                     other => Err($crate::JsonError::new(format!(
                         concat!("unknown ", $what, " type '{}'"),
@@ -241,30 +233,28 @@ macro_rules! wire {
             fn to_json(&self) -> $crate::Json {
                 let $name { $($field),+ } = self;
                 let mut members: $crate::wire::Members =
-                    Vec::with_capacity(0 $( + $crate::__wire_one!($field) )+);
+                    Vec::with_capacity(0 $( + $crate::__wire_each!($field, 1) )+);
                 $( $crate::__wire_put!(members, $field $([$($mode)+])?); )+
                 $crate::Json::Obj(members)
             }
         }
 
         impl $crate::FromJson for $name {
-            fn from_json(json: &$crate::Json) -> $crate::Result<$name> {
-                $(
-                    let $field: $fty = $crate::__wire_take!(
-                        json, $field, $fty $([$($mode)+])? $(= $default)?
-                    )?;
-                )+
-                Ok($name { $($field),+ })
+            fn read(p: &mut $crate::Reader<'_>) -> $crate::Result<$name> {
+                $crate::__wire_record!(p, $name {
+                    $( $field : $fty $([$($mode)+])? $(= $default)? ),+
+                })
             }
         }
     };
 }
 
+/// `$value`, once per `$field` of a repetition.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __wire_one {
-    ($field:ident) => {
-        1
+macro_rules! __wire_each {
+    ($field:ident, $value:expr) => {
+        $value
     };
 }
 
@@ -298,28 +288,71 @@ macro_rules! __wire_put {
     };
 }
 
+/// Reads the object at the reader as `$ctor`, a struct or a variant: in
+/// one walk, or as its only field's if that is `[flat]`.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __wire_take {
-    ($json:ident, $field:ident, $ty:ty) => {
-        <$ty as $crate::wire::Member>::take(
-            $json.get(stringify!($field)),
-            stringify!($field),
-            false,
-        )
+macro_rules! __wire_record {
+    ($p:ident, $($ctor:ident)::+) => {{
+        $p.fields(|_, _| Ok(false))?;
+        Ok($($ctor)::+)
+    }};
+    ($p:ident, $($ctor:ident)::+ { $field:ident : $fty:ty [flat] }) => {
+        Ok($($ctor)::+ { $field: <$fty as $crate::FromJson>::read($p)? })
     };
-    ($json:ident, $field:ident, $ty:ty [bare]) => {
-        <$ty as $crate::wire::Member>::take($json.get(stringify!($field)), stringify!($field), true)
+    ($p:ident, $($ctor:ident)::+ {
+        $( $field:ident : $fty:ty $([$($mode:tt)+])? $(= $default:expr)? ),+
+    }) => {{
+        let mut slots = ($( $crate::__wire_each!($field, Default::default()), )+);
+        $p.fields(|p, key| {
+            let ($($field,)+) = &mut slots;
+            $( $crate::__wire_claim!(p, key, $field $([$($mode)+])? $(= $default)?); )+
+            Ok(false)
+        })?;
+        let ($($field,)+) = slots;
+        $(
+            let $field: $fty = $crate::__wire_finish!(
+                $field, $fty $([$($mode)+])? $(= $default)?
+            )?;
+        )+
+        Ok($($ctor)::+ { $($field),+ })
+    }};
+}
+
+/// Reads a member into the field's slot if `key` is the field's.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_claim {
+    ($p:ident, $key:ident, $field:ident $([bare])? $(= $default:expr)?) => {
+        if $key == stringify!($field) {
+            return $p.claim($field);
+        }
     };
-    ($json:ident, $field:ident, $ty:ty [flat]) => {
-        <$ty as $crate::FromJson>::from_json($json)
+    ($p:ident, $key:ident, $field:ident [with $codec:ident]) => {
+        if $codec::claim($field, $p, $key)? {
+            return Ok(true);
+        }
     };
-    ($json:ident, $field:ident, $ty:ty [with $codec:ident]) => {
-        $codec::take($json)
+}
+
+/// Takes a field from its slot.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_finish {
+    ($slot:ident, $ty:ty) => {
+        <$ty as $crate::wire::Member>::finish($slot, stringify!($slot), false)
     };
-    ($json:ident, $field:ident, $ty:ty = $default:expr) => {
-        $crate::wire::take_or::<$ty>($json.get(stringify!($field)), stringify!($field), || {
-            $default
-        })
+    ($slot:ident, $ty:ty [bare]) => {
+        <$ty as $crate::wire::Member>::finish($slot, stringify!($slot), true)
+    };
+    ($slot:ident, $ty:ty [with $codec:ident]) => {
+        $codec::finish($slot)
+    };
+    // Absent or `null`: the default, evaluated only then.
+    ($slot:ident, $ty:ty = $default:expr) => {
+        $slot
+            .transpose()
+            .map(|value: Option<Option<$ty>>| value.flatten().unwrap_or_else(|| $default))
+            .map_err(|e| $crate::wire::in_field(stringify!($slot), e))
     };
 }

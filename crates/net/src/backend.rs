@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 
 use coconut_core::backend::{BackendError, ExecutionBackend, Finish};
 use coconut_core::palm::{PalmResponse, ERROR_KIND_OVERLOADED};
-use coconut_json::FromJson;
 use parking_lot::Mutex;
 
 use crate::client::{CallError, PalmClient, RetryPolicy};
@@ -93,9 +92,7 @@ impl RemoteBackend {
             )));
         }
         match client.receive_with_retry(frame, &self.policy) {
-            Ok(response_json) => PalmResponse::from_json(&response_json).map_err(|e| {
-                BackendError::Protocol(format!("worker {}: bad response: {e}", self.addr))
-            }),
+            Ok(response) => Ok(response),
             Err(CallError::RetriesExhausted {
                 last_retry_after_ms,
                 attempts,

@@ -11,8 +11,8 @@ use std::io::{Error, ErrorKind, Result};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use coconut_core::palm::ERROR_KIND_OVERLOADED;
-use coconut_json::Json;
+use coconut_core::palm::{PalmResponse, ERROR_KIND_OVERLOADED};
+use coconut_json::FromJson;
 
 use crate::frame::{write_frame, FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
@@ -43,7 +43,7 @@ impl Default for RetryPolicy {
 pub enum CallError {
     /// The transport failed (connect, write, read, malformed frame).
     Io(Error),
-    /// The server answered, but with bytes that do not parse as JSON.
+    /// The server answered, but with bytes that are not a reply.
     Protocol(String),
     /// Every attempt was shed with `overloaded`; the caller should back
     /// off at its own level (or surface the overload to *its* caller).
@@ -151,13 +151,6 @@ impl PalmClient {
         }
     }
 
-    /// [`PalmClient::call`] with JSON values on both sides.
-    pub fn call_json(&mut self, request: &Json) -> Result<Json> {
-        let response = self.call(&request.to_string())?;
-        Json::parse(&response)
-            .map_err(|e| Error::new(ErrorKind::InvalidData, format!("bad response JSON: {e}")))
-    }
-
     /// Next jitter factor in `[0.5, 1.0)` — a multiplicative spread that
     /// desynchronizes retry herds without ever *exceeding* the server's
     /// hint (retrying early is wasteful, retrying late is merely polite).
@@ -179,7 +172,7 @@ impl PalmClient {
         &mut self,
         request: &str,
         policy: &RetryPolicy,
-    ) -> std::result::Result<Json, CallError> {
+    ) -> std::result::Result<PalmResponse, CallError> {
         self.send(request)?;
         self.receive_with_retry(request, policy)
     }
@@ -191,24 +184,22 @@ impl PalmClient {
         &mut self,
         request: &str,
         policy: &RetryPolicy,
-    ) -> std::result::Result<Json, CallError> {
+    ) -> std::result::Result<PalmResponse, CallError> {
         let started = Instant::now();
         let mut waited = Duration::ZERO;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let response = self.receive()?;
-            let json = Json::parse(&response)
-                .map_err(|e| CallError::Protocol(format!("bad response JSON: {e}")))?;
-            let overloaded = json.get("type").and_then(Json::as_str) == Some("error")
-                && json.get("kind").and_then(Json::as_str) == Some(ERROR_KIND_OVERLOADED);
-            if !overloaded {
-                return Ok(json);
-            }
-            let last_hint = json
-                .get("retry_after_ms")
-                .and_then(Json::as_f64)
-                .map(|ms| ms.max(0.0) as u64);
+            let response = PalmResponse::from_text(&self.receive()?)
+                .map_err(|e| CallError::Protocol(format!("bad response: {e}")))?;
+            let last_hint = match &response {
+                PalmResponse::Error {
+                    kind,
+                    retry_after_ms,
+                    ..
+                } if kind == ERROR_KIND_OVERLOADED => *retry_after_ms,
+                _ => return Ok(response),
+            };
             let backoff = last_hint
                 .map(Duration::from_millis)
                 .unwrap_or(policy.default_backoff)

@@ -65,7 +65,7 @@ use coconut_core::palm::{
 use coconut_core::{check_finite, merge_topk, BuildReport, Dataset, Neighbor, QueryCost};
 use coconut_json::wire::in_field;
 use coconut_json::{
-    find_member, parse_lifting, require_member, scan_object, Floats, JsonError, RawMember, ToJson,
+    find_member, require_member, scan_object, FromJson, JsonError, RawMember, ToJson,
 };
 use coconut_parallel::{chunk_bounds, CancelToken};
 
@@ -632,10 +632,8 @@ impl Coordinator {
         let rows = series
             .elements
             .ok_or_else(|| in_field("series", JsonError::new("expected an array")))?;
-        let timestamp = match find_member(members, "timestamp") {
-            Some(member) if member.raw != "null" => member.field::<u64>()?,
-            _ => 0,
-        };
+        let timestamp = find_member(members, "timestamp").map(RawMember::field::<Option<u64>>);
+        let timestamp = timestamp.transpose()?.flatten().unwrap_or(0);
         if find_member(members, "base_id").is_some() {
             return Ok(base_id_error());
         }
@@ -649,19 +647,13 @@ impl Coordinator {
     /// floats are decoded for the check and never printed.
     fn query_frame(
         &self,
-        text: &str,
         members: &[RawMember<'_>],
         deadline: Option<Duration>,
     ) -> Result<PalmResponse, JsonError> {
         let name = require_member(members, "name")?;
         name.field::<String>()?;
         let query = require_member(members, "query")?;
-        // Lifted where they are all numbers; otherwise the codec's decode
-        // words the refusal.
-        let values = match parse_lifting(text, "query") {
-            Some((_, Floats::Values(values))) => values,
-            _ => query.field::<Vec<f32>>()?,
-        };
+        let values = query.field::<Vec<f32>>()?;
         let k = require_member(members, "k")?;
         let k_value: usize = k.field()?;
         let exact = require_member(members, "exact")?;
@@ -797,12 +789,11 @@ impl RequestHandler for Coordinator {
             Ok(members) => members,
             Err(e) => return malformed(format!("malformed request: {e}")),
         };
-        let request_deadline = match find_member(&members, "deadline_ms") {
+        let deadline_ms = find_member(&members, "deadline_ms").map(|m| f64::from_text(m.raw));
+        let request_deadline = match deadline_ms {
             None => None,
-            Some(value) => match value.decode::<f64>() {
-                Ok(ms) if ms >= 0.0 => Some(Duration::from_millis(ms as u64)),
-                _ => return malformed("deadline_ms must be a non-negative number".to_string()),
-            },
+            Some(Ok(ms)) if ms >= 0.0 => Some(Duration::from_millis(ms as u64)),
+            Some(_) => return malformed("deadline_ms must be a non-negative number".to_string()),
         };
         // The tighter of the request's deadline and the front-end token's.
         let token_deadline = cancel
@@ -812,12 +803,11 @@ impl RequestHandler for Coordinator {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let kind = find_member(&members, "type").and_then(|kind| kind.decode::<String>().ok());
+        let kind = find_member(&members, "type").and_then(|kind| String::from_text(kind.raw).ok());
         let response = match kind.as_deref() {
             Some("insert") => self.insert_frame(&members, deadline),
-            Some("query") => self.query_frame(&text, &members, deadline),
+            Some("query") => self.query_frame(&members, deadline),
             _ => PalmRequest::from_text(&text)
-                .and_then(|(_, request)| request)
                 .map(|request| self.handle_with_deadline(request, deadline)),
         };
         match response {

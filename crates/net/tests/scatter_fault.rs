@@ -565,7 +565,10 @@ fn client_retries_overloaded_sheds_until_success() {
     let response = client
         .call_with_retry(&PalmRequest::ListIndexes.to_json().to_string(), &policy)
         .expect("two sheds then success must succeed");
-    assert_eq!(response.get("type").and_then(Json::as_str), Some("indexes"));
+    assert_eq!(
+        response.to_json().get("type").and_then(Json::as_str),
+        Some("indexes")
+    );
     // Two jittered waits of a 10 ms hint: at least 10 ms total (jitter
     // halves at worst), comfortably under the budget.
     assert!(started.elapsed() >= Duration::from_millis(10));
