@@ -1,7 +1,7 @@
-//! Criterion micro-benchmarks (M1-M7 in DESIGN.md): sortable-key encoding,
+//! Criterion micro-benchmarks (M1-M8 in DESIGN.md): sortable-key encoding,
 //! MINDIST evaluation, external sorting, CTree block search, windowed exact
-//! search over BTP partitions, the run writer, and the wire path's request
-//! decode, envelope scan and frame split.
+//! search over BTP partitions, the run writer, the wire path's request
+//! decode, envelope scan and frame split, and the CTree bulk load.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -12,6 +12,7 @@ use coconut_net::{FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
 use coconut_sax::mindist::{mindist_paa_sax_sq, QueryBounds};
 use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
+use coconut_series::dataset::DatasetWriter;
 use coconut_series::distance::squared_euclidean;
 use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
@@ -352,9 +353,68 @@ fn bench_frame_split(c: &mut Criterion) {
     });
 }
 
+/// The bulk load `static-explore` times: a non-materialized CTree over a
+/// 50k x 256 archive (51.2 MB) at a 1 MiB sort budget, so the sort spills
+/// four runs.  Every build must index every series and leave no spill run;
+/// set-up checks each leaf entry's key against the SAX-word reference key
+/// of its id.  The timed region ends with the tree's drop, which waits for
+/// the queued `fdatasync` of its leaves.
+fn bench_ctree_bulk_load(c: &mut Criterion) {
+    const SERIES: usize = 50_000;
+    const LEN: usize = 256;
+    let sax = SaxConfig::paper_default(LEN);
+    let summarizer = SortableSummarizer::new(sax);
+    let dir = ScratchDir::new("bench-bulk-load").unwrap();
+    let mut writer = DatasetWriter::create(dir.file("archive.bin"), LEN).unwrap();
+    let mut gen = RandomWalkGenerator::new(LEN, 8);
+    let reference: Vec<u128> = (0..SERIES)
+        .map(|_| {
+            let s = gen.next_series();
+            writer.append(&s.values).unwrap();
+            InvSaxKey::from_sax(&summarizer.sax(&s.values)).raw()
+        })
+        .collect();
+    let dataset = writer.finish().unwrap();
+    let config = coconut_ctree::CTreeConfig::new(sax).with_memory_budget(1 << 20);
+    let build = |index_dir: &ScratchDir| {
+        let tree =
+            coconut_ctree::CTree::build(&dataset, config, index_dir.path(), IoStats::shared())
+                .unwrap();
+        assert_eq!(tree.len(), SERIES as u64);
+        assert_eq!(tree.build_stats().sort_runs, 4);
+        let spill = std::fs::read_dir(index_dir.path())
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("dynsort-run-")
+            })
+            .count();
+        assert_eq!(spill, 0, "spill runs left behind");
+        tree
+    };
+    let index_dir = ScratchDir::new("bench-bulk-load-index").unwrap();
+    let tree = build(&index_dir);
+    for entry in tree.leaf_file().reader(4096) {
+        let entry = entry.unwrap();
+        assert_eq!(
+            entry.key, reference[entry.id as usize],
+            "key of {}",
+            entry.id
+        );
+    }
+    drop(tree);
+    c.bench_function("m8_ctree_bulk_load_50k", |b| {
+        b.iter_batched(
+            || ScratchDir::new("bench-bulk-load-index").unwrap(),
+            |index_dir| std::hint::black_box(build(&index_dir).len()),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_btp_window_exact, bench_run_write, bench_request_decode, bench_insert_frame_scan, bench_frame_split
+    targets = bench_invsax_encode, bench_mindist, bench_external_sort, bench_ctree_query, bench_btp_window_exact, bench_run_write, bench_request_decode, bench_insert_frame_scan, bench_frame_split, bench_ctree_bulk_load
 }
 criterion_main!(micro);

@@ -2387,4 +2387,44 @@ mod tests {
             Some("query_result")
         );
     }
+
+    /// An archive holding a non-finite value is refused at build time by
+    /// every variant and layout, as an insert of that row would be: a
+    /// `config` error naming the value, never an index that answers `null`
+    /// distances.
+    #[test]
+    fn archive_with_a_non_finite_value_is_refused_by_every_variant() {
+        let dir = ScratchDir::new("palm-nan").unwrap();
+        let mut series = RandomWalkGenerator::new(64, 14).generate(300);
+        series[5].values[3] = f32::NAN;
+        let path = dir.file("raw.bin");
+        Dataset::create_from_series(&path, &series).unwrap();
+        let server = PalmServer::new(dir.file("work"));
+        for variant in VariantKind::all() {
+            for materialized in [true, false] {
+                let at = format!("{variant:?} materialized={materialized}");
+                let name = format!("{variant:?}-{materialized}");
+                let request = PalmRequest::build_index(
+                    name,
+                    path.to_string_lossy(),
+                    variant,
+                    materialized,
+                    1 << 20,
+                );
+                let reply =
+                    Json::parse(&server.handle_json(&request.to_json().to_string())).unwrap();
+                assert_eq!(kind(&reply), Some(ERROR_KIND_CONFIG), "{at}: {reply:?}");
+                let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+                assert!(
+                    message.contains("inserted series value 3 is not finite"),
+                    "{at}: {message}"
+                );
+            }
+        }
+        let reply = Json::parse(&server.handle_json(r#"{"type":"list_indexes"}"#)).unwrap();
+        assert_eq!(
+            reply.get("names").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(0)
+        );
+    }
 }

@@ -5,11 +5,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::kernels::euclidean_early_abandon;
-use coconut_parallel::effective_parallelism;
-use coconut_sax::{SaxConfig, SortableSummarizer};
-use coconut_series::dataset::Dataset;
+use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
+use coconut_series::dataset::{Dataset, DatasetReader};
 use coconut_series::distance::Neighbor;
-use coconut_series::{Series, Timestamp};
+use coconut_series::{Series, SeriesId, Timestamp};
 use coconut_storage::dynsort::DynExternalSorter;
 use coconut_storage::iostats::{IoStatsSnapshot, SharedIoStats};
 use coconut_storage::page::DEFAULT_PAGE_SIZE;
@@ -179,24 +178,19 @@ impl CTree {
         let summarizer = SortableSummarizer::new(config.sax);
         let layout = config.layout();
 
-        // Pass 1: sequential scan of the raw data file, summarizing series
-        // into entries in parallel batches (timestamp 0 for static
-        // datasets).  The staging batch is capped at an eighth of the sort
-        // budget (series + entries are alive together during a refill, so
-        // the stage contributes at most ~a quarter of the budget on top of
-        // the sorter's own half-budget chunk).
+        // Pass 1: sequential block scan of the raw data file, keying each
+        // block's rows where they lie (timestamp 0 for static datasets).
         let materialized = config.materialized;
-        let batch_records = (config.memory_budget_bytes
-            / 8
-            / coconut_storage::RecordLayout::record_size(&layout).max(1))
-        .clamp(256, 1 << 16);
-        let mut entries = BatchedEntryIter::new(
-            dataset.iter()?,
-            &summarizer,
+        let mut entries = BlockEntries {
+            reader: dataset.iter()?,
+            summarizer: &summarizer,
             materialized,
-            config.knobs.parallelism,
-            batch_records,
-        );
+            parallelism: config.knobs.parallelism,
+            first_id: 0,
+            keys: Vec::new(),
+            next: 0,
+            error: None,
+        };
 
         // Pass 2: bounded-memory external sort by interleaved key, with
         // run-generation chunks sorted by the same worker pool.
@@ -204,24 +198,29 @@ impl CTree {
             DynExternalSorter::new(layout, config.memory_budget_bytes, dir, Arc::clone(&stats))
                 .with_page_size(config.page_size)
                 .with_knobs(config.knobs);
-        let sorted = sorter.sort(&mut entries)?;
-        if let Some(err) = entries.error.take() {
-            return Err(err);
-        }
+        let mut sorted = sorter.sort(&mut entries)?;
         let sort_runs = sorted.runs_generated;
 
         // Pass 3: pack the sorted stream into contiguous leaf blocks.
-        let file = SortedSeriesFile::build(
-            dir.join("ctree-leaves.run"),
-            layout,
-            config.sax,
-            sorted.map(|r| r.map_err(IndexError::from)),
-            config.entries_per_block(),
-            Arc::clone(&stats),
-            config.page_size,
-            config.knobs.io_backend,
-            config.knobs.compression,
-        )?;
+        let file = match entries.error.take() {
+            Some(err) => Err(err),
+            None => SortedSeriesFile::build(
+                dir.join("ctree-leaves.run"),
+                layout,
+                config.sax,
+                sorted.by_ref().map(|r| r.map_err(IndexError::from)),
+                config.entries_per_block(),
+                Arc::clone(&stats),
+                config.page_size,
+                config.knobs.io_backend,
+                config.knobs.compression,
+            ),
+        };
+        // The spill runs are scratch: gone once the merge has drained into
+        // the leaves, or the build has failed.
+        let deleted = sorted.delete_runs();
+        let file = file?;
+        deleted?;
 
         let entries_count = file.len();
         let footprint = file.physical_byte_size();
@@ -554,82 +553,67 @@ impl crate::engine::SearchUnit for CTreeUnit<'_> {
     }
 }
 
-/// Streaming adapter feeding the external sorter: pulls series from the
-/// dataset scan in batches, summarizes each batch with the worker pool, and
-/// yields plain entries (remembering the first error, since the sorter only
-/// understands plain records).
-struct BatchedEntryIter<'a, I> {
-    inner: I,
+/// Pass 1 of the bulk load, feeding the external sorter: reads the dataset
+/// a block at a time, refuses a non-finite value as an insert would, keys
+/// the block's rows in place with the worker pool, and yields one entry per
+/// row, copying its values only into a materialized entry.  It remembers
+/// the first error, since the sorter only understands plain records.
+struct BlockEntries<'a> {
+    reader: DatasetReader,
     summarizer: &'a SortableSummarizer,
     materialized: bool,
     parallelism: usize,
-    batch_size: usize,
-    pending: std::collections::VecDeque<SeriesEntry>,
+    /// Id of the current block's first row.
+    first_id: SeriesId,
+    /// Keys of the current block's rows, and the next row to yield.
+    keys: Vec<InvSaxKey>,
+    next: usize,
     error: Option<IndexError>,
 }
 
-impl<'a, I> BatchedEntryIter<'a, I>
-where
-    I: Iterator<Item = coconut_series::Result<Series>>,
-{
-    fn new(
-        inner: I,
-        summarizer: &'a SortableSummarizer,
-        materialized: bool,
-        parallelism: usize,
-        max_batch_records: usize,
-    ) -> Self {
-        // Enough work per refill to amortize a fork/join across the pool,
-        // but capped by the caller's memory bound so staging never rivals
-        // the external sorter's budget.
-        let batch_size =
-            (effective_parallelism(parallelism) * 1024).clamp(256, max_batch_records.max(256));
-        BatchedEntryIter {
-            inner,
-            summarizer,
-            materialized,
-            parallelism,
-            batch_size,
-            pending: std::collections::VecDeque::new(),
-            error: None,
+impl BlockEntries<'_> {
+    fn key_block(&mut self) -> Result<()> {
+        let series_len = self.summarizer.config().series_len;
+        let (first_id, values) = self.reader.next_block()?;
+        let rows: Vec<&[f32]> = values.chunks_exact(series_len).collect();
+        for row in &rows {
+            crate::check_series("inserted series", row, series_len)?;
         }
-    }
-
-    fn refill(&mut self) {
-        let mut batch: Vec<Series> = Vec::with_capacity(self.batch_size);
-        while batch.len() < self.batch_size {
-            match self.inner.next() {
-                Some(Ok(series)) => batch.push(series),
-                Some(Err(e)) => {
-                    self.error = Some(IndexError::from(e));
-                    break;
-                }
-                None => break,
-            }
-        }
-        if !batch.is_empty() {
-            self.pending.extend(SeriesEntry::from_series_batch(
-                &batch,
-                0,
-                self.summarizer,
-                self.materialized,
-                self.parallelism,
-            ));
-        }
+        self.keys = self.summarizer.keys_batch_values(&rows, self.parallelism);
+        self.first_id = first_id;
+        self.next = 0;
+        Ok(())
     }
 }
 
-impl<'a, I> Iterator for BatchedEntryIter<'a, I>
-where
-    I: Iterator<Item = coconut_series::Result<Series>>,
-{
+impl Iterator for BlockEntries<'_> {
     type Item = SeriesEntry;
 
     fn next(&mut self) -> Option<SeriesEntry> {
-        if self.pending.is_empty() && self.error.is_none() {
-            self.refill();
+        if self.next == self.keys.len() {
+            if self.error.is_some() {
+                return None;
+            }
+            if let Err(e) = self.key_block() {
+                self.error = Some(e);
+                return None;
+            }
         }
-        self.pending.pop_front()
+        let row = self.next;
+        let key = *self.keys.get(row)?;
+        self.next += 1;
+        let values = if self.materialized {
+            let len = self.summarizer.config().series_len;
+            self.reader.block()[row * len..(row + 1) * len].to_vec()
+        } else {
+            Vec::new()
+        };
+        Some(SeriesEntry {
+            key: key.raw(),
+            id: self.first_id + row as u64,
+            timestamp: 0,
+            values,
+        })
     }
 }
 
@@ -720,6 +704,62 @@ mod tests {
             assert_eq!(got[0].id, expected[0].id);
             assert!(cost.raw_fetches < series.len() as u64);
         }
+    }
+
+    /// A spilled build deletes its sort's spill runs: the directory holds
+    /// the leaves alone, and the index answers from them.
+    #[test]
+    fn spilled_build_leaves_no_spill_runs() {
+        for materialized in [true, false] {
+            let (dir, series, tree, _stats) = build_tree(2000, materialized, 64 * 1024, 2);
+            assert!(tree.build_stats().sort_runs > 1, "expected spill runs");
+            let names: Vec<String> = std::fs::read_dir(dir.path())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(
+                names.iter().all(|n| !n.starts_with("dynsort-run-")),
+                "{names:?}"
+            );
+            assert!(names.iter().any(|n| n == "ctree-leaves.run"), "{names:?}");
+            let (got, _) = tree.knn(&series[7].values, 1, true).unwrap();
+            assert_eq!(got[0].id, 7);
+        }
+    }
+
+    /// Every row of a build past one scan block gets its own id and the key
+    /// of its values, in a materialized entry its values too.
+    #[test]
+    fn block_scan_keys_every_row_in_place() {
+        let (_dir, series, tree, _stats) = build_tree(2500, true, 1 << 20, 8);
+        let summarizer = SortableSummarizer::new(tree.config().sax);
+        let mut seen = vec![false; series.len()];
+        for entry in tree.leaf_file().reader(256) {
+            let entry = entry.unwrap();
+            let s = &series[entry.id as usize];
+            assert_eq!(entry.values, s.values);
+            assert_eq!(entry.key, summarizer.key(&s.values).raw());
+            seen[entry.id as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn non_finite_archive_value_is_refused() {
+        let dir = ScratchDir::new("ctree-nan").unwrap();
+        let mut series = RandomWalkGenerator::new(64, 9).generate(1500);
+        series[1200].values[5] = f32::INFINITY;
+        let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();
+        let config = CTreeConfig::new(SaxConfig::new(64, 8, 8)).with_memory_budget(64 * 1024);
+        let result = CTree::build(&dataset, config, dir.path(), IoStats::shared());
+        match result {
+            Err(IndexError::Config(message)) => {
+                assert!(message.contains("value 5 is not finite"), "{message}")
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        let left: Vec<_> = std::fs::read_dir(dir.path()).unwrap().collect();
+        assert_eq!(left.len(), 1, "only the archive is left: {left:?}");
     }
 
     #[test]

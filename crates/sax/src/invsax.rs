@@ -24,7 +24,7 @@ use crate::isax::{IsaxSymbol, IsaxWord};
 use crate::sax::SaxWord;
 use crate::SaxConfig;
 use coconut_parallel::{effective_parallelism, parallel_map_slice};
-use coconut_series::paa::paa;
+use coconut_series::paa::{paa, paa_into};
 use coconut_series::Series;
 
 /// A sortable interleaved SAX key.
@@ -190,19 +190,101 @@ pub fn deinterleave(raw: u128, config: &SaxConfig, symbols: &mut [u8]) {
     }
 }
 
+/// Cells of a [`SymbolGrid`] over `[-GRID_HALF_SPAN, GRID_HALF_SPAN)`.
+const GRID_CELLS: usize = 1024;
+/// Half the span a [`SymbolGrid`] divides evenly; every breakpoint at every
+/// cardinality lies inside (the outermost at 8 bits is about ±2.66).
+const GRID_HALF_SPAN: f64 = 3.0;
+
+/// [`Breakpoints::symbol`] in constant time: an even grid over the
+/// breakpoints gives each PAA mean a first guess, which at most
+/// [`SymbolGrid::STEPS`] branch-free comparisons against the breakpoints
+/// correct.
+///
+/// The guess is exact by construction, whatever the rounding: `cell` is
+/// monotone in its argument, so every breakpoint in a cell before `v`'s is
+/// below `v` (the guess never overshoots), and only the breakpoints in
+/// `v`'s own cell — at most `STEPS` of them — can be missing from it.
+#[derive(Debug, Clone)]
+struct SymbolGrid {
+    /// The symbol of the lowest mean each cell can hold: the number of
+    /// breakpoints in the cells before it.
+    guess: [u8; GRID_CELLS],
+    /// The breakpoints, padded with NaN, which no comparison passes.
+    cuts: [f64; 256],
+}
+
+impl SymbolGrid {
+    /// The most breakpoints one cell holds, at any cardinality.
+    const STEPS: usize = 2;
+
+    fn new(breakpoints: &Breakpoints) -> Self {
+        let mut cuts = [f64::NAN; 256];
+        cuts[..breakpoints.cuts().len()].copy_from_slice(breakpoints.cuts());
+        let mut per_cell = [0usize; GRID_CELLS];
+        for &cut in breakpoints.cuts() {
+            per_cell[Self::cell(cut)] += 1;
+        }
+        let mut guess = [0u8; GRID_CELLS];
+        let mut below = 0;
+        for (g, &n) in guess.iter_mut().zip(&per_cell) {
+            assert!(n <= Self::STEPS, "a grid cell holds {n} breakpoints");
+            *g = below as u8;
+            below += n;
+        }
+        SymbolGrid { guess, cuts }
+    }
+
+    /// The cell of `v`; NaN and everything below the grid fall in cell 0,
+    /// everything above it in the last.
+    fn cell(v: f64) -> usize {
+        let scale = GRID_CELLS as f64 / (2.0 * GRID_HALF_SPAN);
+        // `as` saturates: negative and NaN give 0, +inf gives usize::MAX.
+        (((v + GRID_HALF_SPAN) * scale) as usize).min(GRID_CELLS - 1)
+    }
+
+    /// The number of breakpoints `<= v`, as [`Breakpoints::symbol`].
+    fn symbol(&self, v: f64) -> u8 {
+        let mut symbol = self.guess[Self::cell(v)];
+        for _ in 0..Self::STEPS {
+            symbol += (self.cuts[symbol as usize] <= v) as u8;
+        }
+        symbol
+    }
+}
+
+/// The `bits` low bits of `symbol`, bit `j` moved to bit `j * stride`: where
+/// the interleaved key keeps level `bits - 1 - j` of the last segment.
+fn spread(symbol: u8, bits: u8, stride: usize) -> u128 {
+    (0..bits as usize).fold(0, |acc, j| {
+        acc | (((symbol >> j) & 1) as u128) << (j * stride)
+    })
+}
+
 /// Convenience wrapper bundling a [`SaxConfig`] and its breakpoint table to
 /// summarize raw series into sortable keys.
 #[derive(Debug, Clone)]
 pub struct SortableSummarizer {
     config: SaxConfig,
     breakpoints: Breakpoints,
+    grid: SymbolGrid,
+    /// Every symbol's bits spread `segments` apart, so a key is the OR of
+    /// its segments' entries, each shifted by its place in a level.
+    spread: [u128; 256],
 }
 
 impl SortableSummarizer {
     /// Creates a summarizer for the given configuration.
     pub fn new(config: SaxConfig) -> Self {
+        let breakpoints = Breakpoints::new(config.bits_per_segment);
+        let mut spread_table = [0u128; 256];
+        for (symbol, entry) in spread_table.iter_mut().enumerate() {
+            *entry = spread(symbol as u8, config.bits_per_segment, config.segments);
+        }
         SortableSummarizer {
-            breakpoints: Breakpoints::new(config.bits_per_segment),
+            grid: SymbolGrid::new(&breakpoints),
+            breakpoints,
+            spread: spread_table,
             config,
         }
     }
@@ -227,9 +309,32 @@ impl SortableSummarizer {
         SaxWord::from_series(values, &self.config, &self.breakpoints)
     }
 
-    /// Summarizes a raw series into its sortable interleaved key.
+    /// Summarizes a raw series into its sortable interleaved key, without
+    /// allocating: the PAA lands in a stack array (the same kernel sums in
+    /// the same order as [`SortableSummarizer::paa`]), each mean finds its
+    /// symbol through the [`SymbolGrid`], and the spread table interleaves
+    /// it.  Bit for bit `InvSaxKey::from_sax(&self.sax(values))`, the
+    /// reference it is tested against.
+    ///
+    /// # Panics
+    /// Panics if the series length does not match the configuration.
     pub fn key(&self, values: &[f32]) -> InvSaxKey {
-        InvSaxKey::from_sax(&self.sax(values))
+        assert_eq!(
+            values.len(),
+            self.config.series_len,
+            "series length does not match SaxConfig"
+        );
+        let segments = self.config.segments;
+        let mut means = [0.0f64; crate::MAX_SEGMENTS];
+        paa_into(values, &mut means[..segments]);
+        let mut bits = 0u128;
+        for (seg, &mean) in means[..segments].iter().enumerate() {
+            bits |= self.spread[self.grid.symbol(mean) as usize] << (segments - 1 - seg);
+        }
+        InvSaxKey {
+            bits,
+            width: self.config.key_bits(),
+        }
     }
 
     /// Decodes a sortable key back into its SAX word.
@@ -241,12 +346,9 @@ impl SortableSummarizer {
     /// to `parallelism` worker threads (`1` = sequential, `0` = one per
     /// available core).
     ///
-    /// The whole per-series pipeline — PAA, symbol quantization and bit
-    /// interleaving — runs inside the workers, so the bulk-load loops of
-    /// CTree / CLSM / the streaming partitions pay one fork/join per batch
-    /// instead of one virtual call per series.  The output is index-aligned
-    /// with `series` and identical to mapping [`SortableSummarizer::key`]
-    /// sequentially, regardless of the worker count.
+    /// The output is index-aligned with `series` and identical to mapping
+    /// [`SortableSummarizer::key`] sequentially, regardless of the worker
+    /// count.
     pub fn keys_batch(&self, series: &[Series], parallelism: usize) -> Vec<InvSaxKey> {
         let workers = effective_parallelism(parallelism);
         parallel_map_slice(series, workers, |s| self.key(&s.values))
@@ -257,17 +359,6 @@ impl SortableSummarizer {
         let workers = effective_parallelism(parallelism);
         parallel_map_slice(values, workers, |v| self.key(v))
     }
-}
-
-/// Batched summarization entry point named by the bulk-load pipeline: maps
-/// every series to its sortable interleaved key with up to `parallelism`
-/// workers.  See [`SortableSummarizer::keys_batch`].
-pub fn invsax_keys_batch(
-    summarizer: &SortableSummarizer,
-    series: &[Series],
-    parallelism: usize,
-) -> Vec<InvSaxKey> {
-    summarizer.keys_batch(series, parallelism)
 }
 
 #[cfg(test)]
@@ -430,10 +521,6 @@ mod tests {
                 expected,
                 "parallelism={parallelism}"
             );
-            assert_eq!(
-                invsax_keys_batch(&summarizer, &series, parallelism),
-                expected
-            );
         }
         let values: Vec<&[f32]> = series.iter().map(|s| s.values.as_slice()).collect();
         assert_eq!(summarizer.keys_batch_values(&values, 8), expected);
@@ -483,7 +570,116 @@ mod proptests {
         }
     }
 
+    /// Shapes for the key kernel: the paper default, whole and partial
+    /// cardinalities, full-width keys, and series lengths the segment count
+    /// does not divide (the general PAA path).
+    const KEY_CONFIGS: [(usize, usize, u8); 7] = [
+        (256, 16, 8),
+        (128, 16, 8),
+        (100, 16, 8),
+        (64, 8, 4),
+        (96, 6, 3),
+        (256, 32, 4),
+        (200, 128, 1),
+    ];
+
+    /// Asserts [`SortableSummarizer::key`] equals the SAX-word reference on
+    /// every kernel backend this CPU has.
+    fn assert_key_matches_reference(summarizer: &SortableSummarizer, values: &[f32]) {
+        use coconut_series::kernels::{force_backend, KernelBackend};
+        let reference = InvSaxKey::from_sax(&summarizer.sax(values));
+        let initial = force_backend(KernelBackend::Scalar);
+        for backend in KernelBackend::available_backends() {
+            force_backend(backend);
+            assert_eq!(
+                summarizer.key(values),
+                reference,
+                "{:?} on {backend}, values {:?}..",
+                summarizer.config(),
+                &values[..values.len().min(4)]
+            );
+        }
+        force_backend(initial);
+    }
+
+    /// Constant series at every breakpoint (as `f32`) and at its `f32`
+    /// neighbours, and at values past the grid or outside the reals.
+    #[test]
+    fn key_kernel_matches_reference_on_constants() {
+        for (len, segments, bits) in KEY_CONFIGS {
+            let summarizer = SortableSummarizer::new(SaxConfig::new(len, segments, bits));
+            let mut constants = vec![
+                0.0f32,
+                -0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                1e30,
+                -1e30,
+                f32::MAX,
+                f32::MIN,
+                3.0,
+                -3.0,
+            ];
+            for &cut in summarizer.breakpoints().cuts() {
+                let c = cut as f32;
+                constants.extend([c, c.next_down(), c.next_up()]);
+            }
+            for c in constants {
+                assert_key_matches_reference(&summarizer, &vec![c; len]);
+            }
+            // One non-finite value among finite ones.
+            let mut mixed = vec![0.5f32; len];
+            mixed[len / 2] = f32::NAN;
+            assert_key_matches_reference(&summarizer, &mixed);
+        }
+    }
+
+    /// The grid's symbol at each breakpoint and its `f64` neighbours, and at
+    /// the grid's own cell edges, against the breakpoint search.
+    #[test]
+    fn symbol_grid_matches_breakpoint_search() {
+        for bits in 1..=crate::MAX_BITS_PER_SEGMENT {
+            let breakpoints = Breakpoints::new(bits);
+            let grid = SymbolGrid::new(&breakpoints);
+            let edges = (0..=GRID_CELLS)
+                .map(|c| c as f64 * 2.0 * GRID_HALF_SPAN / GRID_CELLS as f64 - GRID_HALF_SPAN);
+            let cuts = breakpoints.cuts().iter().copied();
+            for v in cuts.chain(edges) {
+                for probe in [v.next_down(), v, v.next_up()] {
+                    assert_eq!(
+                        grid.symbol(probe) as u32,
+                        breakpoints.symbol(probe),
+                        "bits {bits}, value {probe:e}"
+                    );
+                }
+            }
+            for probe in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300] {
+                assert_eq!(grid.symbol(probe) as u32, breakpoints.symbol(probe));
+            }
+        }
+    }
+
     proptest! {
+        /// The key kernel against the SAX-word reference on random walks,
+        /// scaled so their means land anywhere from inside one grid cell to
+        /// far past the outermost breakpoint.
+        #[test]
+        fn key_kernel_matches_reference_on_walks(
+            seed in 0u64..=u64::MAX,
+            shape in 0usize..KEY_CONFIGS.len(),
+            scale_exp in -4i32..=4,
+        ) {
+            let (len, segments, bits) = KEY_CONFIGS[shape];
+            let summarizer = SortableSummarizer::new(SaxConfig::new(len, segments, bits));
+            let mut gen = coconut_series::generator::RandomWalkGenerator::new(len, seed);
+            let walk = gen.next_series().values;
+            let scale = 10f32.powi(scale_exp);
+            let scaled: Vec<f32> = walk.iter().map(|v| v * scale).collect();
+            assert_key_matches_reference(&summarizer, &walk);
+            assert_key_matches_reference(&summarizer, &scaled);
+        }
+
         #[test]
         fn roundtrip_any_symbols(
             symbols in proptest::collection::vec(0u8..=255, 1..16),

@@ -36,7 +36,7 @@ pub mod mindist;
 pub mod sax;
 
 pub use breakpoints::Breakpoints;
-pub use invsax::{deinterleave, invsax_keys_batch, InvSaxKey, SortableSummarizer};
+pub use invsax::{deinterleave, InvSaxKey, SortableSummarizer};
 pub use isax::{IsaxSymbol, IsaxWord};
 pub use mindist::{
     mindist_paa_isax_sq, mindist_paa_key_prefix_sq, mindist_paa_sax_sq, QueryBounds,

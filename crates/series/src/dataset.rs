@@ -21,9 +21,10 @@
 //! `HEADER_LEN + i * series_len * 4`.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::kernels::f32_bytes_mut;
 use crate::series::{Series, SeriesId, SeriesMeta};
 use crate::{Result, SeriesError};
 
@@ -261,11 +262,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Reads many series by id, in the given order.
-    pub fn read_many(&self, ids: &[SeriesId]) -> Result<Vec<Series>> {
-        ids.iter().map(|&id| self.read_series(id)).collect()
-    }
-
     /// Returns a sequential iterator over the visible series, yielding
     /// their global ids.
     pub fn iter(&self) -> Result<DatasetReader> {
@@ -304,34 +300,63 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
     f.read_exact(buf)
 }
 
+/// Series per block of a [`DatasetReader`] scan: 1 MiB of 256-point series.
+pub const BLOCK_ROWS: usize = 1024;
+
 /// Streaming sequential reader over a dataset file (or an id window of
 /// one); yields global ids.
+///
+/// A scan reads whole blocks of rows ([`DatasetReader::next_block`]) with
+/// one positioned read each, straight into a single reused value buffer
+/// that is then decoded in place.  The per-series [`Iterator`] is a
+/// one-row read through the same loop.
 pub struct DatasetReader {
-    reader: BufReader<File>,
+    file: File,
     meta: SeriesMeta,
     next_id: SeriesId,
     end_id: SeriesId,
+    /// The rows of the last read, one after another.
+    block: Vec<f32>,
 }
 
 impl DatasetReader {
     fn new(path: &Path, lo: SeriesId, hi: SeriesId) -> Result<Self> {
         let ds = Dataset::open(path)?;
-        let file = File::open(path)?;
-        let mut reader = BufReader::with_capacity(1 << 20, file);
-        reader.seek(SeekFrom::Start(
-            HEADER_LEN + lo * (ds.meta.series_len as u64) * 4,
-        ))?;
         Ok(DatasetReader {
-            reader,
+            file: ds.file,
             meta: ds.meta,
             next_id: lo,
             end_id: hi.min(ds.meta.count),
+            block: Vec::new(),
         })
     }
 
-    /// Metadata of the dataset being read.
-    pub fn meta(&self) -> SeriesMeta {
-        self.meta
+    /// Reads the next [`BLOCK_ROWS`] series (fewer at the end of the
+    /// window).  Returns the id of the first and the values of all of them,
+    /// row after row; the values are empty once the scan is done.  The
+    /// slice borrows the reader's buffer, which the next read overwrites.
+    pub fn next_block(&mut self) -> Result<(SeriesId, &[f32])> {
+        self.read_rows(BLOCK_ROWS)
+    }
+
+    /// The values the last read returned.
+    pub fn block(&self) -> &[f32] {
+        &self.block
+    }
+
+    fn read_rows(&mut self, rows: usize) -> Result<(SeriesId, &[f32])> {
+        let first = self.next_id;
+        let rows = (self.end_id - first).min(rows as u64) as usize;
+        let series_len = self.meta.series_len;
+        self.block.resize(rows * series_len, 0.0);
+        let offset = HEADER_LEN + first * (series_len as u64) * 4;
+        read_exact_at(&self.file, f32_bytes_mut(&mut self.block), offset)?;
+        // The file holds little-endian words: a no-op on little-endian hosts.
+        for v in &mut self.block {
+            *v = f32::from_bits(u32::from_le(v.to_bits()));
+        }
+        self.next_id += rows as u64;
+        Ok((first, &self.block))
     }
 }
 
@@ -339,20 +364,11 @@ impl Iterator for DatasetReader {
     type Item = Result<Series>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_id >= self.end_id {
-            return None;
+        match self.read_rows(1) {
+            Ok((_, [])) => None,
+            Ok((id, values)) => Some(Ok(Series::new(id, values.to_vec()))),
+            Err(e) => Some(Err(e)),
         }
-        let mut buf = vec![0u8; self.meta.series_len * 4];
-        if let Err(e) = self.reader.read_exact(&mut buf) {
-            return Some(Err(SeriesError::Io(e)));
-        }
-        let values: Vec<f32> = buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        let id = self.next_id;
-        self.next_id += 1;
-        Some(Ok(Series::new(id, values)))
     }
 }
 
@@ -398,6 +414,59 @@ mod tests {
             assert_eq!(s.id, i as u64);
             assert_eq!(s.values, series[i].values);
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A block scan of a window covers it in whole blocks and a short last
+    /// one, with the ids and values of the point reads, and then stops; it
+    /// agrees with the per-series iterator.
+    #[test]
+    fn block_scan_covers_the_window() {
+        let path = temp_path("blocks.bin");
+        let mut gen = RandomWalkGenerator::new(8, 4);
+        let series = gen.generate(2 * BLOCK_ROWS + 100);
+        Dataset::create_from_series(&path, &series).unwrap();
+        let (lo, hi) = (3u64, 2 * BLOCK_ROWS as u64 + 60);
+        let ds = Dataset::open_range(&path, lo, hi).unwrap();
+        let mut reader = ds.iter().unwrap();
+        let mut next = lo;
+        let mut sizes = Vec::new();
+        loop {
+            let (first, values) = reader.next_block().unwrap();
+            if values.is_empty() {
+                break;
+            }
+            assert_eq!(first, next);
+            for (i, row) in values.chunks_exact(8).enumerate() {
+                assert_eq!(row, series[first as usize + i].values.as_slice());
+            }
+            sizes.push(values.len() / 8);
+            next += (values.len() / 8) as u64;
+        }
+        assert_eq!(next, hi);
+        assert_eq!(sizes, [BLOCK_ROWS, BLOCK_ROWS, 57]);
+        let scanned: Vec<Series> = ds.iter().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(scanned.len() as u64, hi - lo);
+        assert!(scanned
+            .iter()
+            .all(|s| s.values == series[s.id as usize].values));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncated_file_is_an_error() {
+        let path = temp_path("truncated.bin");
+        let mut gen = RandomWalkGenerator::new(16, 6);
+        let ds = Dataset::create_from_series(&path, &gen.generate(10)).unwrap();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(ds.file_size() - 4).unwrap();
+        assert!(matches!(
+            ds.iter().unwrap().next_block(),
+            Err(SeriesError::Io(_))
+        ));
+        let rows: Vec<_> = ds.iter().unwrap().take(10).collect();
+        assert!(rows[..9].iter().all(|r| r.is_ok()));
+        assert!(matches!(rows[9], Err(SeriesError::Io(_))));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -293,6 +293,18 @@ pub fn scale_with(backend: KernelBackend, values: &mut [f32], mean: f64, inv: f6
     )
 }
 
+/// The bytes of `values`, so a file read can land straight in a value
+/// buffer (the dataset scan's blocks); the caller then decodes the
+/// little-endian words in place.
+pub(crate) fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    let len = std::mem::size_of_val(values);
+    // SAFETY: the pointer and length cover exactly the memory of `values`,
+    // which the returned slice borrows mutably for its whole lifetime; `u8`
+    // has alignment 1, and every bit pattern written through it is a valid
+    // `f32`.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u8>(), len) }
+}
+
 /// The scalar reference kernels (PR 1's auto-vectorizable loops, verbatim).
 pub(crate) mod scalar {
     use super::LANES;

@@ -16,6 +16,18 @@
 /// # Panics
 /// Panics if `segments` is zero or larger than `values.len()`.
 pub fn paa(values: &[f32], segments: usize) -> Vec<f64> {
+    let mut out = vec![0.0f64; segments];
+    paa_into(values, &mut out);
+    out
+}
+
+/// [`paa`] into a caller's buffer: one mean per element of `out`, so
+/// `out.len()` is the segment count.  Every element is overwritten.
+///
+/// # Panics
+/// Panics if `out` is empty or longer than `values`.
+pub fn paa_into(values: &[f32], out: &mut [f64]) {
+    let segments = out.len();
     assert!(segments > 0, "PAA requires at least one segment");
     assert!(
         segments <= values.len(),
@@ -31,15 +43,15 @@ pub fn paa(values: &[f32], segments: usize) -> Vec<f64> {
         // every backend.
         let backend = crate::kernels::active_backend();
         let width = n / segments;
-        return values
-            .chunks_exact(width)
-            .map(|chunk| crate::kernels::sum_with(backend, chunk) / width as f64)
-            .collect();
+        for (o, chunk) in out.iter_mut().zip(values.chunks_exact(width)) {
+            *o = crate::kernels::sum_with(backend, chunk) / width as f64;
+        }
+        return;
     }
     // General path: fractional segment boundaries.  Each point i covers the
     // interval [i, i+1) on a length-n axis that is rescaled to `segments`
     // equal intervals of width n/segments.
-    let mut out = vec![0.0f64; segments];
+    out.fill(0.0);
     let seg_width = n as f64 / segments as f64;
     for (i, &v) in values.iter().enumerate() {
         let start = i as f64;
@@ -57,7 +69,6 @@ pub fn paa(values: &[f32], segments: usize) -> Vec<f64> {
     for o in out.iter_mut() {
         *o /= seg_width;
     }
-    out
 }
 
 /// Lower-bounding distance between two PAA representations.

@@ -1112,6 +1112,8 @@ where
 pub struct DynSortOutput<L: RecordLayout> {
     in_memory: Option<std::vec::IntoIter<L::Record>>,
     merge: Option<DynIterMerge<L, DynRunReader<L>, StorageError>>,
+    /// The spill runs the merge reads; see [`DynSortOutput::delete_runs`].
+    runs: Vec<DynRunFile<L>>,
     /// Number of spill runs generated (zero when fully in memory).
     pub runs_generated: usize,
     /// Total records sorted.
@@ -1122,6 +1124,18 @@ impl<L: RecordLayout> DynSortOutput<L> {
     /// Returns `true` if the sort spilled to disk.
     pub fn spilled(&self) -> bool {
         self.runs_generated > 0
+    }
+
+    /// Deletes the spill runs, for a caller done with the sorted sequence:
+    /// the merge and its readers go first, then each run is unmapped and
+    /// unlinked ([`DynRunFile::delete`]).  Records not yet read are lost.
+    /// The runs stay on disk until this is called.
+    pub fn delete_runs(mut self) -> Result<()> {
+        self.merge = None;
+        for run in self.runs.drain(..) {
+            run.delete()?;
+        }
+        Ok(())
     }
 }
 
@@ -1242,6 +1256,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             return Ok(DynSortOutput {
                 in_memory: Some(chunk.into_iter()),
                 merge: None,
+                runs,
                 runs_generated: 0,
                 record_count: total,
             });
@@ -1266,6 +1281,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             in_memory: None,
             merge: Some(merge),
             runs_generated: runs.len(),
+            runs,
             record_count: total,
         })
     }
@@ -1517,6 +1533,31 @@ mod tests {
         let expected_keys: Vec<u64> = expected.iter().map(|r| r.0).collect();
         assert_eq!(got_keys, expected_keys);
         assert!(stats.snapshot().random_fraction() < 0.25);
+    }
+
+    /// The spill runs stay on disk while the output is read, and are gone,
+    /// every one, once it deletes them.
+    #[test]
+    fn delete_runs_leaves_no_spill_file() {
+        let dir = ScratchDir::new("dynsort-delete").unwrap();
+        let layout = PairLayout { payload_len: 32 };
+        let records = make_records(3000, 32);
+        for io_backend in [IoBackend::Pread, IoBackend::Mmap] {
+            let mut sorter =
+                DynExternalSorter::new(layout.clone(), 40 * 200, dir.path(), IoStats::shared())
+                    .with_knobs(PerfKnobs {
+                        io_backend,
+                        ..PerfKnobs::default()
+                    });
+            let mut out = sorter.sort(records.clone()).unwrap();
+            assert!(out.runs_generated > 1);
+            let spill_files = || std::fs::read_dir(dir.path()).unwrap().count();
+            assert_eq!(spill_files(), out.runs_generated);
+            assert_eq!(out.by_ref().count(), records.len());
+            assert_eq!(spill_files(), out.runs_generated, "{io_backend}");
+            out.delete_runs().unwrap();
+            assert_eq!(spill_files(), 0, "{io_backend}");
+        }
     }
 
     #[test]
