@@ -17,7 +17,6 @@
 //! in-memory insertion buffer (configurable budget) batches appends per leaf,
 //! mirroring how ADS+ relies on buffering to remain practical.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -639,16 +638,6 @@ impl AdsTree {
                 self.collect_leaf_bounds(high, query_paa, out);
             }
         }
-    }
-
-    /// Per-leaf occupancy (entries on disk + buffered), for the demo's
-    /// visualization of how sparsely the index is populated.
-    pub fn leaf_occupancy(&self) -> HashMap<usize, usize> {
-        self.leaves
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (i, l.on_disk as usize + l.buffered.len()))
-            .collect()
     }
 }
 

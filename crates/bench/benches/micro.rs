@@ -17,8 +17,8 @@ use coconut_series::distance::squared_euclidean;
 use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
 use coconut_storage::{
-    durability, Compression, DynExternalSorter, DynRunWriter, IoBackend, IoStats, RecordLayout,
-    ScratchDir, DEFAULT_PAGE_SIZE,
+    durability, DynExternalSorter, DynRunWriter, IoBackend, IoStats, RecordLayout, ScratchDir,
+    DEFAULT_PAGE_SIZE,
 };
 
 fn bench_invsax_encode(c: &mut Criterion) {
@@ -238,7 +238,6 @@ fn bench_run_write(c: &mut Criterion) {
                     IoStats::shared(),
                     DEFAULT_PAGE_SIZE,
                     IoBackend::Pread,
-                    Compression::Off,
                 )
                 .unwrap();
                 for entry in &entries {

@@ -36,7 +36,6 @@ use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::dataset::Dataset;
 use coconut_series::distance::Neighbor;
 use coconut_series::{Series, Timestamp};
-use coconut_storage::iostats::IoStatsSnapshot;
 use coconut_storage::SharedIoStats;
 
 /// Configuration of a CoconutLSM index.
@@ -65,8 +64,8 @@ pub struct ClsmConfig {
     /// The pure-performance knobs (default [`PerfKnobs::default`]).
     /// Flushes and compactions read `parallelism`, `io_overlap` (every
     /// per-shard merge reads its inputs through read-ahead workers),
-    /// `io_backend` (mappings are dropped before a compaction deletes its
-    /// inputs) and `compression`; queries and compactions get
+    /// and `io_backend` (mappings are dropped before a compaction deletes
+    /// its inputs); queries and compactions get
     /// `query_parallelism` and the read-ahead gate from
     /// [`planner::decide`].  Run files, answers, `QueryCost` and the
     /// logical `IoStats` are identical at every setting.
@@ -183,16 +182,10 @@ impl RunSet {
         self.len() == 0
     }
 
-    /// Total logical size (records x record size) across all shards; used
-    /// for budget arithmetic so thresholds are knob-invariant.
+    /// Total size (records x record size) across all shards: what they
+    /// occupy on disk, and what budget arithmetic counts.
     pub fn byte_size(&self) -> u64 {
         self.shards.iter().map(|s| s.byte_size()).sum()
-    }
-
-    /// Actual bytes on disk across all shards (smaller than
-    /// [`RunSet::byte_size`] when compression is on).
-    pub fn physical_byte_size(&self) -> u64 {
-        self.shards.iter().map(|s| s.physical_byte_size()).sum()
     }
 }
 
@@ -340,25 +333,18 @@ impl ClsmTree {
         self.levels.len()
     }
 
-    /// On-disk footprint in bytes — the *physical* size, so with
-    /// compression on, planner residency decisions see the real (smaller)
-    /// working set.
+    /// On-disk footprint in bytes (the planner's residency test reads it).
     pub fn footprint_bytes(&self) -> u64 {
         self.levels
             .iter()
             .flat_map(|l| l.iter())
-            .map(|r| r.physical_byte_size())
+            .map(|r| r.byte_size())
             .sum()
     }
 
     /// Cumulative ingestion statistics.
     pub fn stats(&self) -> ClsmStats {
         self.lsm_stats
-    }
-
-    /// I/O snapshot of the shared statistics handle.
-    pub fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.stats.snapshot()
     }
 
     /// Inserts one series with an arrival timestamp.
@@ -445,7 +431,6 @@ impl ClsmTree {
             self.config.page_size,
             self.config.knobs.parallelism,
             self.config.knobs.io_backend,
-            self.config.knobs.compression,
         )
     }
 
@@ -564,7 +549,6 @@ impl ClsmTree {
                     Arc::clone(&self.stats),
                     self.config.page_size,
                     self.config.knobs.io_backend,
-                    self.config.knobs.compression,
                 )
             },
         );

@@ -34,7 +34,7 @@ pub use coconut_sax::SaxConfig;
 pub use coconut_series::distance::Neighbor;
 pub use coconut_series::{Dataset, Series, TimestampedSeries};
 pub use coconut_storage::{
-    Compression, IoBackend, IoStats, IoStatsSnapshot, PerfKnobs, ScratchDir, SharedIoStats,
+    IoBackend, IoStats, IoStatsSnapshot, PerfKnobs, ScratchDir, SharedIoStats,
 };
 pub use coconut_stream::{
     PartitionKind, PartitionedConfig, PartitionedStream, PpStream, StreamingIndex, WindowScheme,
@@ -52,6 +52,22 @@ coconut_json::wire! {
         Clsm = "Clsm",
     }
     unknown: |name| Err(format!("unknown variant '{name}'"));
+}
+
+coconut_json::wire! {
+    /// The `compression` member of `build_index`, whose one value is what
+    /// every run is written as.  Kept only because palmbench names it; see
+    /// ROADMAP 14(b).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Compression names "the compression scheme" {
+        /// Whole rows, or heads and value tails in two files.
+        #[default]
+        Off = "off",
+    }
+    unknown: |name| match name.trim().to_ascii_lowercase().as_str() {
+        "off" => Ok(Compression::Off),
+        other => Err(format!("unknown compression '{other}' (expected 'off')")),
+    };
 }
 
 impl VariantKind {
@@ -160,9 +176,9 @@ impl IndexConfig {
         self
     }
 
-    /// Selects the on-disk compression ([`PerfKnobs::compression`]).
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.knobs.compression = compression;
+    /// Returns `self`: there is one run format.  Kept only because
+    /// palmbench names it; see ROADMAP 14(b).
+    pub fn with_compression(self, _: Compression) -> Self {
         self
     }
 
@@ -182,7 +198,6 @@ impl IndexConfig {
             io_overlap,
             io_backend,
             planner,
-            compression,
             ..
         } = *request
         else {
@@ -197,8 +212,7 @@ impl IndexConfig {
                 .with_shard_count(shard_count)
                 .with_io_overlap(io_overlap)
                 .with_io_backend(io_backend)
-                .with_planner(planner)
-                .with_compression(compression),
+                .with_planner(planner),
         )
     }
 

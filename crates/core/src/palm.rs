@@ -70,7 +70,6 @@ use crate::{
     recommend, BuildReport, Compression, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs,
     PlanReport, PlannerMode, QueryCost, Scenario, Series, StaticIndex, VariantKind,
 };
-use coconut_storage::SharedIoStats;
 
 coconut_json::wire! {
     /// A request to the algorithms server.
@@ -115,12 +114,10 @@ coconut_json::wire! {
             /// changes which execution knobs the engine runs with, and
             /// attaches an `explain` member to query responses.
             planner: PlannerMode = PerfKnobs::default().planner,
-            /// On-disk compression of sorted runs and leaf blocks ("off" |
-            /// "prefix").  Optional in the JSON protocol; defaults to the
-            /// engine default, "off".  A pure performance knob: answers,
-            /// `QueryCost` and the logical I/O totals are identical at
-            /// either setting.
-            compression: Compression = PerfKnobs::default().compression,
+            /// "off", the one value.  Optional in the JSON protocol; a build
+            /// reads nothing of it.  Kept only because palmbench names it;
+            /// see ROADMAP 14(b).
+            compression: Compression = Compression::Off,
             /// Restrict the build to the dataset's id window `[lo, hi)`.
             /// Optional in the JSON protocol, as the `range_lo`/`range_hi`
             /// pair that ends the frame (see `id_range`); defaults to the
@@ -504,7 +501,7 @@ impl PalmRequest {
             io_overlap: knobs.io_overlap,
             io_backend: knobs.io_backend,
             planner: knobs.planner,
-            compression: knobs.compression,
+            compression: Compression::Off,
         }
     }
 }
@@ -512,7 +509,6 @@ impl PalmRequest {
 struct Registered {
     index: StaticIndex,
     report: BuildReport,
-    stats: SharedIoStats,
     /// Monotonic write-version tag.  Unique across every index the server
     /// ever registers (drawn from [`PalmServer::versions`]), and bumped
     /// under the slot's write lock by every mutation (insert, sync,
@@ -895,11 +891,6 @@ impl PalmServer {
         self
     }
 
-    /// Whether [`PalmServer::with_result_cache`] was applied.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Service counters, with the cache and registry sizes (what the
     /// `stats` verb answers).
     pub fn stats(&self) -> ServiceStatsSnapshot {
@@ -1205,17 +1196,15 @@ impl PalmServer {
                 };
                 let config = IndexConfig::for_build(&request, dataset.series_len())
                     .expect("a build_index request");
-                let stats = IoStats::shared();
                 let dir = self.work_dir.join(name);
                 let (index, report) =
-                    StaticIndex::build(&dataset, config, &dir, Arc::clone(&stats))?;
+                    StaticIndex::build(&dataset, config, &dir, IoStats::shared())?;
                 let variant_name = config.display_name();
                 self.indexes.write().insert(
                     name.clone(),
                     Arc::new(RwLock::new(Registered {
                         index,
                         report,
-                        stats,
                         version: self.next_version(),
                     })),
                 );
@@ -1373,15 +1362,6 @@ impl PalmServer {
             }
         })
     }
-
-    /// Shared I/O statistics of a registered index (for heat-map style
-    /// reporting in examples).
-    pub fn io_stats(&self, name: &str) -> Option<SharedIoStats> {
-        self.indexes
-            .read()
-            .get(name)
-            .map(|slot| Arc::clone(&slot.read().stats))
-    }
 }
 
 #[cfg(test)]
@@ -1467,6 +1447,41 @@ mod tests {
         assert!(response.contains("\"a\""));
         let response = server.handle_json("not json at all");
         assert!(response.contains("malformed request"));
+    }
+
+    /// `"prefix"`, the retired run codec, is no `compression` value: the
+    /// build is refused before it opens the dataset or writes a file, and
+    /// registers nothing.  `"off"` still builds.
+    #[test]
+    fn a_prefix_build_is_refused_before_it_writes_anything() {
+        let (dir, dataset_path, _series) = setup();
+        let work = dir.file("work");
+        let server = PalmServer::new(&work);
+        let frame = |compression: &str| {
+            format!(
+                r#"{{"type":"build_index","name":"a","dataset_path":{},"variant":"CTree","materialized":true,"memory_budget_bytes":1048576,"compression":"{compression}"}}"#,
+                Json::Str(dataset_path.clone()).to_string()
+            )
+        };
+        let reply = Json::parse(&server.handle_json(&frame("prefix"))).unwrap();
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some("malformed_request")
+        );
+        let message = reply.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.ends_with("field 'compression': unknown compression 'prefix' (expected 'off')"),
+            "{message}"
+        );
+        let files = std::fs::read_dir(&work).map_or(0, |entries| entries.count());
+        assert_eq!(files, 0, "a refused build left files in the work dir");
+        match server.handle(PalmRequest::ListIndexes) {
+            PalmResponse::Indexes { names } => assert!(names.is_empty(), "{names:?}"),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert!(server
+            .handle_json(&frame("off"))
+            .contains(r#""type":"built""#));
     }
 
     /// Satellite: errors are structured JSON (machine-readable kind +

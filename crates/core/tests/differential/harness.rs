@@ -10,7 +10,7 @@
 //!   series, and `len` = 1;
 //! * knob point ([`knob_points`], one [`Knob`] family after another):
 //!   `{parallelism 1, 8} × {io_overlap off, on} × {pread, mmap}`, an 8-way
-//!   query fan-out, the adaptive planner and prefix compression; and every
+//!   query fan-out and the adaptive planner; and every
 //!   `KernelBackend`, in one test of its own because `force_backend` pins
 //!   a process-wide atomic.
 //!
@@ -23,8 +23,7 @@
 //! the index files, the build and query `IoStats`, the index's shape
 //! (sort runs, `ClsmStats`, runs, units, partitions, footprint) and every
 //! answer with its `QueryCost` and partitions accessed equal the default
-//! point's; at the compression point the files differ and the footprint
-//! and physical bytes shrink, but the logical `IoStats` view does not move.
+//! point's.
 //!
 //! The tests are cells of these crosses, each one call of
 //! [`check_every_structure`], [`check_knob_points`] or [`check_random`]:
@@ -33,8 +32,8 @@
 //! duplicates is one test (`differential/main.rs`), and on the walks one
 //! test per knob family and structure group, in that family's file
 //! (`knob_equivalence.rs`: the grid points that move two or more knobs;
-//! `parallel_`, `io_overlap_`, `io_backend_`, `query_`, `planner_` and
-//! `compression_equivalence.rs`: the point that moves only theirs).  Each
+//! `parallel_`, `io_overlap_`, `io_backend_`, `query_` and
+//! `planner_equivalence.rs`: the point that moves only theirs).  Each
 //! cell runs once.  A knob that goes takes its values out of [`points`]
 //! and its family's cells with them; nothing else here changes.
 
@@ -45,9 +44,9 @@ use std::sync::Arc;
 
 use coconut_clsm::ClsmStats;
 use coconut_core::{
-    planner, streaming_index, CancelToken, Compression, IndexConfig, IoBackend, IoStats,
-    IoStatsSnapshot, Neighbor, PerfKnobs, PlannerMode, QueryCost, ScratchDir, Series, StaticIndex,
-    StreamingConfig, TimestampedSeries, VariantKind, WindowScheme,
+    planner, streaming_index, CancelToken, IndexConfig, IoBackend, IoStats, IoStatsSnapshot,
+    Neighbor, PerfKnobs, PlannerMode, QueryCost, ScratchDir, Series, StaticIndex, StreamingConfig,
+    TimestampedSeries, VariantKind, WindowScheme,
 };
 use coconut_series::distance::{brute_force_knn, squared_euclidean};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -375,13 +374,12 @@ pub struct Run {
 /// A directory name unique to a knob point.
 pub fn tag(knobs: PerfKnobs) -> String {
     format!(
-        "p{}-q{}-ov{}-{}-{}-{}",
+        "p{}-q{}-ov{}-{}-{}",
         knobs.parallelism,
         knobs.query_parallelism,
         knobs.io_overlap,
         knobs.io_backend,
         knobs.planner.name(),
-        knobs.compression
     )
 }
 
@@ -553,39 +551,6 @@ pub fn assert_same(default: &Run, got: &Run, structure: Structure, knobs: PerfKn
         "answers or QueryCost differ ({at})"
     );
     assert_eq!(default.shape, got.shape, "index shape differs ({at})");
-    if knobs.compression != Compression::Off {
-        let (off, on) = (&default.build_io, &got.build_io);
-        assert_eq!(off.logical(), on.logical(), "build logical IoStats ({at})");
-        let (off_q, on_q) = (&default.query_io, &got.query_io);
-        assert_eq!(
-            off_q.logical(),
-            on_q.logical(),
-            "query logical IoStats ({at})"
-        );
-        assert!(
-            on.physical_bytes_written < off.physical_bytes_written,
-            "compressed build must write fewer physical bytes ({at})"
-        );
-        assert!(
-            got.footprint < default.footprint,
-            "compressed footprint must be smaller ({at}): {} vs {}",
-            got.footprint,
-            default.footprint
-        );
-        if let Static(CTree, false, ..) = structure {
-            // Sorted invSAX keys without value tails: front-coding's case,
-            // and the queries scan nothing but those keys.
-            assert!(
-                default.footprint as f64 >= 1.5 * got.footprint as f64,
-                "non-materialized leaf file must shrink >= 1.5x ({at})"
-            );
-            assert!(
-                on_q.physical_bytes_read < off_q.physical_bytes_read,
-                "compressed queries must read fewer physical bytes ({at})"
-            );
-        }
-        return;
-    }
     let names = |r: &Run| r.files.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
     assert_eq!(names(default), names(got), "file set differs ({at})");
     for ((name, a), (_, b)) in default.files.iter().zip(&got.files) {
@@ -628,17 +593,15 @@ pub enum Knob {
     IoBackend,
     QueryParallelism,
     Planner,
-    Compression,
 }
 
-pub const KNOBS: [Knob; 7] = [
+pub const KNOBS: [Knob; 6] = [
     Knob::Combined,
     Knob::Parallelism,
     Knob::IoOverlap,
     Knob::IoBackend,
     Knob::QueryParallelism,
     Knob::Planner,
-    Knob::Compression,
 ];
 
 /// The knob points of `knob`'s family.  8 workers is legal above any
@@ -680,10 +643,6 @@ pub fn points(knob: Knob) -> Vec<PerfKnobs> {
         }],
         Knob::Planner => vec![PerfKnobs {
             planner: PlannerMode::Adaptive,
-            ..base
-        }],
-        Knob::Compression => vec![PerfKnobs {
-            compression: Compression::Prefix,
             ..base
         }],
     }

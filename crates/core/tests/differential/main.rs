@@ -6,11 +6,8 @@
 
 mod harness;
 
-use std::sync::Arc;
-
 use coconut_core::{
-    Compression, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs, ScratchDir, StaticIndex,
-    VariantKind,
+    Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs, ScratchDir, StaticIndex, VariantKind,
 };
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
 use coconut_ctree::kernels::{active_backend, force_backend, KernelBackend};
@@ -18,7 +15,6 @@ use coconut_ctree::sorted_file::SortedSeriesFile;
 use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::distance::brute_force_knn;
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
-use coconut_storage::DEFAULT_PAGE_SIZE;
 use harness::*;
 
 /// The adversarial shapes are what they claim: from the first query, the
@@ -46,7 +42,7 @@ fn adversarial_data_ties_at_the_kth_distance() {
 #[test]
 fn knob_families_partition_the_knob_points() {
     let all = knob_points();
-    assert_eq!(all.len(), 10);
+    assert_eq!(all.len(), 9);
     assert!(!all.contains(&PerfKnobs::default()));
     for (i, knobs) in all.iter().enumerate() {
         assert!(!all[..i].contains(knobs), "{knobs:?} is in two families");
@@ -99,53 +95,6 @@ fn every_kernel_backend_matches_scalar() {
     force_backend(initial);
 }
 
-/// A cold key-only `scan_keys` over a materialized leaf file returns the
-/// same keys and charges the same logical reads compressed, while moving
-/// strictly fewer physical bytes (full-record probes can overshoot on block
-/// boundaries; the key-only scan is where compression pays).
-#[test]
-fn compressed_key_only_scans_read_fewer_physical_bytes() {
-    let dir = ScratchDir::new("diff-keys").unwrap();
-    let sax = SaxConfig::paper_default(64);
-    let summarizer = SortableSummarizer::new(sax);
-    let entries: Vec<SeriesEntry> = walks(64, 1500, 555)
-        .iter()
-        .map(|s| SeriesEntry::from_series(s, 0, &summarizer, true))
-        .collect();
-    let mut scans = Vec::new();
-    for compression in [Compression::Off, Compression::Prefix] {
-        let stats = IoStats::shared();
-        let leaf = SortedSeriesFile::build_unsorted(
-            dir.file(&format!("keys-{compression}.run")),
-            EntryLayout::materialized(sax.key_bits(), 64),
-            sax,
-            entries.clone(),
-            64,
-            Arc::clone(&stats),
-            DEFAULT_PAGE_SIZE,
-            1,
-            IoBackend::Pread,
-            compression,
-        )
-        .unwrap();
-        let before = stats.snapshot();
-        let mut keys = Vec::new();
-        while (keys.len() as u64) < leaf.len() {
-            keys.extend(leaf.scan_keys(keys.len() as u64, 2048).unwrap());
-        }
-        scans.push((keys, stats.snapshot().since(&before)));
-    }
-    let ((off_keys, off_io), (prefix_keys, prefix_io)) = (&scans[0], &scans[1]);
-    assert!(off_keys == prefix_keys, "key-only scans must agree");
-    assert_eq!(off_io.logical(), prefix_io.logical());
-    assert!(
-        prefix_io.physical_bytes_read < off_io.physical_bytes_read,
-        "a compressed key-only scan must read fewer physical bytes: {} vs {}",
-        prefix_io.physical_bytes_read,
-        off_io.physical_bytes_read
-    );
-}
-
 /// Regression: a CLSM built with the mmap backend runs compactions that
 /// delete their input runs.  The delete path must drop each run's mapping
 /// *before* the unlink (no reads through mappings of deleted files), and the
@@ -175,7 +124,6 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
         1024,
         1,
         IoBackend::Mmap,
-        Compression::Off,
     )
     .unwrap();
     let reader_handle = file.run().clone();

@@ -16,7 +16,7 @@
 //!   brute-force oracle's;
 //! * on a materialized file the `QueryCost` and the logical `IoStats` delta
 //!   equal the reference's, and the physical bytes read never exceed the
-//!   reference's and fall on random walks: uncompressed, they are exactly a
+//!   reference's and fall on random walks: they are exactly a
 //!   block's heads plus the values of the entries whose bound the heap's
 //!   bound at block start leaves, read in ranges that bridge gaps of at most
 //!   one page, as the reference counts — never more than the heads plus the
@@ -29,14 +29,14 @@
 //!
 //! Grid: CTree materialized / non-materialized, CLSM runs, BTP partitions
 //! of 16- and 64-entry blocks under windows that cut through blocks, ADS+
-//! leaves, `compression` off / prefix, `io_backend` pread / mmap; random
+//! leaves, `io_backend` pread / mmap; random
 //! walks, an archive of duplicates and an archive of constant series;
 //! pruning ceilings from "none" to "everything".
 
 use std::sync::Arc;
 
 use coconut_core::{
-    AdsConfig, AdsTree, CTree, CTreeConfig, ClsmConfig, ClsmTree, Compression, IoBackend, IoStats,
+    AdsConfig, AdsTree, CTree, CTreeConfig, ClsmConfig, ClsmTree, IoBackend, IoStats,
     IoStatsSnapshot, PerfKnobs, QueryCost, SaxConfig, ScratchDir, SharedIoStats,
 };
 use coconut_ctree::kernels::euclidean_early_abandon;
@@ -328,7 +328,7 @@ const K: usize = 5;
 impl Probe<'_> {
     /// Runs the shipped search, or the reference one, over `file`; returns
     /// the neighbours, the cost, the heap's final pruning bound and — from
-    /// the reference — the bytes an uncompressed materialized scan reads.
+    /// the reference — the bytes a materialized scan reads.
     fn run(
         &self,
         parts: &Partitions<'_>,
@@ -393,7 +393,7 @@ impl Probe<'_> {
 /// What [`assert_equivalent`] saw: how many exact searches pruned an entry
 /// (so a caller can tell the per-entry bound was exercised), and the
 /// refinements and physical bytes read of the shipped and the reference
-/// searches, summed; on an uncompressed materialized file, also what
+/// searches, summed; on a materialized file, also what
 /// reading each block's first-to-last value span would have cost.
 #[derive(Debug, Default)]
 struct Totals {
@@ -469,17 +469,12 @@ fn assert_equivalent(parts: &Partitions<'_>, queries: &[Vec<f32>], windows: &[Wi
                                 "read {physical} physical bytes, the reference \
                                  {physical_ref} ({at})"
                             );
-                            // Uncompressed, the bytes are exactly the heads of
-                            // every block read and each block's planned
-                            // value ranges, which lie inside its span.
-                            if file.compression() == Compression::Off {
-                                assert_eq!(
-                                    physical, reads.planned,
-                                    "heads + planned ranges ({at})"
-                                );
-                                assert!(reads.planned <= reads.span, "{at}");
-                                totals.span_physical += reads.span;
-                            }
+                            // The bytes are exactly the heads of every block
+                            // read and each block's planned value ranges,
+                            // which lie inside its span.
+                            assert_eq!(physical, reads.planned, "heads + planned ranges ({at})");
+                            assert!(reads.planned <= reads.span, "{at}");
+                            totals.span_physical += reads.span;
                             totals.physical += physical;
                             totals.reference_physical += physical_ref;
                         } else {
@@ -583,16 +578,10 @@ fn queries_for(archive: &[Series]) -> Vec<Vec<f32>> {
     queries
 }
 
-const KNOBS: [(Compression, IoBackend); 4] = [
-    (Compression::Off, IoBackend::Pread),
-    (Compression::Off, IoBackend::Mmap),
-    (Compression::Prefix, IoBackend::Pread),
-    (Compression::Prefix, IoBackend::Mmap),
-];
+const BACKENDS: [IoBackend; 2] = [IoBackend::Pread, IoBackend::Mmap];
 
-fn knobs(compression: Compression, io_backend: IoBackend) -> PerfKnobs {
+fn knobs(io_backend: IoBackend) -> PerfKnobs {
     PerfKnobs {
-        compression,
         io_backend,
         ..PerfKnobs::default()
     }
@@ -610,12 +599,12 @@ fn for_each_ctree(
         let dataset =
             Dataset::create_from_series(dir.file(&format!("{name}.bin")), archive).unwrap();
         for &materialized in layouts {
-            for (compression, backend) in KNOBS {
-                let label = format!("ctree {name} m={materialized} {compression} {backend}");
+            for backend in BACKENDS {
+                let label = format!("ctree {name} m={materialized} {backend}");
                 let mut config = CTreeConfig::new(sax())
                     .materialized(materialized)
                     .with_memory_budget(64 << 10)
-                    .with_knobs(knobs(compression, backend));
+                    .with_knobs(knobs(backend));
                 config.leaf_block_bytes = 4096;
                 let stats = IoStats::shared();
                 let tree_dir = dir.file(&label.replace(' ', "-"));
@@ -739,14 +728,14 @@ fn clsm_run_scans_match_reference() {
             Dataset::create_from_series(dir.file(&format!("{name}.bin")), archive).unwrap();
         let queries = queries_for(archive);
         for materialized in [true, false] {
-            for (compression, backend) in KNOBS {
-                let label = format!("clsm {name} m={materialized} {compression} {backend}");
+            for backend in BACKENDS {
+                let label = format!("clsm {name} m={materialized} {backend}");
                 let mut config = ClsmConfig::new(sax())
                     .materialized(materialized)
                     // Flushes, compactions and sharded runs all happen.
                     .with_buffer_capacity(128)
                     .with_shard_count(2)
-                    .with_knobs(knobs(compression, backend));
+                    .with_knobs(knobs(backend));
                 config.entries_per_block = 16;
                 let stats = IoStats::shared();
                 let tree = ClsmTree::build(
@@ -784,13 +773,14 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
     let last_ts = batches.last().unwrap().last().unwrap().timestamp;
     let mut queries = vec![gen.quake_template()];
     queries.extend(random_walks(2, 5).into_iter().map(|s| s.values));
-    for ((compression, backend), entries_per_block) in
-        KNOBS.into_iter().flat_map(|knob| [(knob, 16), (knob, 64)])
+    for (backend, entries_per_block) in BACKENDS
+        .into_iter()
+        .flat_map(|backend| [(backend, 16), (backend, 64)])
     {
-        let label = format!("btp {compression} {backend} block={entries_per_block}");
+        let label = format!("btp {backend} block={entries_per_block}");
         let mut config = PartitionedConfig::new(sax())
             .with_buffer_capacity(100)
-            .with_knobs(knobs(compression, backend));
+            .with_knobs(knobs(backend));
         config.entries_per_block = entries_per_block;
         let stats = IoStats::shared();
         let mut stream = PartitionedStream::bounded_temporal_partitioning(
@@ -828,7 +818,7 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
         assert_physical_bytes_fall(&totals, true, &parts.label);
         // A window keeps scattered entries of a key-ordered block: past one
         // page of tails, the gaps between them are left unread.
-        if compression == Compression::Off && entries_per_block == 64 {
+        if entries_per_block == 64 {
             assert!(
                 totals.physical < totals.span_physical,
                 "{}: the planned ranges saved nothing on the spans ({totals:?})",
@@ -838,7 +828,7 @@ fn btp_partition_scans_match_reference_under_cutting_windows() {
     }
 }
 
-/// A key-only scan of an uncompressed materialized partition reads the heads
+/// A key-only scan of a materialized partition reads the heads
 /// file alone — 32 physical bytes per entry, not one of its values — while
 /// the logical view is charged the whole entries, as a row read would be.
 #[test]
@@ -848,7 +838,7 @@ fn key_scans_of_an_uncompressed_materialized_file_read_heads_only() {
     let dataset = Dataset::create_from_series(dir.file("walks.bin"), &archive).unwrap();
     let config = CTreeConfig::new(sax())
         .materialized(true)
-        .with_knobs(knobs(Compression::Off, IoBackend::Pread));
+        .with_knobs(knobs(IoBackend::Pread));
     let stats = IoStats::shared();
     let tree_dir = dir.file("tree");
     std::fs::create_dir_all(&tree_dir).unwrap();

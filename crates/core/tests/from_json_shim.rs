@@ -34,7 +34,7 @@ fn request_frames() -> Vec<String> {
     };
     let wire_query = r#"{"type":"query","name":"a","query":[0.5,-1,2.25],"k":3,"exact":true}"#;
     let mut frames: Vec<String> = [
-        r#"{"type":"build_index","name":"b","dataset_path":"x","variant":"Clsm","materialized":false,"memory_budget_bytes":0,"parallelism":0,"query_parallelism":0,"shard_count":4,"io_overlap":false,"io_backend":"mmap","planner":"adaptive","compression":"prefix","range_lo":60,"range_hi":120}"#,
+        r#"{"type":"build_index","name":"b","dataset_path":"x","variant":"Clsm","materialized":false,"memory_budget_bytes":0,"parallelism":0,"query_parallelism":0,"shard_count":4,"io_overlap":false,"io_backend":"mmap","planner":"adaptive","compression":"off","range_lo":60,"range_hi":120}"#,
         r#"{"type":"build_index","name":"c","dataset_path":"x","variant":"Ads","materialized":true,"memory_budget_bytes":1,"parallelism":1,"query_parallelism":1,"shard_count":1,"io_overlap":true,"io_backend":"pread","planner":"fixed","compression":"off"}"#,
         wire_query,
         r#"{"type":"query","name":"","query":[],"k":1,"exact":false}"#,
@@ -83,11 +83,12 @@ fn request_frames() -> Vec<String> {
         frames.push(build_index(tail));
     }
     for (from, to) in [
-        (r#""off""#, r#""Prefix""#),
+        (r#""off""#, r#""Off""#),
         (r#""materialized":true"#, r#""materialized":"yes""#),
         (r#""CTree""#, r#""BTree""#),
         (r#""CTree""#, "3"),
         (r#""compression":"off""#, r#""compression":"prefx""#),
+        (r#""compression":"off""#, r#""compression":"prefix""#),
         (r#""compression":"off""#, r#""compression":false"#),
         (r#""pread""#, r#""aio""#),
         (r#""pread""#, "[]"),
@@ -216,6 +217,6 @@ fn from_json_of_the_parsed_frame_equals_from_text() {
             "{frame}"
         );
     }
-    // The corpus's malformed frames: 45 requests and 23 responses.
-    assert_eq!(refused, 45 + 23);
+    // The corpus's malformed frames: 46 requests and 23 responses.
+    assert_eq!(refused, 46 + 23);
 }

@@ -39,7 +39,7 @@ use coconut_core::backend::{BackendError, ExecutionBackend, LocalBackend};
 use coconut_core::palm::{
     PalmRequest, PalmResponse, PalmServer, ERROR_KIND_CONFIG, ERROR_KIND_MALFORMED,
 };
-use coconut_core::{CancelToken, Compression, Dataset, IoStatsSnapshot, VariantKind};
+use coconut_core::{CancelToken, Dataset, IoStatsSnapshot, VariantKind};
 use coconut_json::{FromJson, Json, ToJson};
 use coconut_net::{Coordinator, NetServer, RemoteBackend, RequestHandler, ServerConfig};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -368,10 +368,7 @@ fn built_io_sums_every_counter_across_shards() {
             .map(|palm| Arc::new(LocalBackend::new(Arc::clone(palm))) as Arc<dyn ExecutionBackend>)
             .collect(),
     );
-    let mut request = build_variant("idx", &dataset_path, VariantKind::CTree);
-    if let PalmRequest::BuildIndex { compression, .. } = &mut request {
-        *compression = Compression::Prefix;
-    }
+    let request = build_variant("idx", &dataset_path, VariantKind::CTree);
     let metrics = || PalmRequest::Metrics { name: "idx".into() };
     let io_of = |response: PalmResponse| match response {
         PalmResponse::Built { report, .. } | PalmResponse::Metrics { report, .. } => report.io,

@@ -150,7 +150,7 @@ fn corpus() -> Vec<String> {
     let mut frames = vec![
         build_index(""),
         build_index(r#","range_lo":0,"range_hi":60"#),
-        r#"{"type":"build_index","name":"b","dataset_path":"x","variant":"Clsm","materialized":false,"memory_budget_bytes":0,"parallelism":0,"query_parallelism":0,"shard_count":4,"io_overlap":false,"io_backend":"mmap","planner":"adaptive","compression":"prefix","range_lo":60,"range_hi":120}"#.to_string(),
+        r#"{"type":"build_index","name":"b","dataset_path":"x","variant":"Clsm","materialized":false,"memory_budget_bytes":0,"parallelism":0,"query_parallelism":0,"shard_count":4,"io_overlap":false,"io_backend":"mmap","planner":"adaptive","compression":"off","range_lo":60,"range_hi":120}"#.to_string(),
         wire_query.to_string(),
         r#"{"type":"query","name":"","query":[],"k":1,"exact":false}"#.to_string(),
         format!(r#"{{"type":"batch","requests":[{wire_query},{{"type":"stats"}},{{"type":"batch","requests":[]}}]}}"#),

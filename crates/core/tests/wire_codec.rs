@@ -42,7 +42,7 @@ fn requests() -> Vec<String> {
     vec![
         build_index(""),
         build_index(r#","range_lo":0,"range_hi":60"#),
-        r#"{"type":"build_index","name":"b","dataset_path":"x","variant":"Clsm","materialized":false,"memory_budget_bytes":0,"parallelism":0,"query_parallelism":0,"shard_count":4,"io_overlap":false,"io_backend":"mmap","planner":"adaptive","compression":"prefix","range_lo":60,"range_hi":120}"#.to_string(),
+        r#"{"type":"build_index","name":"b","dataset_path":"x","variant":"Clsm","materialized":false,"memory_budget_bytes":0,"parallelism":0,"query_parallelism":0,"shard_count":4,"io_overlap":false,"io_backend":"mmap","planner":"adaptive","compression":"off","range_lo":60,"range_hi":120}"#.to_string(),
         r#"{"type":"build_index","name":"c","dataset_path":"x","variant":"Ads","materialized":true,"memory_budget_bytes":1,"parallelism":1,"query_parallelism":1,"shard_count":1,"io_overlap":true,"io_backend":"pread","planner":"fixed","compression":"off"}"#.to_string(),
         query.to_string(),
         r#"{"type":"query","name":"","query":[],"k":1,"exact":false}"#.to_string(),
@@ -124,8 +124,8 @@ fn accepted_spellings_come_back_canonical() {
             build_index(r#","range_lo":0,"range_hi":60"#),
         ),
         (
-            build_index("").replace("\"off\"", "\"Prefix\""),
-            build_index("").replace("\"off\"", "\"prefix\""),
+            build_index("").replace("\"off\"", "\"Off\""),
+            build_index(""),
         ),
         (
             r#"{"type":"insert","name":"a","series":[[1]]}"#.to_string(),
@@ -259,7 +259,11 @@ fn malformed_requests_give_their_exact_errors() {
         ),
         (
             build_index("").replace(r#""compression":"off""#, r#""compression":"prefx""#),
-            "field 'compression': unknown compression 'prefx' (expected 'off' or 'prefix')",
+            "field 'compression': unknown compression 'prefx' (expected 'off')",
+        ),
+        (
+            build_index("").replace(r#""compression":"off""#, r#""compression":"prefix""#),
+            "field 'compression': unknown compression 'prefix' (expected 'off')",
         ),
         (
             build_index("").replace(r#""compression":"off""#, r#""compression":false"#),

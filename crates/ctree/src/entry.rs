@@ -193,15 +193,9 @@ impl RecordLayout for EntryLayout {
         (record.key, record.id)
     }
 
-    fn columns(&self) -> coconut_storage::ColumnSpec {
-        // The 16-byte big-endian invSAX key is front-coded (sorted
-        // neighbors share long prefixes), id and timestamp are delta-varint
-        // columns, and the f32 values are the raw tail key-only scans skip.
-        coconut_storage::ColumnSpec {
-            prefix_len: 16,
-            int_fields: 2,
-            tail_len: 4 * self.series_len,
-        }
+    fn tail_len(&self) -> usize {
+        // The f32 values: the tail a key-only scan skips.
+        4 * self.series_len
     }
 }
 

@@ -21,7 +21,7 @@ use coconut_sax::{mindist_paa_key_prefix_sq, InvSaxKey, QueryBounds, SaxConfig, 
 use coconut_series::paa::paa;
 use coconut_series::Timestamp;
 use coconut_storage::dynsort::DynRunWriter;
-use coconut_storage::{AccessPattern, Compression, IoBackend, RecordLayout, SharedIoStats};
+use coconut_storage::{AccessPattern, IoBackend, RecordLayout, SharedIoStats};
 
 use crate::entry::{EntryLayout, SeriesEntry};
 use crate::query::{EncodedBlock, KnnHeap, QueryContext};
@@ -67,13 +67,11 @@ pub struct SortedSeriesFile {
 impl SortedSeriesFile {
     /// Builds a partition at `path` by streaming already-sorted entries into
     /// blocks of `entries_per_block` entries.  `backend` is the read backend
-    /// the finished partition serves its block scans with; `compression` is
-    /// its on-disk format (`off` writes whole entries when they carry no
-    /// values and keeps a materialized partition's values in a sibling
-    /// `<path>.tail` file; `prefix` front-codes the sorted invSAX keys and
-    /// delta-codes ids/timestamps into ~4 KiB blocks).  Both
-    /// are pure performance knobs: answers, costs and the logical `IoStats`
-    /// view are identical at every setting.
+    /// the finished partition serves its block scans with, a pure
+    /// performance knob: answers, costs and `IoStats` are identical at
+    /// either setting.  Entries without values are written whole; a
+    /// materialized partition keeps its values in a sibling `<path>.tail`
+    /// file.
     #[allow(clippy::too_many_arguments)]
     pub fn build<P, I>(
         path: P,
@@ -84,21 +82,14 @@ impl SortedSeriesFile {
         stats: SharedIoStats,
         page_size: usize,
         backend: IoBackend,
-        compression: Compression,
     ) -> Result<Self>
     where
         P: AsRef<Path>,
         I: IntoIterator<Item = Result<SeriesEntry>>,
     {
         assert!(entries_per_block > 0);
-        let mut writer = DynRunWriter::create(
-            layout,
-            path,
-            Arc::clone(&stats),
-            page_size,
-            backend,
-            compression,
-        )?;
+        let mut writer =
+            DynRunWriter::create(layout, path, Arc::clone(&stats), page_size, backend)?;
         let mut blocks: Vec<BlockMeta> = Vec::new();
         let mut current: Option<BlockMeta> = None;
         let mut index: u64 = 0;
@@ -170,7 +161,6 @@ impl SortedSeriesFile {
         page_size: usize,
         parallelism: usize,
         backend: IoBackend,
-        compression: Compression,
     ) -> Result<Self> {
         let workers = coconut_parallel::effective_parallelism(parallelism);
         coconut_parallel::parallel_sort_by_key(&mut entries, workers, |e| (e.key, e.id));
@@ -183,7 +173,6 @@ impl SortedSeriesFile {
             stats,
             page_size,
             backend,
-            compression,
         )
     }
 
@@ -197,31 +186,17 @@ impl SortedSeriesFile {
         self.run.is_empty()
     }
 
-    /// Logical size in bytes (`entries × record_size`, compression-blind);
-    /// cost and buffer arithmetic stays on this view so decisions are
-    /// identical at compression off/prefix.
+    /// Size in bytes (`entries × record_size`): what the partition
+    /// occupies on disk, over both files of a materialized one.
     pub fn byte_size(&self) -> u64 {
         self.run.byte_size()
     }
 
-    /// Bytes the partition actually occupies on disk (smaller than
-    /// [`SortedSeriesFile::byte_size`] when compressed).
-    pub fn physical_byte_size(&self) -> u64 {
-        self.run.physical_byte_size()
-    }
-
-    /// The on-disk compression the partition was built with.
-    pub fn compression(&self) -> Compression {
-        self.run.compression()
-    }
-
     /// Reads only the invSAX keys of `count` entries starting at `index`,
     /// in key order.  On a materialized partition this touches just the
-    /// heads — the heads file of an uncompressed one, the blocks' head
-    /// regions of a compressed one; the raw f32 values never leave the disk
-    /// — so a key-only scan moves strictly fewer physical bytes than an
-    /// entry scan; the logical `IoStats` view is charged like a full-record
-    /// read on every path, keeping it knob-invariant.
+    /// heads file — the raw f32 values never leave the disk — so a key-only
+    /// scan moves strictly fewer physical bytes than an entry scan; the
+    /// logical `IoStats` view is charged like a full-record read.
     pub fn scan_keys(&self, index: u64, count: usize) -> Result<Vec<u128>> {
         let heads = self.run.read_heads_raw(index, count)?;
         let head = self.run.head_size();
@@ -727,7 +702,6 @@ mod tests {
             4096,
             1,
             IoBackend::Pread,
-            Compression::Off,
         )
         .unwrap()
     }
@@ -766,7 +740,6 @@ mod tests {
             IoStats::shared(),
             1024,
             IoBackend::Pread,
-            Compression::Off,
         );
         assert!(matches!(result, Err(IndexError::Config(_))));
     }
@@ -999,47 +972,42 @@ mod tests {
         assert_eq!(plan(&[0, 18], 256), [(0, 0), (18, 18)]);
     }
 
-    /// The plan's ranges are read into their places in one buffer, at either
-    /// compression: a `prefix` block's tail slices are cut from the tail
-    /// regions of the codec blocks it spans.  The kept slots' values are
-    /// the block's, and the physical bytes are exactly the ranges' tails.
+    /// The plan's ranges are read into their places in one buffer: the kept
+    /// slots' values are the block's, and the physical bytes are exactly the
+    /// ranges' tails.
     #[test]
     fn planned_value_reads_fill_the_kept_slots() {
         let dir = ScratchDir::new("ssf-plan").unwrap();
         let sax = SaxConfig::new(256, 8, 8);
         let (_, entries) = make_entries(256, sax, true, 9);
         let kept = [0usize, 3, 40, 41, 63];
-        for compression in [Compression::Off, Compression::Prefix] {
-            let stats = IoStats::shared();
-            let file = SortedSeriesFile::build_unsorted(
-                dir.file(&format!("plan-{compression}.run")),
-                EntryLayout::materialized(sax.key_bits(), sax.series_len),
-                sax,
-                entries.clone(),
-                64,
-                Arc::clone(&stats),
-                4096,
-                1,
-                IoBackend::Pread,
-                compression,
-            )
+        let stats = IoStats::shared();
+        let file = SortedSeriesFile::build_unsorted(
+            dir.file("plan.run"),
+            EntryLayout::materialized(sax.key_bits(), sax.series_len),
+            sax,
+            entries,
+            64,
+            Arc::clone(&stats),
+            4096,
+            1,
+            IoBackend::Pread,
+        )
+        .unwrap();
+        let block = file.blocks()[1];
+        let whole = file.run().read_tails_raw(block.start, 64).unwrap();
+        let mut tails = vec![0xAA; 7];
+        let before = stats.snapshot();
+        let values = file
+            .read_values(block.start, kept, 0, 63, &mut tails)
             .unwrap();
-            assert_eq!(file.compression(), compression);
-            let block = file.blocks()[1];
-            let whole = file.run().read_tails_raw(block.start, 64).unwrap();
-            let mut tails = vec![0xAA; 7];
-            let before = stats.snapshot();
-            let values = file
-                .read_values(block.start, kept, 0, 63, &mut tails)
-                .unwrap();
-            let physical = stats.snapshot().since(&before).physical_bytes_read;
-            assert_eq!(values.len(), 64 * TAIL_256);
-            for slot in kept {
-                let at = slot * TAIL_256..(slot + 1) * TAIL_256;
-                assert_eq!(values[at.clone()], whole[at], "{compression} slot {slot}");
-            }
-            assert_eq!(physical, (4 + 2 + 1) * TAIL_256 as u64, "{compression}");
+        let physical = stats.snapshot().since(&before).physical_bytes_read;
+        assert_eq!(values.len(), 64 * TAIL_256);
+        for slot in kept {
+            let at = slot * TAIL_256..(slot + 1) * TAIL_256;
+            assert_eq!(values[at.clone()], whole[at], "slot {slot}");
         }
+        assert_eq!(physical, (4 + 2 + 1) * TAIL_256 as u64);
     }
 
     #[test]

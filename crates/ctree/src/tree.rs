@@ -40,7 +40,7 @@ pub struct CTreeConfig {
     pub page_size: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).  The
     /// bulk load's summarization, external sort and leaf scans read
-    /// `parallelism`, `io_overlap`, `io_backend` and `compression`; queries
+    /// `parallelism`, `io_overlap` and `io_backend`; queries
     /// and delta merges get `query_parallelism` and the read-ahead gate
     /// from [`planner::decide`].  Answers, `QueryCost` and the logical
     /// `IoStats` are identical at every setting.
@@ -213,7 +213,6 @@ impl CTree {
                 Arc::clone(&stats),
                 config.page_size,
                 config.knobs.io_backend,
-                config.knobs.compression,
             ),
         };
         // The spill runs are scratch: gone once the merge has drained into
@@ -223,7 +222,7 @@ impl CTree {
         deleted?;
 
         let entries_count = file.len();
-        let footprint = file.physical_byte_size();
+        let footprint = file.byte_size();
         let delta_capacity = Self::delta_capacity_for(&config, entries_count);
         let build_stats = BuildStats {
             elapsed: start.elapsed(),
@@ -289,22 +288,15 @@ impl CTree {
         self.len() == 0
     }
 
-    /// On-disk footprint of the index in bytes — the *physical* size, so
-    /// compressed trees report (and the adaptive planner's residency test
-    /// sees) their real, smaller working set.  Equals the logical size when
-    /// compression is off.
+    /// On-disk footprint of the index in bytes (the adaptive planner's
+    /// residency test reads it).
     pub fn footprint_bytes(&self) -> u64 {
-        self.file.physical_byte_size()
+        self.file.byte_size()
     }
 
     /// Build statistics.
     pub fn build_stats(&self) -> BuildStats {
         self.build_stats
-    }
-
-    /// The shared I/O statistics handle.
-    pub fn io_stats(&self) -> &SharedIoStats {
-        &self.stats
     }
 
     /// Number of leaf blocks.
@@ -485,7 +477,6 @@ impl CTree {
             Arc::clone(&self.stats),
             self.config.page_size,
             self.config.knobs.io_backend,
-            self.config.knobs.compression,
         )?;
         let old = std::mem::replace(&mut self.file, new_file);
         self.delta_capacity = Self::delta_capacity_for(&self.config, self.file.len());

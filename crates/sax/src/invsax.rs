@@ -312,7 +312,7 @@ impl SortableSummarizer {
     /// Summarizes a raw series into its sortable interleaved key, without
     /// allocating: the PAA lands in a stack array (the same kernel sums in
     /// the same order as [`SortableSummarizer::paa`]), each mean finds its
-    /// symbol through the [`SymbolGrid`], and the spread table interleaves
+    /// symbol through the `SymbolGrid`, and the spread table interleaves
     /// it.  Bit for bit `InvSaxKey::from_sax(&self.sax(values))`, the
     /// reference it is tested against.
     ///

@@ -170,25 +170,6 @@ impl QueryBounds {
     }
 }
 
-/// Squared lower bound between two full-resolution SAX words (used when the
-/// query itself is only available in summarized form, e.g. for bulk
-/// index-to-index comparisons).
-pub fn mindist_sax_sax_sq(
-    a: &SaxWord,
-    b: &SaxWord,
-    config: &SaxConfig,
-    breakpoints: &Breakpoints,
-) -> f64 {
-    assert_eq!(a.segments(), config.segments);
-    assert_eq!(b.segments(), config.segments);
-    let scale = config.series_len as f64 / config.segments as f64;
-    let mut acc = 0.0;
-    for seg in 0..config.segments {
-        acc += breakpoints.symbol_distance_sq(a.symbols()[seg] as u32, b.symbols()[seg] as u32);
-    }
-    scale * acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,23 +240,6 @@ mod tests {
         let word = summarizer.sax(&s.values);
         let lb = mindist_paa_sax_sq(&q_paa, &word, &config, summarizer.breakpoints());
         assert_eq!(lb, 0.0);
-    }
-
-    #[test]
-    fn mindist_sax_sax_lower_bounds_true_distance() {
-        let config = cfg();
-        let summarizer = SortableSummarizer::new(config);
-        let mut gen = RandomWalkGenerator::new(config.series_len, 83);
-        let series: Vec<_> = gen.generate(60);
-        for i in 0..30 {
-            let a = &series[i];
-            let b = &series[i + 30];
-            let wa = summarizer.sax(&a.values);
-            let wb = summarizer.sax(&b.values);
-            let lb = mindist_sax_sax_sq(&wa, &wb, &config, summarizer.breakpoints());
-            let true_d = squared_euclidean(&a.values, &b.values);
-            assert!(lb <= true_d + 1e-6);
-        }
     }
 
     #[test]

@@ -71,28 +71,9 @@ pub fn paa_into(values: &[f32], out: &mut [f64]) {
     }
 }
 
-/// Lower-bounding distance between two PAA representations.
-///
-/// For series of original length `n` reduced to `w` segments, the distance
-/// `sqrt(n/w) * ||paa_a - paa_b||` lower-bounds the true Euclidean distance
-/// between the original series (Keogh et al.).  This function returns the
-/// *squared* lower bound to match the squared distances used elsewhere.
-pub fn paa_lower_bound_sq(paa_a: &[f64], paa_b: &[f64], series_len: usize) -> f64 {
-    assert_eq!(paa_a.len(), paa_b.len(), "PAA words must have equal length");
-    let w = paa_a.len();
-    let scale = series_len as f64 / w as f64;
-    let mut acc = 0.0;
-    for (a, b) in paa_a.iter().zip(paa_b.iter()) {
-        let d = a - b;
-        acc += d * d;
-    }
-    scale * acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::squared_euclidean;
 
     #[test]
     fn paa_of_exact_multiple() {
@@ -132,39 +113,14 @@ mod tests {
     fn zero_segments_panics() {
         paa(&[1.0, 2.0], 0);
     }
-
-    #[test]
-    fn paa_lower_bound_is_a_lower_bound() {
-        let a: Vec<f32> = (0..64).map(|i| ((i * 13) % 7) as f32 - 3.0).collect();
-        let b: Vec<f32> = (0..64).map(|i| ((i * 29) % 11) as f32 - 5.0).collect();
-        let pa = paa(&a, 8);
-        let pb = paa(&b, 8);
-        let lb = paa_lower_bound_sq(&pa, &pb, 64);
-        let true_d = squared_euclidean(&a, &b);
-        assert!(lb <= true_d + 1e-6, "lb {lb} > true {true_d}");
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::distance::squared_euclidean;
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn paa_lower_bound_property(
-            a in proptest::collection::vec(-50.0f32..50.0, 96),
-            b in proptest::collection::vec(-50.0f32..50.0, 96),
-            segs in 1usize..32,
-        ) {
-            let pa = paa(&a, segs);
-            let pb = paa(&b, segs);
-            let lb = paa_lower_bound_sq(&pa, &pb, 96);
-            let d = squared_euclidean(&a, &b);
-            prop_assert!(lb <= d + 1e-3, "lb {} > dist {}", lb, d);
-        }
-
         #[test]
         fn paa_output_length(
             vals in proptest::collection::vec(-10.0f32..10.0, 8..200),

@@ -27,13 +27,9 @@ use std::sync::Arc;
 
 use coconut_parallel::{effective_parallelism, parallel_sort_by_key};
 
-use crate::block::{
-    block_records_for, decode_block_heads, encode_block, BlockExtent, ColumnSpec, Compression,
-    LogicalAccountant, FOOTER_MAGIC,
-};
 use crate::durability::{self, Job};
 use crate::file::{read_ahead_with, PagedFile, ReadAheadBuffers};
-use crate::iostats::SharedIoStats;
+use crate::iostats::{LogicalAccountant, SharedIoStats};
 use crate::knobs::PerfKnobs;
 use crate::mmap::IoBackend;
 use crate::page::DEFAULT_PAGE_SIZE;
@@ -62,18 +58,17 @@ pub trait RecordLayout: Clone + Send + Sync {
     /// Returns the record's sort key.
     fn key(&self, record: &Self::Record) -> Self::Key;
 
-    /// How encoded records split into the block codec's column regions (see
-    /// [`ColumnSpec`]).  The default treats the whole record as one
-    /// front-coded column, which is correct for arbitrary byte layouts;
-    /// layouts with a big-endian key prefix, integer fields and a raw value
-    /// tail override this so `compression = prefix` can delta-code the
-    /// integers and keep the tail out of key-only scans.
-    fn columns(&self) -> ColumnSpec {
-        ColumnSpec::opaque(self.record_size())
+    /// Length of the value tail that ends every encoded record (materialized
+    /// series values, which key-only scans never read); the rest of the
+    /// record is its head.  A run of a layout with a tail keeps heads and
+    /// tails in two files (see [`DynRunWriter::create`]).  The default is
+    /// no tail: the whole record is its head.
+    fn tail_len(&self) -> usize {
+        0
     }
 
-    /// Decodes a record from its head (`columns().head_size()` bytes) and
-    /// its value tail (`columns().tail_len` bytes), the two halves runs hand
+    /// Decodes a record from its head (`record_size() - tail_len()` bytes)
+    /// and its value tail (`tail_len()` bytes), the two halves runs hand
     /// records out as.  The default joins them for [`RecordLayout::decode`];
     /// a layout with a tail overrides it to read each half in place.
     fn decode_parts(&self, head: &[u8], tail: &[u8]) -> Self::Record {
@@ -88,65 +83,37 @@ pub trait RecordLayout: Clone + Send + Sync {
 }
 
 /// The non-generic storage engine under a [`DynRunFile`]: the run's file(s)
-/// in one of three [`RunFormat`]s.  All record framing and accounting lives
+/// in one of two [`RunFormat`]s.  All record framing and accounting lives
 /// here so readers, clones and prefetch workers share one state without
 /// dragging the layout type parameter into `'static` closure bounds.
 ///
 /// Reads hand records out *column-wise*: the heads of the records read
-/// (`spec.head_size()` bytes each), then their value tails.  A layout
-/// without a tail has head == record: there the bytes are plain records.
+/// (`head_size()` bytes each), then their value tails.  A layout without a
+/// tail has head == record: there the bytes are plain records.
 pub(crate) struct RunBody {
-    /// The rows, the heads of a split run, or the blocks of a compressed one.
+    /// The rows, or the heads of a split run.
     file: PagedFile,
     record_size: usize,
-    spec: ColumnSpec,
+    tail_len: usize,
     count: u64,
     format: RunFormat,
 }
 
 /// How a run lays its records out on disk.
 enum RunFormat {
-    /// `compression = off` for a layout without a value tail: whole records
-    /// back to back, the file charging both `IoStats` views itself.
+    /// A layout without a value tail: whole records back to back, the file
+    /// charging both `IoStats` views itself.
     Rows,
-    /// `compression = off` for a layout with a value tail: record `i`'s head
-    /// at `i × head_size` in the run's file, its tail at `i × tail_len` in
-    /// the [`tail_path`] file; no header or footer, so the two lengths add
-    /// up to the row file's.  Both files charge physical bytes only;
-    /// `logical` replays the row file's page walk.
+    /// A layout with a value tail: record `i`'s head at `i × head_size` in
+    /// the run's file, its tail at `i × tail_len` in the [`tail_path`] file;
+    /// no header or footer, so the two lengths add up to the row file's.
+    /// Both files charge physical bytes only; `logical` replays the row
+    /// file's page walk, its cursor carried from the writer into the
+    /// finished run as `PagedFile`'s own cursor is.
     Split {
         tails: PagedFile,
         logical: LogicalAccountant,
     },
-    /// `compression = prefix`: the block codec.
-    Blocks(RunCodec),
-}
-
-/// Per-run state of a `compression = prefix` file.
-struct RunCodec {
-    /// Records per block (fixed; the last block may be short).
-    block_records: usize,
-    /// Physical extent of every block, in order.
-    blocks: Vec<BlockExtent>,
-    /// Charges the logical view of every read/write; the classification
-    /// cursor moves from the writer into the finished run so the
-    /// sequential/random split carries across phases exactly like
-    /// `PagedFile`'s own cursor does for uncompressed runs.
-    logical: LogicalAccountant,
-}
-
-impl RunCodec {
-    /// The extents of the blocks holding records `index..index + count`
-    /// (`count > 0`), and the index of the first record of the first one.
-    fn blocks_of(&self, index: u64, count: usize) -> Result<(u64, &[BlockExtent])> {
-        let per = self.block_records as u64;
-        let first = (index / per) as usize;
-        let last = ((index + count as u64 - 1) / per) as usize;
-        let extents = self.blocks.get(first..=last).ok_or_else(|| {
-            StorageError::Corrupt("record range past the compressed block directory".into())
-        })?;
-        Ok((first as u64 * per, extents))
-    }
 }
 
 /// Path of the file holding the value tails of the split run at `path`.
@@ -157,21 +124,22 @@ fn tail_path(path: &Path) -> PathBuf {
 }
 
 impl RunBody {
-    /// The compression this run was written with.
-    pub(crate) fn compression(&self) -> Compression {
-        match self.format {
-            RunFormat::Blocks(_) => Compression::Prefix,
-            RunFormat::Rows | RunFormat::Split { .. } => Compression::Off,
+    /// Bytes of a record's head: the record less its value tail.
+    fn head_size(&self) -> usize {
+        self.record_size - self.tail_len
+    }
+
+    /// The tail file of a split run.
+    fn tail_file(&self) -> Option<&PagedFile> {
+        match &self.format {
+            RunFormat::Split { tails, .. } => Some(tails),
+            RunFormat::Rows => None,
         }
     }
 
     /// The run's files: its own, then the tail file of a split run.
     fn files(&self) -> impl Iterator<Item = &PagedFile> {
-        let tails = match &self.format {
-            RunFormat::Split { tails, .. } => Some(tails),
-            RunFormat::Rows | RunFormat::Blocks(_) => None,
-        };
-        std::iter::once(&self.file).chain(tails)
+        std::iter::once(&self.file).chain(self.tail_file())
     }
 
     /// `count` clamped to the records left from `index`.
@@ -181,7 +149,7 @@ impl RunBody {
 
     /// Reads `count` records starting at `index` (clamped to the run
     /// length), column-wise (see [`RunBody`]): their heads, then their
-    /// tails.  Every format charges the logical view exactly one positioned
+    /// tails.  Both formats charge the logical view exactly one positioned
     /// read of the requested record range of the row file.
     fn read(&self, index: u64, count: usize) -> Result<Vec<u8>> {
         let count = self.clamp(index, count);
@@ -189,20 +157,17 @@ impl RunBody {
             return Ok(Vec::new());
         }
         let (offset, bytes) = record_range(index, count, self.record_size)?;
-        let (tail_file, logical) = match &self.format {
-            RunFormat::Rows => return self.file.read_at(offset, bytes),
-            RunFormat::Split { tails, logical } => (tails, logical),
-            RunFormat::Blocks(_) => {
-                let mut records = Vec::with_capacity(bytes);
-                records.extend_from_slice(&self.read_heads(index, count)?);
-                records.extend_from_slice(&self.read_tails(index, count)?);
-                return Ok(records);
-            }
+        let RunFormat::Split {
+            tails: tail_file,
+            logical,
+        } = &self.format
+        else {
+            return self.file.read_at(offset, bytes);
         };
         // One buffer filled in place: merges read through here, and a second
         // buffer for the tails, appended, cost `stream-window` a third of its
         // ingest rate.
-        let (head, tail) = (self.spec.head_size(), self.spec.tail_len);
+        let (head, tail) = (self.head_size(), self.tail_len);
         let mut records = vec![0u8; bytes];
         let (heads, tails) = records.split_at_mut(count * head);
         self.file.read_into(record_offset(index, head)?, heads)?;
@@ -211,10 +176,9 @@ impl RunBody {
         Ok(records)
     }
 
-    /// Reads only the heads (key prefix + integer fields) of `count` records
-    /// starting at `index`: a split run's heads file, a compressed run's
-    /// head regions.  The logical view is charged the full records, as the
-    /// row format reads them.
+    /// Reads only the heads (key and pointer fields) of `count` records
+    /// starting at `index`: a split run's heads file.  The logical view is
+    /// charged the full records, as the row format reads them.
     fn read_heads(&self, index: u64, count: usize) -> Result<Vec<u8>> {
         let mut heads = Vec::new();
         self.read_heads_into(index, count, &mut heads)?;
@@ -229,53 +193,35 @@ impl RunBody {
             heads.clear();
             return Ok(());
         }
-        let head = self.spec.head_size();
         let (offset, bytes) = record_range(index, count, self.record_size)?;
-        let (logical, skip) = match &self.format {
+        match &self.format {
             RunFormat::Rows => {
                 heads.resize(bytes, 0);
-                return self.file.read_into(offset, heads);
+                self.file.read_into(offset, heads)
             }
             RunFormat::Split { logical, .. } => {
+                let head = self.head_size();
                 heads.resize(count * head, 0);
                 self.file.read_into(record_offset(index, head)?, heads)?;
-                (logical, 0)
+                logical.account(offset, bytes, true);
+                Ok(())
             }
-            RunFormat::Blocks(codec) => {
-                let (start, extents) = codec.blocks_of(index, count)?;
-                heads.clear();
-                for extent in extents {
-                    let frame = self.file.read_at(extent.offset, extent.head_len as usize)?;
-                    heads.extend_from_slice(&decode_block_heads(&self.spec, &frame)?);
-                }
-                (&codec.logical, (index - start) as usize * head)
-            }
-        };
-        logical.account(offset, bytes, true);
-        if heads.len() < skip + count * head {
-            return Err(StorageError::Corrupt(
-                "compressed block heads decoded short of the requested range".into(),
-            ));
         }
-        heads.drain(..skip);
-        heads.truncate(count * head);
-        Ok(())
     }
 
     /// Reads only the value tails of `count` records starting at `index`
     /// (clamped to the run length); see [`RunBody::read_tails_into`].
     fn read_tails(&self, index: u64, count: usize) -> Result<Vec<u8>> {
-        let mut tails = vec![0u8; self.clamp(index, count) * self.spec.tail_len];
+        let mut tails = vec![0u8; self.clamp(index, count) * self.tail_len];
         self.read_tails_into(index, &mut tails)?;
         Ok(tails)
     }
 
     /// Fills `tails` with the value tails of the records from `index` on,
-    /// as many as it holds: one read of a split run's tail file, one of the
-    /// matching slice of each block's tail region on a compressed run.
-    /// Physical bytes only: the heads were charged the records.
+    /// as many as it holds: one read of a split run's tail file.  Physical
+    /// bytes only: the heads were charged the records.
     fn read_tails_into(&self, index: u64, tails: &mut [u8]) -> Result<()> {
-        let tail = self.spec.tail_len;
+        let tail = self.tail_len;
         let count = tails.len().checked_div(tail).unwrap_or(0);
         if count == 0 {
             return Ok(());
@@ -285,31 +231,10 @@ impl RunBody {
                 "value tail read off a record boundary or past the run".into(),
             ));
         }
-        match &self.format {
+        match self.tail_file() {
+            Some(file) => file.read_into(record_offset(index, tail)?, tails),
             // A row layout has no tail.
-            RunFormat::Rows => Ok(()),
-            RunFormat::Split { tails: file, .. } => {
-                file.read_into(record_offset(index, tail)?, tails)
-            }
-            RunFormat::Blocks(codec) => {
-                let (start, extents) = codec.blocks_of(index, count)?;
-                let (per, end) = (codec.block_records as u64, index + count as u64);
-                let mut rest = tails;
-                for (first, extent) in (start..).step_by(per as usize).zip(extents) {
-                    let from = index.max(first) - first;
-                    let len = (end.min(first + per) - first - from) as usize * tail;
-                    let at = u64::from(extent.head_len) + from * tail as u64;
-                    if at + len as u64 > u64::from(extent.len) {
-                        return Err(StorageError::Corrupt(
-                            "compressed block tail region short of its records".into(),
-                        ));
-                    }
-                    let (slice, more) = std::mem::take(&mut rest).split_at_mut(len);
-                    self.file.read_into(extent.offset + at, slice)?;
-                    rest = more;
-                }
-                Ok(())
-            }
+            None => Ok(()),
         }
     }
 
@@ -348,7 +273,6 @@ impl<L: RecordLayout> std::fmt::Debug for DynRunFile<L> {
         f.debug_struct("DynRunFile")
             .field("path", &self.body.file.path())
             .field("count", &self.body.count)
-            .field("compression", &self.body.compression().name())
             .finish()
     }
 }
@@ -364,25 +288,10 @@ impl<L: RecordLayout> DynRunFile<L> {
         self.body.count == 0
     }
 
-    /// Logical size in bytes: `records × record_size`, regardless of
-    /// compression.  Byte-budget arithmetic (merge buffer sizing, cost
-    /// models) stays on this view so decisions are identical at
-    /// compression off/prefix; the real disk footprint is
-    /// [`DynRunFile::physical_byte_size`].
+    /// Size in bytes: `records × record_size`, what the run's files occupy
+    /// on disk (summed over both files of a split run).
     pub fn byte_size(&self) -> u64 {
         self.body.count * self.layout.record_size() as u64
-    }
-
-    /// Bytes the run's files actually occupy on disk (compressed blocks
-    /// plus the block-directory footer; equals [`DynRunFile::byte_size`]
-    /// when compression is off, summed over both files of a split run).
-    pub fn physical_byte_size(&self) -> u64 {
-        self.body.files().map(PagedFile::len).sum()
-    }
-
-    /// The compression this run was written with.
-    pub fn compression(&self) -> Compression {
-        self.body.compression()
     }
 
     /// Path of the run's file (the heads file of a split run).
@@ -391,7 +300,7 @@ impl<L: RecordLayout> DynRunFile<L> {
     }
 
     /// Paths of the run's files: [`DynRunFile::path`], then `<path>.tail`
-    /// for an uncompressed run of a layout with a value tail.
+    /// for a run of a layout with a value tail.
     pub fn paths(&self) -> impl Iterator<Item = &Path> {
         self.body.files().map(PagedFile::path)
     }
@@ -431,7 +340,7 @@ impl<L: RecordLayout> DynRunFile<L> {
     /// [`DynRunFile::range_prefetcher`], each decoded from its head and its
     /// tail in place.
     pub fn decode_raw<'a>(&'a self, bytes: &'a [u8]) -> impl Iterator<Item = L::Record> + 'a {
-        let (head, tail) = (self.head_size(), self.body.spec.tail_len);
+        let (head, tail) = (self.head_size(), self.body.tail_len);
         let count = bytes.len() / self.layout.record_size().max(1);
         let (heads, tails) = bytes.split_at(count * head);
         (0..count).map(move |i| {
@@ -442,11 +351,11 @@ impl<L: RecordLayout> DynRunFile<L> {
         })
     }
 
-    /// Reads the per-record head bytes (`head_size()` each — key prefix
-    /// plus integer fields, no value tail) of up to `count` records
-    /// starting at `index`.  Whenever the layout has a value tail, this
-    /// reads strictly fewer physical bytes than [`DynRunFile::read_raw`];
-    /// logical accounting is identical to a full-record read on every path.
+    /// Reads the per-record head bytes (`head_size()` each — the record
+    /// less its value tail) of up to `count` records starting at `index`.
+    /// Whenever the layout has a value tail, this reads strictly fewer
+    /// physical bytes than [`DynRunFile::read_raw`]; logical accounting is
+    /// identical to a full-record read on every path.
     pub fn read_heads_raw(&self, index: u64, count: usize) -> Result<Vec<u8>> {
         self.body.read_heads(index, count)
     }
@@ -466,17 +375,16 @@ impl<L: RecordLayout> DynRunFile<L> {
 
     /// Fills `tails` with the value tails of the records from `index` on,
     /// as many as it holds (a whole number of tails, all inside the run):
-    /// one positioned read of an uncompressed run's `.tail` file, the
-    /// matching slice of each block's tail region of a compressed one.
-    /// Physical bytes only, as [`DynRunFile::read_tails_raw`]; a scan reads
-    /// several ranges of one block this way into one buffer.
+    /// one positioned read of the run's `.tail` file.  Physical bytes only,
+    /// as [`DynRunFile::read_tails_raw`]; a scan reads several ranges of one
+    /// block this way into one buffer.
     pub fn read_tails_into(&self, index: u64, tails: &mut [u8]) -> Result<()> {
         self.body.read_tails_into(index, tails)
     }
 
     /// Bytes per record returned by [`DynRunFile::read_heads_raw`].
     pub fn head_size(&self) -> usize {
-        self.body.spec.head_size()
+        self.body.head_size()
     }
 
     /// Sequential reader with a buffer of `buffer_records` records.
@@ -613,13 +521,12 @@ const APPEND_BYTES: usize = 64 * 1024;
 /// Records accumulate in a buffer appended to the file whenever it reaches
 /// [`APPEND_BYTES`] (or one page / one record, if larger), one `pwrite` per
 /// file each; the bytes are identical whatever the cadence.  A split run
-/// appends its heads and tails buffers together; a compressed run appends
-/// each full block, front-/delta-coded.  Both charge the logical view with
-/// the row writer's appends ([`LogicalWrites`]).
+/// appends its heads and tails buffers together, and charges the logical
+/// view with the row writer's appends ([`LogicalWrites`]).
 struct RunBodyWriter {
     file: PagedFile,
     record_size: usize,
-    spec: ColumnSpec,
+    tail_len: usize,
     /// Records not yet appended — their heads alone for a split run.
     buffer: Vec<u8>,
     count: u64,
@@ -636,22 +543,10 @@ enum WriterFormat {
         tail_buffer: Vec<u8>,
         logical: LogicalWrites,
     },
-    Blocks {
-        codec: WriterCodec,
-        logical: LogicalWrites,
-    },
-}
-
-struct WriterCodec {
-    block_records: usize,
-    blocks: Vec<BlockExtent>,
-    /// Scratch frame the current block is encoded into.
-    frame: Vec<u8>,
 }
 
 /// The row writer's appends, replayed on a virtual row file for the logical
-/// view of a run written in another format: the same threshold, checked
-/// after each record.
+/// view of a split run: the same threshold, checked after each record.
 struct LogicalWrites {
     accountant: LogicalAccountant,
     /// Bytes of the virtual row file not yet charged.
@@ -661,14 +556,6 @@ struct LogicalWrites {
 }
 
 impl LogicalWrites {
-    fn new(stats: SharedIoStats, page_size: usize) -> LogicalWrites {
-        LogicalWrites {
-            accountant: LogicalAccountant::new(stats, page_size),
-            pending: 0,
-            offset: 0,
-        }
-    }
-
     /// Counts a record; `true` (the append charged) when the row writer
     /// would append now.
     fn push(&mut self, record_size: usize, flush_bytes: usize) -> bool {
@@ -691,61 +578,45 @@ impl LogicalWrites {
 }
 
 impl RunBodyWriter {
-    fn create<P: AsRef<Path>>(
-        path: P,
+    fn create(
+        path: &Path,
         stats: SharedIoStats,
         page_size: usize,
         backend: IoBackend,
-        compression: Compression,
-        spec: ColumnSpec,
+        record_size: usize,
+        tail_len: usize,
     ) -> Result<Self> {
-        let path = path.as_ref();
-        let record_size = spec.record_size();
         let flush_bytes = page_size.max(record_size).max(APPEND_BYTES);
         // The threshold is checked after a push, so a buffer overshoots it by
         // up to one record.
-        let rows_capacity = flush_bytes + record_size;
+        let capacity = flush_bytes + record_size;
         let create = |path: &Path| -> Result<PagedFile> {
             let file = PagedFile::create_with_page_size(path, Arc::clone(&stats), page_size)?;
             Ok(file.with_backend(backend))
         };
-        let logical = || LogicalWrites::new(Arc::clone(&stats), page_size);
-        let mut file = create(path)?;
-        let (format, buffer_capacity) = match compression {
-            Compression::Off if spec.tail_len == 0 => (WriterFormat::Rows, rows_capacity),
-            Compression::Off => (
-                WriterFormat::Split {
-                    tails: create(&tail_path(path))?.with_physical_only_accounting(),
-                    tail_buffer: Vec::with_capacity(rows_capacity),
-                    logical: logical(),
+        let file = create(path)?;
+        let (file, format) = if tail_len == 0 {
+            (file, WriterFormat::Rows)
+        } else {
+            // A split run charges its logical view through `LogicalWrites`;
+            // its files must then only report physical traffic or every
+            // access would be double-counted.
+            let format = WriterFormat::Split {
+                tails: create(&tail_path(path))?.with_physical_only_accounting(),
+                tail_buffer: Vec::with_capacity(capacity),
+                logical: LogicalWrites {
+                    accountant: LogicalAccountant::new(Arc::clone(&stats), page_size),
+                    pending: 0,
+                    offset: 0,
                 },
-                rows_capacity,
-            ),
-            Compression::Prefix => {
-                let block_records = block_records_for(record_size);
-                let codec = WriterCodec {
-                    block_records,
-                    blocks: Vec::new(),
-                    frame: Vec::new(),
-                };
-                let logical = logical();
-                (
-                    WriterFormat::Blocks { codec, logical },
-                    block_records * record_size,
-                )
-            }
+            };
+            (file.with_physical_only_accounting(), format)
         };
-        // A run that is not rows charges its logical view through
-        // `LogicalWrites`; its files must then only report physical traffic
-        // or every access would be double-counted.
-        if !matches!(format, WriterFormat::Rows) {
-            file = file.with_physical_only_accounting();
-        }
         Ok(RunBodyWriter {
             file,
             record_size,
-            spec,
-            buffer: Vec::with_capacity(buffer_capacity),
+            tail_len,
+            buffer: Vec::with_capacity(capacity),
             count: 0,
             flush_bytes,
             format,
@@ -771,7 +642,7 @@ impl RunBodyWriter {
                 tail_buffer,
                 logical,
             } => {
-                let head_end = start + self.spec.head_size();
+                let head_end = start + self.record_size - self.tail_len;
                 tail_buffer.extend_from_slice(&self.buffer[head_end..]);
                 self.buffer.truncate(head_end);
                 if logical.push(self.record_size, self.flush_bytes) {
@@ -781,41 +652,14 @@ impl RunBodyWriter {
                     tail_buffer.clear();
                 }
             }
-            WriterFormat::Blocks { codec, logical } => {
-                logical.push(self.record_size, self.flush_bytes);
-                if self.buffer.len() >= codec.block_records * self.record_size {
-                    Self::flush_block(&self.file, &self.spec, codec, &mut self.buffer)?;
-                }
-            }
         }
-        Ok(())
-    }
-
-    fn flush_block(
-        file: &PagedFile,
-        spec: &ColumnSpec,
-        codec: &mut WriterCodec,
-        buffer: &mut Vec<u8>,
-    ) -> Result<()> {
-        if buffer.is_empty() {
-            return Ok(());
-        }
-        codec.frame.clear();
-        let head_len = encode_block(spec, buffer, &mut codec.frame);
-        let offset = file.append(&codec.frame)?;
-        codec.blocks.push(BlockExtent {
-            offset,
-            len: codec.frame.len() as u32,
-            head_len: head_len as u32,
-        });
-        buffer.clear();
         Ok(())
     }
 
     /// Appends what is buffered and returns the readable run.  A `durable`
     /// finish also queues the `fdatasync` of the run's files on the
     /// durability worker, as one job.
-    fn finish(mut self, durable: bool) -> Result<Arc<RunBody>> {
+    fn finish(self, durable: bool) -> Result<Arc<RunBody>> {
         let format = match self.format {
             WriterFormat::Rows => {
                 if !self.buffer.is_empty() {
@@ -838,24 +682,11 @@ impl RunBodyWriter {
                     logical: logical.accountant,
                 }
             }
-            WriterFormat::Blocks {
-                mut codec,
-                mut logical,
-            } => {
-                Self::flush_block(&self.file, &self.spec, &mut codec, &mut self.buffer)?;
-                logical.flush();
-                Self::append_footer(&self.file, &codec, self.count)?;
-                RunFormat::Blocks(RunCodec {
-                    block_records: codec.block_records,
-                    blocks: codec.blocks,
-                    logical: logical.accountant,
-                })
-            }
         };
         let body = Arc::new(RunBody {
             file: self.file,
             record_size: self.record_size,
-            spec: self.spec,
+            tail_len: self.tail_len,
             count: self.count,
             format,
         });
@@ -863,28 +694,6 @@ impl RunBodyWriter {
             durability::submit(RunBody::sync_job(&body))?;
         }
         Ok(body)
-    }
-
-    /// Appends the self-describing block directory: one
-    /// `(offset u64, len u32, head_len u32)` big-endian triple per block,
-    /// then `block_count u64`, `record_count u64`, `block_records u32`,
-    /// `version u32` and [`FOOTER_MAGIC`].  Readers within a process reuse
-    /// the in-memory directory; the footer makes the file format
-    /// self-contained for offline tooling and crash-restart reopens.
-    fn append_footer(file: &PagedFile, codec: &WriterCodec, count: u64) -> Result<()> {
-        let mut footer = Vec::with_capacity(codec.blocks.len() * 16 + 28);
-        for b in &codec.blocks {
-            footer.extend_from_slice(&b.offset.to_be_bytes());
-            footer.extend_from_slice(&b.len.to_be_bytes());
-            footer.extend_from_slice(&b.head_len.to_be_bytes());
-        }
-        footer.extend_from_slice(&(codec.blocks.len() as u64).to_be_bytes());
-        footer.extend_from_slice(&count.to_be_bytes());
-        footer.extend_from_slice(&(codec.block_records as u32).to_be_bytes());
-        footer.extend_from_slice(&1u32.to_be_bytes());
-        footer.extend_from_slice(&FOOTER_MAGIC);
-        file.append(&footer)?;
-        Ok(())
     }
 }
 
@@ -896,8 +705,7 @@ pub struct DynRunWriter<L: RecordLayout> {
 
 impl<L: RecordLayout> DynRunWriter<L> {
     /// Creates a new run at `path`, whose finished file serves its reads
-    /// with `backend` and is written with the on-disk `compression` (see
-    /// [`Compression`]).  `off` writes a layout without a value tail as the
+    /// with `backend`.  A layout without a value tail is written as the
     /// rows of one file; a layout with a tail (a materialized index entry)
     /// keeps the heads at `path` and the tails in `<path>.tail`.
     pub fn create<P: AsRef<Path>>(
@@ -906,15 +714,17 @@ impl<L: RecordLayout> DynRunWriter<L> {
         stats: SharedIoStats,
         page_size: usize,
         backend: IoBackend,
-        compression: Compression,
     ) -> Result<Self> {
-        let spec = layout.columns();
-        debug_assert_eq!(
-            spec.record_size(),
-            layout.record_size(),
-            "a layout's ColumnSpec must cover exactly its record"
-        );
-        let body = RunBodyWriter::create(path, stats, page_size, backend, compression, spec)?;
+        let (record_size, tail_len) = (layout.record_size(), layout.tail_len());
+        debug_assert!(tail_len < record_size, "a record's head is never empty");
+        let body = RunBodyWriter::create(
+            path.as_ref(),
+            stats,
+            page_size,
+            backend,
+            record_size,
+            tail_len,
+        )?;
         Ok(DynRunWriter { layout, body })
     }
 
@@ -1162,11 +972,11 @@ impl<L: RecordLayout> Iterator for DynSortOutput<L> {
 /// chunk sort).  Each merge reader always gets at least one record, so
 /// pathological run counts can push the merge slightly past its quarter.
 ///
-/// The sorter reads four of the [`PerfKnobs`] (set through
+/// The sorter reads three of the [`PerfKnobs`] (set through
 /// [`DynExternalSorter::with_knobs`]; the defaults are
-/// [`PerfKnobs::default`]), and all four are pure performance knobs: spill
-/// runs, the sorted sequence and the logical `IoStats` totals are identical
-/// at every value.
+/// [`PerfKnobs::default`]), and all three are pure performance knobs: spill
+/// runs, the sorted sequence and the `IoStats` totals are identical at
+/// every value.
 ///
 /// * `parallelism` — chunks are split into contiguous sub-chunks, sorted
 ///   concurrently and stably merged before spilling, so every worker count
@@ -1183,8 +993,6 @@ impl<L: RecordLayout> Iterator for DynSortOutput<L> {
 /// * `io_backend` — with [`IoBackend::Mmap`] every spill-run read is served
 ///   from a read-only file mapping, which accounts every page it copies
 ///   with the same sequential/random classification as `pread`.
-/// * `compression` — `prefix` shrinks the physical spill bytes; the record
-///   sequence and the *logical* `IoStats` view are unchanged.
 pub struct DynExternalSorter<L: RecordLayout> {
     layout: L,
     memory_budget_bytes: usize,
@@ -1221,7 +1029,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         self
     }
 
-    /// Sets the performance knobs; see the type docs for the four the
+    /// Sets the performance knobs; see the type docs for the three the
     /// sorter reads (`query_parallelism` and `planner` are ignored).
     pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
         self.knobs = knobs;
@@ -1334,7 +1142,6 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         let stats = Arc::clone(&self.stats);
         let page_size = self.page_size;
         let io_backend = self.knobs.io_backend;
-        let compression = self.knobs.compression;
         let first_run_id = self.next_run_id;
 
         let (runs, chunk, total) = std::thread::scope(
@@ -1353,7 +1160,6 @@ impl<L: RecordLayout> DynExternalSorter<L> {
                             Arc::clone(&stats),
                             page_size,
                             io_backend,
-                            compression,
                         )?;
                         for record in &sorted_chunk {
                             writer.push(record)?;
@@ -1409,7 +1215,6 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             Arc::clone(&self.stats),
             self.page_size,
             self.knobs.io_backend,
-            self.knobs.compression,
         )?;
         for record in chunk.iter() {
             writer.push(record)?;
@@ -1457,13 +1262,13 @@ mod tests {
         }
     }
 
-    /// An uncompressed, `pread`-served writer with 512-byte pages.
+    /// A `pread`-served writer with 512-byte pages.
     fn pread_writer(
         layout: PairLayout,
         path: PathBuf,
         stats: SharedIoStats,
     ) -> DynRunWriter<PairLayout> {
-        DynRunWriter::create(layout, path, stats, 512, IoBackend::Pread, Compression::Off).unwrap()
+        DynRunWriter::create(layout, path, stats, 512, IoBackend::Pread).unwrap()
     }
 
     fn make_records(n: usize, payload_len: usize) -> Vec<(u64, Vec<u8>)> {
@@ -1477,38 +1282,28 @@ mod tests {
 
     /// Round trip through every read path, plus out-of-range and
     /// overflowing record indexes: typed errors or empty reads, never a
-    /// panic, at either compression.
+    /// panic.
     #[test]
     fn dyn_run_roundtrip() {
         let dir = ScratchDir::new("dynrun").unwrap();
         let layout = PairLayout { payload_len: 13 };
         let records = make_records(500, 13);
-        for compression in [Compression::Off, Compression::Prefix] {
-            let mut w = DynRunWriter::create(
-                layout.clone(),
-                dir.file(&format!("a-{compression}.run")),
-                IoStats::shared(),
-                512,
-                IoBackend::Pread,
-                compression,
-            )
-            .unwrap();
-            for r in &records {
-                w.push(r).unwrap();
-            }
-            let run = w.finish().unwrap();
-            assert_eq!(run.len(), 500);
-            assert_eq!(run.byte_size(), 500 * 21);
-            let back: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
-            assert_eq!(back, records);
-            assert_eq!(run.read_record(123).unwrap(), records[123]);
-            assert!(matches!(
-                run.read_record(run.len()),
-                Err(StorageError::Corrupt(_))
-            ));
-            assert!(run.read_record(u64::MAX / 2).is_err());
-            assert!(run.read_range(u64::MAX / 2, 8).unwrap().is_empty());
+        let mut w = pread_writer(layout, dir.file("a.run"), IoStats::shared());
+        for r in &records {
+            w.push(r).unwrap();
         }
+        let run = w.finish().unwrap();
+        assert_eq!(run.len(), 500);
+        assert_eq!(run.byte_size(), 500 * 21);
+        let back: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
+        assert_eq!(back, records);
+        assert_eq!(run.read_record(123).unwrap(), records[123]);
+        assert!(matches!(
+            run.read_record(run.len()),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert!(run.read_record(u64::MAX / 2).is_err());
+        assert!(run.read_range(u64::MAX / 2, 8).unwrap().is_empty());
     }
 
     #[test]
@@ -1780,19 +1575,12 @@ mod tests {
         assert!(input_path.exists());
     }
 
-    /// A durable-less split run: `ColumnarLayout` records at `compression =
-    /// off` keep their heads at `path` and their tails in `<path>.tail`.
+    /// A durable-less split run: `ColumnarLayout` records keep their heads
+    /// at `path` and their tails in `<path>.tail`.
     fn write_split_run(path: PathBuf) -> DynRunFile<ColumnarLayout> {
         let layout = ColumnarLayout { tail_len: 40 };
-        let mut w = DynRunWriter::create(
-            layout,
-            path,
-            IoStats::shared(),
-            512,
-            IoBackend::Pread,
-            Compression::Off,
-        )
-        .unwrap();
+        let mut w =
+            DynRunWriter::create(layout, path, IoStats::shared(), 512, IoBackend::Pread).unwrap();
         for i in 0..30u64 {
             w.push(&(i, i * 7, vec![i as u8; 40])).unwrap();
         }
@@ -1934,9 +1722,9 @@ mod tests {
         assert_eq!(got, stable_sort_oracle(&inputs));
     }
 
-    /// Layout with a big-endian key prefix, one integer field and a raw
-    /// value tail, exercising the columnar [`ColumnSpec`] override the way
-    /// index-entry layouts do.
+    /// Layout with a big-endian key, one integer field and a raw value tail,
+    /// exercising the [`RecordLayout::tail_len`] override the way index-entry
+    /// layouts do.
     #[derive(Clone)]
     struct ColumnarLayout {
         tail_len: usize,
@@ -1972,181 +1760,12 @@ mod tests {
             record.0
         }
 
-        fn columns(&self) -> ColumnSpec {
-            ColumnSpec {
-                prefix_len: 8,
-                int_fields: 1,
-                tail_len: self.tail_len,
-            }
+        fn tail_len(&self) -> usize {
+            self.tail_len
         }
     }
 
-    /// The tentpole contract at the run level: a `prefix` run returns the
-    /// same records through every read path as an `off` run, charges the
-    /// identical *logical* `IoStats`, and occupies (and writes) strictly
-    /// fewer physical bytes on sorted keys.
-    #[test]
-    fn compressed_run_matches_off_run_with_identical_logical_iostats() {
-        let dir = ScratchDir::new("dynrun-prefix").unwrap();
-        let layout = PairLayout { payload_len: 13 };
-        // Sorted keys with duplicates: the front-coder's best case, and the
-        // order real runs always have.
-        let mut records = make_records(2000, 13);
-        records.sort_by_key(|r| r.0);
-        let mut outcomes = Vec::new();
-        for compression in [Compression::Off, Compression::Prefix] {
-            let stats = IoStats::shared();
-            let mut w = DynRunWriter::create(
-                layout.clone(),
-                dir.file(&format!("{compression}.run")),
-                Arc::clone(&stats),
-                512,
-                IoBackend::Pread,
-                compression,
-            )
-            .unwrap();
-            for r in &records {
-                w.push(r).unwrap();
-            }
-            let run = w.finish().unwrap();
-            assert_eq!(run.compression(), compression);
-            assert_eq!(run.len(), 2000);
-            assert_eq!(run.byte_size(), 2000 * 21, "logical size is unchanged");
-            let sequential: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
-            let mut prefetched_reader = run.reader_with_prefetch_gate(64, true, 0);
-            let prefetched: Vec<_> = (&mut prefetched_reader).map(|r| r.unwrap()).collect();
-            assert!(prefetched_reader.prefetcher.is_some());
-            // Probes across block boundaries (block_records_for(21) = 195).
-            let mut probes = Vec::new();
-            for (index, count) in [(0, 1), (194, 3), (195, 1), (100, 400), (1995, 50)] {
-                probes.push(run.read_range(index, count).unwrap());
-            }
-            probes.push(vec![run.read_record(1234).unwrap()]);
-            outcomes.push((
-                sequential,
-                prefetched,
-                probes,
-                run.physical_byte_size(),
-                stats.snapshot(),
-            ));
-        }
-        assert_eq!(outcomes[0].0, records, "off run returns the input");
-        assert_eq!(outcomes[0].0, outcomes[1].0, "sequential reads");
-        assert_eq!(outcomes[0].1, outcomes[1].1, "prefetched reads");
-        assert_eq!(outcomes[0].2, outcomes[1].2, "range/record probes");
-        assert!(
-            outcomes[1].3 < outcomes[0].3,
-            "even high-entropy payloads must compress: {} vs {}",
-            outcomes[1].3,
-            outcomes[0].3
-        );
-        assert_eq!(
-            outcomes[0].4.logical(),
-            outcomes[1].4.logical(),
-            "logical IoStats are identical by construction"
-        );
-        assert!(
-            outcomes[1].4.physical_bytes_written < outcomes[0].4.physical_bytes_written,
-            "compressed writes move fewer physical bytes"
-        );
-        assert_eq!(
-            outcomes[0].4.physical_bytes_read, outcomes[0].4.bytes_read,
-            "off runs: physical == logical"
-        );
-    }
-
-    /// On the workload the paper argues about — sorted runs whose
-    /// neighboring keys share long prefixes (dense, duplicate-heavy invSAX
-    /// words) — front-coding must clear the headline 1.5x ratio easily.
-    #[test]
-    fn sorted_duplicate_keys_compress_well() {
-        let dir = ScratchDir::new("dynrun-ratio").unwrap();
-        let layout = PairLayout { payload_len: 13 };
-        let records: Vec<(u64, Vec<u8>)> = (0..2000u64)
-            .map(|i| (i / 4, vec![((i / 4) % 251) as u8; 13]))
-            .collect();
-        let mut sizes = Vec::new();
-        for compression in [Compression::Off, Compression::Prefix] {
-            let mut w = DynRunWriter::create(
-                layout.clone(),
-                dir.file(&format!("r-{compression}.run")),
-                IoStats::shared(),
-                512,
-                IoBackend::Pread,
-                compression,
-            )
-            .unwrap();
-            for r in &records {
-                w.push(r).unwrap();
-            }
-            let run = w.finish().unwrap();
-            let back: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
-            assert_eq!(back, records);
-            sizes.push(run.physical_byte_size());
-        }
-        assert!(
-            sizes[1] * 3 < sizes[0] * 2,
-            "sorted duplicate-heavy keys must compress at least 1.5x: {} vs {}",
-            sizes[1],
-            sizes[0]
-        );
-    }
-
-    /// Key-only scans over a columnar layout read strictly fewer physical
-    /// bytes from a compressed run (the raw value tail stays on disk),
-    /// while returning identical head bytes and logical accounting.
-    #[test]
-    fn compressed_head_scans_skip_the_value_tail() {
-        let dir = ScratchDir::new("dynrun-heads").unwrap();
-        let layout = ColumnarLayout { tail_len: 112 };
-        let records: Vec<(u64, u64, Vec<u8>)> = (0..1500u64)
-            .map(|i| (i / 3, i, vec![(i % 251) as u8; 112]))
-            .collect();
-        let mut outcomes = Vec::new();
-        for compression in [Compression::Off, Compression::Prefix] {
-            let stats = IoStats::shared();
-            let mut w = DynRunWriter::create(
-                layout.clone(),
-                dir.file(&format!("h-{compression}.run")),
-                Arc::clone(&stats),
-                512,
-                IoBackend::Pread,
-                compression,
-            )
-            .unwrap();
-            for r in &records {
-                w.push(r).unwrap();
-            }
-            let run = w.finish().unwrap();
-            stats.reset();
-            let heads = run.read_heads_raw(0, records.len()).unwrap();
-            assert_eq!(heads.len(), records.len() * run.head_size());
-            let head_snap = stats.snapshot();
-            stats.reset();
-            let full = run.read_raw(0, records.len()).unwrap();
-            let full_snap = stats.snapshot();
-            outcomes.push((heads, full, head_snap, full_snap));
-        }
-        assert_eq!(outcomes[0].0, outcomes[1].0, "head bytes");
-        assert_eq!(outcomes[0].1, outcomes[1].1, "full records");
-        assert_eq!(
-            outcomes[0].2.logical(),
-            outcomes[1].2.logical(),
-            "head scans charge full-record logical reads on every path"
-        );
-        let (off_heads, prefix_heads) = (&outcomes[0].2, &outcomes[1].2);
-        let prefix_full = &outcomes[1].3;
-        assert!(
-            prefix_heads.physical_bytes_read < prefix_full.physical_bytes_read,
-            "head scan must touch fewer physical bytes than the full scan"
-        );
-        assert!(
-            prefix_heads.physical_bytes_read < off_heads.physical_bytes_read,
-            "compressed head scan must beat the uncompressed scan"
-        );
-    }
-
-    /// `ColumnarLayout` with no column structure: the same records, written
+    /// `ColumnarLayout` without its value tail: the same records, written
     /// as rows.
     #[derive(Clone)]
     struct RowsOf(ColumnarLayout);
@@ -2172,7 +1791,7 @@ mod tests {
         }
     }
 
-    /// An uncompressed run of a layout with a value tail is two files as
+    /// A run of a layout with a value tail is two files as
     /// long, together, as the row file of the same records: every head at
     /// `path`, every tail at `<path>.tail`.  It returns the same records
     /// through every read path and charges the same logical `IoStats` as
@@ -2188,12 +1807,12 @@ mod tests {
         let (split_stats, row_stats) = (IoStats::shared(), IoStats::shared());
         let create = |name: &str, stats: &SharedIoStats| {
             let (path, stats) = (dir.file(name), Arc::clone(stats));
-            (path, stats, 512, IoBackend::Pread, Compression::Off)
+            (path, stats, 512, IoBackend::Pread)
         };
-        let (p, st, ps, be, c) = create("split.run", &split_stats);
-        let mut split = DynRunWriter::create(layout.clone(), p, st, ps, be, c).unwrap();
-        let (p, st, ps, be, c) = create("rows.run", &row_stats);
-        let mut rows = DynRunWriter::create(RowsOf(layout), p, st, ps, be, c).unwrap();
+        let (p, st, ps, be) = create("split.run", &split_stats);
+        let mut split = DynRunWriter::create(layout.clone(), p, st, ps, be).unwrap();
+        let (p, st, ps, be) = create("rows.run", &row_stats);
+        let mut rows = DynRunWriter::create(RowsOf(layout), p, st, ps, be).unwrap();
         for r in &records {
             split.push(r).unwrap();
             rows.push(r).unwrap();
@@ -2239,40 +1858,6 @@ mod tests {
         assert_eq!(split_stats.snapshot().physical_bytes_read, 64 * 16 + 8 * 40);
     }
 
-    /// The external sorter spills compressed runs when asked, with
-    /// identical sorted output and logical `IoStats` to `off`.
-    #[test]
-    fn compressed_dyn_sort_is_identical_to_off() {
-        let layout = PairLayout { payload_len: 24 };
-        let records = make_records(4000, 24);
-        let mut outcomes = Vec::new();
-        for compression in [Compression::Off, Compression::Prefix] {
-            let dir = ScratchDir::new(&format!("dynsort-c-{compression}")).unwrap();
-            let stats = IoStats::shared();
-            let mut sorter = DynExternalSorter::new(
-                layout.clone(),
-                32 * 300, // forces spilling
-                dir.path(),
-                Arc::clone(&stats),
-            )
-            .with_page_size(1024)
-            .with_knobs(PerfKnobs {
-                compression,
-                ..PerfKnobs::default()
-            });
-            let out = sorter.sort(records.clone()).unwrap();
-            assert!(out.spilled());
-            let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
-            outcomes.push((sorted, stats.snapshot()));
-        }
-        assert_eq!(outcomes[0].0, outcomes[1].0, "sorted output");
-        assert_eq!(
-            outcomes[0].1.logical(),
-            outcomes[1].1.logical(),
-            "logical IoStats totals"
-        );
-    }
-
     #[test]
     fn dyn_merge_of_sorted_runs() {
         let dir = ScratchDir::new("dynmerge").unwrap();
@@ -2297,56 +1882,5 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(merged, stable_sort_oracle(&inputs));
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
-
-            /// Block-straddle property: any `(start, count)` range read from
-            /// a compressed run — including ranges crossing one or many
-            /// block boundaries and ranges clamped at the end — returns the
-            /// same records as the uncompressed run, for random record
-            /// sizes (which move the block boundaries around).
-            #[test]
-            fn compressed_ranges_match_off_across_block_straddles(
-                n in 50usize..800,
-                payload_len in 1usize..40,
-                starts in proptest::collection::vec(0u64..1000, 12),
-                counts in proptest::collection::vec(0usize..500, 12),
-            ) {
-                let dir = ScratchDir::new("dyn-prop-straddle").unwrap();
-                let layout = PairLayout { payload_len };
-                let mut records = make_records(n, payload_len);
-                records.sort_by_key(|r| r.0);
-                let mut runs = Vec::new();
-                for compression in [Compression::Off, Compression::Prefix] {
-                    let mut w = DynRunWriter::create(
-                        layout.clone(),
-                        dir.file(&format!("{compression}.run")),
-                        IoStats::shared(),
-                        512,
-                        IoBackend::Pread,
-                        compression,
-                    )
-                    .unwrap();
-                    for r in &records {
-                        w.push(r).unwrap();
-                    }
-                    runs.push(w.finish().unwrap());
-                }
-                for (&start, &count) in starts.iter().zip(&counts) {
-                    let start = start % n as u64;
-                    let off = runs[0].read_range(start, count).unwrap();
-                    let prefix = runs[1].read_range(start, count).unwrap();
-                    prop_assert_eq!(&off, &prefix);
-                    let expect_len = count.min(n - start as usize);
-                    prop_assert_eq!(off.len(), expect_len);
-                }
-            }
-        }
     }
 }

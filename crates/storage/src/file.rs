@@ -53,10 +53,10 @@ pub struct PagedFile {
     /// the cadence a writer's buffering is judged by.
     write_calls: AtomicU64,
     /// When set, accesses charge only the *physical* byte counters of
-    /// `IoStats` (no sequential/random classification).  Compressed run
-    /// files set this: their logical view is charged from record arithmetic
-    /// by a [`crate::block::LogicalAccountant`], while the block frames
-    /// going through this file are pure physical traffic.
+    /// `IoStats` (no sequential/random classification).  The two files of a
+    /// split run set this: its logical view is charged from record
+    /// arithmetic by a [`crate::LogicalAccountant`], while the heads and
+    /// tails going through this file are pure physical traffic.
     physical_only: bool,
 }
 
@@ -165,11 +165,10 @@ impl PagedFile {
     /// `IoStats::record_physical` (bytes that actually crossed the file API)
     /// and skips the sequential/random page classification entirely.
     ///
-    /// Compressed run files use this — their logical view is charged from
-    /// record arithmetic by a [`crate::block::LogicalAccountant`] so it
-    /// stays identical to an uncompressed run, while the compressed block
-    /// frames flowing through this file are counted as the physical traffic
-    /// they are.
+    /// Split run files use this — their logical view is charged from record
+    /// arithmetic by a [`crate::LogicalAccountant`] so it stays identical to
+    /// the row file of the same records, while the heads or tails flowing
+    /// through this file are counted as the physical traffic they are.
     pub fn with_physical_only_accounting(mut self) -> Self {
         self.physical_only = true;
         self
@@ -265,9 +264,9 @@ impl PagedFile {
 
     fn account(&self, offset: u64, bytes: usize, is_read: bool) {
         if self.physical_only {
-            // Physical traffic of a compressed or split run: charge exactly
-            // the bytes that crossed the file API, no classification (the
-            // run's logical accountant owns the sequential/random story).
+            // Physical traffic of a split run: charge exactly the bytes
+            // that crossed the file API, no classification (the run's
+            // logical accountant owns the sequential/random story).
             // Page-rounding would double-charge pages shared by consecutive
             // sub-page appends.
             self.stats.record_physical(is_read, bytes as u64);
@@ -553,9 +552,9 @@ where
 
 /// The generalization behind [`read_ahead`]: the worker resolves each
 /// `(start, count)` range through an arbitrary `read` closure instead of a
-/// raw `PagedFile` read.  Compressed runs pass *record* ranges and a
-/// closure that reads + decodes their blocks, so the prefetched buffers
-/// hold the same decoded record bytes the inline path produces — same
+/// raw `PagedFile` read.  Runs pass *record* ranges and a closure that
+/// reads them (heads, then tails, of a split run), so the prefetched
+/// buffers hold the same record bytes the inline path produces — same
 /// reads, same order, same accounting, whatever the on-disk format.
 pub fn read_ahead_with<I, F>(mut ranges: I, mut read: F) -> ReadAheadBuffers
 where

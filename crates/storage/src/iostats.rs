@@ -10,22 +10,20 @@
 //!
 //! # Logical vs physical bytes
 //!
-//! Since block compression (the `compression` knob, see
-//! [`crate::block`]) the counters carry two views of the same traffic:
+//! The counters carry two views of the same traffic:
 //!
 //! * the **logical** view — the six classic counters
 //!   (`sequential_reads` … `bytes_written`) describe the *record* stream
-//!   the caller addressed, page-accounted exactly as an uncompressed file
-//!   would have been.  Compression never changes them: they are the
-//!   identity surface the equivalence grids pin.
+//!   the caller addressed, page-accounted as the run's whole rows would
+//!   have been.  They are the identity surface the equivalence grids pin.
 //! * the **physical** view — `physical_bytes_read` / `physical_bytes_written`
-//!   count the bytes that actually crossed the file API.  Uncompressed
-//!   files charge both views identically ([`IoStats::record`]); compressed
-//!   files charge the logical view from their record arithmetic
-//!   ([`IoStats::record_logical`] via [`crate::block::LogicalAccountant`])
-//!   and the physical view from the block frames they really touch
-//!   ([`IoStats::record_physical`]), so the compression win is honestly
-//!   visible instead of faking pread parity.
+//!   count the bytes that actually crossed the file API.  A file of whole
+//!   rows charges both views identically ([`IoStats::record`]); a split run
+//!   (heads and value tails in two files, see `crate::dynsort`) charges the
+//!   logical view from its record arithmetic ([`IoStats::record_logical`]
+//!   via [`LogicalAccountant`]) and the physical view from the bytes it
+//!   really reads ([`IoStats::record_physical`]), so a key-only scan that
+//!   leaves the tails on disk shows it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,7 +82,7 @@ impl IoStats {
     }
 
     /// Records one page access of the given kind and byte volume, charging
-    /// both the logical and the physical view (an uncompressed page access
+    /// both the logical and the physical view (a page access of a row file
     /// moves exactly the bytes it addresses).
     pub fn record(&self, kind: AccessKind, bytes: u64) {
         self.record_logical(kind, bytes);
@@ -92,9 +90,9 @@ impl IoStats {
     }
 
     /// Records one *logical* page access: the classification counters and
-    /// logical byte totals only.  Compressed runs charge these from their
-    /// record arithmetic (see [`crate::block::LogicalAccountant`]), so the
-    /// logical view is identical to an uncompressed file by construction.
+    /// logical byte totals only.  Split runs charge these from their record
+    /// arithmetic (see [`LogicalAccountant`]), so the logical view is
+    /// identical to a row file's by construction.
     pub fn record_logical(&self, kind: AccessKind, bytes: u64) {
         match kind {
             AccessKind::SequentialRead => {
@@ -117,7 +115,7 @@ impl IoStats {
     }
 
     /// Records *physical* bytes only — the traffic that actually crossed the
-    /// file API.  Compressed runs charge the block frames they touch here,
+    /// file API.  Split runs charge the head and tail bytes they touch here,
     /// without disturbing the logical classification counters.
     pub fn record_physical(&self, is_read: bool, bytes: u64) {
         if is_read {
@@ -159,7 +157,7 @@ impl IoStats {
 const NO_PAGE: PageId = PageId::MAX;
 
 /// The sequential/random classification state of one file: the one page
-/// walk `PagedFile` and [`crate::block::LogicalAccountant`] charge through.
+/// walk `PagedFile` and [`LogicalAccountant`] charge through.
 ///
 /// A touched page is sequential when it is the page touched before it or
 /// the next one, random otherwise (the first touch included).  Inside one
@@ -226,6 +224,43 @@ impl PageCursor {
     }
 }
 
+/// Replays, over *logical* record offsets, the exact page walk
+/// [`crate::PagedFile`] performs over physical offsets: every touched
+/// logical page is classified sequential or random against the previously
+/// touched logical page of the same run, and charged to the **logical**
+/// counters of the shared [`IoStats`].
+///
+/// A split run owns one accountant for its whole life (writer state carries
+/// into the reader, exactly like `PagedFile`'s cursor), so its logical view
+/// is identical, access for access, to the `IoStats` the row file of the
+/// same records would have produced.
+#[derive(Debug)]
+pub struct LogicalAccountant {
+    page_size: usize,
+    stats: SharedIoStats,
+    cursor: PageCursor,
+}
+
+impl LogicalAccountant {
+    /// Creates an accountant charging into `stats` at `page_size`
+    /// granularity (the same page size the run's `PagedFile` uses).
+    pub fn new(stats: SharedIoStats, page_size: usize) -> LogicalAccountant {
+        assert!(page_size > 0);
+        LogicalAccountant {
+            page_size,
+            stats,
+            cursor: PageCursor::new(),
+        }
+    }
+
+    /// Charges one logical access of `bytes` bytes at logical `offset`:
+    /// the page walk of `PagedFile`, through the same page cursor.
+    pub fn account(&self, offset: u64, bytes: usize, is_read: bool) {
+        self.cursor
+            .charge(&self.stats, self.page_size, offset, bytes, is_read, false);
+    }
+}
+
 coconut_json::wire! {
     /// Immutable snapshot of I/O counters; the `io` object of the palm
     /// protocol and the bench reports.  The physical byte members default
@@ -246,8 +281,8 @@ coconut_json::wire! {
         /// Total logical bytes written.
         pub bytes_written: u64,
         /// Bytes that actually crossed the file API on reads (equals
-        /// `bytes_read` for uncompressed files; smaller under `prefix`
-        /// compression).
+        /// `bytes_read` for row files; smaller for a key-only scan of a
+        /// split run).
         pub physical_bytes_read: u64 = bytes_read,
         /// Bytes that actually crossed the file API on writes.
         pub physical_bytes_written: u64 = bytes_written,
@@ -273,11 +308,6 @@ impl IoStatsSnapshot {
     /// Total random accesses (reads + writes).
     pub fn random_accesses(&self) -> u64 {
         self.random_reads + self.random_writes
-    }
-
-    /// Total sequential accesses (reads + writes).
-    pub fn sequential_accesses(&self) -> u64 {
-        self.sequential_reads + self.sequential_writes
     }
 
     /// Fraction of accesses that were random (0.0 when there were none).
@@ -313,8 +343,8 @@ impl IoStatsSnapshot {
     }
 
     /// The logical view alone: this snapshot with the physical byte counters
-    /// zeroed.  Two runs of the same work at different `compression`
-    /// settings have equal `logical()` projections (the identity surface);
+    /// zeroed.  The same records read as whole rows and as the heads of a
+    /// split run have equal `logical()` projections (the identity surface);
     /// their physical counters legitimately differ.
     pub fn logical(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -397,10 +427,10 @@ mod tests {
     #[test]
     fn logical_and_physical_views_split() {
         let stats = IoStats::default();
-        // An uncompressed access charges both views.
+        // A row file's access charges both views.
         stats.record(AccessKind::SequentialRead, 4096);
-        // A compressed run charges the views separately: the logical record
-        // range, and the smaller physical frame actually read.
+        // A split run charges the views separately: the logical record
+        // range, and the smaller physical bytes actually read.
         stats.record_logical(AccessKind::SequentialRead, 4096);
         stats.record_physical(true, 1000);
         stats.record_logical(AccessKind::RandomWrite, 4096);
@@ -506,6 +536,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn logical_accountant_mirrors_paged_file_walk() {
+        // The same access sequence against a LogicalAccountant and a real
+        // PagedFile must produce identical logical counters.
+        let dir = crate::tempdir::ScratchDir::new("iostats-logical").unwrap();
+        let file_stats = IoStats::shared();
+        let file =
+            crate::PagedFile::create_with_page_size(dir.file("a.bin"), Arc::clone(&file_stats), 64)
+                .unwrap();
+        let logical_stats = IoStats::shared();
+        let acct = LogicalAccountant::new(Arc::clone(&logical_stats), 64);
+
+        file.append(&vec![0u8; 300]).unwrap();
+        acct.account(0, 300, false);
+        file.append(&[0u8; 20]).unwrap();
+        acct.account(300, 20, false);
+        for (offset, len) in [(0u64, 64usize), (64, 64), (256, 64), (10, 100)] {
+            file.read_at(offset, len).unwrap();
+            acct.account(offset, len, true);
+        }
+        assert_eq!(
+            file_stats.snapshot().logical(),
+            logical_stats.snapshot().logical()
+        );
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The pure-performance knobs, in one value.
 //!
 //! Every knob here is a *pure* performance knob: index files, answers,
-//! `QueryCost` and the logical `IoStats` view are identical at every
-//! setting (only `compression` moves physical bytes).  Each index config
-//! embeds one [`PerfKnobs`] by value and hands it down whole, so a knob is
-//! declared, documented and defaulted once.
+//! `QueryCost` and `IoStats` are identical at every setting.  Each index
+//! config embeds one [`PerfKnobs`] by value and hands it down whole, so a
+//! knob is declared, documented and defaulted once.
 
-use crate::block::Compression;
 use crate::mmap::IoBackend;
 
 /// The pure-performance knobs of an index, carried by value through every
 /// config layer.  [`PerfKnobs::default`] is the engine default: one worker
-/// each, overlapped I/O, `pread`, the `Fixed` planner, no compression.
+/// each, overlapped I/O, `pread`, the `Fixed` planner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfKnobs {
     /// Worker threads for summarization, run-generation sorting, flush
@@ -32,10 +30,6 @@ pub struct PerfKnobs {
     /// How the execution knobs are chosen per query and per merge (see
     /// [`PlannerMode`] and `coconut_ctree::planner::decide`).
     pub planner: PlannerMode,
-    /// On-disk compression of sorted runs and leaf blocks (see
-    /// [`Compression`]).  The logical `IoStats` view is identical either
-    /// way; only physical bytes shrink.
-    pub compression: Compression,
 }
 
 impl Default for PerfKnobs {
@@ -46,7 +40,6 @@ impl Default for PerfKnobs {
             io_overlap: true,
             io_backend: IoBackend::Pread,
             planner: PlannerMode::Fixed,
-            compression: Compression::Off,
         }
     }
 }

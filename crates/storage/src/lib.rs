@@ -25,7 +25,6 @@
 //! * and defines [`PerfKnobs`], the pure-performance knobs every index
 //!   config carries by value.
 
-pub mod block;
 pub mod durability;
 pub mod dynsort;
 pub mod fadvise;
@@ -37,14 +36,13 @@ pub mod mmap;
 pub mod page;
 pub mod tempdir;
 
-pub use block::{ColumnSpec, Compression, LogicalAccountant};
 pub use dynsort::{
     DynExternalSorter, DynIterMerge, DynRunFile, DynRunReader, DynRunWriter, RecordLayout,
 };
 pub use fadvise::drop_page_cache;
 pub use file::{read_ahead, read_ahead_with, PagedFile, ReadAheadBuffers, PREFETCH_MIN_BYTES};
 pub use heatmap::HeatMap;
-pub use iostats::{AccessKind, IoStats, IoStatsSnapshot, SharedIoStats};
+pub use iostats::{AccessKind, IoStats, IoStatsSnapshot, LogicalAccountant, SharedIoStats};
 pub use knobs::{PerfKnobs, PlannerMode};
 pub use mmap::{AccessPattern, IoBackend, Mapping};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};

@@ -258,9 +258,7 @@ impl Partition {
 
     fn footprint(&self) -> u64 {
         match self {
-            // Physical size: with compression on, planner residency
-            // decisions see the real (smaller) working set.
-            Partition::Sorted { file, .. } => file.physical_byte_size(),
+            Partition::Sorted { file, .. } => file.byte_size(),
             Partition::Ads { tree, .. } => tree.footprint_bytes(),
         }
     }
@@ -284,8 +282,8 @@ pub struct PartitionedConfig {
     pub page_size: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).
     /// Ingest reads `parallelism`; sorted partitions and BTP merges read
-    /// `io_overlap`, `io_backend` (mappings are dropped before a merge
-    /// deletes its inputs) and `compression`; queries fan out over
+    /// `io_overlap` and `io_backend` (mappings are dropped before a merge
+    /// deletes its inputs); queries fan out over
     /// `query_parallelism`.  The planner drives only the BTP merge
     /// read-ahead gate, through [`planner::decide`].  Partitions, answers,
     /// `QueryCost` and the logical `IoStats` are identical at every setting.
@@ -456,7 +454,6 @@ impl PartitionedStream {
                     self.config.page_size,
                     self.config.knobs.parallelism,
                     self.config.knobs.io_backend,
-                    self.config.knobs.compression,
                 )?;
                 Partition::Sorted {
                     file,
@@ -555,7 +552,6 @@ impl PartitionedStream {
                 Arc::clone(&self.stats),
                 self.config.page_size,
                 self.config.knobs.io_backend,
-                self.config.knobs.compression,
             )?;
             // The inputs leave the disk behind the merged partition's sync.
             let retired = SortedSeriesFile::replace(&[&merged], files);
