@@ -20,8 +20,7 @@
 //! `PALM_SCALE_FULL=1` selects the full tier (1 000 000 series x 256,
 //! multi-GiB on disk), and `PALM_SCALE_SERIES` overrides the series count
 //! directly (tested up to 10 000 000).  `COCONUT_SCALE` multiplies the
-//! count; `COCONUT_THREADS` and `COCONUT_IO_BACKEND` set the builds'
-//! `parallelism` and `io_backend`.
+//! count; `COCONUT_IO_BACKEND` sets the builds' `io_backend`.
 //!
 //! Writes `BENCH_scale.json`.  Speed numbers are reported, never asserted;
 //! any **identity** mismatch makes the binary exit non-zero.  The same
@@ -48,16 +47,6 @@ fn series_count() -> (usize, bool) {
         .and_then(|v| v.parse().ok())
         .unwrap_or(if full { 1_000_000 } else { 20_000 });
     (n.max(1000) * scale(), full)
-}
-
-/// Build workers from `COCONUT_THREADS`: `0` (or unset) is one per
-/// available core.
-fn threads() -> usize {
-    let requested = std::env::var("COCONUT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    coconut_parallel::effective_parallelism(requested)
 }
 
 /// Read backend from `COCONUT_IO_BACKEND` (`pread`, the default, or
@@ -191,7 +180,6 @@ fn main() {
     let len = 256;
     let q = 100;
     let k = 10;
-    let n_threads = threads();
     let configured_io = io_backend();
     let backends = KernelBackend::available_backends();
     let initial = kernels::active_backend();
@@ -266,7 +254,6 @@ fn main() {
             let config = IndexConfig::new(VariantKind::CTree, len)
                 .materialized(true)
                 .with_memory_budget(64 << 20)
-                .with_parallelism(n_threads)
                 .with_io_backend(configured_io);
             let dir = wb.dir.file(&format!("ctree-{step}-{backend}"));
             let stats = wb.stats();
@@ -383,7 +370,6 @@ fn main() {
         ("series_len", len.to_json()),
         ("queries", q.to_json()),
         ("k", k.to_json()),
-        ("threads", n_threads.to_json()),
         ("configured_io_backend", configured_io.to_json()),
         (
             "kernel_backends",

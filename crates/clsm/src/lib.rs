@@ -12,15 +12,14 @@
 //! query time, more write amplification); larger factors favour ingestion —
 //! exactly the read/write knob Section 2 of the paper describes.
 //!
-//! Queries probe the buffer plus every run concurrently (the
-//! `query_parallelism` knob), sharing one atomic best-so-far bound so that
-//! older, larger runs are pruned effectively; see `coconut_ctree::engine`
-//! for the deterministic fan-out protocol.
+//! Queries probe the buffer plus every run under one best-so-far bound
+//! frozen from the merged seeds, so that older, larger runs are pruned
+//! effectively; see `coconut_ctree::engine` for the protocol.
 //!
 //! With `shard_count > 1` every compaction is **sharded by key range**: the
 //! level merge runs as independent per-shard k-way merges producing a
-//! key-partitioned set of run files, so merges of different shards run on
-//! different cores and queries fan out per shard as well.
+//! key-partitioned set of run files, and queries search each shard as its
+//! own unit.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -56,19 +55,17 @@ pub struct ClsmConfig {
     pub page_size: usize,
     /// Number of key-range shards each compaction produces.  `1` keeps the
     /// classic single-run merge; larger values split every level merge into
-    /// independent per-shard merges (parallel compaction) and give queries
-    /// a finer fan-out.  The shard layout is derived deterministically from
-    /// the input runs' block fences, so the on-disk index is identical at
-    /// every `parallelism` setting.
+    /// independent per-shard merges and give queries finer search units.
+    /// The shard layout is derived deterministically from the input runs'
+    /// block fences.
     pub shard_count: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).
-    /// Flushes and compactions read `parallelism`, `io_overlap` (every
-    /// per-shard merge reads its inputs through read-ahead workers),
-    /// and `io_backend` (mappings are dropped before a compaction deletes
-    /// its inputs); queries and compactions get
-    /// `query_parallelism` and the read-ahead gate from
-    /// [`planner::decide`].  Run files, answers, `QueryCost` and the
-    /// logical `IoStats` are identical at every setting.
+    /// Flushes and compactions read `io_overlap` (every per-shard merge
+    /// reads its inputs through read-ahead workers) and `io_backend`
+    /// (mappings are dropped before a compaction deletes its inputs);
+    /// compactions get the read-ahead gate from [`planner::decide`].  Run
+    /// files, answers, `QueryCost` and the logical `IoStats` are identical
+    /// at every setting.
     pub knobs: PerfKnobs,
 }
 
@@ -265,21 +262,8 @@ impl ClsmTree {
             )));
         }
         let mut tree = ClsmTree::new(config, dir, stats)?;
-        // Ingest in buffer-capacity batches so summarization runs on the
-        // worker pool while the scan stays streaming.  The staging batch is
-        // bounded by the same buffer_capacity that sizes the in-memory
-        // buffer, so it transiently at most doubles the configured buffer.
-        let batch_size = config.buffer_capacity.clamp(256, 1 << 16);
-        let mut batch: Vec<Series> = Vec::with_capacity(batch_size);
         for series in dataset.iter()? {
-            batch.push(series?);
-            if batch.len() >= batch_size {
-                tree.insert_batch(&batch, 0)?;
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            tree.insert_batch(&batch, 0)?;
+            tree.insert(&series?, 0)?;
         }
         tree.flush()?;
         if !config.materialized {
@@ -349,42 +333,22 @@ impl ClsmTree {
 
     /// Inserts one series with an arrival timestamp.
     pub fn insert(&mut self, series: &Series, timestamp: Timestamp) -> Result<()> {
-        check_series(
-            "inserted series",
-            &series.values,
-            self.config.sax.series_len,
-        )?;
-        self.buffer.push(SeriesEntry::from_series(
-            series,
-            timestamp,
-            &self.summarizer,
-            self.config.materialized,
-        ));
-        self.lsm_stats.entries_ingested += 1;
-        if self.buffer.len() >= self.config.buffer_capacity {
-            self.flush()?;
-        }
-        Ok(())
+        self.insert_batch(std::slice::from_ref(series), timestamp)
     }
 
-    /// Inserts a batch of series sharing one timestamp.
-    ///
-    /// The whole batch is summarized with the configured worker pool before
-    /// any entry enters the buffer, so bulk ingestion scales with cores
-    /// while remaining equivalent to repeated [`ClsmTree::insert`] calls.
+    /// Inserts a batch of series sharing one timestamp.  Every series is
+    /// checked before any enters the buffer.
     pub fn insert_batch(&mut self, series: &[Series], timestamp: Timestamp) -> Result<()> {
         for s in series {
             check_series("inserted series", &s.values, self.config.sax.series_len)?;
         }
-        let entries = SeriesEntry::from_series_batch(
-            series,
-            timestamp,
-            &self.summarizer,
-            self.config.materialized,
-            self.config.knobs.parallelism,
-        );
-        for entry in entries {
-            self.buffer.push(entry);
+        for s in series {
+            self.buffer.push(SeriesEntry::from_series(
+                s,
+                timestamp,
+                &self.summarizer,
+                self.config.materialized,
+            ));
             self.lsm_stats.entries_ingested += 1;
             if self.buffer.len() >= self.config.buffer_capacity {
                 self.flush()?;
@@ -429,7 +393,6 @@ impl ClsmTree {
             self.config.entries_per_block,
             Arc::clone(&self.stats),
             self.config.page_size,
-            self.config.knobs.parallelism,
             self.config.knobs.io_backend,
         )
     }
@@ -462,7 +425,7 @@ impl ClsmTree {
     /// of `inputs` into near-equal shards.  Boundaries are block fence keys
     /// of the inputs, chosen by walking the fences in key order and cutting
     /// at entry-count quantiles — a deterministic function of the input
-    /// runs, independent of any worker count.
+    /// runs.
     fn shard_boundaries(inputs: &[&SortedSeriesFile], shard_count: usize) -> Vec<u128> {
         if shard_count <= 1 {
             return Vec::new();
@@ -516,45 +479,37 @@ impl ClsmTree {
         ranges.push((lo, None));
 
         // Every shard is an independent k-way merge over the inputs' key
-        // slices, writing its own file: the fan-out below is a pure speedup.
-        let prefetch_gate = planner::decide(&self.config.knobs, || self.planner_inputs(0, true))
+        // slices, writing its own file.
+        let prefetch_gate = planner::decide(&self.config.knobs, || self.planner_inputs())
             .0
             .effective_prefetch_gate();
-        let workers = coconut_parallel::effective_parallelism(self.config.knobs.parallelism);
-        let shard_results = coconut_parallel::parallel_map_tasks(
-            &ranges,
-            workers.min(ranges.len()),
-            |shard_idx, &(lo, hi)| -> Result<SortedSeriesFile> {
-                let readers: Vec<_> = inputs
-                    .iter()
-                    .map(|f| {
-                        f.range_reader_with_prefetch_gate(
-                            lo,
-                            hi,
-                            self.config.knobs.io_overlap,
-                            prefetch_gate,
-                        )
-                    })
-                    .collect();
-                let merge = coconut_storage::DynIterMerge::new(layout, readers)?;
-                let path = self.dir.join(format!(
-                    "clsm-L{target_level}-{run_id:06}-s{shard_idx:03}.run"
-                ));
-                SortedSeriesFile::build(
-                    path,
-                    layout,
-                    self.config.sax,
-                    merge,
-                    self.config.entries_per_block,
-                    Arc::clone(&self.stats),
-                    self.config.page_size,
-                    self.config.knobs.io_backend,
-                )
-            },
-        );
         let mut shards = Vec::with_capacity(ranges.len());
-        for result in shard_results {
-            let shard = result?;
+        for (shard_idx, &(lo, hi)) in ranges.iter().enumerate() {
+            let readers: Vec<_> = inputs
+                .iter()
+                .map(|f| {
+                    f.range_reader_with_prefetch_gate(
+                        lo,
+                        hi,
+                        self.config.knobs.io_overlap,
+                        prefetch_gate,
+                    )
+                })
+                .collect();
+            let merge = coconut_storage::DynIterMerge::new(layout, readers)?;
+            let path = self.dir.join(format!(
+                "clsm-L{target_level}-{run_id:06}-s{shard_idx:03}.run"
+            ));
+            let shard = SortedSeriesFile::build(
+                path,
+                layout,
+                self.config.sax,
+                merge,
+                self.config.entries_per_block,
+                Arc::clone(&self.stats),
+                self.config.page_size,
+                self.config.knobs.io_backend,
+            )?;
             // Quantile boundaries can leave a shard empty on tiny inputs;
             // drop its (empty) file rather than carrying a zero-entry shard.
             if shard.is_empty() {
@@ -573,22 +528,10 @@ impl ClsmTree {
         }
     }
 
-    /// Captures a deterministic [`PlannerInputs`] snapshot for this tree:
-    /// every field is an integer read at capture time; the decision itself
-    /// is the pure function `coconut_ctree::planner::plan`.
-    fn planner_inputs(&self, k: usize, exact: bool) -> PlannerInputs {
-        let probe = planner::host_probe();
-        let snap = self.stats.snapshot();
-        PlannerInputs {
-            footprint_bytes: self.footprint_bytes(),
-            cache_budget_bytes: probe.cache_budget_bytes,
-            unit_count: self.num_shards() + usize::from(!self.buffer.is_empty()),
-            run_count: self.num_runs().max(1),
-            cores: probe.cores,
-            k,
-            exact,
-            random_read_permille: planner::read_permille(&snap),
-        }
+    /// Captures the snapshot the planner decides from (see
+    /// [`PlannerInputs::capture`]).
+    fn planner_inputs(&self) -> PlannerInputs {
+        PlannerInputs::capture(self.footprint_bytes(), &self.stats.snapshot())
     }
 
     fn search_buffer(
@@ -620,7 +563,7 @@ impl ClsmTree {
 
     /// Search units in newest-first order: the buffer, then level 0's runs
     /// (newest flush first), then deeper levels, with every shard of a
-    /// sharded run as its own unit so queries fan out per shard.
+    /// sharded run as its own unit.
     fn query_units(&self, window: Option<(Timestamp, Timestamp)>) -> Vec<ClsmUnit<'_>> {
         let mut units = Vec::with_capacity(self.num_shards() + 1);
         if !self.buffer.is_empty() {
@@ -645,9 +588,9 @@ impl ClsmTree {
     }
 
     /// kNN over the buffer plus every run, exact or approximate, optionally
-    /// restricted to the timestamp window `[start, end]`, fanned out over
-    /// `query_parallelism` workers (an exact query under a bound frozen
-    /// from the merged seeds; see [`coconut_ctree::engine`]).
+    /// restricted to the timestamp window `[start, end]` (an exact query
+    /// under a bound frozen from the merged seeds; see
+    /// [`coconut_ctree::engine`]).
     pub fn knn(
         &self,
         query: &[f32],
@@ -655,20 +598,13 @@ impl ClsmTree {
         exact: bool,
         window: Option<(Timestamp, Timestamp)>,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units(window);
-        coconut_ctree::engine::parallel_knn(
-            &units,
-            query,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-        )
+        coconut_ctree::engine::parallel_knn(&self.query_units(window), query, k, exact)
     }
 
     /// Like [`ClsmTree::knn`] over the whole tree, but cancellable (the
     /// engine polls `cancel` before each of its phases and unwinds with
-    /// [`IndexError::Cancelled`] carrying the partial cost) and with the
-    /// fan-out from [`planner::decide`]: under
+    /// [`IndexError::Cancelled`] carrying the partial cost) and planned by
+    /// [`planner::decide`]: under
     /// [`planner::PlannerMode::Adaptive`] a [`planner::PlanReport`] is
     /// captured for this query and returned alongside the answer; under
     /// `Fixed` the report is `None`.  Answers and cost are identical in
@@ -680,14 +616,11 @@ impl ClsmTree {
         exact: bool,
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
-        let (decision, report) =
-            planner::decide(&self.config.knobs, || self.planner_inputs(k, exact));
-        let units = self.query_units(None);
+        let (_, report) = planner::decide(&self.config.knobs, || self.planner_inputs());
         let answer = coconut_ctree::engine::parallel_knn_with(
-            &units,
+            &self.query_units(None),
             query,
             k,
-            decision.query_parallelism,
             exact,
             cancel,
         )?;
@@ -703,8 +636,8 @@ enum ClsmPart<'a> {
     Shard(&'a SortedSeriesFile),
 }
 
-/// One independently searchable piece of a CLSM tree for the concurrent
-/// query engine.  The query is supplied per search call so one unit list
+/// One independently searchable piece of a CLSM tree for the query
+/// engine.  The query is supplied per search call so one unit list
 /// serves both phases of a query.
 struct ClsmUnit<'a> {
     tree: &'a ClsmTree,
@@ -866,7 +799,6 @@ mod tests {
     fn build_sharded_clsm(
         n: usize,
         shards: usize,
-        parallelism: usize,
         seed: u64,
     ) -> (ScratchDir, Vec<Series>, ClsmTree) {
         let dir = ScratchDir::new("clsm-shard").unwrap();
@@ -878,18 +810,14 @@ mod tests {
             .materialized(true)
             .with_buffer_capacity(100)
             .with_growth_factor(3)
-            .with_shard_count(shards)
-            .with_knobs(PerfKnobs {
-                parallelism,
-                ..PerfKnobs::default()
-            });
+            .with_shard_count(shards);
         let tree = ClsmTree::build(&dataset, config, &dir.file("lsm"), IoStats::shared()).unwrap();
         (dir, series, tree)
     }
 
     #[test]
     fn sharded_compaction_splits_runs_by_key_range() {
-        let (_dir, series, tree) = build_sharded_clsm(1200, 4, 1, 21);
+        let (_dir, series, tree) = build_sharded_clsm(1200, 4, 21);
         assert!(tree.stats().merges > 0, "compactions must have happened");
         assert!(
             tree.num_shards() > tree.num_runs(),
@@ -927,41 +855,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_compaction_is_byte_identical_at_any_parallelism() {
-        let (dir_a, _series, a) = build_sharded_clsm(900, 3, 1, 33);
-        let (dir_b, _series, b) = build_sharded_clsm(900, 3, 8, 33);
-        assert_eq!(a.stats(), b.stats(), "ClsmStats must not depend on workers");
-        // Merged-away runs are unlinked off-thread: list what is left after.
-        coconut_storage::durability::drain().unwrap();
-        let read_dir = |d: &ScratchDir| -> Vec<(String, Vec<u8>)> {
-            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d.file("lsm"))
-                .unwrap()
-                .map(|e| {
-                    let p = e.unwrap().path();
-                    (
-                        p.file_name().unwrap().to_string_lossy().into_owned(),
-                        std::fs::read(&p).unwrap(),
-                    )
-                })
-                .collect();
-            files.sort();
-            files
-        };
-        let fa = read_dir(&dir_a);
-        let fb = read_dir(&dir_b);
-        assert_eq!(
-            fa.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            fb.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            "same shard file set at every parallelism"
-        );
-        for ((name, bytes_a), (_, bytes_b)) in fa.iter().zip(fb.iter()) {
-            assert_eq!(bytes_a, bytes_b, "file {name} differs");
-        }
-    }
-
-    #[test]
     fn sharded_and_unsharded_trees_agree_with_identical_write_amplification() {
-        let (_d1, series, sharded) = build_sharded_clsm(1000, 4, 1, 55);
+        let (_d1, series, sharded) = build_sharded_clsm(1000, 4, 55);
         let dir = ScratchDir::new("clsm-unsharded").unwrap();
         let sax = SaxConfig::new(64, 8, 8);
         let dataset = Dataset::create_from_series(dir.file("raw.bin"), &series).unwrap();

@@ -140,15 +140,15 @@ impl IndexConfig {
         self
     }
 
-    /// Sets the build parallelism ([`PerfKnobs::parallelism`]).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.knobs.parallelism = workers;
+    /// Returns `self`: a build runs on the caller's thread.  Kept only
+    /// because palmbench names it; see ROADMAP 14(b).
+    pub fn with_parallelism(self, _: usize) -> Self {
         self
     }
 
-    /// Sets the query fan-out ([`PerfKnobs::query_parallelism`]).
-    pub fn with_query_parallelism(mut self, workers: usize) -> Self {
-        self.knobs.query_parallelism = workers;
+    /// Returns `self`: a query runs on the caller's thread.  Kept only
+    /// because palmbench names it; see ROADMAP 14(b).
+    pub fn with_query_parallelism(self, _: usize) -> Self {
         self
     }
 
@@ -192,8 +192,6 @@ impl IndexConfig {
             variant,
             materialized,
             memory_budget_bytes,
-            parallelism,
-            query_parallelism,
             shard_count,
             io_overlap,
             io_backend,
@@ -207,8 +205,6 @@ impl IndexConfig {
             IndexConfig::new(variant, series_len)
                 .materialized(materialized)
                 .with_memory_budget(memory_budget_bytes.max(1 << 20))
-                .with_parallelism(parallelism)
-                .with_query_parallelism(query_parallelism)
                 .with_shard_count(shard_count)
                 .with_io_overlap(io_overlap)
                 .with_io_backend(io_backend)
@@ -394,9 +390,8 @@ impl StaticIndex {
 
     /// Like [`StaticIndex::knn`], but cancellable and routed through the
     /// per-query cost-model planner when the index was built with
-    /// [`PlannerMode::Adaptive`]: the execution knobs come from a
-    /// [`PlanReport`] captured for this query, returned alongside the
-    /// answer.  Coconut variants poll the token before each of the
+    /// [`PlannerMode::Adaptive`]: a [`PlanReport`] is captured for this
+    /// query and returned alongside the answer.  Coconut variants poll the token before each of the
     /// engine's phases; the ADS+ baseline (which does not go through the
     /// engine) only checks it up front and never plans (its report is
     /// `None`, as in `Fixed` mode).  Answers and `QueryCost` are identical

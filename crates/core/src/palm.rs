@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 use coconut_json::{
     find_member, scan_array, scan_object, FromJson, Json, JsonError, Reader, ToJson,
 };
-use coconut_parallel::{effective_parallelism, parallel_map_tasks, CancelToken};
+use coconut_parallel::{parallel_map_tasks, CancelToken};
 use parking_lot::{Mutex, RwLock};
 
 use crate::{
@@ -87,14 +87,14 @@ coconut_json::wire! {
             materialized: bool,
             /// Memory budget in bytes.
             memory_budget_bytes: usize,
-            /// Worker threads for the build (`1` = sequential, `0` = all
-            /// cores).  Optional in the JSON protocol; defaults to `1`.
-            parallelism: usize = PerfKnobs::default().parallelism,
-            /// Worker threads for the query fan-out (`1` = sequential, `0` =
-            /// all cores).  Optional in the JSON protocol; defaults to `1`.
-            /// A pure performance knob: query results are identical at every
-            /// setting.
-            query_parallelism: usize = PerfKnobs::default().query_parallelism,
+            /// A number, optional in the JSON protocol (default `1`); a
+            /// build reads nothing of it.  Kept only because palmbench names
+            /// it; see ROADMAP 14(b).
+            parallelism: usize = 1,
+            /// A number, optional in the JSON protocol (default `1`); a
+            /// build reads nothing of it.  Kept only because palmbench names
+            /// it; see ROADMAP 14(b).
+            query_parallelism: usize = 1,
             /// Key-range shards per CLSM compaction.  Optional in the JSON
             /// protocol; defaults to `1` (ignored by non-CLSM variants).
             shard_count: usize = 1,
@@ -111,8 +111,8 @@ coconut_json::wire! {
             /// Query planning mode ("fixed" | "adaptive").  Optional in the
             /// JSON protocol; defaults to "fixed".  A pure performance knob:
             /// query results are identical in both modes — "adaptive" only
-            /// changes which execution knobs the engine runs with, and
-            /// attaches an `explain` member to query responses.
+            /// plans the merge read-ahead gate, and attaches an `explain`
+            /// member to query responses.
             planner: PlannerMode = PerfKnobs::default().planner,
             /// "off", the one value.  Optional in the JSON protocol; a build
             /// reads nothing of it.  Kept only because palmbench names it;
@@ -494,8 +494,8 @@ impl PalmRequest {
             variant,
             materialized,
             memory_budget_bytes,
-            parallelism: knobs.parallelism,
-            query_parallelism: knobs.query_parallelism,
+            parallelism: 1,
+            query_parallelism: 1,
             shard_count: 1,
             range: None,
             io_overlap: knobs.io_overlap,
@@ -746,8 +746,6 @@ pub struct ServiceStats {
     deadline_exceeded: AtomicU64,
     planner_adaptive: AtomicU64,
     planner_fixed: AtomicU64,
-    plans_parallel: AtomicU64,
-    plans_sequential: AtomicU64,
     plans_read_ahead_off: AtomicU64,
 }
 
@@ -776,10 +774,6 @@ coconut_json::wire! {
         pub planner_adaptive: u64,
         /// Queries executed with fixed knobs.
         pub planner_fixed: u64,
-        /// Adaptive plans that chose a parallel fan-out (>1 worker).
-        pub plans_parallel: u64,
-        /// Adaptive plans that chose sequential execution (1 worker).
-        pub plans_sequential: u64,
         /// Adaptive plans that disabled read-ahead (cache-resident index).
         pub plans_read_ahead_off: u64,
     }
@@ -800,8 +794,6 @@ impl ServiceStatsSnapshot {
             indexes: self.indexes.max(other.indexes),
             planner_adaptive: self.planner_adaptive + other.planner_adaptive,
             planner_fixed: self.planner_fixed + other.planner_fixed,
-            plans_parallel: self.plans_parallel + other.plans_parallel,
-            plans_sequential: self.plans_sequential + other.plans_sequential,
             plans_read_ahead_off: self.plans_read_ahead_off + other.plans_read_ahead_off,
         }
     }
@@ -819,8 +811,6 @@ impl ServiceStats {
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             planner_adaptive: self.planner_adaptive.load(Ordering::Relaxed),
             planner_fixed: self.planner_fixed.load(Ordering::Relaxed),
-            plans_parallel: self.plans_parallel.load(Ordering::Relaxed),
-            plans_sequential: self.plans_sequential.load(Ordering::Relaxed),
             plans_read_ahead_off: self.plans_read_ahead_off.load(Ordering::Relaxed),
             ..ServiceStatsSnapshot::default()
         }
@@ -828,7 +818,7 @@ impl ServiceStats {
 
     /// Folds one compute-path execution into the planner counters: `None`
     /// means the index ran with fixed knobs, `Some` is the adaptive plan
-    /// that drove the execution (its decision is tallied by knob value).
+    /// captured for the execution (its read-ahead decision is tallied).
     fn note_plan(&self, report: Option<&PlanReport>) {
         match report {
             None => {
@@ -836,11 +826,6 @@ impl ServiceStats {
             }
             Some(report) => {
                 self.planner_adaptive.fetch_add(1, Ordering::Relaxed);
-                if report.decision.query_parallelism > 1 {
-                    self.plans_parallel.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.plans_sequential.fetch_add(1, Ordering::Relaxed);
-                }
                 if !report.decision.read_ahead {
                     self.plans_read_ahead_off.fetch_add(1, Ordering::Relaxed);
                 }
@@ -872,7 +857,7 @@ impl PalmServer {
         PalmServer {
             work_dir: work_dir.into(),
             indexes: RwLock::new(HashMap::new()),
-            batch_workers: effective_parallelism(0),
+            batch_workers: std::thread::available_parallelism().map_or(1, usize::from),
             cache: None,
             stats: ServiceStats::default(),
             versions: AtomicU64::new(0),

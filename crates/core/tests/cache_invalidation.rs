@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use coconut_core::backend::encode_frame;
 use coconut_core::palm::{PalmRequest, PalmResponse, PalmServer};
-use coconut_core::{Compression, Dataset, IoBackend, PlannerMode, VariantKind};
+use coconut_core::{Dataset, VariantKind};
 use coconut_json::{FromJson, Json, ToJson};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use coconut_storage::ScratchDir;
@@ -202,21 +202,11 @@ fn concurrent_reads_during_append_observe_valid_snapshots() {
     let dir = ScratchDir::new("beq-stress").unwrap();
     let (dataset_path, series) = make_dataset(&dir, 300, 3);
     let server = PalmServer::new(dir.file("work")).with_result_cache(64);
-    let built = server.handle(PalmRequest::BuildIndex {
-        name: "stress".into(),
-        dataset_path,
-        variant: VariantKind::Clsm,
-        materialized: true,
-        memory_budget_bytes: 1 << 20,
-        parallelism: 1,
-        query_parallelism: 2,
-        shard_count: 2,
-        range: None,
-        io_overlap: true,
-        io_backend: IoBackend::Pread,
-        planner: PlannerMode::Fixed,
-        compression: Compression::Off,
-    });
+    let mut build = build_request("stress", &dataset_path);
+    if let PalmRequest::BuildIndex { shard_count, .. } = &mut build {
+        *shard_count = 2;
+    }
+    let built = server.handle(build);
     assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
 
     let anchors: Vec<(u64, Vec<f32>)> = [7u64, 120, 288]

@@ -9,8 +9,8 @@
 //!   near-ties at the k-th distance, values near `f32::MAX / len`, a single
 //!   series, and `len` = 1;
 //! * knob point ([`knob_points`], one [`Knob`] family after another):
-//!   `{parallelism 1, 8} × {io_overlap off, on} × {pread, mmap}`, an 8-way
-//!   query fan-out and the adaptive planner; and every
+//!   `{io_overlap off, on} × {pread, mmap}` and the adaptive planner; and
+//!   every
 //!   `KernelBackend`, in one test of its own because `force_backend` pins
 //!   a process-wide atomic.
 //!
@@ -32,8 +32,8 @@
 //! duplicates is one test (`differential/main.rs`), and on the walks one
 //! test per knob family and structure group, in that family's file
 //! (`knob_equivalence.rs`: the grid points that move two or more knobs;
-//! `parallel_`, `io_overlap_`, `io_backend_`, `query_` and
-//! `planner_equivalence.rs`: the point that moves only theirs).  Each
+//! `io_overlap_`, `io_backend_` and `planner_equivalence.rs`: the point
+//! that moves only theirs).  Each
 //! cell runs once.  A knob that goes takes its values out of [`points`]
 //! and its family's cells with them; nothing else here changes.
 
@@ -112,9 +112,8 @@ impl Structure {
         }
     }
 
-    /// The knobs reach everything but the ADS+ baseline, which takes none.
-    /// (A TP stream of ADS+ partitions takes only the query fan-out, which
-    /// the TP stream of sorted partitions crosses too.)
+    /// The knobs reach everything but the ADS+ baseline and the streams
+    /// over ADS+ structures, which take none.
     pub fn takes_knobs(self) -> bool {
         !matches!(self, Static(Ads, ..) | Stream(Ads, _))
     }
@@ -374,9 +373,7 @@ pub struct Run {
 /// A directory name unique to a knob point.
 pub fn tag(knobs: PerfKnobs) -> String {
     format!(
-        "p{}-q{}-ov{}-{}-{}",
-        knobs.parallelism,
-        knobs.query_parallelism,
+        "ov{}-{}-{}",
         knobs.io_overlap,
         knobs.io_backend,
         knobs.planner.name(),
@@ -464,7 +461,7 @@ pub fn run(dir: &ScratchDir, data: &Data, structure: Structure, knobs: PerfKnobs
                         // ADS+ never plans.
                         let report = report.filter(|_| variant != Ads).expect("a plan report");
                         assert_eq!(report.decision, planner::plan(&report.inputs));
-                        assert_eq!((report.inputs.k, report.inputs.exact), (p.k, p.exact));
+                        assert_eq!(report.inputs.footprint_bytes, index.footprint_bytes());
                         answer
                     } else {
                         index.knn(&p.query, p.k, p.exact).expect("query")
@@ -538,14 +535,8 @@ pub fn assert_brute_force(data: &Data, structure: Structure, run: &Run) {
     }
 }
 
-/// `io` with its random reads counted as sequential ones.
-pub fn read_total(mut io: IoStatsSnapshot) -> IoStatsSnapshot {
-    io.sequential_reads += std::mem::take(&mut io.random_reads);
-    io
-}
-
 /// Check (2): the run at `knobs` reproduces the default run.
-pub fn assert_same(default: &Run, got: &Run, structure: Structure, knobs: PerfKnobs, at: &str) {
+pub fn assert_same(default: &Run, got: &Run, at: &str) {
     assert!(
         got.answers == default.answers,
         "answers or QueryCost differ ({at})"
@@ -557,24 +548,10 @@ pub fn assert_same(default: &Run, got: &Run, structure: Structure, knobs: PerfKn
         assert!(a == b, "file {name} differs ({at})");
     }
     assert_eq!(default.footprint, got.footprint, "footprint differs ({at})");
-    let mut build_io = got.build_io;
-    if let Static(Clsm, _, _, shards @ 2..) = structure {
-        if knobs.parallelism > 1 {
-            // Known gap: parallel shard merges read each input run from
-            // several workers, and the run's one access cursor classifies
-            // those reads in arrival order, so with shards at `parallelism`
-            // > 1 the build's sequential/random read split depends on
-            // thread timing.  Those points compare the build's read total
-            // instead of the split; everything else stays exact.
-            assert_eq!(
-                read_total(default.build_io),
-                read_total(build_io),
-                "build read total differs ({at}, {shards} shards)"
-            );
-            build_io = default.build_io;
-        }
-    }
-    assert_eq!(default.build_io, build_io, "build IoStats differ ({at})");
+    assert_eq!(
+        default.build_io, got.build_io,
+        "build IoStats differ ({at})"
+    );
     assert_eq!(
         default.query_io, got.query_io,
         "query IoStats differ ({at})"
@@ -585,62 +562,38 @@ pub fn assert_same(default: &Run, got: &Run, structure: Structure, knobs: PerfKn
 /// several at once.  [`knob_points`] is their union.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Knob {
-    /// Grid points moving two or more of `parallelism`, `io_overlap` and
-    /// `io_backend`.
+    /// The grid point moving both `io_overlap` and `io_backend`.
     Combined,
-    Parallelism,
     IoOverlap,
     IoBackend,
-    QueryParallelism,
     Planner,
 }
 
-pub const KNOBS: [Knob; 6] = [
+pub const KNOBS: [Knob; 4] = [
     Knob::Combined,
-    Knob::Parallelism,
     Knob::IoOverlap,
     Knob::IoBackend,
-    Knob::QueryParallelism,
     Knob::Planner,
 ];
 
-/// The knob points of `knob`'s family.  8 workers is legal above any
-/// machine's core count.
+/// The knob points of `knob`'s family.
 pub fn points(knob: Knob) -> Vec<PerfKnobs> {
     let base = PerfKnobs::default();
-    let moved = |k: &PerfKnobs| {
-        [
-            k.parallelism != base.parallelism,
-            k.io_overlap != base.io_overlap,
-            k.io_backend != base.io_backend,
-        ]
+    let overlap_off = PerfKnobs {
+        io_overlap: false,
+        ..base
     };
-    let only = |knob: usize| -> [bool; 3] { std::array::from_fn(|i| i == knob) };
-    let mut grid = Vec::new();
-    for parallelism in [1, 8] {
-        for io_overlap in [false, true] {
-            for io_backend in [IoBackend::Pread, IoBackend::Mmap] {
-                grid.push(PerfKnobs {
-                    parallelism,
-                    io_overlap,
-                    io_backend,
-                    ..base
-                });
-            }
-        }
-    }
-    let grid_where = |keep: &dyn Fn([bool; 3]) -> bool| -> Vec<PerfKnobs> {
-        grid.iter().copied().filter(|k| keep(moved(k))).collect()
+    let mmap = PerfKnobs {
+        io_backend: IoBackend::Mmap,
+        ..base
     };
     match knob {
-        Knob::Combined => grid_where(&|m| m.iter().filter(|&&m| m).count() >= 2),
-        Knob::Parallelism => grid_where(&|m| m == only(0)),
-        Knob::IoOverlap => grid_where(&|m| m == only(1)),
-        Knob::IoBackend => grid_where(&|m| m == only(2)),
-        Knob::QueryParallelism => vec![PerfKnobs {
-            query_parallelism: 8,
-            ..base
+        Knob::Combined => vec![PerfKnobs {
+            io_backend: IoBackend::Mmap,
+            ..overlap_off
         }],
+        Knob::IoOverlap => vec![overlap_off],
+        Knob::IoBackend => vec![mmap],
         Knob::Planner => vec![PerfKnobs {
             planner: PlannerMode::Adaptive,
             ..base
@@ -726,13 +679,7 @@ pub fn check_knob_points(data: Data, structures: fn(Structure) -> bool, points: 
         assert!(costs, "queries must cost something ({})", structure.label());
         for &knobs in points {
             let at = format!("{} on {} at {knobs:?}", structure.label(), data.name);
-            assert_same(
-                &default,
-                &run(&dir, &data, structure, knobs),
-                structure,
-                knobs,
-                &at,
-            );
+            assert_same(&default, &run(&dir, &data, structure, knobs), &at);
         }
     }
 }
@@ -751,5 +698,5 @@ pub fn check_random(n: usize, seed: u64, structure: Structure, a: PerfKnobs, b: 
         "{} over n={n} seed={seed} at {a:?} vs {b:?}",
         structure.label()
     );
-    assert_same(&first, &run(&dir, &data, structure, b), structure, b, &at);
+    assert_same(&first, &run(&dir, &data, structure, b), &at);
 }

@@ -37,19 +37,18 @@ fn adversarial_data_ties_at_the_kth_distance() {
 }
 
 /// The knob families split the knob points without overlap, so each cell
-/// of the walks cross runs once: one point per knob moved alone, four
-/// that move several grid knobs, and never the default.
+/// of the walks cross runs once: one point per knob moved alone, one that
+/// moves both grid knobs, and never the default.
 #[test]
 fn knob_families_partition_the_knob_points() {
     let all = knob_points();
-    assert_eq!(all.len(), 9);
+    assert_eq!(all.len(), 4);
     assert!(!all.contains(&PerfKnobs::default()));
     for (i, knobs) in all.iter().enumerate() {
         assert!(!all[..i].contains(knobs), "{knobs:?} is in two families");
     }
     for knob in KNOBS {
-        let expected = if knob == Knob::Combined { 4 } else { 1 };
-        assert_eq!(points(knob).len(), expected, "{knob:?}");
+        assert_eq!(points(knob).len(), 1, "{knob:?}");
     }
 }
 
@@ -89,7 +88,7 @@ fn every_kernel_backend_matches_scalar() {
             force_backend(*backend);
             let got = run(sub, &data, structure, PerfKnobs::default());
             let at = format!("{} under {backend}", structure.label());
-            assert_same(&reference, &got, structure, PerfKnobs::default(), &at);
+            assert_same(&reference, &got, &at);
         }
     }
     force_backend(initial);
@@ -122,7 +121,6 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
         16,
         IoStats::shared(),
         1024,
-        1,
         IoBackend::Mmap,
     )
     .unwrap();

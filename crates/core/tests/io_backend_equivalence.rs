@@ -30,18 +30,17 @@ fn btp_backend_equivalent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For random dataset sizes, budgets, worker counts and overlap
-    /// settings, pread and mmap CTree builds match, and are brute force.
+    /// For random dataset sizes, budgets and overlap settings, pread and
+    /// mmap CTree builds match, and are brute force.
     #[test]
     fn ctree_backend_equivalence_holds_for_random_configs(
         n in 300usize..1200,
         budget_kib in 64usize..512,
-        parallelism in 1usize..9,
         overlap_bit in 0u8..2,
         seed in 0u64..1000,
     ) {
         let io_overlap = overlap_bit == 1;
-        let pread = PerfKnobs { parallelism, io_overlap, ..PerfKnobs::default() };
+        let pread = PerfKnobs { io_overlap, ..PerfKnobs::default() };
         let mmap = PerfKnobs { io_backend: IoBackend::Mmap, ..pread };
         let structure = Static(CTree, true, budget_kib << 10, 1);
         check_random(n, seed, structure, pread, mmap);

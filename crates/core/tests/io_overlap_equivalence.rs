@@ -34,16 +34,15 @@ fn btp_overlap_equivalent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For random dataset sizes, budgets and worker counts, overlapped and
-    /// sequential CTree builds match, and are brute force.
+    /// For random dataset sizes and budgets, overlapped and sequential CTree
+    /// builds match, and are brute force.
     #[test]
     fn ctree_overlap_equivalence_holds_for_random_configs(
         n in 300usize..1200,
         budget_kib in 64usize..512,
-        parallelism in 1usize..9,
         seed in 0u64..1000,
     ) {
-        let overlapped = PerfKnobs { parallelism, ..PerfKnobs::default() };
+        let overlapped = PerfKnobs::default();
         let sequential = PerfKnobs { io_overlap: false, ..overlapped };
         let structure = Static(CTree, true, budget_kib << 10, 1);
         check_random(n, seed, structure, overlapped, sequential);

@@ -1,5 +1,5 @@
-//! Knob points × structure on the walks, at the grid points that move two
-//! or more of `parallelism`, `io_overlap` and `io_backend` at once: cells
+//! Knob points × structure on the walks, at the grid point that moves both
+//! `io_overlap` and `io_backend` at once: cells
 //! of the differential harness (`differential/harness.rs`).  The points
 //! that move one knob are in that knob's file.
 
@@ -20,7 +20,7 @@ fn ctree_in_memory_build_matches_default_at_every_knob_point() {
     check_knob_points(knob_walks(), ctree_in_memory, &points(Knob::Combined));
 }
 
-/// CLSM with 1 and 4 shards, the read-split fold included.
+/// CLSM with 1 and 4 shards.
 #[test]
 fn clsm_builds_match_default_at_every_knob_point() {
     check_knob_points(knob_walks(), clsm, &points(Knob::Combined));
@@ -41,14 +41,12 @@ proptest! {
     fn ctree_random_builds_match_default_at_a_random_knob_point(
         n in 300usize..1200,
         budget_kib in 64usize..512,
-        parallelism in 1usize..9,
         overlap_bit in 0u8..2,
         mmap_bit in 0u8..2,
         seed in 0u64..1000,
     ) {
         let io_backend = if mmap_bit == 1 { IoBackend::Mmap } else { IoBackend::Pread };
         let knobs = PerfKnobs {
-            parallelism,
             io_overlap: overlap_bit == 1,
             io_backend,
             ..PerfKnobs::default()

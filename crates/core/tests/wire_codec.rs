@@ -15,7 +15,7 @@ const SCENARIO: &str = r#"{"arrival":"Streaming","collection_size":1000,"series_
 
 const COST: &str = r#"{"entries_examined":10,"entries_refined":4,"raw_fetches":2,"blocks_read":3,"blocks_skipped":5}"#;
 
-const EXPLAIN: &str = r#"{"inputs":{"footprint_bytes":1048576,"cache_budget_bytes":2097152,"unit_count":4,"run_count":1,"cores":2,"k":3,"exact":true,"random_read_permille":250},"decision":{"query_parallelism":2,"read_ahead":false,"prefetch_min_bytes":65536}}"#;
+const EXPLAIN: &str = r#"{"inputs":{"footprint_bytes":1048576,"cache_budget_bytes":2097152,"random_read_permille":250},"decision":{"read_ahead":false,"prefetch_min_bytes":65536}}"#;
 
 const IO: &str = r#"{"sequential_reads":1,"random_reads":2,"sequential_writes":3,"random_writes":4,"bytes_read":5,"bytes_written":6,"physical_bytes_read":7,"physical_bytes_written":8}"#;
 
@@ -78,7 +78,7 @@ fn responses() -> Vec<String> {
         r#"{"type":"recommendation","recommendation":{"structure":"Ads","materialized":false,"scheme":"PostProcessing","fill_factor":1,"growth_factor":0,"rationale":[]}}"#.to_string(),
         r#"{"type":"recommendation","recommendation":{"structure":"Clsm","materialized":false,"scheme":"TemporalPartitioning","fill_factor":1,"growth_factor":2,"rationale":[]}}"#.to_string(),
         r#"{"type":"indexes","names":["a","b"]}"#.to_string(),
-        r#"{"type":"stats","requests":1,"cache_hits":2,"cache_misses":3,"cache_entries":4,"shed":5,"deadline_exceeded":6,"indexes":7,"planner_adaptive":8,"planner_fixed":9,"plans_parallel":10,"plans_sequential":11,"plans_read_ahead_off":12}"#.to_string(),
+        r#"{"type":"stats","requests":1,"cache_hits":2,"cache_misses":3,"cache_entries":4,"shed":5,"deadline_exceeded":6,"indexes":7,"planner_adaptive":8,"planner_fixed":9,"plans_read_ahead_off":12}"#.to_string(),
         r#"{"type":"error","kind":"config","message":"bad"}"#.to_string(),
         format!(r#"{{"type":"error","kind":"deadline_exceeded","message":"late","partial_cost":{COST}}}"#),
         r#"{"type":"error","kind":"overloaded","message":"busy","retry_after_ms":25}"#.to_string(),
@@ -360,7 +360,7 @@ fn malformed_responses_give_their_exact_errors() {
             "unknown response type 'query'",
         ),
         (
-            r#"{"type":"stats","requests":1,"cache_hits":2,"cache_misses":3,"shed":5,"deadline_exceeded":6,"indexes":7,"planner_adaptive":8,"planner_fixed":9,"plans_parallel":10,"plans_sequential":11,"plans_read_ahead_off":12}"#.into(),
+            r#"{"type":"stats","requests":1,"cache_hits":2,"cache_misses":3,"shed":5,"deadline_exceeded":6,"indexes":7,"planner_adaptive":8,"planner_fixed":9,"plans_read_ahead_off":12}"#.into(),
             "missing field 'cache_entries'",
         ),
         (
@@ -401,7 +401,7 @@ fn malformed_responses_give_their_exact_errors() {
         (
             query_result(&format!(
                 ",\"explain\":{}",
-                EXPLAIN.replace(r#","decision":{"query_parallelism":2,"read_ahead":false,"prefetch_min_bytes":65536}"#, "")
+                EXPLAIN.replace(r#","decision":{"read_ahead":false,"prefetch_min_bytes":65536}"#, "")
             )),
             "missing field 'decision'",
         ),
@@ -415,9 +415,9 @@ fn malformed_responses_give_their_exact_errors() {
         (
             query_result(&format!(
                 ",\"explain\":{}",
-                EXPLAIN.replace(r#""cores":2"#, r#""cores":2.5"#)
+                EXPLAIN.replace(r#""random_read_permille":250"#, r#""random_read_permille":2.5"#)
             )),
-            "field 'cores': expected an integer, got 2.5",
+            "field 'random_read_permille': expected an integer, got 2.5",
         ),
         (
             r#"{"type":"error","kind":"deadline_exceeded","message":"late","partial_cost":null}"#.into(),

@@ -1,13 +1,12 @@
-//! The concurrent query engine: parallel fan-out of one query over search
-//! units, around a best-so-far bound frozen between two phases.
+//! The query engine: one query over search units, around a best-so-far
+//! bound frozen between two phases.
 //!
 //! Every Coconut index is queried as a collection of **search units** — the
 //! in-memory buffer, each sorted run (or shard) of a CLSM level, each
-//! temporal partition of a stream.  The engine probes units concurrently
-//! with per-worker local heaps and merges the results deterministically, so
-//! `query_parallelism` is a pure performance knob: neighbours, distances,
-//! tie-breaking order *and* cost counters are bit-identical at every worker
-//! count.
+//! temporal partition of a stream.  The engine probes the units in order on
+//! the caller's thread, each with its own local heap, and merges the results
+//! deterministically, so neighbours, distances, tie-breaking order *and*
+//! cost counters are a pure function of the units and the query.
 //!
 //! # Protocol
 //!
@@ -15,16 +14,16 @@
 //! more than one unit runs two phases:
 //!
 //! 1. **Seed** — every unit is probed *approximately* (its target block
-//!    only) with an independent local heap.  After the join the seed
-//!    candidates are merged and the bound `b0` is frozen at the k-th best
-//!    of the union (`+inf` while it holds fewer than `k`), which is at least
-//!    as tight as any per-unit k-th best.
+//!    only) with an independent local heap.  The seed candidates are then
+//!    merged and the bound `b0` is frozen at the k-th best of the union
+//!    (`+inf` while it holds fewer than `k`), which is at least as tight as
+//!    any per-unit k-th best.
 //! 2. **Refine** — every unit runs its exact search with a local heap whose
-//!    pruning bound is `min(b0, local k-th best)`.  **Decisions never read a
-//!    bound another worker moves mid-phase**: a mid-scan read would make
-//!    block pruning depend on worker timing, breaking cost determinism.
-//!    `b0` already carries the cross-unit pruning power the Coconut line
-//!    derives from one bound shared across all sorted runs.
+//!    pruning bound is `min(b0, local k-th best)`.  **A unit's decisions
+//!    never read another unit's heap**: its pruning, and so its cost, depends
+//!    only on `b0` and its own candidates, never on the order the units are
+//!    searched in.  `b0` already carries the cross-unit pruning power the
+//!    Coconut line derives from one bound shared across all sorted runs.
 //!
 //! Approximate queries, and exact queries over a single unit, are one phase
 //! of independent unit probes under an unbounded ceiling.  A batch of
@@ -40,7 +39,7 @@
 //! unit's local top-k; the deterministic merge (concatenate in unit order,
 //! stable sort, truncate to `k`) therefore returns exactly the global top-k.
 
-use coconut_parallel::{effective_parallelism, parallel_map_tasks, CancelToken};
+use coconut_parallel::CancelToken;
 use coconut_series::distance::Neighbor;
 
 use crate::query::{KnnHeap, QueryContext, QueryCost};
@@ -48,12 +47,11 @@ use crate::{IndexError, Result};
 
 /// One independently searchable piece of an index.
 ///
-/// Implementations are searched from worker threads (`Self: Sync`) with a
-/// per-worker heap and cost context; both search methods must be
-/// deterministic functions of the unit, the query and the heap's starting
-/// ceiling.  The query is a parameter (rather than baked into the unit) so
-/// one unit list serves both phases of a query.
-pub trait SearchUnit: Sync {
+/// Each unit is searched with its own heap and cost context; both search
+/// methods must be deterministic functions of the unit, the query and the
+/// heap's starting ceiling.  The query is a parameter (rather than baked
+/// into the unit) so one unit list serves both phases of a query.
+pub trait SearchUnit {
     /// Fresh cost/fetch context for one phase over this unit.
     fn context(&self) -> QueryContext<'_>;
 
@@ -102,20 +100,15 @@ pub fn merge_topk(parts: Vec<(Vec<Neighbor>, QueryCost)>, k: usize) -> (Vec<Neig
     (neighbors, cost)
 }
 
-/// Runs a kNN query over `units` with up to `parallelism` workers
-/// (`1` = sequential, `0` = one per available core) and returns the merged
-/// top-`k` plus the exact summed cost.
-///
-/// Results and cost are identical at every `parallelism` setting; see the
-/// module docs for the protocol and the determinism argument.
+/// Runs a kNN query over `units` and returns the merged top-`k` plus the
+/// exact summed cost; see the module docs for the protocol.
 pub fn parallel_knn<U: SearchUnit>(
     units: &[U],
     query: &[f32],
     k: usize,
-    parallelism: usize,
     exact: bool,
 ) -> Result<(Vec<Neighbor>, QueryCost)> {
-    parallel_knn_with(units, query, k, parallelism, exact, &CancelToken::never())
+    parallel_knn_with(units, query, k, exact, &CancelToken::never())
 }
 
 /// [`parallel_knn`] with cooperative cancellation.
@@ -130,14 +123,12 @@ pub fn parallel_knn_with<U: SearchUnit>(
     units: &[U],
     query: &[f32],
     k: usize,
-    parallelism: usize,
     exact: bool,
     cancel: &CancelToken,
 ) -> Result<(Vec<Neighbor>, QueryCost)> {
     if units.is_empty() {
         return Ok((Vec::new(), QueryCost::default()));
     }
-    let workers = effective_parallelism(parallelism).min(units.len());
     let check = |partial_cost: QueryCost| {
         if cancel.is_cancelled() {
             Err(IndexError::Cancelled { partial_cost })
@@ -147,18 +138,19 @@ pub fn parallel_knn_with<U: SearchUnit>(
     };
     // One phase: every unit searched under `ceiling`, results in unit order.
     let phase = |ceiling: f64, exact: bool| -> Result<Vec<(Vec<Neighbor>, QueryCost)>> {
-        parallel_map_tasks(units, workers, |_, unit| {
-            let mut heap = KnnHeap::with_ceiling(k, ceiling);
-            let mut ctx = unit.context();
-            if exact {
-                unit.search_exact(query, &mut heap, &mut ctx)?;
-            } else {
-                unit.search_approximate(query, &mut heap, &mut ctx)?;
-            }
-            Ok((heap.into_sorted(), ctx.cost))
-        })
-        .into_iter()
-        .collect()
+        units
+            .iter()
+            .map(|unit| {
+                let mut heap = KnnHeap::with_ceiling(k, ceiling);
+                let mut ctx = unit.context();
+                if exact {
+                    unit.search_exact(query, &mut heap, &mut ctx)?;
+                } else {
+                    unit.search_approximate(query, &mut heap, &mut ctx)?;
+                }
+                Ok((heap.into_sorted(), ctx.cost))
+            })
+            .collect()
     };
     // Exact queries over a single unit need no seed phase: there is no
     // cross-unit bound to share.
@@ -183,6 +175,7 @@ pub fn parallel_knn_with<U: SearchUnit>(
 mod tests {
     use super::*;
     use crate::query::QueryContext;
+    use coconut_parallel::parallel_map_tasks;
 
     /// A purely in-memory unit over `(id, timestamp, distance)` candidates.
     /// The "distance" of a candidate is its stored value plus the sum of the
@@ -258,29 +251,30 @@ mod tests {
             .collect()
     }
 
+    /// A unit's refine reads only the frozen seed bound and its own heap, so
+    /// searching the units in another order changes neither the answers nor
+    /// the summed cost.
     #[test]
-    fn parallel_matches_sequential_results_and_cost() {
-        let units = units(42);
-        let (seq, seq_cost) = parallel_knn(&units, &[], 7, 1, true).unwrap();
-        for workers in [2, 4, 8] {
-            let (par, par_cost) = parallel_knn(&units, &[], 7, workers, true).unwrap();
-            assert_eq!(seq, par, "workers={workers}");
-            assert_eq!(seq_cost, par_cost, "workers={workers}");
-        }
-        assert_eq!(seq.len(), 7);
-        for w in seq.windows(2) {
-            assert!(w[0] <= w[1], "results must be sorted");
+    fn unit_order_changes_neither_answers_nor_cost() {
+        let mut units = units(42);
+        for exact in [true, false] {
+            let forward = parallel_knn(&units, &[], 7, exact).unwrap();
+            units.reverse();
+            let backward = parallel_knn(&units, &[], 7, exact).unwrap();
+            assert_eq!(forward, backward, "exact={exact}");
+            for w in forward.0.windows(2) {
+                assert!(w[0] <= w[1], "results must be sorted");
+            }
         }
     }
 
     #[test]
     fn approximate_mode_merges_unit_probes() {
         let units = units(7);
-        let (seq, _) = parallel_knn(&units, &[], 3, 1, false).unwrap();
-        let (par, _) = parallel_knn(&units, &[], 3, 8, false).unwrap();
-        assert_eq!(seq, par);
+        let (nn, cost) = parallel_knn(&units, &[], 3, false).unwrap();
         // Approximate mode probes one candidate per unit: 5 candidates total.
-        assert_eq!(seq.len(), 3);
+        assert_eq!(nn.len(), 3);
+        assert_eq!(cost.entries_examined, units.len() as u64);
     }
 
     #[test]
@@ -293,22 +287,22 @@ mod tests {
             .collect();
         all.sort();
         all.truncate(9);
-        let (got, _) = parallel_knn(&units, &[], 9, 4, true).unwrap();
+        let (got, _) = parallel_knn(&units, &[], 9, true).unwrap();
         assert_eq!(got, all);
     }
 
     #[test]
     fn empty_unit_list_is_empty_answer() {
         let none: Vec<VecUnit> = Vec::new();
-        let (nn, cost) = parallel_knn(&none, &[], 3, 4, true).unwrap();
+        let (nn, cost) = parallel_knn(&none, &[], 3, true).unwrap();
         assert!(nn.is_empty());
         assert_eq!(cost, QueryCost::default());
     }
 
     /// A batch is N single queries: run concurrently, as the palm service
     /// runs a batch's sub-queries on its pool, every query returns
-    /// bit-identical answers and costs to the same query run alone, at every
-    /// worker count, in exact and approximate mode.
+    /// bit-identical answers and costs to the same query run alone, in exact
+    /// and approximate mode.
     #[test]
     fn batch_matches_one_at_a_time_exactly() {
         let units = units(1234);
@@ -319,17 +313,15 @@ mod tests {
             for k in [1usize, 4, 9] {
                 let singles: Vec<_> = queries
                     .iter()
-                    .map(|q| parallel_knn(&units, q, k, 1, exact).unwrap())
+                    .map(|q| parallel_knn(&units, q, k, exact).unwrap())
                     .collect();
-                for workers in [1, 2, 4, 8] {
-                    let batch = parallel_map_tasks(&queries, 4, |_, q| {
-                        parallel_knn(&units, q, k, workers, exact).unwrap()
-                    });
-                    assert_eq!(
-                        batch, singles,
-                        "batch must match singles (exact={exact}, k={k}, workers={workers})"
-                    );
-                }
+                let batch = parallel_map_tasks(&queries, 4, |_, q| {
+                    parallel_knn(&units, q, k, exact).unwrap()
+                });
+                assert_eq!(
+                    batch, singles,
+                    "batch must match singles (exact={exact}, k={k})"
+                );
             }
         }
     }
@@ -342,13 +334,13 @@ mod tests {
         let queries: Vec<Vec<f32>> = vec![vec![0.0], vec![2.0], vec![-1.5]];
         let singles: Vec<_> = queries
             .iter()
-            .map(|q| parallel_knn(&single_unit, q, 3, 1, true).unwrap())
+            .map(|q| parallel_knn(&single_unit, q, 3, true).unwrap())
             .collect();
         for (_, cost) in &singles {
             assert_eq!(cost.entries_examined, 40, "one pass over the 40 candidates");
         }
         let batch = parallel_map_tasks(&queries, 4, |_, q| {
-            parallel_knn(&single_unit, q, 3, 4, true).unwrap()
+            parallel_knn(&single_unit, q, 3, true).unwrap()
         });
         assert_eq!(batch, singles);
     }
@@ -359,7 +351,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for exact in [true, false] {
-            match parallel_knn_with(&units, &[0.0], 3, 2, exact, &token) {
+            match parallel_knn_with(&units, &[0.0], 3, exact, &token) {
                 Err(IndexError::Cancelled { partial_cost }) => {
                     assert_eq!(partial_cost, QueryCost::default(), "no phase ran");
                 }
@@ -367,8 +359,8 @@ mod tests {
             }
             // A live token is invisible: same answers and costs as no token.
             let live = CancelToken::new();
-            let with = parallel_knn_with(&units, &[1.0], 3, 2, exact, &live).unwrap();
-            let without = parallel_knn(&units, &[1.0], 3, 2, exact).unwrap();
+            let with = parallel_knn_with(&units, &[1.0], 3, exact, &live).unwrap();
+            let without = parallel_knn(&units, &[1.0], 3, exact).unwrap();
             assert_eq!(with, without);
         }
     }
@@ -423,10 +415,10 @@ mod tests {
             .collect();
         // The seed phase is every unit's approximate probe, which is all an
         // approximate query over the same candidates does.
-        let (_, seed_cost) = parallel_knn(&plain, &[0.0], 3, 1, false).unwrap();
+        let (_, seed_cost) = parallel_knn(&plain, &[0.0], 3, false).unwrap();
         let outcomes: Vec<_> = [vec![0.0f32], vec![1.0], vec![2.0]]
             .iter()
-            .map(|q| parallel_knn_with(&units, q, 3, 4, true, &token))
+            .map(|q| parallel_knn_with(&units, q, 3, true, &token))
             .collect();
         match &outcomes[0] {
             Err(IndexError::Cancelled { partial_cost }) => {

@@ -31,25 +31,8 @@ impl SeriesEntry {
         summarizer: &SortableSummarizer,
         materialized: bool,
     ) -> Self {
-        Self::from_keyed(
-            summarizer.key(&series.values),
-            series,
-            timestamp,
-            materialized,
-        )
-    }
-
-    /// Builds an entry from a series whose sortable key was already computed
-    /// (e.g. by a batched summarization pass).  Single source of truth for
-    /// the key/id/timestamp/values field mapping.
-    pub fn from_keyed(
-        key: InvSaxKey,
-        series: &Series,
-        timestamp: Timestamp,
-        materialized: bool,
-    ) -> Self {
         SeriesEntry {
-            key: key.raw(),
+            key: summarizer.key(&series.values).raw(),
             id: series.id,
             timestamp,
             values: if materialized {
@@ -58,27 +41,6 @@ impl SeriesEntry {
                 Vec::new()
             },
         }
-    }
-
-    /// Builds entries for a whole batch of series in one call, summarizing
-    /// with up to `parallelism` worker threads (`1` = sequential, `0` = one
-    /// per available core).
-    ///
-    /// Output order matches `series`; the result is identical to calling
-    /// [`SeriesEntry::from_series`] per element at every worker count.
-    pub fn from_series_batch(
-        series: &[Series],
-        timestamp: Timestamp,
-        summarizer: &SortableSummarizer,
-        materialized: bool,
-        parallelism: usize,
-    ) -> Vec<Self> {
-        let keys = summarizer.keys_batch(series, parallelism);
-        series
-            .iter()
-            .zip(keys)
-            .map(|(s, key)| Self::from_keyed(key, s, timestamp, materialized))
-            .collect()
     }
 
     /// Reconstructs the typed [`InvSaxKey`] of this entry.

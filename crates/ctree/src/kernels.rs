@@ -17,10 +17,10 @@
 //!   (equivalence tests, per-backend benches) without touching the
 //!   process-wide choice.
 //!
-//! **The backend is a pure performance knob**, exactly like `parallelism`
-//! or `io_backend`: every backend performs the same IEEE-754 operations in
-//! the same 8-lane association order (see the [`coconut_series::kernels`]
-//! module docs for the full argument), so index files, answers,
+//! **The backend is a pure performance knob**, exactly like `io_backend`:
+//! every backend performs the same IEEE-754 operations in the same 8-lane
+//! association order (see the [`coconut_series::kernels`] module docs for
+//! the full argument), so index files, answers,
 //! `QueryCost` and `IoStats` are bit-identical whichever backend served
 //! them — including the early-abandon *decision points*, which fire at the
 //! same chunk boundary on every backend.  Enforced by

@@ -21,10 +21,10 @@
 //! * [`query`] — query-side helpers: the kNN result heap (with the frozen
 //!   pruning ceiling) and the raw-dataset refinement context used by
 //!   non-materialized indexes.
-//! * [`engine`] — the concurrent query engine: deterministic parallel
-//!   fan-out over search units (runs, shards, partitions) with per-worker
-//!   heaps under one bound frozen from the merged seeds
-//!   ([`parallel_knn_with`]; a batch is that many calls).
+//! * [`engine`] — the query engine: a deterministic walk over search units
+//!   (runs, shards, partitions) with per-unit heaps under one bound frozen
+//!   from the merged seeds ([`parallel_knn_with`]; a batch is that many
+//!   calls).
 //! * [`kernels`] — the dispatch surface for the explicit SIMD
 //!   distance/znorm/PAA backends (scalar / AVX2, runtime-detected) used by
 //!   every scan in this crate and the index crates built on it;

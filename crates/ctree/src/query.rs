@@ -21,10 +21,10 @@ const MAX_PREALLOCATED_K: usize = 1024;
 /// seen so far; its current worst distance is the pruning bound.
 ///
 /// A heap may carry a *ceiling*: a pruning bound frozen at the phase
-/// boundary of the concurrent query engine (the k-th best seed).  The
-/// effective bound is then the minimum of the ceiling and the heap's own
-/// k-th-best distance, which injects cross-run pruning into per-run worker
-/// searches without any mid-scan synchronization.
+/// boundary of the query engine (the k-th best seed).  The effective bound
+/// is then the minimum of the ceiling and the heap's own k-th-best
+/// distance, which injects cross-run pruning into per-run searches while
+/// each run's pruning stays independent of the others.
 #[derive(Debug)]
 pub struct KnnHeap {
     k: usize,
@@ -108,13 +108,11 @@ impl KnnHeap {
 coconut_json::wire! {
     /// Per-query cost counters.
     ///
-    /// Concurrent queries keep one `QueryCost` per worker (inside that worker's
-    /// [`QueryContext`]) and sum them into the returned cost with
-    /// [`QueryCost::plus`] once every worker has joined — counters are never
-    /// shared mutably across threads, so the aggregate is exact, and because
-    /// each per-unit search is deterministic the summed cost is identical at
-    /// every `query_parallelism` setting.  The `cost` object of the palm
-    /// protocol's `query_result`.
+    /// A query keeps one `QueryCost` per search unit (inside that unit's
+    /// [`QueryContext`]) and sums them into the returned cost with
+    /// [`QueryCost::plus`] — because each per-unit search is deterministic,
+    /// the summed cost is a pure function of the index and the query.  The
+    /// `cost` object of the palm protocol's `query_result`.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct QueryCost {
         /// Entries whose summarization was examined (lower bound computed).

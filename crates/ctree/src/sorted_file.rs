@@ -145,11 +145,8 @@ impl SortedSeriesFile {
     }
 
     /// Builds a partition from unsorted in-memory entries: sorts them by
-    /// `(key, id)` with up to `parallelism` worker threads (`1` =
-    /// sequential, `0` = one per available core), then
-    /// [`SortedSeriesFile::build`]s.  Used for buffer flushes in CoconutLSM
-    /// and the streaming schemes; the partition is byte-identical at every
-    /// `parallelism`.
+    /// `(key, id)`, then [`SortedSeriesFile::build`]s.  Used for buffer
+    /// flushes in CoconutLSM and the streaming schemes.
     #[allow(clippy::too_many_arguments)]
     pub fn build_unsorted<P: AsRef<Path>>(
         path: P,
@@ -159,11 +156,9 @@ impl SortedSeriesFile {
         entries_per_block: usize,
         stats: SharedIoStats,
         page_size: usize,
-        parallelism: usize,
         backend: IoBackend,
     ) -> Result<Self> {
-        let workers = coconut_parallel::effective_parallelism(parallelism);
-        coconut_parallel::parallel_sort_by_key(&mut entries, workers, |e| (e.key, e.id));
+        entries.sort_by_key(|e| (e.key, e.id));
         Self::build(
             path,
             layout,
@@ -700,7 +695,6 @@ mod tests {
             entries_per_block,
             IoStats::shared(),
             4096,
-            1,
             IoBackend::Pread,
         )
         .unwrap()
@@ -990,7 +984,6 @@ mod tests {
             64,
             Arc::clone(&stats),
             4096,
-            1,
             IoBackend::Pread,
         )
         .unwrap();

@@ -39,10 +39,9 @@ pub struct CTreeConfig {
     /// Page size used for I/O accounting.
     pub page_size: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).  The
-    /// bulk load's summarization, external sort and leaf scans read
-    /// `parallelism`, `io_overlap` and `io_backend`; queries
-    /// and delta merges get `query_parallelism` and the read-ahead gate
-    /// from [`planner::decide`].  Answers, `QueryCost` and the logical
+    /// bulk load's external sort and leaf scans read `io_overlap` and
+    /// `io_backend`; delta merges get the read-ahead gate from
+    /// [`planner::decide`].  Answers, `QueryCost` and the logical
     /// `IoStats` are identical at every setting.
     pub knobs: PerfKnobs,
 }
@@ -185,15 +184,13 @@ impl CTree {
             reader: dataset.iter()?,
             summarizer: &summarizer,
             materialized,
-            parallelism: config.knobs.parallelism,
             first_id: 0,
             keys: Vec::new(),
             next: 0,
             error: None,
         };
 
-        // Pass 2: bounded-memory external sort by interleaved key, with
-        // run-generation chunks sorted by the same worker pool.
+        // Pass 2: bounded-memory external sort by interleaved key.
         let mut sorter =
             DynExternalSorter::new(layout, config.memory_budget_bytes, dir, Arc::clone(&stats))
                 .with_page_size(config.page_size)
@@ -330,35 +327,21 @@ impl CTree {
         units
     }
 
-    /// Captures a deterministic snapshot of the observed state the planner
-    /// decides from.  Every field is an integer read at capture time; the
-    /// decision itself is the pure function `crate::planner::plan`.
-    fn planner_inputs(&self, k: usize, exact: bool) -> PlannerInputs {
-        let probe = planner::host_probe();
-        let snap = self.stats.snapshot();
-        PlannerInputs {
-            footprint_bytes: self.footprint_bytes(),
-            cache_budget_bytes: probe.cache_budget_bytes,
-            unit_count: self.query_units().len(),
-            run_count: 1,
-            cores: probe.cores,
-            k,
-            exact,
-            random_read_permille: planner::read_permille(&snap),
-        }
+    /// Captures the snapshot the planner decides from (see
+    /// [`PlannerInputs::capture`]).
+    fn planner_inputs(&self) -> PlannerInputs {
+        PlannerInputs::capture(self.footprint_bytes(), &self.stats.snapshot())
     }
 
-    /// kNN search, exact or approximate, fanned out over
-    /// `query_parallelism` workers (see [`crate::engine`]).
+    /// kNN search, exact or approximate (see [`crate::engine`]).
     pub fn knn(&self, query: &[f32], k: usize, exact: bool) -> Result<(Vec<Neighbor>, QueryCost)> {
-        let units = self.query_units();
-        crate::engine::parallel_knn(&units, query, k, self.config.knobs.query_parallelism, exact)
+        crate::engine::parallel_knn(&self.query_units(), query, k, exact)
     }
 
     /// Like [`CTree::knn`], but cancellable (the engine polls `cancel`
     /// before each of its phases and unwinds with
-    /// [`IndexError::Cancelled`] carrying the partial cost) and with the
-    /// fan-out from [`planner::decide`]: under
+    /// [`IndexError::Cancelled`] carrying the partial cost) and planned by
+    /// [`planner::decide`]: under
     /// [`planner::PlannerMode::Adaptive`] a [`planner::PlanReport`] is
     /// captured for this query and returned alongside the answer; under
     /// `Fixed` the report is `None`.  Answers and cost are identical in
@@ -370,17 +353,9 @@ impl CTree {
         exact: bool,
         cancel: &coconut_parallel::CancelToken,
     ) -> Result<PlannedAnswer> {
-        let (decision, report) =
-            planner::decide(&self.config.knobs, || self.planner_inputs(k, exact));
-        let units = self.query_units();
-        let answer = crate::engine::parallel_knn_with(
-            &units,
-            query,
-            k,
-            decision.query_parallelism,
-            exact,
-            cancel,
-        )?;
+        let (_, report) = planner::decide(&self.config.knobs, || self.planner_inputs());
+        let answer =
+            crate::engine::parallel_knn_with(&self.query_units(), query, k, exact, cancel)?;
         Ok((answer, report))
     }
 
@@ -407,13 +382,11 @@ impl CTree {
         }
         // Delta entries are always materialized in memory so that queries
         // can refine them without the raw file.
-        self.delta.extend(SeriesEntry::from_series_batch(
-            series,
-            timestamp,
-            &self.summarizer,
-            true,
-            self.config.knobs.parallelism,
-        ));
+        self.delta.extend(
+            series
+                .iter()
+                .map(|s| SeriesEntry::from_series(s, timestamp, &self.summarizer, true)),
+        );
         if self.delta.len() > self.delta_capacity {
             self.merge_delta()?;
         }
@@ -442,7 +415,7 @@ impl CTree {
             .reader_with_prefetch_gate(
                 self.config.entries_per_block(),
                 self.config.knobs.io_overlap,
-                planner::decide(&self.config.knobs, || self.planner_inputs(0, true))
+                planner::decide(&self.config.knobs, || self.planner_inputs())
                     .0
                     .effective_prefetch_gate(),
             )
@@ -498,8 +471,8 @@ enum CTreePart {
     Delta,
 }
 
-/// One independently searchable piece of a CTree for the concurrent query
-/// engine: the contiguous leaf level or the in-memory delta.  The query is
+/// One independently searchable piece of a CTree for the query engine:
+/// the contiguous leaf level or the in-memory delta.  The query is
 /// supplied per search call so one unit list serves both phases of a query.
 struct CTreeUnit<'a> {
     tree: &'a CTree,
@@ -546,14 +519,13 @@ impl crate::engine::SearchUnit for CTreeUnit<'_> {
 
 /// Pass 1 of the bulk load, feeding the external sorter: reads the dataset
 /// a block at a time, refuses a non-finite value as an insert would, keys
-/// the block's rows in place with the worker pool, and yields one entry per
+/// the block's rows in place, and yields one entry per
 /// row, copying its values only into a materialized entry.  It remembers
 /// the first error, since the sorter only understands plain records.
 struct BlockEntries<'a> {
     reader: DatasetReader,
     summarizer: &'a SortableSummarizer,
     materialized: bool,
-    parallelism: usize,
     /// Id of the current block's first row.
     first_id: SeriesId,
     /// Keys of the current block's rows, and the next row to yield.
@@ -570,7 +542,7 @@ impl BlockEntries<'_> {
         for row in &rows {
             crate::check_series("inserted series", row, series_len)?;
         }
-        self.keys = self.summarizer.keys_batch_values(&rows, self.parallelism);
+        self.keys = rows.iter().map(|row| self.summarizer.key(row)).collect();
         self.first_id = first_id;
         self.next = 0;
         Ok(())

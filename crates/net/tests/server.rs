@@ -862,10 +862,14 @@ fn adaptive_planner_wire_path_explains_and_counts() {
             .expect("computed adaptive responses carry an explain report");
         let inputs = explain.get("inputs").expect("explain.inputs");
         let decision = explain.get("decision").expect("explain.decision");
-        for field in ["footprint_bytes", "cache_budget_bytes", "cores", "k"] {
+        for field in [
+            "footprint_bytes",
+            "cache_budget_bytes",
+            "random_read_permille",
+        ] {
             assert!(inputs.get(field).is_some(), "missing inputs.{field}");
         }
-        for field in ["query_parallelism", "read_ahead", "prefetch_min_bytes"] {
+        for field in ["read_ahead", "prefetch_min_bytes"] {
             assert!(decision.get(field).is_some(), "missing decision.{field}");
         }
 
@@ -910,9 +914,9 @@ fn adaptive_planner_wire_path_explains_and_counts() {
     assert_eq!(counter("planner_fixed"), 4);
     assert_eq!(counter("cache_hits"), 8, "two hits per adaptive query");
     assert_eq!(
-        counter("plans_parallel") + counter("plans_sequential"),
+        counter("plans_read_ahead_off"),
         counter("planner_adaptive"),
-        "every adaptive plan is either parallel or sequential"
+        "a cache-resident index is planned without read-ahead"
     );
 
     let report = server.shutdown();

@@ -160,21 +160,6 @@ impl Breakpoints {
             0.0
         }
     }
-
-    /// Minimum squared distance between the regions of two symbols at this
-    /// cardinality (zero for identical or adjacent symbols).
-    pub fn symbol_distance_sq(&self, a: u32, b: u32) -> f64 {
-        if a == b || a.abs_diff(b) == 1 {
-            return 0.0;
-        }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        // The gap between the upper bound of the lower region and the lower
-        // bound of the higher region.
-        let upper_of_lo = self.cuts[lo as usize];
-        let lower_of_hi = self.cuts[(hi - 1) as usize];
-        let d = lower_of_hi - upper_of_lo;
-        d * d
-    }
 }
 
 /// A cache of breakpoint tables for all supported bit widths (1..=8).
@@ -303,15 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn symbol_distance_zero_for_adjacent() {
-        let bp = Breakpoints::new(3);
-        assert_eq!(bp.symbol_distance_sq(2, 2), 0.0);
-        assert_eq!(bp.symbol_distance_sq(2, 3), 0.0);
-        assert!(bp.symbol_distance_sq(0, 7) > 0.0);
-        assert_eq!(bp.symbol_distance_sq(0, 7), bp.symbol_distance_sq(7, 0));
-    }
-
-    #[test]
     fn table_caches_all_widths() {
         let t = BreakpointTable::new();
         for bits in 1..=8u8 {
@@ -350,18 +326,6 @@ mod proptests {
             let s = bp.symbol(w);
             let d = bp.region_distance_sq(v, s);
             prop_assert!(d <= (v - w) * (v - w) + 1e-12);
-        }
-
-        #[test]
-        fn symbol_distance_lower_bounds_value_distance(
-            v in -5.0f64..5.0,
-            w in -5.0f64..5.0,
-            bits in 1u8..=8,
-        ) {
-            let bp = Breakpoints::new(bits);
-            let sv = bp.symbol(v);
-            let sw = bp.symbol(w);
-            prop_assert!(bp.symbol_distance_sq(sv, sw) <= (v - w) * (v - w) + 1e-12);
         }
     }
 }

@@ -23,7 +23,6 @@ use crate::breakpoints::Breakpoints;
 use crate::isax::{IsaxSymbol, IsaxWord};
 use crate::sax::SaxWord;
 use crate::SaxConfig;
-use coconut_parallel::{effective_parallelism, parallel_map_slice};
 use coconut_series::paa::{paa, paa_into};
 use coconut_series::Series;
 
@@ -342,22 +341,13 @@ impl SortableSummarizer {
         key.to_sax(&self.config)
     }
 
-    /// Summarizes many series into their sortable keys in one call, using up
-    /// to `parallelism` worker threads (`1` = sequential, `0` = one per
-    /// available core).
+    /// Summarizes many series into their sortable keys, index-aligned with
+    /// `series` and identical to mapping [`SortableSummarizer::key`].
     ///
-    /// The output is index-aligned with `series` and identical to mapping
-    /// [`SortableSummarizer::key`] sequentially, regardless of the worker
-    /// count.
-    pub fn keys_batch(&self, series: &[Series], parallelism: usize) -> Vec<InvSaxKey> {
-        let workers = effective_parallelism(parallelism);
-        parallel_map_slice(series, workers, |s| self.key(&s.values))
-    }
-
-    /// Like [`SortableSummarizer::keys_batch`] but over raw value slices.
-    pub fn keys_batch_values(&self, values: &[&[f32]], parallelism: usize) -> Vec<InvSaxKey> {
-        let workers = effective_parallelism(parallelism);
-        parallel_map_slice(values, workers, |v| self.key(v))
+    /// The second argument is ignored: kept only because palmbench names it;
+    /// see ROADMAP 14(b).
+    pub fn keys_batch(&self, series: &[Series], _workers: usize) -> Vec<InvSaxKey> {
+        series.iter().map(|s| self.key(&s.values)).collect()
     }
 }
 
@@ -506,24 +496,22 @@ mod tests {
         InvSaxKey::from_raw(16, 4);
     }
 
+    /// The worker count palmbench passes is ignored: every value keys the
+    /// batch exactly as [`SortableSummarizer::key`] does, series by series.
     #[test]
     fn batched_keys_match_per_series_keys_at_any_parallelism() {
         let config = cfg();
         let summarizer = SortableSummarizer::new(config);
         let mut gen = RandomWalkGenerator::new(config.series_len, 61);
-        // Large enough to clear the fork/join gate so worker threads really
-        // run at parallelism > 1.
         let series = gen.generate(1500);
         let expected: Vec<InvSaxKey> = series.iter().map(|s| summarizer.key(&s.values)).collect();
-        for parallelism in [1usize, 2, 8] {
+        for workers in [0usize, 1, 8] {
             assert_eq!(
-                summarizer.keys_batch(&series, parallelism),
+                summarizer.keys_batch(&series, workers),
                 expected,
-                "parallelism={parallelism}"
+                "{workers}"
             );
         }
-        let values: Vec<&[f32]> = series.iter().map(|s| s.values.as_slice()).collect();
-        assert_eq!(summarizer.keys_batch_values(&values, 8), expected);
     }
 }
 
@@ -743,7 +731,7 @@ mod proptests {
             let summarizer = SortableSummarizer::new(SaxConfig::new(32, 8, 4));
             let mut gen = coconut_series::generator::RandomWalkGenerator::new(32, a[0] as u64);
             let series = gen.generate(16);
-            let batched = summarizer.keys_batch(&series, 4);
+            let batched = summarizer.keys_batch(&series, 1);
             for (s, key) in series.iter().zip(&batched) {
                 prop_assert_eq!(summarizer.key(&s.values), *key);
             }

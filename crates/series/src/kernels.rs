@@ -43,7 +43,7 @@
 //!   `cvtpd_ps` under the default MXCSR rounding mode.
 //!
 //! Because the backends are interchangeable bit-for-bit, the backend choice
-//! is a pure performance knob in the same sense as `parallelism` or
+//! is a pure performance knob in the same sense as `io_overlap` or
 //! `io_backend`: index files, answers, `QueryCost` and `IoStats` cannot
 //! depend on it.  `crates/series/tests/kernel_equivalence.rs` proptests the
 //! kernels across lengths 1..1024 and `every_kernel_backend_matches_scalar`

@@ -25,8 +25,6 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use coconut_parallel::{effective_parallelism, parallel_sort_by_key};
-
 use crate::durability::{self, Job};
 use crate::file::{read_ahead_with, PagedFile, ReadAheadBuffers};
 use crate::iostats::{LogicalAccountant, SharedIoStats};
@@ -39,7 +37,8 @@ use crate::{record_offset, record_range, Result, StorageError};
 /// fixed size.
 ///
 /// Layouts and records must be shareable with / movable to worker threads
-/// (`Sync` / `Send`) so run-generation chunks can be sorted in parallel.
+/// (`Sync` / `Send`): the run writer and the merge read-ahead run beside the
+/// sorting thread.
 pub trait RecordLayout: Clone + Send + Sync {
     /// The in-memory record type.
     type Record: Clone + Send;
@@ -968,19 +967,15 @@ impl<L: RecordLayout> Iterator for DynSortOutput<L> {
 /// `memory_budget_bytes` caps the record data buffered in memory at once,
 /// split between the phases so it is never exceeded: run generation buffers
 /// at most half of it per chunk, and the merge read buffers share a quarter
-/// of it (the remainder absorbs the transient copy made by the parallel
-/// chunk sort).  Each merge reader always gets at least one record, so
+/// of it.  Each merge reader always gets at least one record, so
 /// pathological run counts can push the merge slightly past its quarter.
 ///
-/// The sorter reads three of the [`PerfKnobs`] (set through
-/// [`DynExternalSorter::with_knobs`]; the defaults are
-/// [`PerfKnobs::default`]), and all three are pure performance knobs: spill
-/// runs, the sorted sequence and the `IoStats` totals are identical at
-/// every value.
+/// Each chunk is stably sorted on the calling thread.  The sorter reads two
+/// of the [`PerfKnobs`] (set through [`DynExternalSorter::with_knobs`]; the
+/// defaults are [`PerfKnobs::default`]), and both are pure performance
+/// knobs: spill runs, the sorted sequence and the `IoStats` totals are
+/// identical at every value.
 ///
-/// * `parallelism` — chunks are split into contiguous sub-chunks, sorted
-///   concurrently and stably merged before spilling, so every worker count
-///   writes byte-identical runs.
 /// * `io_overlap` — off is the strictly alternating sort-then-write
 ///   pipeline.  On, run generation double-buffers: sorted chunks go to a
 ///   dedicated writer worker through a two-slot channel, so sorting chunk
@@ -1029,8 +1024,8 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         self
     }
 
-    /// Sets the performance knobs; see the type docs for the three the
-    /// sorter reads (`query_parallelism` and `planner` are ignored).
+    /// Sets the performance knobs; see the type docs for the two the sorter
+    /// reads (`planner` is ignored).
     pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
         self.knobs = knobs;
         self
@@ -1058,9 +1053,8 @@ impl<L: RecordLayout> DynExternalSorter<L> {
             self.generate_runs_sequential(input)?
         };
         if runs.is_empty() {
-            let layout = self.layout.clone();
-            let workers = effective_parallelism(self.knobs.parallelism);
-            parallel_sort_by_key(&mut chunk, workers, |r| layout.key(r));
+            let layout = &self.layout;
+            chunk.sort_by_key(|r| layout.key(r));
             return Ok(DynSortOutput {
                 in_memory: Some(chunk.into_iter()),
                 merge: None,
@@ -1135,7 +1129,6 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         I: IntoIterator<Item = L::Record>,
     {
         let chunk_capacity = self.records_per_chunk();
-        let workers = effective_parallelism(self.knobs.parallelism);
         let layout = self.layout.clone();
         let writer_layout = self.layout.clone();
         let scratch_dir = self.scratch_dir.clone();
@@ -1178,7 +1171,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
                     total += 1;
                     chunk.push(record);
                     if chunk.len() >= chunk_capacity {
-                        parallel_sort_by_key(&mut chunk, workers, |r| layout.key(r));
+                        chunk.sort_by_key(|r| layout.key(r));
                         let full = std::mem::take(&mut chunk);
                         spilled = true;
                         if tx.send(full).is_err() {
@@ -1189,7 +1182,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
                     }
                 }
                 if spilled && !chunk.is_empty() {
-                    parallel_sort_by_key(&mut chunk, workers, |r| layout.key(r));
+                    chunk.sort_by_key(|r| layout.key(r));
                     let _ = tx.send(std::mem::take(&mut chunk));
                 }
                 drop(tx);
@@ -1202,9 +1195,8 @@ impl<L: RecordLayout> DynExternalSorter<L> {
     }
 
     fn write_run(&mut self, chunk: &mut Vec<L::Record>) -> Result<DynRunFile<L>> {
-        let layout = self.layout.clone();
-        let workers = effective_parallelism(self.knobs.parallelism);
-        parallel_sort_by_key(chunk, workers, |r| layout.key(r));
+        let layout = &self.layout;
+        chunk.sort_by_key(|r| layout.key(r));
         let path = self
             .scratch_dir
             .join(format!("dynsort-run-{:06}.run", self.next_run_id));
@@ -1379,11 +1371,9 @@ mod tests {
         );
     }
 
-    /// Overlap and chunk-sort parallelism are pure performance knobs: spill
-    /// runs, sorted output and `IoStats` are identical across the whole
-    /// grid, on a duplicate-heavy key domain where the parallel sort's
-    /// stability is observable.  The 2048-record chunks of the larger
-    /// budget are big enough for 8 workers to really fan out.
+    /// Overlap is a pure performance knob: spill runs, sorted output and
+    /// `IoStats` are identical with it off and on, on a duplicate-heavy key
+    /// domain where the chunk sort's stability is observable.
     #[test]
     fn overlapped_dyn_sort_is_identical_to_sequential() {
         let layout = PairLayout { payload_len: 24 };
@@ -1391,45 +1381,42 @@ mod tests {
         records.iter_mut().for_each(|r| r.0 %= 97);
         for budget in [32 * 300, 32 * 4096] {
             let mut outcomes = Vec::new();
-            for parallelism in [1usize, 8] {
-                for io_overlap in [false, true] {
-                    let dir = ScratchDir::new(&format!(
-                        "dynsort-ovl-{budget}-{parallelism}-{io_overlap}"
-                    ))
-                    .unwrap();
-                    let stats = IoStats::shared();
-                    let mut sorter = DynExternalSorter::new(
-                        layout.clone(),
-                        budget,
-                        dir.path(),
-                        Arc::clone(&stats),
-                    )
-                    .with_page_size(1024)
-                    .with_knobs(PerfKnobs {
-                        parallelism,
-                        io_overlap,
-                        ..PerfKnobs::default()
-                    });
-                    let out = sorter.sort(records.clone()).unwrap();
-                    assert!(out.spilled());
-                    let runs_generated = out.runs_generated;
-                    let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
-                    let mut run_bytes = Vec::new();
-                    for id in 0..runs_generated {
-                        let path = dir.path().join(format!("dynsort-run-{id:06}.run"));
-                        run_bytes.push(std::fs::read(path).unwrap());
-                    }
-                    outcomes.push((sorted, run_bytes, stats.snapshot()));
+            for io_overlap in [false, true] {
+                let dir = ScratchDir::new(&format!("dynsort-ovl-{budget}-{io_overlap}")).unwrap();
+                let stats = IoStats::shared();
+                let mut sorter =
+                    DynExternalSorter::new(layout.clone(), budget, dir.path(), Arc::clone(&stats))
+                        .with_page_size(1024)
+                        .with_knobs(PerfKnobs {
+                            io_overlap,
+                            ..PerfKnobs::default()
+                        });
+                let out = sorter.sort(records.clone()).unwrap();
+                assert!(out.spilled());
+                let runs_generated = out.runs_generated;
+                let sorted: Vec<_> = out.map(|r| r.unwrap()).collect();
+                let mut run_bytes = Vec::new();
+                for id in 0..runs_generated {
+                    let path = dir.path().join(format!("dynsort-run-{id:06}.run"));
+                    run_bytes.push(std::fs::read(path).unwrap());
                 }
+                outcomes.push((sorted, run_bytes, stats.snapshot()));
             }
             let mut expected = records.clone();
             expected.sort_by_key(|r| r.0);
             assert_eq!(outcomes[0].0, expected, "stable sorted output");
-            for other in &outcomes[1..] {
-                assert_eq!(outcomes[0].0, other.0, "sorted output (budget {budget})");
-                assert_eq!(outcomes[0].1, other.1, "spill run bytes (budget {budget})");
-                assert_eq!(outcomes[0].2, other.2, "IoStats totals (budget {budget})");
-            }
+            assert_eq!(
+                outcomes[0].0, outcomes[1].0,
+                "sorted output (budget {budget})"
+            );
+            assert_eq!(
+                outcomes[0].1, outcomes[1].1,
+                "spill run bytes (budget {budget})"
+            );
+            assert_eq!(
+                outcomes[0].2, outcomes[1].2,
+                "IoStats totals (budget {budget})"
+            );
         }
     }
 

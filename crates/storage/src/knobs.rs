@@ -8,18 +8,11 @@
 use crate::mmap::IoBackend;
 
 /// The pure-performance knobs of an index, carried by value through every
-/// config layer.  [`PerfKnobs::default`] is the engine default: one worker
-/// each, overlapped I/O, `pread`, the `Fixed` planner.
+/// config layer.  [`PerfKnobs::default`] is the engine default: overlapped
+/// I/O, `pread`, the `Fixed` planner.  Builds and queries run on the
+/// caller's thread; no knob adds workers to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfKnobs {
-    /// Worker threads for summarization, run-generation sorting, flush
-    /// sorting and per-shard compaction merges (`1` = sequential, `0` = one
-    /// per available core).  Every setting writes byte-identical files.
-    pub parallelism: usize,
-    /// Worker threads for the query fan-out over search units (`1` =
-    /// sequential, `0` = one per available core).  Answers and cost
-    /// counters are identical at every setting; see `coconut_ctree::engine`.
-    pub query_parallelism: usize,
     /// Overlap computation with I/O: run generation double-buffers through a
     /// writer worker and merge readers prefetch (see
     /// [`crate::DynExternalSorter`]).  Changes *when* each I/O happens,
@@ -35,8 +28,6 @@ pub struct PerfKnobs {
 impl Default for PerfKnobs {
     fn default() -> Self {
         PerfKnobs {
-            parallelism: 1,
-            query_parallelism: 1,
             io_overlap: true,
             io_backend: IoBackend::Pread,
             planner: PlannerMode::Fixed,

@@ -281,11 +281,10 @@ pub struct PartitionedConfig {
     /// Page size used for I/O accounting.
     pub page_size: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).
-    /// Ingest reads `parallelism`; sorted partitions and BTP merges read
-    /// `io_overlap` and `io_backend` (mappings are dropped before a merge
-    /// deletes its inputs); queries fan out over
-    /// `query_parallelism`.  The planner drives only the BTP merge
-    /// read-ahead gate, through [`planner::decide`].  Partitions, answers,
+    /// Sorted partitions and BTP merges read `io_overlap` and `io_backend`
+    /// (mappings are dropped before a merge deletes its inputs).  The
+    /// planner drives only the BTP merge read-ahead gate, through
+    /// [`planner::decide`].  Partitions, answers,
     /// `QueryCost` and the logical `IoStats` are identical at every setting.
     pub knobs: PerfKnobs,
 }
@@ -452,7 +451,6 @@ impl PartitionedStream {
                     self.config.entries_per_block,
                     Arc::clone(&self.stats),
                     self.config.page_size,
-                    self.config.knobs.parallelism,
                     self.config.knobs.io_backend,
                 )?;
                 Partition::Sorted {
@@ -589,8 +587,8 @@ impl PartitionedStream {
 
     /// Search units in newest-first order: the buffer, then every partition
     /// whose time range intersects the window (the second value is how many
-    /// partitions will be accessed).  The engine probes them concurrently
-    /// around a shared best-so-far bound.
+    /// partitions will be accessed).  The engine probes them in order
+    /// around a best-so-far bound frozen from the merged seeds.
     fn query_units(
         &self,
         k: usize,
@@ -625,23 +623,13 @@ impl PartitionedStream {
         (units, accessed)
     }
 
-    /// Captures the deterministic [`PlannerInputs`] snapshot a BTP merge
-    /// plans its read-ahead gate from: every field is an integer read at
-    /// capture time; the decision itself is the pure function
-    /// `coconut_ctree::planner::plan`.
+    /// Captures the [`PlannerInputs`] snapshot a BTP merge plans its
+    /// read-ahead gate from (see [`PlannerInputs::capture`]).
     fn merge_planner_inputs(&self) -> PlannerInputs {
-        let probe = planner::host_probe();
-        let snap = self.stats.snapshot();
-        PlannerInputs {
-            footprint_bytes: self.partitions.iter().map(|p| p.footprint()).sum(),
-            cache_budget_bytes: probe.cache_budget_bytes,
-            unit_count: self.partitions.len() + usize::from(!self.buffer.is_empty()),
-            run_count: self.partitions.len().max(1),
-            cores: probe.cores,
-            k: 0,
-            exact: true,
-            random_read_permille: planner::read_permille(&snap),
-        }
+        PlannerInputs::capture(
+            self.partitions.iter().map(|p| p.footprint()).sum(),
+            &self.stats.snapshot(),
+        )
     }
 }
 
@@ -656,7 +644,7 @@ enum StreamPart<'a> {
 }
 
 /// One independently searchable piece of a partitioned stream for the
-/// concurrent query engine.  The query is supplied per search call so one
+/// query engine.  The query is supplied per search call so one
 /// unit list serves both phases of a query.
 struct StreamUnit<'a> {
     stream: &'a PartitionedStream,
@@ -675,7 +663,7 @@ impl StreamUnit<'_> {
         ctx: &mut QueryContext<'_>,
     ) -> Result<()> {
         // ADS partitions run their own traversal; fold their neighbours and
-        // cost into this worker's heap and counters.
+        // cost into this unit's heap and counters.
         let (neighbors, cost) = tree.knn(query, self.k, exact, self.window)?;
         ctx.cost = ctx.cost.plus(&cost);
         for n in neighbors {
@@ -746,17 +734,12 @@ impl StreamingIndex for PartitionedStream {
                 self.config.sax.series_len,
             )?;
         }
-        // Summarize the whole batch on the worker pool, then apply arrivals
-        // in order (each carries its own timestamp).
-        let values: Vec<&[f32]> = batch.iter().map(|a| a.series.values.as_slice()).collect();
-        let keys = self
-            .summarizer
-            .keys_batch_values(&values, self.config.knobs.parallelism);
-        for (arrival, key) in batch.iter().zip(keys) {
-            self.buffer.push(SeriesEntry::from_keyed(
-                key,
+        // Apply arrivals in order (each carries its own timestamp).
+        for arrival in batch {
+            self.buffer.push(SeriesEntry::from_series(
                 &arrival.series,
                 arrival.timestamp,
+                &self.summarizer,
                 true,
             ));
             self.buffer_min_ts = self.buffer_min_ts.min(arrival.timestamp);
@@ -777,13 +760,7 @@ impl StreamingIndex for PartitionedStream {
         exact: bool,
     ) -> Result<StreamQueryResult> {
         let (units, accessed) = self.query_units(k, window);
-        let (neighbors, cost) = coconut_ctree::engine::parallel_knn(
-            &units,
-            query,
-            k,
-            self.config.knobs.query_parallelism,
-            exact,
-        )?;
+        let (neighbors, cost) = coconut_ctree::engine::parallel_knn(&units, query, k, exact)?;
         Ok(StreamQueryResult {
             neighbors,
             cost,

@@ -31,21 +31,13 @@ fn main() {
     }
 
     // 2. Build an index through the JSON protocol, exactly as the GUI would.
-    let build = PalmRequest::BuildIndex {
-        name: "demo".into(),
-        dataset_path: dataset_path.to_string_lossy().into_owned(),
-        variant: VariantKind::CTree,
-        materialized: true,
-        memory_budget_bytes: 16 << 20,
-        parallelism: 0,
-        query_parallelism: 0,
-        shard_count: 1,
-        range: None,
-        io_overlap: true,
-        io_backend: coconut_core::IoBackend::Pread,
-        planner: coconut_core::PlannerMode::Fixed,
-        compression: coconut_core::Compression::Off,
-    };
+    let build = PalmRequest::build_index(
+        "demo",
+        dataset_path.to_string_lossy(),
+        VariantKind::CTree,
+        true,
+        16 << 20,
+    );
     let response = server.handle_json(&build.to_json().to_string());
     println!("{response}\n");
 

@@ -3,8 +3,7 @@
 //! Workspace facade crate: re-exports the [`coconut_core`] API so the
 //! runnable examples under `examples/` (and downstream users) can depend on a
 //! single crate.  See `ROADMAP.md` for the project's north star and
-//! `DESIGN.md` for the architecture, including the threading model behind the
-//! `parallelism` knob.
+//! `DESIGN.md` for the architecture, including the few threads it runs.
 
 pub use coconut_core::*;
 
