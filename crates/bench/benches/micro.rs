@@ -16,6 +16,7 @@ use coconut_series::dataset::DatasetWriter;
 use coconut_series::distance::squared_euclidean;
 use coconut_series::generator::{RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator};
 use coconut_series::paa::paa;
+use coconut_series::KernelBackend;
 use coconut_storage::{
     durability, DynExternalSorter, DynRunWriter, IoBackend, IoStats, RecordLayout, ScratchDir,
     DEFAULT_PAGE_SIZE,
@@ -69,18 +70,51 @@ fn bench_mindist(c: &mut Criterion) {
             ));
         })
     });
-    // The exact scan's per-entry bound: raw key -> bound through the
-    // per-query table, i.e. m1_invsax_decode + m2_mindist_paa_sax fused.
-    let keys: Vec<u128> = words.iter().map(|w| InvSaxKey::from_sax(w).raw()).collect();
+    // The exact scan's bound: one call bounds a block of 512 heads (key,
+    // id, timestamp; 32 B each) through the per-query table, on every
+    // backend.  Set-up asserts each bound equals `key_bound_sq`'s bits.
+    const HEADS: usize = 512;
     let bounds = QueryBounds::new(&q_paa, &config);
-    c.bench_function("m2b_key_bound_fused", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let k = keys[i % keys.len()];
-            i += 1;
-            std::hint::black_box(bounds.key_bound_sq(std::hint::black_box(k)));
-        })
-    });
+    let mut heads = Vec::with_capacity(HEADS * 32);
+    let mut expected = Vec::with_capacity(HEADS);
+    for (id, s) in gen.generate(HEADS).iter().enumerate() {
+        let key = summarizer.key(&s.values).raw();
+        heads.extend_from_slice(&key.to_be_bytes());
+        heads.extend_from_slice(&(id as u64).to_be_bytes());
+        heads.extend_from_slice(&(id as u64 * 7).to_be_bytes());
+        expected.push(bounds.key_bound_sq(key).to_bits());
+    }
+    let mut out = Vec::new();
+    for backend in KernelBackend::available_backends() {
+        bounds.block_bounds_sq_with(backend, &heads, 32, &mut out);
+        let got: Vec<u64> = out.iter().map(|lb| lb.to_bits()).collect();
+        assert_eq!(got, expected, "{backend} block bounds");
+        let name = format!("m2b_block_bounds_512_{backend}");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                bounds.block_bounds_sq_with(backend, std::hint::black_box(&heads), 32, &mut out);
+                std::hint::black_box(&out);
+            })
+        });
+        let fastest = (0..20)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for _ in 0..200 {
+                    bounds.block_bounds_sq_with(
+                        backend,
+                        std::hint::black_box(&heads),
+                        32,
+                        &mut out,
+                    );
+                    std::hint::black_box(&out);
+                }
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        let ns_per_key = fastest.as_nanos() as f64 / (200 * HEADS) as f64;
+        println!("{name:<40} {ns_per_key:.2} ns/key (fastest of 20 x 200 calls)");
+    }
     // The table itself, built once per exact search and per raw-fetch
     // approximate probe: 16 segments x 256 symbols.
     c.bench_function("m2c_query_bounds_new", |b| {

@@ -145,8 +145,6 @@ impl QueryCost {
 pub trait Entry {
     /// Arrival timestamp.
     fn timestamp(&self) -> Timestamp;
-    /// Raw interleaved key.
-    fn key(&self) -> u128;
     /// Series id.
     fn id(&self) -> u64;
     /// Stored values (materialized layouts only), decoded into `buf` when
@@ -169,6 +167,9 @@ pub trait Records {
     fn entry_count(&self) -> usize;
     /// The entry in `slot` (its position in [`Records::entries`]).
     fn entry(&self, slot: usize) -> Self::Entry<'_>;
+    /// The lower bound of every entry against `bounds`, in file order,
+    /// into `out` (cleared first).
+    fn key_bounds(&self, bounds: &QueryBounds, out: &mut Vec<f64>);
 }
 
 /// Context passed through a query: access to the raw data file (for
@@ -187,6 +188,8 @@ pub struct QueryContext<'a> {
     /// `(lower bound, slot)` of a block's raw-fetch candidates, reused from
     /// one block to the next.
     order: Vec<(f64, u32)>,
+    /// The lower bound of every entry of the block being scanned.
+    lbs: Vec<f64>,
     /// The heads of the block being scanned, and the value tails it read.
     pub(crate) heads: Vec<u8>,
     pub(crate) tails: Vec<u8>,
@@ -202,6 +205,7 @@ impl<'a> QueryContext<'a> {
             bytes: Vec::new(),
             values: Vec::new(),
             order: Vec::new(),
+            lbs: Vec::new(),
             heads: Vec::new(),
             tails: Vec::new(),
         }
@@ -247,9 +251,12 @@ impl<'a> QueryContext<'a> {
     /// an entry whose lower bound exceeds `heap.bound()` is not refined
     /// (strictly `>`, so ties survive).
     ///
+    /// With `bounds`, one [`Records::key_bounds`] call bounds every entry
+    /// of the block before the entries are examined.
+    ///
     /// Where a refinement is a raw fetch (a non-materialized layout, with
-    /// `bounds`), the block is refined **best-first**: one pass bounds every
-    /// examined entry and keeps `(bound, slot)` for those the heap does not
+    /// `bounds`), the block is refined **best-first**: one pass over the
+    /// examined entries keeps `(bound, slot)` for those the heap does not
     /// already beat, they are sorted by `(bound, slot)`, and the block ends
     /// at the first bound above the heap's current bound.  The heap then
     /// holds what the file-order loop would leave — the top-k of what it
@@ -299,12 +306,19 @@ impl<'a> QueryContext<'a> {
             self.order.extend(slots);
             return count.checked_sub(1).map(|last| (0, last));
         }
+        if let Some(bounds) = bounds {
+            records.key_bounds(bounds, &mut self.lbs);
+        }
         for (slot, entry) in records.entries().enumerate() {
             if !in_window(entry.timestamp(), window) {
                 continue;
             }
             self.cost.entries_examined += 1;
-            let lb = bounds.map_or(f64::NEG_INFINITY, |b| b.key_bound_sq(entry.key()));
+            let lb = if bounds.is_some() {
+                self.lbs[slot]
+            } else {
+                f64::NEG_INFINITY
+            };
             if lb > ceiling {
                 continue;
             }
@@ -361,12 +375,13 @@ impl<'a> QueryContext<'a> {
     ) -> Result<()> {
         let ceiling = heap.bound();
         self.order.clear();
+        records.key_bounds(bounds, &mut self.lbs);
         for (slot, entry) in records.entries().enumerate() {
             if !in_window(entry.timestamp(), window) {
                 continue;
             }
             self.cost.entries_examined += 1;
-            let lb = bounds.key_bound_sq(entry.key());
+            let lb = self.lbs[slot];
             if lb <= ceiling {
                 self.order.push((lb, slot as u32));
             }
@@ -447,10 +462,6 @@ impl Entry for EncodedEntry<'_> {
         EntryLayout::timestamp_of(self.head)
     }
 
-    fn key(&self) -> u128 {
-        EntryLayout::key_of(self.head)
-    }
-
     fn id(&self) -> u64 {
         EntryLayout::id_of(self.head)
     }
@@ -496,15 +507,16 @@ impl Records for EncodedBlock<'_> {
             slot,
         }
     }
+
+    /// One kernel call over the heads: each starts with its big-endian key.
+    fn key_bounds(&self, bounds: &QueryBounds, out: &mut Vec<f64>) {
+        bounds.block_bounds_sq(self.heads, ENTRY_HEAD, out);
+    }
 }
 
 impl Entry for &SeriesEntry {
     fn timestamp(&self) -> Timestamp {
         self.timestamp
-    }
-
-    fn key(&self) -> u128 {
-        self.key
     }
 
     fn id(&self) -> u64 {
@@ -534,6 +546,11 @@ impl Records for [SeriesEntry] {
 
     fn entry(&self, slot: usize) -> &SeriesEntry {
         &self[slot]
+    }
+
+    fn key_bounds(&self, bounds: &QueryBounds, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.iter().map(|entry| bounds.key_bound_sq(entry.key)));
     }
 }
 

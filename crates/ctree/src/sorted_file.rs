@@ -458,26 +458,20 @@ impl SortedSeriesFile {
         let bounds =
             (!self.layout().is_materialized()).then(|| QueryBounds::new(&query_paa, &self.sax));
         let target = self.locate_block(key).unwrap();
-        // Visit the target block plus its neighbours until the heap is full
-        // (or the partition is exhausted).
-        let mut offsets: Vec<usize> = vec![target];
-        let mut radius = 1usize;
-        while offsets.len() < self.blocks.len() {
-            let mut extended = false;
-            if target + radius < self.blocks.len() {
-                offsets.push(target + radius);
-                extended = true;
-            }
-            if let Some(lo) = target.checked_sub(radius) {
-                offsets.push(lo);
-                extended = true;
-            }
-            if heap.bound() < f64::INFINITY || !extended {
-                break;
-            }
-            radius += 1;
-        }
-        for idx in offsets {
+        // Visit the target block, then its neighbours outward (the one after
+        // before the one before) until a scanned block leaves the heap's
+        // bound finite.  A heap that arrives with a finite bound looks no
+        // further than radius 1.
+        let n = self.blocks.len();
+        let reach = if heap.bound() < f64::INFINITY {
+            1
+        } else {
+            target.max(n - 1 - target)
+        };
+        let outward = (1..=reach)
+            .flat_map(|r| [Some(target + r).filter(|&i| i < n), target.checked_sub(r)])
+            .flatten();
+        for idx in std::iter::once(target).chain(outward) {
             let block = self.blocks[idx];
             if !block.intersects_window(window) {
                 ctx.cost.blocks_skipped += 1;

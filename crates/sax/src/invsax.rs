@@ -148,8 +148,11 @@ const SPREAD: [u64; 256] = {
 
 /// Inverts the interleaving of the raw key value `raw` into
 /// `symbols[..config.segments]`, one symbol per segment, without allocating.
-/// The one deinterleave of the crate: [`InvSaxKey::to_sax`] and the per-entry
-/// bound of [`crate::mindist::QueryBounds`] both run it.
+/// The scalar deinterleave of the crate: [`InvSaxKey::to_sax`], the block
+/// prefix bound and [`crate::mindist::QueryBounds::key_bound_sq`] run it.
+/// A scan bounds its entries with
+/// [`crate::mindist::QueryBounds::block_bounds_sq`], whose AVX2 kernel
+/// un-interleaves a block's keys in registers to the same symbols.
 ///
 /// Bit level `l` of the key is a group of `segments` bits, segment 0 first.
 /// When the groups are whole bytes (`segments % 8 == 0`) a key byte carries

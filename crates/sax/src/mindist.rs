@@ -16,6 +16,7 @@ use crate::invsax::deinterleave;
 use crate::isax::IsaxWord;
 use crate::sax::SaxWord;
 use crate::{SaxConfig, MAX_SEGMENTS};
+use coconut_series::kernels::{active_backend, KernelBackend};
 
 /// Squared lower bound between a query PAA vector and a full-resolution SAX
 /// word.
@@ -114,6 +115,11 @@ pub fn mindist_paa_key_prefix_sq(
 /// [`mindist_paa_sax_sq`] returns for the decoded word: the table holds the
 /// same per-segment terms, and they are added in the same segment order
 /// `0..n` into the same `0.0` before the same multiplication by the scale.
+///
+/// A scan bounds a whole block with [`QueryBounds::block_bounds_sq`]: on
+/// the AVX2 backend it un-interleaves the keys in registers and sums the
+/// same cells in the same order, so every bound is
+/// [`QueryBounds::key_bound_sq`]'s, bit for bit.
 #[derive(Debug, Clone)]
 pub struct QueryBounds {
     config: SaxConfig,
@@ -167,6 +173,186 @@ impl QueryBounds {
             acc += row[symbol as usize];
         }
         self.scale * acc
+    }
+
+    /// [`QueryBounds::key_bound_sq`] of every key of a block, in order,
+    /// into `out` (cleared first), on the process-wide kernel backend.
+    ///
+    /// The block is `heads`: one record per `stride` bytes, each starting
+    /// with its raw key as 16 big-endian bytes (an index entry's head).
+    ///
+    /// # Panics
+    /// Panics if `stride < 16` or `heads` is not a whole number of records.
+    pub fn block_bounds_sq(&self, heads: &[u8], stride: usize, out: &mut Vec<f64>) {
+        self.block_bounds_sq_with(active_backend(), heads, stride, out)
+    }
+
+    /// [`QueryBounds::block_bounds_sq`] on an explicit backend.  Every
+    /// backend returns [`QueryBounds::key_bound_sq`]'s bits; only AVX2 on
+    /// whole-byte bit levels (`segments % 8 == 0`) runs a kernel of its
+    /// own, every other case loops over [`QueryBounds::key_bound_sq`].
+    ///
+    /// # Panics
+    /// As [`QueryBounds::block_bounds_sq`], and if the backend is not
+    /// available on this CPU.
+    pub fn block_bounds_sq_with(
+        &self,
+        backend: KernelBackend,
+        heads: &[u8],
+        stride: usize,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(
+            stride >= KEY_BYTES && heads.len().is_multiple_of(stride),
+            "{} bytes of heads at stride {stride}",
+            heads.len()
+        );
+        assert!(
+            backend.available(),
+            "kernel backend {backend} not available on this CPU"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if backend == KernelBackend::Avx2 && self.config.segments.is_multiple_of(8) {
+            // Every slot is overwritten: only slots past the old length
+            // are filled first.
+            out.resize(heads.len() / stride, 0.0);
+            // SAFETY: AVX2 availability, `stride >= 16` and whole records
+            // are asserted above, `out` holds one slot per record, and the
+            // branch is taken only for `segments % 8 == 0`.
+            unsafe { x86::avx2_block_bounds(self, heads, stride, out) };
+            return;
+        }
+        out.clear();
+        let keys = heads
+            .chunks_exact(stride)
+            .map(|head| u128::from_be_bytes(head[..KEY_BYTES].try_into().expect("16-byte key")));
+        out.extend(keys.map(|key| self.key_bound_sq(key)));
+    }
+}
+
+/// Bytes of a raw key at the head of a record.
+const KEY_BYTES: usize = 16;
+
+/// The `x86_64` block kernel.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{QueryBounds, KEY_BYTES};
+    use core::arch::x86_64::*;
+
+    /// [`QueryBounds::block_bounds_sq`] for `segments % 8 == 0`, two keys
+    /// per 256-bit register (one per 128-bit lane).
+    ///
+    /// With `G = segments / 8` and `L` bit levels, the key is its last
+    /// `G·L` big-endian bytes, level by level, and byte `g` of a level
+    /// holds that level's bit of segments `8g..8g+8`, segment `8g` in the
+    /// top bit.  One `pshufb` per two groups sets group `2r+h`'s `L` level
+    /// bytes side by side at bytes `8h..8h+L` of the lane, level 0 (the
+    /// most significant) last: level `L-1-i` lands at byte `8h+i`, and the
+    /// other bytes are zero.  `movemask` then collects the top bit of every
+    /// byte, so mask byte `2·lane+h` is segment `8(2r+h)`'s symbol, least
+    /// significant bit lowest.  Doubling every byte (`v += v`) moves the
+    /// next segment's bit to the top: round `j` of eight gives segment
+    /// `8g+j`'s symbol for every group of both keys, each in a byte of its
+    /// own.
+    ///
+    /// The symbols are exact integers, the same `u8`s the scalar
+    /// deinterleave returns; each key's cells are then added in segment
+    /// order `0..n` into `0.0` and multiplied by the scale, as
+    /// [`QueryBounds::key_bound_sq`] does, so each bound has its bits.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.  `stride >= 16`, `heads` holds
+    /// `out.len()` records of `stride` bytes and `segments % 8 == 0`, as
+    /// [`QueryBounds::block_bounds_sq_with`] checks.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2_block_bounds(
+        bounds: &QueryBounds,
+        heads: &[u8],
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        let groups = bounds.config.segments / 8;
+        let levels = bounds.config.bits_per_segment as usize;
+        let key_start = KEY_BYTES - groups * levels;
+        let registers = groups.div_ceil(2);
+        let mut controls = [_mm256_setzero_si256(); MAX_REGISTERS];
+        for (r, control) in controls[..registers].iter_mut().enumerate() {
+            let mut bytes = [0x80u8; KEY_BYTES];
+            for g in (2 * r..groups).take(2) {
+                for i in 0..levels {
+                    bytes[8 * (g % 2) + i] = (key_start + (levels - 1 - i) * groups + g) as u8;
+                }
+            }
+            *control = _mm256_broadcastsi128_si256(_mm_loadu_si128(bytes.as_ptr().cast()));
+        }
+        let rows = &bounds.table[..bounds.config.segments];
+        let scale = bounds.scale;
+        // SAFETY: the unaligned load reads exactly the 16 bytes of the
+        // bounds-checked slice it is given.
+        let key =
+            |slot: usize| _mm_loadu_si128(heads[slot * stride..][..KEY_BYTES].as_ptr().cast());
+        let mut masks: [PairMasks; CHUNK / 2] = [[[0; 4]; 8 * MAX_REGISTERS]; CHUNK / 2];
+        for (c, outs) in out.chunks_mut(CHUNK).enumerate() {
+            let (first, last) = (c * CHUNK, outs.len() - 1);
+            let pairs = &mut masks[..outs.len().div_ceil(2)];
+            for (p, pair) in pairs.iter_mut().enumerate() {
+                let second = (2 * p + 1).min(last);
+                let keys = _mm256_set_m128i(key(first + second), key(first + 2 * p));
+                for (control, rounds) in controls[..registers].iter().zip(pair.chunks_exact_mut(8))
+                {
+                    let mut v = _mm256_shuffle_epi8(keys, *control);
+                    for mask in rounds {
+                        *mask = (_mm256_movemask_epi8(v) as u32).to_le_bytes();
+                        v = _mm256_add_epi8(v, v);
+                    }
+                }
+            }
+            // A segment count the compiler knows puts every row at a fixed
+            // offset from one base: the sums of 8 and 16 segments (16 is
+            // the paper's default) run ~25% faster than the general loop.
+            match rows.len() {
+                8 => add_cells(&rows[..8], pairs, scale, outs),
+                16 => add_cells(&rows[..16], pairs, scale, outs),
+                _ => add_cells(rows, pairs, scale, outs),
+            }
+        }
+    }
+
+    /// Keys un-interleaved in one pass before a second sums their cells.
+    const CHUNK: usize = 16;
+
+    /// Registers a pair of keys takes: two groups of eight segments each,
+    /// so `MAX_SEGMENTS / 16`.
+    const MAX_REGISTERS: usize = crate::MAX_SEGMENTS / 16;
+
+    /// `masks[8r + j][2·lane + h]`: segment `8(2r+h)+j` of the key in
+    /// `lane` of a pair.
+    type PairMasks = [[u8; 4]; 8 * MAX_REGISTERS];
+
+    /// The bounds of the keys of `pairs` into `outs`, four keys (two pairs)
+    /// at a time so that four chains of additions overlap; a lone last
+    /// pair is summed twice and its copy dropped.  Each key's cells are
+    /// added in segment order `0..n` into `0.0` and scaled last.
+    #[inline(always)]
+    fn add_cells(rows: &[[f64; 256]], pairs: &[PairMasks], scale: f64, outs: &mut [f64]) {
+        for (q, outs) in outs.chunks_mut(4).enumerate() {
+            let p0 = &pairs[2 * q];
+            let p1 = &pairs[(2 * q + 1).min(pairs.len() - 1)];
+            let mut sums = [0.0; 4];
+            for (g, group) in rows.chunks_exact(8).enumerate() {
+                let (round, h) = (8 * (g / 2), g % 2);
+                let rounds = p0[round..round + 8].iter().zip(&p1[round..round + 8]);
+                for (row, (m0, m1)) in group.iter().zip(rounds) {
+                    sums[0] += row[m0[h] as usize];
+                    sums[1] += row[m0[2 + h] as usize];
+                    sums[2] += row[m1[h] as usize];
+                    sums[3] += row[m1[2 + h] as usize];
+                }
+            }
+            for (out, sum) in outs.iter_mut().zip(sums) {
+                *out = scale * sum;
+            }
+        }
     }
 }
 
@@ -281,17 +467,60 @@ mod proptests {
         }
     }
 
-    /// The table bound against the bound of the decoded word, by bits.
+    /// The table bound against the bound of the decoded word, by bits, and
+    /// the block call on every backend against the table bound.
     fn assert_table_bound_matches(query_paa: &[f64], key: InvSaxKey, config: &SaxConfig) {
         let breakpoints = Breakpoints::new(config.bits_per_segment);
         let expected = mindist_paa_sax_sq(query_paa, &key.to_sax(config), config, &breakpoints);
-        let got = QueryBounds::new(query_paa, config).key_bound_sq(key.raw());
+        let bounds = QueryBounds::new(query_paa, config);
+        let got = bounds.key_bound_sq(key.raw());
         assert_eq!(
             got.to_bits(),
             expected.to_bits(),
             "{config:?} key {:#x}",
             key.raw()
         );
+        assert_block_bounds_match(&bounds, &[key.raw(); 3], &[0xA5; 16], 32);
+    }
+
+    /// `keys` as a block of heads `stride` bytes apart, each key (16
+    /// big-endian bytes) followed by `filler` bytes where an entry keeps
+    /// its id and timestamp.
+    fn heads_of(keys: &[u128], filler: &[u8], stride: usize) -> Vec<u8> {
+        let mut heads = Vec::with_capacity(keys.len() * stride);
+        for (i, key) in keys.iter().enumerate() {
+            heads.extend_from_slice(&key.to_be_bytes());
+            let at = (i * stride) % filler.len().max(1);
+            let fill = filler.iter().cycle().skip(at).take(stride - KEY_BYTES);
+            heads.extend(fill.chain(std::iter::repeat(&0)).take(stride - KEY_BYTES));
+        }
+        heads
+    }
+
+    /// The block call over `keys` on every available backend against
+    /// `key_bound_sq` of each key, by bits.
+    fn assert_block_bounds_match(
+        bounds: &QueryBounds,
+        keys: &[u128],
+        filler: &[u8],
+        stride: usize,
+    ) {
+        let heads = heads_of(keys, filler, stride);
+        let expected: Vec<u64> = keys
+            .iter()
+            .map(|&k| bounds.key_bound_sq(k).to_bits())
+            .collect();
+        for backend in KernelBackend::available_backends() {
+            // Stale slots past and within the block's length: each must go.
+            let mut out = vec![f64::NAN; keys.len() + 3];
+            bounds.block_bounds_sq_with(backend, &heads, stride, &mut out);
+            let got: Vec<u64> = out.iter().map(|lb| lb.to_bits()).collect();
+            assert_eq!(
+                got, expected,
+                "{backend} {:?} stride {stride}",
+                bounds.config
+            );
+        }
     }
 
     /// The allocating prefix bound `block_mindist_sq` used to compute: the
@@ -377,6 +606,39 @@ mod proptests {
         }
     }
 
+    /// The deinterleave's shapes plus the kernel's own: an odd group count
+    /// (24 segments leaves a register half empty) and the most registers a
+    /// pair takes (64 × 2 and 128 × 1 bits).
+    const BLOCK_SHAPES: [usize; 9] = [1, 4, 8, 12, 16, 24, 32, 64, 128];
+
+    #[test]
+    fn block_bounds_match_at_every_length() {
+        // Every block length up to 67 on every shape: odd counts leave the
+        // AVX2 kernel a lone key after its pairs.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut word = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state ^ (state >> 29)
+        };
+        let words: Vec<u64> = (0..134).map(|_| word()).collect();
+        let query_paa: Vec<f64> = (0..128).map(|i| (i as f64 - 63.5) / 16.0).collect();
+        for segments in BLOCK_SHAPES {
+            for bits in 1..=8u8 {
+                let config = test_grid::config(segments, bits);
+                let bounds = QueryBounds::new(&query_paa[..segments], &config);
+                for len in 0..=67 {
+                    let keys: Vec<u128> = words[..2 * len]
+                        .chunks_exact(2)
+                        .map(|w| test_grid::key(w[0], w[1], &config).raw())
+                        .collect();
+                    assert_block_bounds_match(&bounds, &keys, &[0xFF, 0x00, 0x5A], 32);
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn table_bound_equals_decoded_word_bound(
@@ -389,6 +651,27 @@ mod proptests {
             let config = test_grid::config(test_grid::SEGMENTS[shape], bits);
             let key = test_grid::key(hi, lo, &config);
             assert_table_bound_matches(&query_paa[..config.segments], key, &config);
+        }
+
+        #[test]
+        fn block_bounds_equal_key_bounds(
+            len in 0usize..68,
+            words in proptest::collection::vec(0u64..=u64::MAX, 134),
+            filler in proptest::collection::vec(0u8..=u8::MAX, 64),
+            stride in 16usize..49,
+            query_paa in proptest::collection::vec(-4.0f64..4.0, 128),
+        ) {
+            for segments in BLOCK_SHAPES {
+                for bits in 1..=8u8 {
+                    let config = test_grid::config(segments, bits);
+                    let keys: Vec<u128> = words[..2 * len]
+                        .chunks_exact(2)
+                        .map(|w| test_grid::key(w[0], w[1], &config).raw())
+                        .collect();
+                    let bounds = QueryBounds::new(&query_paa[..segments], &config);
+                    assert_block_bounds_match(&bounds, &keys, &filler, stride);
+                }
+            }
         }
 
         #[test]
