@@ -72,7 +72,8 @@ fn bench_mindist(c: &mut Criterion) {
     });
     // The exact scan's bound: one call bounds a block of 512 heads (key,
     // id, timestamp; 32 B each) through the per-query table, on every
-    // backend.  Set-up asserts each bound equals `key_bound_sq`'s bits.
+    // backend, so a reported time over 512 is the cost of one key.
+    // Set-up asserts each bound equals `key_bound_sq`'s bits.
     const HEADS: usize = 512;
     let bounds = QueryBounds::new(&q_paa, &config);
     let mut heads = Vec::with_capacity(HEADS * 32);
@@ -96,24 +97,6 @@ fn bench_mindist(c: &mut Criterion) {
                 std::hint::black_box(&out);
             })
         });
-        let fastest = (0..20)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                for _ in 0..200 {
-                    bounds.block_bounds_sq_with(
-                        backend,
-                        std::hint::black_box(&heads),
-                        32,
-                        &mut out,
-                    );
-                    std::hint::black_box(&out);
-                }
-                start.elapsed()
-            })
-            .min()
-            .unwrap();
-        let ns_per_key = fastest.as_nanos() as f64 / (200 * HEADS) as f64;
-        println!("{name:<40} {ns_per_key:.2} ns/key (fastest of 20 x 200 calls)");
     }
     // The table itself, built once per exact search and per raw-fetch
     // approximate probe: 16 segments x 256 symbols.

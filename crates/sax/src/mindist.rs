@@ -308,12 +308,12 @@ mod x86 {
                 }
             }
             // A segment count the compiler knows puts every row at a fixed
-            // offset from one base: the sums of 8 and 16 segments (16 is
-            // the paper's default) run ~25% faster than the general loop.
-            match rows.len() {
-                8 => add_cells(&rows[..8], pairs, scale, outs),
-                16 => add_cells(&rows[..16], pairs, scale, outs),
-                _ => add_cells(rows, pairs, scale, outs),
+            // offset from one base: the sum of the paper's 16 segments runs
+            // ~25% faster than the general loop.
+            if rows.len() == 16 {
+                add_cells(&rows[..16], pairs, scale, outs);
+            } else {
+                add_cells(rows, pairs, scale, outs);
             }
         }
     }
@@ -497,8 +497,9 @@ mod proptests {
         heads
     }
 
-    /// The block call over `keys` on every available backend against
-    /// `key_bound_sq` of each key, by bits.
+    /// The block call over every prefix of `keys` (lengths `0..=keys.len()`)
+    /// on every available backend against `key_bound_sq` of each key, by
+    /// bits.
     fn assert_block_bounds_match(
         bounds: &QueryBounds,
         keys: &[u128],
@@ -511,15 +512,18 @@ mod proptests {
             .map(|&k| bounds.key_bound_sq(k).to_bits())
             .collect();
         for backend in KernelBackend::available_backends() {
-            // Stale slots past and within the block's length: each must go.
-            let mut out = vec![f64::NAN; keys.len() + 3];
-            bounds.block_bounds_sq_with(backend, &heads, stride, &mut out);
-            let got: Vec<u64> = out.iter().map(|lb| lb.to_bits()).collect();
-            assert_eq!(
-                got, expected,
-                "{backend} {:?} stride {stride}",
-                bounds.config
-            );
+            for len in 0..=keys.len() {
+                // Stale slots past and within the block's length: each must go.
+                let mut out = vec![f64::NAN; len + 3];
+                bounds.block_bounds_sq_with(backend, &heads[..len * stride], stride, &mut out);
+                let got: Vec<u64> = out.iter().map(|lb| lb.to_bits()).collect();
+                assert_eq!(
+                    got,
+                    expected[..len],
+                    "{backend} {:?} stride {stride}",
+                    bounds.config
+                );
+            }
         }
     }
 
@@ -611,29 +615,27 @@ mod proptests {
     /// pair takes (64 × 2 and 128 × 1 bits).
     const BLOCK_SHAPES: [usize; 9] = [1, 4, 8, 12, 16, 24, 32, 64, 128];
 
-    #[test]
-    fn block_bounds_match_at_every_length() {
-        // Every block length up to 67 on every shape: odd counts leave the
-        // AVX2 kernel a lone key after its pairs.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut word = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state ^ (state >> 29)
-        };
-        let words: Vec<u64> = (0..134).map(|_| word()).collect();
-        let query_paa: Vec<f64> = (0..128).map(|i| (i as f64 - 63.5) / 16.0).collect();
-        for segments in BLOCK_SHAPES {
-            for bits in 1..=8u8 {
-                let config = test_grid::config(segments, bits);
-                let bounds = QueryBounds::new(&query_paa[..segments], &config);
-                for len in 0..=67 {
-                    let keys: Vec<u128> = words[..2 * len]
+    proptest! {
+        // Each case sweeps 72 configurations and every block length up to
+        // 67 keys (odd counts leave the AVX2 kernel a lone key after its
+        // pairs, and 67 crosses four of its 16-key chunks).
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn block_bounds_equal_key_bounds(
+            words in proptest::collection::vec(0u64..=u64::MAX, 134),
+            filler in proptest::collection::vec(0u8..=u8::MAX, 64),
+            stride in 16usize..49,
+            query_paa in proptest::collection::vec(-4.0f64..4.0, 128),
+        ) {
+            for segments in BLOCK_SHAPES {
+                for bits in 1..=8u8 {
+                    let config = test_grid::config(segments, bits);
+                    let keys: Vec<u128> = words
                         .chunks_exact(2)
                         .map(|w| test_grid::key(w[0], w[1], &config).raw())
                         .collect();
-                    assert_block_bounds_match(&bounds, &keys, &[0xFF, 0x00, 0x5A], 32);
+                    let bounds = QueryBounds::new(&query_paa[..segments], &config);
+                    assert_block_bounds_match(&bounds, &keys, &filler, stride);
                 }
             }
         }
@@ -651,27 +653,6 @@ mod proptests {
             let config = test_grid::config(test_grid::SEGMENTS[shape], bits);
             let key = test_grid::key(hi, lo, &config);
             assert_table_bound_matches(&query_paa[..config.segments], key, &config);
-        }
-
-        #[test]
-        fn block_bounds_equal_key_bounds(
-            len in 0usize..68,
-            words in proptest::collection::vec(0u64..=u64::MAX, 134),
-            filler in proptest::collection::vec(0u8..=u8::MAX, 64),
-            stride in 16usize..49,
-            query_paa in proptest::collection::vec(-4.0f64..4.0, 128),
-        ) {
-            for segments in BLOCK_SHAPES {
-                for bits in 1..=8u8 {
-                    let config = test_grid::config(segments, bits);
-                    let keys: Vec<u128> = words[..2 * len]
-                        .chunks_exact(2)
-                        .map(|w| test_grid::key(w[0], w[1], &config).raw())
-                        .collect();
-                    let bounds = QueryBounds::new(&query_paa[..segments], &config);
-                    assert_block_bounds_match(&bounds, &keys, &filler, stride);
-                }
-            }
         }
 
         #[test]
