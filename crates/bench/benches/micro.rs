@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use coconut_core::palm::PalmRequest;
-use coconut_core::{Neighbor, PartitionedConfig, PartitionedStream, StreamingIndex};
+use coconut_core::{CancelToken, Neighbor, PartitionedConfig, PartitionedStream, StreamingIndex};
 use coconut_json::{scan_array, scan_object, FromJson, Json, Reader, ToJson};
 use coconut_net::{FrameOutcome, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
@@ -152,7 +152,7 @@ fn bench_ctree_query(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            std::hint::black_box(tree.knn(&q.values, 1, true).unwrap());
+            std::hint::black_box(tree.knn(&q.values, 1, true, &CancelToken::never()).unwrap());
         })
     });
     c.bench_function("m4_ctree_approx_knn_2k", |b| {
@@ -160,7 +160,10 @@ fn bench_ctree_query(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            std::hint::black_box(tree.knn(&q.values, 1, false).unwrap());
+            std::hint::black_box(
+                tree.knn(&q.values, 1, false, &CancelToken::never())
+                    .unwrap(),
+            );
         })
     });
 }

@@ -32,7 +32,8 @@ use std::time::Instant;
 
 use coconut_bench::{f2, print_table, scale, Workbench};
 use coconut_core::{
-    Dataset, IndexConfig, IoStatsSnapshot, QueryCost, SharedIoStats, StaticIndex, VariantKind,
+    CancelToken, Dataset, IndexConfig, IoStatsSnapshot, QueryCost, SharedIoStats, StaticIndex,
+    VariantKind,
 };
 use coconut_ctree::kernels::{self, KernelBackend};
 use coconut_json::{Json, ToJson};
@@ -137,7 +138,9 @@ fn query_phase(
         let mut lat = Vec::with_capacity(wb.queries.len());
         for q in &wb.queries.queries {
             let start = Instant::now();
-            let _ = index.knn(&q.values, k, true).expect("query");
+            let _ = index
+                .knn(&q.values, k, true, &CancelToken::never())
+                .expect("query");
             lat.push(start.elapsed().as_secs_f64() * 1000.0);
         }
         lat
@@ -156,7 +159,9 @@ fn query_phase(
     let mut answers = Vec::new();
     let mut costs = Vec::new();
     for q in &wb.queries.queries {
-        let (nn, cost) = index.knn(&q.values, k, true).expect("query");
+        let (nn, cost) = index
+            .knn(&q.values, k, true, &CancelToken::never())
+            .expect("query");
         answers.push(
             nn.iter()
                 .map(|n| (n.id, n.squared_distance))

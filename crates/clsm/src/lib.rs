@@ -26,16 +26,16 @@ use std::sync::Arc;
 
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
 use coconut_ctree::kernels::euclidean_early_abandon;
-use coconut_ctree::planner::{self, PerfKnobs, PlannedAnswer, PlannerInputs};
 use coconut_ctree::query::{KnnHeap, QueryContext, QueryCost};
 use coconut_ctree::raw::RawSeriesSource;
 use coconut_ctree::sorted_file::SortedSeriesFile;
 use coconut_ctree::{check_series, IndexError, Result};
+use coconut_parallel::CancelToken;
 use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::dataset::Dataset;
 use coconut_series::distance::Neighbor;
 use coconut_series::{Series, Timestamp};
-use coconut_storage::SharedIoStats;
+use coconut_storage::{PerfKnobs, SharedIoStats};
 
 /// Configuration of a CoconutLSM index.
 #[derive(Debug, Clone, Copy)]
@@ -60,12 +60,10 @@ pub struct ClsmConfig {
     /// block fences.
     pub shard_count: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).
-    /// Flushes and compactions read `io_overlap` (every per-shard merge
-    /// reads its inputs through read-ahead workers) and `io_backend`
-    /// (mappings are dropped before a compaction deletes its inputs);
-    /// compactions get the read-ahead gate from [`planner::decide`].  Run
-    /// files, answers, `QueryCost` and the logical `IoStats` are identical
-    /// at every setting.
+    /// Flushes and compactions read `io_backend` (mappings are dropped
+    /// before a compaction deletes its inputs); every per-shard merge reads
+    /// its inputs inline.  Run files, answers, `QueryCost` and the logical
+    /// `IoStats` are identical at every setting.
     pub knobs: PerfKnobs,
 }
 
@@ -317,7 +315,7 @@ impl ClsmTree {
         self.levels.len()
     }
 
-    /// On-disk footprint in bytes (the planner's residency test reads it).
+    /// On-disk footprint in bytes.
     pub fn footprint_bytes(&self) -> u64 {
         self.levels
             .iter()
@@ -480,22 +478,9 @@ impl ClsmTree {
 
         // Every shard is an independent k-way merge over the inputs' key
         // slices, writing its own file.
-        let prefetch_gate = planner::decide(&self.config.knobs, || self.planner_inputs())
-            .0
-            .effective_prefetch_gate();
         let mut shards = Vec::with_capacity(ranges.len());
         for (shard_idx, &(lo, hi)) in ranges.iter().enumerate() {
-            let readers: Vec<_> = inputs
-                .iter()
-                .map(|f| {
-                    f.range_reader_with_prefetch_gate(
-                        lo,
-                        hi,
-                        self.config.knobs.io_overlap,
-                        prefetch_gate,
-                    )
-                })
-                .collect();
+            let readers: Vec<_> = inputs.iter().map(|f| f.range_reader(lo, hi)).collect();
             let merge = coconut_storage::DynIterMerge::new(layout, readers)?;
             let path = self.dir.join(format!(
                 "clsm-L{target_level}-{run_id:06}-s{shard_idx:03}.run"
@@ -526,12 +511,6 @@ impl ClsmTree {
             Some(raw) => QueryContext::non_materialized(raw, Arc::clone(&self.stats)),
             None => QueryContext::materialized(),
         }
-    }
-
-    /// Captures the snapshot the planner decides from (see
-    /// [`PlannerInputs::capture`]).
-    fn planner_inputs(&self) -> PlannerInputs {
-        PlannerInputs::capture(self.footprint_bytes(), &self.stats.snapshot())
     }
 
     fn search_buffer(
@@ -590,41 +569,18 @@ impl ClsmTree {
     /// kNN over the buffer plus every run, exact or approximate, optionally
     /// restricted to the timestamp window `[start, end]` (an exact query
     /// under a bound frozen from the merged seeds; see
-    /// [`coconut_ctree::engine`]).
+    /// [`coconut_ctree::engine`]).  The engine polls `cancel` before each
+    /// of its phases and unwinds with [`IndexError::Cancelled`] carrying
+    /// the partial cost; a token that never fires changes nothing.
     pub fn knn(
         &self,
         query: &[f32],
         k: usize,
         exact: bool,
         window: Option<(Timestamp, Timestamp)>,
+        cancel: &CancelToken,
     ) -> Result<(Vec<Neighbor>, QueryCost)> {
-        coconut_ctree::engine::parallel_knn(&self.query_units(window), query, k, exact)
-    }
-
-    /// Like [`ClsmTree::knn`] over the whole tree, but cancellable (the
-    /// engine polls `cancel` before each of its phases and unwinds with
-    /// [`IndexError::Cancelled`] carrying the partial cost) and planned by
-    /// [`planner::decide`]: under
-    /// [`planner::PlannerMode::Adaptive`] a [`planner::PlanReport`] is
-    /// captured for this query and returned alongside the answer; under
-    /// `Fixed` the report is `None`.  Answers and cost are identical in
-    /// both modes, and to [`ClsmTree::knn`] when the token never fires.
-    pub fn knn_planned(
-        &self,
-        query: &[f32],
-        k: usize,
-        exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<PlannedAnswer> {
-        let (_, report) = planner::decide(&self.config.knobs, || self.planner_inputs());
-        let answer = coconut_ctree::engine::parallel_knn_with(
-            &self.query_units(None),
-            query,
-            k,
-            exact,
-            cancel,
-        )?;
-        Ok((answer, report))
+        coconut_ctree::engine::parallel_knn_with(&self.query_units(window), query, k, exact, cancel)
     }
 }
 
@@ -727,7 +683,9 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 5,
             );
-            let (got, _) = tree.knn(&q.values, 5, true, None).unwrap();
+            let (got, _) = tree
+                .knn(&q.values, 5, true, None, &CancelToken::never())
+                .unwrap();
             assert_eq!(got.len(), 5);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert!((g.squared_distance - e.squared_distance).abs() < 1e-6);
@@ -746,7 +704,9 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 1,
             );
-            let (got, cost) = tree.knn(&q.values, 1, true, None).unwrap();
+            let (got, cost) = tree
+                .knn(&q.values, 1, true, None, &CancelToken::never())
+                .unwrap();
             assert_eq!(got[0].id, expected[0].id);
             assert!(cost.raw_fetches < 400);
         }
@@ -766,7 +726,9 @@ mod tests {
         assert_eq!(tree.num_runs(), 0, "nothing should be flushed yet");
         let target = &series[20];
         let query: Vec<f32> = target.values.iter().map(|v| v + 0.001).collect();
-        let (got, _) = tree.knn(&query, 1, true, None).unwrap();
+        let (got, _) = tree
+            .knn(&query, 1, true, None, &CancelToken::never())
+            .unwrap();
         assert_eq!(got[0].id, target.id);
     }
 
@@ -845,7 +807,9 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 4,
             );
-            let (got, _) = tree.knn(&q.values, 4, true, None).unwrap();
+            let (got, _) = tree
+                .knn(&q.values, 4, true, None, &CancelToken::never())
+                .unwrap();
             assert_eq!(got.len(), 4);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert_eq!(g.id, e.id);
@@ -870,8 +834,12 @@ mod tests {
         let mut gen = RandomWalkGenerator::new(64, 11);
         for _ in 0..5 {
             let q = gen.next_series();
-            let (a, _) = sharded.knn(&q.values, 3, true, None).unwrap();
-            let (b, _) = plain.knn(&q.values, 3, true, None).unwrap();
+            let (a, _) = sharded
+                .knn(&q.values, 3, true, None, &CancelToken::never())
+                .unwrap();
+            let (b, _) = plain
+                .knn(&q.values, 3, true, None, &CancelToken::never())
+                .unwrap();
             assert_eq!(a, b, "sharded and unsharded answers must agree");
         }
     }
@@ -894,7 +862,9 @@ mod tests {
         tree.flush().unwrap();
         let q = gen.next_series();
         let window = (300, 600);
-        let (got, _) = tree.knn(&q.values, 200, true, Some(window)).unwrap();
+        let (got, _) = tree
+            .knn(&q.values, 200, true, Some(window), &CancelToken::never())
+            .unwrap();
         assert!(!got.is_empty());
         // Every returned id must belong to batches 3..=6 (ids 60..140).
         for n in &got {
@@ -914,11 +884,15 @@ mod tests {
                 .iter()
                 .map(|n| (n.id, n.squared_distance))
                 .collect();
-            let (got, _) = tree.knn(&q.values, k, true, Some(window)).unwrap();
+            let (got, _) = tree
+                .knn(&q.values, k, true, Some(window), &CancelToken::never())
+                .unwrap();
             let got: Vec<_> = got.iter().map(|n| (n.id, n.squared_distance)).collect();
             assert_eq!(got, expected, "exact window answer at k={k}");
             // Approximate: at most k hits, every one inside the window.
-            let (approx, _) = tree.knn(&q.values, k, false, Some(window)).unwrap();
+            let (approx, _) = tree
+                .knn(&q.values, k, false, Some(window), &CancelToken::never())
+                .unwrap();
             assert!(approx.len() <= k);
             for n in &approx {
                 assert!((window.0..=window.1).contains(&n.timestamp));
@@ -931,7 +905,9 @@ mod tests {
         let dir = ScratchDir::new("clsm-empty").unwrap();
         let config = ClsmConfig::new(SaxConfig::new(32, 4, 8)).materialized(true);
         let tree = ClsmTree::new(config, &dir.file("lsm"), IoStats::shared()).unwrap();
-        let (got, _) = tree.knn(&[0.0; 32], 3, true, None).unwrap();
+        let (got, _) = tree
+            .knn(&[0.0; 32], 3, true, None, &CancelToken::never())
+            .unwrap();
         assert!(got.is_empty());
     }
 

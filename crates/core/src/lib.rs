@@ -23,9 +23,6 @@ use std::time::Instant;
 pub use coconut_ads::{AdsConfig, AdsTree};
 pub use coconut_clsm::{ClsmConfig, ClsmTree};
 pub use coconut_ctree::engine::merge_topk;
-pub use coconut_ctree::planner::{
-    self, PlanDecision, PlanReport, PlannedAnswer, PlannerInputs, PlannerMode,
-};
 pub use coconut_ctree::query::QueryCost;
 pub use coconut_ctree::{check_finite, CTree, CTreeConfig, IndexError, Result};
 pub use coconut_parallel::CancelToken;
@@ -70,6 +67,23 @@ coconut_json::wire! {
     };
 }
 
+coconut_json::wire! {
+    /// The `planner` member of `build_index`: either name is read, and a
+    /// build reads nothing of it.  Kept only because palmbench names it;
+    /// see ROADMAP 14(b).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum PlannerMode names "the planner mode" {
+        /// The name a frame leaves out.
+        #[default]
+        Fixed = "fixed",
+        /// Builds and answers as `Fixed`.
+        Adaptive = "adaptive",
+    }
+    unknown: |name| Err(format!(
+        "unknown planner mode '{name}' (expected \"fixed\" or \"adaptive\")"
+    ));
+}
+
 impl VariantKind {
     /// All variants, in the order used by reports.
     pub fn all() -> [VariantKind; 3] {
@@ -105,8 +119,8 @@ pub struct IndexConfig {
     /// merges).  Ignored by the other variants.
     pub shard_count: usize,
     /// The pure-performance knobs, handed whole to the variant's config
-    /// (default [`PerfKnobs::default`] with the `Adaptive` planner).  See
-    /// DESIGN.md ("Performance knobs").
+    /// (default [`PerfKnobs::default`]).  See DESIGN.md ("Performance
+    /// knobs").
     pub knobs: PerfKnobs,
 }
 
@@ -121,10 +135,7 @@ impl IndexConfig {
             growth_factor: 4,
             memory_budget_bytes: 32 << 20,
             shard_count: 1,
-            knobs: PerfKnobs {
-                planner: PlannerMode::Adaptive,
-                ..PerfKnobs::default()
-            },
+            knobs: PerfKnobs::default(),
         }
     }
 
@@ -170,9 +181,9 @@ impl IndexConfig {
         self
     }
 
-    /// Selects the planning mode ([`PerfKnobs::planner`]).
-    pub fn with_planner(mut self, mode: PlannerMode) -> Self {
-        self.knobs.planner = mode;
+    /// Returns `self`: every index merges and answers one way.  Kept only
+    /// because palmbench names it; see ROADMAP 14(b).
+    pub fn with_planner(self, _: PlannerMode) -> Self {
         self
     }
 
@@ -195,7 +206,6 @@ impl IndexConfig {
             shard_count,
             io_overlap,
             io_backend,
-            planner,
             ..
         } = *request
         else {
@@ -207,8 +217,7 @@ impl IndexConfig {
                 .with_memory_budget(memory_budget_bytes.max(1 << 20))
                 .with_shard_count(shard_count)
                 .with_io_overlap(io_overlap)
-                .with_io_backend(io_backend)
-                .with_planner(planner),
+                .with_io_backend(io_backend),
         )
     }
 
@@ -379,32 +388,18 @@ impl StaticIndex {
         coconut_ctree::check_series("query", query, series_len)
     }
 
-    /// kNN query, exact or approximate.
-    pub fn knn(&self, query: &[f32], k: usize, exact: bool) -> Result<(Vec<Neighbor>, QueryCost)> {
-        match self {
-            StaticIndex::Ads(t) => t.knn(query, k, exact, None),
-            StaticIndex::CTree(t) => t.knn(query, k, exact),
-            StaticIndex::Clsm(t) => t.knn(query, k, exact, None),
-        }
-    }
-
-    /// Like [`StaticIndex::knn`], but cancellable and routed through the
-    /// per-query cost-model planner when the index was built with
-    /// [`PlannerMode::Adaptive`]: a [`PlanReport`] is captured for this
-    /// query and returned alongside the answer.  Coconut variants poll the token before each of the
-    /// engine's phases; the ADS+ baseline (which does not go through the
-    /// engine) only checks it up front and never plans (its report is
-    /// `None`, as in `Fixed` mode).  Answers and `QueryCost` are identical
-    /// in both modes, and to [`StaticIndex::knn`] when the token never
-    /// fires; on cancellation the query unwinds with
-    /// `IndexError::Cancelled` carrying the partial cost.
-    pub fn knn_planned(
+    /// kNN query, exact or approximate.  Coconut variants poll `cancel`
+    /// before each of the engine's phases; the ADS+ baseline (which does
+    /// not go through the engine) only checks it up front.  On
+    /// cancellation the query unwinds with `IndexError::Cancelled` carrying
+    /// the partial cost; a token that never fires changes nothing.
+    pub fn knn(
         &self,
         query: &[f32],
         k: usize,
         exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<PlannedAnswer> {
+        cancel: &CancelToken,
+    ) -> Result<(Vec<Neighbor>, QueryCost)> {
         match self {
             StaticIndex::Ads(t) => {
                 if cancel.is_cancelled() {
@@ -412,11 +407,23 @@ impl StaticIndex {
                         partial_cost: QueryCost::default(),
                     });
                 }
-                t.knn(query, k, exact, None).map(|r| (r, None))
+                t.knn(query, k, exact, None)
             }
-            StaticIndex::CTree(t) => t.knn_planned(query, k, exact, cancel),
-            StaticIndex::Clsm(t) => t.knn_planned(query, k, exact, cancel),
+            StaticIndex::CTree(t) => t.knn(query, k, exact, cancel),
+            StaticIndex::Clsm(t) => t.knn(query, k, exact, None, cancel),
         }
+    }
+
+    /// [`StaticIndex::knn`], paired with nothing.  Kept only because
+    /// palmbench names it; see ROADMAP 14(b).
+    pub fn knn_planned(
+        &self,
+        query: &[f32],
+        k: usize,
+        exact: bool,
+        cancel: &CancelToken,
+    ) -> Result<((Vec<Neighbor>, QueryCost), ())> {
+        Ok((self.knn(query, k, exact, cancel)?, ()))
     }
 
     /// Inserts a batch of new series (updates after the initial build).
@@ -464,8 +471,8 @@ pub struct StreamingConfig {
     /// Growth factor for CLSM / BTP merging.
     pub growth_factor: usize,
     /// The pure-performance knobs, handed whole to the scheme's config
-    /// (default [`PerfKnobs::default`] with the `Adaptive` planner).  See
-    /// DESIGN.md ("Performance knobs").
+    /// (default [`PerfKnobs::default`]).  See DESIGN.md ("Performance
+    /// knobs").
     pub knobs: PerfKnobs,
 }
 
@@ -478,10 +485,7 @@ impl StreamingConfig {
             sax: SaxConfig::paper_default(series_len),
             buffer_capacity: 1024,
             growth_factor: 3,
-            knobs: PerfKnobs {
-                planner: PlannerMode::Adaptive,
-                ..PerfKnobs::default()
-            },
+            knobs: PerfKnobs::default(),
         }
     }
 
@@ -572,7 +576,9 @@ mod tests {
                     StaticIndex::build(&ds, config, &subdir, Arc::clone(&stats)).unwrap();
                 assert_eq!(index.len(), series.len() as u64);
                 assert!(report.footprint_bytes > 0);
-                let (nn, _) = index.knn(&query.values, 1, true).unwrap();
+                let (nn, _) = index
+                    .knn(&query.values, 1, true, &CancelToken::never())
+                    .unwrap();
                 distances.push(nn[0].squared_distance);
             }
         }
@@ -602,30 +608,25 @@ mod tests {
         assert_eq!(sc.display_name(), "CLSM BTP");
     }
 
-    /// The knob defaults of every entry point: the engine configs run the
-    /// engine default, the facade configs the adaptive planner, and the
-    /// wire's minimal `build_index` frame (the one palmbench sends) the
-    /// engine default.
+    /// Every entry point carries the one default, [`PerfKnobs::default`]:
+    /// the engine configs, the facade configs and the wire's minimal
+    /// `build_index` frame (the one palmbench sends).
     #[test]
     fn every_entry_point_pins_its_default_knobs() {
         let engine = PerfKnobs::default();
-        let adaptive = PerfKnobs {
-            planner: PlannerMode::Adaptive,
-            ..engine
-        };
         let sax = SaxConfig::paper_default(64);
         assert_eq!(CTreeConfig::new(sax).knobs, engine);
         assert_eq!(ClsmConfig::new(sax).knobs, engine);
         assert_eq!(PartitionedConfig::new(sax).knobs, engine);
-        assert_eq!(IndexConfig::new(VariantKind::Clsm, 64).knobs, adaptive);
+        assert_eq!(IndexConfig::new(VariantKind::Clsm, 64).knobs, engine);
         let rec = recommend(&Scenario::static_archive(10_000, 64));
-        assert_eq!(IndexConfig::from_recommendation(&rec, 64).knobs, adaptive);
+        assert_eq!(IndexConfig::from_recommendation(&rec, 64).knobs, engine);
         let streaming = StreamingConfig::new(
             VariantKind::Clsm,
             WindowScheme::BoundedTemporalPartitioning,
             64,
         );
-        assert_eq!(streaming.knobs, adaptive);
+        assert_eq!(streaming.knobs, engine);
 
         let frame = r#"{"type":"build_index","name":"w","dataset_path":"/d","variant":"CTree","materialized":false,"memory_budget_bytes":1048576}"#;
         let request = palm::PalmRequest::from_json(&Json::parse(frame).unwrap()).unwrap();
@@ -636,6 +637,22 @@ mod tests {
             request,
             palm::PalmRequest::BuildIndex { range: None, .. }
         ));
+    }
+
+    /// The `planner` residue reads both names, refuses any other, and
+    /// defaults to `fixed`.
+    #[test]
+    fn planner_mode_names_round_trip() {
+        use coconut_json::ToJson;
+        for (mode, name) in [
+            (PlannerMode::Fixed, "fixed"),
+            (PlannerMode::Adaptive, "adaptive"),
+        ] {
+            assert_eq!(mode.to_json(), Json::Str(name.to_string()));
+            assert_eq!(PlannerMode::from_json(&mode.to_json()), Ok(mode));
+        }
+        assert!(PlannerMode::from_json(&Json::Str("greedy".to_string())).is_err());
+        assert_eq!(PlannerMode::default(), PlannerMode::Fixed);
     }
 
     #[test]

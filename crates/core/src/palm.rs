@@ -14,7 +14,7 @@
 //! [`PalmRequest`] and [`PalmResponse`] are declared with
 //! [`coconut_json::wire!`], which derives their JSON codec from the
 //! declaration (see DESIGN.md, "Wire codec").  The records they carry are
-//! the engine's own — [`QueryCost`], [`PlanReport`], [`BuildReport`],
+//! the engine's own — [`QueryCost`], [`BuildReport`],
 //! [`ServiceStatsSnapshot`] — declared the same way where they live.  Only
 //! `build_index`'s `range_lo`/`range_hi` pair is coded by hand.
 //!
@@ -68,7 +68,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::{
     recommend, BuildReport, Compression, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs,
-    PlanReport, PlannerMode, QueryCost, Scenario, Series, StaticIndex, VariantKind,
+    PlannerMode, QueryCost, Scenario, Series, StaticIndex, VariantKind,
 };
 
 coconut_json::wire! {
@@ -108,12 +108,10 @@ coconut_json::wire! {
             /// performance knob: index files, answers and I/O totals are
             /// identical either way.
             io_backend: IoBackend = PerfKnobs::default().io_backend,
-            /// Query planning mode ("fixed" | "adaptive").  Optional in the
-            /// JSON protocol; defaults to "fixed".  A pure performance knob:
-            /// query results are identical in both modes — "adaptive" only
-            /// plans the merge read-ahead gate, and attaches an `explain`
-            /// member to query responses.
-            planner: PlannerMode = PerfKnobs::default().planner,
+            /// "fixed" or "adaptive".  Optional in the JSON protocol; a build
+            /// reads nothing of it.  Kept only because palmbench names it;
+            /// see ROADMAP 14(b).
+            planner: PlannerMode = PlannerMode::Fixed,
             /// "off", the one value.  Optional in the JSON protocol; a build
             /// reads nothing of it.  Kept only because palmbench names it;
             /// see ROADMAP 14(b).
@@ -257,11 +255,6 @@ coconut_json::wire! {
             elapsed_ms: f64,
             /// Entries examined / refined / raw fetches / blocks read+skipped.
             cost: QueryCost,
-            /// The planner's recorded decision for this execution, present
-            /// only when the index runs in "adaptive" mode *and* the answer
-            /// was computed (cache hits carry no plan — nothing was
-            /// planned).  Serialized only when present.
-            explain: Option<PlanReport> [bare],
         },
         /// Per-sub-request responses of a batch, in request order.
         Batch = "batch_result" {
@@ -500,7 +493,7 @@ impl PalmRequest {
             range: None,
             io_overlap: knobs.io_overlap,
             io_backend: knobs.io_backend,
-            planner: knobs.planner,
+            planner: PlannerMode::Fixed,
             compression: Compression::Off,
         }
     }
@@ -528,10 +521,6 @@ type Slot = Arc<RwLock<Registered>>;
 /// cannot occur inside an encoded JSON string (its quotes would be
 /// escaped), so its first occurrence is the member itself.
 const ELAPSED_MEMBER: &str = ",\"elapsed_ms\":";
-
-/// The member an adaptive index's computed reply ends with; the cache
-/// records the reply without it, as a hit (which ran no plan) answers.
-const EXPLAIN_MEMBER: &str = ",\"explain\":";
 
 /// The member [`crate::backend::encode_frame`] appends last.
 const DEADLINE_MEMBER: &str = ",\"deadline_ms\":";
@@ -581,7 +570,7 @@ struct Entry {
     name: Arc<str>,
     /// The slot version the answer was computed against.
     version: u64,
-    /// The reply as encoded, without `explain`.
+    /// The reply as encoded.
     reply: Arc<str>,
     /// Where in `reply` the `elapsed_ms` value sits; a hit splices in its
     /// own.
@@ -644,12 +633,8 @@ impl ResultCache {
 
     /// Records `reply`, a `query_result` answered against `version` of
     /// index `name`, for `key` (whose [`ResultCache::hash`] is `hash`, if
-    /// it was taken).  An `explain` member is cut off first.
+    /// it was taken).
     fn record(&self, key: RequestKey, hash: Option<u64>, name: &str, version: u64, reply: &str) {
-        let reply: Arc<str> = match reply.find(EXPLAIN_MEMBER) {
-            Some(at) => Arc::from(format!("{}}}", &reply[..at])),
-            None => Arc::from(reply),
-        };
         let Some(at) = reply.find(ELAPSED_MEMBER) else {
             return;
         };
@@ -662,7 +647,7 @@ impl ResultCache {
             key: (Arc::from(key.text), key.deadline_cut),
             name: Arc::from(name),
             version,
-            reply,
+            reply: Arc::from(reply),
             elapsed: start..start + len,
         };
         let mut inner = self.inner.lock();
@@ -714,14 +699,12 @@ fn request_deadline(value: Option<&str>) -> Result<Option<Instant>, ServiceError
 }
 
 /// The reply to a computed query: the engine's answer with full neighbour
-/// identity.  `explain` is the plan that drove the computation, `None` for
-/// a fixed-mode execution.
+/// identity.
 fn query_result(
     name: String,
     neighbors: &[coconut_series::distance::Neighbor],
     cost: QueryCost,
     elapsed_ms: f64,
-    explain: Option<PlanReport>,
 ) -> PalmResponse {
     PalmResponse::QueryResult {
         name,
@@ -731,7 +714,6 @@ fn query_result(
         timestamps: neighbors.iter().map(|n| n.timestamp).collect(),
         elapsed_ms,
         cost,
-        explain,
     }
 }
 
@@ -744,9 +726,6 @@ pub struct ServiceStats {
     cache_misses: AtomicU64,
     shed: AtomicU64,
     deadline_exceeded: AtomicU64,
-    planner_adaptive: AtomicU64,
-    planner_fixed: AtomicU64,
-    plans_read_ahead_off: AtomicU64,
 }
 
 coconut_json::wire! {
@@ -770,12 +749,6 @@ coconut_json::wire! {
         pub deadline_exceeded: u64,
         /// Indexes currently registered.
         pub indexes: u64,
-        /// Queries executed through the adaptive planner.
-        pub planner_adaptive: u64,
-        /// Queries executed with fixed knobs.
-        pub planner_fixed: u64,
-        /// Adaptive plans that disabled read-ahead (cache-resident index).
-        pub plans_read_ahead_off: u64,
     }
 }
 
@@ -792,9 +765,6 @@ impl ServiceStatsSnapshot {
             shed: self.shed + other.shed,
             deadline_exceeded: self.deadline_exceeded + other.deadline_exceeded,
             indexes: self.indexes.max(other.indexes),
-            planner_adaptive: self.planner_adaptive + other.planner_adaptive,
-            planner_fixed: self.planner_fixed + other.planner_fixed,
-            plans_read_ahead_off: self.plans_read_ahead_off + other.plans_read_ahead_off,
         }
     }
 }
@@ -809,27 +779,7 @@ impl ServiceStats {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            planner_adaptive: self.planner_adaptive.load(Ordering::Relaxed),
-            planner_fixed: self.planner_fixed.load(Ordering::Relaxed),
-            plans_read_ahead_off: self.plans_read_ahead_off.load(Ordering::Relaxed),
             ..ServiceStatsSnapshot::default()
-        }
-    }
-
-    /// Folds one compute-path execution into the planner counters: `None`
-    /// means the index ran with fixed knobs, `Some` is the adaptive plan
-    /// captured for the execution (its read-ahead decision is tallied).
-    fn note_plan(&self, report: Option<&PlanReport>) {
-        match report {
-            None => {
-                self.planner_fixed.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(report) => {
-                self.planner_adaptive.fetch_add(1, Ordering::Relaxed);
-                if !report.decision.read_ahead {
-                    self.plans_read_ahead_off.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
     }
 }
@@ -950,7 +900,7 @@ impl PalmServer {
     /// [`crate::backend::encode_frame`] writes it) is answered from that
     /// query's recorded reply, without being parsed, as long as the index
     /// still has the version the reply was answered against: only
-    /// `elapsed_ms` is fresh, and there is no `explain`.  Like every hit, it
+    /// `elapsed_ms` is fresh.  Like every hit, it
     /// is served whatever the deadline says.  A `batch` looks each element
     /// of `requests` up the same way and computes only the misses.  With the
     /// cache off, the request is parsed and handled, nothing else.
@@ -1221,11 +1171,9 @@ impl PalmServer {
                 // section.  It is returned with the answer to tag the
                 // reply's cache entry, never re-read once this lock is gone.
                 let version = registered.version;
-                let ((neighbors, cost), plan) =
-                    registered.index.knn_planned(&query, k, exact, cancel)?;
-                self.stats.note_plan(plan.as_ref());
+                let (neighbors, cost) = registered.index.knn(&query, k, exact, cancel)?;
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-                let response = query_result(name, &neighbors, cost, elapsed_ms, plan);
+                let response = query_result(name, &neighbors, cost, elapsed_ms);
                 return Ok((response, Some(version)));
             }
             PalmRequest::Batch { requests } => PalmResponse::Batch {
@@ -1726,29 +1674,24 @@ mod tests {
         }
     }
 
-    /// `response` as the wire carries it, with the two values that are not a
-    /// function of the request and the index contents blanked: the
-    /// wall-clock `elapsed_ms`, and the `random_read_permille` an adaptive
-    /// plan reads from the index's rolling I/O history, which concurrent
-    /// queries advance in whatever order they are scheduled.
+    /// `response` as the wire carries it, with the one value that is not a
+    /// function of the request and the index contents, the wall-clock
+    /// `elapsed_ms`, blanked.
     fn reply_bytes(response: &PalmResponse) -> String {
         let mut text = response.to_json().to_string();
-        for member in [ELAPSED_MEMBER, ",\"random_read_permille\":"] {
-            if let Some(at) = text.find(member) {
-                let start = at + member.len();
-                let len = text[start..].find([',', '}']).expect("a value");
-                text.replace_range(start..start + len, "_");
-            }
+        if let Some(at) = text.find(ELAPSED_MEMBER) {
+            let start = at + ELAPSED_MEMBER.len();
+            let len = text[start..].find([',', '}']).expect("a value");
+            text.replace_range(start..start + len, "_");
         }
         text
     }
 
-    /// A `batch` is N single requests: on a CTree and a 2-shard CLSM, each
-    /// under both planners, exact and approximate and under a pre-cancelled
-    /// token, every sub-reply is the reply the same request gets alone from
-    /// an identical server, byte for byte (see [`reply_bytes`]), `explain`
-    /// and `partial_cost` included.  An adaptive sub-query plans for itself:
-    /// no plan covers a group of queries.
+    /// A `batch` is N single requests: on a CTree and a 2-shard CLSM,
+    /// exact and approximate and under a pre-cancelled token, every
+    /// sub-reply is the reply the same request gets alone from an
+    /// identical server, byte for byte (see [`reply_bytes`]),
+    /// `partial_cost` included.
     #[test]
     fn batch_sub_replies_equal_single_replies() {
         let dir = ScratchDir::new("palm-batch-singles").unwrap();
@@ -1759,24 +1702,17 @@ mod tests {
         let mut names = Vec::new();
         let servers = [dir.file("singles"), dir.file("batches")].map(PalmServer::new);
         for (variant, shards) in [(VariantKind::CTree, 1), (VariantKind::Clsm, 2)] {
-            for mode in [PlannerMode::Adaptive, PlannerMode::Fixed] {
-                let name = format!("{}-{}", variant.name(), mode.name());
-                for server in &servers {
-                    let mut request =
-                        PalmRequest::build_index(&name, &dataset_path, variant, true, 1 << 20);
-                    if let PalmRequest::BuildIndex {
-                        planner,
-                        shard_count,
-                        ..
-                    } = &mut request
-                    {
-                        (*planner, *shard_count) = (mode, shards);
-                    }
-                    let built = server.handle(request);
-                    assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
+            let name = variant.name().to_string();
+            for server in &servers {
+                let mut request =
+                    PalmRequest::build_index(&name, &dataset_path, variant, true, 1 << 20);
+                if let PalmRequest::BuildIndex { shard_count, .. } = &mut request {
+                    *shard_count = shards;
                 }
-                names.push(name);
+                let built = server.handle(request);
+                assert!(matches!(built, PalmResponse::Built { .. }), "{built:?}");
             }
+            names.push(name);
         }
         let mut gen = RandomWalkGenerator::new(64, 22);
         let queries: Vec<Vec<f32>> = (0..3).map(|_| gen.next_series().values).collect();
@@ -1805,16 +1741,16 @@ mod tests {
             };
             let batched: Vec<String> = responses.iter().map(reply_bytes).collect();
             assert_eq!(batched, singles, "exact={exact}");
-            let explained = singles.iter().filter(|r| r.contains("explain")).count();
             let refused = singles
                 .iter()
                 .filter(|r| r.contains("partial_cost"))
                 .count();
-            if cancel.is_cancelled() {
-                assert_eq!((explained, refused), (0, singles.len()));
+            let expected = if cancel.is_cancelled() {
+                singles.len()
             } else {
-                assert_eq!((explained, refused), (singles.len() / 2, 0));
-            }
+                0
+            };
+            assert_eq!(refused, expected);
         }
     }
 

@@ -9,10 +9,9 @@
 //!   near-ties at the k-th distance, values near `f32::MAX / len`, a single
 //!   series, and `len` = 1;
 //! * knob point ([`knob_points`], one [`Knob`] family after another):
-//!   `{io_overlap off, on} × {pread, mmap}` and the adaptive planner; and
-//!   every
-//!   `KernelBackend`, in one test of its own because `force_backend` pins
-//!   a process-wide atomic.
+//!   `{io_overlap off, on} × {pread, mmap}`; and every `KernelBackend`, in
+//!   one test of its own because `force_backend` pins a process-wide
+//!   atomic.
 //!
 //! Each case checks two things.  (1) Every exact answer equals brute
 //! force — `brute_force_knn` for a static index, a sorted
@@ -31,9 +30,9 @@
 //! and streams (`integration.rs`); knob points × structure on the
 //! duplicates is one test (`differential/main.rs`), and on the walks one
 //! test per knob family and structure group, in that family's file
-//! (`knob_equivalence.rs`: the grid points that move two or more knobs;
-//! `io_overlap_`, `io_backend_` and `planner_equivalence.rs`: the point
-//! that moves only theirs).  Each
+//! (`knob_equivalence.rs`: the grid point that moves both knobs;
+//! `io_overlap_` and `io_backend_equivalence.rs`: the point that moves
+//! only theirs).  Each
 //! cell runs once.  A knob that goes takes its values out of [`points`]
 //! and its family's cells with them; nothing else here changes.
 
@@ -44,9 +43,9 @@ use std::sync::Arc;
 
 use coconut_clsm::ClsmStats;
 use coconut_core::{
-    planner, streaming_index, CancelToken, IndexConfig, IoBackend, IoStats, IoStatsSnapshot,
-    Neighbor, PerfKnobs, PlannerMode, QueryCost, ScratchDir, Series, StaticIndex, StreamingConfig,
-    TimestampedSeries, VariantKind, WindowScheme,
+    streaming_index, CancelToken, IndexConfig, IoBackend, IoStats, IoStatsSnapshot, Neighbor,
+    PerfKnobs, QueryCost, ScratchDir, Series, StaticIndex, StreamingConfig, TimestampedSeries,
+    VariantKind, WindowScheme,
 };
 use coconut_series::distance::{brute_force_knn, squared_euclidean};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
@@ -372,12 +371,7 @@ pub struct Run {
 
 /// A directory name unique to a knob point.
 pub fn tag(knobs: PerfKnobs) -> String {
-    format!(
-        "ov{}-{}-{}",
-        knobs.io_overlap,
-        knobs.io_backend,
-        knobs.planner.name(),
-    )
+    format!("ov{}-{}", knobs.io_overlap, knobs.io_backend)
 }
 
 /// Recursively collects `(relative name, bytes)` of all files under `dir`.
@@ -405,10 +399,7 @@ pub fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Builds `structure` over `data` at `knobs` and answers every probe.  A
-/// static index answers through the plain `knn`, or under the adaptive
-/// planner through the served `knn_planned`, whose report must replay; a
-/// fixed index's `knn_planned` carries no report.
+/// Builds `structure` over `data` at `knobs` and answers every probe.
 pub fn run(dir: &ScratchDir, data: &Data, structure: Structure, knobs: PerfKnobs) -> Run {
     let subdir = dir.file(&format!(
         "{}-{}-{}",
@@ -447,35 +438,16 @@ pub fn run(dir: &ScratchDir, data: &Data, structure: Structure, knobs: PerfKnobs
                 StaticIndex::Ads(_) => {}
             }
             let (files, build_io) = (dir_contents(&subdir), stats.snapshot());
-            let adaptive = knobs.planner == PlannerMode::Adaptive;
-            let planned = |p: &Probe| {
-                index
-                    .knn_planned(&p.query, p.k, p.exact, &CancelToken::never())
-                    .expect("query")
-            };
+            let never = CancelToken::never();
             let answers: Vec<Answer> = probes
                 .iter()
                 .map(|p| {
-                    let (neighbors, cost) = if adaptive {
-                        let (answer, report) = planned(p);
-                        // ADS+ never plans.
-                        let report = report.filter(|_| variant != Ads).expect("a plan report");
-                        assert_eq!(report.decision, planner::plan(&report.inputs));
-                        assert_eq!(report.inputs.footprint_bytes, index.footprint_bytes());
-                        answer
-                    } else {
-                        index.knn(&p.query, p.k, p.exact).expect("query")
-                    };
+                    let (neighbors, cost) =
+                        index.knn(&p.query, p.k, p.exact, &never).expect("query");
                     (neighbors, cost, 0)
                 })
                 .collect();
             let query_io = stats.snapshot().since(&build_io);
-            if !adaptive {
-                assert!(
-                    planned(&probes[0]).1.is_none(),
-                    "fixed queries must not plan"
-                );
-            }
             (files, build_io, query_io, index.footprint_bytes(), answers)
         }
         Stream(variant, scheme) => {
@@ -566,15 +538,9 @@ pub enum Knob {
     Combined,
     IoOverlap,
     IoBackend,
-    Planner,
 }
 
-pub const KNOBS: [Knob; 4] = [
-    Knob::Combined,
-    Knob::IoOverlap,
-    Knob::IoBackend,
-    Knob::Planner,
-];
+pub const KNOBS: [Knob; 3] = [Knob::Combined, Knob::IoOverlap, Knob::IoBackend];
 
 /// The knob points of `knob`'s family.
 pub fn points(knob: Knob) -> Vec<PerfKnobs> {
@@ -594,10 +560,6 @@ pub fn points(knob: Knob) -> Vec<PerfKnobs> {
         }],
         Knob::IoOverlap => vec![overlap_off],
         Knob::IoBackend => vec![mmap],
-        Knob::Planner => vec![PerfKnobs {
-            planner: PlannerMode::Adaptive,
-            ..base
-        }],
     }
 }
 

@@ -7,7 +7,8 @@
 mod harness;
 
 use coconut_core::{
-    Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs, ScratchDir, StaticIndex, VariantKind,
+    CancelToken, Dataset, IndexConfig, IoBackend, IoStats, PerfKnobs, ScratchDir, StaticIndex,
+    VariantKind,
 };
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
 use coconut_ctree::kernels::{active_backend, force_backend, KernelBackend};
@@ -38,11 +39,11 @@ fn adversarial_data_ties_at_the_kth_distance() {
 
 /// The knob families split the knob points without overlap, so each cell
 /// of the walks cross runs once: one point per knob moved alone, one that
-/// moves both grid knobs, and never the default.
+/// moves both, and never the default.
 #[test]
 fn knob_families_partition_the_knob_points() {
     let all = knob_points();
-    assert_eq!(all.len(), 4);
+    assert_eq!(all.len(), 3);
     assert!(!all.contains(&PerfKnobs::default()));
     for (i, knobs) in all.iter().enumerate() {
         assert!(!all[..i].contains(knobs), "{knobs:?} is in two families");
@@ -171,8 +172,12 @@ fn compaction_deleted_runs_are_unmapped_before_unlink() {
     let mut qgen = RandomWalkGenerator::new(64, 99);
     for _ in 0..8 {
         let q = qgen.next_series();
-        let (a, ca) = trees[0].knn(&q.values, 4, true).unwrap();
-        let (b, cb) = trees[1].knn(&q.values, 4, true).unwrap();
+        let (a, ca) = trees[0]
+            .knn(&q.values, 4, true, &CancelToken::never())
+            .unwrap();
+        let (b, cb) = trees[1]
+            .knn(&q.values, 4, true, &CancelToken::never())
+            .unwrap();
         assert_eq!(a, b, "post-compaction answers must match");
         assert_eq!(ca, cb, "post-compaction costs must match");
     }

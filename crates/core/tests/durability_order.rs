@@ -18,8 +18,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 
 use coconut_core::{
-    ClsmConfig, ClsmTree, IoStats, Neighbor, PartitionedConfig, PartitionedStream, QueryCost,
-    SaxConfig, ScratchDir, StreamingIndex, TimestampedSeries,
+    CancelToken, ClsmConfig, ClsmTree, IoStats, Neighbor, PartitionedConfig, PartitionedStream,
+    QueryCost, SaxConfig, ScratchDir, StreamingIndex, TimestampedSeries,
 };
 use coconut_ctree::SortedSeriesFile;
 use coconut_series::generator::SeismicStreamGenerator;
@@ -87,7 +87,8 @@ impl Subject for ClsmTree {
         self.stats().merges
     }
     fn query(&self, query: &[f32], exact: bool) -> (Vec<Neighbor>, QueryCost) {
-        self.knn(query, 5, exact, None).expect("query")
+        self.knn(query, 5, exact, None, &CancelToken::never())
+            .expect("query")
     }
     fn sync(&mut self) {
         self.flush().expect("flush");

@@ -6,7 +6,9 @@
 #[path = "differential/harness.rs"]
 mod harness;
 
-use coconut_core::{Dataset, IndexConfig, IoStats, ScratchDir, StaticIndex, VariantKind};
+use coconut_core::{
+    CancelToken, Dataset, IndexConfig, IoStats, ScratchDir, StaticIndex, VariantKind,
+};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 use harness::*;
 
@@ -46,7 +48,7 @@ fn approximate_answers_are_reasonable_across_variants() {
         let mut ok = 0;
         for target in series.iter().step_by(100) {
             let query: Vec<f32> = target.values.iter().map(|v| v + 0.002).collect();
-            let (got, _) = index.knn(&query, 1, false).unwrap();
+            let (got, _) = index.knn(&query, 1, false, &CancelToken::never()).unwrap();
             if !got.is_empty() && got[0].id == target.id {
                 ok += 1;
             }

@@ -49,7 +49,6 @@ proptest! {
         let knobs = PerfKnobs {
             io_overlap: overlap_bit == 1,
             io_backend,
-            ..PerfKnobs::default()
         };
         let structure = Static(CTree, true, budget_kib << 10, 1);
         check_random(n, seed, structure, PerfKnobs::default(), knobs);

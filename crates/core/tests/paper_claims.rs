@@ -9,9 +9,8 @@
 //! Every figure asserted here is deterministic: logical page accesses from
 //! `IoStats` (sequential/random split included), `QueryCost` counters,
 //! partitions accessed, footprint and leaf fill.  Every index runs
-//! [`PerfKnobs::default`] — one build worker, one query worker, the fixed
-//! planner — so the sequential/random split is a function of the accesses
-//! alone.  No test reads a clock.
+//! [`PerfKnobs::default`] — one build worker, one query worker — so the
+//! sequential/random split is a function of the accesses alone.  No test reads a clock.
 //!
 //! A claim that holds is asserted as a relation, and the figures the
 //! relation rests on are pinned, so `REPRODUCTION.md` cannot drift from the
@@ -23,9 +22,9 @@
 use std::sync::OnceLock;
 
 use coconut_core::{
-    recommend, streaming_index, CTree, CTreeConfig, ClsmConfig, ClsmTree, Dataset, IndexConfig,
-    IoStats, IoStatsSnapshot, PerfKnobs, QueryCost, SaxConfig, Scenario, ScratchDir, StaticIndex,
-    StreamingConfig, VariantKind, WindowScheme,
+    recommend, streaming_index, CTree, CTreeConfig, CancelToken, ClsmConfig, ClsmTree, Dataset,
+    IndexConfig, IoStats, IoStatsSnapshot, PerfKnobs, QueryCost, SaxConfig, Scenario, ScratchDir,
+    StaticIndex, StreamingConfig, VariantKind, WindowScheme,
 };
 use coconut_series::generator::{
     AstronomyGenerator, PatternKind, RandomWalkGenerator, SeismicStreamGenerator, SeriesGenerator,
@@ -111,7 +110,7 @@ fn measure(w: &Workload, config: IndexConfig, k: usize) -> Measured {
     let before = stats.snapshot();
     let mut cost = QueryCost::default();
     for q in &w.queries {
-        cost = cost.plus(&index.knn(q, k, true).unwrap().1);
+        cost = cost.plus(&index.knn(q, k, true, &CancelToken::never()).unwrap().1);
     }
     Measured {
         build: report.io,
@@ -229,7 +228,7 @@ fn run_e2() -> E2 {
         let ingest = stats.snapshot();
         stats.reset();
         for q in &w.queries {
-            tree.knn(q, 1, true).unwrap();
+            tree.knn(q, 1, true, &CancelToken::never()).unwrap();
         }
         Tradeoff {
             ingest,
@@ -253,7 +252,7 @@ fn run_e2() -> E2 {
         let ingest = stats.snapshot();
         stats.reset();
         for q in &w.queries {
-            tree.knn(q, 1, true, None).unwrap();
+            tree.knn(q, 1, true, None, &CancelToken::never()).unwrap();
         }
         Tradeoff {
             ingest,

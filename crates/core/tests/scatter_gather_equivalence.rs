@@ -193,7 +193,7 @@ fn normalized(response: &PalmResponse) -> String {
 /// derived distances.  Used where the index *shapes* differ (N shards vs
 /// one tree), so costs legitimately diverge while answers must not.
 fn answers(response: &PalmResponse) -> String {
-    strip_keys(response.to_json(), &["elapsed_ms", "cost", "explain"]).to_string()
+    strip_keys(response.to_json(), &["elapsed_ms", "cost"]).to_string()
 }
 
 fn dataset(dir: &ScratchDir, n: usize, seed: u64) -> (String, Vec<coconut_series::Series>) {

@@ -26,8 +26,10 @@ const SERIES_LEN: usize = 16;
 const GOLDEN: &str = include_str!("served_decode.golden");
 
 /// The recorded replies of `section`: one line each, the FNV-1a digest of
-/// the frame (16 hex digits), a space, the reply.
+/// the frame (16 hex digits), a space, the reply.  No reply carries an
+/// `explain` member.
 fn golden(section: &str) -> Vec<(&'static str, &'static str)> {
+    assert!(!GOLDEN.contains("\"explain\""), "a recorded reply explains");
     let header = format!("# {section}\n");
     let start = GOLDEN.find(&header).expect("the section is recorded") + header.len();
     GOLDEN[start..]
@@ -455,6 +457,41 @@ fn cached_served_replies_equal_the_reference_decode() {
     assert_golden("served", &every_frame(), stats, |frame| {
         served.handle_json(frame)
     });
+}
+
+/// An old client's `"planner":"adaptive"` build frame builds an index that
+/// answers every query as the `"planner":"fixed"` one, byte for byte; any
+/// other planner name is still refused.
+#[test]
+fn old_planner_frames_build_and_answer_as_fixed() {
+    let dir = ScratchDir::new("served-decode-planner").unwrap();
+    let build = build_a(&dataset(&dir, SERIES_LEN)).to_json().to_string();
+    assert!(build.contains(r#""planner":"fixed""#), "{build}");
+    let servers = ["fixed", "adaptive"].map(|planner| {
+        let server = PalmServer::new(dir.file(planner));
+        let frame = build.replace(r#""planner":"fixed""#, &format!(r#""planner":"{planner}""#));
+        let built = server.handle_json(&frame);
+        assert!(built.starts_with(r#"{"type":"built""#), "{built}");
+        server
+    });
+    let good = query(&row(&["0.25"]));
+    for frame in [
+        good.replace("\"exact\":true", "\"exact\":false"),
+        good.clone(),
+        good,
+        query(&row(&["-0", "4.9e-324"])),
+        query("[1]"),
+        r#"{"type":"stats"}"#.to_string(),
+    ] {
+        let [fixed, adaptive] = [0, 1].map(|i| blank_elapsed(&servers[i].handle_json(&frame)));
+        assert_eq!(adaptive, fixed, "{frame}");
+    }
+    let greedy =
+        servers[0].handle_json(&build.replace(r#""planner":"fixed""#, r#""planner":"greedy""#));
+    assert_eq!(
+        greedy,
+        r#"{"type":"error","kind":"malformed_request","message":"malformed request: field 'planner': unknown planner mode 'greedy' (expected \"fixed\" or \"adaptive\")"}"#
+    );
 }
 
 /// An insert frame as the benchmark client writes one: 128 random walks of

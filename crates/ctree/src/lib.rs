@@ -38,7 +38,6 @@
 pub mod engine;
 pub mod entry;
 pub mod kernels;
-pub mod planner;
 pub mod query;
 pub mod raw;
 pub mod sorted_file;
@@ -47,7 +46,6 @@ pub mod tree;
 pub use engine::{parallel_knn, parallel_knn_with, SearchUnit};
 pub use entry::{EntryLayout, SeriesEntry};
 pub use kernels::KernelBackend;
-pub use planner::{PlanDecision, PlanReport, PlannerInputs, PlannerMode};
 pub use query::{KnnHeap, QueryContext, QueryCost};
 pub use raw::RawSeriesSource;
 pub use sorted_file::{BlockMeta, SortedSeriesFile};

@@ -215,26 +215,10 @@ impl SortedSeriesFile {
 
     /// Returns a sequential reader over all entries (for merging).
     pub fn reader(&self, buffer_records: usize) -> coconut_storage::DynRunReader<EntryLayout> {
-        self.run.reader(buffer_records)
-    }
-
-    /// Like [`SortedSeriesFile::reader`], optionally prefetching each next
-    /// buffer on a background thread (same reads, same order, same
-    /// accounting) once at least `prefetch_min_bytes` are left to read
-    /// (`usize::MAX` never spawns the worker) — the gate the adaptive
-    /// planner sets; a pure performance knob either way.  See
-    /// `coconut_storage::DynRunFile::reader_with_prefetch_gate`.
-    pub fn reader_with_prefetch_gate(
-        &self,
-        buffer_records: usize,
-        prefetch: bool,
-        prefetch_min_bytes: usize,
-    ) -> coconut_storage::DynRunReader<EntryLayout> {
         // A full scan walks the mapped pages front to back: let the kernel
         // read ahead aggressively (advisory; accounting unaffected).
         self.run.advise_read_pattern(AccessPattern::Sequential);
-        self.run
-            .reader_with_prefetch_gate(buffer_records, prefetch, prefetch_min_bytes)
+        self.run.reader(buffer_records)
     }
 
     /// Returns a sequential reader over the entries whose key lies in
@@ -244,27 +228,6 @@ impl SortedSeriesFile {
     /// streams through untouched.  Used by sharded compactions to feed one
     /// key shard of a level merge.
     pub fn range_reader(&self, lo: u128, hi: Option<u128>) -> RangeReader<'_> {
-        self.range_reader_with_prefetch_gate(lo, hi, false, coconut_storage::PREFETCH_MIN_BYTES)
-    }
-
-    /// Like [`SortedSeriesFile::range_reader`], optionally reading the
-    /// range's blocks ahead on a background thread while the consumer (a
-    /// compaction merge) drains the current one, once the range holds at
-    /// least `prefetch_min_bytes` (`usize::MAX` never spawns the worker) —
-    /// the gate the adaptive planner sets.
-    ///
-    /// The set of blocks a range touches is a pure function of the block
-    /// fences — blocks from the first with `max_key >= lo` up to (not
-    /// including) the first with `min_key >= hi` — so the prefetcher issues
-    /// exactly the reads the inline path would, in the same order, and the
-    /// I/O accounting is identical.
-    pub fn range_reader_with_prefetch_gate(
-        &self,
-        lo: u128,
-        hi: Option<u128>,
-        prefetch: bool,
-        prefetch_min_bytes: usize,
-    ) -> RangeReader<'_> {
         // A range feeds a merge: its blocks stream in ascending order, so
         // kernel read-ahead on the mapped pages pays off (advisory;
         // accounting unaffected).
@@ -279,25 +242,6 @@ impl SortedSeriesFile {
             None => self.blocks.len(),
         }
         .max(first);
-        // A background thread only pays off when the range is big enough
-        // that its reads may block (see
-        // `coconut_storage::PREFETCH_MIN_BYTES`); small ranges — including
-        // every merge of freshly written, page-cache-hot runs — stay inline.
-        let range_bytes: u64 = self.blocks[first..last]
-            .iter()
-            .map(|b| b.count as u64)
-            .sum::<u64>()
-            * coconut_storage::RecordLayout::record_size(self.run.layout()) as u64;
-        let engage =
-            prefetch && last.saturating_sub(first) > 1 && range_bytes >= prefetch_min_bytes as u64;
-        let prefetcher = engage.then(|| {
-            self.run.range_prefetcher(
-                self.blocks[first..last]
-                    .iter()
-                    .map(|b| (b.start, b.count))
-                    .collect(),
-            )
-        });
         RangeReader {
             file: self,
             next_block: first,
@@ -306,7 +250,6 @@ impl SortedSeriesFile {
             lo,
             hi,
             done: false,
-            prefetcher,
         }
     }
 
@@ -581,32 +524,20 @@ pub struct RangeReader<'a> {
     lo: u128,
     hi: Option<u128>,
     done: bool,
-    prefetcher: Option<coconut_storage::ReadAheadBuffers>,
 }
 
 impl RangeReader<'_> {
-    /// Raw bytes of the next block of the range, from the read-ahead worker
-    /// when one is attached, inline otherwise; `None` once the range's
+    /// Raw bytes of the next block of the range; `None` once the range's
     /// blocks are exhausted.
     fn next_block_bytes(&mut self) -> Result<Option<Vec<u8>>> {
         if self.next_block >= self.end_block {
             return Ok(None);
         }
+        let block = self.file.blocks[self.next_block];
         self.next_block += 1;
-        match &mut self.prefetcher {
-            Some(p) => match p.next_buffer() {
-                Some(bytes) => Ok(Some(bytes.map_err(IndexError::from)?)),
-                None => Err(IndexError::from(coconut_storage::StorageError::Corrupt(
-                    "read-ahead worker ended before its range was drained".into(),
-                ))),
-            },
-            None => {
-                let block = self.file.blocks[self.next_block - 1];
-                Ok(Some(
-                    self.file.run.read_raw(block.start, block.count as usize)?,
-                ))
-            }
-        }
+        Ok(Some(
+            self.file.run.read_raw(block.start, block.count as usize)?,
+        ))
     }
 
     fn refill(&mut self) -> Result<()> {
@@ -882,38 +813,6 @@ mod tests {
         assert_eq!(file.range_reader(b1, Some(b1)).count(), 0);
         assert_eq!(file.range_reader(b2, Some(b1)).count(), 0);
         assert_eq!(file.range_reader(u128::MAX, Some(0)).count(), 0);
-        assert_eq!(
-            file.range_reader_with_prefetch_gate(
-                u128::MAX,
-                Some(0),
-                true,
-                coconut_storage::PREFETCH_MIN_BYTES
-            )
-            .count(),
-            0
-        );
-    }
-
-    #[test]
-    fn prefetching_range_reader_matches_inline_reader() {
-        let dir = ScratchDir::new("ssf-range-prefetch").unwrap();
-        let sax = SaxConfig::new(64, 8, 8);
-        // 8000 materialized entries x ~290 B ≈ 2.3 MiB: past the
-        // PREFETCH_MIN_BYTES gate, so the full-range reader engages its
-        // read-ahead worker (sub-ranges below the gate stay inline but must
-        // agree as well).
-        let (_, entries) = make_entries(8000, sax, true, 77);
-        let file = build(&dir, sax, entries, true, 64);
-        assert!(file.byte_size() >= coconut_storage::PREFETCH_MIN_BYTES as u64);
-        let b1 = file.blocks()[30].min_key;
-        for (lo, hi) in [(0u128, None), (0, Some(b1)), (b1, None)] {
-            let inline: Vec<SeriesEntry> = file.range_reader(lo, hi).map(|r| r.unwrap()).collect();
-            let prefetched: Vec<SeriesEntry> = file
-                .range_reader_with_prefetch_gate(lo, hi, true, coconut_storage::PREFETCH_MIN_BYTES)
-                .map(|r| r.unwrap())
-                .collect();
-            assert_eq!(prefetched, inline, "range [{lo}, {hi:?})");
-        }
     }
 
     /// Tail bytes of a 256-float series: a gap of 4 entries is one page.

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::kernels::euclidean_early_abandon;
+use coconut_parallel::CancelToken;
 use coconut_sax::{InvSaxKey, SaxConfig, SortableSummarizer};
 use coconut_series::dataset::{Dataset, DatasetReader};
 use coconut_series::distance::Neighbor;
@@ -12,9 +13,9 @@ use coconut_series::{Series, SeriesId, Timestamp};
 use coconut_storage::dynsort::DynExternalSorter;
 use coconut_storage::iostats::{IoStatsSnapshot, SharedIoStats};
 use coconut_storage::page::DEFAULT_PAGE_SIZE;
+use coconut_storage::PerfKnobs;
 
 use crate::entry::{EntryLayout, SeriesEntry};
-use crate::planner::{self, PerfKnobs, PlannedAnswer, PlannerInputs};
 use crate::query::{KnnHeap, QueryContext, QueryCost};
 use crate::raw::RawSeriesSource;
 use crate::sorted_file::SortedSeriesFile;
@@ -39,10 +40,10 @@ pub struct CTreeConfig {
     /// Page size used for I/O accounting.
     pub page_size: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).  The
-    /// bulk load's external sort and leaf scans read `io_overlap` and
-    /// `io_backend`; delta merges get the read-ahead gate from
-    /// [`planner::decide`].  Answers, `QueryCost` and the logical
-    /// `IoStats` are identical at every setting.
+    /// bulk load's external sort reads `io_overlap` and `io_backend`, leaf
+    /// scans `io_backend`; a delta merge reads the old leaves inline.
+    /// Answers, `QueryCost` and the logical `IoStats` are identical at
+    /// every setting.
     pub knobs: PerfKnobs,
 }
 
@@ -285,8 +286,7 @@ impl CTree {
         self.len() == 0
     }
 
-    /// On-disk footprint of the index in bytes (the adaptive planner's
-    /// residency test reads it).
+    /// On-disk footprint of the index in bytes.
     pub fn footprint_bytes(&self) -> u64 {
         self.file.byte_size()
     }
@@ -327,36 +327,18 @@ impl CTree {
         units
     }
 
-    /// Captures the snapshot the planner decides from (see
-    /// [`PlannerInputs::capture`]).
-    fn planner_inputs(&self) -> PlannerInputs {
-        PlannerInputs::capture(self.footprint_bytes(), &self.stats.snapshot())
-    }
-
-    /// kNN search, exact or approximate (see [`crate::engine`]).
-    pub fn knn(&self, query: &[f32], k: usize, exact: bool) -> Result<(Vec<Neighbor>, QueryCost)> {
-        crate::engine::parallel_knn(&self.query_units(), query, k, exact)
-    }
-
-    /// Like [`CTree::knn`], but cancellable (the engine polls `cancel`
-    /// before each of its phases and unwinds with
-    /// [`IndexError::Cancelled`] carrying the partial cost) and planned by
-    /// [`planner::decide`]: under
-    /// [`planner::PlannerMode::Adaptive`] a [`planner::PlanReport`] is
-    /// captured for this query and returned alongside the answer; under
-    /// `Fixed` the report is `None`.  Answers and cost are identical in
-    /// both modes, and to [`CTree::knn`] when the token never fires.
-    pub fn knn_planned(
+    /// kNN search, exact or approximate (see [`crate::engine`]).  The
+    /// engine polls `cancel` before each of its phases and unwinds with
+    /// [`IndexError::Cancelled`] carrying the partial cost; a token that
+    /// never fires changes nothing.
+    pub fn knn(
         &self,
         query: &[f32],
         k: usize,
         exact: bool,
-        cancel: &coconut_parallel::CancelToken,
-    ) -> Result<PlannedAnswer> {
-        let (_, report) = planner::decide(&self.config.knobs, || self.planner_inputs());
-        let answer =
-            crate::engine::parallel_knn_with(&self.query_units(), query, k, exact, cancel)?;
-        Ok((answer, report))
+        cancel: &CancelToken,
+    ) -> Result<(Vec<Neighbor>, QueryCost)> {
+        crate::engine::parallel_knn_with(&self.query_units(), query, k, exact, cancel)
     }
 
     fn search_delta(&self, query: &[f32], heap: &mut KnnHeap) {
@@ -408,17 +390,10 @@ impl CTree {
         delta.sort_by_key(|e| (e.key, e.id));
         let mut delta_iter = delta.into_iter().peekable();
         // The old leaf level is drained front to back while the merged level
-        // is written: read ahead so the next leaf buffer loads while the
-        // current one interleaves with the delta.
+        // is written.
         let mut file_iter = self
             .file
-            .reader_with_prefetch_gate(
-                self.config.entries_per_block(),
-                self.config.knobs.io_overlap,
-                planner::decide(&self.config.knobs, || self.planner_inputs())
-                    .0
-                    .effective_prefetch_gate(),
-            )
+            .reader(self.config.entries_per_block())
             .map(|r| r.map_err(IndexError::from))
             .peekable();
         self.generation += 1;
@@ -641,7 +616,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 5,
             );
-            let (got, _) = tree.knn(&q.values, 5, true).unwrap();
+            let (got, _) = tree.knn(&q.values, 5, true, &CancelToken::never()).unwrap();
             assert_eq!(got.len(), 5);
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert!(
@@ -663,7 +638,7 @@ mod tests {
                 series.iter().map(|s| (s.id, s.values.as_slice())),
                 1,
             );
-            let (got, cost) = tree.knn(&q.values, 1, true).unwrap();
+            let (got, cost) = tree.knn(&q.values, 1, true, &CancelToken::never()).unwrap();
             assert_eq!(got[0].id, expected[0].id);
             assert!(cost.raw_fetches < series.len() as u64);
         }
@@ -685,7 +660,9 @@ mod tests {
                 "{names:?}"
             );
             assert!(names.iter().any(|n| n == "ctree-leaves.run"), "{names:?}");
-            let (got, _) = tree.knn(&series[7].values, 1, true).unwrap();
+            let (got, _) = tree
+                .knn(&series[7].values, 1, true, &CancelToken::never())
+                .unwrap();
             assert_eq!(got[0].id, 7);
         }
     }
@@ -730,8 +707,10 @@ mod tests {
         let (_dir, _series, tree, _stats) = build_tree(1000, true, 1 << 20, 5);
         let mut gen = RandomWalkGenerator::new(64, 7);
         let q = gen.next_series();
-        let (_a, approx_cost) = tree.knn(&q.values, 1, false).unwrap();
-        let (_e, exact_cost) = tree.knn(&q.values, 1, true).unwrap();
+        let (_a, approx_cost) = tree
+            .knn(&q.values, 1, false, &CancelToken::never())
+            .unwrap();
+        let (_e, exact_cost) = tree.knn(&q.values, 1, true, &CancelToken::never()).unwrap();
         assert!(approx_cost.blocks_read <= exact_cost.blocks_read);
         assert!(approx_cost.entries_examined <= exact_cost.entries_examined);
     }
@@ -778,14 +757,14 @@ mod tests {
         // A query targeting an inserted series must find it.
         let target = &extra[10];
         let query: Vec<f32> = target.values.iter().map(|v| v + 0.001).collect();
-        let (got, _) = tree.knn(&query, 1, true).unwrap();
+        let (got, _) = tree.knn(&query, 1, true, &CancelToken::never()).unwrap();
         assert_eq!(got[0].id, target.id);
 
         // Force the merge and re-check.
         tree.merge_delta().unwrap();
         assert_eq!(tree.pending_delta(), 0);
         assert_eq!(tree.len(), 250);
-        let (got, _) = tree.knn(&query, 1, true).unwrap();
+        let (got, _) = tree.knn(&query, 1, true, &CancelToken::never()).unwrap();
         assert_eq!(got[0].id, target.id);
         assert!(tree.merges >= 1);
     }

@@ -282,9 +282,6 @@ impl Coordinator {
             timestamps: neighbors.iter().map(|n| n.timestamp).collect(),
             elapsed_ms,
             cost,
-            // Per-shard plans cannot be presented as one decision; the
-            // coordinator's answers are explain-less by design.
-            explain: None,
         })
     }
 

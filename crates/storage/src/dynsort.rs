@@ -335,9 +335,8 @@ impl<L: RecordLayout> DynRunFile<L> {
         self.body.read(index, count)
     }
 
-    /// The records of bytes returned by [`DynRunFile::read_raw`] or a
-    /// [`DynRunFile::range_prefetcher`], each decoded from its head and its
-    /// tail in place.
+    /// The records of bytes returned by [`DynRunFile::read_raw`], each
+    /// decoded from its head and its tail in place.
     pub fn decode_raw<'a>(&'a self, bytes: &'a [u8]) -> impl Iterator<Item = L::Record> + 'a {
         let (head, tail) = (self.head_size(), self.body.tail_len);
         let count = bytes.len() / self.layout.record_size().max(1);
@@ -388,46 +387,32 @@ impl<L: RecordLayout> DynRunFile<L> {
 
     /// Sequential reader with a buffer of `buffer_records` records.
     pub fn reader(&self, buffer_records: usize) -> DynRunReader<L> {
-        self.reader_with_prefetch_gate(buffer_records, false, crate::PREFETCH_MIN_BYTES)
+        self.reader_from(buffer_records, None)
     }
 
-    /// Like [`DynRunFile::reader`], optionally reading each next buffer
-    /// ahead on a background thread while the caller consumes the current
-    /// one.  Prefetching issues exactly the same reads in the same order, so
-    /// the I/O accounting is unchanged.  The worker is spawned only once at
-    /// least `prefetch_min_bytes` are left to read (`usize::MAX` never
-    /// spawns it; [`crate::PREFETCH_MIN_BYTES`] is the fixed gate).  The
-    /// gate only decides whether a thread is spawned, never which reads
-    /// happen.
-    pub fn reader_with_prefetch_gate(
+    /// Like [`DynRunFile::reader`], reading each next buffer ahead on a
+    /// background thread while the caller consumes the current one, once at
+    /// least `min_bytes` of the run are left to read (the sorter's merge
+    /// passes [`crate::PREFETCH_MIN_BYTES`]).  Read-ahead issues exactly the
+    /// same reads in the same order, so the I/O accounting is unchanged;
+    /// `min_bytes` only decides whether a thread is spawned.
+    pub fn read_ahead_reader(&self, buffer_records: usize, min_bytes: usize) -> DynRunReader<L> {
+        self.reader_from(buffer_records, Some(min_bytes))
+    }
+
+    fn reader_from(
         &self,
         buffer_records: usize,
-        prefetch: bool,
-        prefetch_min_bytes: usize,
+        read_ahead_from: Option<usize>,
     ) -> DynRunReader<L> {
         DynRunReader {
             run: self.clone(),
             buffer: VecDeque::new(),
             next_index: 0,
             buffer_records: buffer_records.max(1),
-            prefetch,
-            prefetch_min_bytes,
+            read_ahead_from,
             prefetcher: None,
         }
-    }
-
-    /// Spawns a background reader over the record ranges given as
-    /// `(start_record, record_count)` pairs, delivering each range's raw
-    /// bytes in order while staying at most two buffers ahead.  Callers
-    /// decode with [`DynRunFile::layout`]; higher layers (e.g. the sharded
-    /// CLSM compaction) use this to prefetch block reads whose boundaries
-    /// they derive from their own index structures.
-    pub fn range_prefetcher(&self, ranges: Vec<(u64, u32)>) -> ReadAheadBuffers {
-        let body = Arc::clone(&self.body);
-        let ranges = ranges
-            .into_iter()
-            .filter_map(|(start, count)| (count > 0).then_some((start, count as usize)));
-        read_ahead_with(ranges, move |start, count| body.read(start, count))
     }
 
     /// Advises the kernel how the run's mapped pages are about to be
@@ -771,14 +756,15 @@ impl<L: RecordLayout> DynRunWriter<L> {
 }
 
 /// Buffered sequential reader over a [`DynRunFile`], optionally reading
-/// ahead on a background thread (see [`DynRunFile::reader_with_prefetch_gate`]).
+/// ahead on a background thread (see [`DynRunFile::read_ahead_reader`]).
 pub struct DynRunReader<L: RecordLayout> {
     run: DynRunFile<L>,
     buffer: VecDeque<L::Record>,
     next_index: u64,
     buffer_records: usize,
-    prefetch: bool,
-    prefetch_min_bytes: usize,
+    /// The bytes that must be left to read for the read-ahead worker to
+    /// start; `None` never starts it.
+    read_ahead_from: Option<usize>,
     prefetcher: Option<ReadAheadBuffers>,
 }
 
@@ -791,12 +777,12 @@ impl<L: RecordLayout> DynRunReader<L> {
         // left that reads may actually block (see
         // [`crate::PREFETCH_MIN_BYTES`]).
         let remaining = self.run.len() - self.next_index;
-        if self.prefetch
-            && self.prefetcher.is_none()
-            && remaining > self.buffer_records as u64
-            && remaining.saturating_mul(self.run.layout.record_size() as u64)
-                >= self.prefetch_min_bytes as u64
-        {
+        if self.read_ahead_from.is_some_and(|min_bytes| {
+            self.prefetcher.is_none()
+                && remaining > self.buffer_records as u64
+                && remaining.saturating_mul(self.run.layout.record_size() as u64)
+                    >= min_bytes as u64
+        }) {
             let total = self.run.len();
             let batch = self.buffer_records;
             let mut index = self.next_index;
@@ -1025,7 +1011,7 @@ impl<L: RecordLayout> DynExternalSorter<L> {
     }
 
     /// Sets the performance knobs; see the type docs for the two the sorter
-    /// reads (`planner` is ignored).
+    /// reads.
     pub fn with_knobs(mut self, knobs: PerfKnobs) -> Self {
         self.knobs = knobs;
         self
@@ -1071,11 +1057,11 @@ impl<L: RecordLayout> DynExternalSorter<L> {
         let readers = runs
             .iter()
             .map(|run| {
-                run.reader_with_prefetch_gate(
-                    per_run_records,
-                    self.knobs.io_overlap,
-                    crate::PREFETCH_MIN_BYTES,
-                )
+                if self.knobs.io_overlap {
+                    run.read_ahead_reader(per_run_records, crate::PREFETCH_MIN_BYTES)
+                } else {
+                    run.reader(per_run_records)
+                }
             })
             .collect();
         let merge = DynIterMerge::new(self.layout.clone(), readers)?;
@@ -1437,8 +1423,7 @@ mod tests {
         let direct: Vec<_> = run.reader(64).map(|r| r.unwrap()).collect();
         let direct_stats = stats.snapshot();
         stats.reset();
-        let mut prefetching_reader =
-            run.reader_with_prefetch_gate(64, true, crate::PREFETCH_MIN_BYTES);
+        let mut prefetching_reader = run.read_ahead_reader(64, crate::PREFETCH_MIN_BYTES);
         let prefetched: Vec<_> = (&mut prefetching_reader).map(|r| r.unwrap()).collect();
         assert!(
             prefetching_reader.prefetcher.is_some(),
@@ -1860,10 +1845,7 @@ mod tests {
         let runs = write_runs(&dir, &layout, &inputs);
         // Prefetching readers behind a zero gate: the read-ahead workers
         // run, and the merge must not notice.
-        let readers: Vec<_> = runs
-            .iter()
-            .map(|r| r.reader_with_prefetch_gate(32, true, 0))
-            .collect();
+        let readers: Vec<_> = runs.iter().map(|r| r.read_ahead_reader(32, 0)).collect();
         let merged: Vec<_> = DynIterMerge::new(layout, readers)
             .unwrap()
             .map(|r| r.unwrap())

@@ -477,12 +477,10 @@ fn write_all_at(file: &File, data: &[u8], offset: u64) -> std::io::Result<()> {
 /// which is exactly what read-ahead hides.  The gate is a pure function of
 /// the range size, so whether a reader prefetches never depends on timing.
 ///
-/// This constant is only the *default*: every prefetching reader accepts an
-/// explicit gate (`reader_with_prefetch_gate`, the sorters'
-/// `prefetch_min_bytes` knobs), which the adaptive planner raises for
-/// random-dominated workloads or sets to `usize::MAX` to disable read-ahead
-/// on cache-resident indexes.  A pure performance knob either way: the gate
-/// decides whether a worker thread is spawned, never which reads happen.
+/// The external sorter's merge readers read ahead past this gate under
+/// `io_overlap`; no index merge reads ahead (DESIGN.md "Constants and
+/// why").  The gate decides whether a worker thread is spawned, never which
+/// reads happen.
 pub const PREFETCH_MIN_BYTES: usize = 2 * 1024 * 1024;
 
 /// Target byte volume of one producer→consumer hand-off of a read-ahead

@@ -43,7 +43,7 @@ pub use fadvise::drop_page_cache;
 pub use file::{read_ahead, read_ahead_with, PagedFile, ReadAheadBuffers, PREFETCH_MIN_BYTES};
 pub use heatmap::HeatMap;
 pub use iostats::{AccessKind, IoStats, IoStatsSnapshot, LogicalAccountant, SharedIoStats};
-pub use knobs::{PerfKnobs, PlannerMode};
+pub use knobs::PerfKnobs;
 pub use mmap::{AccessPattern, IoBackend, Mapping};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use tempdir::ScratchDir;

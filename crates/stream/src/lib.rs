@@ -30,14 +30,14 @@ use std::sync::Arc;
 use coconut_ads::{AdsConfig, AdsTree};
 use coconut_clsm::ClsmTree;
 use coconut_ctree::entry::{EntryLayout, SeriesEntry};
-use coconut_ctree::planner::{self, PerfKnobs, PlannerInputs};
 use coconut_ctree::query::{KnnHeap, QueryContext, QueryCost};
 use coconut_ctree::sorted_file::SortedSeriesFile;
 use coconut_ctree::{check_series, IndexError, Result};
+use coconut_parallel::CancelToken;
 use coconut_sax::{SaxConfig, SortableSummarizer};
 use coconut_series::distance::Neighbor;
 use coconut_series::{Timestamp, TimestampedSeries};
-use coconut_storage::{DynIterMerge, SharedIoStats};
+use coconut_storage::{DynIterMerge, PerfKnobs, SharedIoStats};
 
 /// Which windowing scheme a streaming index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,7 +171,7 @@ impl StreamingIndex for PpStream {
     ) -> Result<StreamQueryResult> {
         let (neighbors, cost) = match &self.backend {
             PpBackend::Ads(t) => t.knn(query, k, exact, window)?,
-            PpBackend::Clsm(t) => t.knn(query, k, exact, window)?,
+            PpBackend::Clsm(t) => t.knn(query, k, exact, window, &CancelToken::never())?,
         };
         Ok(StreamQueryResult {
             neighbors,
@@ -281,11 +281,10 @@ pub struct PartitionedConfig {
     /// Page size used for I/O accounting.
     pub page_size: usize,
     /// The pure-performance knobs (default [`PerfKnobs::default`]).
-    /// Sorted partitions and BTP merges read `io_overlap` and `io_backend`
-    /// (mappings are dropped before a merge deletes its inputs).  The
-    /// planner drives only the BTP merge read-ahead gate, through
-    /// [`planner::decide`].  Partitions, answers,
-    /// `QueryCost` and the logical `IoStats` are identical at every setting.
+    /// Sorted partitions and BTP merges read `io_backend` (mappings are
+    /// dropped before a merge deletes its inputs); a BTP merge reads its
+    /// inputs inline.  Partitions, answers, `QueryCost` and the logical
+    /// `IoStats` are identical at every setting.
     pub knobs: PerfKnobs,
 }
 
@@ -528,16 +527,7 @@ impl PartitionedStream {
                 }
             }
             let layout = self.config.layout();
-            let gate = planner::decide(&self.config.knobs, || self.merge_planner_inputs())
-                .0
-                .effective_prefetch_gate();
-            let readers = files
-                .iter()
-                .map(|f| {
-                    f.run()
-                        .reader_with_prefetch_gate(256, self.config.knobs.io_overlap, gate)
-                })
-                .collect();
+            let readers = files.iter().map(|f| f.run().reader(256)).collect();
             let merge = DynIterMerge::new(layout, readers)?;
             let path = self.dir.join(format!("btp-merged-{:06}.run", self.next_id));
             self.next_id += 1;
@@ -621,15 +611,6 @@ impl PartitionedStream {
             });
         }
         (units, accessed)
-    }
-
-    /// Captures the [`PlannerInputs`] snapshot a BTP merge plans its
-    /// read-ahead gate from (see [`PlannerInputs::capture`]).
-    fn merge_planner_inputs(&self) -> PlannerInputs {
-        PlannerInputs::capture(
-            self.partitions.iter().map(|p| p.footprint()).sum(),
-            &self.stats.snapshot(),
-        )
     }
 }
 

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use coconut_core::{Dataset, IndexConfig, IoStats, ScratchDir, StaticIndex, VariantKind};
+use coconut_core::{
+    CancelToken, Dataset, IndexConfig, IoStats, ScratchDir, StaticIndex, VariantKind,
+};
 use coconut_series::generator::{RandomWalkGenerator, SeriesGenerator};
 
 fn main() {
@@ -42,8 +44,12 @@ fn main() {
     // 3. Query: a noisy copy of series #1234 must come back as its own
     //    nearest neighbour.
     let query: Vec<f32> = series[1234].values.iter().map(|v| v + 0.01).collect();
-    let (approx, _) = index.knn(&query, 5, false).expect("approximate query");
-    let (exact, cost) = index.knn(&query, 5, true).expect("exact query");
+    let (approx, _) = index
+        .knn(&query, 5, false, &CancelToken::never())
+        .expect("approximate query");
+    let (exact, cost) = index
+        .knn(&query, 5, true, &CancelToken::never())
+        .expect("exact query");
     println!(
         "approximate top hit: id {} (distance {:.4})",
         approx[0].id,

@@ -11,7 +11,8 @@
 use std::sync::Arc;
 
 use coconut_core::{
-    recommend, Dataset, IndexConfig, IoStats, Scenario, ScratchDir, StaticIndex, VariantKind,
+    recommend, CancelToken, Dataset, IndexConfig, IoStats, Scenario, ScratchDir, StaticIndex,
+    VariantKind,
 };
 use coconut_series::generator::{AstronomyGenerator, PatternKind, SeriesGenerator};
 
@@ -76,8 +77,12 @@ fn main() {
 
     // --- Pattern search on both ---
     for (name, template) in &patterns {
-        let (ads_hits, ads_cost) = ads.knn(template, 5, true).expect("ads query");
-        let (ctree_hits, ctree_cost) = ctree.knn(template, 5, true).expect("ctree query");
+        let (ads_hits, ads_cost) = ads
+            .knn(template, 5, true, &CancelToken::never())
+            .expect("ads query");
+        let (ctree_hits, ctree_cost) = ctree
+            .knn(template, 5, true, &CancelToken::never())
+            .expect("ctree query");
         assert!((ads_hits[0].squared_distance - ctree_hits[0].squared_distance).abs() < 1e-6);
         let label = gen.label(ctree_hits[0].id);
         println!(
